@@ -9,16 +9,6 @@ record headers), not by the values themselves.
 from __future__ import annotations
 
 
-def bit(value: int, i: int) -> int:
-    """Bit at position i."""
-    return (value >> i) & 1
-
-
-def parity(value: int) -> int:
-    """XOR of all bits."""
-    return value.bit_count() & 1
-
-
 def dot(a: int, b: int) -> int:
     """Inner product of two bit strings modulo 2."""
     return (a & b).bit_count() & 1

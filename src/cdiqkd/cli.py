@@ -11,28 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ExperimentConfig
+from .config import FIELD_TYPES, ConfigError, ExperimentConfig
 from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment
-
-_FLAG_TYPES = {
-    "rounds": int,
-    "epsilon": float,
-    "etcf": str,
-    "domain_bits": int,
-    "lattice_n": int,
-    "lattice_m": int,
-    "lattice_q": int,
-    "device": str,
-    "seed": int,
-    "transcript": str,
-    "summary": str,
-    "trapdoors": str,
-    "recon": str,
-    "eps_sec": float,
-    "bound_constant": float,
-    "bound_exponent": float,
-    "negl_term": float,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRANSCRIPT",
         help="audit a transcript instead of running; requires --trapdoors",
     )
-    for name, kind in _FLAG_TYPES.items():
+    for name, kind in FIELD_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
     return parser
 
@@ -71,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         data = ExperimentConfig.from_file(args.config).to_dict() if args.config else {}
-        for name in _FLAG_TYPES:
+        for name in FIELD_TYPES:
             value = getattr(args, name)
             if value is not None:
                 data[name] = value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict, fields
 
+from .devices import make_device
 from .etcf import EtcfParams
 from .keyrate import KeyRateParams
 from .protocol import ProtocolParams
@@ -12,10 +13,6 @@ from .protocol import ProtocolParams
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
-
-
-_DEVICE_PREFIXES = ("noisy:", "classical-table:")
-_DEVICE_NAMES = ("honest", "classical-random")
 
 
 @dataclass
@@ -51,18 +48,10 @@ class ExperimentConfig:
             raise ConfigError(f"recon must be 'hamming74' or 'none', got {self.recon!r}")
         if not 0.0 < self.eps_sec < 1.0:
             raise ConfigError(f"eps_sec must be in (0, 1), got {self.eps_sec}")
-        if self.device not in _DEVICE_NAMES and not self.device.startswith(_DEVICE_PREFIXES):
-            raise ConfigError(f"unknown device {self.device!r}")
-        if self.device.startswith("noisy:"):
-            parts = self.device.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"noisy device must be noisy:PA:PB, got {self.device!r}")
-            try:
-                probs = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise ConfigError(f"bad noisy device probabilities in {self.device!r}") from exc
-            if any(not 0.0 <= p <= 1.0 for p in probs):
-                raise ConfigError(f"noisy device probabilities outside [0, 1]: {self.device!r}")
+        try:
+            make_device(self.device)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"device {self.device!r}: {exc}") from exc
         try:
             self.etcf_params().validate()
         except ValueError as exc:
@@ -70,10 +59,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        for key, value in data.items():
+            if key not in FIELD_TYPES:
                 raise ConfigError(f"unknown config key: {key}")
+            _check_value(key, value)
         config = cls(**data)
         config.validate()
         return config
@@ -114,3 +103,25 @@ class ExperimentConfig:
             constant_big_c=self.bound_constant,
             negl_term=self.negl_term,
         )
+
+
+# Value type of each field, read from its annotation; the CLI's flag types
+# come from the same table.
+_ANNOTATION_TYPES = {"int": int, "float": float, "str": str, "str | None": str}
+FIELD_TYPES = {f.name: _ANNOTATION_TYPES[f.type] for f in fields(ExperimentConfig)}
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
+
+
+def _check_value(name: str, value) -> None:
+    """Reject a config-file value of the wrong JSON type for its field.
+
+    Bools never pass for numbers; a float field takes an int unconverted,
+    so the config echoed into summaries keeps its bytes; optional paths
+    take null.
+    """
+    if value is None and name in _OPTIONAL:
+        return
+    kind = FIELD_TYPES[name]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {name} must be {kind.__name__}, got {value!r}")

@@ -14,6 +14,7 @@ Strategies receive public keys only - trapdoors never enter this module.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -242,6 +243,9 @@ class NoisyHonestDevice(HonestDevice):
         return a, h_a, b, h_b
 
 
+TABLE_KEYS = ("c_a", "c_b", "z_a", "z_b", "d_a", "d_b", "a", "b", "h_a", "h_b")
+
+
 @dataclass
 class ClassicalDeterministicDevice(DeviceStrategy):
     """Returns fixed responses from a table; useful for targeted failure paths.
@@ -297,10 +301,12 @@ class ClassicalRandomDevice(DeviceStrategy):
 
 
 def make_device(spec: str) -> DeviceStrategy:
-    """Build a strategy from its config string.
+    """Build a strategy from its config string; the one parser of device specs.
 
-    Accepted forms: ``honest``, ``noisy:PA:PB``, ``classical-random``,
-    ``classical-table:PATH`` (a JSON file of fixed responses).
+    Accepted forms: ``honest``, ``noisy:PA:PB`` (flip probabilities in
+    [0, 1]), ``classical-random``, ``classical-table:PATH`` (a JSON object
+    of fixed responses: keys among ``TABLE_KEYS``, int values).  A malformed
+    spec or table raises ValueError; an unreadable table file raises OSError.
     """
     if spec == "honest":
         return HonestDevice()
@@ -312,9 +318,15 @@ def make_device(spec: str) -> DeviceStrategy:
             raise ValueError(f"noisy device spec must be noisy:PA:PB, got {spec!r}")
         return NoisyHonestDevice(NoiseSpec(float(parts[1]), float(parts[2])))
     if spec.startswith("classical-table:"):
-        import json
-
         path = spec.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
-            return ClassicalDeterministicDevice(json.load(fh))
+            table = json.load(fh)
+        if not isinstance(table, dict):
+            raise ValueError("device table must hold a JSON object")
+        for name, value in table.items():
+            if name not in TABLE_KEYS:
+                raise ValueError(f"unknown device table key {name!r}")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"device table entry {name} must be an int, got {value!r}")
+        return ClassicalDeterministicDevice(table)
     raise ValueError(f"unknown device spec {spec!r}")

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import fits, from_hex, to_hex
+from .bits import fits
 
 
 class KeyKind(Enum):
@@ -199,53 +199,49 @@ def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
     return out
 
 
+def _row_reduce(rows: list[list[int]], q: int, cols: int) -> list[int]:
+    """Gauss-Jordan elimination over Z_q (q prime) on the first ``cols`` columns, in place.
+
+    Returns the pivot columns: afterwards row r has a leading 1 in column
+    ``pivots[r]`` and zeros in every other pivot column, and the rows past
+    the last pivot are zero in the first ``cols`` columns.  Plain int lists
+    beat numpy rows at these matrix sizes.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    for col in range(cols):
+        row = len(pivots)
+        if row == m:
+            break
+        pivot = next((r for r in range(row, m) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        inv = pow(rows[row][col], q - 2, q)
+        lead = [v * inv % q for v in rows[row]]
+        rows[row] = lead
+        for r in range(m):
+            factor = rows[r][col]
+            if r != row and factor:
+                rows[r] = [(v - factor * w) % q for v, w in zip(rows[r], lead)]
+        pivots.append(col)
+    return pivots
+
+
 def _solve_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray | None:
-    """Solve A x = b over Z_q (q prime) by Gaussian elimination; None if inconsistent.
+    """Solve A x = b over Z_q (q prime); None if inconsistent.
 
     A has full column rank by construction, so a solution is unique when it exists.
     """
     m, n = a.shape
-    aug = np.concatenate([a % q, (b % q).reshape(m, 1)], axis=1).astype(np.int64)
-    row = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r, col] % q), None)
-        if pivot is None:
-            continue
-        aug[[row, pivot]] = aug[[pivot, row]]
-        inv = pow(int(aug[row, col]), q - 2, q)
-        aug[row] = (aug[row] * inv) % q
-        for r in range(m):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % q
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    x = np.zeros(n, dtype=np.int64)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, n]
-    if np.any((a @ x - b) % q):
+    rows = np.concatenate([a % q, (b % q).reshape(m, 1)], axis=1).tolist()
+    pivots = _row_reduce(rows, q, n)
+    if any(row[n] for row in rows[len(pivots):]):
         return None
+    x = np.zeros(n, dtype=np.int64)
+    for row, col in zip(rows, pivots):
+        x[col] = row[n]
     return x
-
-
-def _rank_mod(a: np.ndarray, q: int) -> int:
-    m, n = a.shape
-    work = (a % q).astype(np.int64).copy()
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if work[r, col] % q), None)
-        if pivot is None:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        inv = pow(int(work[rank, col]), q - 2, q)
-        work[rank] = (work[rank] * inv) % q
-        for r in range(m):
-            if r != rank and work[r, col]:
-                work[r] = (work[r] - work[r, col] * work[rank]) % q
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +296,7 @@ def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     n, m, q = params.n, params.m, params.q
     while True:
         matrix = rng.integers(0, q, size=(m, n), dtype=np.int64)
-        if _rank_mod(matrix, q) == n:
+        if len(_row_reduce(matrix.tolist(), q, n)) == n:
             break
     if kind is KeyKind.CLAW_FREE:
         secret = rng.integers(0, q, size=n, dtype=np.int64)
@@ -522,11 +518,3 @@ def serialized_trapdoor_hex(trapdoor: Trapdoor) -> str:
     """The hex payload of a trapdoor; used by privacy-scan tests."""
     data = trapdoor_to_dict(trapdoor)
     return data["tables"] if data["family"] == "ideal" else (data["secret"] or "")
-
-
-def to_hex_str(value: int, width: int) -> str:
-    return to_hex(value, width)
-
-
-def from_hex_str(text: str) -> int:
-    return from_hex(text)

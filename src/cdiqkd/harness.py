@@ -31,7 +31,7 @@ from .etcf import (
     trapdoor_from_dict,
     trapdoor_to_dict,
 )
-from .keyrate import KeyRateReport, session_rate_report
+from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
     RoundRecord,
@@ -58,14 +58,10 @@ class ReplayError(ValueError):
     """Transcript cannot be audited (truncated or structurally unusable)."""
 
 
-def _sig12(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
 def _round_floats(node):
     """Apply the 12-significant-digit summary convention recursively."""
     if isinstance(node, float):
-        return _sig12(node)
+        return sig12(node)
     if isinstance(node, dict):
         return {key: _round_floats(value) for key, value in node.items()}
     if isinstance(node, list):
@@ -142,7 +138,7 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
         "record": "header",
         "version": 1,
         "rounds": session.rounds,
-        "epsilon": _sig12(config.epsilon),
+        "epsilon": sig12(config.epsilon),
         "etcf": _etcf_header(config),
         "device": config.device,
     }
@@ -150,7 +146,7 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
         "record": "footer",
         "tested": session.tested_count,
         "failed": session.failed_count,
-        "fail_fraction": _sig12(session.fail_fraction),
+        "fail_fraction": sig12(session.fail_fraction),
         "aborted": session.aborted,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -273,8 +269,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         "exit_code": exit_code,
         "aborted": session.aborted,
         "verified": verified,
-        "fail_fraction": _sig12(session.fail_fraction),
-        "qber_estimate": _sig12(qber),
+        "fail_fraction": sig12(session.fail_fraction),
+        "qber_estimate": sig12(qber),
         "counts": {
             "rounds": session.rounds,
             "sifted": session.sifted_count,
@@ -453,7 +449,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     if failed != int(footer_entry.get("failed", -1)):
         mismatches.append(f"footer: failed count should be {failed}")
     if abs(fail_fraction - float(footer_entry.get("fail_fraction", -1.0))) > 1e-9:
-        mismatches.append(f"footer: fail fraction should be {_sig12(fail_fraction)}")
+        mismatches.append(f"footer: fail fraction should be {sig12(fail_fraction)}")
     if recomputed_abort != bool(footer_entry.get("aborted")):
         mismatches.append(f"footer: abort decision should be {recomputed_abort}")
 

@@ -1,10 +1,13 @@
 """Entropy and key-rate arithmetic.
 
 The asymptotic one-way rate is weight * (H(A|E) - H(A|B)), where the
-weight collects the sifting factor, the generation-round probability, and
-the matched-basis probability.  With the default fair-coin parameters the
-ideal weight is 1/2 * 1/16 * 1/4 = 1/128; overriding the knobs recomputes
-the product rather than trusting the constant.
+weight is the probability that a round yields a raw key bit.  It is the
+product of the verifiers' round coins, read from the ``ProtocolParams``
+the session ran with: both challenges b, both state bases Hadamard, the
+generate tag, and both questions computational.  With the default
+fair-coin parameters the ideal weight is 1/4 * 1/4 * 1/2 * 1/4 = 1/128;
+overriding the knobs recomputes the product rather than trusting the
+constant.
 """
 
 from __future__ import annotations
@@ -12,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .protocol import SessionResult
+from .protocol import ProtocolParams, SessionResult
 
 
 def binary_entropy(p: float) -> float:
@@ -60,43 +61,44 @@ class KeyRateParams:
     exponent_c: float = 0.5
     constant_big_c: float = 1.0
     negl_term: float = 0.0
-    sift_factor: float = 0.5
-    p_generate: float = 1.0 / 16.0
-    p_basis_match: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0.0 < self.exponent_c <= 1.0:
             raise ValueError(f"exponent must be in (0, 1], got {self.exponent_c}")
         if self.constant_big_c < 0 or self.negl_term < 0:
             raise ValueError("constant and negl term must be nonnegative")
-        for name in ("sift_factor", "p_generate", "p_basis_match"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-def ideal_rate(params: KeyRateParams | None = None) -> Fraction:
-    """Exact rational rate of the ideal state: sift * p_generate * p_basis_match.
+def ideal_rate(protocol: ProtocolParams | None = None) -> Fraction:
+    """Exact rational rate of the ideal state: the product of the round coins.
 
-    Defaults give exactly 1/128.  H(A|E) = 1 and H(A|B) = 0 for the ideal
-    state, so the entropy difference contributes a factor of one.
+    A round yields a raw key bit when both challenges are b (p_ct_b each),
+    both state bases are Hadamard (p_theta_hadamard each), the Bell round
+    is tagged generate (p_generate_given_bell), and both questions are
+    computational (1 - p_question_hadamard each).  ``None`` means the
+    fair-coin defaults of ``ProtocolParams``, which give exactly 1/128.
+    H(A|E) = 1 and H(A|B) = 0 for the ideal state, so the entropy
+    difference contributes a factor of one.
     """
-    if params is None:
-        return Fraction(1, 2) * Fraction(1, 16) * Fraction(1, 4)
-    return (
-        Fraction(params.sift_factor)
-        * Fraction(params.p_generate)
-        * Fraction(params.p_basis_match)
-    )
+    if protocol is None:
+        protocol = ProtocolParams(rounds=1, epsilon=0.0)
+    p_b = Fraction(protocol.p_ct_b)
+    p_hadamard = Fraction(protocol.p_theta_hadamard)
+    p_computational = 1 - Fraction(protocol.p_question_hadamard)
+    p_generate = Fraction(protocol.p_generate_given_bell)
+    return p_b**2 * p_hadamard**2 * p_generate * p_computational**2
 
 
-def asymptotic_rate_bound(params: KeyRateParams) -> float:
-    """Asymptotic lower bound: ideal rate - C eps^c |log2 eps| - negl, floored at 0."""
+def asymptotic_rate_bound(params: KeyRateParams, protocol: ProtocolParams | None = None) -> float:
+    """Asymptotic lower bound: ideal rate - C eps^c |log2 eps| - negl, floored at 0.
+
+    The ideal rate is ``ideal_rate(protocol)``; ``None`` means fair coins.
+    """
     eps = params.epsilon
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {eps}")
     penalty = params.constant_big_c * eps**params.exponent_c * abs(math.log2(eps))
-    return max(0.0, float(ideal_rate(params)) - penalty - params.negl_term)
+    return max(0.0, float(ideal_rate(protocol)) - penalty - params.negl_term)
 
 
 def continuity_envelope(delta: float, alphabet_size: int) -> float:
@@ -116,7 +118,7 @@ def continuity_envelope(delta: float, alphabet_size: int) -> float:
     )
 
 
-def _sig12(value: float) -> float:
+def sig12(value: float) -> float:
     # Summary convention: decimal with 12 significant digits.
     return float(f"{value:.12g}")
 
@@ -152,7 +154,7 @@ class KeyRateReport:
     def to_dict(self) -> dict:
         data = asdict(self)
         return {
-            key: _sig12(value) if isinstance(value, float) else value
+            key: sig12(value) if isinstance(value, float) else value
             for key, value in data.items()
         }
 
@@ -162,20 +164,23 @@ class KeyRateReport:
 
 
 def session_rate_report(
-    result: "SessionResult",
+    result: SessionResult,
     params: KeyRateParams,
     final_key_length: int = 0,
     leak_bits: int = 0,
     qber_estimate: float = 0.0,
 ) -> KeyRateReport:
-    """Bundle a finished session with the configured rate bounds."""
+    """Bundle a finished session with the configured rate bounds.
+
+    The ideal rate is weighted by the round coins the session ran with.
+    """
     rounds = result.rounds
     raw_len = int(len(result.raw_key_a))
-    rate = ideal_rate(params)
+    rate = ideal_rate(result.params)
     return KeyRateReport(
         rounds=rounds,
         aborted=result.aborted,
-        fail_fraction=_sig12(result.fail_fraction),
+        fail_fraction=sig12(result.fail_fraction),
         sifted_count=result.sifted_count,
         tested_count=result.tested_count,
         generate_count=result.generate_count,
@@ -183,14 +188,14 @@ def session_rate_report(
         raw_key_length=raw_len,
         final_key_length=0 if result.aborted else int(final_key_length),
         leak_bits=int(leak_bits),
-        qber_estimate=_sig12(qber_estimate),
-        gross_raw_rate=_sig12(raw_len / rounds if rounds else 0.0),
-        gross_final_rate=_sig12(final_key_length / rounds if rounds else 0.0),
-        net_final_rate=_sig12(final_key_length / raw_len if raw_len else 0.0),
+        qber_estimate=sig12(qber_estimate),
+        gross_raw_rate=sig12(raw_len / rounds if rounds else 0.0),
+        gross_final_rate=sig12(final_key_length / rounds if rounds else 0.0),
+        net_final_rate=sig12(final_key_length / raw_len if raw_len else 0.0),
         ideal_rate_fraction=f"{rate.numerator}/{rate.denominator}",
-        ideal_rate_value=_sig12(float(rate)),
-        devetak_winter_ideal=_sig12(
+        ideal_rate_value=sig12(float(rate)),
+        devetak_winter_ideal=sig12(
             devetak_winter(EntropyPair(1.0, 0.0), float(rate))
         ),
-        rate_bound_value=_sig12(asymptotic_rate_bound(params)),
+        rate_bound_value=sig12(asymptotic_rate_bound(params, result.params)),
     )

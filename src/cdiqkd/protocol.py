@@ -11,7 +11,8 @@ Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Round i draws from two substreams spawned from
 ``SeedSequence(seed).spawn(n)[i]`` - one for the verifiers, one for the
 device - so rounds could be executed in parallel without changing any
-outcome.
+outcome.  A ``SeedSequence`` passed as the seed is read, never advanced,
+so passing the same object twice gives the same session.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class RoundRecord:
 
 @dataclass
 class SessionResult:
+    params: ProtocolParams  # the parameters the session ran with
     records: list[RoundRecord]
     aborted: bool
     fail_fraction: float
@@ -339,7 +341,12 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records: list[RoundRecord] = []
-    for i, child in enumerate(master.spawn(params.rounds)):
+    for i in range(params.rounds):
+        # The children master.spawn() would hand out, without advancing the
+        # caller's SeedSequence: a reused object replays the same session.
+        child = np.random.SeedSequence(
+            master.entropy, spawn_key=(*master.spawn_key, i), pool_size=master.pool_size
+        )
         verifier_seq, device_seq = child.spawn(2)
         verifier_rng = np.random.Generator(np.random.PCG64(verifier_seq))
         device_rng = np.random.Generator(np.random.PCG64(device_seq))
@@ -380,6 +387,7 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
 
     sifted = [r for r in records if r.round_type is not RoundType.SIFTED]
     return SessionResult(
+        params=params,
         records=records,
         aborted=aborted,
         fail_fraction=fail_fraction,

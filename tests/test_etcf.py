@@ -23,6 +23,8 @@ from cdiqkd.etcf import (
     keygen,
     trapdoor_from_dict,
     trapdoor_to_dict,
+    _row_reduce,
+    _solve_mod,
 )
 
 
@@ -194,6 +196,32 @@ class TestToyLattice:
         assert not key.in_domain(bad)
         with pytest.raises(ValueError):
             evaluate(key, 0, bad)
+
+
+class TestRowReduction:
+    """The mod-q elimination against exhaustive search over all q**n vectors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 7]))
+    def test_solve_and_rank_match_brute_force(self, seed, q):
+        rng = np.random.default_rng(seed)
+        m, n = 4, 2
+        a = rng.integers(0, q, size=(m, n))
+        if rng.random() < 0.3:
+            a[:, 1] = (a[:, 0] * int(rng.integers(q))) % q  # rank-deficient
+        b = rng.integers(0, q, size=m)
+        if rng.random() < 0.5:
+            b = (a @ rng.integers(0, q, size=n)) % q  # consistent right-hand side
+        vectors = [np.array([i % q, i // q]) for i in range(q**n)]
+        solutions = [x for x in vectors if not np.any((a @ x - b) % q)]
+        kernel = [x for x in vectors if not np.any((a @ x) % q)]
+        x = _solve_mod(a, b, q)
+        if solutions:
+            assert x is not None and not np.any((a @ x - b) % q)
+        else:
+            assert x is None
+        full_rank = len(_row_reduce(a.tolist(), q, n)) == n
+        assert full_rank == (len(kernel) == 1)
 
 
 class TestCheckPreimage:

@@ -1,5 +1,6 @@
 """Config, experiment runner, transcript/replay, and CLI tests."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
 from cdiqkd.etcf import serialized_trapdoor_hex, key_to_dict
 from cdiqkd.harness import (
@@ -317,3 +319,79 @@ class TestCli:
     def test_replay_missing_file(self):
         result = self.run_cli("--replay", "/nonexistent/transcript.jsonl")
         assert result.returncode == 1
+
+
+class TestMalformedInputExitsOne:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"rounds": "10"},
+            {"rounds": 8.5},
+            {"rounds": True},
+            {"epsilon": "x"},
+            {"epsilon": False},
+            {"domain_bits": "4"},
+            {"seed": 1.5},
+            {"seed": None},
+            {"device": 3},
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_int_for_float_and_null_path_are_accepted(self):
+        config = ExperimentConfig.from_dict({"epsilon": 0, "bound_constant": 2, "summary": None})
+        assert config.epsilon == 0 and isinstance(config.epsilon, int)
+        assert config.to_dict()["bound_constant"] == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]", '{"a": 1.5}', '{"a": true}', '{"c_q": 1}'],
+        ids=["missing", "not-json", "list", "float-value", "bool-value", "unknown-key"],
+    )
+    def test_malformed_device_table(self, tmp_path, capsys, content):
+        path = tmp_path / "table.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["--rounds", "16", "--device", f"classical-table:{path}"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v1.
+# A change here changes the outputs of every seeded run.
+STREAM_LAYOUT_V1 = {
+    "ideal-honest": (
+        {"rounds": 512, "etcf": "ideal", "device": "honest"},
+        (
+            "22d0644f418c0c4c5f836df5dad5d281a88ee24c789e00b93fa6e6168473358a",
+            "6206afdd26bc930bacb48ac7cefbc0c7bd6c01dddc5ad9ec028aa562cac7a13b",
+            "7ad5d7e4382f922fd94ee22d8b596b3c3fe289e7e8282a3fe27e7cadb638fe78",
+        ),
+    ),
+    "lattice-noisy": (
+        {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
+        (
+            "d63643b2a4b8e59fb8a068f4ab3f47ded766fc01138621d0734d133a106412cc",
+            "91d70cc0a5d15a02bc9fab0b2a70a3cccd94dbbbb294951fca645ece9d83e8f3",
+            "bf77dcefef714368831f970a77d7c14ad89a8bd089430672dfc0499a18988bb7",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V1))
+def test_stream_layout_v1_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V1[name]
+    # Relative paths keep the summary, which echoes them, free of tmp_path.
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(
+        {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
+    ))
+    digests = tuple(
+        hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        for path in ("t.jsonl", "t.jsonl.keys", "s.json")
+    )
+    assert digests == expected

@@ -22,6 +22,8 @@ from cdiqkd.keyrate import (
 )
 from cdiqkd.protocol import ProtocolParams, run_session
 
+from .helpers import assert_frequency
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -84,10 +86,13 @@ class TestIdealRate:
         )
 
     def test_recomputed_from_overridden_knobs(self):
-        params = KeyRateParams(p_generate=0.5, p_basis_match=1.0)
-        assert ideal_rate(params) == Fraction(1, 2) * Fraction(1, 2)
-        params = KeyRateParams(sift_factor=1.0, p_generate=0.5, p_basis_match=1.0)
-        assert ideal_rate(params) == Fraction(1, 2)
+        params = ProtocolParams(
+            rounds=1, epsilon=0.0, p_generate_given_bell=1.0, p_question_hadamard=0.0
+        )
+        assert ideal_rate(params) == Fraction(1, 4) * Fraction(1, 4)
+        params = ProtocolParams(rounds=1, epsilon=0.0, p_theta_hadamard=1.0, p_ct_b=1.0)
+        assert ideal_rate(params) == Fraction(1, 2) * Fraction(1, 4)
+        assert ideal_rate(ProtocolParams(rounds=1, epsilon=0.0)) == ideal_rate()
 
 
 class TestAsymptoticRateBound:
@@ -172,6 +177,16 @@ class TestSessionRateReport:
         rebuilt = KeyRateReport.from_dict(json.loads(payload))
         assert rebuilt.to_dict() == report.to_dict()
         assert json.dumps(rebuilt.to_dict()) == payload
+
+    def test_rate_weight_follows_session_params(self):
+        knobs = ProtocolParams(rounds=2048, epsilon=0.01, p_theta_hadamard=1.0, p_ct_b=1.0)
+        session = run_session(HonestDevice(), knobs, seed=8)
+        params = KeyRateParams(epsilon=0.01)
+        report = session_rate_report(session, params)
+        assert report.ideal_rate_fraction == "1/8"
+        assert report.rate_bound_value == pytest.approx(asymptotic_rate_bound(params, knobs))
+        assert_frequency(len(session.raw_key_a), session.rounds, 1 / 8, "raw key rate")
+        assert ideal_rate() == Fraction(1, 128)
 
     def test_aborted_session_reports_zero_final(self):
         from cdiqkd.devices import ClassicalRandomDevice

@@ -1,5 +1,7 @@
 """Protocol engine tests: classification, checks, sessions, key extraction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from cdiqkd.devices import (
     NoiseSpec,
     NoisyHonestDevice,
 )
-from cdiqkd.etcf import EtcfParams, invert
+from cdiqkd.etcf import EtcfParams, invert, key_to_dict, trapdoor_to_dict
 from cdiqkd.protocol import (
     ProtocolParams,
     RoundType,
@@ -34,6 +36,19 @@ from .helpers import assert_frequency
 COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
 A, B = ChallengeType.A, ChallengeType.B
+
+
+def _signature(record) -> tuple:
+    """Everything a round record holds, in comparable form."""
+    sides = tuple(
+        (
+            side.theta, side.ct, side.c, side.z, side.d, side.question, side.answer, side.h,
+            side.violation, json.dumps(key_to_dict(side.key)),
+            json.dumps(trapdoor_to_dict(side.trapdoor)),
+        )
+        for side in (record.alice, record.bob)
+    )
+    return record.index, record.round_type, record.test_tag, record.win, sides
 
 
 def params(rounds=256, epsilon=0.05, w=4, **knobs) -> ProtocolParams:
@@ -285,6 +300,17 @@ class TestRunSession:
             assert r1.test_tag == r2.test_tag
             assert r1.win == r2.win
             assert r1.alice.c == r2.alice.c
+
+    def test_reused_seed_sequence_gives_the_same_session(self):
+        seq = np.random.SeedSequence(2024)
+        first = run_session(HonestDevice(), params(rounds=256), seq)
+        second = run_session(HonestDevice(), params(rounds=256), seq)
+        fresh = run_session(HonestDevice(), params(rounds=256), np.random.SeedSequence(2024))
+        assert seq.n_children_spawned == 0
+        for other in (second, fresh):
+            assert [_signature(r) for r in first.records] == [_signature(r) for r in other.records]
+            assert np.array_equal(first.raw_key_a, other.raw_key_a)
+            assert np.array_equal(first.raw_key_b, other.raw_key_b)
 
     def test_generate_fraction_among_sifted(self):
         session = run_session(HonestDevice(), params(rounds=8192), seed=2)
