@@ -52,6 +52,7 @@ EXIT_ABORTED = 2
 
 _BASIS_CODE = {MeasurementBasis.COMPUTATIONAL: "C", MeasurementBasis.HADAMARD: "H"}
 _BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": MeasurementBasis.HADAMARD}
+_MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
 class ReplayError(ValueError):
@@ -329,7 +330,7 @@ def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) 
         theta=_BASIS_FROM[line[f"theta_{suffix}"]],
         key=key,
         trapdoor=trapdoor,
-        c=from_hex(line.get(f"c_{suffix}", "0")),
+        c=from_hex(line[f"c_{suffix}"]),
         ct=ct,
         violation=bool(line.get(f"viol_{suffix}", False)),
     )
@@ -355,30 +356,47 @@ def _load_lines(path: str) -> list[tuple[int, dict | None]]:
             if not raw:
                 continue
             try:
-                lines.append((number, json.loads(raw)))
+                entry = json.loads(raw)
             except json.JSONDecodeError:
-                lines.append((number, None))
+                entry = None
+            lines.append((number, entry if isinstance(entry, dict) else None))
     return lines
+
+
+def _store_keys(number: int, entry: dict) -> tuple:
+    """(key_a, trapdoor_a, key_b, trapdoor_b) of the trapdoor-store entry on line number."""
+    try:
+        key_a, key_b = key_from_dict(entry["key_a"]), key_from_dict(entry["key_b"])
+        trapdoor_a = trapdoor_from_dict(entry["trapdoor_a"], key_a)
+        return key_a, trapdoor_a, key_b, trapdoor_from_dict(entry["trapdoor_b"], key_b)
+    except _MALFORMED as exc:
+        raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
 
 
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Corrupt lines yield a mismatch naming the line; a missing footer (a
-    truncated transcript) raises ReplayError naming the last good line.
+    Corrupt round lines yield a mismatch naming the line.  A missing footer
+    (a truncated transcript) raises ReplayError naming the last good line; so
+    do an unusable header and a corrupt trapdoor-store entry.
     """
     lines = _load_lines(transcript_path)
     if not lines or lines[0][1] is None or lines[0][1].get("record") != "header":
         raise ReplayError("transcript has no valid header line")
-    header = lines[0][1]
-    epsilon = float(header["epsilon"])
+    try:
+        epsilon = float(lines[0][1]["epsilon"])
+    except _MALFORMED as exc:
+        raise ReplayError("transcript header has no valid epsilon") from exc
 
-    key_material: dict[int, dict] = {}
+    # Decoded per round, not here: each decoded trapdoor grows inverse tables.
+    key_material: dict[int, tuple[int, dict]] = {}
     for number, entry in _load_lines(trapdoor_store_path):
-        if entry is None:
-            raise ReplayError(f"trapdoor store corrupt at line {number}")
-        if entry.get("record") == "keys":
-            key_material[int(entry["i"])] = entry
+        if entry is not None and entry.get("record") != "keys":
+            continue
+        try:
+            key_material[int(entry["i"])] = (number, entry)
+        except _MALFORMED as exc:
+            raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
 
     mismatches: list[str] = []
     tested = failed = 0
@@ -397,15 +415,15 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             mismatches.append(f"line {number}: unexpected record type {kind!r}")
             continue
         last_good = number
-        index = int(entry["i"])
         try:
+            index = int(entry["i"])
             recomputed_rt = classify_round(
                 ChallengeType(entry["ct_a"]),
                 ChallengeType(entry["ct_b"]),
                 _BASIS_FROM[entry["theta_a"]],
                 _BASIS_FROM[entry["theta_b"]],
             )
-        except (KeyError, ValueError):
+        except _MALFORMED:
             mismatches.append(f"line {number}: corrupt record")
             continue
         if recomputed_rt.value != entry.get("rt"):
@@ -417,20 +435,18 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         if material is None:
             mismatches.append(f"line {number}: round {index} has no key material in the store")
             continue
-        key_a = key_from_dict(material["key_a"])
-        key_b = key_from_dict(material["key_b"])
-        record = RoundRecord(
-            index=index,
-            alice=_side_from_line(
-                entry, "a", "x", key_a, trapdoor_from_dict(material["trapdoor_a"], key_a)
-            ),
-            bob=_side_from_line(
-                entry, "b", "y", key_b, trapdoor_from_dict(material["trapdoor_b"], key_b)
-            ),
-            round_type=recomputed_rt,
-            test_tag=TestTag.TEST,
-        )
-        verdict = win_condition(record)
+        key_a, trapdoor_a, key_b, trapdoor_b = _store_keys(*material)
+        try:
+            verdict = win_condition(RoundRecord(
+                index=index,
+                alice=_side_from_line(entry, "a", "x", key_a, trapdoor_a),
+                bob=_side_from_line(entry, "b", "y", key_b, trapdoor_b),
+                round_type=recomputed_rt,
+                test_tag=TestTag.TEST,
+            ))
+        except _MALFORMED:
+            mismatches.append(f"line {number}: corrupt record")
+            continue
         tested += 1
         if verdict is WinFlag.FAIL:
             failed += 1
@@ -444,11 +460,12 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     _, footer_entry = footer
     fail_fraction = failed / tested if tested else 0.0
     recomputed_abort = fail_fraction > epsilon
-    if tested != int(footer_entry.get("tested", -1)):
+    if tested != footer_entry.get("tested"):
         mismatches.append(f"footer: tested count should be {tested}")
-    if failed != int(footer_entry.get("failed", -1)):
+    if failed != footer_entry.get("failed"):
         mismatches.append(f"footer: failed count should be {failed}")
-    if abs(fail_fraction - float(footer_entry.get("fail_fraction", -1.0))) > 1e-9:
+    reported = footer_entry.get("fail_fraction")
+    if not isinstance(reported, (int, float)) or abs(fail_fraction - reported) > 1e-9:
         mismatches.append(f"footer: fail fraction should be {sig12(fail_fraction)}")
     if recomputed_abort != bool(footer_entry.get("aborted")):
         mismatches.append(f"footer: abort decision should be {recomputed_abort}")

@@ -5,6 +5,9 @@ one way) and a 64-bit Toeplitz verification hash under a fresh public
 seed; every published bit is counted as leakage.  Privacy amplification
 is Toeplitz two-universal hashing over GF(2).  Keys are numpy uint8 bit
 arrays throughout.
+
+Both hashes are one numpy FFT convolution of seed and key.  It is exact:
+each output is an integer of at most len(key), which rounding recovers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .keyrate import binary_entropy
 
@@ -50,37 +52,28 @@ class PaSpec:
             raise ValueError(
                 f"output length {self.output_len} must be in [0, input length {self.input_len}]"
             )
-        expected = self.input_len + self.output_len - 1
-        if self.output_len == 0:
-            expected = max(expected, 0)
+        expected = max(self.input_len + self.output_len - 1, 0)
         if len(self.seed) != expected:
             raise ValueError(f"seed length {len(self.seed)} != {expected}")
 
 
-def toeplitz_matrix(seed: np.ndarray, input_len: int, output_len: int) -> np.ndarray:
-    """Binary Toeplitz matrix with first row seed[input_len-1::-1] and first
-    column seed[input_len-1:]."""
-    if output_len == 0 or input_len == 0:
-        return np.zeros((output_len, input_len), dtype=np.uint8)
-    first_col = seed[input_len - 1 : input_len - 1 + output_len]
-    first_row = seed[input_len - 1 :: -1]
-    return toeplitz(first_col, first_row).astype(np.uint8)
-
-
 def toeplitz_hash(key: np.ndarray, seed: np.ndarray, output_len: int) -> np.ndarray:
-    matrix = toeplitz_matrix(seed, len(key), output_len)
-    if len(key) == 0:
+    """T key over GF(2) for the Toeplitz matrix T[i, j] = seed[n-1+i-j], n = len(key).
+
+    Row i is the convolution seed * key at index n-1+i, which a cyclic FFT
+    convolution of length >= n + output_len - 1 computes without wrap.  The
+    product is exact: each sum is an integer of at most n, and the float64
+    error stays far below 1/2, so rounding recovers it before the mod 2.
+    """
+    n = len(key)
+    if len(seed) < n + output_len - 1:
+        raise ValueError(f"seed length {len(seed)} < {n + output_len - 1}")
+    if n == 0 or output_len == 0:
         return np.zeros(output_len, dtype=np.uint8)
-    return (matrix @ key.astype(np.uint8)) % 2
-
-
-def _hamming_syndromes(blocks: np.ndarray) -> np.ndarray:
-    return (blocks @ _HAMMING_H.T) % 2
-
-
-def _syndrome_position(syndrome_row: np.ndarray) -> int:
-    # 1-based position of the flipped bit; 0 means clean block.
-    return int(syndrome_row[0]) | int(syndrome_row[1]) << 1 | int(syndrome_row[2]) << 2
+    size = 1 << (n + output_len - 2).bit_length()
+    spectrum = np.fft.rfft(seed[: n + output_len - 1], size) * np.fft.rfft(key, size)
+    sums = np.rint(np.fft.irfft(spectrum, size)[n - 1 : n - 1 + output_len])
+    return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
 def reconcile(
@@ -107,26 +100,17 @@ def reconcile(
         syndromes = np.zeros((0, 3), dtype=np.uint8)
         leak = VERIFY_HASH_BITS
     elif scheme == "hamming74":
-        blocks = -(-n // 7)
-        padded_a = np.zeros(blocks * 7, dtype=np.uint8)
-        padded_b = np.zeros(blocks * 7, dtype=np.uint8)
-        padded_a[:n] = key_a
-        padded_b[:n] = key_b
-        syndromes = _hamming_syndromes(padded_a.reshape(blocks, 7))
-        syndromes_b = _hamming_syndromes(padded_b.reshape(blocks, 7))
-        diff = (syndromes ^ syndromes_b).astype(np.uint8)
-        corrected_blocks = padded_b.reshape(blocks, 7).copy()
-        for i in range(blocks):
-            position = _syndrome_position(diff[i])
-            if position:
-                corrected_blocks[i, position - 1] ^= 1
-        corrected = corrected_blocks.ravel()[:n]
-        leak = 3 * blocks + VERIFY_HASH_BITS
+        blocks_a = np.pad(key_a, (0, -n % 7)).reshape(-1, 7)
+        blocks_b = np.pad(key_b, (0, -n % 7)).reshape(-1, 7)
+        syndromes = (blocks_a @ _HAMMING_H.T) % 2
+        # 1-based position of each block's flipped bit; 0 means a clean block.
+        position = (syndromes ^ (blocks_b @ _HAMMING_H.T) % 2) @ np.array([1, 2, 4])
+        corrected = (blocks_b ^ (position[:, None] == np.arange(1, 8))).ravel()[:n]
+        leak = 3 * len(syndromes) + VERIFY_HASH_BITS
     else:
         raise ValueError(f"unknown reconciliation scheme {scheme!r}")
 
-    seed_len = max(n + VERIFY_HASH_BITS - 1, 0)
-    hash_seed = rng.integers(0, 2, size=seed_len, dtype=np.uint8)
+    hash_seed = rng.integers(0, 2, size=n + VERIFY_HASH_BITS - 1, dtype=np.uint8)
     hash_a = toeplitz_hash(key_a, hash_seed, VERIFY_HASH_BITS)
     hash_b = toeplitz_hash(corrected, hash_seed, VERIFY_HASH_BITS)
     return ReconciliationResult(
@@ -146,8 +130,6 @@ def privacy_amplify(key: np.ndarray, spec: PaSpec) -> np.ndarray:
     if len(key) != spec.input_len:
         raise ValueError(f"key length {len(key)} != spec input length {spec.input_len}")
     spec.validate()
-    if spec.output_len == 0:
-        return np.zeros(0, dtype=np.uint8)
     return toeplitz_hash(key, np.asarray(spec.seed, dtype=np.uint8), spec.output_len)
 
 

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,139 @@ class TestReplay:
         assert any("abort decision" in m for m in report.mismatches)
 
 
+@pytest.fixture(scope="module")
+def audit_files(tmp_path_factory):
+    """Transcript and trapdoor store lines of one honest 256-round run."""
+    tmp_path = tmp_path_factory.mktemp("audit")
+    run_experiment(config(tmp_path, rounds=256, seed=5))
+    return (
+        (tmp_path / "transcript.jsonl").read_text().splitlines(),
+        (tmp_path / "transcript.jsonl.keys").read_text().splitlines(),
+    )
+
+
+def _mutated(lines, pick, mutate):
+    """Copy of lines with mutate applied to the first entry that pick accepts."""
+    lines = list(lines)
+    number = next(n for n, line in enumerate(lines) if pick(json.loads(line)))
+    entry = json.loads(lines[number])
+    lines[number] = json.dumps(mutate(entry) or entry)
+    return lines, number + 1
+
+
+def _without(name):
+    return lambda entry: entry.pop(name) and None
+
+
+def _is_header(entry):
+    return entry["record"] == "header"
+
+
+def _is_challenge_a_test(entry):
+    return entry["record"] == "round" and entry["tag"] == "test" and "z_a" in entry
+
+
+def _is_bell_test(entry):
+    # Both questions Hadamard: the verdict needs Alice's phase string d_a.
+    return (
+        entry["record"] == "round" and entry["rt"] == "bell" and entry["tag"] == "test"
+        and entry["x"] == entry["y"] == "H"
+    )
+
+
+def _is_keys(entry):
+    return entry["record"] == "keys"
+
+
+# Each case corrupts one line; the replay must name it, never raise.
+CORRUPT_ROUNDS = {
+    "missing-index": (_is_challenge_a_test, _without("i")),
+    "infinite-index": (_is_challenge_a_test, lambda e: e.update(i=float("inf"))),
+    "missing-commitment": (_is_challenge_a_test, _without("c_a")),
+    "bad-hex-commitment": (_is_challenge_a_test, lambda e: e.update(c_a="zz")),
+    "over-wide-preimage": (_is_challenge_a_test, lambda e: e.update(z_a="ff" * 8)),
+    "numeric-preimage": (_is_challenge_a_test, lambda e: e.update(z_a=7)),
+    "unknown-basis": (_is_challenge_a_test, lambda e: e.update(theta_a="Q")),
+    "null-herald": (_is_bell_test, lambda e: e.update(h_a=None)),
+    "missing-phase-string": (_is_bell_test, _without("d_a")),
+    "not-an-object": (_is_bell_test, lambda e: [e["i"]]),
+}
+
+CORRUPT_HEADERS = {
+    "missing-epsilon": _without("epsilon"),
+    "epsilon-not-a-number": lambda e: e.update(epsilon="x"),
+    "not-an-object": lambda e: ["header"],
+}
+
+CORRUPT_STORE_ENTRIES = {
+    "missing-key": _without("key_a"),
+    "missing-index": _without("i"),
+    "infinite-domain-bits": lambda e: e["key_a"].update(domain_bits=float("inf")),
+    "bad-hex-table": lambda e: e["key_b"].update(tables="zz"),
+    "short-table": lambda e: e["trapdoor_a"].update(tables="00"),
+    "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
+    "key-not-an-object": lambda e: e.update(key_a=3),
+    "not-an-object": lambda e: "keys",
+}
+
+
+class TestMalformedReplay:
+    def write(self, tmp_path, transcript, store):
+        paths = (tmp_path / "t.jsonl", tmp_path / "t.jsonl.keys")
+        for path, lines in zip(paths, (transcript, store)):
+            path.write_text("\n".join(lines) + "\n")
+        return tuple(map(str, paths))
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_ROUNDS))
+    def test_corrupt_round_line_is_a_named_mismatch(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, number = _mutated(transcript, *CORRUPT_ROUNDS[name])
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        assert not report.match
+        assert f"line {number}: corrupt record" in report.mismatches
+
+    def test_corrupt_footer_count_is_a_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        lines, _ = _mutated(
+            transcript, lambda e: e["record"] == "footer", lambda e: e.update(tested="x")
+        )
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        assert report.mismatches == ["footer: tested count should be 118"]
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_HEADERS))
+    def test_corrupt_header_raises_replay_error(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
+        with pytest.raises(ReplayError, match="header"):
+            replay_verify(*self.write(tmp_path, lines, store))
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_STORE_ENTRIES))
+    def test_corrupt_store_entry_raises_replay_error(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name])
+        with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {number}"):
+            replay_verify(*self.write(tmp_path, transcript, lines))
+
+    @pytest.mark.parametrize(
+        "kind, name, expected",
+        [("round", name, 2) for name in sorted(CORRUPT_ROUNDS)]
+        + [("header", name, 1) for name in sorted(CORRUPT_HEADERS)]
+        + [("store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)],
+    )
+    def test_cli_exit_code(self, tmp_path, audit_files, capsys, kind, name, expected):
+        transcript, store = audit_files
+        if kind == "round":
+            transcript, _ = _mutated(transcript, *CORRUPT_ROUNDS[name])
+        elif kind == "header":
+            transcript, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
+        else:
+            store, _ = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name])
+        transcript_path, store_path = self.write(tmp_path, transcript, store)
+        assert main(["--replay", transcript_path, "--trapdoors", store_path]) == expected
+        out = capsys.readouterr()
+        assert ("corrupt record" in out.out) if expected == 2 else ("replay error" in out.err)
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -395,3 +530,15 @@ def test_stream_layout_v1_is_pinned(tmp_path, monkeypatch, name):
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")
     )
     assert digests == expected
+
+
+def test_runtime_import_path_leaves_scipy_out():
+    # SciPy is a test-only dependency; importing it would add to every run's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import cdiqkd.cli, cdiqkd.harness, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -12,7 +12,6 @@ from cdiqkd.postprocess import (
     privacy_amplify,
     reconcile,
     toeplitz_hash,
-    toeplitz_matrix,
 )
 
 
@@ -58,12 +57,19 @@ class TestReconcileHamming:
 
     def test_one_flip_per_block_everywhere(self):
         rng = np.random.default_rng(4)
-        key = bits(rng, 35)
-        noisy = key.copy()
-        for block in range(5):
-            noisy[7 * block + int(rng.integers(7))] ^= 1
-        result = reconcile(key, noisy, "hamming74", rng)
-        assert np.array_equal(result.corrected_key_b, key)
+        lengths = [35, 0, 1, 6, 8, 13, 700, 1001, 16381, 16384]
+        lengths += [int(n) for n in rng.integers(1, 16385, size=6)]
+        for n in lengths:
+            key = bits(rng, n)
+            noisy = key.copy()
+            # At most one flip per block; the final block may be partial.
+            for block in range(-(-n // 7)):
+                if rng.random() < 0.8:
+                    noisy[min(7 * block + int(rng.integers(7)), n - 1)] ^= 1
+            result = reconcile(key, noisy, "hamming74", rng)
+            assert np.array_equal(result.corrected_key_b, key), n
+            assert result.verified, n
+            assert result.leak_bits == 3 * math.ceil(n / 7) + 64, n
 
     def test_double_flip_in_one_block_fails_verification(self):
         rng = np.random.default_rng(5)
@@ -105,14 +111,39 @@ class TestReconcileHamming:
             reconcile(bits(rng, 10), bits(rng, 10), "cascade", rng)
 
 
+def dense_toeplitz_hash(key, seed, m):
+    # Oracle: the dense matrix T[i, j] = seed[n-1+i-j], multiplied over GF(2).
+    i, j = np.indices((m, len(key)))
+    return (seed[len(key) - 1 + i - j].astype(np.int64) @ key) % 2
+
+
+_SHAPES = np.random.default_rng(10)
+RANDOM_SHAPES = [(int(n), int(_SHAPES.integers(0, n + 1))) for n in _SHAPES.integers(0, 1500, 12)]
+
+
 class TestToeplitz:
-    def test_matrix_shape_and_diagonals(self):
-        rng = np.random.default_rng(10)
-        seed = bits(rng, 12 + 5 - 1)
-        matrix = toeplitz_matrix(seed, 12, 5)
-        assert matrix.shape == (5, 12)
-        for i in range(4):
-            np.testing.assert_array_equal(matrix[i, : 11], matrix[i + 1, 1:])
+    @pytest.mark.parametrize(
+        "n, m",
+        [(0, 0), (1, 0), (1, 1), (9, 0), (9, 9), (13, 5), (64, 64), (101, 37), (1000, 1),
+         (1501, 1501), (4097, 257), (16383, 64), (16384, 64), (16384, 129)] + RANDOM_SHAPES,
+    )
+    def test_fft_product_matches_dense_oracle(self, n, m):
+        rng = np.random.default_rng(n * 31 + m)
+        seed_len = max(n + m - 1, 0)
+        for seed in (bits(rng, seed_len), np.ones(seed_len, dtype=np.uint8)):
+            for key in (bits(rng, n), np.ones(n, dtype=np.uint8)):
+                expected = dense_toeplitz_hash(key, seed, m)
+                np.testing.assert_array_equal(toeplitz_hash(key, seed, m), expected)
+                np.testing.assert_array_equal(privacy_amplify(key, PaSpec(seed, n, m)), expected)
+                hash_seed = bits(rng, n + 63)
+                np.testing.assert_array_equal(
+                    toeplitz_hash(key, hash_seed, 64), dense_toeplitz_hash(key, hash_seed, 64)
+                )
+
+    def test_short_seed_is_rejected(self):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            toeplitz_hash(bits(rng, 10), bits(rng, 12), 5)
 
     def test_hash_is_linear(self):
         rng = np.random.default_rng(11)
