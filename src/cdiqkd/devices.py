@@ -2,10 +2,15 @@
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
-gives for the post-measurement states), entering the statevector engine
-only for the final two-qubit teleportation step.  The uniform challenge-b
-string rule this relies on is validated against a full statevector oracle
-in the test suite.
+gives for the post-measurement states), recorded as a retained-qubit
+code.  The final teleportation and measurement step is a Clifford
+circuit on those qubits, so its outcomes depend only on the two codes
+and the two questions: each of the 80 combinations gets a Born tree,
+built once from the statevector circuits below and then walked with one
+``rng.random()`` per measurement, exactly as the circuit itself would
+draw.  The circuits stay here as the table builders and test oracles.
+The uniform challenge-b string rule this relies on is validated against
+a full statevector oracle in the test suite.
 
 A strategy instance is stateful across the messages of one round;
 ``reset(rng)`` starts a new round with a fresh independent stream.
@@ -17,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +58,7 @@ class HonestInternalState:
     claw: tuple[int, int] | None = None  # claw-free: (x0, x1)
     point: tuple[int, int] | None = None  # injective: (b_hat, x_hat)
     challenge_used: bool = False
-    qubit: StateVector | None = None
+    code: int | None = None  # retained qubit after challenge b, see _retained_qubit
 
 
 def _sample_domain(key: EtcfKeyPair, rng: np.random.Generator) -> int:
@@ -92,14 +99,21 @@ def honest_challenge_a(state: HonestInternalState, rng: np.random.Generator) -> 
     return b_hat | (x_hat << 1)
 
 
+@lru_cache(maxsize=4)
+def _retained_qubit(code: int) -> StateVector:
+    """The one-qubit state a retained-qubit code names: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->."""
+    return ket((code,)) if code < 2 else plus_minus(code - 2)
+
+
 def honest_challenge_b(
     state: HonestInternalState, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Hadamard read-out of the domain register; keeps the one-qubit remainder.
 
     d is uniform over all domain-width bit strings.  For a claw-free side
-    the retained qubit is |0> + (-1)^(d.(x0 xor x1)) |1> (normalized); for
-    an injective side it is |b_hat> regardless of d.
+    the retained qubit is |0> + (-1)^(d.(x0 xor x1)) |1> (normalized), code
+    2 + d.(x0 xor x1); for an injective side it is |b_hat> regardless of d,
+    code b_hat.  The state keeps the code for the answer step.
     """
     if state.challenge_used:
         raise RuntimeError("challenge already consumed for this round")
@@ -107,10 +121,10 @@ def honest_challenge_b(
     d = int(rng.integers(1 << state.domain_bits))
     if state.kind is KeyKind.CLAW_FREE:
         x0, x1 = state.claw
-        state.qubit = plus_minus(dot(d, x0 ^ x1))
+        state.code = 2 + dot(d, x0 ^ x1)
     else:
-        state.qubit = ket((state.point[0],))
-    return d, state.qubit
+        state.code = state.point[0]
+    return d, _retained_qubit(state.code)
 
 
 def honest_answer(
@@ -151,6 +165,95 @@ def _bob_half(qubit_b: StateVector, y: MeasurementBasis, rng) -> tuple[int, int]
     state = apply_gate(state, "H", 1)  # the answer-step Hadamard on the second register
     b, _ = measure(state, 1, y, rng)
     return b, h_b
+
+
+class _Branch(NamedTuple):
+    """One measurement of a Born tree: outcome 0 when the next draw is below p0."""
+
+    p0: float
+    if0: object  # subtree or answer tuple; None where that outcome cannot occur
+    if1: object
+
+
+# The smallest and the largest value Generator.random() returns: forcing a
+# draw to one of them realizes outcome 0 or 1 whenever that outcome can occur.
+_EXTREME_DRAWS = (0.0, float(np.nextafter(1.0, 0.0)))
+
+
+class _ScriptedRng:
+    """Generator stand-in whose draws force the outcome path, then outcome 0.
+
+    ``random()`` returns the stand-in itself; the engine's ``draw < p0``
+    then logs p0 and compares it with the forced extreme draw.
+    """
+
+    def __init__(self, path: tuple[int, ...]) -> None:
+        self._path = iter(path)
+        self.log: list[float] = []
+
+    def random(self) -> _ScriptedRng:
+        self._draw = _EXTREME_DRAWS[next(self._path, 0)]
+        return self
+
+    def __lt__(self, p0: float) -> bool:
+        self.log.append(p0)
+        return self._draw < p0
+
+
+def _born_tree(circuit, prefix: tuple[int, ...] = ()):
+    """Every outcome path circuit(rng) can take after prefix, as _Branch nodes.
+
+    Each node holds the exact p0 the statevector engine compares its draw
+    with, so walking the tree with real draws reproduces the circuit's
+    answers and leaves the generator where the circuit would.
+    """
+    rng = _ScriptedRng(prefix)
+    answer = circuit(rng)
+    if len(rng.log) == len(prefix):
+        return answer
+    p0 = rng.log[len(prefix)]
+    return _Branch(p0, *(
+        _born_tree(circuit, (*prefix, outcome))
+        if (_EXTREME_DRAWS[outcome] < p0) == (outcome == 0)
+        else None
+        for outcome in (0, 1)
+    ))
+
+
+@lru_cache(maxsize=80)
+def _answer_tree(code_a: int | None, x, code_b: int | None, y) -> _Branch:
+    # 4 x 2 codes-and-questions per answering side: 64 two-sided trees, 8 + 8 one-sided.
+    if code_b is None:
+        return _born_tree(lambda rng: (*_alice_half(_retained_qubit(code_a), x, rng), None, None))
+    if code_a is None:
+        return _born_tree(lambda rng: (None, None, *_bob_half(_retained_qubit(code_b), y, rng)))
+
+    def both(rng):
+        a, b, h_a, h_b = honest_answer(_retained_qubit(code_a), _retained_qubit(code_b), x, y, rng)
+        return a, h_a, b, h_b
+
+    return _born_tree(both)
+
+
+def draw_answers(
+    code_a: int | None,
+    x: MeasurementBasis | None,
+    code_b: int | None,
+    y: MeasurementBasis | None,
+    rng: np.random.Generator,
+) -> tuple[int | None, int | None, int | None, int | None]:
+    """(a, h_a, b, h_b) of the honest answer step, read from a cached Born tree.
+
+    A side without a question passes None for its code and question and
+    gets None answers.  One ``rng.random()`` is drawn per measurement, in
+    the circuit's order, so on the same stream this returns what
+    ``honest_answer``, ``_alice_half`` or ``_bob_half`` would.
+    """
+    node = _answer_tree(code_a, x, code_b, y)
+    while type(node) is _Branch:
+        p0, if0, if1 = node
+        node = if0 if rng.random() < p0 else if1
+    return node
 
 
 class DeviceStrategy:
@@ -201,18 +304,11 @@ class HonestDevice(DeviceStrategy):
         return tuple(responses)
 
     def on_questions(self, x, y):
-        if x is not None and y is not None:
-            a, b, h_a, h_b = honest_answer(
-                self._side_a.qubit, self._side_b.qubit, x, y, self._rng
-            )
-            return a, h_a, b, h_b
-        if x is not None:
-            a, h_a = _alice_half(self._side_a.qubit, x, self._rng)
-            return a, h_a, None, None
-        if y is not None:
-            b, h_b = _bob_half(self._side_b.qubit, y, self._rng)
-            return None, None, b, h_b
-        raise RuntimeError("on_questions called with no question")
+        if x is None and y is None:
+            raise RuntimeError("on_questions called with no question")
+        code_a = None if x is None else self._side_a.code
+        code_b = None if y is None else self._side_b.code
+        return draw_answers(code_a, x, code_b, y, self._rng)
 
 
 @dataclass(frozen=True)

@@ -469,11 +469,20 @@ def key_to_dict(key: EtcfKeyPair) -> dict:
     }
 
 
+def _ideal_tables_from_dict(data: dict) -> tuple[int, np.ndarray]:
+    """(domain_bits, tables) of a serialized ideal key or trapdoor."""
+    w = int(data["domain_bits"])
+    tables = _array_from_hex(data["tables"])
+    # Checked before the shift: 1 << w of an untrusted w could exhaust memory.
+    if not 0 <= w < tables.size.bit_length():
+        raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
+    return w, tables.reshape(2, 1 << w)
+
+
 def key_from_dict(data: dict) -> EtcfKeyPair:
     kind = KeyKind(data["kind"])
     if data["family"] == "ideal":
-        w = int(data["domain_bits"])
-        tables = _array_from_hex(data["tables"]).reshape(2, 1 << w)
+        w, tables = _ideal_tables_from_dict(data)
         return IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
     return ToyLatticeKeyPair(
@@ -505,8 +514,7 @@ def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
 def trapdoor_from_dict(data: dict, key: EtcfKeyPair | None = None) -> Trapdoor:
     kind = KeyKind(data["kind"])
     if data["family"] == "ideal":
-        w = int(data["domain_bits"])
-        tables = _array_from_hex(data["tables"]).reshape(2, 1 << w)
+        w, tables = _ideal_tables_from_dict(data)
         return IdealTrapdoor(kind=kind, domain_bits=w, tables=tables)
     if not isinstance(key, ToyLatticeKeyPair):
         raise ValueError("toy-lattice trapdoor deserialization needs its public key")

@@ -324,16 +324,42 @@ class ReplayReport:
         return self.verdict == "match"
 
 
+def _exact_int(value) -> int:
+    """value itself if it is a JSON integer; a bool, float or string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _bit(value) -> int:
+    if _exact_int(value) not in (0, 1):
+        raise ValueError(f"{value!r} is not a bit")
+    return value
+
+
 def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) -> SideRecord:
+    """One side of a test round line; raises on a malformed or missing published field.
+
+    A side without ``viol_<s>`` must carry every field its challenge type
+    publishes, even one its verdict never reads.
+    """
     ct = ChallengeType(line[f"ct_{suffix}"])
     side = SideRecord(
         theta=_BASIS_FROM[line[f"theta_{suffix}"]],
         key=key,
         trapdoor=trapdoor,
-        c=from_hex(line[f"c_{suffix}"]),
+        c=0,
         ct=ct,
         violation=bool(line.get(f"viol_{suffix}", False)),
     )
+    if ct is ChallengeType.A:
+        published = (f"c_{suffix}", f"z_{suffix}")
+    else:
+        published = (f"c_{suffix}", f"d_{suffix}", question_name, suffix, f"h_{suffix}")
+    if not side.violation and not all(name in line for name in published):
+        raise KeyError(f"side {suffix} lacks a published field")
+    if f"c_{suffix}" in line:
+        side.c = from_hex(line[f"c_{suffix}"])
     if ct is ChallengeType.A:
         if f"z_{suffix}" in line:
             side.z = from_hex(line[f"z_{suffix}"])
@@ -343,8 +369,8 @@ def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) 
         if question_name in line:
             side.question = _BASIS_FROM[line[question_name]]
         if suffix in line:
-            side.answer = int(line[suffix])
-            side.h = int(line[f"h_{suffix}"])
+            side.answer = _bit(line[suffix])
+            side.h = _bit(line[f"h_{suffix}"])
     return side
 
 
@@ -376,9 +402,12 @@ def _store_keys(number: int, entry: dict) -> tuple:
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Corrupt round lines yield a mismatch naming the line.  A missing footer
-    (a truncated transcript) raises ReplayError naming the last good line; so
-    do an unusable header and a corrupt trapdoor-store entry.
+    Corrupt round lines yield a mismatch naming the line, and so does a round
+    index that is not the next of ``0..rounds-1`` (a duplicate, a gap or one
+    out of range); rounds missing at the end are a footer mismatch.  A
+    missing footer (a truncated transcript) raises ReplayError naming the
+    last good line; so do an unusable header and a corrupt trapdoor-store
+    entry.
     """
     lines = _load_lines(transcript_path)
     if not lines or lines[0][1] is None or lines[0][1].get("record") != "header":
@@ -387,6 +416,10 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         epsilon = float(lines[0][1]["epsilon"])
     except _MALFORMED as exc:
         raise ReplayError("transcript header has no valid epsilon") from exc
+    try:
+        rounds = _exact_int(lines[0][1].get("rounds"))
+    except TypeError as exc:
+        raise ReplayError("transcript header has no valid round count") from exc
 
     # Decoded per round, not here: each decoded trapdoor grows inverse tables.
     key_material: dict[int, tuple[int, dict]] = {}
@@ -402,9 +435,11 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     tested = failed = 0
     footer = None
     last_good = 1
+    next_index = 0  # a corrupt round line is taken to hold the index due there
     for number, entry in lines[1:]:
         if entry is None:
             mismatches.append(f"line {number}: corrupt record")
+            next_index += 1
             continue
         kind = entry.get("record")
         if kind == "footer":
@@ -416,7 +451,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             continue
         last_good = number
         try:
-            index = int(entry["i"])
+            index = _exact_int(entry["i"])
             recomputed_rt = classify_round(
                 ChallengeType(entry["ct_a"]),
                 ChallengeType(entry["ct_b"]),
@@ -425,11 +460,22 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             )
         except _MALFORMED:
             mismatches.append(f"line {number}: corrupt record")
+            next_index += 1
             continue
+        if not 0 <= index < rounds:
+            mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
+        elif index != next_index:
+            mismatches.append(f"line {number}: round index {index} should be {next_index}")
+        next_index = index + 1
         if recomputed_rt.value != entry.get("rt"):
             mismatches.append(f"line {number}: round {index} type should be {recomputed_rt.value}")
             continue
-        if recomputed_rt is RoundType.SIFTED or entry.get("tag") != "test":
+        tag = entry.get("tag")
+        if tag != "test" and (tag != "generate" or recomputed_rt is not RoundType.BELL):
+            # Only Bell rounds are ever drawn for key generation.
+            mismatches.append(f"line {number}: round {index} tag should be test")
+            continue
+        if recomputed_rt is RoundType.SIFTED or tag != "test":
             continue
         material = key_material.get(index)
         if material is None:
@@ -458,6 +504,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
     _, footer_entry = footer
+    if next_index < rounds:
+        mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
     fail_fraction = failed / tested if tested else 0.0
     recomputed_abort = fail_fraction > epsilon
     if tested != footer_entry.get("tested"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .etcf import (
 )
 from .quantum import (
     MeasurementBasis,
-    StateVector,
     apply_gate,
     ket,
     measurement_probabilities,
@@ -257,52 +257,65 @@ def _ingest_side(theta, key, trapdoor, c, ct, response, question, answer, h) -> 
     return side
 
 
-def _reconstruct_retained_qubit(side: SideRecord) -> StateVector | None:
-    """The one-qubit state an honest device would hold after challenge b.
+def _reconstruct_retained_qubit(side: SideRecord) -> int | None:
+    """Code of the one-qubit state an honest device would hold after challenge b.
 
-    None when the commitment is outside the image (nothing honest exists).
+    The codes are the device's: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.  None
+    when the commitment is outside the image (nothing honest exists).
     """
     try:
         if side.key.kind is KeyKind.CLAW_FREE:
             x0, x1 = invert(side.trapdoor, side.c)
-            return plus_minus(bell_label_bit(side.d, x0, x1))
+            return 2 + bell_label_bit(side.d, x0, x1)
         b_hat, _ = invert(side.trapdoor, side.c)
-        return ket((b_hat,))
+        return b_hat
     except NoPreimageError:
         return None
 
 
-def honest_support(record: RoundRecord) -> set[tuple[int, int]]:
+def honest_support(record: RoundRecord) -> frozenset[tuple[int, int]]:
     """Answer pairs an honest device could have produced with the reported h bits.
 
-    Reconstructs the two retained qubits from the trapdoor inversions,
-    builds the pre-measurement state (CZ, Hadamard on the second qubit,
-    then the X^hA Z^hB correction on both qubits), and keeps the outcomes
-    whose Born probability under the question bases exceeds the support
-    tolerance.  Deterministic honest components reduce this to equality;
-    uniform components admit both values.
+    Reconstructs the two retained-qubit codes from the trapdoor inversions
+    and reads the support of (codes, h bits, questions) from a cache of at
+    most 256 sets, each computed once by ``_support_of``.  Deterministic
+    honest components reduce this to equality; uniform components admit
+    both values.
     """
     alice, bob = record.alice, record.bob
     if alice.ct is not ChallengeType.B or bob.ct is not ChallengeType.B:
         raise ValueError("honest_support applies to rounds where both challenges are b")
     if alice.violation or bob.violation:
-        return set()
-    qubit_a = _reconstruct_retained_qubit(alice)
-    qubit_b = _reconstruct_retained_qubit(bob)
-    if qubit_a is None or qubit_b is None:
-        return set()
-    state = tensor(qubit_a, qubit_b)
+        return frozenset()
+    code_a = _reconstruct_retained_qubit(alice)
+    code_b = _reconstruct_retained_qubit(bob)
+    if code_a is None or code_b is None:
+        return frozenset()
+    return _support_of(code_a, code_b, alice.h, bob.h, alice.question, bob.question)
+
+
+@lru_cache(maxsize=256)
+def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
+    """Statevector support of the honest answers for one combination of inputs.
+
+    Builds the pre-measurement state (CZ, Hadamard on the second qubit,
+    then the X^hA Z^hB correction on both qubits) and keeps the outcomes
+    whose Born probability under the question bases exceeds the support
+    tolerance.
+    """
+    qubits = [ket((code,)) if code < 2 else plus_minus(code - 2) for code in (code_a, code_b)]
+    state = tensor(*qubits)
     state = apply_gate(state, "CZ", 0, 1)
     state = apply_gate(state, "H", 1)
     for wire in (0, 1):
-        state = pauli_correction(state, wire, x_power=alice.h, z_power=bob.h)
-    probs = measurement_probabilities(state, (alice.question, bob.question))
-    return {
+        state = pauli_correction(state, wire, x_power=h_a, z_power=h_b)
+    probs = measurement_probabilities(state, (x, y))
+    return frozenset(
         (a, b)
         for a in (0, 1)
         for b in (0, 1)
         if probs[(a << 1) | b] > SUPPORT_TOLERANCE
-    }
+    )
 
 
 def win_condition(record: RoundRecord) -> WinFlag:

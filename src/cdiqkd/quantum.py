@@ -4,6 +4,9 @@ Covers exactly what the protocol needs: Bell-state preparation, the
 H/X/Z/CZ gate set, computational/Hadamard single-qubit measurements, and
 the one-EPR-pair controlled-Z gate-teleportation circuit.  All state
 comparisons in this package are phase-insensitive (squared overlap).
+Protocol rounds do not run the engine: it builds the honest device's
+answer trees and the verifier's support sets once, and is the tests'
+oracle for both.
 
 Wire convention: wire 0 is the leftmost ket factor, i.e. the most
 significant bit of the amplitude index.  All randomness is drawn from an

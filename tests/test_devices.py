@@ -4,6 +4,8 @@ The honest device's classical sampling shortcuts are validated here
 against full statevector simulations of the states they stand in for.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from cdiqkd.devices import (
     HonestDevice,
     NoiseSpec,
     NoisyHonestDevice,
+    _alice_half,
+    _bob_half,
+    draw_answers,
     honest_answer,
     honest_challenge_a,
     honest_challenge_b,
@@ -220,6 +225,42 @@ class TestHonestAnswer:
             other = plus_minus(int(rng.integers(2)))
             a, _, h_a, _ = honest_answer(ket((b_hat,)), other, COMP, HAD, rng)
             assert a == b_hat ^ h_a
+
+
+# Retained-qubit codes: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.
+def code_qubit(code):
+    return ket((code,)) if code < 2 else plus_minus(code - 2)
+
+
+class TestBornTrees:
+    """The cached answer trees against the statevector circuits they replace."""
+
+    def check(self, code_a, x, code_b, y, circuit):
+        for seed in range(50):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert draw_answers(code_a, x, code_b, y, rng) == circuit(oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("x, y", itertools.product((COMP, HAD), repeat=2))
+    def test_both_sides_match_teleported_cz(self, x, y):
+        for code_a, code_b in itertools.product(range(4), repeat=2):
+            def circuit(rng):
+                a, b, h_a, h_b = honest_answer(code_qubit(code_a), code_qubit(code_b), x, y, rng)
+                return a, h_a, b, h_b
+
+            self.check(code_a, x, code_b, y, circuit)
+
+    @pytest.mark.parametrize("question", (COMP, HAD))
+    def test_one_side_matches_its_half_circuit(self, question):
+        for code in range(4):
+            self.check(
+                code, question, None, None,
+                lambda rng: (*_alice_half(code_qubit(code), question, rng), None, None),
+            )
+            self.check(
+                None, None, code, question,
+                lambda rng: (None, None, *_bob_half(code_qubit(code), question, rng)),
+            )
 
 
 class TestNoisyHonest:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
@@ -304,6 +305,14 @@ def _is_bell_test(entry):
     )
 
 
+def _is_bell_cc_test(entry):
+    # Both questions computational: the verdict needs Bob's phase string d_b only.
+    return (
+        entry["record"] == "round" and entry["rt"] == "bell" and entry["tag"] == "test"
+        and entry["x"] == entry["y"] == "C"
+    )
+
+
 def _is_keys(entry):
     return entry["record"] == "keys"
 
@@ -319,12 +328,20 @@ CORRUPT_ROUNDS = {
     "unknown-basis": (_is_challenge_a_test, lambda e: e.update(theta_a="Q")),
     "null-herald": (_is_bell_test, lambda e: e.update(h_a=None)),
     "missing-phase-string": (_is_bell_test, _without("d_a")),
+    "unread-phase-string-hh": (_is_bell_test, _without("d_b")),
+    "unread-phase-string-cc": (_is_bell_cc_test, _without("d_a")),
+    "missing-question": (_is_bell_test, _without("y")),
+    "non-bit-herald": (_is_bell_test, lambda e: e.update(h_a=2)),
+    "float-answer": (_is_bell_test, lambda e: e.update(a=float(e["a"]))),
+    "string-index": (_is_challenge_a_test, lambda e: e.update(i=str(e["i"]))),
     "not-an-object": (_is_bell_test, lambda e: [e["i"]]),
 }
 
 CORRUPT_HEADERS = {
     "missing-epsilon": _without("epsilon"),
     "epsilon-not-a-number": lambda e: e.update(epsilon="x"),
+    "missing-rounds": _without("rounds"),
+    "float-rounds": lambda e: e.update(rounds=float(e["rounds"])),
     "not-an-object": lambda e: ["header"],
 }
 
@@ -332,6 +349,7 @@ CORRUPT_STORE_ENTRIES = {
     "missing-key": _without("key_a"),
     "missing-index": _without("i"),
     "infinite-domain-bits": lambda e: e["key_a"].update(domain_bits=float("inf")),
+    "huge-domain-bits": lambda e: e["trapdoor_b"].update(domain_bits=2**62),
     "bad-hex-table": lambda e: e["key_b"].update(tables="zz"),
     "short-table": lambda e: e["trapdoor_a"].update(tables="00"),
     "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
@@ -340,12 +358,26 @@ CORRUPT_STORE_ENTRIES = {
 }
 
 
+def _write(directory, transcript, store):
+    paths = (directory / "t.jsonl", directory / "t.jsonl.keys")
+    for path, lines in zip(paths, (transcript, store)):
+        path.write_text("\n".join(lines) + "\n")
+    return tuple(map(str, paths))
+
+
+def _footer_fixed(lines):
+    """lines with the footer's counts recomputed from the test rounds they hold."""
+    rounds = [json.loads(line) for line in lines[1:-1]]
+    scored = [e for e in rounds if e["tag"] == "test" and e["rt"] != "sifted"]
+    failed = sum(e["win"] == "fail" for e in scored)
+    footer = json.loads(lines[-1])
+    footer.update(tested=len(scored), failed=failed, fail_fraction=failed / len(scored))
+    return [*lines[:-1], json.dumps(footer)]
+
+
 class TestMalformedReplay:
     def write(self, tmp_path, transcript, store):
-        paths = (tmp_path / "t.jsonl", tmp_path / "t.jsonl.keys")
-        for path, lines in zip(paths, (transcript, store)):
-            path.write_text("\n".join(lines) + "\n")
-        return tuple(map(str, paths))
+        return _write(tmp_path, transcript, store)
 
     @pytest.mark.parametrize("name", sorted(CORRUPT_ROUNDS))
     def test_corrupt_round_line_is_a_named_mismatch(self, tmp_path, audit_files, name):
@@ -354,6 +386,42 @@ class TestMalformedReplay:
         report = replay_verify(*self.write(tmp_path, lines, store))
         assert not report.match
         assert f"line {number}: corrupt record" in report.mismatches
+
+    def test_duplicated_passing_round_is_a_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        number = next(n for n, line in enumerate(transcript) if _is_bell_test(json.loads(line)))
+        lines = _footer_fixed([*transcript[:number + 1], *transcript[number:]])
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        index = json.loads(transcript[number])["i"]
+        assert report.mismatches == [f"line {number + 2}: round index {index} should be {index + 1}"]
+
+    def test_deleted_test_rounds_are_a_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        scored = [
+            n for n, line in enumerate(transcript)
+            if json.loads(line).get("tag") == "test" and json.loads(line)["rt"] != "sifted"
+        ]
+        doomed = set(scored[10:60])
+        lines = _footer_fixed([line for n, line in enumerate(transcript) if n not in doomed])
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        assert not report.match
+        assert all("round index" in m for m in report.mismatches)
+
+    def test_deleted_final_rounds_are_a_footer_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        lines = _footer_fixed([*transcript[:-3], transcript[-1]])
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        assert report.mismatches == ["footer: rounds 254..255 are missing"]
+
+    def test_product_round_tagged_for_generation_is_a_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        lines, number = _mutated(
+            transcript,
+            lambda e: e["record"] == "round" and e["rt"] == "product",
+            lambda e: e.update(tag="generate"),
+        )
+        report = replay_verify(*self.write(tmp_path, _footer_fixed(lines), store))
+        assert any(m.startswith(f"line {number}: ") and "tag" in m for m in report.mismatches)
 
     def test_corrupt_footer_count_is_a_mismatch(self, tmp_path, audit_files):
         transcript, store = audit_files
@@ -395,6 +463,55 @@ class TestMalformedReplay:
         assert main(["--replay", transcript_path, "--trapdoors", store_path]) == expected
         out = capsys.readouterr()
         assert ("corrupt record" in out.out) if expected == 2 else ("replay error" in out.err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid 64-round transcript and store, and a directory for mutated copies."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    run_experiment(config(tmp_path, rounds=64, seed=8))
+    lines = tuple(
+        tuple((tmp_path / name).read_text().splitlines())
+        for name in ("transcript.jsonl", "transcript.jsonl.keys")
+    )
+    return lines, tmp_path_factory.mktemp("mutated")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(-300, 300) | st.sampled_from([2**62, -(2**63), 2**64, 10**30])
+    | st.sampled_from(["", "0", "ff", "zz", "C", "H", "a", "b", "test", "generate", "bell"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_never_crashes_replay(fuzz_files, data):
+    (transcript, store), directory = fuzz_files
+    files = [list(transcript), list(store)]
+    lines = files[data.draw(st.integers(0, 1), label="file")]
+    number = data.draw(st.integers(0, len(lines) - 1), label="line")
+    entry = json.loads(lines[number])
+    # The field is a top-level value or one nested a level down (a key's tables).
+    paths = [(name,) for name in entry] + [
+        (name, inner) for name, value in entry.items() if isinstance(value, dict)
+        for inner in value
+    ]
+    path = data.draw(st.sampled_from(paths), label="field")
+    parent = entry if len(path) == 1 else entry[path[0]]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    lines[number] = json.dumps(entry)
+    try:
+        report = replay_verify(*_write(directory, *files))
+    except ReplayError:
+        return
+    assert report.verdict in ("match", "mismatch")
 
 
 class TestCli:

@@ -1,11 +1,14 @@
 """Protocol engine tests: classification, checks, sessions, key extraction."""
 
+import inspect
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdiqkd import devices, protocol, quantum
 from cdiqkd.bits import dot
 from cdiqkd.devices import (
     ChallengeType,
@@ -15,10 +18,21 @@ from cdiqkd.devices import (
     NoiseSpec,
     NoisyHonestDevice,
 )
-from cdiqkd.etcf import EtcfParams, invert, key_to_dict, trapdoor_to_dict
+from cdiqkd.etcf import (
+    EtcfParams,
+    KeyKind,
+    evaluate,
+    invert,
+    key_to_dict,
+    keygen,
+    trapdoor_to_dict,
+)
 from cdiqkd.protocol import (
+    SUPPORT_TOLERANCE,
     ProtocolParams,
+    RoundRecord,
     RoundType,
+    SideRecord,
     TestTag,
     WinFlag,
     classify_round,
@@ -29,7 +43,15 @@ from cdiqkd.protocol import (
     run_session,
     win_condition,
 )
-from cdiqkd.quantum import MeasurementBasis
+from cdiqkd.quantum import (
+    MeasurementBasis,
+    apply_gate,
+    ket,
+    measurement_probabilities,
+    pauli_correction,
+    plus_minus,
+    tensor,
+)
 
 from .helpers import assert_frequency
 
@@ -241,6 +263,76 @@ class TestHonestSupport:
             x0, x1 = invert(side.trapdoor, side.c)
             parity = bell_label_bit(side.d, x0, x1)
             assert support == {(a, b) for a in (0, 1) for b in (0, 1) if a ^ b == parity}
+
+    def test_cached_support_matches_statevector_body(self):
+        etcf = EtcfParams(family="ideal", domain_bits=4)
+        rng = np.random.default_rng(50)
+        pairs = {kind: keygen(kind, etcf, rng) for kind in KeyKind}
+
+        def side(code, h, question):
+            # Inverts to the retained qubit of code: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.
+            key, trapdoor = pairs[KeyKind.INJECTIVE if code < 2 else KeyKind.CLAW_FREE]
+            c = evaluate(key, code & 1 if code < 2 else 0, 0)
+            d = 0
+            if code == 3:
+                x0, x1 = invert(trapdoor, c)
+                d = (x0 ^ x1) & -(x0 ^ x1)
+            return SideRecord(
+                theta=HAD if code >= 2 else COMP, key=key, trapdoor=trapdoor, c=c, ct=B, d=d,
+                question=question, answer=0, h=h,
+            )
+
+        def statevector_support(record):
+            # The per-round computation honest_support replaced with its cache.
+            qubits = []
+            for part in (record.alice, record.bob):
+                if part.key.kind is KeyKind.CLAW_FREE:
+                    x0, x1 = invert(part.trapdoor, part.c)
+                    qubits.append(plus_minus(bell_label_bit(part.d, x0, x1)))
+                else:
+                    qubits.append(ket((invert(part.trapdoor, part.c)[0],)))
+            state = apply_gate(apply_gate(tensor(*qubits), "CZ", 0, 1), "H", 1)
+            for wire in (0, 1):
+                state = pauli_correction(state, wire, record.alice.h, record.bob.h)
+            probs = measurement_probabilities(state, (record.alice.question, record.bob.question))
+            return {(a, b) for a in (0, 1) for b in (0, 1) if probs[2 * a + b] > SUPPORT_TOLERANCE}
+
+        inputs = list(itertools.product(range(4), range(4), (0, 1), (0, 1), (COMP, HAD), (COMP, HAD)))
+        assert len(inputs) == 256
+        for code_a, code_b, h_a, h_b, x, y in inputs:
+            record = RoundRecord(
+                index=0, alice=side(code_a, h_a, x), bob=side(code_b, h_b, y),
+                round_type=RoundType.PRODUCT,
+            )
+            support = honest_support(record)
+            assert isinstance(support, frozenset)
+            assert support == statevector_support(record)
+
+
+def test_warm_honest_session_never_enters_the_statevector_engine(monkeypatch):
+    # The engine builds the answer trees and support sets; once they are warm,
+    # a round is table reads only.
+    session_params = params(rounds=1024)
+    run_session(HonestDevice(), session_params, 31)
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    spied = set()
+    for module in (devices, protocol):
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__ == quantum.__name__:
+                monkeypatch.setattr(module, name, spy(name, value))
+                spied.add(name)
+    assert {"teleport_cz", "measure", "apply_gate", "measurement_probabilities"} <= spied
+    session = run_session(HonestDevice(), session_params, 31)
+    assert session.tested_count > 0
+    assert calls == []
 
 
 class TestWinCondition:
