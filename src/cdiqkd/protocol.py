@@ -8,11 +8,14 @@ on test rounds with a strict abort threshold, and extracts the raw key
 from matched-basis generation rounds.
 
 Determinism contract: identical (seed, params) produce an identical
-session, bit for bit.  Round i draws from two substreams spawned from
-``SeedSequence(seed).spawn(n)[i]`` - one for the verifiers, one for the
-device - so rounds could be executed in parallel without changing any
-outcome.  A ``SeedSequence`` passed as the seed is read, never advanced,
-so passing the same object twice gives the same session.
+session, bit for bit.  Round i draws from two PCG64 streams, one for the
+verifiers and one for the device, seeded as
+``SeedSequence(seed).spawn(n)[i].spawn(2)`` would seed them (stream
+layout v1), so rounds could be executed in parallel without changing any
+outcome.  ``streams`` computes those seeds for blocks of rounds in one
+vectorized pass instead of building the sequences.  A ``SeedSequence``
+passed as the seed is read, never advanced, so passing the same object
+twice gives the same session.
 """
 
 from __future__ import annotations
@@ -353,16 +356,12 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
     """Run the full pipeline: rounds, sifting, estimation, key extraction."""
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    # Imported here: the streams module loads numpy.random, which a session
+    # needs and the rest of the package does not.
+    from .streams import round_generators
+
     records: list[RoundRecord] = []
-    for i in range(params.rounds):
-        # The children master.spawn() would hand out, without advancing the
-        # caller's SeedSequence: a reused object replays the same session.
-        child = np.random.SeedSequence(
-            master.entropy, spawn_key=(*master.spawn_key, i), pool_size=master.pool_size
-        )
-        verifier_seq, device_seq = child.spawn(2)
-        verifier_rng = np.random.Generator(np.random.PCG64(verifier_seq))
-        device_rng = np.random.Generator(np.random.PCG64(device_seq))
+    for i, (verifier_rng, device_rng) in enumerate(round_generators(master, params.rounds)):
         record = run_round(device, params, verifier_rng, device_rng, index=i)
         record.test_tag = choose_test_tag(
             record.round_type, verifier_rng, params.p_generate_given_bell

@@ -465,16 +465,27 @@ class TestMalformedReplay:
         assert ("corrupt record" in out.out) if expected == 2 else ("replay error" in out.err)
 
 
-@pytest.fixture(scope="module")
-def fuzz_files(tmp_path_factory):
+def _fuzz_files(tmp_path_factory, **overrides):
     """A valid 64-round transcript and store, and a directory for mutated copies."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    run_experiment(config(tmp_path, rounds=64, seed=8))
+    run_experiment(config(tmp_path, rounds=64, **overrides))
     lines = tuple(
         tuple((tmp_path / name).read_text().splitlines())
         for name in ("transcript.jsonl", "transcript.jsonl.keys")
     )
     return lines, tmp_path_factory.mktemp("mutated")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _fuzz_files(tmp_path_factory, seed=8)
+
+
+@pytest.fixture(scope="module")
+def lattice_fuzz_files(tmp_path_factory):
+    return _fuzz_files(
+        tmp_path_factory, seed=8, etcf="toy-lattice", device="noisy:0.05:0.05", epsilon=0.5
+    )
 
 
 JSON_VALUES = st.recursive(
@@ -487,10 +498,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_single_field_mutation_never_crashes_replay(fuzz_files, data):
-    (transcript, store), directory = fuzz_files
+def _mutate_one_field_and_replay(originals, directory, data):
+    """Delete or replace one field of one line; replay must give a verdict or ReplayError."""
+    transcript, store = originals
     files = [list(transcript), list(store)]
     lines = files[data.draw(st.integers(0, 1), label="file")]
     number = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -512,6 +522,18 @@ def test_single_field_mutation_never_crashes_replay(fuzz_files, data):
     except ReplayError:
         return
     assert report.verdict in ("match", "mismatch")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_never_crashes_replay(fuzz_files, data):
+    _mutate_one_field_and_replay(*fuzz_files, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_field_mutation_never_crashes_toy_lattice_replay(lattice_fuzz_files, data):
+    _mutate_one_field_and_replay(*lattice_fuzz_files, data)
 
 
 class TestCli:
@@ -631,6 +653,23 @@ STREAM_LAYOUT_V1 = {
             "bf77dcefef714368831f970a77d7c14ad89a8bd089430672dfc0499a18988bb7",
         ),
     ),
+    # Several stream-derivation blocks of 512 rounds, with a ragged tail.
+    "ideal-random-multiblock": (
+        {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
+        (
+            "07b6b2f483bfb3e31e8826fe6e5c64d5cb4410b74f66c1226bf4e59f4baac41f",
+            "97a4b2643034f39733dc467e6766389f5fdb88aabfdff7f9a98e739f094a98b3",
+            "d44eae42aab8f25a42d5f8ddc7be077012bc4dd26e93d4fbff7726b21318a13d",
+        ),
+    ),
+    "lattice-noisy-multiblock": (
+        {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
+        (
+            "ecc8466f3bc1ff85b11789712180eeb754b8f5bde31f9630bbbb01724a4a2fb7",
+            "e1355fee878e20bcbb9fcf8a47deb6f17da879c84802be6dadfe0d8eca1281f3",
+            "f9c56c19ebb52ca16c24e08a1487396566f41dbd4595c92e6901a3f4df7df8f7",
+        ),
+    ),
 }
 
 
@@ -649,13 +688,28 @@ def test_stream_layout_v1_is_pinned(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
-def test_runtime_import_path_leaves_scipy_out():
-    # SciPy is a test-only dependency; importing it would add to every run's start-up.
+def _run_fresh(code):
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import cdiqkd.cli, cdiqkd.harness, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_runtime_import_path_leaves_scipy_out():
+    # SciPy is a test-only dependency; importing it would add to every run's start-up.
+    assert _run_fresh(
+        "import cdiqkd.cli, cdiqkd.harness, sys; print('scipy' in sys.modules)"
+    ) == "False"
+
+
+def test_numpy_random_loads_with_the_first_session_not_on_import():
+    # cdiqkd.streams needs numpy.random; callers that run no session (post-processing
+    # alone) should not pay for it at start-up, where numpy itself does not load it.
+    assert _run_fresh(
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; "
+        "import cdiqkd.cli, cdiqkd.harness, cdiqkd.postprocess; "
+        "print(eager or 'numpy.random' not in sys.modules)"
+    ) == "True"
