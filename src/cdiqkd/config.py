@@ -36,12 +36,10 @@ class ExperimentConfig:
     negl_term: float = 0.0
 
     def validate(self) -> None:
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.etcf not in ("ideal", "toy-lattice"):
-            raise ConfigError(f"etcf must be 'ideal' or 'toy-lattice', got {self.etcf!r}")
+        """Raise ConfigError for any value the run would reject, before it runs.
+
+        The session and rate-bound parameters own their ranges.
+        """
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.recon not in ("hamming74", "none"):
@@ -53,7 +51,8 @@ class ExperimentConfig:
         except (ValueError, OSError) as exc:
             raise ConfigError(f"device {self.device!r}: {exc}") from exc
         try:
-            self.etcf_params().validate()
+            self.protocol_params().validate()
+            self.keyrate_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -84,10 +83,8 @@ class ExperimentConfig:
         return asdict(self)
 
     def etcf_params(self) -> EtcfParams:
-        if self.etcf == "ideal":
-            return EtcfParams(family="ideal", domain_bits=self.domain_bits)
         return EtcfParams(
-            family="toy-lattice", n=self.lattice_n, m=self.lattice_m, q=self.lattice_q
+            self.etcf, self.domain_bits, self.lattice_n, self.lattice_m, self.lattice_q
         )
 
     def protocol_params(self) -> ProtocolParams:

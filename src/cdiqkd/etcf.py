@@ -15,6 +15,8 @@ Two instantiations behind one interface:
   Functionally an ETCF, deliberately offering no hardness (adversaries in
   this simulator are scripted, not computational).
 
+Keys and trapdoors are immutable plain data; a trapdoor holds its key.
+
 Domain and codomain elements cross module boundaries as fixed-width bit
 strings packed into ints (lattice vectors via little-endian per-coordinate
 encoding), because the downstream phase arithmetic is a bit-string inner
@@ -24,7 +26,7 @@ product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -123,31 +125,6 @@ class IdealKeyPair:
         return int(self.tables[b, x])
 
 
-@dataclass(frozen=True, eq=False)
-class IdealTrapdoor:
-    """Private inversion data.  For this family the trapdoor is the tables
-    themselves; the codomain-indexed inverse (with -1 marking non-image
-    points) is derived lazily on first use.
-    """
-
-    kind: KeyKind
-    domain_bits: int
-    tables: np.ndarray
-    _inverse_cache: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    family = "ideal"
-
-    @property
-    def inverse(self) -> np.ndarray:
-        if self._inverse_cache is None:
-            size = 1 << self.domain_bits
-            inverse = np.full((2, 4 * size), -1, dtype=np.int64)
-            for b in (0, 1):
-                inverse[b, self.tables[b]] = np.arange(size)
-            object.__setattr__(self, "_inverse_cache", inverse)
-        return self._inverse_cache
-
-
 def _keygen_ideal(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     w = params.domain_bits
     size = 1 << w
@@ -163,7 +140,7 @@ def _keygen_ideal(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
             half = 0 if b == low_branch else 2 * size
             tables[b] = rng.permutation(2 * size)[:size] + half
     key = IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
-    return key, IdealTrapdoor(kind=kind, domain_bits=w, tables=tables)
+    return key, Trapdoor(key)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +231,6 @@ class ToyLatticeKeyPair:
     q: int
     matrix: np.ndarray  # (m, n) mod q
     shift: np.ndarray  # (m,) mod q
-    _secret_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     family = "toy-lattice"
 
@@ -279,19 +255,6 @@ class ToyLatticeKeyPair:
         return encode_vector(y, self.q)
 
 
-@dataclass(frozen=True, eq=False)
-class ToyLatticeTrapdoor:
-    kind: KeyKind
-    key: ToyLatticeKeyPair
-    secret: np.ndarray | None  # s for claw-free; None for injective
-
-    family = "toy-lattice"
-
-    @property
-    def domain_bits(self) -> int:
-        return self.key.domain_bits
-
-
 def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     n, m, q = params.n, params.m, params.q
     while True:
@@ -302,13 +265,13 @@ def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
         secret = rng.integers(0, q, size=n, dtype=np.int64)
         shift = (matrix @ secret) % q
         key = ToyLatticeKeyPair(kind=kind, n=n, m=m, q=q, matrix=matrix, shift=shift)
-        return key, ToyLatticeTrapdoor(kind=kind, key=key, secret=secret)
+        return key, Trapdoor(key, secret)
     while True:
         u = rng.integers(0, q, size=m, dtype=np.int64)
         if _solve_mod(matrix, u, q) is None:
             break
     key = ToyLatticeKeyPair(kind=kind, n=n, m=m, q=q, matrix=matrix, shift=u)
-    return key, ToyLatticeTrapdoor(kind=kind, key=key, secret=None)
+    return key, Trapdoor(key)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +279,17 @@ def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 EtcfKeyPair = IdealKeyPair | ToyLatticeKeyPair
-Trapdoor = IdealTrapdoor | ToyLatticeTrapdoor
+
+
+@dataclass(frozen=True, eq=False)
+class Trapdoor:
+    """Private inversion data of one key: the key itself plus, for claw-free
+    toy-lattice keys, the claw secret s (None otherwise).  An ideal key's
+    tables are its trapdoor, so they are not held twice.
+    """
+
+    key: EtcfKeyPair
+    secret: np.ndarray | None = None
 
 
 def keygen(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
@@ -337,24 +310,24 @@ def invert(trapdoor: Trapdoor, y: int):
     Claw-free keys return the claw (x0, x1); injective keys return
     (b_hat, x_hat).  Raises NoPreimageError when y is outside the image.
     """
-    if isinstance(trapdoor, IdealTrapdoor):
-        if not fits(y, trapdoor.domain_bits + 2):
-            raise NoPreimageError(f"{y} outside the codomain")
-        x0, x1 = int(trapdoor.inverse[0, y]), int(trapdoor.inverse[1, y])
-        if trapdoor.kind is KeyKind.CLAW_FREE:
-            if x0 < 0 or x1 < 0:
+    key = trapdoor.key
+    if not fits(y, key.codomain_bits):
+        raise NoPreimageError(f"{y} outside the codomain")
+    if isinstance(key, IdealKeyPair):
+        x0, x1 = _ideal_preimage(key, 0, y), _ideal_preimage(key, 1, y)
+        if key.kind is KeyKind.CLAW_FREE:
+            if x0 is None or x1 is None:
                 raise NoPreimageError(f"{y} has no preimage")
             return x0, x1
-        if x0 >= 0:
+        if x0 is not None:
             return 0, x0
-        if x1 >= 0:
+        if x1 is not None:
             return 1, x1
         raise NoPreimageError(f"{y} has no preimage")
-    key = trapdoor.key
-    vec = decode_vector(y, key.m, key.q) if fits(y, key.codomain_bits) else None
+    vec = decode_vector(y, key.m, key.q)
     if vec is None:
         raise NoPreimageError(f"{y} does not encode a codomain vector")
-    if trapdoor.kind is KeyKind.CLAW_FREE:
+    if key.kind is KeyKind.CLAW_FREE:
         x0 = _solve_mod(key.matrix, vec, key.q)
         if x0 is None:
             raise NoPreimageError(f"{y} has no preimage")
@@ -367,6 +340,12 @@ def invert(trapdoor: Trapdoor, y: int):
     if x is not None:
         return 1, encode_vector(x, key.q)
     raise NoPreimageError(f"{y} has no preimage")
+
+
+def _ideal_preimage(key: IdealKeyPair, b: int, y: int) -> int | None:
+    """The x with f_b(x) = y, by a scan of branch b's table; None if there is none."""
+    hits = np.flatnonzero(key.tables[b] == y)
+    return int(hits[0]) if hits.size else None
 
 
 def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
@@ -394,25 +373,16 @@ def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
     if key.kind is not KeyKind.CLAW_FREE:
         raise ValueError("claw_partner is defined for claw-free keys only")
     if isinstance(key, IdealKeyPair):
-        y = key.evaluate(b, x)
-        hits = np.nonzero(key.tables[1 - b] == y)[0]
-        return int(hits[0])
-    secret = _toy_public_secret(key)
+        return _ideal_preimage(key, 1 - b, key.evaluate(b, x))
+    # Noise-free instance: s is recoverable from (A, A s) by elimination.
+    secret = _solve_mod(key.matrix, key.shift, key.q)
+    if secret is None:
+        raise ValueError("claw-free toy key with inconsistent shift")
     vec = decode_vector(x, key.n, key.q)
     if vec is None:
         raise ValueError(f"{x} does not encode a vector in the domain")
     partner = (vec - secret) % key.q if b == 0 else (vec + secret) % key.q
     return encode_vector(partner, key.q)
-
-
-def _toy_public_secret(key: ToyLatticeKeyPair) -> np.ndarray:
-    # Noise-free instance: s is recoverable from (A, A s) by elimination.
-    if key._secret_cache is None:
-        secret = _solve_mod(key.matrix, key.shift, key.q)
-        if secret is None:
-            raise ValueError("claw-free toy key with inconsistent shift")
-        object.__setattr__(key, "_secret_cache", secret)
-    return key._secret_cache
 
 
 def image(key: EtcfKeyPair) -> set[int]:
@@ -469,21 +439,15 @@ def key_to_dict(key: EtcfKeyPair) -> dict:
     }
 
 
-def _ideal_tables_from_dict(data: dict) -> tuple[int, np.ndarray]:
-    """(domain_bits, tables) of a serialized ideal key or trapdoor."""
-    w = int(data["domain_bits"])
-    tables = _array_from_hex(data["tables"])
-    # Checked before the shift: 1 << w of an untrusted w could exhaust memory.
-    if not 0 <= w < tables.size.bit_length():
-        raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
-    return w, tables.reshape(2, 1 << w)
-
-
 def key_from_dict(data: dict) -> EtcfKeyPair:
     kind = KeyKind(data["kind"])
     if data["family"] == "ideal":
-        w, tables = _ideal_tables_from_dict(data)
-        return IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
+        w = int(data["domain_bits"])
+        tables = _array_from_hex(data["tables"])
+        # Checked before the shift: 1 << w of an untrusted w could exhaust memory.
+        if not 0 <= w < tables.size.bit_length():
+            raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
+        return IdealKeyPair(kind=kind, domain_bits=w, tables=tables.reshape(2, 1 << w))
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
     return ToyLatticeKeyPair(
         kind=kind,
@@ -496,30 +460,40 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
 
 
 def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
-    if isinstance(trapdoor, IdealTrapdoor):
-        return {
-            "family": "ideal",
-            "kind": trapdoor.kind.value,
-            "domain_bits": trapdoor.domain_bits,
-            "tables": _array_to_hex(trapdoor.tables),
-        }
+    key = trapdoor.key
+    data = {"family": key.family, "kind": key.kind.value}
+    if isinstance(key, IdealKeyPair):
+        # The tables are the trapdoor; store layout v1 writes them again here.
+        return {**data, "domain_bits": key.domain_bits, "tables": _array_to_hex(key.tables)}
     secret = trapdoor.secret
-    return {
-        "family": "toy-lattice",
-        "kind": trapdoor.kind.value,
-        "secret": _array_to_hex(secret) if secret is not None else None,
-    }
+    return {**data, "secret": _array_to_hex(secret) if secret is not None else None}
 
 
-def trapdoor_from_dict(data: dict, key: EtcfKeyPair | None = None) -> Trapdoor:
-    kind = KeyKind(data["kind"])
-    if data["family"] == "ideal":
-        w, tables = _ideal_tables_from_dict(data)
-        return IdealTrapdoor(kind=kind, domain_bits=w, tables=tables)
-    if not isinstance(key, ToyLatticeKeyPair):
-        raise ValueError("toy-lattice trapdoor deserialization needs its public key")
-    secret = _array_from_hex(data["secret"]) if data["secret"] is not None else None
-    return ToyLatticeTrapdoor(kind=kind, key=key, secret=secret)
+def trapdoor_from_dict(data: dict, key: EtcfKeyPair) -> Trapdoor:
+    """The trapdoor of ``key`` serialized as ``data``.
+
+    Raises ValueError when the data is not a trapdoor of this key: another
+    family or kind, ideal tables (or their width) other than the key's, or a
+    toy-lattice secret s missing, present for an injective key, or with
+    A s != shift.
+    """
+    if data["family"] != key.family or KeyKind(data["kind"]) is not key.kind:
+        raise ValueError("trapdoor family or kind differs from its key's")
+    if isinstance(key, IdealKeyPair):
+        if (
+            int(data["domain_bits"]) != key.domain_bits
+            or bytes.fromhex(data["tables"]) != key.tables.astype("<i4").tobytes()
+        ):
+            raise ValueError("ideal trapdoor tables differ from its key's")
+        return Trapdoor(key)
+    if (data["secret"] is None) != (key.kind is KeyKind.INJECTIVE):
+        raise ValueError("a toy-lattice trapdoor holds a secret exactly for claw-free keys")
+    if key.kind is KeyKind.INJECTIVE:
+        return Trapdoor(key)
+    secret = _array_from_hex(data["secret"])
+    if secret.shape != (key.n,) or np.any((key.matrix @ secret - key.shift) % key.q):
+        raise ValueError("toy-lattice claw secret does not match its key")
+    return Trapdoor(key, secret)
 
 
 def serialized_trapdoor_hex(trapdoor: Trapdoor) -> str:

@@ -421,7 +421,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     except TypeError as exc:
         raise ReplayError("transcript header has no valid round count") from exc
 
-    # Decoded per round, not here: each decoded trapdoor grows inverse tables.
+    # Decoded per round, not here, so only one round's key arrays are held at a time.
     key_material: dict[int, tuple[int, dict]] = {}
     for number, entry in _load_lines(trapdoor_store_path):
         if entry is not None and entry.get("record") != "keys":

@@ -63,6 +63,8 @@ class KeyRateParams:
     negl_term: float = 0.0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.exponent_c <= 1.0:
             raise ValueError(f"exponent must be in (0, 1], got {self.exponent_c}")
         if self.constant_big_c < 0 or self.negl_term < 0:
@@ -95,8 +97,6 @@ def asymptotic_rate_bound(params: KeyRateParams, protocol: ProtocolParams | None
     The ideal rate is ``ideal_rate(protocol)``; ``None`` means fair coins.
     """
     eps = params.epsilon
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {eps}")
     penalty = params.constant_big_c * eps**params.exponent_c * abs(math.log2(eps))
     return max(0.0, float(ideal_rate(protocol)) - penalty - params.negl_term)
 

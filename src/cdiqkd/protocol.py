@@ -260,18 +260,26 @@ def _ingest_side(theta, key, trapdoor, c, ct, response, question, answer, h) -> 
     return side
 
 
+def _phase_bit(side: SideRecord) -> int | None:
+    """The phase bit d . (x0 xor x1) of a claw-free side; None when c has no preimage."""
+    try:
+        x0, x1 = invert(side.trapdoor, side.c)
+    except NoPreimageError:
+        return None
+    return bell_label_bit(side.d, x0, x1)
+
+
 def _reconstruct_retained_qubit(side: SideRecord) -> int | None:
     """Code of the one-qubit state an honest device would hold after challenge b.
 
     The codes are the device's: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.  None
     when the commitment is outside the image (nothing honest exists).
     """
+    if side.key.kind is KeyKind.CLAW_FREE:
+        bit = _phase_bit(side)
+        return None if bit is None else 2 + bit
     try:
-        if side.key.kind is KeyKind.CLAW_FREE:
-            x0, x1 = invert(side.trapdoor, side.c)
-            return 2 + bell_label_bit(side.d, x0, x1)
-        b_hat, _ = invert(side.trapdoor, side.c)
-        return b_hat
+        return invert(side.trapdoor, side.c)[0]
     except NoPreimageError:
         return None
 
@@ -342,12 +350,8 @@ def _bell_check(record: RoundRecord) -> WinFlag:
     alice, bob = record.alice, record.bob
     if alice.question is bob.question:
         side = bob if alice.question is MeasurementBasis.COMPUTATIONAL else alice
-        try:
-            x0, x1 = invert(side.trapdoor, side.c)
-        except NoPreimageError:
-            return WinFlag.FAIL
-        expected = bell_label_bit(side.d, x0, x1)
-        if (alice.answer ^ bob.answer) != expected:
+        expected = _phase_bit(side)
+        if expected is None or (alice.answer ^ bob.answer) != expected:
             return WinFlag.FAIL
     return WinFlag.PASS
 
@@ -431,9 +435,7 @@ def _generation_bits(record: RoundRecord) -> tuple[int, int] | None:
         or bob.question is not MeasurementBasis.COMPUTATIONAL
     ):
         return None
-    try:
-        x0, x1 = invert(bob.trapdoor, bob.c)
-    except NoPreimageError:
+    s_b = _phase_bit(bob)
+    if s_b is None:
         return None
-    s_b = bell_label_bit(bob.d, x0, x1)
     return alice.answer, bob.answer ^ s_b

@@ -6,9 +6,10 @@ seeded exactly as ``PCG64`` would seed itself from
 ``SeedSequence(master.entropy, spawn_key=(*master.spawn_key, i, j),
 pool_size=master.pool_size)``, the grandchildren ``master.spawn(n)[i].spawn(2)``
 would hand out.  Instead of building those sequences round by round, the
-``SeedSequence`` hash is run as one numpy pass over a block of round
-indices, and each ``PCG64`` takes its four seed words through its public
-seeding interface, so no PCG arithmetic is reimplemented.
+``SeedSequence`` hash of the words every round shares is run once per
+session and the rest as one numpy pass over a block of round indices, and
+each ``PCG64`` takes its four seed words through its public seeding
+interface, so no PCG arithmetic is reimplemented.
 
 Importing this module loads ``numpy.random``; ``protocol`` imports it when a
 session first runs, not when the package is imported.
@@ -63,18 +64,20 @@ def stream_seeds(
     ``PCG64`` reads from its seed sequence.  Every index in the range must
     take the same number of uint32 words.
     """
-    width = _coerce_to_uint32_array(stop - 1).size
-    if _coerce_to_uint32_array(start).size != width:
-        raise ValueError(f"rounds {start}..{stop - 1} straddle a uint32 word boundary")
+    return _block_seeds(_mixed_prefix(master), start, stop)
+
+
+def _mixed_prefix(master: np.random.SeedSequence) -> tuple[list[np.ndarray], int]:
+    """The pool after hashing the words every round shares, and the next hash constant.
+
+    Those words (entropy padded to the pool size, then the spawn key) always
+    fill the pool, so a block only mixes in its round index and stream words.
+    """
     entropy = _coerce_to_uint32_array(master.entropy)
     padding = np.zeros(max(master.pool_size - entropy.size, 0), dtype=np.uint32)
     prefix = np.concatenate([entropy, padding, _coerce_to_uint32_array(master.spawn_key)])
-    # Words broadcast to (rounds, streams): the prefix is shared by every row.
-    index = np.arange(start, stop, dtype=np.uint64)[:, None]
+    # Each word a (1, 1) array that broadcasts against a block's (rounds, streams).
     words = [np.full((1, 1), word, dtype=np.uint32) for word in prefix]
-    words += [(index >> np.uint64(32 * k) & np.uint64(_MASK32)).astype(np.uint32)
-              for k in range(width)]
-    words.append(np.arange(2, dtype=np.uint32)[None, :])
 
     # SeedSequence.mix_entropy: hash the first pool_size words into the pool,
     # cross-mix the pool, then mix each remaining word into every pool word.
@@ -87,6 +90,24 @@ def stream_seeds(
     for word in words[master.pool_size:]:
         for target in range(len(pool)):
             pool[target] = _mix(pool[target], _hash(word, constants))
+    return pool, int(next(constants)[0])
+
+
+def _block_seeds(
+    prefix: tuple[list[np.ndarray], int], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``stream_seeds`` of rounds ``start..stop-1`` from the master's ``_mixed_prefix``."""
+    width = _coerce_to_uint32_array(stop - 1).size
+    if _coerce_to_uint32_array(start).size != width:
+        raise ValueError(f"rounds {start}..{stop - 1} straddle a uint32 word boundary")
+    pool, constant = prefix
+    index = np.arange(start, stop, dtype=np.uint64)[:, None]
+    words = [(index >> np.uint64(32 * k) & np.uint64(_MASK32)).astype(np.uint32)
+             for k in range(width)]
+    words.append(np.arange(2, dtype=np.uint32)[None, :])
+    constants = _hash_constants(constant, _MULT_A)
+    for word in words:  # new lists: the prefix's pool is shared by every block
+        pool = [_mix(pooled, _hash(word, constants)) for pooled in pool]
 
     # SeedSequence.generate_state(4, np.uint64): eight uint32 words, read as
     # little-endian pairs.
@@ -114,9 +135,10 @@ def round_generators(
     master: np.random.SeedSequence, rounds: int
 ) -> Iterator[tuple[np.random.Generator, np.random.Generator]]:
     """(verifier, device) generators of rounds 0..rounds-1, one block of seeds at a time."""
+    prefix = _mixed_prefix(master)
     for start in range(0, rounds, STREAM_BLOCK):
-        verifier_seeds, device_seeds = stream_seeds(
-            master, start, min(start + STREAM_BLOCK, rounds)
+        verifier_seeds, device_seeds = _block_seeds(
+            prefix, start, min(start + STREAM_BLOCK, rounds)
         )
         for verifier_words, device_words in zip(verifier_seeds, device_seeds):
             yield (

@@ -276,6 +276,40 @@ class TestSerialization:
                 assert invert(trap2, y) == invert(trap, y)
 
 
+    def test_trapdoor_of_another_ideal_key_is_rejected(self):
+        rng = np.random.default_rng(22)
+        key, trap = keygen(KeyKind.CLAW_FREE, ideal(4), rng)
+        data = trapdoor_to_dict(trap)
+        assert trapdoor_from_dict(data, key).key is key
+        others = [
+            keygen(KeyKind.CLAW_FREE, ideal(4), rng)[0],  # other tables
+            IdealKeyPair(KeyKind.INJECTIVE, 4, key.tables),  # other kind
+            keygen(KeyKind.CLAW_FREE, TOY, rng)[0],  # other family
+        ]
+        for other in others:
+            with pytest.raises(ValueError):
+                trapdoor_from_dict(data, other)
+        with pytest.raises(ValueError):
+            trapdoor_from_dict({**data, "domain_bits": 5}, key)
+
+    def test_toy_secret_must_solve_its_key(self):
+        rng = np.random.default_rng(23)
+        key, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
+        _, other_trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
+        injective, injective_trap = keygen(KeyKind.INJECTIVE, TOY, rng)
+        secret = trapdoor_to_dict(trap)["secret"]
+        assert np.array_equal(trapdoor_from_dict(trapdoor_to_dict(trap), key).secret, trap.secret)
+        cases = [
+            (trapdoor_to_dict(other_trap), key),
+            ({**trapdoor_to_dict(trap), "secret": None}, key),
+            ({**trapdoor_to_dict(trap), "secret": secret[:-8]}, key),
+            ({**trapdoor_to_dict(injective_trap), "secret": secret}, injective),
+        ]
+        for data, target in cases:
+            with pytest.raises(ValueError):
+                trapdoor_from_dict(data, target)
+
+
 @given(w=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_ideal_structure_property(w, seed):

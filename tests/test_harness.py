@@ -352,6 +352,7 @@ CORRUPT_STORE_ENTRIES = {
     "huge-domain-bits": lambda e: e["trapdoor_b"].update(domain_bits=2**62),
     "bad-hex-table": lambda e: e["key_b"].update(tables="zz"),
     "short-table": lambda e: e["trapdoor_a"].update(tables="00"),
+    "trapdoor-of-another-key": lambda e: e["trapdoor_a"].update(tables=e["key_b"]["tables"]),
     "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
     "key-not-an-object": lambda e: e.update(key_a=3),
     "not-an-object": lambda e: "keys",
@@ -620,6 +621,15 @@ class TestMalformedInputExitsOne:
         config = ExperimentConfig.from_dict({"epsilon": 0, "bound_constant": 2, "summary": None})
         assert config.epsilon == 0 and isinstance(config.epsilon, int)
         assert config.to_dict()["bound_constant"] == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "1"), ("--bound-exponent", "2"), ("--bound-constant", "-1"),
+         ("--negl-term", "-0.5")],
+    )
+    def test_rate_bound_input_out_of_range(self, capsys, flag, value):
+        assert main(["--rounds", "16", flag, value]) == 1
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content",

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cdiqkd.etcf import (
     EtcfParams,
     KeyKind,
     evaluate,
+    image,
     invert,
     key_to_dict,
     keygen,
@@ -234,12 +236,8 @@ class TestHonestSupport:
     def test_invalid_commitment_gives_empty_support(self):
         forced = params(p_theta_hadamard=1.0, p_ct_b=1.0)
         record = drive_round(HonestDevice(), forced, 6)
-        gap = next(
-            y
-            for y in range(1 << record.alice.key.codomain_bits)
-            if record.alice.trapdoor.inverse[0, y] < 0
-            and record.alice.trapdoor.inverse[1, y] < 0
-        )
+        points = image(record.alice.key)
+        gap = next(y for y in range(1 << record.alice.key.codomain_bits) if y not in points)
         record.alice.c = gap
         assert honest_support(record) == set()
         assert win_condition(record) is WinFlag.FAIL
@@ -333,6 +331,24 @@ def test_warm_honest_session_never_enters_the_statevector_engine(monkeypatch):
     session = run_session(HonestDevice(), session_params, 31)
     assert session.tested_count > 0
     assert calls == []
+
+
+def test_session_retains_little_beyond_its_key_tables():
+    # A round keeps its two keys; a trapdoor refers to its key and builds no
+    # tables of its own, even after the verifier has inverted it.
+    session_params = params(rounds=512, w=8)
+    run_session(HonestDevice(), params(rounds=64, w=8), 1)  # warm the answer and support caches
+    tracemalloc.start()
+    try:
+        session = run_session(HonestDevice(), session_params, 2)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(
+        side.key.tables.nbytes for record in session.records for side in (record.alice, record.bob)
+    )
+    assert session.tested_count > 0
+    assert retained < 1.5 * table_bytes
 
 
 class TestWinCondition:
