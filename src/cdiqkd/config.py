@@ -15,15 +15,20 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
+# The family and rate-bound defaults are those of the parameter classes.
+_ETCF = EtcfParams()
+_RATE = KeyRateParams()
+
+
 @dataclass
 class ExperimentConfig:
     rounds: int = 1024
     epsilon: float = 0.05
-    etcf: str = "ideal"
-    domain_bits: int = 4
-    lattice_n: int = 3
-    lattice_m: int = 6
-    lattice_q: int = 17
+    etcf: str = _ETCF.family
+    domain_bits: int = _ETCF.domain_bits
+    lattice_n: int = _ETCF.n
+    lattice_m: int = _ETCF.m
+    lattice_q: int = _ETCF.q
     device: str = "honest"
     seed: int = 0
     transcript: str | None = None
@@ -31,9 +36,9 @@ class ExperimentConfig:
     trapdoors: str | None = None
     recon: str = "hamming74"
     eps_sec: float = 2.0**-32
-    bound_constant: float = 1.0
-    bound_exponent: float = 0.5
-    negl_term: float = 0.0
+    bound_constant: float = _RATE.constant_big_c
+    bound_exponent: float = _RATE.exponent_c
+    negl_term: float = _RATE.negl_term
 
     def validate(self) -> None:
         """Raise ConfigError for any value the run would reject, before it runs.

@@ -449,13 +449,21 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
             raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
         return IdealKeyPair(kind=kind, domain_bits=w, tables=tables.reshape(2, 1 << w))
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
+    # Checked before the primality test, which would stall on a huge q; the
+    # arrays are stored as int32.
+    if q > 2**31 - 1:
+        raise ValueError(f"q {q} does not fit the stored int32 entries")
+    EtcfParams("toy-lattice", n=n, m=m, q=q).validate()
+    shift = _array_from_hex(data["shift"])
+    if shift.shape != (m,):
+        raise ValueError(f"shift has shape {shift.shape}, not ({m},)")
     return ToyLatticeKeyPair(
         kind=kind,
         n=n,
         m=m,
         q=q,
         matrix=_array_from_hex(data["matrix"]).reshape(m, n),
-        shift=_array_from_hex(data["shift"]),
+        shift=shift,
     )
 
 

@@ -4,8 +4,9 @@ The authenticated public channel is modeled as an append-only line log:
 one JSON record per round, bracketed by a header and a footer.  Test
 rounds carry both parties' published data (commitments, responses,
 questions, answers, herald bits); the verifiers' key and trapdoor
-material for those rounds goes to a separate trapdoor-store file so an
-auditor can recompute every check.  Generation rounds publish only state
+material for those rounds goes, in round order, to a separate
+trapdoor-store file, so the replay audit recomputes every check in one
+forward pass over both files.  Generation rounds publish only state
 bases, challenge types, tags, and question bases - their commitments,
 responses, and key material are discarded and never reach any output
 file.
@@ -374,8 +375,8 @@ def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) 
     return side
 
 
-def _load_lines(path: str) -> list[tuple[int, dict | None]]:
-    lines: list[tuple[int, dict | None]] = []
+def _records(path: str):
+    """(line number, JSON object or None if the line is not one) of each non-blank line."""
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -385,71 +386,68 @@ def _load_lines(path: str) -> list[tuple[int, dict | None]]:
                 entry = json.loads(raw)
             except json.JSONDecodeError:
                 entry = None
-            lines.append((number, entry if isinstance(entry, dict) else None))
-    return lines
+            yield number, entry if isinstance(entry, dict) else None
 
 
-def _store_keys(number: int, entry: dict) -> tuple:
-    """(key_a, trapdoor_a, key_b, trapdoor_b) of the trapdoor-store entry on line number."""
-    try:
-        key_a, key_b = key_from_dict(entry["key_a"]), key_from_dict(entry["key_b"])
-        trapdoor_a = trapdoor_from_dict(entry["trapdoor_a"], key_a)
-        return key_a, trapdoor_a, key_b, trapdoor_from_dict(entry["trapdoor_b"], key_b)
-    except _MALFORMED as exc:
-        raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
+def _store_entries(path: str):
+    """(round index, (key_a, trapdoor_a, key_b, trapdoor_b)) of each store entry, in file order."""
+    for number, entry in _records(path):
+        if entry is not None and entry.get("record") != "keys":
+            continue
+        try:
+            key_a, key_b = key_from_dict(entry["key_a"]), key_from_dict(entry["key_b"])
+            trapdoor_a = trapdoor_from_dict(entry["trapdoor_a"], key_a)
+            trapdoor_b = trapdoor_from_dict(entry["trapdoor_b"], key_b)
+            index = _exact_int(entry["i"])
+        except _MALFORMED as exc:
+            raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
+        yield index, (key_a, trapdoor_a, key_b, trapdoor_b)
 
 
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Corrupt round lines yield a mismatch naming the line, and so does a round
-    index that is not the next of ``0..rounds-1`` (a duplicate, a gap or one
-    out of range); rounds missing at the end are a footer mismatch.  A
-    missing footer (a truncated transcript) raises ReplayError naming the
-    last good line; so do an unusable header and a corrupt trapdoor-store
-    entry.
+    Both files are read once, in round order.  Corrupt round lines yield a
+    mismatch naming the line, and so does a round index that is not the next
+    of ``0..rounds-1`` (a duplicate, a gap or one out of range), or a test
+    round whose store entry is missing or out of order; rounds missing at the
+    end are a footer mismatch.  A missing footer (a truncated transcript)
+    raises ReplayError naming the last good line; so do an unusable header
+    and a corrupt trapdoor-store entry.
     """
-    lines = _load_lines(transcript_path)
-    if not lines or lines[0][1] is None or lines[0][1].get("record") != "header":
+    lines = _records(transcript_path)
+    _, header = next(lines, (0, None))
+    if header is None or header.get("record") != "header":
         raise ReplayError("transcript has no valid header line")
     try:
-        epsilon = float(lines[0][1]["epsilon"])
+        epsilon = float(header["epsilon"])
     except _MALFORMED as exc:
         raise ReplayError("transcript header has no valid epsilon") from exc
     try:
-        rounds = _exact_int(lines[0][1].get("rounds"))
+        rounds = _exact_int(header.get("rounds"))
     except TypeError as exc:
         raise ReplayError("transcript header has no valid round count") from exc
 
-    # Decoded per round, not here, so only one round's key arrays are held at a time.
-    key_material: dict[int, tuple[int, dict]] = {}
-    for number, entry in _load_lines(trapdoor_store_path):
-        if entry is not None and entry.get("record") != "keys":
-            continue
-        try:
-            key_material[int(entry["i"])] = (number, entry)
-        except _MALFORMED as exc:
-            raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
-
+    store = _store_entries(trapdoor_store_path)
+    held_index, held = float("-inf"), None  # the store entry last read
     mismatches: list[str] = []
     tested = failed = 0
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
-    for number, entry in lines[1:]:
+    for number, entry in lines:
         if entry is None:
             mismatches.append(f"line {number}: corrupt record")
             next_index += 1
             continue
         kind = entry.get("record")
-        if kind == "footer":
-            footer = (number, entry)
-            last_good = number
-            continue
-        if kind != "round":
+        if kind not in ("round", "footer"):
             mismatches.append(f"line {number}: unexpected record type {kind!r}")
             continue
         last_good = number
+        if kind == "footer":
+            footer = entry
+            continue
         try:
             index = _exact_int(entry["i"])
             recomputed_rt = classify_round(
@@ -477,11 +475,12 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             continue
         if recomputed_rt is RoundType.SIFTED or tag != "test":
             continue
-        material = key_material.get(index)
-        if material is None:
+        while held_index < index:
+            held_index, held = next(store, (float("inf"), None))
+        if held_index != index:
             mismatches.append(f"line {number}: round {index} has no key material in the store")
             continue
-        key_a, trapdoor_a, key_b, trapdoor_b = _store_keys(*material)
+        key_a, trapdoor_a, key_b, trapdoor_b = held
         try:
             verdict = win_condition(RoundRecord(
                 index=index,
@@ -503,19 +502,20 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
-    _, footer_entry = footer
+    for _ in store:  # the entries after the last test round must decode too
+        pass
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
     fail_fraction = failed / tested if tested else 0.0
     recomputed_abort = fail_fraction > epsilon
-    if tested != footer_entry.get("tested"):
+    if tested != footer.get("tested"):
         mismatches.append(f"footer: tested count should be {tested}")
-    if failed != footer_entry.get("failed"):
+    if failed != footer.get("failed"):
         mismatches.append(f"footer: failed count should be {failed}")
-    reported = footer_entry.get("fail_fraction")
+    reported = footer.get("fail_fraction")
     if not isinstance(reported, (int, float)) or abs(fail_fraction - reported) > 1e-9:
         mismatches.append(f"footer: fail fraction should be {sig12(fail_fraction)}")
-    if recomputed_abort != bool(footer_entry.get("aborted")):
+    if recomputed_abort != bool(footer.get("aborted")):
         mismatches.append(f"footer: abort decision should be {recomputed_abort}")
 
     return ReplayReport(

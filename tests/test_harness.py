@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,22 @@ class TestReplay:
         with pytest.raises(ReplayError, match="line 100"):
             replay_verify(cut, store)
 
+    def test_replay_memory_does_not_grow_with_rounds(self, tmp_path):
+        # Replay holds one transcript line and one decoded store entry at a time.
+        peaks = {}
+        for rounds in (2048, 4096):
+            directory = tmp_path / str(rounds)
+            directory.mkdir()
+            paths = self.run_and_paths(directory, rounds=rounds, seed=33)
+            replay_verify(*paths)  # warm the answer and support caches
+            tracemalloc.start()
+            try:
+                assert replay_verify(*paths).match
+                peaks[rounds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] - peaks[2048] < 256 * 1024
+
     def test_tampered_abort_flag_detected(self, tmp_path):
         transcript, store = self.run_and_paths(tmp_path, rounds=512, seed=31)
         lines = open(transcript).read().splitlines()
@@ -276,10 +293,17 @@ def audit_files(tmp_path_factory):
     )
 
 
-def _mutated(lines, pick, mutate):
-    """Copy of lines with mutate applied to the first entry that pick accepts."""
+@pytest.fixture(scope="module")
+def lattice_audit_files(tmp_path_factory):
+    """Transcript and trapdoor store lines of one honest 64-round toy-lattice run."""
+    return _fuzz_files(tmp_path_factory, seed=3, etcf="toy-lattice")[0]
+
+
+def _mutated(lines, pick, mutate, last=False):
+    """Copy of lines with mutate applied to the first (or last) entry that pick accepts."""
     lines = list(lines)
-    number = next(n for n, line in enumerate(lines) if pick(json.loads(line)))
+    order = range(len(lines) - 1, -1, -1) if last else range(len(lines))
+    number = next(n for n in order if pick(json.loads(lines[n])))
     entry = json.loads(lines[number])
     lines[number] = json.dumps(mutate(entry) or entry)
     return lines, number + 1
@@ -356,6 +380,24 @@ CORRUPT_STORE_ENTRIES = {
     "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
     "key-not-an-object": lambda e: e.update(key_a=3),
     "not-an-object": lambda e: "keys",
+}
+
+
+def _is_injective_b_keys(entry):
+    return entry["record"] == "keys" and entry["key_b"]["kind"] == "injective"
+
+
+# Toy-lattice keys whose sizes EtcfParams rejects, or whose shift is not (m,).
+CORRUPT_LATTICE_STORE_ENTRIES = {
+    "negative-q": (_is_keys, lambda e: e["key_a"].update(q=-17)),
+    "zero-q": (_is_keys, lambda e: e["key_a"].update(q=0)),
+    "unit-q": (_is_keys, lambda e: e["key_a"].update(q=1)),
+    "composite-q": (_is_keys, lambda e: e["key_a"].update(q=4)),
+    "prime-q-beyond-int32": (_is_keys, lambda e: e["key_a"].update(q=2**61 - 1)),
+    "negative-n": (_is_keys, lambda e: e["key_a"].update(n=-3)),
+    "short-injective-shift": (
+        _is_injective_b_keys, lambda e: e["key_b"].update(shift=e["key_b"]["shift"][:-8])
+    ),
 }
 
 
@@ -442,15 +484,42 @@ class TestMalformedReplay:
     @pytest.mark.parametrize("name", sorted(CORRUPT_STORE_ENTRIES))
     def test_corrupt_store_entry_raises_replay_error(self, tmp_path, audit_files, name):
         transcript, store = audit_files
-        lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name])
-        with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {number}"):
+        for last in (False, True):
+            lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], last)
+            with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {number}"):
+                replay_verify(*self.write(tmp_path, transcript, lines))
+
+    def test_store_is_read_past_the_last_test_round(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        lines = [*store, json.dumps("keys")]
+        with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {len(lines)}"):
             replay_verify(*self.write(tmp_path, transcript, lines))
+
+    def test_store_entries_out_of_round_order_are_a_mismatch(self, tmp_path, audit_files):
+        transcript, store = audit_files
+        lines = [store[0], store[2], store[1], *store[3:]]
+        report = replay_verify(*self.write(tmp_path, transcript, lines))
+        index = json.loads(store[1])["i"]  # the first entry, now out of place
+        # Round i is on line i + 2: the header is line 1.
+        message = f"line {index + 2}: round {index} has no key material in the store"
+        assert message in report.mismatches
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_LATTICE_STORE_ENTRIES))
+    def test_corrupt_lattice_key_exits_one(self, tmp_path, lattice_audit_files, capsys, name):
+        transcript, store = lattice_audit_files
+        store, number = _mutated(store, *CORRUPT_LATTICE_STORE_ENTRIES[name])
+        transcript_path, store_path = self.write(tmp_path, transcript, store)
+        with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {number}"):
+            replay_verify(transcript_path, store_path)
+        assert main(["--replay", transcript_path, "--trapdoors", store_path]) == 1
+        assert f"trapdoor store corrupt at line {number}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, name, expected",
         [("round", name, 2) for name in sorted(CORRUPT_ROUNDS)]
         + [("header", name, 1) for name in sorted(CORRUPT_HEADERS)]
-        + [("store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)],
+        + [("store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)]
+        + [("last-store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)],
     )
     def test_cli_exit_code(self, tmp_path, audit_files, capsys, kind, name, expected):
         transcript, store = audit_files
@@ -459,7 +528,7 @@ class TestMalformedReplay:
         elif kind == "header":
             transcript, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
         else:
-            store, _ = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name])
+            store, _ = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], kind == "last-store")
         transcript_path, store_path = self.write(tmp_path, transcript, store)
         assert main(["--replay", transcript_path, "--trapdoors", store_path]) == expected
         out = capsys.readouterr()
