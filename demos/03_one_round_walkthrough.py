@@ -6,15 +6,13 @@ finish with a question/answer exchange.  The round type falls out of the
 published choices only.
 """
 
-import numpy as np
-
 from cdiqkd.devices import ChallengeType, HonestDevice
 from cdiqkd.etcf import EtcfParams
 from cdiqkd.protocol import (
     ProtocolParams,
     RoundType,
     honest_support,
-    run_round,
+    run_session,
     win_condition,
 )
 
@@ -22,14 +20,8 @@ BASE = dict(rounds=1, epsilon=0.05, etcf=EtcfParams(family="ideal", domain_bits=
 
 
 def show_round(name, seed, **knobs):
-    params = ProtocolParams(**BASE, **knobs)
-    verifier_seq, device_seq = np.random.SeedSequence(seed).spawn(2)
-    record = run_round(
-        HonestDevice(),
-        params,
-        np.random.Generator(np.random.PCG64(verifier_seq)),
-        np.random.Generator(np.random.PCG64(device_seq)),
-    )
+    # A one-round session: the round draws from block 0 of the seed's streams.
+    record = run_session(HonestDevice(), ProtocolParams(**BASE, **knobs), seed).records[0]
     print(f"--- {name} ---")
     print(f"state bases: alice={record.alice.theta.value}, bob={record.bob.theta.value}")
     print(f"challenges:  alice={record.alice.ct.value}, bob={record.bob.ct.value}")
@@ -55,7 +47,7 @@ def show_round(name, seed, **knobs):
 show_round("Bell round", seed=1, p_theta_hadamard=1.0, p_ct_b=1.0)
 show_round("product round, both computational bases", seed=2, p_theta_hadamard=0.0, p_ct_b=1.0)
 show_round("product round, both challenge a", seed=3, p_ct_b=0.0)
-show_round("mixed challenges (sifted)", seed=3, p_theta_hadamard=1.0)
+show_round("mixed challenges (sifted)", seed=0, p_theta_hadamard=1.0)
 
 print("Note: the verifiers never tell the device the state bases; the device")
 print("cannot tell a Bell round from a product round until the checks land.")

@@ -125,22 +125,70 @@ class IdealKeyPair:
         return int(self.tables[b, x])
 
 
-def _keygen_ideal(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
-    w = params.domain_bits
-    size = 1 << w
-    tables = np.empty((2, size), dtype=np.int64)
-    if kind is KeyKind.CLAW_FREE:
-        matching = rng.permutation(size)  # x1 = matching[x0]
-        image = rng.permutation(4 * size)[:size]
-        tables[0] = image
-        tables[1, matching] = image
-    else:
-        low_branch = int(rng.integers(2))  # which branch lands in the low codomain half
-        for b in (0, 1):
-            half = 0 if b == low_branch else 2 * size
-            tables[b] = rng.permutation(2 * size)[:size] + half
-    key = IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
-    return key, Trapdoor(key)
+# Table entries one shuffle call holds at most, one row at least: a block's
+# keygen temporaries stay this small whatever its keys' number or width.
+_SHUFFLE_ENTRIES = 1 << 16
+
+
+def _shuffled_rows(rng: np.random.Generator, out: np.ndarray, length: int) -> None:
+    """Fill each row of ``out`` with the first entries of a fresh permutation of range(length).
+
+    Row by row these are the draws of ``rng.permutation(length)``:
+    ``Generator.permuted`` shuffles the rows of its argument one after
+    another, so splitting the rows over several calls changes no draw.
+    """
+    rows, keep = out.shape
+    step = max(1, _SHUFFLE_ENTRIES // length)
+    ordered = np.arange(length)
+    buffer = np.empty((min(step, rows), length), dtype=np.int64)
+    for lo in range(0, rows, step):
+        shuffled = buffer[:min(step, rows - lo)]
+        shuffled[...] = ordered
+        out[lo:lo + len(shuffled)] = rng.permuted(shuffled, axis=1, out=shuffled)[:, :keep]
+
+
+def _claw_free_tables(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    tables = np.empty((count, 2, size), dtype=np.int64)
+    image, matching = tables[:, 0], tables[:, 1]
+    _shuffled_rows(rng, matching, size)  # x1 = matching[x0], until the images land
+    _shuffled_rows(rng, image, 4 * size)  # f_0(x0), distinct codomain points
+    step = max(1, _SHUFFLE_ENTRIES // size)
+    for lo in range(0, count, step):  # f_1(matching[x0]) = f_0(x0)
+        rows = slice(lo, lo + step)
+        np.put_along_axis(matching[rows], matching[rows].copy(), image[rows], axis=1)
+    return tables
+
+
+def _injective_tables(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    low_branch = rng.integers(2, size=count)  # which branch lands in the low codomain half
+    tables = np.empty((count, 2, size), dtype=np.int64)
+    _shuffled_rows(rng, tables.reshape(2 * count, size), 2 * size)
+    tables += np.where(np.arange(2) == low_branch[:, None], 0, 2 * size)[:, :, None]
+    return tables
+
+
+def keygen_ideal(
+    kinds: list[KeyKind], domain_bits: int, rng: np.random.Generator
+) -> list[tuple[IdealKeyPair, Trapdoor]]:
+    """Ideal (key pair, trapdoor) of each of ``kinds``, in order, drawn as arrays.
+
+    The claw-free keys draw first: every key's matching (a permutation of
+    the 2**w domain points), then every key's image (the first 2**w entries
+    of a permutation of the 4 * 2**w codomain points).  Then the injective
+    keys: every key's low-branch coin, then key by key each branch's image
+    (the first 2**w entries of a permutation of its 2 * 2**w-point codomain
+    half).  A key's tables are a view of its kind's (keys, 2, 2**w) array.
+    """
+    size = 1 << domain_bits
+    pairs: list = [None] * len(kinds)
+    draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
+    for kind, draw in draws:
+        where = [i for i, k in enumerate(kinds) if k is kind]
+        if where:
+            for i, tables in zip(where, draw(len(where), size, rng)):
+                key = IdealKeyPair(kind=kind, domain_bits=domain_bits, tables=tables)
+                pairs[i] = (key, Trapdoor(key))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +344,7 @@ def keygen(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     """Generate (public key pair, trapdoor) for the requested kind."""
     params.validate()
     if params.family == "ideal":
-        return _keygen_ideal(kind, params, rng)
+        return keygen_ideal([kind], params.domain_bits, rng)[0]
     return _keygen_toy(kind, params, rng)
 
 
@@ -447,6 +495,7 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
         # Checked before the shift: 1 << w of an untrusted w could exhaust memory.
         if not 0 <= w < tables.size.bit_length():
             raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
+        EtcfParams("ideal", domain_bits=w).validate()
         return IdealKeyPair(kind=kind, domain_bits=w, tables=tables.reshape(2, 1 << w))
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
     # Checked before the primality test, which would stall on a huge q; the
@@ -471,7 +520,7 @@ def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
     key = trapdoor.key
     data = {"family": key.family, "kind": key.kind.value}
     if isinstance(key, IdealKeyPair):
-        # The tables are the trapdoor; store layout v1 writes them again here.
+        # The tables are the trapdoor; the store writes them again here.
         return {**data, "domain_bits": key.domain_bits, "tables": _array_to_hex(key.tables)}
     secret = trapdoor.secret
     return {**data, "secret": _array_to_hex(secret) if secret is not None else None}

@@ -138,7 +138,7 @@ def _keys_line(record: RoundRecord) -> dict:
 def write_transcript(path: str, config: ExperimentConfig, session: SessionResult) -> None:
     header = {
         "record": "header",
-        "version": 1,
+        "version": 2,
         "rounds": session.rounds,
         "epsilon": sig12(config.epsilon),
         "etcf": _etcf_header(config),
@@ -160,7 +160,7 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
 
 def write_trapdoor_store(path: str, session: SessionResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "keys-header", "version": 1}) + "\n")
+        fh.write(json.dumps({"record": "keys-header", "version": 2}) + "\n")
         for record in session.records:
             if record.round_type is RoundType.SIFTED or record.test_tag is not TestTag.TEST:
                 continue
@@ -376,15 +376,19 @@ def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) 
 
 
 def _records(path: str):
-    """(line number, JSON object or None if the line is not one) of each non-blank line."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, JSON object or None if the line is not one) of each non-blank line.
+
+    Lines are decoded one by one, so bytes that are not UTF-8 make only
+    their own line unreadable.
+    """
+    with open(path, "rb") as fh:
         for number, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                entry = json.loads(raw)
-            except json.JSONDecodeError:
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                entry = json.loads(text)
+            except ValueError:  # UnicodeDecodeError or JSONDecodeError
                 entry = None
             yield number, entry if isinstance(entry, dict) else None
 

@@ -8,14 +8,22 @@ on test rounds with a strict abort threshold, and extracts the raw key
 from matched-basis generation rounds.
 
 Determinism contract: identical (seed, params) produce an identical
-session, bit for bit.  Round i draws from two PCG64 streams, one for the
-verifiers and one for the device, seeded as
-``SeedSequence(seed).spawn(n)[i].spawn(2)`` would seed them (stream
-layout v1), so rounds could be executed in parallel without changing any
-outcome.  ``streams`` computes those seeds for blocks of rounds in one
-vectorized pass instead of building the sequences.  A ``SeedSequence``
-passed as the seed is read, never advanced, so passing the same object
-twice gives the same session.
+session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
+(stream layout v2), and each block draws from three streams keyed by the
+session's seed, the stream and the block index:
+
+- public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
+  for every round whether or not the round reads it, each compared with
+  its ``ProtocolParams`` probability;
+- private coins: the block's ETCF keys, Alice's before Bob's in round order
+  (ideal keys as arrays by ``keygen_ideal``, toy-lattice keys one at a time);
+- the device's stream, handed to ``device.reset`` at every round.
+
+So the verifiers' draws never depend on the device's answers, and a
+block's draws depend on nothing outside it: the complete blocks of a
+session are those of any longer session with the same seed.  A
+``SeedSequence`` passed as the seed is read, never advanced, so passing
+the same object twice gives the same session.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .etcf import (
     check_preimage,
     invert,
     keygen,
+    keygen_ideal,
 )
 from .quantum import (
     MeasurementBasis,
@@ -49,6 +58,8 @@ from .quantum import (
 )
 
 SUPPORT_TOLERANCE = 1e-9
+# The public coins of a round, in the column order a block draws them.
+COIN_COLUMNS = ("theta_a", "theta_b", "ct_a", "ct_b", "x", "y", "tag")
 
 
 class RoundType(Enum):
@@ -161,11 +172,9 @@ def classify_round(
     return RoundType.PRODUCT
 
 
-def choose_test_tag(
-    round_type: RoundType, rng: np.random.Generator, p_generate: float = 0.5
-) -> TestTag:
-    """Fair coin on Bell rounds; everything else is a test round."""
-    if round_type is RoundType.BELL and rng.random() < p_generate:
+def choose_test_tag(round_type: RoundType, coin: float, p_generate: float = 0.5) -> TestTag:
+    """Generation when a Bell round's uniform ``coin`` falls below ``p_generate``; else test."""
+    if round_type is RoundType.BELL and coin < p_generate:
         return TestTag.GENERATE
     return TestTag.TEST
 
@@ -179,60 +188,64 @@ def bell_label_bit(d: int, x0: int, x1: int, width: int | None = None) -> int:
     return dot(d, x0 ^ x1)
 
 
-def _kind_for_basis(theta: MeasurementBasis) -> KeyKind:
-    return KeyKind.CLAW_FREE if theta is MeasurementBasis.HADAMARD else KeyKind.INJECTIVE
-
-
-def _draw_basis(rng: np.random.Generator, p_hadamard: float) -> MeasurementBasis:
-    return (
-        MeasurementBasis.HADAMARD
-        if rng.random() < p_hadamard
-        else MeasurementBasis.COMPUTATIONAL
-    )
-
-
-def _draw_challenge(rng: np.random.Generator, p_b: float) -> ChallengeType:
-    return ChallengeType.B if rng.random() < p_b else ChallengeType.A
-
-
 def _is_bit(value) -> bool:
     return isinstance(value, (int, np.integer)) and value in (0, 1)
 
 
-def run_round(
-    device: DeviceStrategy,
-    params: ProtocolParams,
-    rng: np.random.Generator,
-    device_rng: np.random.Generator | None = None,
-    index: int = 0,
-) -> RoundRecord:
-    """Execute one round of the self-testing interaction and record everything.
+_BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
+_CHALLENGES = (ChallengeType.A, ChallengeType.B)
+
+
+def _run_block(device: DeviceStrategy, params: ProtocolParams, block) -> list[RoundRecord]:
+    """The rounds of one stream block: coins and keys as arrays, then the device round by round."""
+    coins = block.public.random((block.stop - block.start, len(COIN_COLUMNS)))
+    hadamard = coins[:, 0:2] < params.p_theta_hadamard
+    challenge_b = (coins[:, 2:4] < params.p_ct_b).tolist()
+    question_h = (coins[:, 4:6] < params.p_question_hadamard).tolist()
+    kinds = [KeyKind.CLAW_FREE if h else KeyKind.INJECTIVE for h in hadamard.ravel().tolist()]
+    if params.etcf.family == "ideal":
+        keys = keygen_ideal(kinds, params.etcf.domain_bits, block.private)
+    else:
+        keys = [keygen(kind, params.etcf, block.private) for kind in kinds]
+
+    records = []
+    for offset, (thetas, cts, questions, tag_coin) in enumerate(
+        zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
+    ):
+        device.reset(block.device)
+        record = _play_round(
+            device,
+            block.start + offset,
+            [_BASES[h] for h in thetas],
+            keys[2 * offset:2 * offset + 2],
+            [_CHALLENGES[b] for b in cts],
+            [_BASES[h] for h in questions],
+        )
+        record.test_tag = choose_test_tag(record.round_type, tag_coin, params.p_generate_given_bell)
+        records.append(record)
+    return records
+
+
+def _play_round(device, index, thetas, keys, cts, questions) -> RoundRecord:
+    """One round's messages with the device, given the verifiers' coins and keys.
 
     Malformed device responses (wrong widths, non-bit answers) are noted on
     the offending side and later scored as failures; they never raise.
     """
-    theta_a = _draw_basis(rng, params.p_theta_hadamard)
-    theta_b = _draw_basis(rng, params.p_theta_hadamard)
-    key_a, trap_a = keygen(_kind_for_basis(theta_a), params.etcf, rng)
-    key_b, trap_b = keygen(_kind_for_basis(theta_b), params.etcf, rng)
-
-    device.reset(device_rng if device_rng is not None else rng)
+    (key_a, trap_a), (key_b, trap_b) = keys
     c_a, c_b = device.on_keys(key_a, key_b)
-
-    ct_a = _draw_challenge(rng, params.p_ct_b)
-    ct_b = _draw_challenge(rng, params.p_ct_b)
+    ct_a, ct_b = cts
     resp_a, resp_b = device.on_challenges(ct_a, ct_b)
-
-    x = _draw_basis(rng, params.p_question_hadamard) if ct_a is ChallengeType.B else None
-    y = _draw_basis(rng, params.p_question_hadamard) if ct_b is ChallengeType.B else None
+    x = questions[0] if ct_a is ChallengeType.B else None
+    y = questions[1] if ct_b is ChallengeType.B else None
     if x is not None or y is not None:
         a, h_a, b, h_b = device.on_questions(x, y)
     else:
         a = h_a = b = h_b = None
 
-    alice = _ingest_side(theta_a, key_a, trap_a, c_a, ct_a, resp_a, x, a, h_a)
-    bob = _ingest_side(theta_b, key_b, trap_b, c_b, ct_b, resp_b, y, b, h_b)
-    round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
+    alice = _ingest_side(thetas[0], key_a, trap_a, c_a, ct_a, resp_a, x, a, h_a)
+    bob = _ingest_side(thetas[1], key_b, trap_b, c_b, ct_b, resp_b, y, b, h_b)
+    round_type = classify_round(ct_a, ct_b, thetas[0], thetas[1])
     return RoundRecord(index=index, alice=alice, bob=bob, round_type=round_type)
 
 
@@ -362,15 +375,11 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # Imported here: the streams module loads numpy.random, which a session
     # needs and the rest of the package does not.
-    from .streams import round_generators
+    from .streams import block_streams
 
     records: list[RoundRecord] = []
-    for i, (verifier_rng, device_rng) in enumerate(round_generators(master, params.rounds)):
-        record = run_round(device, params, verifier_rng, device_rng, index=i)
-        record.test_tag = choose_test_tag(
-            record.round_type, verifier_rng, params.p_generate_given_bell
-        )
-        records.append(record)
+    for block in block_streams(master, params.rounds):
+        records.extend(_run_block(device, params, block))
 
     tested = failed = 0
     for record in records:

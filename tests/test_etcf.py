@@ -1,5 +1,6 @@
 """ETCF family tests: exhaustive structure, inversion, claw identities."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -21,11 +22,15 @@ from cdiqkd.etcf import (
     key_from_dict,
     key_to_dict,
     keygen,
+    keygen_ideal,
     trapdoor_from_dict,
     trapdoor_to_dict,
     _row_reduce,
     _solve_mod,
 )
+from cdiqkd import etcf
+
+from .helpers import assert_frequency, assert_multinomial
 
 
 def ideal(w: int) -> EtcfParams:
@@ -127,6 +132,81 @@ class TestIdealInjective:
         assert gaps, "injective pair should not cover the codomain"
         with pytest.raises(NoPreimageError):
             invert(trap, min(gaps))
+
+
+def _tables_one_permutation_at_a_time(kinds, size, rng):
+    """The documented draw order of ``keygen_ideal``, one ``rng.permutation`` call at a time."""
+    claw_free = [i for i, kind in enumerate(kinds) if kind is KeyKind.CLAW_FREE]
+    injective = [i for i, kind in enumerate(kinds) if kind is KeyKind.INJECTIVE]
+    tables = {}
+    matchings = [rng.permutation(size) for _ in claw_free]
+    for i, matching in zip(claw_free, matchings):
+        image = rng.permutation(4 * size)[:size]
+        tables[i] = np.empty((2, size), dtype=np.int64)
+        tables[i][0] = image
+        tables[i][1, matching] = image
+    low_branches = rng.integers(2, size=len(injective))
+    for i, low_branch in zip(injective, low_branches):
+        tables[i] = np.stack([
+            rng.permutation(2 * size)[:size] + (0 if b == low_branch else 2 * size)
+            for b in (0, 1)
+        ])
+    return [tables[i] for i in range(len(kinds))]
+
+
+class TestBatchedIdealKeygen:
+    KINDS = [KeyKind.INJECTIVE, KeyKind.CLAW_FREE, KeyKind.CLAW_FREE, KeyKind.INJECTIVE,
+             KeyKind.CLAW_FREE]
+
+    @pytest.mark.parametrize("shuffle_entries", [None, 1])
+    @pytest.mark.parametrize("w", [2, 5, 10])
+    def test_draws_follow_the_documented_order(self, monkeypatch, w, shuffle_entries):
+        # One row per shuffle call draws the same keys as the default chunks.
+        if shuffle_entries is not None:
+            monkeypatch.setattr(etcf, "_SHUFFLE_ENTRIES", shuffle_entries)
+        pairs = keygen_ideal(self.KINDS, w, np.random.default_rng(w))
+        expected = _tables_one_permutation_at_a_time(self.KINDS, 1 << w, np.random.default_rng(w))
+        for (key, trapdoor), kind, tables in zip(pairs, self.KINDS, expected):
+            assert key.kind is kind and key.domain_bits == w and trapdoor.key is key
+            assert np.array_equal(key.tables, tables)
+
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_keygen_is_the_one_key_case(self, kind):
+        key, trapdoor = keygen(kind, ideal(4), np.random.default_rng(63))
+        batch_key, _ = keygen_ideal([kind], 4, np.random.default_rng(63))[0]
+        assert trapdoor.key is key
+        assert np.array_equal(key.tables, batch_key.tables)
+
+    def test_claw_free_matchings_and_images_are_uniform(self):
+        pairs = keygen_ideal([KeyKind.CLAW_FREE] * 4800, 2, np.random.default_rng(64))
+        matchings = Counter()
+        first_two = Counter()
+        points = np.zeros((4, 16))
+        for key, _ in pairs:
+            f0, f1 = key.tables
+            matchings[tuple(int(np.flatnonzero(f1 == y)[0]) for y in f0)] += 1
+            first_two[(int(f0[0]), int(f0[1]))] += 1
+            points[np.arange(4), f0] += 1
+        assert set(matchings) == set(itertools.permutations(range(4)))
+        assert_multinomial(list(matchings.values()), [1 / 24] * 24, "matchings")
+        for x in range(4):
+            assert_multinomial(points[x], [1 / 16] * 16, f"f_0({x})")
+        pairs_of_points = list(itertools.permutations(range(16), 2))
+        assert_multinomial([first_two[p] for p in pairs_of_points],
+                           [1 / len(pairs_of_points)] * len(pairs_of_points), "f_0(0), f_0(1)")
+
+    def test_injective_low_branch_and_images_are_uniform(self):
+        pairs = keygen_ideal([KeyKind.INJECTIVE] * 4800, 2, np.random.default_rng(65))
+        low_zero = 0
+        halves = np.zeros((2, 4, 8))  # (low, high) half, x, point within the half
+        for key, _ in pairs:
+            low = 0 if key.tables[0].max() < 8 else 1
+            low_zero += low == 0
+            halves[0, np.arange(4), key.tables[low]] += 1
+            halves[1, np.arange(4), key.tables[1 - low] - 8] += 1
+        assert_frequency(low_zero, len(pairs), 0.5, "low branch 0")
+        for half, x in itertools.product(range(2), range(4)):
+            assert_multinomial(halves[half, x], [1 / 8] * 8, f"half {half}, x {x}")
 
 
 class TestToyLattice:

@@ -243,6 +243,27 @@ class TestReplay:
         assert not report.match
         assert any(m.startswith("line 4:") for m in report.mismatches)
 
+    @pytest.mark.parametrize("damaged", ["transcript", "store"])
+    def test_non_utf8_last_line(self, tmp_path, capsys, damaged):
+        # The bytes ff fe appended as a last line: a corrupt transcript line is a
+        # named mismatch (exit 2), a corrupt store line a ReplayError (exit 1).
+        transcript, store = self.run_and_paths(tmp_path, rounds=64, seed=1)
+        path = Path(transcript if damaged == "transcript" else store)
+        number = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        if damaged == "transcript":
+            message = f"line {number}: corrupt record"
+            assert replay_verify(transcript, store).mismatches == [message]
+            assert main(["--replay", transcript]) == 2
+            assert message in capsys.readouterr().out
+        else:
+            message = f"trapdoor store corrupt at line {number}"
+            with pytest.raises(ReplayError, match=message):
+                replay_verify(transcript, store)
+            assert main(["--replay", transcript]) == 1
+            assert message in capsys.readouterr().err
+
     def test_truncation_raises_naming_last_line(self, tmp_path):
         transcript, store = self.run_and_paths(tmp_path, rounds=256, seed=29)
         lines = open(transcript).read().splitlines()
@@ -369,6 +390,15 @@ CORRUPT_HEADERS = {
     "not-an-object": lambda e: ["header"],
 }
 
+def _alice_ideal_width(bits, tables):
+    """A mutation giving Alice's key and trapdoor the same width and tables."""
+    def mutate(entry):
+        for name in ("key_a", "trapdoor_a"):
+            entry[name].update(domain_bits=bits, tables=tables)
+
+    return mutate
+
+
 CORRUPT_STORE_ENTRIES = {
     "missing-key": _without("key_a"),
     "missing-index": _without("i"),
@@ -378,6 +408,8 @@ CORRUPT_STORE_ENTRIES = {
     "short-table": lambda e: e["trapdoor_a"].update(tables="00"),
     "trapdoor-of-another-key": lambda e: e["trapdoor_a"].update(tables=e["key_b"]["tables"]),
     "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
+    # A width-0 ideal key with a matching trapdoor: the family takes 2..16 bits.
+    "zero-domain-bits": _alice_ideal_width(0, "0000000001000000"),
     "key-not-an-object": lambda e: e.update(key_a=3),
     "not-an-object": lambda e: "keys",
 }
@@ -472,7 +504,8 @@ class TestMalformedReplay:
             transcript, lambda e: e["record"] == "footer", lambda e: e.update(tested="x")
         )
         report = replay_verify(*self.write(tmp_path, lines, store))
-        assert report.mismatches == ["footer: tested count should be 118"]
+        tested = json.loads(transcript[-1])["tested"]
+        assert report.mismatches == [f"footer: tested count should be {tested}"]
 
     @pytest.mark.parametrize("name", sorted(CORRUPT_HEADERS))
     def test_corrupt_header_raises_replay_error(self, tmp_path, audit_files, name):
@@ -713,53 +746,73 @@ class TestMalformedInputExitsOne:
         assert "config error" in capsys.readouterr().err
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v1.
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v2.
 # A change here changes the outputs of every seeded run.
-STREAM_LAYOUT_V1 = {
+STREAM_LAYOUT_V2 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "22d0644f418c0c4c5f836df5dad5d281a88ee24c789e00b93fa6e6168473358a",
-            "6206afdd26bc930bacb48ac7cefbc0c7bd6c01dddc5ad9ec028aa562cac7a13b",
-            "7ad5d7e4382f922fd94ee22d8b596b3c3fe289e7e8282a3fe27e7cadb638fe78",
+            "43fda7597c333d63223eefb49fa97e0c3166566fbe1164c3dcdc9fab6ab65aa9",
+            "700e5a23571baa2274b8b26b026b1fcde77ebbd934bd95d2386f5bc15defa593",
+            "1ad889c3a6ea73df464372377578c62cc65ea9037008c87337796ce03d9c9084",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "d63643b2a4b8e59fb8a068f4ab3f47ded766fc01138621d0734d133a106412cc",
-            "91d70cc0a5d15a02bc9fab0b2a70a3cccd94dbbbb294951fca645ece9d83e8f3",
-            "bf77dcefef714368831f970a77d7c14ad89a8bd089430672dfc0499a18988bb7",
+            "1d09db9948111e14463bceeb7f9b4122f90be8977d4f2132bdbbb321c287f198",
+            "0d7533db67b948666337721ed73d2527c7f8ba88d447da420b0ee752164ecf6b",
+            "e8b46867b241b56a23e8a3926bd810490cb0d1fa827fa202ad9f57b90e75dcc2",
         ),
     ),
-    # Several stream-derivation blocks of 512 rounds, with a ragged tail.
+    # Six stream blocks of 256 rounds and a ragged tail.
     "ideal-random-multiblock": (
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "07b6b2f483bfb3e31e8826fe6e5c64d5cb4410b74f66c1226bf4e59f4baac41f",
-            "97a4b2643034f39733dc467e6766389f5fdb88aabfdff7f9a98e739f094a98b3",
-            "d44eae42aab8f25a42d5f8ddc7be077012bc4dd26e93d4fbff7726b21318a13d",
+            "faf17f1e0b1fad960562084d17cc298b9d58f4cbc7a31ba35d59747c04182fa2",
+            "00b7ef86b79ee07be3cc833ac6d1dda359c345f599f63b672bd8f305911ac898",
+            "67bab6335de5e816969fa5c04ace31b80a41496f46c9d2e5f1bd6c4b676f706a",
         ),
     ),
     "lattice-noisy-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "ecc8466f3bc1ff85b11789712180eeb754b8f5bde31f9630bbbb01724a4a2fb7",
-            "e1355fee878e20bcbb9fcf8a47deb6f17da879c84802be6dadfe0d8eca1281f3",
-            "f9c56c19ebb52ca16c24e08a1487396566f41dbd4595c92e6901a3f4df7df8f7",
+            "8622da80a3d7e93143a6268c28e875069ff519fb4d4b7c8c859f138a45a944f1",
+            "1062dac6e915cbb9fafc8fbe5ce1eeaf3fd5cdf7e0e27aec2f53d3e552859c78",
+            "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
+        ),
+    ),
+    # A session shorter than one block, with test and generation rounds.
+    "ideal-honest-short": (
+        {"rounds": 9, "etcf": "ideal", "device": "honest"},
+        (
+            "107c6cb8f687328505a0b4ebcf173e02a2a7c9f783fa1efec2b1d16764e7a053",
+            "19c0d69409f93e3b6416c08a64da9c8218c79651d99df40c508d2612c751eb4a",
+            "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
+        ),
+    ),
+    # Two whole blocks of wider keys.
+    "ideal-noisy-two-blocks-w8": (
+        {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
+        (
+            "4ccbe918dbc61d33f27775dc36fbd07c9bf7e0efff53e99a0ec086d8ab800714",
+            "c3fd71d2d5f24199c9235b3a0159d8201ac54a2c0f8e71e53f1fb0f665593642",
+            "36aa1ec4728d3db896051b1817c439600395b273880f9f6da329c4981a0ef2e6",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V1))
-def test_stream_layout_v1_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V1[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V2))
+def test_stream_layout_v2_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V2[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
         {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
     ))
+    for path in ("t.jsonl", "t.jsonl.keys"):
+        assert json.loads((tmp_path / path).read_text().splitlines()[0])["version"] == 2
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")

@@ -1,5 +1,6 @@
 """Protocol engine tests: classification, checks, sessions, key extraction."""
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -41,7 +42,6 @@ from cdiqkd.protocol import (
     choose_test_tag,
     bell_label_bit,
     honest_support,
-    run_round,
     run_session,
     win_condition,
 )
@@ -116,21 +116,21 @@ class TestChooseTestTag:
     def test_product_always_test(self):
         rng = np.random.default_rng(0)
         assert all(
-            choose_test_tag(RoundType.PRODUCT, rng) is TestTag.TEST for _ in range(100)
+            choose_test_tag(RoundType.PRODUCT, rng.random()) is TestTag.TEST for _ in range(100)
         )
 
     def test_bell_fair_coin(self):
         rng = np.random.default_rng(1)
         n = 10_000
         generate = sum(
-            choose_test_tag(RoundType.BELL, rng) is TestTag.GENERATE for _ in range(n)
+            choose_test_tag(RoundType.BELL, rng.random()) is TestTag.GENERATE for _ in range(n)
         )
         assert_frequency(generate, n, 0.5, "generate tag")
 
     def test_generate_probability_knob(self):
         rng = np.random.default_rng(2)
         assert all(
-            choose_test_tag(RoundType.BELL, rng, p_generate=1.0) is TestTag.GENERATE
+            choose_test_tag(RoundType.BELL, rng.random(), p_generate=1.0) is TestTag.GENERATE
             for _ in range(50)
         )
 
@@ -160,16 +160,10 @@ class TestComputeS:
         assert bell_label_bit(d, x0, x1) == dot(d, x0) ^ dot(d, x1)
 
 
-def drive_round(device, round_params, seed, index=0):
-    seq = np.random.SeedSequence(seed)
-    v_seq, d_seq = seq.spawn(2)
-    return run_round(
-        device,
-        round_params,
-        np.random.Generator(np.random.PCG64(v_seq)),
-        np.random.Generator(np.random.PCG64(d_seq)),
-        index=index,
-    )
+def drive_round(device, round_params, seed):
+    """The record of a one-round session under round_params' knobs."""
+    one_round = dataclasses.replace(round_params, rounds=1)
+    return run_session(device, one_round, seed).records[0]
 
 
 class TestRunRound:
@@ -234,7 +228,8 @@ class TestHonestSupport:
         assert {a for a, _ in support} == {0, 1}
 
     def test_invalid_commitment_gives_empty_support(self):
-        forced = params(p_theta_hadamard=1.0, p_ct_b=1.0)
+        # Both questions Hadamard: the Bell check reads Alice's phase bit.
+        forced = params(p_theta_hadamard=1.0, p_ct_b=1.0, p_question_hadamard=1.0)
         record = drive_round(HonestDevice(), forced, 6)
         points = image(record.alice.key)
         gap = next(y for y in range(1 << record.alice.key.codomain_bits) if y not in points)
@@ -349,6 +344,25 @@ def test_session_retains_little_beyond_its_key_tables():
     )
     assert session.tested_count > 0
     assert retained < 1.5 * table_bytes
+
+
+def test_block_keygen_temporaries_stay_within_a_few_rows():
+    # The widest domain, claw-free keys only: each key shuffles 4 * 2**16 codomain
+    # points.  The peak above what the session keeps must not grow with the
+    # number of keys the block draws, as one shuffle of all rows at once would.
+    session_params = params(rounds=16, w=16, p_theta_hadamard=1.0)
+    tracemalloc.start()
+    try:
+        session = run_session(ClassicalRandomDevice(), session_params, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(
+        side.key.tables.nbytes for record in session.records for side in (record.alice, record.bob)
+    )
+    row_bytes = 4 * 2**16 * 8  # one shuffled row of int64 codomain points
+    assert kept >= table_bytes == 32 * row_bytes // 2
+    assert peak - kept < 3 * row_bytes
 
 
 class TestWinCondition:

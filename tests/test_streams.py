@@ -1,80 +1,196 @@
-"""Stream layout v1: block-derived seed words against numpy's SeedSequence."""
+"""Stream layout v2: per-block Philox keys, block boundaries and the coins they yield."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from cdiqkd.devices import ClassicalRandomDevice
-from cdiqkd.protocol import choose_test_tag, run_round, run_session
-from cdiqkd.streams import STREAM_BLOCK, SeedWords, stream_seeds
+from cdiqkd.devices import ClassicalDeterministicDevice, ClassicalRandomDevice, HonestDevice
+from cdiqkd.etcf import EtcfParams
+from cdiqkd.protocol import COIN_COLUMNS, ProtocolParams, RoundType, TestTag, run_session
+from cdiqkd.quantum import MeasurementBasis
+from cdiqkd.streams import (
+    DEVICE,
+    DOMAIN,
+    PRIVATE,
+    PUBLIC,
+    STREAM_BLOCK,
+    block_key,
+    block_streams,
+    session_words,
+)
 
+from .helpers import FIVE_SIGMA_PVALUE, assert_frequency, assert_multinomial
 from .test_protocol import _signature, params
 
-# Master sequences whose round streams the block derivation must reproduce:
-# int seeds across the word sizes, list entropy, a larger pool, and the
-# nested spawn key of the session sequence run_experiment hands run_session.
+
+def _oracle_key(master: np.random.SeedSequence, stream: int, block: int) -> np.ndarray:
+    """The documented derivation, written out with hashlib and the byte layout alone."""
+    words = b"".join(int(w).to_bytes(4, "little") for w in master.generate_state(8, np.uint32))
+    digest = hashlib.sha256(
+        b"cdiqkd stream layout v2" + words + bytes([stream]) + block.to_bytes(8, "little")
+    ).digest()
+    return np.array(
+        [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")],
+        dtype=np.uint64,
+    )
+
+
 MASTERS = {
     "int-0": np.random.SeedSequence(0),
-    "int-2020": np.random.SeedSequence(2020),
-    "int-2^63+5": np.random.SeedSequence(2**63 + 5),
     "int-2^128-1": np.random.SeedSequence(2**128 - 1),
     "list-entropy": np.random.SeedSequence([3, 2**40, 0, 7, 2**32 - 1]),
-    "pool-size-8": np.random.SeedSequence(2020, pool_size=8),
     "run-experiment-child": np.random.SeedSequence(2020).spawn(2)[0],
 }
-# (start, stop) ranges: block edges, a ragged tail, and indices that take two
-# uint32 words, called directly rather than by running that many rounds.
-RANGES = [
-    (0, STREAM_BLOCK),
-    (STREAM_BLOCK, 2 * STREAM_BLOCK),
-    (3 * STREAM_BLOCK, 3 * STREAM_BLOCK + 7),
-    (2**32 - STREAM_BLOCK, 2**32),
-    (2**32, 2**32 + 2),
-]
 
 
-class TestStreamSeeds:
+class TestKeyDerivation:
     @pytest.mark.parametrize("name", sorted(MASTERS))
-    @pytest.mark.parametrize("start, stop", RANGES)
-    def test_words_and_generators_equal_numpy_seed_sequence(self, name, start, stop):
+    @pytest.mark.parametrize("block", [0, 1, 2**32, 2**64 - 1])
+    def test_block_key_is_the_documented_sha256(self, name, block):
         master = MASTERS[name]
-        seeds = stream_seeds(master, start, stop)
-        for index in sorted({start, start + 1, stop - 2, stop - 1}):
-            for stream, words in enumerate(seeds):
-                oracle = np.random.SeedSequence(
-                    master.entropy,
-                    spawn_key=(*master.spawn_key, index, stream),
-                    pool_size=master.pool_size,
-                )
-                row = words[index - start]
-                assert row.dtype == np.uint64
-                assert np.array_equal(row, oracle.generate_state(4, np.uint64))
-                generator = np.random.PCG64(SeedWords(row))
-                assert generator.state == np.random.PCG64(oracle).state
+        assert DOMAIN == b"cdiqkd stream layout v2"
+        for stream in (PUBLIC, PRIVATE, DEVICE):
+            key = block_key(session_words(master), stream, block)
+            assert key.dtype == np.uint64
+            assert np.array_equal(key, _oracle_key(master, stream, block))
 
-    def test_range_across_a_word_boundary_is_rejected(self):
-        with pytest.raises(ValueError, match="straddle"):
-            stream_seeds(MASTERS["int-0"], 2**32 - 1, 2**32 + 1)
+    def test_generators_are_philox_keyed_by_block(self):
+        master = MASTERS["run-experiment-child"]
+        blocks = list(block_streams(master, 2 * STREAM_BLOCK + 1))
+        for index, block in enumerate(blocks):
+            for stream, generator in zip((PUBLIC, PRIVATE, DEVICE), block[2:]):
+                expected = np.random.Philox(key=_oracle_key(master, stream, index))
+                assert isinstance(generator.bit_generator, np.random.Philox)
+                assert np.array_equal(generator.bit_generator.random_raw(8), expected.random_raw(8))
 
-    def test_seed_words_answer_only_what_pcg64_asks(self):
-        row = np.arange(4, dtype=np.uint64)
-        words = SeedWords(row)
-        row[0] = 9  # the generator's words are a copy
-        assert words.generate_state(4, np.uint64).tolist() == [0, 1, 2, 3]
-        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
-            with pytest.raises(ValueError):
-                words.generate_state(n_words, dtype)
+    def test_session_words_read_the_seed_sequence_without_advancing_it(self):
+        seq = np.random.SeedSequence(2024)
+        assert session_words(seq) == session_words(np.random.SeedSequence(2024))
+        assert session_words(seq) == session_words(seq)
+        assert seq.n_children_spawned == 0
+        child = np.random.SeedSequence(2024).spawn(1)[0]
+        assert session_words(child) != session_words(seq)
+        assert len(session_words(seq)) == 32
 
-    def test_session_matches_per_round_seed_sequences(self):
-        # Two blocks and a ragged tail, against the per-round spawn it replaced.
-        rounds = 2 * STREAM_BLOCK + 5
-        session = run_session(ClassicalRandomDevice(), params(rounds=rounds), seed=31)
-        for index in (0, STREAM_BLOCK - 1, STREAM_BLOCK, rounds - 1):
-            child = np.random.SeedSequence(31).spawn(rounds)[index]
-            verifier_rng, device_rng = (np.random.default_rng(seq) for seq in child.spawn(2))
-            record = run_round(
-                ClassicalRandomDevice(), params(rounds=rounds), verifier_rng, device_rng, index
-            )
-            record.test_tag = choose_test_tag(record.round_type, verifier_rng)
-            expected = session.records[index]
-            assert _signature(record)[:3] == _signature(expected)[:3]
-            assert _signature(record)[4] == _signature(expected)[4]
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "rounds", [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 7]
+    )
+    def test_blocks_cover_the_rounds_in_order(self, rounds):
+        spans = [(block.start, block.stop) for block in block_streams(MASTERS["int-0"], rounds)]
+        assert spans[0][0] == 0 and spans[-1][1] == rounds
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert all(stop - start == STREAM_BLOCK for start, stop in spans[:-1])
+        assert 1 <= spans[-1][1] - spans[-1][0] <= STREAM_BLOCK
+
+    def test_complete_blocks_equal_those_of_a_longer_session(self):
+        short = run_session(ClassicalRandomDevice(), params(2 * STREAM_BLOCK + 5), seed=41)
+        long = run_session(ClassicalRandomDevice(), params(3 * STREAM_BLOCK), seed=41)
+        complete = 2 * STREAM_BLOCK
+        assert [_signature(r) for r in short.records[:complete]] == [
+            _signature(r) for r in long.records[:complete]
+        ]
+
+    def test_device_draws_from_one_generator_per_block(self):
+        seen = []
+
+        class Recorder(ClassicalRandomDevice):
+            def reset(self, rng):
+                seen.append(rng)
+                super().reset(rng)
+
+        run_session(Recorder(), params(STREAM_BLOCK + 3), seed=5)
+        assert len(seen) == STREAM_BLOCK + 3
+        assert len({id(rng) for rng in seen[:STREAM_BLOCK]}) == 1
+        assert len({id(rng) for rng in seen[STREAM_BLOCK:]}) == 1
+        assert seen[0] is not seen[-1]
+
+
+def _public_view(session):
+    """What the public coins decide: bases, challenges, questions asked, type and tag."""
+    return [
+        (r.alice.theta, r.bob.theta, r.alice.ct, r.bob.ct, r.alice.question, r.bob.question,
+         r.round_type, r.test_tag)
+        for r in session.records
+    ]
+
+
+def test_public_coins_depend_on_neither_the_device_nor_the_family():
+    # x, y and the tag are drawn for every round, and keys come from their own
+    # stream, so the public decisions of a seed are fixed before any answer.
+    rounds = STREAM_BLOCK + 9
+    lattice = ProtocolParams(rounds=rounds, epsilon=0.05,
+                             etcf=EtcfParams(family="toy-lattice", n=2, m=4, q=5))
+    views = [
+        _public_view(run_session(device, session_params, seed=12))
+        for device, session_params in (
+            (HonestDevice(), params(rounds)),
+            (ClassicalRandomDevice(), params(rounds)),
+            (ClassicalDeterministicDevice(), params(rounds, w=6)),
+            (HonestDevice(), lattice),
+        )
+    ]
+    assert all(view == views[0] for view in views[1:])
+
+
+# Knobs apart from fair coins and from each other, so that a coin compared
+# with the wrong probability would show.
+KNOBS = dict(p_theta_hadamard=0.7, p_ct_b=0.6, p_generate_given_bell=0.3, p_question_hadamard=0.2)
+
+
+def _cell_probabilities(p_theta, p_ct_b, p_generate):
+    """Analytic (sifted, product, Bell test, Bell generation) probabilities of a round."""
+    sifted = 2 * p_ct_b * (1 - p_ct_b)
+    bell = p_ct_b**2 * p_theta**2
+    product = 1 - sifted - bell
+    return np.array([sifted, product, bell * (1 - p_generate), bell * p_generate])
+
+
+@pytest.mark.parametrize("device_kind", [HonestDevice, ClassicalRandomDevice])
+def test_round_counts_fit_their_analytic_probabilities_over_many_seeds(device_kind):
+    assert COIN_COLUMNS == ("theta_a", "theta_b", "ct_a", "ct_b", "x", "y", "tag")
+    probs = _cell_probabilities(KNOBS["p_theta_hadamard"], KNOBS["p_ct_b"],
+                                KNOBS["p_generate_given_bell"])
+    seeds = [*range(60), np.random.SeedSequence(7).spawn(3)[2]]
+    totals = np.zeros(4)
+    statistic = 0.0
+    per_seed = set()
+    questions = hadamard_questions = 0
+    for seed in seeds:
+        session = run_session(device_kind(), params(STREAM_BLOCK, epsilon=1.0, **KNOBS), seed)
+        cells = np.array([
+            session.rounds - session.sifted_count,
+            session.product_count,
+            session.tested_count - session.product_count,
+            session.generate_count,
+        ])
+        assert cells.sum() == session.rounds
+        assert cells[2] + cells[3] == session.bell_count
+        totals += cells
+        expected = probs * session.rounds
+        statistic += float(((cells - expected) ** 2 / expected).sum())
+        per_seed.add(tuple(cells))
+        for record in session.records:
+            assert record.round_type is RoundType.BELL or record.test_tag is TestTag.TEST
+            for side in (record.alice, record.bob):
+                if side.question is not None:
+                    questions += 1
+                    hadamard_questions += side.question is MeasurementBasis.HADAMARD
+    label = device_kind.__name__
+    assert_multinomial(totals, probs, f"{label} round cells")
+    rounds = int(totals.sum())
+    for name, count, p in (
+        ("sifted", totals[0], probs[0]),
+        ("product", totals[1], probs[1]),
+        ("Bell", totals[2] + totals[3], probs[2] + probs[3]),
+        ("generate", totals[3], probs[3]),
+        ("tested", totals[1] + totals[2], probs[1] + probs[2]),
+    ):
+        assert_frequency(int(count), rounds, p, f"{label} {name}")
+    # The seeds' sessions scatter like independent draws, not like copies of one.
+    assert statistic <= chi2.isf(FIVE_SIGMA_PVALUE, df=3 * len(seeds))
+    assert len(per_seed) > len(seeds) // 2
+    assert_frequency(hadamard_questions, questions, KNOBS["p_question_hadamard"], "H questions")
