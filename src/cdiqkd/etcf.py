@@ -73,11 +73,6 @@ class EtcfParams:
         else:
             raise ValueError(f"unknown ETCF family {self.family!r}")
 
-    @property
-    def security_param(self) -> int:
-        # Labeling convention for reports: lambda = domain_bits (ideal) or n (toy lattice).
-        return self.domain_bits if self.family == "ideal" else self.n
-
 
 def _is_prime(v: int) -> bool:
     if v < 2:
@@ -456,7 +451,7 @@ def _domain_iter(key: ToyLatticeKeyPair):
 
 
 # ---------------------------------------------------------------------------
-# Wire serialization (hex tables / matrices), used by the transcript format
+# Wire serialization (hex tables / matrices), used by the trapdoor store
 # ---------------------------------------------------------------------------
 
 
@@ -517,43 +512,27 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
 
 
 def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
-    key = trapdoor.key
-    data = {"family": key.family, "kind": key.kind.value}
-    if isinstance(key, IdealKeyPair):
-        # The tables are the trapdoor; the store writes them again here.
-        return {**data, "domain_bits": key.domain_bits, "tables": _array_to_hex(key.tables)}
+    """What a trapdoor holds beyond its key: the claw secret s of a claw-free
+    toy-lattice key, nothing for any other key (an ideal key's tables are
+    its trapdoor).
+    """
     secret = trapdoor.secret
-    return {**data, "secret": _array_to_hex(secret) if secret is not None else None}
+    return {} if secret is None else {"secret": _array_to_hex(secret)}
 
 
 def trapdoor_from_dict(data: dict, key: EtcfKeyPair) -> Trapdoor:
-    """The trapdoor of ``key`` serialized as ``data``.
+    """The trapdoor of ``key`` whose private remainder is serialized as ``data``.
 
-    Raises ValueError when the data is not a trapdoor of this key: another
-    family or kind, ideal tables (or their width) other than the key's, or a
-    toy-lattice secret s missing, present for an injective key, or with
-    A s != shift.
+    Raises ValueError unless ``data`` is an object that holds a secret s,
+    and nothing else, for a claw-free toy-lattice key and is empty for any
+    other key, and that s solves A s = shift.
     """
-    if data["family"] != key.family or KeyKind(data["kind"]) is not key.kind:
-        raise ValueError("trapdoor family or kind differs from its key's")
-    if isinstance(key, IdealKeyPair):
-        if (
-            int(data["domain_bits"]) != key.domain_bits
-            or bytes.fromhex(data["tables"]) != key.tables.astype("<i4").tobytes()
-        ):
-            raise ValueError("ideal trapdoor tables differ from its key's")
-        return Trapdoor(key)
-    if (data["secret"] is None) != (key.kind is KeyKind.INJECTIVE):
-        raise ValueError("a toy-lattice trapdoor holds a secret exactly for claw-free keys")
-    if key.kind is KeyKind.INJECTIVE:
+    claw_secret = isinstance(key, ToyLatticeKeyPair) and key.kind is KeyKind.CLAW_FREE
+    if not isinstance(data, dict) or data.keys() != ({"secret"} if claw_secret else set()):
+        raise ValueError("a trapdoor holds a secret exactly for claw-free toy-lattice keys")
+    if not claw_secret:
         return Trapdoor(key)
     secret = _array_from_hex(data["secret"])
     if secret.shape != (key.n,) or np.any((key.matrix @ secret - key.shift) % key.q):
         raise ValueError("toy-lattice claw secret does not match its key")
     return Trapdoor(key, secret)
-
-
-def serialized_trapdoor_hex(trapdoor: Trapdoor) -> str:
-    """The hex payload of a trapdoor; used by privacy-scan tests."""
-    data = trapdoor_to_dict(trapdoor)
-    return data["tables"] if data["family"] == "ideal" else (data["secret"] or "")

@@ -160,7 +160,7 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
 
 def write_trapdoor_store(path: str, session: SessionResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "keys-header", "version": 2}) + "\n")
+        fh.write(json.dumps({"record": "keys-header", "version": 2, "format": 2}) + "\n")
         for record in session.records:
             if record.round_type is RoundType.SIFTED or record.test_tag is not TestTag.TEST:
                 continue
@@ -271,8 +271,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         "exit_code": exit_code,
         "aborted": session.aborted,
         "verified": verified,
-        "fail_fraction": sig12(session.fail_fraction),
-        "qber_estimate": sig12(qber),
+        "fail_fraction": session.fail_fraction,
+        "qber_estimate": qber,
         "counts": {
             "rounds": session.rounds,
             "sifted": session.sifted_count,
@@ -394,11 +394,19 @@ def _records(path: str):
 
 
 def _store_entries(path: str):
-    """(round index, (key_a, trapdoor_a, key_b, trapdoor_b)) of each store entry, in file order."""
-    for number, entry in _records(path):
-        if entry is not None and entry.get("record") != "keys":
-            continue
+    """(round index, (key_a, trapdoor_a, key_b, trapdoor_b)) of each store entry, in file order.
+
+    The first record must be the format-2 header and every later one a
+    ``keys`` entry; raises ReplayError otherwise.
+    """
+    records = _records(path)
+    _, header = next(records, (0, None))
+    if header is None or header.get("record") != "keys-header" or header.get("format") != 2:
+        raise ReplayError("trapdoor store has no format-2 header")
+    for number, entry in records:
         try:
+            if entry["record"] != "keys":
+                raise ValueError("not a keys record")
             key_a, key_b = key_from_dict(entry["key_a"]), key_from_dict(entry["key_b"])
             trapdoor_a = trapdoor_from_dict(entry["trapdoor_a"], key_a)
             trapdoor_b = trapdoor_from_dict(entry["trapdoor_b"], key_b)
@@ -416,8 +424,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     of ``0..rounds-1`` (a duplicate, a gap or one out of range), or a test
     round whose store entry is missing or out of order; rounds missing at the
     end are a footer mismatch.  A missing footer (a truncated transcript)
-    raises ReplayError naming the last good line; so do an unusable header
-    and a corrupt trapdoor-store entry.
+    raises ReplayError naming the last good line; so do an unusable header,
+    a store without its format-2 header and a corrupt trapdoor-store entry.
     """
     lines = _records(transcript_path)
     _, header = next(lines, (0, None))

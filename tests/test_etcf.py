@@ -57,10 +57,6 @@ class TestParams:
         with pytest.raises(ValueError):
             EtcfParams(family="lwe").validate()
 
-    def test_security_param_labels(self):
-        assert ideal(6).security_param == 6
-        assert TOY.security_param == 3
-
 
 class TestIdealClawFree:
     def test_every_image_point_has_exactly_two_preimages(self):
@@ -345,7 +341,10 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         key, trap = keygen(kind, params, rng)
         key2 = key_from_dict(key_to_dict(key))
-        trap2 = trapdoor_from_dict(trapdoor_to_dict(trap), key2)
+        data = trapdoor_to_dict(trap)
+        # Only a claw-free toy-lattice trapdoor holds more than its key.
+        assert set(data) == ({"secret"} if params is TOY and kind is KeyKind.CLAW_FREE else set())
+        trap2 = trapdoor_from_dict(data, key2)
         sample_inputs = range(16) if isinstance(key, IdealKeyPair) else [
             encode_vector(rng.integers(0, 17, size=3), 17) for _ in range(16)
         ]
@@ -355,35 +354,18 @@ class TestSerialization:
                 assert evaluate(key2, b, x) == y
                 assert invert(trap2, y) == invert(trap, y)
 
-
-    def test_trapdoor_of_another_ideal_key_is_rejected(self):
-        rng = np.random.default_rng(22)
-        key, trap = keygen(KeyKind.CLAW_FREE, ideal(4), rng)
-        data = trapdoor_to_dict(trap)
-        assert trapdoor_from_dict(data, key).key is key
-        others = [
-            keygen(KeyKind.CLAW_FREE, ideal(4), rng)[0],  # other tables
-            IdealKeyPair(KeyKind.INJECTIVE, 4, key.tables),  # other kind
-            keygen(KeyKind.CLAW_FREE, TOY, rng)[0],  # other family
-        ]
-        for other in others:
-            with pytest.raises(ValueError):
-                trapdoor_from_dict(data, other)
-        with pytest.raises(ValueError):
-            trapdoor_from_dict({**data, "domain_bits": 5}, key)
-
     def test_toy_secret_must_solve_its_key(self):
         rng = np.random.default_rng(23)
         key, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
         _, other_trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
-        injective, injective_trap = keygen(KeyKind.INJECTIVE, TOY, rng)
+        injective, _ = keygen(KeyKind.INJECTIVE, TOY, rng)
         secret = trapdoor_to_dict(trap)["secret"]
         assert np.array_equal(trapdoor_from_dict(trapdoor_to_dict(trap), key).secret, trap.secret)
         cases = [
             (trapdoor_to_dict(other_trap), key),
-            ({**trapdoor_to_dict(trap), "secret": None}, key),
-            ({**trapdoor_to_dict(trap), "secret": secret[:-8]}, key),
-            ({**trapdoor_to_dict(injective_trap), "secret": secret}, injective),
+            ({}, key),
+            ({"secret": secret[:-8]}, key),
+            ({"secret": secret}, injective),
         ]
         for data, target in cases:
             with pytest.raises(ValueError):

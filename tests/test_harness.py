@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
-from cdiqkd.etcf import serialized_trapdoor_hex, key_to_dict
+from cdiqkd.etcf import key_to_dict, trapdoor_to_dict
 from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
@@ -159,16 +159,17 @@ class TestTranscriptPrivacy:
             if r.test_tag is TestTag.GENERATE and r.round_type is RoundType.BELL
         ]
         assert generate_records
-        store_indices = {
-            json.loads(line)["i"]
-            for line in store_text.splitlines()
-            if json.loads(line).get("record") == "keys"
-        }
+        store_lines = store_text.splitlines()[1:]
+        store_indices = {json.loads(line)["i"] for line in store_lines}
+        for line in store_lines:
+            # An ideal key's tables are its trapdoor: each is written once.
+            entry = json.loads(line)
+            assert line.count(entry["key_a"]["tables"]) == line.count(entry["key_b"]["tables"]) == 1
         for record in generate_records:
             # trapdoor payloads of generation rounds appear nowhere
             for side in (record.alice, record.bob):
-                payload = serialized_trapdoor_hex(side.trapdoor)
-                assert payload not in everything
+                for payload in trapdoor_to_dict(side.trapdoor).values():
+                    assert payload not in everything
                 key_payload = key_to_dict(side.key)
                 table_hex = key_payload.get("tables") or key_payload.get("matrix")
                 assert table_hex not in everything
@@ -390,29 +391,43 @@ CORRUPT_HEADERS = {
     "not-an-object": lambda e: ["header"],
 }
 
-def _alice_ideal_width(bits, tables):
-    """A mutation giving Alice's key and trapdoor the same width and tables."""
-    def mutate(entry):
-        for name in ("key_a", "trapdoor_a"):
-            entry[name].update(domain_bits=bits, tables=tables)
-
-    return mutate
-
-
 CORRUPT_STORE_ENTRIES = {
     "missing-key": _without("key_a"),
     "missing-index": _without("i"),
     "infinite-domain-bits": lambda e: e["key_a"].update(domain_bits=float("inf")),
-    "huge-domain-bits": lambda e: e["trapdoor_b"].update(domain_bits=2**62),
+    "huge-domain-bits": lambda e: e["key_b"].update(domain_bits=2**62),
     "bad-hex-table": lambda e: e["key_b"].update(tables="zz"),
-    "short-table": lambda e: e["trapdoor_a"].update(tables="00"),
-    "trapdoor-of-another-key": lambda e: e["trapdoor_a"].update(tables=e["key_b"]["tables"]),
+    "short-table": lambda e: e["key_a"].update(tables="00"),
     "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
-    # A width-0 ideal key with a matching trapdoor: the family takes 2..16 bits.
-    "zero-domain-bits": _alice_ideal_width(0, "0000000001000000"),
+    # A width-0 ideal key with tables of that width: the family takes 2..16 bits.
+    "zero-domain-bits": lambda e: e["key_a"].update(domain_bits=0, tables="0000000001000000"),
     "key-not-an-object": lambda e: e.update(key_a=3),
     "not-an-object": lambda e: "keys",
+    # An ideal key's trapdoor is an object that holds nothing beyond the key.
+    "ideal-trapdoor-with-secret": lambda e: e["trapdoor_a"].update(secret="00000000"),
+    "ideal-trapdoor-with-tables": lambda e: e["trapdoor_a"].update(tables=e["key_a"]["tables"]),
+    "trapdoor-not-an-object": lambda e: e.update(trapdoor_a="x"),
+    "second-header": lambda e: {"record": "keys-header", "version": 2, "format": 2},
 }
+
+# First store lines other than the format-2 header; None drops the line.
+CORRUPT_STORE_HEADERS = {
+    "missing-header": None,
+    "header-without-format": {"record": "keys-header", "version": 2},  # as before format 2
+    "format-1": {"record": "keys-header", "version": 2, "format": 1},
+}
+
+STORE_CASES = sorted([*CORRUPT_STORE_ENTRIES, *CORRUPT_STORE_HEADERS])
+
+
+def _corrupt_store(store, name, last=False):
+    """store spoilt by case ``name``, and the ReplayError message replay must raise."""
+    if name in CORRUPT_STORE_HEADERS:
+        header = CORRUPT_STORE_HEADERS[name]
+        lines = store[1:] if header is None else [json.dumps(header), *store[1:]]
+        return lines, "trapdoor store has no format-2 header"
+    lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], last)
+    return lines, f"trapdoor store corrupt at line {number}"
 
 
 def _is_injective_b_keys(entry):
@@ -514,12 +529,12 @@ class TestMalformedReplay:
         with pytest.raises(ReplayError, match="header"):
             replay_verify(*self.write(tmp_path, lines, store))
 
-    @pytest.mark.parametrize("name", sorted(CORRUPT_STORE_ENTRIES))
+    @pytest.mark.parametrize("name", STORE_CASES)
     def test_corrupt_store_entry_raises_replay_error(self, tmp_path, audit_files, name):
         transcript, store = audit_files
         for last in (False, True):
-            lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], last)
-            with pytest.raises(ReplayError, match=f"trapdoor store corrupt at line {number}"):
+            lines, message = _corrupt_store(store, name, last)
+            with pytest.raises(ReplayError, match=message):
                 replay_verify(*self.write(tmp_path, transcript, lines))
 
     def test_store_is_read_past_the_last_test_round(self, tmp_path, audit_files):
@@ -551,7 +566,7 @@ class TestMalformedReplay:
         "kind, name, expected",
         [("round", name, 2) for name in sorted(CORRUPT_ROUNDS)]
         + [("header", name, 1) for name in sorted(CORRUPT_HEADERS)]
-        + [("store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)]
+        + [("store", name, 1) for name in STORE_CASES]
         + [("last-store", name, 1) for name in sorted(CORRUPT_STORE_ENTRIES)],
     )
     def test_cli_exit_code(self, tmp_path, audit_files, capsys, kind, name, expected):
@@ -561,7 +576,7 @@ class TestMalformedReplay:
         elif kind == "header":
             transcript, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
         else:
-            store, _ = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], kind == "last-store")
+            store, _ = _corrupt_store(store, name, kind == "last-store")
         transcript_path, store_path = self.write(tmp_path, transcript, store)
         assert main(["--replay", transcript_path, "--trapdoors", store_path]) == expected
         out = capsys.readouterr()
@@ -746,14 +761,15 @@ class TestMalformedInputExitsOne:
         assert "config error" in capsys.readouterr().err
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v2.
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v2,
+# with the store in format 2.
 # A change here changes the outputs of every seeded run.
 STREAM_LAYOUT_V2 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
             "43fda7597c333d63223eefb49fa97e0c3166566fbe1164c3dcdc9fab6ab65aa9",
-            "700e5a23571baa2274b8b26b026b1fcde77ebbd934bd95d2386f5bc15defa593",
+            "754c44dc62d15509f702764ac03c453d00135118ddc3f4867ea9aa91248c686f",
             "1ad889c3a6ea73df464372377578c62cc65ea9037008c87337796ce03d9c9084",
         ),
     ),
@@ -761,7 +777,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
             "1d09db9948111e14463bceeb7f9b4122f90be8977d4f2132bdbbb321c287f198",
-            "0d7533db67b948666337721ed73d2527c7f8ba88d447da420b0ee752164ecf6b",
+            "b1b544420e4081e47e7121c6fecd07071ed3551880a876229c87cc27574bcfd2",
             "e8b46867b241b56a23e8a3926bd810490cb0d1fa827fa202ad9f57b90e75dcc2",
         ),
     ),
@@ -770,7 +786,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
             "faf17f1e0b1fad960562084d17cc298b9d58f4cbc7a31ba35d59747c04182fa2",
-            "00b7ef86b79ee07be3cc833ac6d1dda359c345f599f63b672bd8f305911ac898",
+            "9b4fdf6426af1845c8d0ffacf8894d04bf71563e77842989b84711be8d04e2f4",
             "67bab6335de5e816969fa5c04ace31b80a41496f46c9d2e5f1bd6c4b676f706a",
         ),
     ),
@@ -778,7 +794,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
             "8622da80a3d7e93143a6268c28e875069ff519fb4d4b7c8c859f138a45a944f1",
-            "1062dac6e915cbb9fafc8fbe5ce1eeaf3fd5cdf7e0e27aec2f53d3e552859c78",
+            "ca1cdc60c0250d4e7bb3ce99ca90e2e1e6e199a9c31b887eae64bb5b73e5a627",
             "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
         ),
     ),
@@ -787,7 +803,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
             "107c6cb8f687328505a0b4ebcf173e02a2a7c9f783fa1efec2b1d16764e7a053",
-            "19c0d69409f93e3b6416c08a64da9c8218c79651d99df40c508d2612c751eb4a",
+            "3a5b29bc2772a22d0acb2c460c32b3733d3f6f20706f040a11a968844b6d3bd3",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -796,7 +812,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
             "4ccbe918dbc61d33f27775dc36fbd07c9bf7e0efff53e99a0ec086d8ab800714",
-            "c3fd71d2d5f24199c9235b3a0159d8201ac54a2c0f8e71e53f1fb0f665593642",
+            "5fbb1b53de0eed868e26a34ee399ff30f59482e0c49e091fe24f175c63e71358",
             "36aa1ec4728d3db896051b1817c439600395b273880f9f6da329c4981a0ef2e6",
         ),
     ),
@@ -811,8 +827,12 @@ def test_stream_layout_v2_is_pinned(tmp_path, monkeypatch, name):
     run_experiment(ExperimentConfig.from_dict(
         {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
     ))
-    for path in ("t.jsonl", "t.jsonl.keys"):
-        assert json.loads((tmp_path / path).read_text().splitlines()[0])["version"] == 2
+    headers = [
+        json.loads((tmp_path / path).read_text().splitlines()[0])
+        for path in ("t.jsonl", "t.jsonl.keys")
+    ]
+    assert [header["version"] for header in headers] == [2, 2]
+    assert headers[1]["format"] == 2
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")
