@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import FIELD_TYPES, ConfigError, ExperimentConfig
-from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment
+from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment, store_path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,9 +36,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        store = args.trapdoors or args.replay + ".keys"
         try:
-            report = replay_verify(args.replay, store)
+            report = replay_verify(args.replay, store_path(args.replay, args.trapdoors))
         except (ReplayError, OSError) as exc:
             print(f"replay error: {exc}", file=sys.stderr)
             return EXIT_USAGE

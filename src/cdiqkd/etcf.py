@@ -12,6 +12,8 @@ Two instantiations behind one interface:
 - ``toy-lattice``: noise-free linear maps mod a prime q.  Claw-free:
   f_b(x) = A x + b (A s); the claw partner of x under branch 1 is x - s.
   Injective: f_b(x) = A x + b u with u outside the column space of A.
+  A has full column rank, and one left inverse L (L A = I mod q), derived
+  once per key, solves every point of its column space as x = L y.
   Functionally an ETCF, deliberately offering no hardness (adversaries in
   this simulator are scripted, not computational).
 
@@ -68,7 +70,11 @@ class EtcfParams:
                 raise ValueError("lattice dimension n must be positive")
             if self.m < 2 * self.n:
                 raise ValueError(f"m must be at least 2*n, got m={self.m}, n={self.n}")
-            if self.q < 2 or not _is_prime(self.q):
+            # Devices draw codomain messages as int64, and A x, L y stay exact in
+            # int64; checked first, as the primality test would stall on a huge q.
+            if self.m * _coord_bits(self.q) > 63:
+                raise ValueError(f"m * ceil(log2 q) must be at most 63, got m={self.m}, q={self.q}")
+            if not _is_prime(self.q):
                 raise ValueError(f"q must be prime, got {self.q}")
         else:
             raise ValueError(f"unknown ETCF family {self.family!r}")
@@ -248,32 +254,36 @@ def _row_reduce(rows: list[list[int]], q: int, cols: int) -> list[int]:
     return pivots
 
 
-def _solve_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray | None:
-    """Solve A x = b over Z_q (q prime); None if inconsistent.
-
-    A has full column rank by construction, so a solution is unique when it exists.
+def _left_inverse(matrix: np.ndarray, q: int) -> np.ndarray | None:
+    """L with L A = I over Z_q (q prime), by one elimination of [A | I]; None
+    unless A has full column rank.
     """
-    m, n = a.shape
-    rows = np.concatenate([a % q, (b % q).reshape(m, 1)], axis=1).tolist()
-    pivots = _row_reduce(rows, q, n)
-    if any(row[n] for row in rows[len(pivots):]):
+    m, n = matrix.shape
+    rows = [row + [int(r == c) for c in range(m)] for r, row in enumerate((matrix % q).tolist())]
+    if len(_row_reduce(rows, q, n)) < n:
         return None
-    x = np.zeros(n, dtype=np.int64)
-    for row, col in zip(rows, pivots):
-        x[col] = row[n]
-    return x
+    return np.array([row[n:] for row in rows[:n]], dtype=np.int64)
+
+
+def _solve(matrix: np.ndarray, left_inverse: np.ndarray, y: np.ndarray, q: int):
+    """The x with A x = y over Z_q, as L y; None when y is outside the column space of A."""
+    x = left_inverse @ y % q
+    return None if np.any((matrix @ x - y) % q) else x
 
 
 @dataclass(frozen=True, eq=False)
 class ToyLatticeKeyPair:
-    """Public matrix A and shift vector (A s for claw-free, u for injective)."""
+    """Public matrix A, shift vector (A s for claw-free, u for injective) and
+    left inverse L of A; derived once from the public A, L is public too.
+    """
 
     kind: KeyKind
     n: int
     m: int
     q: int
-    matrix: np.ndarray  # (m, n) mod q
+    matrix: np.ndarray  # (m, n) mod q, full column rank
     shift: np.ndarray  # (m,) mod q
+    left_inverse: np.ndarray  # (n, m) mod q, L A = I
 
     family = "toy-lattice"
 
@@ -300,20 +310,18 @@ class ToyLatticeKeyPair:
 
 def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     n, m, q = params.n, params.m, params.q
-    while True:
+    left_inverse = None
+    while left_inverse is None:
         matrix = rng.integers(0, q, size=(m, n), dtype=np.int64)
-        if len(_row_reduce(matrix.tolist(), q, n)) == n:
-            break
+        left_inverse = _left_inverse(matrix, q)
     if kind is KeyKind.CLAW_FREE:
         secret = rng.integers(0, q, size=n, dtype=np.int64)
-        shift = (matrix @ secret) % q
-        key = ToyLatticeKeyPair(kind=kind, n=n, m=m, q=q, matrix=matrix, shift=shift)
+        key = ToyLatticeKeyPair(kind, n, m, q, matrix, (matrix @ secret) % q, left_inverse)
         return key, Trapdoor(key, secret)
-    while True:
+    u = rng.integers(0, q, size=m, dtype=np.int64)
+    while _solve(matrix, left_inverse, u, q) is not None:  # u must leave the column space
         u = rng.integers(0, q, size=m, dtype=np.int64)
-        if _solve_mod(matrix, u, q) is None:
-            break
-    key = ToyLatticeKeyPair(kind=kind, n=n, m=m, q=q, matrix=matrix, shift=u)
+    key = ToyLatticeKeyPair(kind, n, m, q, matrix, u, left_inverse)
     return key, Trapdoor(key)
 
 
@@ -371,17 +379,15 @@ def invert(trapdoor: Trapdoor, y: int):
     if vec is None:
         raise NoPreimageError(f"{y} does not encode a codomain vector")
     if key.kind is KeyKind.CLAW_FREE:
-        x0 = _solve_mod(key.matrix, vec, key.q)
+        x0 = _solve(key.matrix, key.left_inverse, vec, key.q)
         if x0 is None:
             raise NoPreimageError(f"{y} has no preimage")
         x1 = (x0 - trapdoor.secret) % key.q
         return encode_vector(x0, key.q), encode_vector(x1, key.q)
-    x = _solve_mod(key.matrix, vec, key.q)
-    if x is not None:
-        return 0, encode_vector(x, key.q)
-    x = _solve_mod(key.matrix, (vec - key.shift) % key.q, key.q)
-    if x is not None:
-        return 1, encode_vector(x, key.q)
+    for b in (0, 1):
+        x = _solve(key.matrix, key.left_inverse, (vec - b * key.shift) % key.q, key.q)
+        if x is not None:
+            return b, encode_vector(x, key.q)
     raise NoPreimageError(f"{y} has no preimage")
 
 
@@ -417,8 +423,8 @@ def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
         raise ValueError("claw_partner is defined for claw-free keys only")
     if isinstance(key, IdealKeyPair):
         return _ideal_preimage(key, 1 - b, key.evaluate(b, x))
-    # Noise-free instance: s is recoverable from (A, A s) by elimination.
-    secret = _solve_mod(key.matrix, key.shift, key.q)
+    # Noise-free instance: s is recoverable from (A, A s) as L (A s).
+    secret = _solve(key.matrix, key.left_inverse, key.shift, key.q)
     if secret is None:
         raise ValueError("claw-free toy key with inconsistent shift")
     vec = decode_vector(x, key.n, key.q)
@@ -493,22 +499,15 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
         EtcfParams("ideal", domain_bits=w).validate()
         return IdealKeyPair(kind=kind, domain_bits=w, tables=tables.reshape(2, 1 << w))
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
-    # Checked before the primality test, which would stall on a huge q; the
-    # arrays are stored as int32.
-    if q > 2**31 - 1:
-        raise ValueError(f"q {q} does not fit the stored int32 entries")
+    # Every q this accepts fits the stored int32 entries.
     EtcfParams("toy-lattice", n=n, m=m, q=q).validate()
-    shift = _array_from_hex(data["shift"])
+    matrix, shift = _array_from_hex(data["matrix"]).reshape(m, n), _array_from_hex(data["shift"])
     if shift.shape != (m,):
         raise ValueError(f"shift has shape {shift.shape}, not ({m},)")
-    return ToyLatticeKeyPair(
-        kind=kind,
-        n=n,
-        m=m,
-        q=q,
-        matrix=_array_from_hex(data["matrix"]).reshape(m, n),
-        shift=shift,
-    )
+    left_inverse = _left_inverse(matrix, q)
+    if left_inverse is None:
+        raise ValueError("toy-lattice matrix lacks full column rank")
+    return ToyLatticeKeyPair(kind, n, m, q, matrix, shift, left_inverse)
 
 
 def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:

@@ -56,6 +56,15 @@ _BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": MeasurementBasis.HADAMA
 _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
+# The trapdoor store's format number, written in its header and required by replay.
+STORE_FORMAT = 2
+
+
+def store_path(transcript: str, trapdoors: str | None) -> str:
+    """The trapdoor store path: ``trapdoors`` if given, else ``transcript`` + ".keys"."""
+    return trapdoors or transcript + ".keys"
+
+
 class ReplayError(ValueError):
     """Transcript cannot be audited (truncated or structurally unusable)."""
 
@@ -160,7 +169,8 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
 
 def write_trapdoor_store(path: str, session: SessionResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"record": "keys-header", "version": 2, "format": 2}) + "\n")
+        header = {"record": "keys-header", "version": 2, "format": STORE_FORMAT}
+        fh.write(json.dumps(header) + "\n")
         for record in session.records:
             if record.round_type is RoundType.SIFTED or record.test_tag is not TestTag.TEST:
                 continue
@@ -293,8 +303,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
 
     if config.transcript:
         write_transcript(config.transcript, config, session)
-        store = config.trapdoors or config.transcript + ".keys"
-        write_trapdoor_store(store, session)
+        write_trapdoor_store(store_path(config.transcript, config.trapdoors), session)
     if config.summary:
         with open(config.summary, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(summary, indent=2) + "\n")
@@ -360,13 +369,13 @@ def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) 
     if not side.violation and not all(name in line for name in published):
         raise KeyError(f"side {suffix} lacks a published field")
     if f"c_{suffix}" in line:
-        side.c = from_hex(line[f"c_{suffix}"])
+        side.c = from_hex(line[f"c_{suffix}"], key.codomain_bits)
     if ct is ChallengeType.A:
         if f"z_{suffix}" in line:
-            side.z = from_hex(line[f"z_{suffix}"])
+            side.z = from_hex(line[f"z_{suffix}"], 1 + key.domain_bits)
     else:
         if f"d_{suffix}" in line:
-            side.d = from_hex(line[f"d_{suffix}"])
+            side.d = from_hex(line[f"d_{suffix}"], key.domain_bits)
         if question_name in line:
             side.question = _BASIS_FROM[line[question_name]]
         if suffix in line:
@@ -401,8 +410,8 @@ def _store_entries(path: str):
     """
     records = _records(path)
     _, header = next(records, (0, None))
-    if header is None or header.get("record") != "keys-header" or header.get("format") != 2:
-        raise ReplayError("trapdoor store has no format-2 header")
+    if not header or header.get("record") != "keys-header" or header.get("format") != STORE_FORMAT:
+        raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
     for number, entry in records:
         try:
             if entry["record"] != "keys":

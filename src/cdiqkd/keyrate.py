@@ -180,7 +180,7 @@ def session_rate_report(
     return KeyRateReport(
         rounds=rounds,
         aborted=result.aborted,
-        fail_fraction=sig12(result.fail_fraction),
+        fail_fraction=result.fail_fraction,
         sifted_count=result.sifted_count,
         tested_count=result.tested_count,
         generate_count=result.generate_count,
@@ -188,14 +188,12 @@ def session_rate_report(
         raw_key_length=raw_len,
         final_key_length=0 if result.aborted else int(final_key_length),
         leak_bits=int(leak_bits),
-        qber_estimate=sig12(qber_estimate),
-        gross_raw_rate=sig12(raw_len / rounds if rounds else 0.0),
-        gross_final_rate=sig12(final_key_length / rounds if rounds else 0.0),
-        net_final_rate=sig12(final_key_length / raw_len if raw_len else 0.0),
+        qber_estimate=qber_estimate,
+        gross_raw_rate=raw_len / rounds if rounds else 0.0,
+        gross_final_rate=final_key_length / rounds if rounds else 0.0,
+        net_final_rate=final_key_length / raw_len if raw_len else 0.0,
         ideal_rate_fraction=f"{rate.numerator}/{rate.denominator}",
-        ideal_rate_value=sig12(float(rate)),
-        devetak_winter_ideal=sig12(
-            devetak_winter(EntropyPair(1.0, 0.0), float(rate))
-        ),
-        rate_bound_value=sig12(asymptotic_rate_bound(params, result.params)),
+        ideal_rate_value=float(rate),
+        devetak_winter_ideal=devetak_winter(EntropyPair(1.0, 0.0), float(rate)),
+        rate_bound_value=asymptotic_rate_bound(params, result.params),
     )

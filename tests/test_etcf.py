@@ -25,8 +25,8 @@ from cdiqkd.etcf import (
     keygen_ideal,
     trapdoor_from_dict,
     trapdoor_to_dict,
-    _row_reduce,
-    _solve_mod,
+    _left_inverse,
+    _solve,
 )
 from cdiqkd import etcf
 
@@ -52,6 +52,13 @@ class TestParams:
             EtcfParams(family="toy-lattice", n=3, m=5, q=17).validate()
         with pytest.raises(ValueError):
             EtcfParams(family="toy-lattice", n=3, m=6, q=15).validate()
+        # The codomain must fit an int64 draw, m * ceil(log2 q) <= 63: not 6 * 11 bits.
+        with pytest.raises(ValueError, match="at most 63"):
+            EtcfParams(family="toy-lattice", n=3, m=6, q=1031).validate()
+        with pytest.raises(ValueError, match="at most 63"):
+            EtcfParams(family="toy-lattice", n=1, m=2, q=2**61 - 1).validate()
+        EtcfParams(family="toy-lattice", n=3, m=6, q=1021).validate()
+        EtcfParams(family="toy-lattice", n=1, m=2, q=2**31 - 1).validate()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -275,7 +282,8 @@ class TestToyLattice:
 
 
 class TestRowReduction:
-    """The mod-q elimination against exhaustive search over all q**n vectors."""
+    """The left inverse from one mod-q elimination, against exhaustive search
+    over all q**n vectors."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 7]))
@@ -291,13 +299,33 @@ class TestRowReduction:
         vectors = [np.array([i % q, i // q]) for i in range(q**n)]
         solutions = [x for x in vectors if not np.any((a @ x - b) % q)]
         kernel = [x for x in vectors if not np.any((a @ x) % q)]
-        x = _solve_mod(a, b, q)
+        left_inverse = _left_inverse(a, q)
+        assert (left_inverse is not None) == (len(kernel) == 1)
+        if left_inverse is None:
+            return
+        assert left_inverse.shape == (n, m)
+        assert np.array_equal(left_inverse @ a % q, np.eye(n, dtype=np.int64))
+        solved = _solve(a, left_inverse, b, q)  # L b, if A (L b) = b
         if solutions:
-            assert x is not None and not np.any((a @ x - b) % q)
+            assert np.array_equal(solved, solutions[0])  # unique: the kernel is trivial
         else:
-            assert x is None
-        full_rank = len(_row_reduce(a.tolist(), q, n)) == n
-        assert full_rank == (len(kernel) == 1)
+            assert solved is None
+
+    def test_one_elimination_per_toy_key(self, monkeypatch):
+        calls = []
+        row_reduce = etcf._row_reduce
+        monkeypatch.setattr(etcf, "_row_reduce", lambda *args: calls.append(1) or row_reduce(*args))
+        rng = np.random.default_rng(24)
+        for kind in KeyKind:
+            key, trap = keygen(kind, TOY, rng)
+            for _ in range(20):
+                x = encode_vector(rng.integers(0, 17, size=3), 17)
+                invert(trap, evaluate(key, 1, x))
+                if kind is KeyKind.CLAW_FREE:
+                    claw_partner(key, 0, x)
+            key_from_dict(key_to_dict(key))
+        # One for each key drawn, one for each key loaded: these draws need no rank retry.
+        assert len(calls) == 4
 
 
 class TestCheckPreimage:

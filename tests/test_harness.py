@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
-from cdiqkd.etcf import key_to_dict, trapdoor_to_dict
+from cdiqkd.etcf import _array_from_hex, _array_to_hex, key_to_dict, trapdoor_to_dict
 from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
@@ -55,6 +55,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"seed": -1})
         with pytest.raises(ConfigError, match="q must be prime"):
             ExperimentConfig.from_dict({"etcf": "toy-lattice", "lattice_q": 12})
+        with pytest.raises(ConfigError, match="at most 63"):
+            ExperimentConfig.from_dict({"etcf": "toy-lattice", "lattice_q": 1031})
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -359,6 +361,11 @@ def _is_bell_cc_test(entry):
     )
 
 
+def _is_lettered_challenge_a_test(entry):
+    # A commitment with a hex letter in it, so that upper-casing changes it.
+    return _is_challenge_a_test(entry) and not entry["c_a"].isdigit()
+
+
 def _is_keys(entry):
     return entry["record"] == "keys"
 
@@ -381,6 +388,17 @@ CORRUPT_ROUNDS = {
     "float-answer": (_is_bell_test, lambda e: e.update(a=float(e["a"]))),
     "string-index": (_is_challenge_a_test, lambda e: e.update(i=str(e["i"]))),
     "not-an-object": (_is_bell_test, lambda e: [e["i"]]),
+    # A hex field must read exactly as the writer wrote it: lowercase, zero-padded
+    # to its width, with no prefix and no bits beyond the width.
+    "phase-string-bit-40": (
+        _is_bell_test, lambda e: e.update(d_a=format(int(e["d_a"], 16) | 1 << 40, "x"))
+    ),
+    "zero-padded-commitment": (_is_challenge_a_test, lambda e: e.update(c_a="00" + e["c_a"])),
+    "0x-commitment": (_is_challenge_a_test, lambda e: e.update(c_a="0x" + e["c_a"])),
+    "upper-case-commitment": (
+        _is_lettered_challenge_a_test, lambda e: e.update(c_a=e["c_a"].upper())
+    ),
+    "space-before-preimage": (_is_challenge_a_test, lambda e: e.update(z_a=" " + e["z_a"])),
 }
 
 CORRUPT_HEADERS = {
@@ -434,7 +452,19 @@ def _is_injective_b_keys(entry):
     return entry["record"] == "keys" and entry["key_b"]["kind"] == "injective"
 
 
-# Toy-lattice keys whose sizes EtcfParams rejects, or whose shift is not (m,).
+def _rank_deficient_key_a(entry):
+    """key_a with column 1 a copy of column 0; a claw-free shift is re-derived as A s."""
+    key = entry["key_a"]
+    matrix = _array_from_hex(key["matrix"]).reshape(key["m"], key["n"])
+    matrix[:, 1] = matrix[:, 0]
+    key["matrix"] = _array_to_hex(matrix)
+    if "secret" in entry["trapdoor_a"]:
+        secret = _array_from_hex(entry["trapdoor_a"]["secret"])
+        key["shift"] = _array_to_hex(matrix @ secret % key["q"])
+
+
+# Toy-lattice keys whose sizes EtcfParams rejects, whose shift is not (m,), or
+# whose matrix lacks full column rank.
 CORRUPT_LATTICE_STORE_ENTRIES = {
     "negative-q": (_is_keys, lambda e: e["key_a"].update(q=-17)),
     "zero-q": (_is_keys, lambda e: e["key_a"].update(q=0)),
@@ -445,6 +475,7 @@ CORRUPT_LATTICE_STORE_ENTRIES = {
     "short-injective-shift": (
         _is_injective_b_keys, lambda e: e["key_b"].update(shift=e["key_b"]["shift"][:-8])
     ),
+    "rank-deficient-matrix": (_is_keys, _rank_deficient_key_a),
 }
 
 
@@ -747,6 +778,14 @@ class TestMalformedInputExitsOne:
     def test_rate_bound_input_out_of_range(self, capsys, flag, value):
         assert main(["--rounds", "16", flag, value]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_toy_lattice_codomain_wider_than_an_int64_draw(self, capsys):
+        # 6 coordinates of 11 bits: the device's int64 draws cannot hold a commitment.
+        argv = ["--rounds", "64", "--etcf", "toy-lattice", "--lattice-q", "1031",
+                "--device", "classical-random"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "at most 63" in err
 
     @pytest.mark.parametrize(
         "content",
