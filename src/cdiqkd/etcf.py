@@ -170,8 +170,8 @@ def _injective_tables(count: int, size: int, rng: np.random.Generator) -> np.nda
 
 def keygen_ideal(
     kinds: list[KeyKind], domain_bits: int, rng: np.random.Generator
-) -> list[tuple[IdealKeyPair, Trapdoor]]:
-    """Ideal (key pair, trapdoor) of each of ``kinds``, in order, drawn as arrays.
+) -> list[Trapdoor]:
+    """The trapdoor of an ideal key of each of ``kinds``, in order, drawn as arrays.
 
     The claw-free keys draw first: every key's matching (a permutation of
     the 2**w domain points), then every key's image (the first 2**w entries
@@ -181,15 +181,15 @@ def keygen_ideal(
     half).  A key's tables are a view of its kind's (keys, 2, 2**w) array.
     """
     size = 1 << domain_bits
-    pairs: list = [None] * len(kinds)
+    trapdoors: list = [None] * len(kinds)
     draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
     for kind, draw in draws:
         where = [i for i, k in enumerate(kinds) if k is kind]
         if where:
             for i, tables in zip(where, draw(len(where), size, rng)):
                 key = IdealKeyPair(kind=kind, domain_bits=domain_bits, tables=tables)
-                pairs[i] = (key, Trapdoor(key))
-    return pairs
+                trapdoors[i] = Trapdoor(key)
+    return trapdoors
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ class ToyLatticeKeyPair:
         return encode_vector(y, self.q)
 
 
-def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
+def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator) -> Trapdoor:
     n, m, q = params.n, params.m, params.q
     left_inverse = None
     while left_inverse is None:
@@ -317,12 +317,11 @@ def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     if kind is KeyKind.CLAW_FREE:
         secret = rng.integers(0, q, size=n, dtype=np.int64)
         key = ToyLatticeKeyPair(kind, n, m, q, matrix, (matrix @ secret) % q, left_inverse)
-        return key, Trapdoor(key, secret)
+        return Trapdoor(key, secret)
     u = rng.integers(0, q, size=m, dtype=np.int64)
     while _solve(matrix, left_inverse, u, q) is not None:  # u must leave the column space
         u = rng.integers(0, q, size=m, dtype=np.int64)
-    key = ToyLatticeKeyPair(kind, n, m, q, matrix, u, left_inverse)
-    return key, Trapdoor(key)
+    return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u, left_inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +346,10 @@ def keygen(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
     """Generate (public key pair, trapdoor) for the requested kind."""
     params.validate()
     if params.family == "ideal":
-        return keygen_ideal([kind], params.domain_bits, rng)[0]
-    return _keygen_toy(kind, params, rng)
+        trapdoor = keygen_ideal([kind], params.domain_bits, rng)[0]
+    else:
+        trapdoor = _keygen_toy(kind, params, rng)
+    return trapdoor.key, trapdoor
 
 
 def evaluate(key: EtcfKeyPair, b: int, x: int) -> int:
@@ -488,7 +489,37 @@ def key_to_dict(key: EtcfKeyPair) -> dict:
     }
 
 
+def _is_ideal_key(kind: KeyKind, tables: np.ndarray) -> bool:
+    """True iff ``tables`` have the shape ``keygen_ideal`` draws for ``kind``.
+
+    Each branch holds 2**w distinct points of the 4 * 2**w-point codomain;
+    a claw-free key's branches share one image, and an injective key's
+    branches lie in opposite codomain halves.
+    """
+    f0, f1 = tables.tolist()
+    size = len(f0)
+    image0, image1 = set(f0), set(f1)
+    if len(image0) < size or len(image1) < size:
+        return False
+    if kind is KeyKind.CLAW_FREE:
+        return image0 == image1 and 0 <= min(f0) and max(f0) < 4 * size
+    low, high = (f0, f1) if f0[0] < f1[0] else (f1, f0)
+    return 0 <= min(low) and max(low) < 2 * size <= min(high) and max(high) < 4 * size
+
+
+def _in_range(values: np.ndarray, q: int) -> bool:
+    """True iff every entry of ``values`` lies in 0..q-1, as the run writes them."""
+    return bool(np.all((values >= 0) & (values < q)))
+
+
 def key_from_dict(data: dict) -> EtcfKeyPair:
+    """The key ``key_to_dict`` wrote as ``data``.
+
+    Raises ValueError unless the key is one its family's keygen can draw:
+    ideal tables of the shape ``keygen_ideal`` draws, or a toy-lattice key
+    with every entry in 0..q-1, a matrix of full column rank and, for an
+    injective key, a shift outside the matrix's column space.
+    """
     kind = KeyKind(data["kind"])
     if data["family"] == "ideal":
         w = int(data["domain_bits"])
@@ -497,16 +528,23 @@ def key_from_dict(data: dict) -> EtcfKeyPair:
         if not 0 <= w < tables.size.bit_length():
             raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
         EtcfParams("ideal", domain_bits=w).validate()
-        return IdealKeyPair(kind=kind, domain_bits=w, tables=tables.reshape(2, 1 << w))
+        tables = tables.reshape(2, 1 << w)
+        if not _is_ideal_key(kind, tables):
+            raise ValueError(f"ideal tables are not a {kind.value} key")
+        return IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
     n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
     # Every q this accepts fits the stored int32 entries.
     EtcfParams("toy-lattice", n=n, m=m, q=q).validate()
     matrix, shift = _array_from_hex(data["matrix"]).reshape(m, n), _array_from_hex(data["shift"])
     if shift.shape != (m,):
         raise ValueError(f"shift has shape {shift.shape}, not ({m},)")
+    if not (_in_range(matrix, q) and _in_range(shift, q)):
+        raise ValueError("toy-lattice key entries must lie in 0..q-1")
     left_inverse = _left_inverse(matrix, q)
     if left_inverse is None:
         raise ValueError("toy-lattice matrix lacks full column rank")
+    if kind is KeyKind.INJECTIVE and _solve(matrix, left_inverse, shift, q) is not None:
+        raise ValueError("injective toy-lattice shift lies in the matrix's column space")
     return ToyLatticeKeyPair(kind, n, m, q, matrix, shift, left_inverse)
 
 
@@ -524,7 +562,7 @@ def trapdoor_from_dict(data: dict, key: EtcfKeyPair) -> Trapdoor:
 
     Raises ValueError unless ``data`` is an object that holds a secret s,
     and nothing else, for a claw-free toy-lattice key and is empty for any
-    other key, and that s solves A s = shift.
+    other key, and that s has entries in 0..q-1 and solves A s = shift.
     """
     claw_secret = isinstance(key, ToyLatticeKeyPair) and key.kind is KeyKind.CLAW_FREE
     if not isinstance(data, dict) or data.keys() != ({"secret"} if claw_secret else set()):
@@ -532,6 +570,10 @@ def trapdoor_from_dict(data: dict, key: EtcfKeyPair) -> Trapdoor:
     if not claw_secret:
         return Trapdoor(key)
     secret = _array_from_hex(data["secret"])
-    if secret.shape != (key.n,) or np.any((key.matrix @ secret - key.shift) % key.q):
+    if (
+        secret.shape != (key.n,)
+        or not _in_range(secret, key.q)
+        or np.any((key.matrix @ secret - key.shift) % key.q)
+    ):
         raise ValueError("toy-lattice claw secret does not match its key")
     return Trapdoor(key, secret)

@@ -206,18 +206,7 @@ def bell_test_qber(session: SessionResult) -> float:
     Bell test round with both questions computational fails exactly when
     Alice's bit differs from Bob's flip-corrected bit.
     """
-    total = failed = 0
-    for record in session.records:
-        if record.round_type is not RoundType.BELL or record.test_tag is not TestTag.TEST:
-            continue
-        if (
-            record.alice.question is MeasurementBasis.COMPUTATIONAL
-            and record.bob.question is MeasurementBasis.COMPUTATIONAL
-        ):
-            total += 1
-            if record.win is WinFlag.FAIL:
-                failed += 1
-    return failed / total if total else 0.0
+    return session.qber_failed / session.qber_tested if session.qber_tested else 0.0
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
@@ -347,16 +336,16 @@ def _bit(value) -> int:
     return value
 
 
-def _side_from_line(line: dict, suffix: str, question_name: str, key, trapdoor) -> SideRecord:
+def _side_from_line(line: dict, suffix: str, question_name: str, trapdoor) -> SideRecord:
     """One side of a test round line; raises on a malformed or missing published field.
 
     A side without ``viol_<s>`` must carry every field its challenge type
     publishes, even one its verdict never reads.
     """
+    key = trapdoor.key
     ct = ChallengeType(line[f"ct_{suffix}"])
     side = SideRecord(
         theta=_BASIS_FROM[line[f"theta_{suffix}"]],
-        key=key,
         trapdoor=trapdoor,
         c=0,
         ct=ct,
@@ -403,7 +392,7 @@ def _records(path: str):
 
 
 def _store_entries(path: str):
-    """(round index, (key_a, trapdoor_a, key_b, trapdoor_b)) of each store entry, in file order.
+    """(round index, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
 
     The first record must be the format-2 header and every later one a
     ``keys`` entry; raises ReplayError otherwise.
@@ -422,7 +411,7 @@ def _store_entries(path: str):
             index = _exact_int(entry["i"])
         except _MALFORMED as exc:
             raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
-        yield index, (key_a, trapdoor_a, key_b, trapdoor_b)
+        yield index, (trapdoor_a, trapdoor_b)
 
 
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
@@ -501,12 +490,12 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         if held_index != index:
             mismatches.append(f"line {number}: round {index} has no key material in the store")
             continue
-        key_a, trapdoor_a, key_b, trapdoor_b = held
+        trapdoor_a, trapdoor_b = held
         try:
             verdict = win_condition(RoundRecord(
                 index=index,
-                alice=_side_from_line(entry, "a", "x", key_a, trapdoor_a),
-                bob=_side_from_line(entry, "b", "y", key_b, trapdoor_b),
+                alice=_side_from_line(entry, "a", "x", trapdoor_a),
+                bob=_side_from_line(entry, "b", "y", trapdoor_b),
                 round_type=recomputed_rt,
                 test_tag=TestTag.TEST,
             ))

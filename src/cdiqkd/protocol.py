@@ -2,10 +2,13 @@
 
 Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
-independently per side), classifies each round, tags test/generation
-rounds, sifts mismatched-challenge rounds, estimates the failure fraction
-on test rounds with a strict abort threshold, and extracts the raw key
-from matched-basis generation rounds.
+independently per side) and decides each round once, as its block yields
+it: it counts the round's type, drops a sifted (mismatched-challenge)
+round, scores a test round and counts its verdict (in the Bell-test QBER
+cells too when both questions are computational), and sets a generation
+round aside.  Estimation then reads only that tally, aborting when the
+test failure fraction exceeds epsilon; otherwise the raw key comes from
+the set-aside rounds whose questions are both computational.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
@@ -28,6 +31,7 @@ the same object twice gives the same session.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -107,10 +111,9 @@ class ProtocolParams:
 
 @dataclass
 class SideRecord:
-    """One party's stored data for one round."""
+    """One party's stored data for one round; its trapdoor holds its key."""
 
     theta: MeasurementBasis
-    key: EtcfKeyPair
     trapdoor: Trapdoor
     c: int
     ct: ChallengeType
@@ -120,6 +123,10 @@ class SideRecord:
     answer: int | None = None
     h: int | None = None
     violation: bool = False  # malformed device message (wrong width/shape)
+
+    @property
+    def key(self) -> EtcfKeyPair:
+        return self.trapdoor.key
 
 
 @dataclass
@@ -148,6 +155,8 @@ class SessionResult:
     generate_count: int
     matched_count: int
     dropped_count: int
+    qber_tested: int  # Bell test rounds with both questions computational
+    qber_failed: int
 
     @property
     def rounds(self) -> int:
@@ -196,7 +205,7 @@ _BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 
 
-def _run_block(device: DeviceStrategy, params: ProtocolParams, block) -> list[RoundRecord]:
+def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
     """The rounds of one stream block: coins and keys as arrays, then the device round by round."""
     coins = block.public.random((block.stop - block.start, len(COIN_COLUMNS)))
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
@@ -204,53 +213,42 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block) -> list[Ro
     question_h = (coins[:, 4:6] < params.p_question_hadamard).tolist()
     kinds = [KeyKind.CLAW_FREE if h else KeyKind.INJECTIVE for h in hadamard.ravel().tolist()]
     if params.etcf.family == "ideal":
-        keys = keygen_ideal(kinds, params.etcf.domain_bits, block.private)
+        trapdoors = keygen_ideal(kinds, params.etcf.domain_bits, block.private)
     else:
-        keys = [keygen(kind, params.etcf, block.private) for kind in kinds]
+        trapdoors = [keygen(kind, params.etcf, block.private)[1] for kind in kinds]
 
-    records = []
-    for offset, (thetas, cts, questions, tag_coin) in enumerate(
-        zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
-    ):
+    rows = zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
+    for offset, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
+        trap_a, trap_b = trapdoors[2 * offset], trapdoors[2 * offset + 1]
+        theta_a, theta_b = _BASES[had_a], _BASES[had_b]
+        ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
         device.reset(block.device)
-        record = _play_round(
-            device,
-            block.start + offset,
-            [_BASES[h] for h in thetas],
-            keys[2 * offset:2 * offset + 2],
-            [_CHALLENGES[b] for b in cts],
-            [_BASES[h] for h in questions],
+        c_a, c_b = device.on_keys(trap_a.key, trap_b.key)
+        resp_a, resp_b = device.on_challenges(ct_a, ct_b)
+        x = _BASES[qh_a] if ct_a is ChallengeType.B else None
+        y = _BASES[qh_b] if ct_b is ChallengeType.B else None
+        if x is not None or y is not None:
+            a, h_a, b, h_b = device.on_questions(x, y)
+        else:
+            a = h_a = b = h_b = None
+        round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
+        yield RoundRecord(
+            index=block.start + offset,
+            alice=_ingest_side(theta_a, trap_a, c_a, ct_a, resp_a, x, a, h_a),
+            bob=_ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
+            round_type=round_type,
+            test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
         )
-        record.test_tag = choose_test_tag(record.round_type, tag_coin, params.p_generate_given_bell)
-        records.append(record)
-    return records
 
 
-def _play_round(device, index, thetas, keys, cts, questions) -> RoundRecord:
-    """One round's messages with the device, given the verifiers' coins and keys.
+def _ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
+    """One side's record of the device's messages.
 
     Malformed device responses (wrong widths, non-bit answers) are noted on
-    the offending side and later scored as failures; they never raise.
+    the side as a violation and later scored as failures; they never raise.
     """
-    (key_a, trap_a), (key_b, trap_b) = keys
-    c_a, c_b = device.on_keys(key_a, key_b)
-    ct_a, ct_b = cts
-    resp_a, resp_b = device.on_challenges(ct_a, ct_b)
-    x = questions[0] if ct_a is ChallengeType.B else None
-    y = questions[1] if ct_b is ChallengeType.B else None
-    if x is not None or y is not None:
-        a, h_a, b, h_b = device.on_questions(x, y)
-    else:
-        a = h_a = b = h_b = None
-
-    alice = _ingest_side(thetas[0], key_a, trap_a, c_a, ct_a, resp_a, x, a, h_a)
-    bob = _ingest_side(thetas[1], key_b, trap_b, c_b, ct_b, resp_b, y, b, h_b)
-    round_type = classify_round(ct_a, ct_b, thetas[0], thetas[1])
-    return RoundRecord(index=index, alice=alice, bob=bob, round_type=round_type)
-
-
-def _ingest_side(theta, key, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
-    side = SideRecord(theta=theta, key=key, trapdoor=trapdoor, c=0, ct=ct, question=question)
+    key = trapdoor.key
+    side = SideRecord(theta=theta, trapdoor=trapdoor, c=0, ct=ct, question=question)
     if isinstance(c, (int, np.integer)) and fits(int(c), key.codomain_bits):
         side.c = int(c)
     else:
@@ -343,7 +341,17 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
 
 
 def win_condition(record: RoundRecord) -> WinFlag:
-    """Evaluate the round checks; requires trapdoors, never raises on device data."""
+    """Evaluate the round checks; requires trapdoors, never raises on device data.
+
+    A violation fails the round, and a challenge-a side passes only with a
+    preimage of its commitment.  A Bell round reads at most one commitment:
+    when the questions differ it passes without reading either, and when
+    they are equal it checks the answer parity against one side's phase
+    bit only, Bob's when both questions are computational and Alice's when
+    both are Hadamard, so the other side's commitment is never inverted.
+    A product round with both challenges b inverts both commitments
+    (``honest_support``).
+    """
     if record.round_type is RoundType.SIFTED:
         raise ValueError("sifted rounds are discarded, not scored")
     alice, bob = record.alice, record.bob
@@ -370,7 +378,11 @@ def _bell_check(record: RoundRecord) -> WinFlag:
 
 
 def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> SessionResult:
-    """Run the full pipeline: rounds, sifting, estimation, key extraction."""
+    """Run the full pipeline: rounds, sifting, estimation, key extraction.
+
+    Each round is decided once, as its block yields it; everything after
+    the block loop reads the tally and the set-aside generation rounds.
+    """
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # Imported here: the streams module loads numpy.random, which a session
@@ -378,54 +390,45 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
     from .streams import block_streams
 
     records: list[RoundRecord] = []
+    generation: list[RoundRecord] = []
+    tally: Counter = Counter()  # round types, test verdicts and ("qber", verdict) cells
     for block in block_streams(master, params.rounds):
-        records.extend(_run_block(device, params, block))
+        for record in _run_block(device, params, block):
+            records.append(record)
+            tally[record.round_type] += 1
+            if record.round_type is RoundType.SIFTED:
+                continue
+            if record.test_tag is TestTag.GENERATE:
+                generation.append(record)
+                continue
+            record.win = win_condition(record)
+            tally[record.win] += 1
+            if record.round_type is RoundType.BELL and _both_computational(record):
+                tally["qber", record.win] += 1
 
-    tested = failed = 0
-    for record in records:
-        if record.round_type is RoundType.SIFTED or record.test_tag is TestTag.GENERATE:
-            continue
-        record.win = win_condition(record)
-        tested += 1
-        if record.win is WinFlag.FAIL:
-            failed += 1
+    failed = tally[WinFlag.FAIL]
+    tested = tally[WinFlag.PASS] + failed
     fail_fraction = failed / tested if tested else 0.0
     aborted = fail_fraction > params.epsilon
-
-    key_a: list[int] = []
-    key_b: list[int] = []
-    matched = dropped = 0
-    generate_records = [
-        r
-        for r in records
-        if r.round_type is RoundType.BELL and r.test_tag is TestTag.GENERATE
-    ]
-    if not aborted:
-        for record in generate_records:
-            bit = _generation_bits(record)
-            if bit is None:
-                dropped += 1
-                continue
-            matched += 1
-            key_a.append(bit[0])
-            key_b.append(bit[1])
-
-    sifted = [r for r in records if r.round_type is not RoundType.SIFTED]
+    bits = [] if aborted else [_generation_bits(record) for record in generation]
+    kept = [pair for pair in bits if pair is not None]
     return SessionResult(
         params=params,
         records=records,
         aborted=aborted,
         fail_fraction=fail_fraction,
-        raw_key_a=np.array(key_a, dtype=np.uint8),
-        raw_key_b=np.array(key_b, dtype=np.uint8),
-        sifted_count=len(sifted),
+        raw_key_a=np.array([a for a, _ in kept], dtype=np.uint8),
+        raw_key_b=np.array([b for _, b in kept], dtype=np.uint8),
+        sifted_count=tally[RoundType.BELL] + tally[RoundType.PRODUCT],
         tested_count=tested,
         failed_count=failed,
-        bell_count=sum(1 for r in sifted if r.round_type is RoundType.BELL),
-        product_count=sum(1 for r in sifted if r.round_type is RoundType.PRODUCT),
-        generate_count=len(generate_records),
-        matched_count=matched,
-        dropped_count=dropped,
+        bell_count=tally[RoundType.BELL],
+        product_count=tally[RoundType.PRODUCT],
+        generate_count=len(generation),
+        matched_count=len(kept),
+        dropped_count=len(bits) - len(kept),
+        qber_tested=tally["qber", WinFlag.PASS] + tally["qber", WinFlag.FAIL],
+        qber_failed=tally["qber", WinFlag.FAIL],
     )
 
 
@@ -437,14 +440,13 @@ def _generation_bits(record: RoundRecord) -> tuple[int, int] | None:
     unusable (only a cheating device can cause the latter).
     """
     alice, bob = record.alice, record.bob
-    if alice.violation or bob.violation:
-        return None
-    if (
-        alice.question is not MeasurementBasis.COMPUTATIONAL
-        or bob.question is not MeasurementBasis.COMPUTATIONAL
-    ):
+    if alice.violation or bob.violation or not _both_computational(record):
         return None
     s_b = _phase_bit(bob)
     if s_b is None:
         return None
     return alice.answer, bob.answer ^ s_b
+
+
+def _both_computational(record: RoundRecord) -> bool:
+    return record.alice.question is record.bob.question is MeasurementBasis.COMPUTATIONAL

@@ -167,26 +167,27 @@ class TestBatchedIdealKeygen:
         # One row per shuffle call draws the same keys as the default chunks.
         if shuffle_entries is not None:
             monkeypatch.setattr(etcf, "_SHUFFLE_ENTRIES", shuffle_entries)
-        pairs = keygen_ideal(self.KINDS, w, np.random.default_rng(w))
+        trapdoors = keygen_ideal(self.KINDS, w, np.random.default_rng(w))
         expected = _tables_one_permutation_at_a_time(self.KINDS, 1 << w, np.random.default_rng(w))
-        for (key, trapdoor), kind, tables in zip(pairs, self.KINDS, expected):
-            assert key.kind is kind and key.domain_bits == w and trapdoor.key is key
+        for trapdoor, kind, tables in zip(trapdoors, self.KINDS, expected):
+            key = trapdoor.key
+            assert key.kind is kind and key.domain_bits == w and trapdoor.secret is None
             assert np.array_equal(key.tables, tables)
 
     @pytest.mark.parametrize("kind", list(KeyKind))
     def test_keygen_is_the_one_key_case(self, kind):
         key, trapdoor = keygen(kind, ideal(4), np.random.default_rng(63))
-        batch_key, _ = keygen_ideal([kind], 4, np.random.default_rng(63))[0]
+        batch_key = keygen_ideal([kind], 4, np.random.default_rng(63))[0].key
         assert trapdoor.key is key
         assert np.array_equal(key.tables, batch_key.tables)
 
     def test_claw_free_matchings_and_images_are_uniform(self):
-        pairs = keygen_ideal([KeyKind.CLAW_FREE] * 4800, 2, np.random.default_rng(64))
+        trapdoors = keygen_ideal([KeyKind.CLAW_FREE] * 4800, 2, np.random.default_rng(64))
         matchings = Counter()
         first_two = Counter()
         points = np.zeros((4, 16))
-        for key, _ in pairs:
-            f0, f1 = key.tables
+        for trapdoor in trapdoors:
+            f0, f1 = trapdoor.key.tables
             matchings[tuple(int(np.flatnonzero(f1 == y)[0]) for y in f0)] += 1
             first_two[(int(f0[0]), int(f0[1]))] += 1
             points[np.arange(4), f0] += 1
@@ -199,15 +200,15 @@ class TestBatchedIdealKeygen:
                            [1 / len(pairs_of_points)] * len(pairs_of_points), "f_0(0), f_0(1)")
 
     def test_injective_low_branch_and_images_are_uniform(self):
-        pairs = keygen_ideal([KeyKind.INJECTIVE] * 4800, 2, np.random.default_rng(65))
+        trapdoors = keygen_ideal([KeyKind.INJECTIVE] * 4800, 2, np.random.default_rng(65))
         low_zero = 0
         halves = np.zeros((2, 4, 8))  # (low, high) half, x, point within the half
-        for key, _ in pairs:
+        for key in (trapdoor.key for trapdoor in trapdoors):
             low = 0 if key.tables[0].max() < 8 else 1
             low_zero += low == 0
             halves[0, np.arange(4), key.tables[low]] += 1
             halves[1, np.arange(4), key.tables[1 - low] - 8] += 1
-        assert_frequency(low_zero, len(pairs), 0.5, "low branch 0")
+        assert_frequency(low_zero, len(trapdoors), 0.5, "low branch 0")
         for half, x in itertools.product(range(2), range(4)):
             assert_multinomial(halves[half, x], [1 / 8] * 8, f"half {half}, x {x}")
 

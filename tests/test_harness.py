@@ -426,6 +426,10 @@ CORRUPT_STORE_ENTRIES = {
     "ideal-trapdoor-with-tables": lambda e: e["trapdoor_a"].update(tables=e["key_a"]["tables"]),
     "trapdoor-not-an-object": lambda e: e.update(trapdoor_a="x"),
     "second-header": lambda e: {"record": "keys-header", "version": 2, "format": 2},
+    # Tables keygen_ideal never draws: both branches 1000..1015, outside the codomain.
+    "tables-outside-the-codomain": lambda e: e["key_a"].update(
+        tables=_array_to_hex(np.tile(np.arange(1000, 1000 + (1 << e["key_a"]["domain_bits"])), 2))
+    ),
 }
 
 # First store lines other than the format-2 header; None drops the line.
@@ -452,6 +456,34 @@ def _is_injective_b_keys(entry):
     return entry["record"] == "keys" and entry["key_b"]["kind"] == "injective"
 
 
+def _is_injective_a_keys(entry):
+    return entry["record"] == "keys" and entry["key_a"]["kind"] == "injective"
+
+
+def _is_claw_free_a_keys(entry):
+    return entry["record"] == "keys" and entry["key_a"]["kind"] == "claw_free"
+
+
+def _plus_q(holder, name, q, multiple=1):
+    """Add ``multiple`` * q to the first entry of the hex array ``holder[name]``."""
+    values = _array_from_hex(holder[name])
+    values[0] += multiple * q
+    holder[name] = _array_to_hex(values)
+
+
+def _entries_beyond_q(entry):
+    key = entry["key_a"]
+    _plus_q(key, "matrix", key["q"])
+    _plus_q(key, "shift", key["q"], 5)
+
+
+def _injective_shift_in_column_space(entry):
+    """key_a's shift set to A (1, 2, ..., n): the injective key becomes 2-to-1."""
+    key = entry["key_a"]
+    matrix = _array_from_hex(key["matrix"]).reshape(key["m"], key["n"])
+    key["shift"] = _array_to_hex(matrix @ np.arange(1, key["n"] + 1) % key["q"])
+
+
 def _rank_deficient_key_a(entry):
     """key_a with column 1 a copy of column 0; a claw-free shift is re-derived as A s."""
     key = entry["key_a"]
@@ -463,8 +495,9 @@ def _rank_deficient_key_a(entry):
         key["shift"] = _array_to_hex(matrix @ secret % key["q"])
 
 
-# Toy-lattice keys whose sizes EtcfParams rejects, whose shift is not (m,), or
-# whose matrix lacks full column rank.
+# Toy-lattice keys whose sizes EtcfParams rejects, whose shift is not (m,),
+# whose matrix lacks full column rank, whose entries lie outside 0..q-1, or
+# that are injective with a shift inside the column space.
 CORRUPT_LATTICE_STORE_ENTRIES = {
     "negative-q": (_is_keys, lambda e: e["key_a"].update(q=-17)),
     "zero-q": (_is_keys, lambda e: e["key_a"].update(q=0)),
@@ -476,6 +509,11 @@ CORRUPT_LATTICE_STORE_ENTRIES = {
         _is_injective_b_keys, lambda e: e["key_b"].update(shift=e["key_b"]["shift"][:-8])
     ),
     "rank-deficient-matrix": (_is_keys, _rank_deficient_key_a),
+    "entries-beyond-q": (_is_keys, _entries_beyond_q),
+    "secret-beyond-q": (
+        _is_claw_free_a_keys, lambda e: _plus_q(e["trapdoor_a"], "secret", e["key_a"]["q"])
+    ),
+    "injective-shift-in-column-space": (_is_injective_a_keys, _injective_shift_in_column_space),
 }
 
 

@@ -23,6 +23,7 @@ from cdiqkd.devices import (
 from cdiqkd.etcf import (
     EtcfParams,
     KeyKind,
+    NoPreimageError,
     evaluate,
     image,
     invert,
@@ -30,6 +31,7 @@ from cdiqkd.etcf import (
     keygen,
     trapdoor_to_dict,
 )
+from cdiqkd.harness import bell_test_qber
 from cdiqkd.protocol import (
     SUPPORT_TOLERANCE,
     ProtocolParams,
@@ -271,7 +273,7 @@ class TestHonestSupport:
                 x0, x1 = invert(trapdoor, c)
                 d = (x0 ^ x1) & -(x0 ^ x1)
             return SideRecord(
-                theta=HAD if code >= 2 else COMP, key=key, trapdoor=trapdoor, c=c, ct=B, d=d,
+                theta=HAD if code >= 2 else COMP, trapdoor=trapdoor, c=c, ct=B, d=d,
                 question=question, answer=0, h=h,
             )
 
@@ -395,6 +397,49 @@ class TestWinCondition:
         assert win_condition(record) is WinFlag.FAIL
 
 
+def _both_computational(record) -> bool:
+    return record.alice.question is COMP and record.bob.question is COMP
+
+
+def _recount(records, epsilon) -> dict:
+    """A session's counts and raw keys, recomputed from its records alone."""
+    sifted = [r for r in records if r.round_type is not RoundType.SIFTED]
+    scored = [r for r in sifted if r.test_tag is TestTag.TEST]
+    assert all(r.win is not WinFlag.NA for r in scored)
+    failed = sum(r.win is WinFlag.FAIL for r in scored)
+    fail_fraction = failed / len(scored) if scored else 0.0
+    aborted = fail_fraction > epsilon
+    bell = [r for r in sifted if r.round_type is RoundType.BELL]
+    qber = [r for r in bell if r.test_tag is TestTag.TEST and _both_computational(r)]
+    generation = [r for r in bell if r.test_tag is TestTag.GENERATE]
+    key_a, key_b = [], []
+    for r in [] if aborted else generation:
+        if r.alice.violation or r.bob.violation or not _both_computational(r):
+            continue
+        try:
+            x0, x1 = invert(r.bob.trapdoor, r.bob.c)
+        except NoPreimageError:
+            continue
+        key_a.append(r.alice.answer)
+        key_b.append(r.bob.answer ^ bell_label_bit(r.bob.d, x0, x1))
+    return {
+        "sifted_count": len(sifted),
+        "tested_count": len(scored),
+        "failed_count": failed,
+        "bell_count": len(bell),
+        "product_count": len(sifted) - len(bell),
+        "generate_count": len(generation),
+        "matched_count": len(key_a),
+        "dropped_count": 0 if aborted else len(generation) - len(key_a),
+        "qber_tested": len(qber),
+        "qber_failed": sum(r.win is WinFlag.FAIL for r in qber),
+        "fail_fraction": fail_fraction,
+        "aborted": aborted,
+        "raw_key_a": key_a,
+        "raw_key_b": key_b,
+    }
+
+
 class TestRunSession:
     def test_honest_session_statistics(self):
         session = run_session(HonestDevice(), params(rounds=8192, epsilon=0.01), seed=1)
@@ -507,6 +552,34 @@ class TestRunSession:
             r for r in session.records if r.alice.question is not r.bob.question
         ]
         assert all(r.win is WinFlag.PASS for r in mismatched)
+
+    @pytest.mark.parametrize("family", ["ideal", "toy-lattice"])
+    def test_tally_equals_a_recount_of_the_records(self, family):
+        # The session decides each round once and counts as it goes; every
+        # count, the QBER cells and the raw keys must equal a recount of its
+        # records by the definitions they have always had.
+        table = {"c_a": 5, "c_b": 9, "z_a": 3, "d_a": 1, "d_b": 2, "b": 1, "h_b": 1}
+        etcf = EtcfParams(family=family, domain_bits=4)
+        rounds = 700 if family == "ideal" else 300
+        runs = itertools.product(
+            [HonestDevice, lambda: NoisyHonestDevice(NoiseSpec(0.1, 0.05)),
+             ClassicalRandomDevice, lambda: ClassicalDeterministicDevice(table)],
+            [{}, {"p_theta_hadamard": 0.8, "p_ct_b": 0.8}],
+            [0.1, 1.0],
+        )
+        keys_seen = 0
+        for seed, (make, knobs, epsilon) in enumerate(runs):
+            session_params = ProtocolParams(rounds=rounds, epsilon=epsilon, etcf=etcf, **knobs)
+            session = run_session(make(), session_params, seed)
+            expected = _recount(session.records, epsilon)
+            counted = {name: getattr(session, name) for name in expected}
+            counted["raw_key_a"] = session.raw_key_a.tolist()
+            counted["raw_key_b"] = session.raw_key_b.tolist()
+            assert counted == expected
+            tested, failed = expected["qber_tested"], expected["qber_failed"]
+            assert bell_test_qber(session) == (failed / tested if tested else 0.0)
+            keys_seen += len(session.raw_key_a)
+        assert keys_seen > 0
 
     def test_toy_lattice_honest_session(self):
         toy = ProtocolParams(
