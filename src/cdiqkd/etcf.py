@@ -27,6 +27,7 @@ product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +42,9 @@ class KeyKind(Enum):
 
     CLAW_FREE = "claw_free"
     INJECTIVE = "injective"
+
+
+_KIND_FROM = {kind.value: kind for kind in KeyKind}
 
 
 class NoPreimageError(ValueError):
@@ -80,6 +84,7 @@ class EtcfParams:
             raise ValueError(f"unknown ETCF family {self.family!r}")
 
 
+@functools.lru_cache(maxsize=64)  # keygen validates its params once per toy key
 def _is_prime(v: int) -> bool:
     if v < 2:
         return False
@@ -108,8 +113,6 @@ class IdealKeyPair:
     kind: KeyKind
     domain_bits: int
     tables: np.ndarray  # shape (2, 2**domain_bits)
-
-    family = "ideal"
 
     @property
     def codomain_bits(self) -> int:
@@ -285,8 +288,6 @@ class ToyLatticeKeyPair:
     shift: np.ndarray  # (m,) mod q
     left_inverse: np.ndarray  # (n, m) mod q, L A = I
 
-    family = "toy-lattice"
-
     @property
     def domain_bits(self) -> int:
         return self.n * _coord_bits(self.q)
@@ -458,7 +459,10 @@ def _domain_iter(key: ToyLatticeKeyPair):
 
 
 # ---------------------------------------------------------------------------
-# Wire serialization (hex tables / matrices), used by the trapdoor store
+# Wire serialization (hex tables / matrices), used by the trapdoor store.
+# A trapdoor is written without its family and sizes, which the reader
+# gives as one EtcfParams; every entry fits the stored int32, because each
+# valid params bounds it below 2**31.
 # ---------------------------------------------------------------------------
 
 
@@ -468,25 +472,6 @@ def _array_to_hex(a: np.ndarray) -> str:
 
 def _array_from_hex(text: str) -> np.ndarray:
     return np.frombuffer(bytes.fromhex(text), dtype="<i4").astype(np.int64)
-
-
-def key_to_dict(key: EtcfKeyPair) -> dict:
-    if isinstance(key, IdealKeyPair):
-        return {
-            "family": "ideal",
-            "kind": key.kind.value,
-            "domain_bits": key.domain_bits,
-            "tables": _array_to_hex(key.tables),
-        }
-    return {
-        "family": "toy-lattice",
-        "kind": key.kind.value,
-        "n": key.n,
-        "m": key.m,
-        "q": key.q,
-        "matrix": _array_to_hex(key.matrix),
-        "shift": _array_to_hex(key.shift),
-    }
 
 
 def _is_ideal_key(kind: KeyKind, tables: np.ndarray) -> bool:
@@ -507,73 +492,56 @@ def _is_ideal_key(kind: KeyKind, tables: np.ndarray) -> bool:
     return 0 <= min(low) and max(low) < 2 * size <= min(high) and max(high) < 4 * size
 
 
-def _in_range(values: np.ndarray, q: int) -> bool:
-    """True iff every entry of ``values`` lies in 0..q-1, as the run writes them."""
-    return bool(np.all((values >= 0) & (values < q)))
-
-
-def key_from_dict(data: dict) -> EtcfKeyPair:
-    """The key ``key_to_dict`` wrote as ``data``.
-
-    Raises ValueError unless the key is one its family's keygen can draw:
-    ideal tables of the shape ``keygen_ideal`` draws, or a toy-lattice key
-    with every entry in 0..q-1, a matrix of full column rank and, for an
-    injective key, a shift outside the matrix's column space.
+def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
+    """A trapdoor as the store writes it: its key's kind and arrays and, for a
+    claw-free toy-lattice key, the claw secret s.  The family and its sizes
+    are not written: the store's reader is given them once.
     """
-    kind = KeyKind(data["kind"])
-    if data["family"] == "ideal":
-        w = int(data["domain_bits"])
-        tables = _array_from_hex(data["tables"])
-        # Checked before the shift: 1 << w of an untrusted w could exhaust memory.
-        if not 0 <= w < tables.size.bit_length():
-            raise ValueError(f"domain_bits {w} does not fit {tables.size} table entries")
-        EtcfParams("ideal", domain_bits=w).validate()
-        tables = tables.reshape(2, 1 << w)
+    key = trapdoor.key
+    if isinstance(key, IdealKeyPair):
+        return {"kind": key.kind.value, "tables": _array_to_hex(key.tables)}
+    data = {
+        "kind": key.kind.value,
+        "matrix": _array_to_hex(key.matrix),
+        "shift": _array_to_hex(key.shift),
+    }
+    if trapdoor.secret is not None:
+        data["secret"] = _array_to_hex(trapdoor.secret)
+    return data
+
+
+def trapdoor_from_dict(data: dict, params: EtcfParams) -> Trapdoor:
+    """The trapdoor of the valid family ``params`` that ``trapdoor_to_dict`` writes as ``data``.
+
+    Raises ValueError, LookupError or TypeError unless ``data`` is exactly
+    what ``trapdoor_to_dict`` writes for the trapdoor read from it (no other
+    field, hex in its spelling) and that key is one its family's keygen can
+    draw: ideal tables of the shape ``keygen_ideal`` draws, or a toy-lattice
+    key with every entry in 0..q-1, a matrix of full column rank and either
+    a claw secret s that solves A s = shift or an injective shift outside
+    the matrix's column space.
+    """
+    kind = _KIND_FROM[data["kind"]]
+    if params.family == "ideal":
+        tables = _array_from_hex(data["tables"]).reshape(2, 1 << params.domain_bits)
         if not _is_ideal_key(kind, tables):
             raise ValueError(f"ideal tables are not a {kind.value} key")
-        return IdealKeyPair(kind=kind, domain_bits=w, tables=tables)
-    n, m, q = int(data["n"]), int(data["m"]), int(data["q"])
-    # Every q this accepts fits the stored int32 entries.
-    EtcfParams("toy-lattice", n=n, m=m, q=q).validate()
-    matrix, shift = _array_from_hex(data["matrix"]).reshape(m, n), _array_from_hex(data["shift"])
-    if shift.shape != (m,):
-        raise ValueError(f"shift has shape {shift.shape}, not ({m},)")
-    if not (_in_range(matrix, q) and _in_range(shift, q)):
-        raise ValueError("toy-lattice key entries must lie in 0..q-1")
-    left_inverse = _left_inverse(matrix, q)
-    if left_inverse is None:
-        raise ValueError("toy-lattice matrix lacks full column rank")
-    if kind is KeyKind.INJECTIVE and _solve(matrix, left_inverse, shift, q) is not None:
-        raise ValueError("injective toy-lattice shift lies in the matrix's column space")
-    return ToyLatticeKeyPair(kind, n, m, q, matrix, shift, left_inverse)
-
-
-def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
-    """What a trapdoor holds beyond its key: the claw secret s of a claw-free
-    toy-lattice key, nothing for any other key (an ideal key's tables are
-    its trapdoor).
-    """
-    secret = trapdoor.secret
-    return {} if secret is None else {"secret": _array_to_hex(secret)}
-
-
-def trapdoor_from_dict(data: dict, key: EtcfKeyPair) -> Trapdoor:
-    """The trapdoor of ``key`` whose private remainder is serialized as ``data``.
-
-    Raises ValueError unless ``data`` is an object that holds a secret s,
-    and nothing else, for a claw-free toy-lattice key and is empty for any
-    other key, and that s has entries in 0..q-1 and solves A s = shift.
-    """
-    claw_secret = isinstance(key, ToyLatticeKeyPair) and key.kind is KeyKind.CLAW_FREE
-    if not isinstance(data, dict) or data.keys() != ({"secret"} if claw_secret else set()):
-        raise ValueError("a trapdoor holds a secret exactly for claw-free toy-lattice keys")
-    if not claw_secret:
-        return Trapdoor(key)
-    secret = _array_from_hex(data["secret"])
-    if (
-        secret.shape != (key.n,)
-        or not _in_range(secret, key.q)
-        or np.any((key.matrix @ secret - key.shift) % key.q)
-    ):
-        raise ValueError("toy-lattice claw secret does not match its key")
-    return Trapdoor(key, secret)
+        trapdoor = Trapdoor(IdealKeyPair(kind, params.domain_bits, tables))
+    else:
+        n, m, q = params.n, params.m, params.q
+        matrix = _array_from_hex(data["matrix"]).reshape(m, n)
+        shift = _array_from_hex(data["shift"]).reshape(m)
+        secret = _array_from_hex(data["secret"]).reshape(n) if kind is KeyKind.CLAW_FREE else None
+        if any(np.any((v < 0) | (v >= q)) for v in (matrix, shift, secret) if v is not None):
+            raise ValueError("toy-lattice key entries must lie in 0..q-1")
+        left_inverse = _left_inverse(matrix, q)
+        if left_inverse is None:
+            raise ValueError("toy-lattice matrix lacks full column rank")
+        if secret is not None and np.any((matrix @ secret - shift) % q):
+            raise ValueError("toy-lattice claw secret does not match its key")
+        if secret is None and _solve(matrix, left_inverse, shift, q) is not None:
+            raise ValueError("injective toy-lattice shift lies in the matrix's column space")
+        trapdoor = Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, shift, left_inverse), secret)
+    if trapdoor_to_dict(trapdoor) != data:
+        raise ValueError("a trapdoor must be written as trapdoor_to_dict writes it")
+    return trapdoor

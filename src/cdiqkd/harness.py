@@ -1,15 +1,16 @@
 """Experiment runner, transcript/summary emission, and the replay audit.
 
 The authenticated public channel is modeled as an append-only line log:
-one JSON record per round, bracketed by a header and a footer.  Test
-rounds carry both parties' published data (commitments, responses,
-questions, answers, herald bits); the verifiers' key and trapdoor
-material for those rounds goes, in round order, to a separate
-trapdoor-store file, so the replay audit recomputes every check in one
-forward pass over both files.  Generation rounds publish only state
-bases, challenge types, tags, and question bases - their commitments,
-responses, and key material are discarded and never reach any output
-file.
+one JSON record per round, bracketed by a header, which states the ETCF
+family and its sizes once, and a footer.  Test rounds carry both
+parties' published data (commitments, responses, questions, answers,
+herald bits); the verifiers' trapdoor for each side of those rounds goes,
+in round order, to a separate trapdoor-store file (format 3: one object
+per side, no family or size), so the replay audit recomputes every check
+in one forward pass over both files.  Replay takes only what the writer
+writes.  Generation rounds publish only state bases, challenge types,
+tags, and question bases - their commitments, responses, and key
+material are discarded and never reach any output file.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -26,12 +27,7 @@ import numpy as np
 from .bits import from_hex, to_hex
 from .config import ExperimentConfig
 from .devices import ChallengeType, make_device
-from .etcf import (
-    key_from_dict,
-    key_to_dict,
-    trapdoor_from_dict,
-    trapdoor_to_dict,
-)
+from .etcf import EtcfParams, trapdoor_from_dict, trapdoor_to_dict
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
@@ -53,11 +49,28 @@ EXIT_ABORTED = 2
 
 _BASIS_CODE = {MeasurementBasis.COMPUTATIONAL: "C", MeasurementBasis.HADAMARD: "H"}
 _BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": MeasurementBasis.HADAMARD}
+_CHALLENGE_FROM = {ct.value: ct for ct in ChallengeType}
 _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
 # The trapdoor store's format number, written in its header and required by replay.
-STORE_FORMAT = 2
+STORE_FORMAT = 3
+
+# The fields a test round line publishes for each side, by its challenge type,
+# in the order the writer writes them; a side whose device sent a malformed
+# message adds ``viol_<s>`` and lacks each response the device got wrong.
+# Every round line holds the common fields; a generation round adds its bases.
+_PUBLISHED = {
+    ("a", ChallengeType.A): ("c_a", "z_a"),
+    ("a", ChallengeType.B): ("c_a", "d_a", "x", "a", "h_a"),
+    ("b", ChallengeType.A): ("c_b", "z_b"),
+    ("b", ChallengeType.B): ("c_b", "d_b", "y", "b", "h_b"),
+}
+_COMMON_FIELDS = frozenset(
+    ("record", "i", "theta_a", "theta_b", "ct_a", "ct_b", "rt", "tag", "win")
+)
+_GENERATE_FIELDS = _COMMON_FIELDS | {"x", "y"}
+_KEYS_FIELDS = frozenset(("record", "i", "a", "b"))
 
 
 def store_path(transcript: str, trapdoors: str | None) -> str:
@@ -91,18 +104,20 @@ def _bits_hex(bits: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _side_fields(side: SideRecord, suffix: str, question_name: str) -> dict:
-    fields: dict = {f"c_{suffix}": to_hex(side.c, side.key.codomain_bits)}
+def _side_fields(side: SideRecord, suffix: str) -> dict:
+    names = _PUBLISHED[suffix, side.ct]
+    fields: dict = {names[0]: to_hex(side.c, side.key.codomain_bits)}
     if side.ct is ChallengeType.A:
         if side.z is not None:
-            fields[f"z_{suffix}"] = to_hex(side.z, 1 + side.key.domain_bits)
+            fields[names[1]] = to_hex(side.z, 1 + side.key.domain_bits)
     else:
+        _, d_name, question_name, answer_name, h_name = names
         if side.d is not None:
-            fields[f"d_{suffix}"] = to_hex(side.d, side.key.domain_bits)
+            fields[d_name] = to_hex(side.d, side.key.domain_bits)
         fields[question_name] = _BASIS_CODE[side.question]
         if side.answer is not None:
-            fields[suffix] = side.answer
-            fields[f"h_{suffix}"] = side.h
+            fields[answer_name] = side.answer
+            fields[h_name] = side.h
     if side.violation:
         fields[f"viol_{suffix}"] = True
     return fields
@@ -123,8 +138,8 @@ def _round_line(record: RoundRecord) -> dict:
     if record.round_type is RoundType.SIFTED:
         return line
     if record.test_tag is TestTag.TEST:
-        line.update(_side_fields(record.alice, "a", "x"))
-        line.update(_side_fields(record.bob, "b", "y"))
+        line.update(_side_fields(record.alice, "a"))
+        line.update(_side_fields(record.bob, "b"))
     else:
         # Generation round: question bases are published for key matching,
         # everything else stays private and is discarded.
@@ -137,10 +152,8 @@ def _keys_line(record: RoundRecord) -> dict:
     return {
         "record": "keys",
         "i": record.index,
-        "key_a": key_to_dict(record.alice.key),
-        "trapdoor_a": trapdoor_to_dict(record.alice.trapdoor),
-        "key_b": key_to_dict(record.bob.key),
-        "trapdoor_b": trapdoor_to_dict(record.bob.trapdoor),
+        "a": trapdoor_to_dict(record.alice.trapdoor),
+        "b": trapdoor_to_dict(record.bob.trapdoor),
     }
 
 
@@ -150,7 +163,7 @@ def write_transcript(path: str, config: ExperimentConfig, session: SessionResult
         "version": 2,
         "rounds": session.rounds,
         "epsilon": sig12(config.epsilon),
-        "etcf": _etcf_header(config),
+        "etcf": _etcf_header(config.etcf_params()),
         "device": config.device,
     }
     footer = {
@@ -177,8 +190,7 @@ def write_trapdoor_store(path: str, session: SessionResult) -> None:
             fh.write(json.dumps(_keys_line(record)) + "\n")
 
 
-def _etcf_header(config: ExperimentConfig) -> dict:
-    params = config.etcf_params()
+def _etcf_header(params: EtcfParams) -> dict:
     if params.family == "ideal":
         return {"family": "ideal", "domain_bits": params.domain_bits}
     return {"family": "toy-lattice", "n": params.n, "m": params.m, "q": params.q}
@@ -336,41 +348,47 @@ def _bit(value) -> int:
     return value
 
 
-def _side_from_line(line: dict, suffix: str, question_name: str, trapdoor) -> SideRecord:
-    """One side of a test round line; raises on a malformed or missing published field.
+def _side_from_line(line: dict, suffix: str, trapdoor) -> tuple[SideRecord, int]:
+    """One side of a test round line, and the number of the line's fields it holds.
 
-    A side without ``viol_<s>`` must carry every field its challenge type
-    publishes, even one its verdict never reads.
+    Raises on a malformed field and on a missing one: only a side marked
+    ``viol_<s>: true`` may lack a response (``z``, ``d``, or the answer with
+    its herald bit), as the writer drops each one the device got wrong.
     """
     key = trapdoor.key
-    ct = ChallengeType(line[f"ct_{suffix}"])
+    ct = _CHALLENGE_FROM[line[f"ct_{suffix}"]]
+    names = _PUBLISHED[suffix, ct]
+    violation = f"viol_{suffix}" in line
+    if violation and line[f"viol_{suffix}"] is not True:
+        raise ValueError(f"viol_{suffix} is written only as true")
     side = SideRecord(
         theta=_BASIS_FROM[line[f"theta_{suffix}"]],
         trapdoor=trapdoor,
-        c=0,
+        c=from_hex(line[names[0]], key.codomain_bits),
         ct=ct,
-        violation=bool(line.get(f"viol_{suffix}", False)),
+        violation=violation,
     )
     if ct is ChallengeType.A:
-        published = (f"c_{suffix}", f"z_{suffix}")
+        if names[1] in line or not violation:
+            side.z = from_hex(line[names[1]], 1 + key.domain_bits)
     else:
-        published = (f"c_{suffix}", f"d_{suffix}", question_name, suffix, f"h_{suffix}")
-    if not side.violation and not all(name in line for name in published):
-        raise KeyError(f"side {suffix} lacks a published field")
-    if f"c_{suffix}" in line:
-        side.c = from_hex(line[f"c_{suffix}"], key.codomain_bits)
-    if ct is ChallengeType.A:
-        if f"z_{suffix}" in line:
-            side.z = from_hex(line[f"z_{suffix}"], 1 + key.domain_bits)
-    else:
-        if f"d_{suffix}" in line:
-            side.d = from_hex(line[f"d_{suffix}"], key.domain_bits)
-        if question_name in line:
-            side.question = _BASIS_FROM[line[question_name]]
-        if suffix in line:
-            side.answer = _bit(line[suffix])
-            side.h = _bit(line[f"h_{suffix}"])
-    return side
+        _, d_name, question_name, answer_name, h_name = names
+        side.question = _BASIS_FROM[line[question_name]]
+        if d_name in line or not violation:
+            side.d = from_hex(line[d_name], key.domain_bits)
+        if answer_name in line or h_name in line or not violation:
+            side.answer, side.h = _bit(line[answer_name]), _bit(line[h_name])
+    return side, violation + sum(name in line for name in names)
+
+
+def _is_unscored_line(line: dict, generate: bool) -> bool:
+    """True iff a sifted or generation round line holds just what the writer writes."""
+    if line.get("win") != "na":
+        return False
+    if not generate:
+        return line.keys() == _COMMON_FIELDS
+    bases = _BASIS_CODE.values()  # read with ==, so an unhashable value is no basis
+    return line.keys() == _GENERATE_FIELDS and line["x"] in bases and line["y"] in bases
 
 
 def _records(path: str):
@@ -391,11 +409,12 @@ def _records(path: str):
             yield number, entry if isinstance(entry, dict) else None
 
 
-def _store_entries(path: str):
+def _store_entries(path: str, params: EtcfParams):
     """(round index, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
 
-    The first record must be the format-2 header and every later one a
-    ``keys`` entry; raises ReplayError otherwise.
+    The first record must be the format-3 header and every later one a
+    ``keys`` entry holding just what the writer writes for two trapdoors of
+    the family ``params``; raises ReplayError otherwise.
     """
     records = _records(path)
     _, header = next(records, (0, None))
@@ -403,11 +422,10 @@ def _store_entries(path: str):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
     for number, entry in records:
         try:
-            if entry["record"] != "keys":
+            if entry["record"] != "keys" or entry.keys() != _KEYS_FIELDS:
                 raise ValueError("not a keys record")
-            key_a, key_b = key_from_dict(entry["key_a"]), key_from_dict(entry["key_b"])
-            trapdoor_a = trapdoor_from_dict(entry["trapdoor_a"], key_a)
-            trapdoor_b = trapdoor_from_dict(entry["trapdoor_b"], key_b)
+            trapdoor_a = trapdoor_from_dict(entry["a"], params)
+            trapdoor_b = trapdoor_from_dict(entry["b"], params)
             index = _exact_int(entry["i"])
         except _MALFORMED as exc:
             raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
@@ -423,7 +441,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     round whose store entry is missing or out of order; rounds missing at the
     end are a footer mismatch.  A missing footer (a truncated transcript)
     raises ReplayError naming the last good line; so do an unusable header,
-    a store without its format-2 header and a corrupt trapdoor-store entry.
+    a store without its format-3 header and a corrupt trapdoor-store entry.
+    The ETCF family and its sizes are read once, from the transcript header.
     """
     lines = _records(transcript_path)
     _, header = next(lines, (0, None))
@@ -437,8 +456,17 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         rounds = _exact_int(header.get("rounds"))
     except TypeError as exc:
         raise ReplayError("transcript header has no valid round count") from exc
+    try:  # the one statement of the family: valid, and written as the writer writes it
+        params = EtcfParams(**header["etcf"])
+        if any(type(getattr(params, size)) is not int for size in ("domain_bits", "n", "m", "q")):
+            raise TypeError("ETCF sizes must be integers")
+        params.validate()
+        if _etcf_header(params) != header["etcf"]:
+            raise ValueError("the family is not stated as the writer states it")
+    except _MALFORMED as exc:
+        raise ReplayError("transcript header has no valid etcf") from exc
 
-    store = _store_entries(trapdoor_store_path)
+    store = _store_entries(trapdoor_store_path, params)
     held_index, held = float("-inf"), None  # the store entry last read
     mismatches: list[str] = []
     tested = failed = 0
@@ -461,8 +489,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         try:
             index = _exact_int(entry["i"])
             recomputed_rt = classify_round(
-                ChallengeType(entry["ct_a"]),
-                ChallengeType(entry["ct_b"]),
+                _CHALLENGE_FROM[entry["ct_a"]],
+                _CHALLENGE_FROM[entry["ct_b"]],
                 _BASIS_FROM[entry["theta_a"]],
                 _BASIS_FROM[entry["theta_b"]],
             )
@@ -484,6 +512,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             mismatches.append(f"line {number}: round {index} tag should be test")
             continue
         if recomputed_rt is RoundType.SIFTED or tag != "test":
+            if not _is_unscored_line(entry, tag == "generate"):
+                mismatches.append(f"line {number}: corrupt record")
             continue
         while held_index < index:
             held_index, held = next(store, (float("inf"), None))
@@ -492,12 +522,12 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             continue
         trapdoor_a, trapdoor_b = held
         try:
+            alice, fields_a = _side_from_line(entry, "a", trapdoor_a)
+            bob, fields_b = _side_from_line(entry, "b", trapdoor_b)
+            if "win" not in entry or len(entry) != len(_COMMON_FIELDS) + fields_a + fields_b:
+                raise ValueError("the line holds a field its round does not publish")
             verdict = win_condition(RoundRecord(
-                index=index,
-                alice=_side_from_line(entry, "a", "x", trapdoor_a),
-                bob=_side_from_line(entry, "b", "y", trapdoor_b),
-                round_type=recomputed_rt,
-                test_tag=TestTag.TEST,
+                index=index, alice=alice, bob=bob, round_type=recomputed_rt, test_tag=TestTag.TEST
             ))
         except _MALFORMED:
             mismatches.append(f"line {number}: corrupt record")

@@ -1,7 +1,9 @@
 """ETCF family tests: exhaustive structure, inversion, claw identities."""
 
 import itertools
+import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +21,6 @@ from cdiqkd.etcf import (
     evaluate,
     image,
     invert,
-    key_from_dict,
-    key_to_dict,
     keygen,
     keygen_ideal,
     trapdoor_from_dict,
@@ -29,6 +29,8 @@ from cdiqkd.etcf import (
     _solve,
 )
 from cdiqkd import etcf
+from cdiqkd.devices import make_device
+from cdiqkd.protocol import ProtocolParams, run_session
 
 from .helpers import assert_frequency, assert_multinomial
 
@@ -59,6 +61,19 @@ class TestParams:
             EtcfParams(family="toy-lattice", n=1, m=2, q=2**61 - 1).validate()
         EtcfParams(family="toy-lattice", n=3, m=6, q=1021).validate()
         EtcfParams(family="toy-lattice", n=1, m=2, q=2**31 - 1).validate()
+
+    def test_primality_is_tested_once_per_q(self, monkeypatch):
+        # A toy-lattice session validates its params at each keygen, two a round;
+        # trial division to sqrt(q) must not run again for each of them.
+        tested = []
+        monkeypatch.setattr(
+            etcf, "math", SimpleNamespace(isqrt=lambda v: tested.append(v) or math.isqrt(v))
+        )
+        q = 2**31 - 1
+        lattice = EtcfParams(family="toy-lattice", n=1, m=2, q=q)
+        session = run_session(make_device("honest"), ProtocolParams(64, 0.05, lattice), 1)
+        assert not session.aborted
+        assert tested.count(q) <= 1
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -324,7 +339,7 @@ class TestRowReduction:
                 invert(trap, evaluate(key, 1, x))
                 if kind is KeyKind.CLAW_FREE:
                     claw_partner(key, 0, x)
-            key_from_dict(key_to_dict(key))
+            trapdoor_from_dict(trapdoor_to_dict(trap), TOY)
         # One for each key drawn, one for each key loaded: these draws need no rank retry.
         assert len(calls) == 4
 
@@ -369,11 +384,14 @@ class TestSerialization:
     def test_round_trip(self, kind, params):
         rng = np.random.default_rng(21)
         key, trap = keygen(kind, params, rng)
-        key2 = key_from_dict(key_to_dict(key))
         data = trapdoor_to_dict(trap)
-        # Only a claw-free toy-lattice trapdoor holds more than its key.
-        assert set(data) == ({"secret"} if params is TOY and kind is KeyKind.CLAW_FREE else set())
-        trap2 = trapdoor_from_dict(data, key2)
+        # The reader gives the family and its sizes; only a claw-free toy-lattice
+        # trapdoor holds more than its key.
+        arrays = {"tables"} if params is not TOY else {"matrix", "shift"}
+        secret = {"secret"} if params is TOY and kind is KeyKind.CLAW_FREE else set()
+        assert set(data) == {"kind"} | arrays | secret
+        trap2 = trapdoor_from_dict(data, params)
+        key2 = trap2.key
         sample_inputs = range(16) if isinstance(key, IdealKeyPair) else [
             encode_vector(rng.integers(0, 17, size=3), 17) for _ in range(16)
         ]
@@ -385,20 +403,37 @@ class TestSerialization:
 
     def test_toy_secret_must_solve_its_key(self):
         rng = np.random.default_rng(23)
-        key, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
+        _, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
         _, other_trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
-        injective, _ = keygen(KeyKind.INJECTIVE, TOY, rng)
-        secret = trapdoor_to_dict(trap)["secret"]
-        assert np.array_equal(trapdoor_from_dict(trapdoor_to_dict(trap), key).secret, trap.secret)
+        _, injective = keygen(KeyKind.INJECTIVE, TOY, rng)
+        data = trapdoor_to_dict(trap)
+        assert np.array_equal(trapdoor_from_dict(data, TOY).secret, trap.secret)
+        secret = data.pop("secret")
         cases = [
-            (trapdoor_to_dict(other_trap), key),
-            ({}, key),
-            ({"secret": secret[:-8]}, key),
-            ({"secret": secret}, injective),
+            {**data, "secret": trapdoor_to_dict(other_trap)["secret"]},
+            data,
+            {**data, "secret": secret[:-8]},
+            {**trapdoor_to_dict(injective), "secret": secret},
         ]
-        for data, target in cases:
+        for case in cases:
+            with pytest.raises((LookupError, ValueError)):
+                trapdoor_from_dict(case, TOY)
+
+    @pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])
+    def test_only_what_the_writer_writes_is_read(self, params):
+        _, trap = keygen(KeyKind.CLAW_FREE, params, np.random.default_rng(25))
+        data = trapdoor_to_dict(trap)
+        name = "tables" if params is not TOY else "matrix"
+        assert data[name] != data[name].upper()  # a hex letter to upper-case
+        cases = [
+            {**data, "note": 1},
+            {**data, "family": params.family},
+            {**data, name: data[name].upper()},  # bytes.fromhex reads the same bytes
+            {**data, name: data[name][:8] + " " + data[name][8:]},  # and skips the space
+        ]
+        for case in cases:
             with pytest.raises(ValueError):
-                trapdoor_from_dict(data, target)
+                trapdoor_from_dict(case, params)
 
 
 @given(w=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))

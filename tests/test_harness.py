@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
-from cdiqkd.etcf import _array_from_hex, _array_to_hex, key_to_dict, trapdoor_to_dict
+from cdiqkd.etcf import EtcfParams, _array_from_hex, _array_to_hex, trapdoor_to_dict
 from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
@@ -166,15 +166,12 @@ class TestTranscriptPrivacy:
         for line in store_lines:
             # An ideal key's tables are its trapdoor: each is written once.
             entry = json.loads(line)
-            assert line.count(entry["key_a"]["tables"]) == line.count(entry["key_b"]["tables"]) == 1
+            assert line.count(entry["a"]["tables"]) == line.count(entry["b"]["tables"]) == 1
         for record in generate_records:
             # trapdoor payloads of generation rounds appear nowhere
             for side in (record.alice, record.bob):
-                for payload in trapdoor_to_dict(side.trapdoor).values():
-                    assert payload not in everything
-                key_payload = key_to_dict(side.key)
-                table_hex = key_payload.get("tables") or key_payload.get("matrix")
-                assert table_hex not in everything
+                for name, payload in trapdoor_to_dict(side.trapdoor).items():
+                    assert name == "kind" or payload not in everything
             assert record.index not in store_indices
 
         for line in transcript_text.splitlines():
@@ -292,6 +289,38 @@ class TestReplay:
                 tracemalloc.stop()
         assert peaks[4096] - peaks[2048] < 256 * 1024
 
+    def test_malformed_device_messages_replay_to_a_match(self, tmp_path):
+        # The writer marks a side whose device sent a malformed message and drops
+        # each response it got wrong; replay reads the side as the writer wrote it.
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"c_a": 2**40, "z_b": 2**40, "d_a": 2**40, "h_b": 2}))
+        transcript, store = self.run_and_paths(
+            tmp_path, rounds=256, seed=3, device=f"classical-table:{table}"
+        )
+        rounds = [json.loads(line) for line in open(transcript)][1:-1]
+        tested = [e for e in rounds if e["tag"] == "test" and e["rt"] != "sifted"]
+        assert all(e["viol_a"] is e["viol_b"] is True for e in tested)
+        assert any("c_a" in e and "d_a" not in e and "a" in e for e in tested)
+        assert any("c_b" in e and "d_b" in e and "b" not in e for e in tested)
+        assert any("z_a" in e and "z_b" not in e for e in tested)
+        report = replay_verify(transcript, store)
+        assert report.match and report.rounds_checked == len(tested)
+
+    @pytest.mark.parametrize("files", ["audit_files", "lattice_audit_files"])
+    def test_family_is_read_and_validated_once(self, tmp_path, monkeypatch, request, files):
+        transcript, store = request.getfixturevalue(files)
+        stated = json.loads(transcript[0])["etcf"]
+        for line in store[1:]:
+            # Each side is one trapdoor; its family and sizes are in the transcript header.
+            entry = json.loads(line)
+            assert entry.keys() == {"record", "i", "a", "b"}
+            assert not {*entry["a"], *entry["b"]} & {*stated, "key_a", "trapdoor_a"}
+        calls = []
+        validate = EtcfParams.validate
+        monkeypatch.setattr(EtcfParams, "validate", lambda p: calls.append(p) or validate(p))
+        assert replay_verify(*_write(tmp_path, transcript, store)).match
+        assert calls == [EtcfParams(**stated)]
+
     def test_tampered_abort_flag_detected(self, tmp_path):
         transcript, store = self.run_and_paths(tmp_path, rounds=512, seed=31)
         lines = open(transcript).read().splitlines()
@@ -370,6 +399,19 @@ def _is_keys(entry):
     return entry["record"] == "keys"
 
 
+def _is_generate(entry):
+    return entry["record"] == "round" and entry["tag"] == "generate"
+
+
+def _is_sifted(entry):
+    return entry["record"] == "round" and entry["rt"] == "sifted"
+
+
+def _is_lettered_keys(entry):
+    # Side a's tables with a hex letter in them, so that upper-casing changes them.
+    return _is_keys(entry) and not entry["a"]["tables"].isdigit()
+
+
 # Each case corrupts one line; the replay must name it, never raise.
 CORRUPT_ROUNDS = {
     "missing-index": (_is_challenge_a_test, _without("i")),
@@ -399,7 +441,24 @@ CORRUPT_ROUNDS = {
         _is_lettered_challenge_a_test, lambda e: e.update(c_a=e["c_a"].upper())
     ),
     "space-before-preimage": (_is_challenge_a_test, lambda e: e.update(z_a=" " + e["z_a"])),
+    # A line holds exactly the fields the writer writes for its round, and only
+    # the values it writes for them.
+    "extra-field-on-test-round": (_is_challenge_a_test, lambda e: e.update(note=1)),
+    "challenge-b-side-with-preimage": (_is_bell_test, lambda e: e.update(z_a=e["d_a"])),
+    "false-violation": (_is_challenge_a_test, lambda e: e.update(viol_a=False)),
+    "generation-round-with-responses": (_is_generate, lambda e: e.update(c_a="00", d_a="0")),
+    "generation-round-without-question": (_is_generate, _without("x")),
+    "generation-round-with-unknown-question": (_is_generate, lambda e: e.update(x="Q")),
+    "generation-round-that-failed": (_is_generate, lambda e: e.update(win="fail")),
+    "sifted-round-that-passed": (_is_sifted, lambda e: e.update(win="pass")),
 }
+
+def _etcf(family="toy-lattice", **sizes):
+    """A header mutation stating ``family`` with ``sizes``; a toy lattice is 3, 6, 17 by default."""
+    if family == "toy-lattice":
+        sizes = {"n": 3, "m": 6, "q": 17, **sizes}
+    return lambda e: e.update(etcf={"family": family, **sizes})
+
 
 CORRUPT_HEADERS = {
     "missing-epsilon": _without("epsilon"),
@@ -407,36 +466,71 @@ CORRUPT_HEADERS = {
     "missing-rounds": _without("rounds"),
     "float-rounds": lambda e: e.update(rounds=float(e["rounds"])),
     "not-an-object": lambda e: ["header"],
+    # The family and its sizes, stated once here: EtcfParams must take them as
+    # JSON integers, and the header must state them as the writer does.
+    "missing-etcf": _without("etcf"),
+    "etcf-not-an-object": lambda e: e.update(etcf="garbage"),
+    "unknown-family": _etcf("lwe"),
+    "infinite-domain-bits": _etcf("ideal", domain_bits=float("inf")),
+    "huge-domain-bits": _etcf("ideal", domain_bits=2**62),
+    "zero-domain-bits": _etcf("ideal", domain_bits=0),
+    "string-domain-bits": _etcf("ideal", domain_bits="4"),
+    "float-domain-bits": _etcf("ideal", domain_bits=4.0),
+    "ideal-with-lattice-sizes": _etcf("ideal", domain_bits=4, n=3),
+    "negative-q": _etcf(q=-17),
+    "zero-q": _etcf(q=0),
+    "unit-q": _etcf(q=1),
+    "composite-q": _etcf(q=4),
+    "prime-q-beyond-int32": _etcf(n=1, m=2, q=2**61 - 1),
+    "negative-n": _etcf(n=-3),
+    # A valid family that is not the store's: its first entry does not decode.
+    "toy-lattice-over-ideal-store": _etcf(),
+    "wider-ideal-over-ideal-store": _etcf("ideal", domain_bits=9),
 }
+FOREIGN_FAMILY_HEADERS = ("toy-lattice-over-ideal-store", "wider-ideal-over-ideal-store")
+
+def _respell_tables(entry, respell):
+    entry["a"]["tables"] = respell(entry["a"]["tables"])
+
+
+def _tables_outside_the_codomain(entry):
+    """Side a's tables set to 1000, 1001, ... in both branches: keygen_ideal never draws them."""
+    size = len(_array_from_hex(entry["a"]["tables"])) // 2
+    entry["a"]["tables"] = _array_to_hex(np.tile(np.arange(1000, 1000 + size), 2))
+
 
 CORRUPT_STORE_ENTRIES = {
-    "missing-key": _without("key_a"),
+    "missing-key": _without("a"),
     "missing-index": _without("i"),
-    "infinite-domain-bits": lambda e: e["key_a"].update(domain_bits=float("inf")),
-    "huge-domain-bits": lambda e: e["key_b"].update(domain_bits=2**62),
-    "bad-hex-table": lambda e: e["key_b"].update(tables="zz"),
-    "short-table": lambda e: e["key_a"].update(tables="00"),
-    "unknown-kind": lambda e: e["key_a"].update(kind="lossy"),
-    # A width-0 ideal key with tables of that width: the family takes 2..16 bits.
-    "zero-domain-bits": lambda e: e["key_a"].update(domain_bits=0, tables="0000000001000000"),
-    "key-not-an-object": lambda e: e.update(key_a=3),
+    # A side that restates its family's width, as a format-2 key did: the
+    # store takes no size, whatever its value.
+    "infinite-domain-bits": lambda e: e["a"].update(domain_bits=float("inf")),
+    "huge-domain-bits": lambda e: e["b"].update(domain_bits=2**62),
+    "zero-domain-bits": lambda e: e["a"].update(domain_bits=0, tables="0000000001000000"),
+    "bad-hex-table": lambda e: e["b"].update(tables="zz"),
+    "short-table": lambda e: e["a"].update(tables="00"),
+    # Hex that bytes.fromhex reads as the same tables: only the writer's spelling passes.
+    "upper-case-table": (_is_lettered_keys, lambda e: _respell_tables(e, str.upper)),
+    "space-in-table": lambda e: _respell_tables(e, lambda text: text[:8] + " " + text[8:]),
+    "unknown-kind": lambda e: e["a"].update(kind="lossy"),
+    "key-not-an-object": lambda e: e.update(a=3),
     "not-an-object": lambda e: "keys",
-    # An ideal key's trapdoor is an object that holds nothing beyond the key.
-    "ideal-trapdoor-with-secret": lambda e: e["trapdoor_a"].update(secret="00000000"),
-    "ideal-trapdoor-with-tables": lambda e: e["trapdoor_a"].update(tables=e["key_a"]["tables"]),
-    "trapdoor-not-an-object": lambda e: e.update(trapdoor_a="x"),
-    "second-header": lambda e: {"record": "keys-header", "version": 2, "format": 2},
-    # Tables keygen_ideal never draws: both branches 1000..1015, outside the codomain.
-    "tables-outside-the-codomain": lambda e: e["key_a"].update(
-        tables=_array_to_hex(np.tile(np.arange(1000, 1000 + (1 << e["key_a"]["domain_bits"])), 2))
-    ),
+    # Each side is one object that holds just its kind and tables, and the entry
+    # holds just its index and two sides.
+    "side-with-extra-field": lambda e: e["b"].update(note=1),
+    "ideal-trapdoor-with-secret": lambda e: e["a"].update(secret="00000000"),
+    "ideal-trapdoor-with-tables": lambda e: e.update(trapdoor_a={"tables": e["a"]["tables"]}),
+    "trapdoor-not-an-object": lambda e: e.update(b="x"),
+    "second-header": lambda e: {"record": "keys-header", "version": 2, "format": 3},
+    "tables-outside-the-codomain": _tables_outside_the_codomain,
 }
 
-# First store lines other than the format-2 header; None drops the line.
+# First store lines other than the format-3 header; None drops the line.
 CORRUPT_STORE_HEADERS = {
     "missing-header": None,
     "header-without-format": {"record": "keys-header", "version": 2},  # as before format 2
     "format-1": {"record": "keys-header", "version": 2, "format": 1},
+    "format-2": {"record": "keys-header", "version": 2, "format": 2},
 }
 
 STORE_CASES = sorted([*CORRUPT_STORE_ENTRIES, *CORRUPT_STORE_HEADERS])
@@ -447,72 +541,78 @@ def _corrupt_store(store, name, last=False):
     if name in CORRUPT_STORE_HEADERS:
         header = CORRUPT_STORE_HEADERS[name]
         lines = store[1:] if header is None else [json.dumps(header), *store[1:]]
-        return lines, "trapdoor store has no format-2 header"
-    lines, number = _mutated(store, _is_keys, CORRUPT_STORE_ENTRIES[name], last)
+        return lines, "trapdoor store has no format-3 header"
+    case = CORRUPT_STORE_ENTRIES[name]
+    pick, mutate = case if isinstance(case, tuple) else (_is_keys, case)
+    lines, number = _mutated(store, pick, mutate, last)
     return lines, f"trapdoor store corrupt at line {number}"
 
 
+# The toy-lattice family of lattice_audit_files, which its transcript header states.
+LATTICE = EtcfParams("toy-lattice")
+
+
 def _is_injective_b_keys(entry):
-    return entry["record"] == "keys" and entry["key_b"]["kind"] == "injective"
+    return entry["record"] == "keys" and entry["b"]["kind"] == "injective"
 
 
 def _is_injective_a_keys(entry):
-    return entry["record"] == "keys" and entry["key_a"]["kind"] == "injective"
+    return entry["record"] == "keys" and entry["a"]["kind"] == "injective"
 
 
 def _is_claw_free_a_keys(entry):
-    return entry["record"] == "keys" and entry["key_a"]["kind"] == "claw_free"
+    return entry["record"] == "keys" and entry["a"]["kind"] == "claw_free"
 
 
-def _plus_q(holder, name, q, multiple=1):
+def _plus_q(holder, name, multiple=1):
     """Add ``multiple`` * q to the first entry of the hex array ``holder[name]``."""
     values = _array_from_hex(holder[name])
-    values[0] += multiple * q
+    values[0] += multiple * LATTICE.q
     holder[name] = _array_to_hex(values)
 
 
 def _entries_beyond_q(entry):
-    key = entry["key_a"]
-    _plus_q(key, "matrix", key["q"])
-    _plus_q(key, "shift", key["q"], 5)
+    _plus_q(entry["a"], "matrix")
+    _plus_q(entry["a"], "shift", 5)
+
+
+def _matrix_a(entry):
+    return _array_from_hex(entry["a"]["matrix"]).reshape(LATTICE.m, LATTICE.n)
 
 
 def _injective_shift_in_column_space(entry):
-    """key_a's shift set to A (1, 2, ..., n): the injective key becomes 2-to-1."""
-    key = entry["key_a"]
-    matrix = _array_from_hex(key["matrix"]).reshape(key["m"], key["n"])
-    key["shift"] = _array_to_hex(matrix @ np.arange(1, key["n"] + 1) % key["q"])
+    """Side a's shift set to A (1, 2, ..., n): the injective key becomes 2-to-1."""
+    shift = _matrix_a(entry) @ np.arange(1, LATTICE.n + 1) % LATTICE.q
+    entry["a"]["shift"] = _array_to_hex(shift)
 
 
 def _rank_deficient_key_a(entry):
-    """key_a with column 1 a copy of column 0; a claw-free shift is re-derived as A s."""
-    key = entry["key_a"]
-    matrix = _array_from_hex(key["matrix"]).reshape(key["m"], key["n"])
+    """Side a with column 1 a copy of column 0; a claw-free shift is re-derived as A s."""
+    side = entry["a"]
+    matrix = _matrix_a(entry)
     matrix[:, 1] = matrix[:, 0]
-    key["matrix"] = _array_to_hex(matrix)
-    if "secret" in entry["trapdoor_a"]:
-        secret = _array_from_hex(entry["trapdoor_a"]["secret"])
-        key["shift"] = _array_to_hex(matrix @ secret % key["q"])
+    side["matrix"] = _array_to_hex(matrix)
+    if "secret" in side:
+        side["shift"] = _array_to_hex(matrix @ _array_from_hex(side["secret"]) % LATTICE.q)
 
 
-# Toy-lattice keys whose sizes EtcfParams rejects, whose shift is not (m,),
-# whose matrix lacks full column rank, whose entries lie outside 0..q-1, or
-# that are injective with a shift inside the column space.
+# Toy-lattice sides that restate a size, as a format-2 key did (the store
+# takes none, whatever its value), whose shift is not (m,), whose matrix
+# lacks full column rank, whose entries lie outside 0..q-1, or that are
+# injective with a shift inside the column space.
 CORRUPT_LATTICE_STORE_ENTRIES = {
-    "negative-q": (_is_keys, lambda e: e["key_a"].update(q=-17)),
-    "zero-q": (_is_keys, lambda e: e["key_a"].update(q=0)),
-    "unit-q": (_is_keys, lambda e: e["key_a"].update(q=1)),
-    "composite-q": (_is_keys, lambda e: e["key_a"].update(q=4)),
-    "prime-q-beyond-int32": (_is_keys, lambda e: e["key_a"].update(q=2**61 - 1)),
-    "negative-n": (_is_keys, lambda e: e["key_a"].update(n=-3)),
+    "negative-q": (_is_keys, lambda e: e["a"].update(q=-17)),
+    "zero-q": (_is_keys, lambda e: e["a"].update(q=0)),
+    "unit-q": (_is_keys, lambda e: e["a"].update(q=1)),
+    "composite-q": (_is_keys, lambda e: e["a"].update(q=4)),
+    "prime-q-beyond-int32": (_is_keys, lambda e: e["a"].update(q=2**61 - 1)),
+    "negative-n": (_is_keys, lambda e: e["a"].update(n=-3)),
     "short-injective-shift": (
-        _is_injective_b_keys, lambda e: e["key_b"].update(shift=e["key_b"]["shift"][:-8])
+        _is_injective_b_keys, lambda e: e["b"].update(shift=e["b"]["shift"][:-8])
     ),
     "rank-deficient-matrix": (_is_keys, _rank_deficient_key_a),
     "entries-beyond-q": (_is_keys, _entries_beyond_q),
-    "secret-beyond-q": (
-        _is_claw_free_a_keys, lambda e: _plus_q(e["trapdoor_a"], "secret", e["key_a"]["q"])
-    ),
+    "secret-beyond-q": (_is_claw_free_a_keys, lambda e: _plus_q(e["a"], "secret")),
     "injective-shift-in-column-space": (_is_injective_a_keys, _injective_shift_in_column_space),
 }
 
@@ -595,7 +695,9 @@ class TestMalformedReplay:
     def test_corrupt_header_raises_replay_error(self, tmp_path, audit_files, name):
         transcript, store = audit_files
         lines, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
-        with pytest.raises(ReplayError, match="header"):
+        foreign = name in FOREIGN_FAMILY_HEADERS
+        message = "trapdoor store corrupt at line 2" if foreign else "header"
+        with pytest.raises(ReplayError, match=message):
             replay_verify(*self.write(tmp_path, lines, store))
 
     @pytest.mark.parametrize("name", STORE_CASES)
@@ -839,14 +941,14 @@ class TestMalformedInputExitsOne:
 
 
 # SHA-256 of (transcript, trapdoor store, summary) under stream layout v2,
-# with the store in format 2.
+# with the store in format 3.
 # A change here changes the outputs of every seeded run.
 STREAM_LAYOUT_V2 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
             "43fda7597c333d63223eefb49fa97e0c3166566fbe1164c3dcdc9fab6ab65aa9",
-            "754c44dc62d15509f702764ac03c453d00135118ddc3f4867ea9aa91248c686f",
+            "737b355eb6692687e3481660506ab5c6b7d2983a4e4866516fc734bd220ecb7b",
             "1ad889c3a6ea73df464372377578c62cc65ea9037008c87337796ce03d9c9084",
         ),
     ),
@@ -854,7 +956,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
             "1d09db9948111e14463bceeb7f9b4122f90be8977d4f2132bdbbb321c287f198",
-            "b1b544420e4081e47e7121c6fecd07071ed3551880a876229c87cc27574bcfd2",
+            "ea5e3d22680c50fcecd0a2145ad88445ff017ec0987679279c03a2a865eafeb3",
             "e8b46867b241b56a23e8a3926bd810490cb0d1fa827fa202ad9f57b90e75dcc2",
         ),
     ),
@@ -863,7 +965,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
             "faf17f1e0b1fad960562084d17cc298b9d58f4cbc7a31ba35d59747c04182fa2",
-            "9b4fdf6426af1845c8d0ffacf8894d04bf71563e77842989b84711be8d04e2f4",
+            "3e13a370ae7dae220384df71b5cb87c814ad3a97eae0125a22be1e6a02a6288b",
             "67bab6335de5e816969fa5c04ace31b80a41496f46c9d2e5f1bd6c4b676f706a",
         ),
     ),
@@ -871,7 +973,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
             "8622da80a3d7e93143a6268c28e875069ff519fb4d4b7c8c859f138a45a944f1",
-            "ca1cdc60c0250d4e7bb3ce99ca90e2e1e6e199a9c31b887eae64bb5b73e5a627",
+            "47e244ed6af06faec6549e4eb1dd4ce569383eda3588646d95f099357a637836",
             "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
         ),
     ),
@@ -880,7 +982,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
             "107c6cb8f687328505a0b4ebcf173e02a2a7c9f783fa1efec2b1d16764e7a053",
-            "3a5b29bc2772a22d0acb2c460c32b3733d3f6f20706f040a11a968844b6d3bd3",
+            "1df47c67d5d06a47952216f088ab1a19792fad399756cf9a32ba8dec00c8ae34",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -889,7 +991,7 @@ STREAM_LAYOUT_V2 = {
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
             "4ccbe918dbc61d33f27775dc36fbd07c9bf7e0efff53e99a0ec086d8ab800714",
-            "5fbb1b53de0eed868e26a34ee399ff30f59482e0c49e091fe24f175c63e71358",
+            "b9e7f1436a3fb1293468513797aaeba8f317d0a64d9b9351fa0c8cb0f62519e4",
             "36aa1ec4728d3db896051b1817c439600395b273880f9f6da329c4981a0ef2e6",
         ),
     ),
@@ -909,7 +1011,7 @@ def test_stream_layout_v2_is_pinned(tmp_path, monkeypatch, name):
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
     assert [header["version"] for header in headers] == [2, 2]
-    assert headers[1]["format"] == 2
+    assert headers[1]["format"] == 3
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")

@@ -27,7 +27,6 @@ from cdiqkd.etcf import (
     evaluate,
     image,
     invert,
-    key_to_dict,
     keygen,
     trapdoor_to_dict,
 )
@@ -69,8 +68,7 @@ def _signature(record) -> tuple:
     sides = tuple(
         (
             side.theta, side.ct, side.c, side.z, side.d, side.question, side.answer, side.h,
-            side.violation, json.dumps(key_to_dict(side.key)),
-            json.dumps(trapdoor_to_dict(side.trapdoor)),
+            side.violation, json.dumps(trapdoor_to_dict(side.trapdoor)),
         )
         for side in (record.alice, record.bob)
     )
