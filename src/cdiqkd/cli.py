@@ -3,7 +3,7 @@
 Run mode executes a seeded experiment and writes transcript/summary files;
 replay mode audits an existing transcript against its trapdoor store.
 Exit codes: 0 = key produced (or replay match), 2 = aborted / unverified /
-replay mismatch, 1 = usage or configuration error.
+replay mismatch, 1 = usage, configuration or output-file error.
 """
 
 from __future__ import annotations
@@ -59,7 +59,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    outcome = run_experiment(config)
+    try:
+        outcome = run_experiment(config)
+    except OSError as exc:  # an output file that cannot be opened or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     counts = outcome.summary["counts"]
     print(
         f"rounds={counts['rounds']} sifted={counts['sifted']} tested={counts['tested']} "

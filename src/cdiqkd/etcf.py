@@ -56,7 +56,8 @@ class EtcfParams:
     """Parameters for either family.
 
     ``family`` is "ideal" (uses ``domain_bits``) or "toy-lattice" (uses the
-    lattice dimensions ``n``, ``m`` and prime modulus ``q``).
+    lattice dimensions ``n``, ``m`` and prime modulus ``q``).  ``validate``
+    takes each size the family uses only as an ``int``, never a ``bool``.
     """
 
     family: str = "ideal"
@@ -67,9 +68,13 @@ class EtcfParams:
 
     def validate(self) -> None:
         if self.family == "ideal":
+            _require_int("domain_bits", self.domain_bits)
             if not 2 <= self.domain_bits <= 16:
                 raise ValueError(f"domain_bits must be in 2..16, got {self.domain_bits}")
         elif self.family == "toy-lattice":
+            _require_int("n", self.n)
+            _require_int("m", self.m)
+            _require_int("q", self.q)
             if self.n < 1:
                 raise ValueError("lattice dimension n must be positive")
             if self.m < 2 * self.n:
@@ -82,6 +87,11 @@ class EtcfParams:
                 raise ValueError(f"q must be prime, got {self.q}")
         else:
             raise ValueError(f"unknown ETCF family {self.family!r}")
+
+
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:  # a bool, a float or a string is no size
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @functools.lru_cache(maxsize=64)  # keygen validates its params once per toy key

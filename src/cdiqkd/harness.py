@@ -10,7 +10,9 @@ per side, no family or size), so the replay audit recomputes every check
 in one forward pass over both files.  Replay takes only what the writer
 writes.  Generation rounds publish only state bases, challenge types,
 tags, and question bases - their commitments, responses, and key
-material are discarded and never reach any output file.
+material are discarded and never reach any output file.  The runner
+appends each block of rounds to both files as soon as the block is
+decided, so it never holds a whole session's records.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -20,7 +22,10 @@ with 12 significant digits.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
+from typing import TextIO
 
 import numpy as np
 
@@ -56,15 +61,14 @@ _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 3
 
-# The fields a test round line publishes for each side, by its challenge type,
-# in the order the writer writes them; a side whose device sent a malformed
-# message adds ``viol_<s>`` and lacks each response the device got wrong.
-# Every round line holds the common fields; a generation round adds its bases.
+# The fields a test round line publishes for each side, indexed by whether its
+# challenge is b, in the order the writer writes them; a side whose device sent
+# a malformed message adds ``viol_<s>`` and lacks each response the device got
+# wrong.  Every round line holds the common fields; a generation round adds its
+# bases.
 _PUBLISHED = {
-    ("a", ChallengeType.A): ("c_a", "z_a"),
-    ("a", ChallengeType.B): ("c_a", "d_a", "x", "a", "h_a"),
-    ("b", ChallengeType.A): ("c_b", "z_b"),
-    ("b", ChallengeType.B): ("c_b", "d_b", "y", "b", "h_b"),
+    "a": (("c_a", "z_a"), ("c_a", "d_a", "x", "a", "h_a")),
+    "b": (("c_b", "z_b"), ("c_b", "d_b", "y", "b", "h_b")),
 }
 _COMMON_FIELDS = frozenset(
     ("record", "i", "theta_a", "theta_b", "ct_a", "ct_b", "rt", "tag", "win")
@@ -105,7 +109,7 @@ def _bits_hex(bits: np.ndarray) -> str:
 
 
 def _side_fields(side: SideRecord, suffix: str) -> dict:
-    names = _PUBLISHED[suffix, side.ct]
+    names = _PUBLISHED[suffix][side.ct is ChallengeType.B]
     fields: dict = {names[0]: to_hex(side.c, side.key.codomain_bits)}
     if side.ct is ChallengeType.A:
         if side.z is not None:
@@ -157,37 +161,45 @@ def _keys_line(record: RoundRecord) -> dict:
     }
 
 
-def write_transcript(path: str, config: ExperimentConfig, session: SessionResult) -> None:
-    header = {
+def _write_line(fh: TextIO, entry: dict) -> None:
+    fh.write(json.dumps(entry) + "\n")
+
+
+def _transcript_header(config: ExperimentConfig) -> dict:
+    return {
         "record": "header",
         "version": 2,
-        "rounds": session.rounds,
+        "rounds": config.rounds,
         "epsilon": sig12(config.epsilon),
         "etcf": _etcf_header(config.etcf_params()),
         "device": config.device,
     }
-    footer = {
+
+
+def _transcript_footer(session: SessionResult) -> dict:
+    return {
         "record": "footer",
         "tested": session.tested_count,
         "failed": session.failed_count,
         "fail_fraction": sig12(session.fail_fraction),
         "aborted": session.aborted,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for record in session.records:
-            fh.write(json.dumps(_round_line(record)) + "\n")
-        fh.write(json.dumps(footer) + "\n")
 
 
-def write_trapdoor_store(path: str, session: SessionResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"record": "keys-header", "version": 2, "format": STORE_FORMAT}
-        fh.write(json.dumps(header) + "\n")
-        for record in session.records:
-            if record.round_type is RoundType.SIFTED or record.test_tag is not TestTag.TEST:
-                continue
-            fh.write(json.dumps(_keys_line(record)) + "\n")
+_STORE_HEADER = {"record": "keys-header", "version": 2, "format": STORE_FORMAT}
+
+
+def write_transcript(fh: TextIO, records: list[RoundRecord]) -> None:
+    """Append the round lines of one block's decided ``records`` to an open transcript."""
+    for record in records:
+        _write_line(fh, _round_line(record))
+
+
+def write_trapdoor_store(fh: TextIO, records: list[RoundRecord]) -> None:
+    """Append the ``keys`` lines of the test rounds among ``records`` to an open store."""
+    for record in records:
+        if record.round_type is not RoundType.SIFTED and record.test_tag is TestTag.TEST:
+            _write_line(fh, _keys_line(record))
 
 
 def _etcf_header(params: EtcfParams) -> dict:
@@ -221,15 +233,58 @@ def bell_test_qber(session: SessionResult) -> float:
     return session.qber_failed / session.qber_tested if session.qber_tested else 0.0
 
 
+def _discard(records: list[RoundRecord]) -> None:
+    """The block consumer of a run that writes no transcript."""
+
+
+def _write_block(transcript: TextIO, store: TextIO, records: list[RoundRecord]) -> None:
+    """The block consumer of a run with files: round lines, then the test rounds' keys."""
+    write_transcript(transcript, records)
+    write_trapdoor_store(store, records)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
-    """Run a full seeded experiment and write any requested output files."""
+    """Run a full seeded experiment, streaming any requested output files.
+
+    Every output file is opened before any round runs, so an unwritable
+    path raises OSError at once.  The transcript and the trapdoor store get
+    their headers first and each block's lines once the block is decided,
+    so the session holds one block of records at a time; the transcript's
+    footer follows the session, and the summary the post-processing.  A
+    run cut short leaves a transcript without its footer, which replay
+    reports as truncated.
+    """
     config.validate()
     device = make_device(config.device)
     master = np.random.SeedSequence(config.seed)
     session_seq, post_seq = master.spawn(2)
-    session = run_session(device, config.protocol_params(), session_seq)
-    post_rng = np.random.Generator(np.random.PCG64(post_seq))
+    with ExitStack() as files:
+        summary = (
+            files.enter_context(open(config.summary, "w", encoding="utf-8"))
+            if config.summary else None
+        )
+        on_block = _discard  # with no files to write, no block is kept either
+        if config.transcript:
+            transcript = files.enter_context(open(config.transcript, "w", encoding="utf-8"))
+            store = files.enter_context(
+                open(store_path(config.transcript, config.trapdoors), "w", encoding="utf-8")
+            )
+            _write_line(transcript, _transcript_header(config))
+            _write_line(store, _STORE_HEADER)
+            on_block = partial(_write_block, transcript, store)
+        session = run_session(device, config.protocol_params(), session_seq, on_block)
+        if config.transcript:
+            _write_line(transcript, _transcript_footer(session))
+        outcome = _post_process(config, session, np.random.Generator(np.random.PCG64(post_seq)))
+        if summary is not None:
+            summary.write(json.dumps(outcome.summary, indent=2) + "\n")
+    return outcome
 
+
+def _post_process(
+    config: ExperimentConfig, session: SessionResult, post_rng: np.random.Generator
+) -> ExperimentOutcome:
+    """Reconciliation, privacy amplification, the rate report and the summary."""
     qber = bell_test_qber(session)
     raw_a, raw_b = session.raw_key_a, session.raw_key_b
     empty = np.zeros(0, dtype=np.uint8)
@@ -302,13 +357,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         "key_rate_report": report.to_dict(),
     })
 
-    if config.transcript:
-        write_transcript(config.transcript, config, session)
-        write_trapdoor_store(store_path(config.transcript, config.trapdoors), session)
-    if config.summary:
-        with open(config.summary, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
-
     return ExperimentOutcome(
         exit_code=exit_code,
         session=session,
@@ -357,7 +405,7 @@ def _side_from_line(line: dict, suffix: str, trapdoor) -> tuple[SideRecord, int]
     """
     key = trapdoor.key
     ct = _CHALLENGE_FROM[line[f"ct_{suffix}"]]
-    names = _PUBLISHED[suffix, ct]
+    names = _PUBLISHED[suffix][ct is ChallengeType.B]
     violation = f"viol_{suffix}" in line
     if violation and line[f"viol_{suffix}"] is not True:
         raise ValueError(f"viol_{suffix} is written only as true")
@@ -458,8 +506,6 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         raise ReplayError("transcript header has no valid round count") from exc
     try:  # the one statement of the family: valid, and written as the writer writes it
         params = EtcfParams(**header["etcf"])
-        if any(type(getattr(params, size)) is not int for size in ("domain_bits", "n", "m", "q")):
-            raise TypeError("ETCF sizes must be integers")
         params.validate()
         if _etcf_header(params) != header["etcf"]:
             raise ValueError("the family is not stated as the writer states it")

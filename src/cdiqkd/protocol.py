@@ -5,10 +5,18 @@ strategy.  A session runs n independent rounds (challenge types sampled
 independently per side) and decides each round once, as its block yields
 it: it counts the round's type, drops a sifted (mismatched-challenge)
 round, scores a test round and counts its verdict (in the Bell-test QBER
-cells too when both questions are computational), and sets a generation
-round aside.  Estimation then reads only that tally, aborting when the
-test failure fraction exceeds epsilon; otherwise the raw key comes from
-the set-aside rounds whose questions are both computational.
+cells too when both questions are computational), and computes a
+generation round's key-bit pair, kept as two bits.  Estimation then reads
+only that tally, aborting when the test failure fraction exceeds epsilon
+(the bits are dropped); otherwise the raw key is the pairs of the
+generation rounds whose questions are both computational.
+
+Once a block is decided, its records go to the session's block consumer:
+``run_session`` collects them in ``SessionResult.records`` unless the
+caller passes ``on_block``, which ``harness.run_experiment`` does to write
+each block's transcript and store lines.  Such a session holds one block
+of records, keys and trapdoors at a time, so its memory does not grow
+with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
@@ -32,6 +40,7 @@ the same object twice gives the same session.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -142,7 +151,7 @@ class RoundRecord:
 @dataclass
 class SessionResult:
     params: ProtocolParams  # the parameters the session ran with
-    records: list[RoundRecord]
+    records: list[RoundRecord]  # empty when the blocks went to an ``on_block`` consumer
     aborted: bool
     fail_fraction: float
     raw_key_a: np.ndarray
@@ -160,7 +169,7 @@ class SessionResult:
 
     @property
     def rounds(self) -> int:
-        return len(self.records)
+        return self.params.rounds
 
 
 def classify_round(
@@ -377,11 +386,18 @@ def _bell_check(record: RoundRecord) -> WinFlag:
     return WinFlag.PASS
 
 
-def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> SessionResult:
+def run_session(
+    device: DeviceStrategy,
+    params: ProtocolParams,
+    seed,
+    on_block: Callable[[list[RoundRecord]], None] | None = None,
+) -> SessionResult:
     """Run the full pipeline: rounds, sifting, estimation, key extraction.
 
     Each round is decided once, as its block yields it; everything after
-    the block loop reads the tally and the set-aside generation rounds.
+    the block loop reads the tally and the generation rounds' key bits.
+    Each block's decided records then go to ``on_block(records)`` if given,
+    and are collected in the result's ``records`` if not.
     """
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -390,43 +406,52 @@ def run_session(device: DeviceStrategy, params: ProtocolParams, seed) -> Session
     from .streams import block_streams
 
     records: list[RoundRecord] = []
-    generation: list[RoundRecord] = []
-    tally: Counter = Counter()  # round types, test verdicts and ("qber", verdict) cells
+    consume = records.extend if on_block is None else on_block
+    key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
+    tally: Counter = Counter()  # round types, test verdicts, ("qber", verdict) cells, tags
     for block in block_streams(master, params.rounds):
+        decided: list[RoundRecord] = []
         for record in _run_block(device, params, block):
-            records.append(record)
+            decided.append(record)
             tally[record.round_type] += 1
             if record.round_type is RoundType.SIFTED:
                 continue
             if record.test_tag is TestTag.GENERATE:
-                generation.append(record)
+                tally[TestTag.GENERATE] += 1
+                pair = _generation_bits(record)  # pure: draws nothing, so safe to take now
+                if pair is not None:
+                    key_a.append(pair[0])
+                    key_b.append(pair[1])
                 continue
             record.win = win_condition(record)
             tally[record.win] += 1
             if record.round_type is RoundType.BELL and _both_computational(record):
                 tally["qber", record.win] += 1
+        consume(decided)
 
     failed = tally[WinFlag.FAIL]
     tested = tally[WinFlag.PASS] + failed
     fail_fraction = failed / tested if tested else 0.0
     aborted = fail_fraction > params.epsilon
-    bits = [] if aborted else [_generation_bits(record) for record in generation]
-    kept = [pair for pair in bits if pair is not None]
+    if aborted:
+        key_a.clear()
+        key_b.clear()
+    generated = tally[TestTag.GENERATE]
     return SessionResult(
         params=params,
         records=records,
         aborted=aborted,
         fail_fraction=fail_fraction,
-        raw_key_a=np.array([a for a, _ in kept], dtype=np.uint8),
-        raw_key_b=np.array([b for _, b in kept], dtype=np.uint8),
+        raw_key_a=np.array(key_a, dtype=np.uint8),
+        raw_key_b=np.array(key_b, dtype=np.uint8),
         sifted_count=tally[RoundType.BELL] + tally[RoundType.PRODUCT],
         tested_count=tested,
         failed_count=failed,
         bell_count=tally[RoundType.BELL],
         product_count=tally[RoundType.PRODUCT],
-        generate_count=len(generation),
-        matched_count=len(kept),
-        dropped_count=len(bits) - len(kept),
+        generate_count=generated,
+        matched_count=len(key_a),
+        dropped_count=0 if aborted else generated - len(key_a),
         qber_tested=tally["qber", WinFlag.PASS] + tally["qber", WinFlag.FAIL],
         qber_failed=tally["qber", WinFlag.FAIL],
     )

@@ -79,6 +79,28 @@ class TestParams:
         with pytest.raises(ValueError):
             EtcfParams(family="lwe").validate()
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            EtcfParams(family="toy-lattice", n=3, m=6, q=17.0),
+            EtcfParams(family="toy-lattice", n=3.0, m=6, q=17),
+            EtcfParams(family="toy-lattice", n=3, m=True, q=17),
+            EtcfParams(family="ideal", domain_bits=4.0),
+            EtcfParams(family="ideal", domain_bits=True),
+            EtcfParams(family="ideal", domain_bits="4"),
+        ],
+        ids=["float-q", "float-n", "bool-m", "float-domain-bits", "bool-domain-bits",
+             "str-domain-bits"],
+    )
+    def test_sizes_must_be_integers(self, params):
+        with pytest.raises(ValueError, match="must be an integer"):
+            params.validate()
+
+    def test_only_the_family_sizes_are_checked(self):
+        # The lattice sizes have no meaning for the ideal family, nor domain_bits for the lattice.
+        EtcfParams(family="ideal", domain_bits=4, q=17.0).validate()
+        EtcfParams(family="toy-lattice", domain_bits=None, n=3, m=6, q=17).validate()
+
 
 class TestIdealClawFree:
     def test_every_image_point_has_exactly_two_preimages(self):

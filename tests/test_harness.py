@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdiqkd import harness
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
+from cdiqkd.devices import make_device
 from cdiqkd.etcf import EtcfParams, _array_from_hex, _array_to_hex, trapdoor_to_dict
 from cdiqkd.harness import (
     EXIT_ABORTED,
@@ -23,7 +25,8 @@ from cdiqkd.harness import (
     run_experiment,
 )
 from cdiqkd.postprocess import final_length
-from cdiqkd.protocol import RoundType, TestTag
+from cdiqkd.protocol import RoundType, TestTag, run_session
+from cdiqkd.streams import STREAM_BLOCK
 
 ALLOWED_GENERATE_FIELDS = {
     "record", "i", "theta_a", "theta_b", "ct_a", "ct_b", "rt", "tag", "win", "x", "y",
@@ -83,6 +86,7 @@ class TestRunExperiment:
 
     def test_classical_random_aborts_with_exit_2(self):
         outcome = run_experiment(config(rounds=256, device="classical-random", seed=3))
+        assert outcome.session.records == []  # a run keeps no records, with files or without
         assert outcome.exit_code == EXIT_ABORTED
         assert outcome.summary["aborted"]
         assert outcome.summary["final_key_length"] == 0
@@ -145,6 +149,28 @@ class TestRunExperiment:
         k2 = (paths[1] / "transcript.jsonl.keys").read_bytes()
         assert k1 == k2
 
+    def test_memory_does_not_grow_with_rounds(self, tmp_path):
+        # Each block's lines are written once it is decided, and its records,
+        # keys and trapdoors dropped: only the raw-key bits grow with the rounds.
+        run_experiment(config(tmp_path, rounds=STREAM_BLOCK, seed=35))  # warm the caches
+        peaks = {}
+        for rounds in (16 * STREAM_BLOCK, 32 * STREAM_BLOCK):
+            tracemalloc.start()
+            try:
+                run_experiment(config(tmp_path, rounds=rounds, seed=35))
+                peaks[rounds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32 * STREAM_BLOCK] - peaks[16 * STREAM_BLOCK] < 1024 * 1024
+
+
+def _counts(session) -> tuple:
+    return (
+        session.rounds, session.sifted_count, session.tested_count, session.failed_count,
+        session.bell_count, session.product_count, session.generate_count,
+        session.matched_count, session.dropped_count, session.qber_tested, session.qber_failed,
+    )
+
 
 class TestTranscriptPrivacy:
     def test_generate_round_data_never_leaves_the_engine(self, tmp_path):
@@ -155,9 +181,15 @@ class TestTranscriptPrivacy:
         summary_text = (tmp_path / "summary.json").read_text()
         everything = transcript_text + store_text + summary_text
 
+        # run_experiment keeps no records; by the determinism contract the
+        # session its first spawned seed runs is the one it wrote.
+        assert outcome.session.records == []
+        session_seed = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+        session = run_session(make_device(cfg.device), cfg.protocol_params(), session_seed)
+        assert _counts(session) == _counts(outcome.session)
         generate_records = [
             r
-            for r in outcome.session.records
+            for r in session.records
             if r.test_tag is TestTag.GENERATE and r.round_type is RoundType.BELL
         ]
         assert generate_records
@@ -938,6 +970,24 @@ class TestMalformedInputExitsOne:
             path.write_text(content)
         assert main(["--rounds", "16", "--device", f"classical-table:{path}"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--transcript", "{missing}/t.jsonl"],
+         ["--transcript", "{tmp}/t.jsonl", "--trapdoors", "{missing}/t.keys"],
+         ["--summary", "{missing}/s.json"]],
+        ids=["transcript", "trapdoors", "summary"],
+    )
+    def test_unwritable_output_path(self, tmp_path, capsys, monkeypatch, flags):
+        # Each output file is opened before the first round, so no session runs.
+        def no_session(*args):
+            raise AssertionError("the session ran before its output files were opened")
+
+        monkeypatch.setattr(harness, "run_session", no_session)
+        paths = [f.format(missing=tmp_path / "missing", tmp=tmp_path) for f in flags]
+        assert main(["--rounds", "64", *paths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
 
 
 # SHA-256 of (transcript, trapdoor store, summary) under stream layout v2,
