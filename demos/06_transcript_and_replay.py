@@ -4,7 +4,8 @@ An experiment writes three artifacts: a transcript (one line per round,
 published data only), a trapdoor store (the verifiers' key material for
 test rounds, enough to recompute every check), and a summary document.
 The replay auditor recomputes every verdict and the abort decision from
-those files alone, so any tampering is caught and localized.
+those files alone, so tampering with anything a check reads is caught and
+localized.
 """
 
 import json
@@ -48,11 +49,13 @@ print(f"replay verdict on the untouched transcript: {report.verdict}")
 print(f"test rounds re-checked: {report.rounds_checked}")
 print()
 
-# Flip one published answer bit and audit again.
+# Flip one published answer bit of a Bell test round with equal questions,
+# whose parity check reads both answers, and audit again.
 tampered = workdir / "tampered.jsonl"
 for index, line in enumerate(lines):
     entry = json.loads(line)
-    if entry.get("rt") == "bell" and entry.get("tag") == "test" and "a" in entry:
+    if (entry.get("rt") == "bell" and entry.get("tag") == "test" and "a" in entry
+            and entry["x"] == entry["y"]):
         entry["a"] ^= 1
         lines[index] = json.dumps(entry)
         print(f"flipping Alice's answer in round {entry['i']}")

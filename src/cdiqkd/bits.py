@@ -24,14 +24,3 @@ def to_hex(value: int, width: int) -> str:
     nibbles = (width + 3) // 4
     return format(value, f"0{nibbles}x")
 
-
-def from_hex(text: str, width: int) -> int:
-    """Inverse of to_hex: the width-bit value that to_hex writes as exactly ``text``.
-
-    Any other text (upper case, a prefix, other padding, a wider value)
-    raises ValueError, and a non-string raises TypeError.
-    """
-    value = int(text, 16)
-    if not fits(value, width) or to_hex(value, width) != text:
-        raise ValueError(f"{text!r} is not a {width}-bit hex string")
-    return value

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FIELD_TYPES, ConfigError, ExperimentConfig
-from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment, store_path
+from .config import FIELD_TYPES, ConfigError, ExperimentConfig, store_path
+from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:

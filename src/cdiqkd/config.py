@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict, fields
 
 from .devices import make_device
@@ -13,6 +14,11 @@ from .protocol import ProtocolParams
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
+
+
+def store_path(transcript: str, trapdoors: str | None) -> str:
+    """The trapdoor store path: ``trapdoors`` if given, else ``transcript`` + ".keys"."""
+    return trapdoors or transcript + ".keys"
 
 
 # The family and rate-bound defaults are those of the parameter classes.
@@ -43,7 +49,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for any value the run would reject, before it runs.
 
-        The session and rate-bound parameters own their ranges.
+        The session and rate-bound parameters own their ranges; the files a
+        run writes must be different files.
         """
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -60,6 +67,11 @@ class ExperimentConfig:
             self.keyrate_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        outputs = [self.summary] if self.summary else []
+        if self.transcript:
+            outputs += [self.transcript, store_path(self.transcript, self.trapdoors)]
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise ConfigError(f"summary, transcript and trapdoor store name one file: {outputs}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -7,12 +7,16 @@ parties' published data (commitments, responses, questions, answers,
 herald bits); the verifiers' trapdoor for each side of those rounds goes,
 in round order, to a separate trapdoor-store file (format 3: one object
 per side, no family or size), so the replay audit recomputes every check
-in one forward pass over both files.  Replay takes only what the writer
-writes.  Generation rounds publish only state bases, challenge types,
-tags, and question bases - their commitments, responses, and key
-material are discarded and never reach any output file.  The runner
-appends each block of rounds to both files as soon as the block is
-decided, so it never holds a whole session's records.
+in one forward pass over both files.  Generation rounds publish only
+state bases, challenge types, tags, and question bases - their
+commitments, responses, and key material are discarded and never reach
+any output file.  The runner appends each block of rounds to both files
+as soon as the block is decided, so it never holds a whole session's
+records.
+
+The writer's functions are the one statement of both formats: replay
+reads each line into the values it was written from and keeps it only if
+the writer's own function writes those values back as that line.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -29,57 +33,57 @@ from typing import TextIO
 
 import numpy as np
 
-from .bits import from_hex, to_hex
-from .config import ExperimentConfig
+from .bits import to_hex
+from .config import ExperimentConfig, store_path
 from .devices import ChallengeType, make_device
-from .etcf import EtcfParams, trapdoor_from_dict, trapdoor_to_dict
+from .etcf import EtcfParams, Trapdoor, trapdoor_from_dict, trapdoor_to_dict
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
+    ProtocolParams,
     RoundRecord,
     RoundType,
     SessionResult,
     SideRecord,
     TestTag,
     WinFlag,
+    abort_decision,
     classify_round,
+    ingest_side,
     run_session,
     win_condition,
 )
 from .quantum import MeasurementBasis
+from .streams import STREAM_LAYOUT
 
 EXIT_KEY_PRODUCED = 0
 EXIT_USAGE = 1
 EXIT_ABORTED = 2
 
-_BASIS_CODE = {MeasurementBasis.COMPUTATIONAL: "C", MeasurementBasis.HADAMARD: "H"}
-_BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": MeasurementBasis.HADAMARD}
+# Each line written or replayed reads Enum members by ``is`` or ``_value_``:
+# hashing a member or reading ``.value`` is a Python-level call.
+_HADAMARD = MeasurementBasis.HADAMARD
+_CHALLENGE_B = ChallengeType.B
+_SIFTED = RoundType.SIFTED
+_TEST, _GENERATE = TestTag.TEST, TestTag.GENERATE
+_NA = WinFlag.NA
+_BASIS_CODE = ("C", "H")  # indexed by basis is _HADAMARD
+_BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": _HADAMARD}
 _CHALLENGE_FROM = {ct.value: ct for ct in ChallengeType}
+_WIN_FROM = {win.value: win for win in WinFlag}
 _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 3
 
-# The fields a test round line publishes for each side, indexed by whether its
-# challenge is b, in the order the writer writes them; a side whose device sent
-# a malformed message adds ``viol_<s>`` and lacks each response the device got
-# wrong.  Every round line holds the common fields; a generation round adds its
-# bases.
-_PUBLISHED = {
-    "a": (("c_a", "z_a"), ("c_a", "d_a", "x", "a", "h_a")),
-    "b": (("c_b", "z_b"), ("c_b", "d_b", "y", "b", "h_b")),
+# Side <s>'s fields: commitment, preimage (challenge a), phase string, question,
+# answer and herald bit (challenge b), and the mark of a malformed message.
+_SIDE_FIELDS = {
+    s: (f"c_{s}", f"z_{s}", f"d_{s}", question, s, f"h_{s}", f"viol_{s}")
+    for s, question in (("a", "x"), ("b", "y"))
 }
-_COMMON_FIELDS = frozenset(
-    ("record", "i", "theta_a", "theta_b", "ct_a", "ct_b", "rt", "tag", "win")
-)
-_GENERATE_FIELDS = _COMMON_FIELDS | {"x", "y"}
 _KEYS_FIELDS = frozenset(("record", "i", "a", "b"))
-
-
-def store_path(transcript: str, trapdoors: str | None) -> str:
-    """The trapdoor store path: ``trapdoors`` if given, else ``transcript`` + ".keys"."""
-    return trapdoors or transcript + ".keys"
 
 
 class ReplayError(ValueError):
@@ -108,47 +112,47 @@ def _bits_hex(bits: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _side_fields(side: SideRecord, suffix: str) -> dict:
-    names = _PUBLISHED[suffix][side.ct is ChallengeType.B]
-    fields: dict = {names[0]: to_hex(side.c, side.key.codomain_bits)}
-    if side.ct is ChallengeType.A:
+def _add_side_fields(line: dict, side: SideRecord, suffix: str) -> None:
+    c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
+    key = side.trapdoor.key
+    line[c_name] = to_hex(side.c, key.codomain_bits)
+    if side.ct is not _CHALLENGE_B:
         if side.z is not None:
-            fields[names[1]] = to_hex(side.z, 1 + side.key.domain_bits)
+            line[z_name] = to_hex(side.z, 1 + key.domain_bits)
     else:
-        _, d_name, question_name, answer_name, h_name = names
         if side.d is not None:
-            fields[d_name] = to_hex(side.d, side.key.domain_bits)
-        fields[question_name] = _BASIS_CODE[side.question]
+            line[d_name] = to_hex(side.d, key.domain_bits)
+        line[question_name] = _BASIS_CODE[side.question is _HADAMARD]
         if side.answer is not None:
-            fields[answer_name] = side.answer
-            fields[h_name] = side.h
+            line[answer_name] = side.answer
+            line[h_name] = side.h
     if side.violation:
-        fields[f"viol_{suffix}"] = True
-    return fields
+        line[viol_name] = True
 
 
 def _round_line(record: RoundRecord) -> dict:
+    alice, bob = record.alice, record.bob
     line = {
         "record": "round",
         "i": record.index,
-        "theta_a": _BASIS_CODE[record.alice.theta],
-        "theta_b": _BASIS_CODE[record.bob.theta],
-        "ct_a": record.alice.ct.value,
-        "ct_b": record.bob.ct.value,
-        "rt": record.round_type.value,
-        "tag": record.test_tag.value,
-        "win": record.win.value,
+        "theta_a": _BASIS_CODE[alice.theta is _HADAMARD],
+        "theta_b": _BASIS_CODE[bob.theta is _HADAMARD],
+        "ct_a": alice.ct._value_,
+        "ct_b": bob.ct._value_,
+        "rt": record.round_type._value_,
+        "tag": record.test_tag._value_,
+        "win": record.win._value_,
     }
-    if record.round_type is RoundType.SIFTED:
+    if record.round_type is _SIFTED:
         return line
-    if record.test_tag is TestTag.TEST:
-        line.update(_side_fields(record.alice, "a"))
-        line.update(_side_fields(record.bob, "b"))
+    if record.test_tag is _TEST:
+        _add_side_fields(line, alice, "a")
+        _add_side_fields(line, bob, "b")
     else:
         # Generation round: question bases are published for key matching,
         # everything else stays private and is discarded.
-        line["x"] = _BASIS_CODE[record.alice.question]
-        line["y"] = _BASIS_CODE[record.bob.question]
+        line["x"] = _BASIS_CODE[alice.question is _HADAMARD]
+        line["y"] = _BASIS_CODE[bob.question is _HADAMARD]
     return line
 
 
@@ -165,28 +169,28 @@ def _write_line(fh: TextIO, entry: dict) -> None:
     fh.write(json.dumps(entry) + "\n")
 
 
-def _transcript_header(config: ExperimentConfig) -> dict:
+def _transcript_header(params: ProtocolParams, device: str) -> dict:
     return {
         "record": "header",
-        "version": 2,
-        "rounds": config.rounds,
-        "epsilon": sig12(config.epsilon),
-        "etcf": _etcf_header(config.etcf_params()),
-        "device": config.device,
+        "version": STREAM_LAYOUT,
+        "rounds": params.rounds,
+        "epsilon": sig12(params.epsilon),
+        "etcf": _etcf_header(params.etcf),
+        "device": device,
     }
 
 
-def _transcript_footer(session: SessionResult) -> dict:
+def _transcript_footer(tested: int, failed: int, fail_fraction: float, aborted: bool) -> dict:
     return {
         "record": "footer",
-        "tested": session.tested_count,
-        "failed": session.failed_count,
-        "fail_fraction": sig12(session.fail_fraction),
-        "aborted": session.aborted,
+        "tested": tested,
+        "failed": failed,
+        "fail_fraction": sig12(fail_fraction),
+        "aborted": aborted,
     }
 
 
-_STORE_HEADER = {"record": "keys-header", "version": 2, "format": STORE_FORMAT}
+_STORE_HEADER = {"record": "keys-header", "version": STREAM_LAYOUT, "format": STORE_FORMAT}
 
 
 def write_transcript(fh: TextIO, records: list[RoundRecord]) -> None:
@@ -198,7 +202,7 @@ def write_transcript(fh: TextIO, records: list[RoundRecord]) -> None:
 def write_trapdoor_store(fh: TextIO, records: list[RoundRecord]) -> None:
     """Append the ``keys`` lines of the test rounds among ``records`` to an open store."""
     for record in records:
-        if record.round_type is not RoundType.SIFTED and record.test_tag is TestTag.TEST:
+        if record.round_type is not _SIFTED and record.test_tag is _TEST:
             _write_line(fh, _keys_line(record))
 
 
@@ -269,12 +273,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             store = files.enter_context(
                 open(store_path(config.transcript, config.trapdoors), "w", encoding="utf-8")
             )
-            _write_line(transcript, _transcript_header(config))
+            _write_line(transcript, _transcript_header(config.protocol_params(), config.device))
             _write_line(store, _STORE_HEADER)
             on_block = partial(_write_block, transcript, store)
         session = run_session(device, config.protocol_params(), session_seq, on_block)
         if config.transcript:
-            _write_line(transcript, _transcript_footer(session))
+            _write_line(transcript, _transcript_footer(
+                session.tested_count, session.failed_count, session.fail_fraction, session.aborted
+            ))
         outcome = _post_process(config, session, np.random.Generator(np.random.PCG64(post_seq)))
         if summary is not None:
             summary.write(json.dumps(outcome.summary, indent=2) + "\n")
@@ -390,53 +396,35 @@ def _exact_int(value) -> int:
     return value
 
 
-def _bit(value) -> int:
-    if _exact_int(value) not in (0, 1):
-        raise ValueError(f"{value!r} is not a bit")
-    return value
+def _same(value, written) -> bool:
+    """True iff ``value`` is the JSON ``written``: ``==`` alone takes 1, 1.0 and true as one."""
+    return json.dumps(value) == json.dumps(written)
 
 
-def _side_from_line(line: dict, suffix: str, trapdoor) -> tuple[SideRecord, int]:
-    """One side of a test round line, and the number of the line's fields it holds.
-
-    Raises on a malformed field and on a missing one: only a side marked
-    ``viol_<s>: true`` may lack a response (``z``, ``d``, or the answer with
-    its herald bit), as the writer drops each one the device got wrong.
+def _side_from_line(line: dict, suffix: str, theta, ct, trapdoor: Trapdoor | None) -> SideRecord:
+    """One side of a round line, its basis and challenge read.  Given a test round's
+    trapdoor, its commitment and responses go through ``ingest_side``, so one that is
+    missing or malformed is a violation, which the writer marks ``viol_<s>: true``.
     """
-    key = trapdoor.key
-    ct = _CHALLENGE_FROM[line[f"ct_{suffix}"]]
-    names = _PUBLISHED[suffix][ct is ChallengeType.B]
-    violation = f"viol_{suffix}" in line
-    if violation and line[f"viol_{suffix}"] is not True:
-        raise ValueError(f"viol_{suffix} is written only as true")
-    side = SideRecord(
-        theta=_BASIS_FROM[line[f"theta_{suffix}"]],
-        trapdoor=trapdoor,
-        c=from_hex(line[names[0]], key.codomain_bits),
-        ct=ct,
-        violation=violation,
+    c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
+    question = line.get(question_name)
+    question = None if question is None else _BASIS_FROM[question]
+    if trapdoor is None:
+        return SideRecord(theta, None, 0, ct, question=question)
+    response = line.get(d_name if ct is _CHALLENGE_B else z_name)
+    side = ingest_side(
+        theta, trapdoor, _hex(line.get(c_name)), ct, _hex(response), question,
+        line.get(answer_name), line.get(h_name),
     )
-    if ct is ChallengeType.A:
-        if names[1] in line or not violation:
-            side.z = from_hex(line[names[1]], 1 + key.domain_bits)
-    else:
-        _, d_name, question_name, answer_name, h_name = names
-        side.question = _BASIS_FROM[line[question_name]]
-        if d_name in line or not violation:
-            side.d = from_hex(line[d_name], key.domain_bits)
-        if answer_name in line or h_name in line or not violation:
-            side.answer, side.h = _bit(line[answer_name]), _bit(line[h_name])
-    return side, violation + sum(name in line for name in names)
+    marked = line.get(viol_name, False)
+    if type(marked) is not bool:  # == would take 1 or 1.0 for the true the writer writes
+        raise TypeError(f"{viol_name} is written only as true")
+    side.violation |= marked
+    return side
 
 
-def _is_unscored_line(line: dict, generate: bool) -> bool:
-    """True iff a sifted or generation round line holds just what the writer writes."""
-    if line.get("win") != "na":
-        return False
-    if not generate:
-        return line.keys() == _COMMON_FIELDS
-    bases = _BASIS_CODE.values()  # read with ==, so an unhashable value is no basis
-    return line.keys() == _GENERATE_FIELDS and line["x"] in bases and line["y"] in bases
+def _hex(text: str | None) -> int | None:
+    return None if text is None else int(text, 16)
 
 
 def _records(path: str):
@@ -460,13 +448,13 @@ def _records(path: str):
 def _store_entries(path: str, params: EtcfParams):
     """(round index, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
 
-    The first record must be the format-3 header and every later one a
-    ``keys`` entry holding just what the writer writes for two trapdoors of
-    the family ``params``; raises ReplayError otherwise.
+    The first record must be the header the writer writes and every later
+    one a ``keys`` entry holding just what the writer writes for two
+    trapdoors of the family ``params``; raises ReplayError otherwise.
     """
     records = _records(path)
     _, header = next(records, (0, None))
-    if not header or header.get("record") != "keys-header" or header.get("format") != STORE_FORMAT:
+    if header is None or not _same(header, _STORE_HEADER):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
     for number, entry in records:
         try:
@@ -480,39 +468,41 @@ def _store_entries(path: str, params: EtcfParams):
         yield index, (trapdoor_a, trapdoor_b)
 
 
+# The footer's fields as its mismatch messages name them.
+_FOOTER_LABELS = {
+    "tested": "tested count", "failed": "failed count",
+    "fail_fraction": "fail fraction", "aborted": "abort decision",
+}
+
+
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order.  Corrupt round lines yield a
-    mismatch naming the line, and so does a round index that is not the next
-    of ``0..rounds-1`` (a duplicate, a gap or one out of range), or a test
-    round whose store entry is missing or out of order; rounds missing at the
-    end are a footer mismatch.  A missing footer (a truncated transcript)
-    raises ReplayError naming the last good line; so do an unusable header,
-    a store without its format-3 header and a corrupt trapdoor-store entry.
-    The ETCF family and its sizes are read once, from the transcript header.
+    Both files are read once, in round order.  A round line the writer would
+    not write for the values read from it yields a mismatch naming the line,
+    and so does a round index that is not the next of ``0..rounds-1`` (a
+    duplicate, a gap or one out of range), or a test round whose store entry
+    is missing or out of order; rounds missing at the end, and any footer
+    but the one written from the recomputed counts, are footer mismatches.
+    A missing footer (a truncated transcript) raises ReplayError naming the
+    last good line; so do a header the writer would not write, a store
+    without its header and a corrupt trapdoor-store entry.  The ETCF family
+    and its sizes are read once, from the transcript header.
     """
     lines = _records(transcript_path)
     _, header = next(lines, (0, None))
-    if header is None or header.get("record") != "header":
-        raise ReplayError("transcript has no valid header line")
     try:
-        epsilon = float(header["epsilon"])
-    except _MALFORMED as exc:
-        raise ReplayError("transcript header has no valid epsilon") from exc
-    try:
-        rounds = _exact_int(header.get("rounds"))
-    except TypeError as exc:
-        raise ReplayError("transcript header has no valid round count") from exc
-    try:  # the one statement of the family: valid, and written as the writer writes it
-        params = EtcfParams(**header["etcf"])
+        etcf = EtcfParams(**header["etcf"])
+        params = ProtocolParams(_exact_int(header["rounds"]), header["epsilon"], etcf)
         params.validate()
-        if _etcf_header(params) != header["etcf"]:
-            raise ValueError("the family is not stated as the writer states it")
+        device = header["device"]  # only a string: a classical-table: file need not exist here
+        if type(device) is not str or not _same(header, _transcript_header(params, device)):
+            raise ValueError("the header is not written as the writer writes it")
     except _MALFORMED as exc:
-        raise ReplayError("transcript header has no valid etcf") from exc
+        raise ReplayError("transcript has no valid header line") from exc
 
-    store = _store_entries(trapdoor_store_path, params)
+    rounds = params.rounds
+    store = _store_entries(trapdoor_store_path, etcf)
     held_index, held = float("-inf"), None  # the store entry last read
     mismatches: list[str] = []
     tested = failed = 0
@@ -534,12 +524,9 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             continue
         try:
             index = _exact_int(entry["i"])
-            recomputed_rt = classify_round(
-                _CHALLENGE_FROM[entry["ct_a"]],
-                _CHALLENGE_FROM[entry["ct_b"]],
-                _BASIS_FROM[entry["theta_a"]],
-                _BASIS_FROM[entry["theta_b"]],
-            )
+            ct_a, ct_b = _CHALLENGE_FROM[entry["ct_a"]], _CHALLENGE_FROM[entry["ct_b"]]
+            theta_a, theta_b = _BASIS_FROM[entry["theta_a"]], _BASIS_FROM[entry["theta_b"]]
+            recomputed_rt = classify_round(ct_a, ct_b, theta_a, theta_b)
         except _MALFORMED:
             mismatches.append(f"line {number}: corrupt record")
             next_index += 1
@@ -549,7 +536,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         elif index != next_index:
             mismatches.append(f"line {number}: round index {index} should be {next_index}")
         next_index = index + 1
-        if recomputed_rt.value != entry.get("rt"):
+        if recomputed_rt._value_ != entry.get("rt"):
             mismatches.append(f"line {number}: round {index} type should be {recomputed_rt.value}")
             continue
         tag = entry.get("tag")
@@ -557,34 +544,40 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             # Only Bell rounds are ever drawn for key generation.
             mismatches.append(f"line {number}: round {index} tag should be test")
             continue
-        if recomputed_rt is RoundType.SIFTED or tag != "test":
-            if not _is_unscored_line(entry, tag == "generate"):
-                mismatches.append(f"line {number}: corrupt record")
-            continue
-        while held_index < index:
-            held_index, held = next(store, (float("inf"), None))
-        if held_index != index:
-            mismatches.append(f"line {number}: round {index} has no key material in the store")
-            continue
-        trapdoor_a, trapdoor_b = held
+        scored = recomputed_rt is not _SIFTED and tag == "test"
+        trapdoors = None, None  # an unscored round's sides have none
+        if scored:
+            while held_index < index:
+                held_index, held = next(store, (float("inf"), None))
+            if held_index != index:
+                mismatches.append(f"line {number}: round {index} has no key material in the store")
+                continue
+            trapdoors = held
         try:
-            alice, fields_a = _side_from_line(entry, "a", trapdoor_a)
-            bob, fields_b = _side_from_line(entry, "b", trapdoor_b)
-            if "win" not in entry or len(entry) != len(_COMMON_FIELDS) + fields_a + fields_b:
-                raise ValueError("the line holds a field its round does not publish")
-            verdict = win_condition(RoundRecord(
-                index=index, alice=alice, bob=bob, round_type=recomputed_rt, test_tag=TestTag.TEST
-            ))
+            record = RoundRecord(  # a test round's win is read as written, for the check below
+                index,
+                _side_from_line(entry, "a", theta_a, ct_a, trapdoors[0]),
+                _side_from_line(entry, "b", theta_b, ct_b, trapdoors[1]),
+                recomputed_rt,
+                _TEST if tag == "test" else _GENERATE,
+                _WIN_FROM[entry["win"]] if scored else _NA,
+            )
+            # Each value the writer copies keeps its JSON type when read (the
+            # index, the bits ingest_side takes and the viol_<s> mark), and every
+            # other one is a string, so == compares as _same does.
+            if entry != _round_line(record):
+                raise ValueError("the line is not written as the writer writes its round")
+            verdict = win_condition(record) if scored else None
         except _MALFORMED:
             mismatches.append(f"line {number}: corrupt record")
+            continue
+        if verdict is None:
             continue
         tested += 1
         if verdict is WinFlag.FAIL:
             failed += 1
-        if verdict.value != entry.get("win"):
-            mismatches.append(
-                f"line {number}: round {index} verdict should be {verdict.value}"
-            )
+        if verdict is not record.win:
+            mismatches.append(f"line {number}: round {index} verdict should be {verdict.value}")
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
@@ -592,17 +585,13 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         pass
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
-    fail_fraction = failed / tested if tested else 0.0
-    recomputed_abort = fail_fraction > epsilon
-    if tested != footer.get("tested"):
-        mismatches.append(f"footer: tested count should be {tested}")
-    if failed != footer.get("failed"):
-        mismatches.append(f"footer: failed count should be {failed}")
-    reported = footer.get("fail_fraction")
-    if not isinstance(reported, (int, float)) or abs(fail_fraction - reported) > 1e-9:
-        mismatches.append(f"footer: fail fraction should be {sig12(fail_fraction)}")
-    if recomputed_abort != bool(footer.get("aborted")):
-        mismatches.append(f"footer: abort decision should be {recomputed_abort}")
+    written = _transcript_footer(tested, failed, *abort_decision(tested, failed, params.epsilon))
+    if not _same(footer, written):
+        mismatches += [
+            f"footer: {label} should be {written[name]}"
+            for name, label in _FOOTER_LABELS.items()
+            if not _same(footer.get(name), written[name])
+        ] or [f"footer: should be {json.dumps(written)}"]
 
     return ReplayReport(
         verdict="match" if not mismatches else "mismatch",

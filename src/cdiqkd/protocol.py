@@ -69,6 +69,7 @@ from .quantum import (
     plus_minus,
     tensor,
 )
+from .streams import block_streams
 
 SUPPORT_TOLERANCE = 1e-9
 # The public coins of a round, in the column order a block draws them.
@@ -207,7 +208,7 @@ def bell_label_bit(d: int, x0: int, x1: int, width: int | None = None) -> int:
 
 
 def _is_bit(value) -> bool:
-    return isinstance(value, (int, np.integer)) and value in (0, 1)
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and value in (0, 1)
 
 
 _BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
@@ -243,21 +244,23 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
         round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
         yield RoundRecord(
             index=block.start + offset,
-            alice=_ingest_side(theta_a, trap_a, c_a, ct_a, resp_a, x, a, h_a),
-            bob=_ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
+            alice=ingest_side(theta_a, trap_a, c_a, ct_a, resp_a, x, a, h_a),
+            bob=ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
             round_type=round_type,
             test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
         )
 
 
-def _ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
+def ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
     """One side's record of the device's messages.
 
-    Malformed device responses (wrong widths, non-bit answers) are noted on
-    the side as a violation and later scored as failures; they never raise.
+    Malformed or missing device responses (wrong widths, answers that are
+    not the integers 0 or 1) are noted on the side as a violation and later
+    scored as failures; they never raise.  Replay reads a round line's side
+    through this too.
     """
     key = trapdoor.key
-    side = SideRecord(theta=theta, trapdoor=trapdoor, c=0, ct=ct, question=question)
+    side = SideRecord(theta, trapdoor, 0, ct, question=question)
     if isinstance(c, (int, np.integer)) and fits(int(c), key.codomain_bits):
         side.c = int(c)
     else:
@@ -401,10 +404,6 @@ def run_session(
     """
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # Imported here: the streams module loads numpy.random, which a session
-    # needs and the rest of the package does not.
-    from .streams import block_streams
-
     records: list[RoundRecord] = []
     consume = records.extend if on_block is None else on_block
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
@@ -431,8 +430,7 @@ def run_session(
 
     failed = tally[WinFlag.FAIL]
     tested = tally[WinFlag.PASS] + failed
-    fail_fraction = failed / tested if tested else 0.0
-    aborted = fail_fraction > params.epsilon
+    fail_fraction, aborted = abort_decision(tested, failed, params.epsilon)
     if aborted:
         key_a.clear()
         key_b.clear()
@@ -455,6 +453,13 @@ def run_session(
         qber_tested=tally["qber", WinFlag.PASS] + tally["qber", WinFlag.FAIL],
         qber_failed=tally["qber", WinFlag.FAIL],
     )
+
+
+def abort_decision(tested: int, failed: int, epsilon: float) -> tuple[float, bool]:
+    """The test rounds' failure fraction (0 with none), and whether it exceeds epsilon: the
+    abort rule of the session and of the replay audit."""
+    fail_fraction = failed / tested if tested else 0.0
+    return fail_fraction, fail_fraction > epsilon
 
 
 def _generation_bits(record: RoundRecord) -> tuple[int, int] | None:

@@ -18,13 +18,12 @@ the stream id is one byte and k eight little-endian bytes.  The streams:
 
 Knowing one block's key tells nothing of any other stream or block.
 
-Importing this module loads ``numpy.random``; ``protocol`` imports it when a
-session first runs, not when the package is imported.
+``STREAM_LAYOUT`` is the layout's number.  It is part of ``DOMAIN``, and the
+transcript and trapdoor-store headers state it as their ``version``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -32,7 +31,8 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-DOMAIN = b"cdiqkd stream layout v2"
+STREAM_LAYOUT = 2
+DOMAIN = f"cdiqkd stream layout v{STREAM_LAYOUT}".encode()
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 
@@ -53,6 +53,8 @@ def session_words(master: np.random.SeedSequence) -> bytes:
 
 def block_key(words: bytes, stream: int, block: int) -> np.ndarray:
     """The Philox key (two uint64 words) of one stream of one block."""
+    import hashlib  # loads OpenSSL: paid by the first session, not by every import
+
     digest = hashlib.sha256(
         DOMAIN + words + stream.to_bytes(1, "little") + block.to_bytes(8, "little")
     ).digest()

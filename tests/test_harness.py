@@ -402,6 +402,10 @@ def _is_header(entry):
     return entry["record"] == "header"
 
 
+def _is_footer(entry):
+    return entry["record"] == "footer"
+
+
 def _is_challenge_a_test(entry):
     return entry["record"] == "round" and entry["tag"] == "test" and "z_a" in entry
 
@@ -460,6 +464,8 @@ CORRUPT_ROUNDS = {
     "missing-question": (_is_bell_test, _without("y")),
     "non-bit-herald": (_is_bell_test, lambda e: e.update(h_a=2)),
     "float-answer": (_is_bell_test, lambda e: e.update(a=float(e["a"]))),
+    "boolean-answer": (_is_bell_test, lambda e: e.update(a=bool(e["a"]))),
+    "boolean-herald": (_is_bell_test, lambda e: e.update(h_b=bool(e["h_b"]))),
     "string-index": (_is_challenge_a_test, lambda e: e.update(i=str(e["i"]))),
     "not-an-object": (_is_bell_test, lambda e: [e["i"]]),
     # A hex field must read exactly as the writer wrote it: lowercase, zero-padded
@@ -478,6 +484,10 @@ CORRUPT_ROUNDS = {
     "extra-field-on-test-round": (_is_challenge_a_test, lambda e: e.update(note=1)),
     "challenge-b-side-with-preimage": (_is_bell_test, lambda e: e.update(z_a=e["d_a"])),
     "false-violation": (_is_challenge_a_test, lambda e: e.update(viol_a=False)),
+    "integer-violation": (_is_challenge_a_test, lambda e: e.update(viol_a=1)),
+    "integer-violation-on-a-dropped-preimage": (
+        _is_challenge_a_test, lambda e: e.pop("z_a") and e.update(viol_a=1)
+    ),
     "generation-round-with-responses": (_is_generate, lambda e: e.update(c_a="00", d_a="0")),
     "generation-round-without-question": (_is_generate, _without("x")),
     "generation-round-with-unknown-question": (_is_generate, lambda e: e.update(x="Q")),
@@ -518,6 +528,15 @@ CORRUPT_HEADERS = {
     # A valid family that is not the store's: its first entry does not decode.
     "toy-lattice-over-ideal-store": _etcf(),
     "wider-ideal-over-ideal-store": _etcf("ideal", domain_bits=9),
+    # The header is exactly what the writer writes for the values read from it.
+    "string-epsilon": lambda e: e.update(epsilon="0.05"),
+    "boolean-epsilon": lambda e: e.update(epsilon=True),
+    "nan-epsilon": lambda e: e.update(epsilon=float("nan")),
+    "epsilon-above-one": lambda e: e.update(epsilon=2.0),
+    "other-version": lambda e: e.update(version=99),
+    "missing-device": _without("device"),
+    "numeric-device": lambda e: e.update(device=3),
+    "extra-field-in-header": lambda e: e.update(note=1),
 }
 FOREIGN_FAMILY_HEADERS = ("toy-lattice-over-ideal-store", "wider-ideal-over-ideal-store")
 
@@ -563,6 +582,7 @@ CORRUPT_STORE_HEADERS = {
     "header-without-format": {"record": "keys-header", "version": 2},  # as before format 2
     "format-1": {"record": "keys-header", "version": 2, "format": 1},
     "format-2": {"record": "keys-header", "version": 2, "format": 2},
+    "other-version": {"record": "keys-header", "version": 7, "format": 3},
 }
 
 STORE_CASES = sorted([*CORRUPT_STORE_ENTRIES, *CORRUPT_STORE_HEADERS])
@@ -649,6 +669,30 @@ CORRUPT_LATTICE_STORE_ENTRIES = {
 }
 
 
+@pytest.fixture(scope="module")
+def aborted_files(tmp_path_factory):
+    """Transcript and trapdoor store lines of one classical-random 256-round run, which aborts."""
+    return _fuzz_files(tmp_path_factory, rounds=256, seed=3, device="classical-random")[0]
+
+
+# Footers of an aborted run that only the writer's spelling tells apart from its
+# own, and the one mismatch each must give (formatted with the true footer).
+CORRUPT_ABORTED_FOOTERS = {
+    "string-abort-flag": (
+        lambda e: e.update(aborted="false"), "footer: abort decision should be True"
+    ),
+    "integer-abort-flag": (lambda e: e.update(aborted=1), "footer: abort decision should be True"),
+    "float-tested-count": (
+        lambda e: e.update(tested=float(e["tested"])), "footer: tested count should be {tested}"
+    ),
+    "extra-field-in-footer": (
+        lambda e: e.update(note=1),
+        'footer: should be {{"record": "footer", "tested": {tested}, "failed": {failed}, '
+        '"fail_fraction": {fail_fraction}, "aborted": true}}',
+    ),
+}
+
+
 def _write(directory, transcript, store):
     paths = (directory / "t.jsonl", directory / "t.jsonl.keys")
     for path, lines in zip(paths, (transcript, store)):
@@ -723,6 +767,16 @@ class TestMalformedReplay:
         tested = json.loads(transcript[-1])["tested"]
         assert report.mismatches == [f"footer: tested count should be {tested}"]
 
+    @pytest.mark.parametrize("name", sorted(CORRUPT_ABORTED_FOOTERS))
+    def test_corrupt_footer_of_an_aborted_run_is_a_mismatch(self, tmp_path, aborted_files, name):
+        transcript, store = aborted_files
+        footer = json.loads(transcript[-1])
+        assert footer["aborted"] is True
+        mutate, message = CORRUPT_ABORTED_FOOTERS[name]
+        lines, _ = _mutated(transcript, _is_footer, mutate)
+        report = replay_verify(*self.write(tmp_path, lines, store))
+        assert report.mismatches == [message.format(**footer)]
+
     @pytest.mark.parametrize("name", sorted(CORRUPT_HEADERS))
     def test_corrupt_header_raises_replay_error(self, tmp_path, audit_files, name):
         transcript, store = audit_files
@@ -787,9 +841,9 @@ class TestMalformedReplay:
 
 
 def _fuzz_files(tmp_path_factory, **overrides):
-    """A valid 64-round transcript and store, and a directory for mutated copies."""
+    """A valid transcript and store (64 rounds by default), and a directory for mutated copies."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
-    run_experiment(config(tmp_path, rounds=64, **overrides))
+    run_experiment(config(tmp_path, **{"rounds": 64, **overrides}))
     lines = tuple(
         tuple((tmp_path / name).read_text().splitlines())
         for name in ("transcript.jsonl", "transcript.jsonl.keys")
@@ -970,6 +1024,19 @@ class TestMalformedInputExitsOne:
             path.write_text(content)
         assert main(["--rounds", "16", "--device", f"classical-table:{path}"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--transcript", "{tmp}/t.jsonl", "--summary", "{tmp}/./t.jsonl"],
+         ["--transcript", "{tmp}/t.jsonl", "--trapdoors", "{tmp}/t.jsonl"],
+         ["--transcript", "{tmp}/t.jsonl", "--summary", "{tmp}/t.jsonl.keys"]],
+        ids=["summary-is-transcript", "trapdoors-is-transcript", "summary-is-store"],
+    )
+    def test_output_paths_naming_one_file(self, tmp_path, capsys, flags):
+        # Two outputs written to one file would interleave; the run refuses before writing.
+        assert main(["--rounds", "64", *(f.format(tmp=tmp_path) for f in flags)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags",

@@ -39,6 +39,7 @@ from cdiqkd.protocol import (
     SideRecord,
     TestTag,
     WinFlag,
+    abort_decision,
     classify_round,
     choose_test_tag,
     bell_label_bit,
@@ -439,6 +440,11 @@ def _recount(records, epsilon) -> dict:
 
 
 class TestRunSession:
+    def test_abort_decision_aborts_only_above_epsilon(self):
+        assert abort_decision(0, 0, 0.0) == (0.0, False)  # no test round, no abort
+        assert abort_decision(20, 1, 0.05) == (0.05, False)
+        assert abort_decision(20, 2, 0.05) == (0.1, True)
+
     def test_honest_session_statistics(self):
         session = run_session(HonestDevice(), params(rounds=8192, epsilon=0.01), seed=1)
         assert not session.aborted
