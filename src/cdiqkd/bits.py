@@ -1,4 +1,4 @@
-"""Fixed-width bit strings packed into Python ints.
+"""Fixed-width bit strings packed into Python ints, and the one check of each kind of integer.
 
 Convention used throughout the package: position ``i`` of a bit string is
 bit ``i`` of the int (little-endian packing), so the "first bit" of a
@@ -8,19 +8,28 @@ record headers), not by the values themselves.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def dot(a: int, b: int) -> int:
     """Inner product of two bit strings modulo 2."""
     return (a & b).bit_count() & 1
 
 
-def fits(value: int, width: int) -> bool:
-    """True if value is a valid width-bit string."""
-    return isinstance(value, int) and 0 <= value < (1 << width)
+def fits(value, width: int) -> bool:
+    """True if value is a width-bit string: a Python or numpy integer, never a bool, in range."""
+    integer = isinstance(value, (int, np.integer)) and type(value) is not bool
+    return integer and 0 <= value < (1 << width)
+
+
+def exact_int(value, name: str):
+    """value itself if it is a Python int (a JSON integer, a size); else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def to_hex(value: int, width: int) -> str:
     """Hex encoding, zero-padded to the number of nibbles covering width."""
     nibbles = (width + 3) // 4
     return format(value, f"0{nibbles}x")
-

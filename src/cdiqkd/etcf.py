@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import fits
+from .bits import exact_int, fits
 
 
 class KeyKind(Enum):
@@ -68,13 +68,12 @@ class EtcfParams:
 
     def validate(self) -> None:
         if self.family == "ideal":
-            _require_int("domain_bits", self.domain_bits)
+            exact_int(self.domain_bits, "domain_bits")
             if not 2 <= self.domain_bits <= 16:
                 raise ValueError(f"domain_bits must be in 2..16, got {self.domain_bits}")
         elif self.family == "toy-lattice":
-            _require_int("n", self.n)
-            _require_int("m", self.m)
-            _require_int("q", self.q)
+            for name in ("n", "m", "q"):
+                exact_int(getattr(self, name), name)
             if self.n < 1:
                 raise ValueError("lattice dimension n must be positive")
             if self.m < 2 * self.n:
@@ -87,11 +86,6 @@ class EtcfParams:
                 raise ValueError(f"q must be prime, got {self.q}")
         else:
             raise ValueError(f"unknown ETCF family {self.family!r}")
-
-
-def _require_int(name: str, value) -> None:
-    if type(value) is not int:  # a bool, a float or a string is no size
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @functools.lru_cache(maxsize=64)  # keygen validates its params once per toy key
@@ -132,7 +126,7 @@ class IdealKeyPair:
         return fits(x, self.domain_bits)
 
     def evaluate(self, b: int, x: int) -> int:
-        if b not in (0, 1):
+        if not fits(b, 1):
             raise ValueError(f"branch bit must be 0/1, got {b}")
         if not self.in_domain(x):
             raise ValueError(f"{x} outside the {self.domain_bits}-bit domain")
@@ -310,7 +304,7 @@ class ToyLatticeKeyPair:
         return fits(x, self.domain_bits) and decode_vector(x, self.n, self.q) is not None
 
     def evaluate(self, b: int, x: int) -> int:
-        if b not in (0, 1):
+        if not fits(b, 1):
             raise ValueError(f"branch bit must be 0/1, got {b}")
         vec = decode_vector(x, self.n, self.q) if fits(x, self.domain_bits) else None
         if vec is None:
@@ -421,7 +415,7 @@ def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
     b, x = z & 1, z >> 1
     if not key.in_domain(x):
         return False
-    return key.evaluate(b, x) == c
+    return bool(key.evaluate(b, x) == c)
 
 
 def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:

@@ -26,6 +26,7 @@ with 12 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +34,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bits import to_hex
+from .bits import exact_int, to_hex
 from .config import ExperimentConfig, store_path
 from .devices import ChallengeType, make_device
 from .etcf import EtcfParams, Trapdoor, trapdoor_from_dict, trapdoor_to_dict
@@ -83,7 +84,6 @@ _SIDE_FIELDS = {
     s: (f"c_{s}", f"z_{s}", f"d_{s}", question, s, f"h_{s}", f"viol_{s}")
     for s, question in (("a", "x"), ("b", "y"))
 }
-_KEYS_FIELDS = frozenset(("record", "i", "a", "b"))
 
 
 class ReplayError(ValueError):
@@ -156,12 +156,12 @@ def _round_line(record: RoundRecord) -> dict:
     return line
 
 
-def _keys_line(record: RoundRecord) -> dict:
+def _keys_line(index: int, trapdoor_a: Trapdoor, trapdoor_b: Trapdoor) -> dict:
     return {
         "record": "keys",
-        "i": record.index,
-        "a": trapdoor_to_dict(record.alice.trapdoor),
-        "b": trapdoor_to_dict(record.bob.trapdoor),
+        "i": index,
+        "a": trapdoor_to_dict(trapdoor_a),
+        "b": trapdoor_to_dict(trapdoor_b),
     }
 
 
@@ -174,7 +174,7 @@ def _transcript_header(params: ProtocolParams, device: str) -> dict:
         "record": "header",
         "version": STREAM_LAYOUT,
         "rounds": params.rounds,
-        "epsilon": sig12(params.epsilon),
+        "epsilon": float(params.epsilon),
         "etcf": _etcf_header(params.etcf),
         "device": device,
     }
@@ -203,7 +203,7 @@ def write_trapdoor_store(fh: TextIO, records: list[RoundRecord]) -> None:
     """Append the ``keys`` lines of the test rounds among ``records`` to an open store."""
     for record in records:
         if record.round_type is not _SIFTED and record.test_tag is _TEST:
-            _write_line(fh, _keys_line(record))
+            _write_line(fh, _keys_line(record.index, record.alice.trapdoor, record.bob.trapdoor))
 
 
 def _etcf_header(params: EtcfParams) -> dict:
@@ -389,13 +389,6 @@ class ReplayReport:
         return self.verdict == "match"
 
 
-def _exact_int(value) -> int:
-    """value itself if it is a JSON integer; a bool, float or string raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
 def _same(value, written) -> bool:
     """True iff ``value`` is the JSON ``written``: ``==`` alone takes 1, 1.0 and true as one."""
     return json.dumps(value) == json.dumps(written)
@@ -446,10 +439,10 @@ def _records(path: str):
 
 
 def _store_entries(path: str, params: EtcfParams):
-    """(round index, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
+    """(round index, line number, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
 
     The first record must be the header the writer writes and every later
-    one a ``keys`` entry holding just what the writer writes for two
+    one the ``keys`` entry ``_keys_line`` writes for an index and two
     trapdoors of the family ``params``; raises ReplayError otherwise.
     """
     records = _records(path)
@@ -458,14 +451,47 @@ def _store_entries(path: str, params: EtcfParams):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
     for number, entry in records:
         try:
-            if entry["record"] != "keys" or entry.keys() != _KEYS_FIELDS:
-                raise ValueError("not a keys record")
             trapdoor_a = trapdoor_from_dict(entry["a"], params)
             trapdoor_b = trapdoor_from_dict(entry["b"], params)
-            index = _exact_int(entry["i"])
+            index = exact_int(entry["i"], "i")
+            # The index is an int and every other value a string, so != compares as _same does.
+            if entry != _keys_line(index, trapdoor_a, trapdoor_b):
+                raise ValueError("the entry is not written as the writer writes its trapdoors")
         except _MALFORMED as exc:
             raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
-        yield index, (trapdoor_a, trapdoor_b)
+        yield index, number, (trapdoor_a, trapdoor_b)
+
+
+class _StoreCursor:
+    """The trapdoor store, read in step with the transcript's round lines.
+
+    Each entry must be taken by the test round line of its index.  An entry
+    passed over untaken is a mismatch naming its store line, unless its
+    round lies in a stretch of rounds the transcript skips, which is a
+    mismatch of its own.
+    """
+
+    def __init__(self, entries, rounds: int, mismatches: list[str]) -> None:
+        self._entries, self._rounds, self._mismatches = entries, rounds, mismatches
+        self._index, self._line, self._trapdoors, self._taken = -1, 0, None, True
+
+    def reach(self, index, skipped_from: int) -> None:
+        """Read up to the first entry for round ``index`` or later; rounds from
+        ``skipped_from`` up to ``index`` are absent from the transcript."""
+        while self._index < index:
+            if not self._taken and not skipped_from <= self._index < self._rounds:
+                self._mismatches.append(
+                    f"store line {self._line}: entry for round {self._index} is out of place"
+                )
+            self._index, self._line, self._trapdoors = next(self._entries, (math.inf, 0, None))
+            self._taken = False
+
+    def take(self, index: int):
+        """The trapdoors of the entry for round ``index``, or None if the store has none here."""
+        if self._index != index:
+            return None
+        self._taken = True
+        return self._trapdoors
 
 
 # The footer's fields as its mismatch messages name them.
@@ -481,10 +507,11 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     Both files are read once, in round order.  A round line the writer would
     not write for the values read from it yields a mismatch naming the line,
     and so does a round index that is not the next of ``0..rounds-1`` (a
-    duplicate, a gap or one out of range), or a test round whose store entry
-    is missing or out of order; rounds missing at the end, and any footer
-    but the one written from the recomputed counts, are footer mismatches.
-    A missing footer (a truncated transcript) raises ReplayError naming the
+    duplicate, a gap or one out of range), a test round whose store entry
+    is missing or out of order, a store entry no test round takes, and any
+    line after the footer; rounds missing at the end, and any footer but
+    the one written from the recomputed counts, are footer mismatches.  A
+    missing footer (a truncated transcript) raises ReplayError naming the
     last good line; so do a header the writer would not write, a store
     without its header and a corrupt trapdoor-store entry.  The ETCF family
     and its sizes are read once, from the transcript header.
@@ -493,7 +520,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     _, header = next(lines, (0, None))
     try:
         etcf = EtcfParams(**header["etcf"])
-        params = ProtocolParams(_exact_int(header["rounds"]), header["epsilon"], etcf)
+        params = ProtocolParams(exact_int(header["rounds"], "rounds"), header["epsilon"], etcf)
         params.validate()
         device = header["device"]  # only a string: a classical-table: file need not exist here
         if type(device) is not str or not _same(header, _transcript_header(params, device)):
@@ -502,14 +529,17 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         raise ReplayError("transcript has no valid header line") from exc
 
     rounds = params.rounds
-    store = _store_entries(trapdoor_store_path, etcf)
-    held_index, held = float("-inf"), None  # the store entry last read
     mismatches: list[str] = []
+    store = _StoreCursor(_store_entries(trapdoor_store_path, etcf), rounds, mismatches)
     tested = failed = 0
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
     for number, entry in lines:
+        if footer is not None:  # the footer is the last line
+            what = "corrupt record" if entry is None else "record after the footer"
+            mismatches.append(f"line {number}: {what}")
+            continue
         if entry is None:
             mismatches.append(f"line {number}: corrupt record")
             next_index += 1
@@ -523,7 +553,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             footer = entry
             continue
         try:
-            index = _exact_int(entry["i"])
+            index = exact_int(entry["i"], "i")
             ct_a, ct_b = _CHALLENGE_FROM[entry["ct_a"]], _CHALLENGE_FROM[entry["ct_b"]]
             theta_a, theta_b = _BASIS_FROM[entry["theta_a"]], _BASIS_FROM[entry["theta_b"]]
             recomputed_rt = classify_round(ct_a, ct_b, theta_a, theta_b)
@@ -531,6 +561,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             mismatches.append(f"line {number}: corrupt record")
             next_index += 1
             continue
+        store.reach(index, next_index)
         if not 0 <= index < rounds:
             mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
         elif index != next_index:
@@ -547,12 +578,10 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         scored = recomputed_rt is not _SIFTED and tag == "test"
         trapdoors = None, None  # an unscored round's sides have none
         if scored:
-            while held_index < index:
-                held_index, held = next(store, (float("inf"), None))
-            if held_index != index:
+            trapdoors = store.take(index)
+            if trapdoors is None:
                 mismatches.append(f"line {number}: round {index} has no key material in the store")
                 continue
-            trapdoors = held
         try:
             record = RoundRecord(  # a test round's win is read as written, for the check below
                 index,
@@ -581,8 +610,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
-    for _ in store:  # the entries after the last test round must decode too
-        pass
+    store.reach(math.inf, next_index)  # the entries after the last test round
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
     written = _transcript_footer(tested, failed, *abort_decision(tested, failed, params.epsilon))

@@ -54,7 +54,9 @@ class KeyRateParams:
 
     ``constant_big_c`` and ``exponent_c`` are the unspecified constants of
     the asymptotic bound; the defaults here are illustrative placeholders,
-    not derived values, and reports always carry the values used.
+    not derived values, and reports always carry the values used.  The
+    constant and ``negl_term`` must be finite: a NaN or an infinity is no
+    bound, and JSON cannot carry either.
     """
 
     epsilon: float = 0.01
@@ -67,8 +69,8 @@ class KeyRateParams:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.exponent_c <= 1.0:
             raise ValueError(f"exponent must be in (0, 1], got {self.exponent_c}")
-        if self.constant_big_c < 0 or self.negl_term < 0:
-            raise ValueError("constant and negl term must be nonnegative")
+        if not (0 <= self.constant_big_c < math.inf and 0 <= self.negl_term < math.inf):
+            raise ValueError("constant and negl term must be finite and nonnegative")
 
 
 def ideal_rate(protocol: ProtocolParams | None = None) -> Fraction:

@@ -207,10 +207,6 @@ def bell_label_bit(d: int, x0: int, x1: int, width: int | None = None) -> int:
     return dot(d, x0 ^ x1)
 
 
-def _is_bit(value) -> bool:
-    return isinstance(value, (int, np.integer)) and type(value) is not bool and value in (0, 1)
-
-
 _BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 
@@ -254,28 +250,28 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
 def ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
     """One side's record of the device's messages.
 
-    Malformed or missing device responses (wrong widths, answers that are
-    not the integers 0 or 1) are noted on the side as a violation and later
-    scored as failures; they never raise.  Replay reads a round line's side
-    through this too.
+    Each message is read by ``bits.fits``: one that is missing, of the wrong
+    width or not an integer (a ``bool`` is never a bit string) is noted on
+    the side as a violation and later scored as a failure; it never raises.
+    Replay reads a round line's side through this too.
     """
     key = trapdoor.key
     side = SideRecord(theta, trapdoor, 0, ct, question=question)
-    if isinstance(c, (int, np.integer)) and fits(int(c), key.codomain_bits):
+    if fits(c, key.codomain_bits):
         side.c = int(c)
     else:
         side.violation = True
     if ct is ChallengeType.A:
-        if isinstance(response, (int, np.integer)) and fits(int(response), 1 + key.domain_bits):
+        if fits(response, 1 + key.domain_bits):
             side.z = int(response)
         else:
             side.violation = True
     else:
-        if isinstance(response, (int, np.integer)) and fits(int(response), key.domain_bits):
+        if fits(response, key.domain_bits):
             side.d = int(response)
         else:
             side.violation = True
-        if _is_bit(answer) and _is_bit(h):
+        if fits(answer, 1) and fits(h, 1):
             side.answer = int(answer)
             side.h = int(h)
         else:

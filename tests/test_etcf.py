@@ -400,6 +400,22 @@ class TestCheckPreimage:
         assert not check_preimage(key, (bad_x << 1) | 0, 0)
 
 
+@pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])
+@pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])
+def test_numpy_integer_arguments_read_as_ints(kind, params):
+    # A bit string is a Python or numpy integer: each call returns the same for both.
+    key, trapdoor = keygen(kind, params, np.random.default_rng(21))
+    for y in sorted(image(key))[:8]:
+        inverted = invert(trapdoor, y)
+        assert invert(trapdoor, np.int64(y)) == inverted
+        pairs = [(0, inverted[0]), (1, inverted[1])] if kind is KeyKind.CLAW_FREE else [inverted]
+        for b, x in pairs:
+            assert evaluate(key, np.int64(b), np.int64(x)) == evaluate(key, b, x) == y
+            z = b | x << 1
+            for c in (y, y ^ 1):
+                assert check_preimage(key, np.int64(z), np.int64(c)) is check_preimage(key, z, c)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])
     @pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])

@@ -353,6 +353,18 @@ class TestReplay:
         assert replay_verify(*_write(tmp_path, transcript, store)).match
         assert calls == [EtcfParams(**stated)]
 
+    def test_epsilon_is_stated_exactly(self, tmp_path):
+        # 6 of 120 test rounds fail, a fraction of exactly 0.05, which aborts above this
+        # epsilon only: the header must state it with every digit for replay to agree.
+        transcript, store = self.run_and_paths(
+            tmp_path, rounds=256, device="noisy:0.04:0.04", seed=304, epsilon=0.0499999999999999
+        )
+        lines = Path(transcript).read_text().splitlines()
+        assert json.loads(lines[0])["epsilon"] == 0.0499999999999999
+        footer = json.loads(lines[-1])
+        assert (footer["tested"], footer["failed"], footer["aborted"]) == (120, 6, True)
+        assert replay_verify(transcript, store).match
+
     def test_tampered_abort_flag_detected(self, tmp_path):
         transcript, store = self.run_and_paths(tmp_path, rounds=512, seed=31)
         lines = open(transcript).read().splitlines()
@@ -693,6 +705,38 @@ CORRUPT_ABORTED_FOOTERS = {
 }
 
 
+# A footer that is not the last line, or not the only one: each edit of the
+# 256-round audit transcript gives its lines and the mismatches replay reports.
+MISPLACED_FOOTERS = {
+    "footer-before-the-last-round": lambda t: (
+        [*t[:-2], t[-1], t[-2]],
+        [f"line {len(t)}: record after the footer", "footer: rounds 255..255 are missing"],
+    ),
+    "footer-twice": lambda t: ([*t, t[-1]], [f"line {len(t) + 1}: record after the footer"]),
+    "round-after-the-footer": lambda t: (
+        [*t, t[1]], [f"line {len(t) + 1}: record after the footer"]
+    ),
+}
+
+
+def _entry_for_a_sifted_round(transcript, store):
+    """store with a copy of its first entry for the first sifted round, in round order."""
+    sifted = next(e["i"] for e in map(json.loads, transcript[1:-1]) if e["rt"] == "sifted")
+    place = 1 + sum(json.loads(line)["i"] < sifted for line in store[1:])
+    entry = json.dumps({**json.loads(store[1]), "i": sifted})
+    return [*store[:place], entry, *store[place:]], place + 1
+
+
+# Readable store entries that no test round takes: each edit of the audit store
+# gives its lines and the line of the one entry replay must name.
+MISPLACED_STORE_ENTRIES = {
+    "entry-for-a-sifted-round": _entry_for_a_sifted_round,
+    "first-entry-twice": lambda t, s: ([s[0], s[1], *s[1:]], 3),
+    "stale-first-entry-after-the-second": lambda t, s: ([*s[:3], s[1], *s[3:]], 4),
+    "entry-after-the-last-test-round": lambda t, s: ([*s, s[-1]], len(s) + 1),
+}
+
+
 def _write(directory, transcript, store):
     paths = (directory / "t.jsonl", directory / "t.jsonl.keys")
     for path, lines in zip(paths, (transcript, store)):
@@ -808,6 +852,20 @@ class TestMalformedReplay:
         # Round i is on line i + 2: the header is line 1.
         message = f"line {index + 2}: round {index} has no key material in the store"
         assert message in report.mismatches
+
+    @pytest.mark.parametrize("name", sorted(MISPLACED_STORE_ENTRIES))
+    def test_store_entry_no_test_round_takes_is_a_mismatch(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, number = MISPLACED_STORE_ENTRIES[name](transcript, store)
+        index = json.loads(lines[number - 1])["i"]
+        report = replay_verify(*self.write(tmp_path, transcript, lines))
+        assert report.mismatches == [f"store line {number}: entry for round {index} is out of place"]
+
+    @pytest.mark.parametrize("name", sorted(MISPLACED_FOOTERS))
+    def test_footer_is_the_last_line(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, messages = MISPLACED_FOOTERS[name](transcript)
+        assert replay_verify(*self.write(tmp_path, lines, store)).mismatches == messages
 
     @pytest.mark.parametrize("name", sorted(CORRUPT_LATTICE_STORE_ENTRIES))
     def test_corrupt_lattice_key_exits_one(self, tmp_path, lattice_audit_files, capsys, name):
@@ -999,7 +1057,8 @@ class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
         "flag, value",
         [("--epsilon", "1"), ("--bound-exponent", "2"), ("--bound-constant", "-1"),
-         ("--negl-term", "-0.5")],
+         ("--negl-term", "-0.5"), ("--bound-constant", "nan"), ("--bound-constant", "inf"),
+         ("--negl-term", "nan"), ("--negl-term", "inf")],
     )
     def test_rate_bound_input_out_of_range(self, capsys, flag, value):
         assert main(["--rounds", "16", flag, value]) == 1

@@ -161,6 +161,13 @@ class TestComputeS:
         assert bell_label_bit(d, x0, x1) == dot(d, x0) ^ dot(d, x1)
 
 
+class _VerbatimTableDevice(ClassicalDeterministicDevice):
+    """A scripted device that sends its table's values as they are, bools included."""
+
+    def _get(self, name):
+        return self.table.get(name, 0)
+
+
 def drive_round(device, round_params, seed):
     """The record of a one-round session under round_params' knobs."""
     one_round = dataclasses.replace(round_params, rounds=1)
@@ -180,6 +187,24 @@ class TestRunRound:
         record = drive_round(ClassicalDeterministicDevice(table), forced, 3)
         assert record.alice.violation
         assert win_condition(record) is WinFlag.FAIL
+
+    @pytest.mark.parametrize(
+        "message, p_ct_b",
+        [("c_a", 0.0), ("z_a", 0.0), ("c_a", 1.0), ("d_a", 1.0), ("a", 1.0), ("h_a", 1.0)],
+    )
+    def test_boolean_message_is_a_violation(self, message, p_ct_b):
+        # A bool is never a bit string, whichever message it stands for; the
+        # table's other messages are 0, a valid string of every width.
+        device = _VerbatimTableDevice({message: True})
+        record = drive_round(device, params(p_ct_b=p_ct_b), 3)
+        assert record.alice.violation and not record.bob.violation
+        assert win_condition(record) is WinFlag.FAIL
+
+    def test_numpy_integer_messages_are_read_as_ints(self):
+        device = _VerbatimTableDevice({name: np.int64(0) for name in ("c_a", "z_a", "c_b", "z_b")})
+        record = drive_round(device, params(p_ct_b=0.0), 3)  # both challenges a
+        assert not record.alice.violation and not record.bob.violation
+        assert type(record.alice.c) is type(record.bob.z) is int
 
     def test_sifted_fraction_near_half(self):
         session = run_session(HonestDevice(), params(rounds=10_000), seed=17)
