@@ -50,7 +50,8 @@ class ExperimentConfig:
         """Raise ConfigError for any value the run would reject, before it runs.
 
         The session and rate-bound parameters own their ranges; the files a
-        run writes must be different files.
+        run writes must be different files, and a trapdoor store is written
+        only beside a transcript.
         """
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -67,6 +68,8 @@ class ExperimentConfig:
             self.keyrate_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.trapdoors and not self.transcript:
+            raise ConfigError("trapdoors names a transcript's store: give a transcript too")
         outputs = [self.summary] if self.summary else []
         if self.transcript:
             outputs += [self.transcript, store_path(self.transcript, self.trapdoors)]

@@ -17,7 +17,12 @@ Two instantiations behind one interface:
   Functionally an ETCF, deliberately offering no hardness (adversaries in
   this simulator are scripted, not computational).
 
-Keys and trapdoors are immutable plain data; a trapdoor holds its key.
+Every key is drawn from a 64-bit key seed alone: its words are the
+SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
+argsorts of them, and a toy-lattice key's entries are them masked and kept
+below q.  So any seed yields a key its family draws, and the seed is all a
+trapdoor store keeps of a key.  Keys and trapdoors are immutable plain
+data; a trapdoor holds its key.
 
 Domain and codomain elements cross module boundaries as fixed-width bit
 strings packed into ints (lattice vectors via little-endian per-coordinate
@@ -42,9 +47,6 @@ class KeyKind(Enum):
 
     CLAW_FREE = "claw_free"
     INJECTIVE = "injective"
-
-
-_KIND_FROM = {kind.value: kind for kind in KeyKind}
 
 
 class NoPreimageError(ValueError):
@@ -88,7 +90,7 @@ class EtcfParams:
             raise ValueError(f"unknown ETCF family {self.family!r}")
 
 
-@functools.lru_cache(maxsize=64)  # keygen validates its params once per toy key
+@functools.lru_cache(maxsize=64)  # a run validates its params in its config and its session
 def _is_prime(v: int) -> bool:
     if v < 2:
         return False
@@ -133,69 +135,81 @@ class IdealKeyPair:
         return int(self.tables[b, x])
 
 
-# Table entries one shuffle call holds at most, one row at least: a block's
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): word j >= 1 of a key seed is mix(seed + j * gamma).
+# The constants are 0-d arrays, which numpy reads faster than scalars.
+_GAMMA, _SHIFT_30, _SHIFT_27, _SHIFT_31, _MIX_1, _MIX_2 = (
+    np.array(value, dtype=np.uint64)
+    for value in (0x9E3779B97F4A7C15, 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+# Key words one keygen step holds at most, one key's at least: a block's
 # keygen temporaries stay this small whatever its keys' number or width.
-_SHUFFLE_ENTRIES = 1 << 16
+_CHUNK_WORDS = 1 << 12
 
 
-def _shuffled_rows(rng: np.random.Generator, out: np.ndarray, length: int) -> None:
-    """Fill each row of ``out`` with the first entries of a fresh permutation of range(length).
+@functools.lru_cache(maxsize=16)
+def _steps(first: int, count: int) -> np.ndarray:
+    steps = np.arange(first, first + count, dtype=np.uint64)
+    steps *= _GAMMA
+    steps.flags.writeable = False  # one cached array serves every caller
+    return steps
 
-    Row by row these are the draws of ``rng.permutation(length)``:
-    ``Generator.permuted`` shuffles the rows of its argument one after
-    another, so splitting the rows over several calls changes no draw.
+
+def _mix(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, a bijection of the uint64s, applied in place."""
+    temp = np.empty_like(words)
+    for shift, multiplier in ((_SHIFT_30, _MIX_1), (_SHIFT_27, _MIX_2), (_SHIFT_31, None)):
+        np.right_shift(words, shift, temp)
+        np.bitwise_xor(words, temp, words)
+        if multiplier is not None:
+            np.multiply(words, multiplier, words)
+    return words
+
+
+def key_words(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Words ``first .. first+count-1`` of each uint64 key seed, one row per seed,
+    mixed ``_CHUNK_WORDS`` at a time.  A key's words never repeat.
     """
-    rows, keep = out.shape
-    step = max(1, _SHUFFLE_ENTRIES // length)
-    ordered = np.arange(length)
-    buffer = np.empty((min(step, rows), length), dtype=np.int64)
-    for lo in range(0, rows, step):
-        shuffled = buffer[:min(step, rows - lo)]
-        shuffled[...] = ordered
-        out[lo:lo + len(shuffled)] = rng.permuted(shuffled, axis=1, out=shuffled)[:, :keep]
+    words = seeds[:, None] + _steps(first, count)
+    flat = words.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK_WORDS):
+        _mix(flat[lo:lo + _CHUNK_WORDS])
+    return words
 
 
-def _claw_free_tables(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    tables = np.empty((count, 2, size), dtype=np.int64)
-    image, matching = tables[:, 0], tables[:, 1]
-    _shuffled_rows(rng, matching, size)  # x1 = matching[x0], until the images land
-    _shuffled_rows(rng, image, 4 * size)  # f_0(x0), distinct codomain points
-    step = max(1, _SHUFFLE_ENTRIES // size)
-    for lo in range(0, count, step):  # f_1(matching[x0]) = f_0(x0)
-        rows = slice(lo, lo + step)
-        np.put_along_axis(matching[rows], matching[rows].copy(), image[rows], axis=1)
-    return tables
+def _claw_free_tables(words: np.ndarray, size: int, tables: np.ndarray) -> None:
+    """The matching is the argsort of words 1..2**w; f_0 is the first 2**w entries of
+    the argsort of the next 4 * 2**w words, and f_1(matching[x0]) = f_0(x0)."""
+    matching = words[:, :size].argsort(axis=1)
+    image = words[:, size:].argsort(axis=1)[:, :size]
+    tables[:, 0] = image
+    tables[np.arange(len(words))[:, None], 1, matching] = image
 
 
-def _injective_tables(count: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    low_branch = rng.integers(2, size=count)  # which branch lands in the low codomain half
-    tables = np.empty((count, 2, size), dtype=np.int64)
-    _shuffled_rows(rng, tables.reshape(2 * count, size), 2 * size)
-    tables += np.where(np.arange(2) == low_branch[:, None], 0, 2 * size)[:, :, None]
-    return tables
+def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray) -> None:
+    """Word 1's low bit picks the branch in the low codomain half; each branch's image is
+    the first 2**w entries of the argsort of the next 2 * 2**w words, in its half."""
+    branch_0_high = (words[:, :1] & np.uint64(1)).astype(np.int64) * (2 * size)
+    for b, offset in ((0, branch_0_high), (1, 2 * size - branch_0_high)):
+        image = words[:, 1 + 2 * b * size:1 + 2 * (b + 1) * size].argsort(axis=1)[:, :size]
+        np.add(image, offset, tables[:, b])
 
 
-def keygen_ideal(
-    kinds: list[KeyKind], domain_bits: int, rng: np.random.Generator
-) -> list[Trapdoor]:
-    """The trapdoor of an ideal key of each of ``kinds``, in order, drawn as arrays.
-
-    The claw-free keys draw first: every key's matching (a permutation of
-    the 2**w domain points), then every key's image (the first 2**w entries
-    of a permutation of the 4 * 2**w codomain points).  Then the injective
-    keys: every key's low-branch coin, then key by key each branch's image
-    (the first 2**w entries of a permutation of its 2 * 2**w-point codomain
-    half).  A key's tables are a view of its kind's (keys, 2, 2**w) array.
+def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> list[Trapdoor]:
+    """The trapdoor of an ideal key of each of ``kinds``, in order, drawn from its uint64
+    key seed in ``seeds``.  A key's tables are a view of its kind's (keys, 2, 2**w) array.
     """
     size = 1 << domain_bits
+    step = max(1, _CHUNK_WORDS // (5 * size))
     trapdoors: list = [None] * len(kinds)
     draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
     for kind, draw in draws:
         where = [i for i, k in enumerate(kinds) if k is kind]
-        if where:
-            for i, tables in zip(where, draw(len(where), size, rng)):
-                key = IdealKeyPair(kind=kind, domain_bits=domain_bits, tables=tables)
-                trapdoors[i] = Trapdoor(key)
+        tables = np.empty((len(where), 2, size), dtype=np.int64)
+        for lo in range(0, len(where), step):
+            draw(key_words(seeds[where[lo:lo + step]], 1, 5 * size), size, tables[lo:lo + step])
+        for i, key_tables in zip(where, tables):
+            trapdoors[i] = Trapdoor(IdealKeyPair(kind, domain_bits, key_tables))
     return trapdoors
 
 
@@ -313,19 +327,35 @@ class ToyLatticeKeyPair:
         return encode_vector(y, self.q)
 
 
-def _keygen_toy(kind: KeyKind, params: EtcfParams, rng: np.random.Generator) -> Trapdoor:
+def _keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdoor:
+    """Values mod q are the key seed's words masked to ceil(log2 q) bits, those below q
+    kept, in order.  A is the first m * n values, redrawn from later ones while it lacks
+    full column rank; then s (n values), or u (m values, redrawn while in A's column space).
+    """
     n, m, q = params.n, params.m, params.q
+    mask, seed = np.uint64((1 << _coord_bits(q)) - 1), np.uint64(seed)
+    values, used, read, chunk = np.empty(0, dtype=np.int64), 0, 0, 4 * m * n
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal values, used, read
+        while len(values) < used + count:
+            words = _mix(_steps(1 + read, chunk) + seed) & mask  # as key_words draws them
+            kept = words[words < q].view(np.int64)
+            values, read = np.concatenate([values, kept]) if read else kept, read + chunk
+        used += count
+        return values[used - count:used].copy()  # numpy products run slower on views
+
     left_inverse = None
     while left_inverse is None:
-        matrix = rng.integers(0, q, size=(m, n), dtype=np.int64)
+        matrix = draw(m * n).reshape(m, n)
         left_inverse = _left_inverse(matrix, q)
     if kind is KeyKind.CLAW_FREE:
-        secret = rng.integers(0, q, size=n, dtype=np.int64)
+        secret = draw(n)
         key = ToyLatticeKeyPair(kind, n, m, q, matrix, (matrix @ secret) % q, left_inverse)
         return Trapdoor(key, secret)
-    u = rng.integers(0, q, size=m, dtype=np.int64)
+    u = draw(m)
     while _solve(matrix, left_inverse, u, q) is not None:  # u must leave the column space
-        u = rng.integers(0, q, size=m, dtype=np.int64)
+        u = draw(m)
     return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u, left_inverse))
 
 
@@ -347,13 +377,17 @@ class Trapdoor:
     secret: np.ndarray | None = None
 
 
-def keygen(kind: KeyKind, params: EtcfParams, rng: np.random.Generator):
-    """Generate (public key pair, trapdoor) for the requested kind."""
-    params.validate()
+def keygen(kind: KeyKind, params: EtcfParams, seed):
+    """(public key pair, trapdoor) of ``kind`` drawn from a uint64 key ``seed``, or from
+    one drawn from ``seed`` when it is a ``Generator``.  ``params`` must be valid: a
+    session or a replay validates its family once, not at each key.
+    """
+    if isinstance(seed, np.random.Generator):
+        seed = seed.integers(2**64, dtype=np.uint64)
     if params.family == "ideal":
-        trapdoor = keygen_ideal([kind], params.domain_bits, rng)[0]
+        trapdoor = keygen_ideal([kind], params.domain_bits, np.array([seed], dtype=np.uint64))[0]
     else:
-        trapdoor = _keygen_toy(kind, params, rng)
+        trapdoor = _keygen_toy(kind, params, seed)
     return trapdoor.key, trapdoor
 
 
@@ -460,92 +494,3 @@ def _domain_iter(key: ToyLatticeKeyPair):
             vec[i] = rest % key.q
             rest //= key.q
         yield encode_vector(vec, key.q)
-
-
-# ---------------------------------------------------------------------------
-# Wire serialization (hex tables / matrices), used by the trapdoor store.
-# A trapdoor is written without its family and sizes, which the reader
-# gives as one EtcfParams; every entry fits the stored int32, because each
-# valid params bounds it below 2**31.
-# ---------------------------------------------------------------------------
-
-
-def _array_to_hex(a: np.ndarray) -> str:
-    return a.astype("<i4").tobytes().hex()
-
-
-def _array_from_hex(text: str) -> np.ndarray:
-    return np.frombuffer(bytes.fromhex(text), dtype="<i4").astype(np.int64)
-
-
-def _is_ideal_key(kind: KeyKind, tables: np.ndarray) -> bool:
-    """True iff ``tables`` have the shape ``keygen_ideal`` draws for ``kind``.
-
-    Each branch holds 2**w distinct points of the 4 * 2**w-point codomain;
-    a claw-free key's branches share one image, and an injective key's
-    branches lie in opposite codomain halves.
-    """
-    f0, f1 = tables.tolist()
-    size = len(f0)
-    image0, image1 = set(f0), set(f1)
-    if len(image0) < size or len(image1) < size:
-        return False
-    if kind is KeyKind.CLAW_FREE:
-        return image0 == image1 and 0 <= min(f0) and max(f0) < 4 * size
-    low, high = (f0, f1) if f0[0] < f1[0] else (f1, f0)
-    return 0 <= min(low) and max(low) < 2 * size <= min(high) and max(high) < 4 * size
-
-
-def trapdoor_to_dict(trapdoor: Trapdoor) -> dict:
-    """A trapdoor as the store writes it: its key's kind and arrays and, for a
-    claw-free toy-lattice key, the claw secret s.  The family and its sizes
-    are not written: the store's reader is given them once.
-    """
-    key = trapdoor.key
-    if isinstance(key, IdealKeyPair):
-        return {"kind": key.kind.value, "tables": _array_to_hex(key.tables)}
-    data = {
-        "kind": key.kind.value,
-        "matrix": _array_to_hex(key.matrix),
-        "shift": _array_to_hex(key.shift),
-    }
-    if trapdoor.secret is not None:
-        data["secret"] = _array_to_hex(trapdoor.secret)
-    return data
-
-
-def trapdoor_from_dict(data: dict, params: EtcfParams) -> Trapdoor:
-    """The trapdoor of the valid family ``params`` that ``trapdoor_to_dict`` writes as ``data``.
-
-    Raises ValueError, LookupError or TypeError unless ``data`` is exactly
-    what ``trapdoor_to_dict`` writes for the trapdoor read from it (no other
-    field, hex in its spelling) and that key is one its family's keygen can
-    draw: ideal tables of the shape ``keygen_ideal`` draws, or a toy-lattice
-    key with every entry in 0..q-1, a matrix of full column rank and either
-    a claw secret s that solves A s = shift or an injective shift outside
-    the matrix's column space.
-    """
-    kind = _KIND_FROM[data["kind"]]
-    if params.family == "ideal":
-        tables = _array_from_hex(data["tables"]).reshape(2, 1 << params.domain_bits)
-        if not _is_ideal_key(kind, tables):
-            raise ValueError(f"ideal tables are not a {kind.value} key")
-        trapdoor = Trapdoor(IdealKeyPair(kind, params.domain_bits, tables))
-    else:
-        n, m, q = params.n, params.m, params.q
-        matrix = _array_from_hex(data["matrix"]).reshape(m, n)
-        shift = _array_from_hex(data["shift"]).reshape(m)
-        secret = _array_from_hex(data["secret"]).reshape(n) if kind is KeyKind.CLAW_FREE else None
-        if any(np.any((v < 0) | (v >= q)) for v in (matrix, shift, secret) if v is not None):
-            raise ValueError("toy-lattice key entries must lie in 0..q-1")
-        left_inverse = _left_inverse(matrix, q)
-        if left_inverse is None:
-            raise ValueError("toy-lattice matrix lacks full column rank")
-        if secret is not None and np.any((matrix @ secret - shift) % q):
-            raise ValueError("toy-lattice claw secret does not match its key")
-        if secret is None and _solve(matrix, left_inverse, shift, q) is not None:
-            raise ValueError("injective toy-lattice shift lies in the matrix's column space")
-        trapdoor = Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, shift, left_inverse), secret)
-    if trapdoor_to_dict(trapdoor) != data:
-        raise ValueError("a trapdoor must be written as trapdoor_to_dict writes it")
-    return trapdoor

@@ -4,10 +4,11 @@ The authenticated public channel is modeled as an append-only line log:
 one JSON record per round, bracketed by a header, which states the ETCF
 family and its sizes once, and a footer.  Test rounds carry both
 parties' published data (commitments, responses, questions, answers,
-herald bits); the verifiers' trapdoor for each side of those rounds goes,
-in round order, to a separate trapdoor-store file (format 3: one object
-per side, no family or size), so the replay audit recomputes every check
-in one forward pass over both files.  Generation rounds publish only
+herald bits); the seed of the verifiers' keys for each of those rounds
+goes, in round order, to a separate trapdoor-store file (format 4: 32 hex
+digits a test round, from which replay redraws both sides' trapdoors), so
+the replay audit recomputes every check in one forward pass over both
+files.  Generation rounds publish only
 state bases, challenge types, tags, and question bases - their
 commitments, responses, and key material are discarded and never reach
 any output file.  The runner appends each block of rounds to both files
@@ -37,7 +38,7 @@ import numpy as np
 from .bits import exact_int, to_hex
 from .config import ExperimentConfig, store_path
 from .devices import ChallengeType, make_device
-from .etcf import EtcfParams, Trapdoor, trapdoor_from_dict, trapdoor_to_dict
+from .etcf import EtcfParams, Trapdoor
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
@@ -46,16 +47,18 @@ from .protocol import (
     RoundType,
     SessionResult,
     SideRecord,
+    KEY_KINDS,
     TestTag,
     WinFlag,
     abort_decision,
     classify_round,
+    draw_trapdoors,
     ingest_side,
     run_session,
     win_condition,
 )
 from .quantum import MeasurementBasis
-from .streams import STREAM_LAYOUT
+from .streams import STREAM_BLOCK, STREAM_LAYOUT
 
 EXIT_KEY_PRODUCED = 0
 EXIT_USAGE = 1
@@ -76,7 +79,8 @@ _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
 # The trapdoor store's format number, written in its header and required by replay.
-STORE_FORMAT = 3
+STORE_FORMAT = 4
+SEED_BYTES = 16  # a round's key seed, as a store entry holds it
 
 # Side <s>'s fields: commitment, preimage (challenge a), phase string, question,
 # answer and herald bit (challenge b), and the mark of a malformed message.
@@ -156,13 +160,8 @@ def _round_line(record: RoundRecord) -> dict:
     return line
 
 
-def _keys_line(index: int, trapdoor_a: Trapdoor, trapdoor_b: Trapdoor) -> dict:
-    return {
-        "record": "keys",
-        "i": index,
-        "a": trapdoor_to_dict(trapdoor_a),
-        "b": trapdoor_to_dict(trapdoor_b),
-    }
+def _keys_line(index: int, seed: bytes) -> dict:
+    return {"record": "keys", "i": index, "seed": seed.hex()}
 
 
 def _write_line(fh: TextIO, entry: dict) -> None:
@@ -203,7 +202,7 @@ def write_trapdoor_store(fh: TextIO, records: list[RoundRecord]) -> None:
     """Append the ``keys`` lines of the test rounds among ``records`` to an open store."""
     for record in records:
         if record.round_type is not _SIFTED and record.test_tag is _TEST:
-            _write_line(fh, _keys_line(record.index, record.alice.trapdoor, record.bob.trapdoor))
+            _write_line(fh, _keys_line(record.index, record.seed))
 
 
 def _etcf_header(params: EtcfParams) -> dict:
@@ -438,12 +437,12 @@ def _records(path: str):
             yield number, entry if isinstance(entry, dict) else None
 
 
-def _store_entries(path: str, params: EtcfParams):
-    """(round index, line number, (trapdoor_a, trapdoor_b)) of each store entry, in file order.
+def _store_entries(path: str):
+    """(round index, line number, round seed) of each store entry, in file order.
 
     The first record must be the header the writer writes and every later
-    one the ``keys`` entry ``_keys_line`` writes for an index and two
-    trapdoors of the family ``params``; raises ReplayError otherwise.
+    one the ``keys`` entry ``_keys_line`` writes for an index and a
+    16-byte seed; raises ReplayError otherwise.
     """
     records = _records(path)
     _, header = next(records, (0, None))
@@ -451,15 +450,14 @@ def _store_entries(path: str, params: EtcfParams):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
     for number, entry in records:
         try:
-            trapdoor_a = trapdoor_from_dict(entry["a"], params)
-            trapdoor_b = trapdoor_from_dict(entry["b"], params)
             index = exact_int(entry["i"], "i")
-            # The index is an int and every other value a string, so != compares as _same does.
-            if entry != _keys_line(index, trapdoor_a, trapdoor_b):
-                raise ValueError("the entry is not written as the writer writes its trapdoors")
+            seed = bytes.fromhex(entry["seed"])
+            # The index is an int and the seed a string, so != compares as _same does.
+            if len(seed) != SEED_BYTES or entry != _keys_line(index, seed):
+                raise ValueError("the entry is not written as the writer writes its seed")
         except _MALFORMED as exc:
             raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
-        yield index, number, (trapdoor_a, trapdoor_b)
+        yield index, number, seed
 
 
 class _StoreCursor:
@@ -473,7 +471,7 @@ class _StoreCursor:
 
     def __init__(self, entries, rounds: int, mismatches: list[str]) -> None:
         self._entries, self._rounds, self._mismatches = entries, rounds, mismatches
-        self._index, self._line, self._trapdoors, self._taken = -1, 0, None, True
+        self._index, self._line, self._seed, self._taken = -1, 0, None, True
 
     def reach(self, index, skipped_from: int) -> None:
         """Read up to the first entry for round ``index`` or later; rounds from
@@ -483,15 +481,15 @@ class _StoreCursor:
                 self._mismatches.append(
                     f"store line {self._line}: entry for round {self._index} is out of place"
                 )
-            self._index, self._line, self._trapdoors = next(self._entries, (math.inf, 0, None))
+            self._index, self._line, self._seed = next(self._entries, (math.inf, 0, None))
             self._taken = False
 
-    def take(self, index: int):
-        """The trapdoors of the entry for round ``index``, or None if the store has none here."""
+    def take(self, index: int) -> bytes | None:
+        """The seed of the entry for round ``index``, or None if the store has none here."""
         if self._index != index:
             return None
         self._taken = True
-        return self._trapdoors
+        return self._seed
 
 
 # The footer's fields as its mismatch messages name them.
@@ -501,11 +499,57 @@ _FOOTER_LABELS = {
 }
 
 
+def _settle(queue: list, etcf: EtcfParams, mismatches: list[str]) -> tuple[int, int]:
+    """Check the round lines waiting in ``queue``, drawing the test rounds' trapdoors
+    in one batch, and move the queue's mismatches, in line order, to ``mismatches``.
+
+    A waiting line is the tuple (line number, entry, index, bases, challenges,
+    round type, tag, seed), its seed None unless it is a test round.  Returns
+    the number of test rounds checked and of those that failed.
+    """
+    tests = [item for item in queue if type(item) is tuple and item[-1] is not None]
+    kinds = [KEY_KINDS[theta is _HADAMARD] for item in tests for theta in item[3]]
+    trapdoors = iter(draw_trapdoors(kinds, etcf, b"".join(item[-1] for item in tests)))
+    failed = 0
+    for item in queue:
+        if type(item) is tuple:
+            number, entry, index, thetas, cts, round_type, tag, seed = item
+            scored = seed is not None
+            sides = (next(trapdoors), next(trapdoors)) if scored else (None, None)
+            item = None
+            try:
+                record = RoundRecord(  # a test round's win is read as written, for the check below
+                    index,
+                    _side_from_line(entry, "a", thetas[0], cts[0], sides[0]),
+                    _side_from_line(entry, "b", thetas[1], cts[1], sides[1]),
+                    round_type,
+                    _TEST if tag == "test" else _GENERATE,
+                    _WIN_FROM[entry["win"]] if scored else _NA,
+                )
+                # Each value the writer copies keeps its JSON type when read (the
+                # index, the bits ingest_side takes and the viol_<s> mark), and every
+                # other one is a string, so == compares as _same does.
+                if entry != _round_line(record):
+                    raise ValueError("the line is not written as the writer writes its round")
+                verdict = win_condition(record) if scored else record.win
+            except _MALFORMED:
+                item = f"line {number}: corrupt record"
+            else:
+                failed += verdict is WinFlag.FAIL
+                if verdict is not record.win:
+                    item = f"line {number}: round {index} verdict should be {verdict.value}"
+        if item is not None:
+            mismatches.append(item)
+    queue.clear()
+    return len(tests), failed
+
+
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order.  A round line the writer would
-    not write for the values read from it yields a mismatch naming the line,
+    Both files are read once, in round order, and the test rounds' trapdoors
+    are drawn for a block of them at once.  A round line the writer would not
+    write for the values read from it yields a mismatch naming the line,
     and so does a round index that is not the next of ``0..rounds-1`` (a
     duplicate, a gap or one out of range), a test round whose store entry
     is missing or out of order, a store entry no test round takes, and any
@@ -530,7 +574,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
 
     rounds = params.rounds
     mismatches: list[str] = []
-    store = _StoreCursor(_store_entries(trapdoor_store_path, etcf), rounds, mismatches)
+    queue: list = []  # mismatches and round lines waiting for _settle, in line order
+    store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, queue)
     tested = failed = 0
     footer = None
     last_good = 1
@@ -538,15 +583,15 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     for number, entry in lines:
         if footer is not None:  # the footer is the last line
             what = "corrupt record" if entry is None else "record after the footer"
-            mismatches.append(f"line {number}: {what}")
+            queue.append(f"line {number}: {what}")
             continue
         if entry is None:
-            mismatches.append(f"line {number}: corrupt record")
+            queue.append(f"line {number}: corrupt record")
             next_index += 1
             continue
         kind = entry.get("record")
         if kind not in ("round", "footer"):
-            mismatches.append(f"line {number}: unexpected record type {kind!r}")
+            queue.append(f"line {number}: unexpected record type {kind!r}")
             continue
         last_good = number
         if kind == "footer":
@@ -554,63 +599,43 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             continue
         try:
             index = exact_int(entry["i"], "i")
-            ct_a, ct_b = _CHALLENGE_FROM[entry["ct_a"]], _CHALLENGE_FROM[entry["ct_b"]]
-            theta_a, theta_b = _BASIS_FROM[entry["theta_a"]], _BASIS_FROM[entry["theta_b"]]
-            recomputed_rt = classify_round(ct_a, ct_b, theta_a, theta_b)
+            cts = _CHALLENGE_FROM[entry["ct_a"]], _CHALLENGE_FROM[entry["ct_b"]]
+            thetas = _BASIS_FROM[entry["theta_a"]], _BASIS_FROM[entry["theta_b"]]
+            recomputed_rt = classify_round(*cts, *thetas)
         except _MALFORMED:
-            mismatches.append(f"line {number}: corrupt record")
+            queue.append(f"line {number}: corrupt record")
             next_index += 1
             continue
         store.reach(index, next_index)
         if not 0 <= index < rounds:
-            mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
+            queue.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
         elif index != next_index:
-            mismatches.append(f"line {number}: round index {index} should be {next_index}")
+            queue.append(f"line {number}: round index {index} should be {next_index}")
         next_index = index + 1
         if recomputed_rt._value_ != entry.get("rt"):
-            mismatches.append(f"line {number}: round {index} type should be {recomputed_rt.value}")
+            queue.append(f"line {number}: round {index} type should be {recomputed_rt.value}")
             continue
         tag = entry.get("tag")
         if tag != "test" and (tag != "generate" or recomputed_rt is not RoundType.BELL):
             # Only Bell rounds are ever drawn for key generation.
-            mismatches.append(f"line {number}: round {index} tag should be test")
+            queue.append(f"line {number}: round {index} tag should be test")
             continue
-        scored = recomputed_rt is not _SIFTED and tag == "test"
-        trapdoors = None, None  # an unscored round's sides have none
-        if scored:
-            trapdoors = store.take(index)
-            if trapdoors is None:
-                mismatches.append(f"line {number}: round {index} has no key material in the store")
+        seed = None  # only a test round has key material
+        if recomputed_rt is not _SIFTED and tag == "test":
+            seed = store.take(index)
+            if seed is None:
+                queue.append(f"line {number}: round {index} has no key material in the store")
                 continue
-        try:
-            record = RoundRecord(  # a test round's win is read as written, for the check below
-                index,
-                _side_from_line(entry, "a", theta_a, ct_a, trapdoors[0]),
-                _side_from_line(entry, "b", theta_b, ct_b, trapdoors[1]),
-                recomputed_rt,
-                _TEST if tag == "test" else _GENERATE,
-                _WIN_FROM[entry["win"]] if scored else _NA,
-            )
-            # Each value the writer copies keeps its JSON type when read (the
-            # index, the bits ingest_side takes and the viol_<s> mark), and every
-            # other one is a string, so == compares as _same does.
-            if entry != _round_line(record):
-                raise ValueError("the line is not written as the writer writes its round")
-            verdict = win_condition(record) if scored else None
-        except _MALFORMED:
-            mismatches.append(f"line {number}: corrupt record")
-            continue
-        if verdict is None:
-            continue
-        tested += 1
-        if verdict is WinFlag.FAIL:
-            failed += 1
-        if verdict is not record.win:
-            mismatches.append(f"line {number}: round {index} verdict should be {verdict.value}")
+        queue.append((number, entry, index, thetas, cts, recomputed_rt, tag, seed))
+        if len(queue) >= STREAM_BLOCK:  # a block's keys at most, as the session holds
+            checked, failing = _settle(queue, etcf, mismatches)
+            tested, failed = tested + checked, failed + failing
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
     store.reach(math.inf, next_index)  # the entries after the last test round
+    checked, failing = _settle(queue, etcf, mismatches)
+    tested, failed = tested + checked, failed + failing
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
     written = _transcript_footer(tested, failed, *abort_decision(tested, failed, params.epsilon))

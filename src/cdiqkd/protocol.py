@@ -20,14 +20,15 @@ with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v2), and each block draws from three streams keyed by the
+(stream layout v3), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
   for every round whether or not the round reads it, each compared with
   its ``ProtocolParams`` probability;
-- private coins: the block's ETCF keys, Alice's before Bob's in round order
-  (ideal keys as arrays by ``keygen_ideal``, toy-lattice keys one at a time);
+- private coins: each round's 16-byte seed, whose halves are Alice's and
+  Bob's key seeds; ``draw_trapdoors`` draws each key from its own seed
+  alone, so the trapdoor store need hold only a test round's seed;
 - the device's stream, handed to ``device.reset`` at every round.
 
 So the verifiers' draws never depend on the device's answers, and a
@@ -147,6 +148,7 @@ class RoundRecord:
     round_type: RoundType
     test_tag: TestTag = TestTag.TEST
     win: WinFlag = WinFlag.NA
+    seed: bytes = b""  # the 16-byte seed of both sides' keys, Alice's 8 bytes first
 
 
 @dataclass
@@ -208,7 +210,20 @@ def bell_label_bit(d: int, x0: int, x1: int, width: int | None = None) -> int:
 
 
 _BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
+# A side's key kind, indexed by whether its state basis is Hadamard.
+KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
+
+
+def draw_trapdoors(kinds: list[KeyKind], etcf: EtcfParams, seeds: bytes) -> list[Trapdoor]:
+    """The trapdoor of each of ``kinds``, drawn from its key seed: the next 8 bytes of
+    ``seeds``, read as a little-endian uint64.  Ideal keys are drawn as arrays, and
+    toy-lattice keys one at a time.
+    """
+    key_seeds = np.frombuffer(seeds, dtype="<u8").astype(np.uint64)
+    if etcf.family == "ideal":
+        return keygen_ideal(kinds, etcf.domain_bits, key_seeds)
+    return [keygen(kind, etcf, seed)[1] for kind, seed in zip(kinds, key_seeds.tolist())]
 
 
 def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
@@ -217,11 +232,8 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
     challenge_b = (coins[:, 2:4] < params.p_ct_b).tolist()
     question_h = (coins[:, 4:6] < params.p_question_hadamard).tolist()
-    kinds = [KeyKind.CLAW_FREE if h else KeyKind.INJECTIVE for h in hadamard.ravel().tolist()]
-    if params.etcf.family == "ideal":
-        trapdoors = keygen_ideal(kinds, params.etcf.domain_bits, block.private)
-    else:
-        trapdoors = [keygen(kind, params.etcf, block.private)[1] for kind in kinds]
+    kinds = [KEY_KINDS[h] for h in hadamard.ravel().tolist()]
+    trapdoors = draw_trapdoors(kinds, params.etcf, block.seeds)
 
     rows = zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
     for offset, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
@@ -244,6 +256,7 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
             bob=ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
             round_type=round_type,
             test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
+            seed=block.seeds[16 * offset:16 * offset + 16],
         )
 
 

@@ -1,25 +1,30 @@
-"""Per-block random streams, stream layout v2.
+"""Per-block random streams, stream layout v3.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
-be shorter).  Block k draws from three counter-based streams (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), each a
-``Generator(Philox(key=K))`` whose 128-bit key K is the first 16 bytes of
+be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
+first 16 bytes of
 
     SHA-256(DOMAIN || session words || stream id || k)
 
-read as two little-endian uint64 words.  The session words are the 32
-bytes ``master.generate_state(8)`` of the session's ``SeedSequence``
-(little-endian uint32s), which reads the sequence without advancing it;
-the stream id is one byte and k eight little-endian bytes.  The streams:
+The session words are the 32 bytes ``master.generate_state(8)`` of the
+session's ``SeedSequence`` (little-endian uint32s), which reads the sequence
+without advancing it; the stream id is one byte and k eight little-endian
+bytes.  The streams:
 
-- ``PUBLIC``: the verifiers' public coins;
-- ``PRIVATE``: the verifiers' private coins, the ETCF key material;
-- ``DEVICE``: the device.
+- ``PUBLIC``: the verifiers' public coins, and ``DEVICE``: the device, each
+  a counter-based ``Generator(Philox(key=K))`` (Salmon et al., "Parallel
+  random numbers: as easy as 1, 2, 3", SC'11), K read as two little-endian
+  uint64 words;
+- ``PRIVATE``: the verifiers' private coins.  Round ``start + i`` gets bytes
+  ``16 i .. 16 i + 15`` of ``SHAKE-128(K).digest(16 * rounds in the block)``,
+  whose first and last 8, read as little-endian uint64s, are Alice's and
+  Bob's key seeds: ``etcf`` draws each key from its seed alone.
 
-Knowing one block's key tells nothing of any other stream or block.
+Knowing one block's key, or one round's seed, tells nothing of any other.
 
-``STREAM_LAYOUT`` is the layout's number.  It is part of ``DOMAIN``, and the
-transcript and trapdoor-store headers state it as their ``version``.
+``STREAM_LAYOUT`` is the layout's number; the transcript and trapdoor-store
+headers state it as their ``version``.  Layout v3 moved only the private
+coins from v2, whose public and device streams it keeps byte for byte.
 """
 
 from __future__ import annotations
@@ -31,18 +36,18 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-STREAM_LAYOUT = 2
-DOMAIN = f"cdiqkd stream layout v{STREAM_LAYOUT}".encode()
+STREAM_LAYOUT = 3
+DOMAIN = b"cdiqkd stream layout v2"  # v3 keeps it, and with it v2's public and device streams
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 
 class Block(NamedTuple):
-    """Rounds ``start..stop-1`` and the three generators they draw from."""
+    """Rounds ``start..stop-1``, their public and device generators and their seeds."""
 
     start: int
     stop: int
     public: np.random.Generator
-    private: np.random.Generator
+    seeds: bytes  # 16 bytes a round
     device: np.random.Generator
 
 
@@ -52,7 +57,7 @@ def session_words(master: np.random.SeedSequence) -> bytes:
 
 
 def block_key(words: bytes, stream: int, block: int) -> np.ndarray:
-    """The Philox key (two uint64 words) of one stream of one block."""
+    """The key K (two uint64 words) of one stream of one block."""
     import hashlib  # loads OpenSSL: paid by the first session, not by every import
 
     digest = hashlib.sha256(
@@ -63,10 +68,15 @@ def block_key(words: bytes, stream: int, block: int) -> np.ndarray:
 
 def block_streams(master: np.random.SeedSequence, rounds: int) -> Iterator[Block]:
     """The blocks of a ``rounds``-round session, in order."""
+    import hashlib
+
     words = session_words(master)
     for block, start in enumerate(range(0, rounds, STREAM_BLOCK)):
-        public, private, device = (
+        stop = min(start + STREAM_BLOCK, rounds)
+        public, device = (
             np.random.Generator(np.random.Philox(key=block_key(words, stream, block)))
-            for stream in (PUBLIC, PRIVATE, DEVICE)
+            for stream in (PUBLIC, DEVICE)
         )
-        yield Block(start, min(start + STREAM_BLOCK, rounds), public, private, device)
+        private = block_key(words, PRIVATE, block).astype("<u8").tobytes()
+        seeds = hashlib.shake_128(private).digest(16 * (stop - start))
+        yield Block(start, stop, public, seeds, device)

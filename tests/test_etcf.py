@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd.etcf import (
     EtcfParams,
-    IdealKeyPair,
     KeyKind,
     NoPreimageError,
     check_preimage,
@@ -21,10 +20,9 @@ from cdiqkd.etcf import (
     evaluate,
     image,
     invert,
+    key_words,
     keygen,
     keygen_ideal,
-    trapdoor_from_dict,
-    trapdoor_to_dict,
     _left_inverse,
     _solve,
 )
@@ -174,52 +172,101 @@ class TestIdealInjective:
             invert(trap, min(gaps))
 
 
-def _tables_one_permutation_at_a_time(kinds, size, rng):
-    """The documented draw order of ``keygen_ideal``, one ``rng.permutation`` call at a time."""
-    claw_free = [i for i, kind in enumerate(kinds) if kind is KeyKind.CLAW_FREE]
-    injective = [i for i, kind in enumerate(kinds) if kind is KeyKind.INJECTIVE]
-    tables = {}
-    matchings = [rng.permutation(size) for _ in claw_free]
-    for i, matching in zip(claw_free, matchings):
-        image = rng.permutation(4 * size)[:size]
-        tables[i] = np.empty((2, size), dtype=np.int64)
-        tables[i][0] = image
-        tables[i][1, matching] = image
-    low_branches = rng.integers(2, size=len(injective))
-    for i, low_branch in zip(injective, low_branches):
-        tables[i] = np.stack([
-            rng.permutation(2 * size)[:size] + (0 if b == low_branch else 2 * size)
-            for b in (0, 1)
-        ])
-    return [tables[i] for i in range(len(kinds))]
+MASK64 = 2**64 - 1
+
+
+def _splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded with ``seed``: the published C
+    ``next()`` (Steele, Lea & Flood, OOPSLA 2014), transcribed with Python ints."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _argsort(values) -> list[int]:
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def _documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
+    """The tables ``keygen_ideal`` documents for one key, from the transcribed words."""
+    size = 1 << w
+    if kind is KeyKind.CLAW_FREE:
+        words = _splitmix64(seed, 5 * size)
+        matching, image = _argsort(words[:size]), _argsort(words[size:])[:size]
+        f1 = [0] * size
+        for x0 in range(size):
+            f1[matching[x0]] = image[x0]
+        return np.array([image, f1])
+    words = _splitmix64(seed, 1 + 4 * size)
+    low_branch = words[0] & 1
+    return np.array([
+        [y + (0 if b == low_branch else 2 * size)
+         for y in _argsort(words[1 + 2 * b * size:1 + 2 * (b + 1) * size])[:size]]
+        for b in (0, 1)
+    ])
+
+
+SEEDS = [0, 1, 2**64 - 1]
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_words_are_the_published_generator(self, seed):
+        words = key_words(np.array([seed], dtype=np.uint64), 1, 100)
+        assert words.dtype == np.uint64 and words.shape == (1, 100)
+        assert words[0].tolist() == _splitmix64(seed, 100)
+        # Words from any offset on, and for several seeds at once, are the same words.
+        rows = key_words(np.array(SEEDS, dtype=np.uint64), 41, 60)
+        assert rows[SEEDS.index(seed)].tolist() == _splitmix64(seed, 100)[40:]
+
+    def test_first_word_of_seed_zero(self):
+        assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_keys_words_never_repeat(self, seed):
+        # mix is a bijection and seed + j * gamma takes 2**64 distinct values for j < 2**64.
+        words = key_words(np.array([seed], dtype=np.uint64), 1, 5 << 16)[0]
+        assert len(np.unique(words)) == len(words)
 
 
 class TestBatchedIdealKeygen:
     KINDS = [KeyKind.INJECTIVE, KeyKind.CLAW_FREE, KeyKind.CLAW_FREE, KeyKind.INJECTIVE,
              KeyKind.CLAW_FREE]
 
-    @pytest.mark.parametrize("shuffle_entries", [None, 1])
+    @pytest.mark.parametrize("chunk_words", [None, 1])
     @pytest.mark.parametrize("w", [2, 5, 10])
-    def test_draws_follow_the_documented_order(self, monkeypatch, w, shuffle_entries):
-        # One row per shuffle call draws the same keys as the default chunks.
-        if shuffle_entries is not None:
-            monkeypatch.setattr(etcf, "_SHUFFLE_ENTRIES", shuffle_entries)
-        trapdoors = keygen_ideal(self.KINDS, w, np.random.default_rng(w))
-        expected = _tables_one_permutation_at_a_time(self.KINDS, 1 << w, np.random.default_rng(w))
-        for trapdoor, kind, tables in zip(trapdoors, self.KINDS, expected):
+    def test_draws_follow_the_documented_order(self, monkeypatch, w, chunk_words):
+        # One word per mixing step and one key per keygen step draw the same keys
+        # as the default chunks.
+        if chunk_words is not None:
+            monkeypatch.setattr(etcf, "_CHUNK_WORDS", chunk_words)
+        seeds = [w, 2**64 - 1, 0, 2**63, 12345]
+        trapdoors = keygen_ideal(self.KINDS, w, np.array(seeds, dtype=np.uint64))
+        for trapdoor, kind, seed in zip(trapdoors, self.KINDS, seeds):
             key = trapdoor.key
             assert key.kind is kind and key.domain_bits == w and trapdoor.secret is None
-            assert np.array_equal(key.tables, tables)
+            assert np.array_equal(key.tables, _documented_tables(kind, w, seed))
 
     @pytest.mark.parametrize("kind", list(KeyKind))
     def test_keygen_is_the_one_key_case(self, kind):
-        key, trapdoor = keygen(kind, ideal(4), np.random.default_rng(63))
-        batch_key = keygen_ideal([kind], 4, np.random.default_rng(63))[0].key
+        seeds = np.array([7, 63, 2**64 - 1], dtype=np.uint64)
+        batch = keygen_ideal([kind, KeyKind.CLAW_FREE, KeyKind.INJECTIVE], 4, seeds)
+        key, trapdoor = keygen(kind, ideal(4), 7)
         assert trapdoor.key is key
-        assert np.array_equal(key.tables, batch_key.tables)
+        assert np.array_equal(key.tables, batch[0].key.tables)
+        # A Generator stands for the key seed it draws.
+        drawn = np.random.default_rng(63).integers(2**64, dtype=np.uint64)
+        key, _ = keygen(kind, ideal(4), np.random.default_rng(63))
+        assert np.array_equal(key.tables, keygen(kind, ideal(4), drawn)[0].tables)
 
     def test_claw_free_matchings_and_images_are_uniform(self):
-        trapdoors = keygen_ideal([KeyKind.CLAW_FREE] * 4800, 2, np.random.default_rng(64))
+        seeds = np.arange(4800, dtype=np.uint64)  # neighbouring seeds, the hardest case
+        trapdoors = keygen_ideal([KeyKind.CLAW_FREE] * len(seeds), 2, seeds)
         matchings = Counter()
         first_two = Counter()
         points = np.zeros((4, 16))
@@ -237,7 +284,8 @@ class TestBatchedIdealKeygen:
                            [1 / len(pairs_of_points)] * len(pairs_of_points), "f_0(0), f_0(1)")
 
     def test_injective_low_branch_and_images_are_uniform(self):
-        trapdoors = keygen_ideal([KeyKind.INJECTIVE] * 4800, 2, np.random.default_rng(65))
+        seeds = np.arange(4800, dtype=np.uint64)
+        trapdoors = keygen_ideal([KeyKind.INJECTIVE] * len(seeds), 2, seeds)
         low_zero = 0
         halves = np.zeros((2, 4, 8))  # (low, high) half, x, point within the half
         for key in (trapdoor.key for trapdoor in trapdoors):
@@ -310,6 +358,35 @@ class TestToyLattice:
             assert rebuilt == x0
             assert x0 ^ x1 == rebuilt ^ x1
 
+    def test_entries_and_secret_are_uniform_mod_q(self):
+        matrices = np.empty((2000, 6 * 3), dtype=np.int64)
+        secrets = np.empty((2000, 3), dtype=np.int64)
+        for seed in range(len(matrices)):
+            key, trap = keygen(KeyKind.CLAW_FREE, TOY, seed)
+            matrices[seed], secrets[seed] = key.matrix.ravel(), trap.secret
+        for name, draws in (("A", matrices), ("s", secrets)):
+            for position in range(draws.shape[1]):
+                counts = np.bincount(draws[:, position], minlength=17)
+                assert_multinomial(counts, [1 / 17] * 17, f"{name} entry {position}")
+
+    def test_injective_shift_never_lies_in_the_column_space(self):
+        # q = 2, n = 1, m = 2: half of all shifts lie in the column space and are redrawn.
+        small = EtcfParams(family="toy-lattice", n=1, m=2, q=2)
+        for seed in range(300):
+            key, _ = keygen(KeyKind.INJECTIVE, small, seed)
+            assert _solve(key.matrix, key.left_inverse, key.shift, 2) is None
+            assert len(image(key)) == 4  # two disjoint one-to-one branches
+
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_q_of_31_bits(self, kind):
+        big = EtcfParams(family="toy-lattice", n=1, m=2, q=2**31 - 1)
+        key, trap = keygen(kind, big, 2**64 - 1)
+        assert key.matrix.max() < big.q and key.shift.max() < big.q
+        x = encode_vector(np.array([123456789]), big.q)
+        for b in (0, 1):
+            inverted = invert(trap, evaluate(key, b, x))
+            assert inverted[b] == x if kind is KeyKind.CLAW_FREE else inverted == (b, x)
+
     def test_domain_rejects_bad_encoding(self):
         rng = np.random.default_rng(15)
         key, _ = keygen(KeyKind.CLAW_FREE, TOY, rng)
@@ -361,9 +438,8 @@ class TestRowReduction:
                 invert(trap, evaluate(key, 1, x))
                 if kind is KeyKind.CLAW_FREE:
                     claw_partner(key, 0, x)
-            trapdoor_from_dict(trapdoor_to_dict(trap), TOY)
-        # One for each key drawn, one for each key loaded: these draws need no rank retry.
-        assert len(calls) == 4
+        # One for each key drawn: these draws need no rank retry.
+        assert len(calls) == 2
 
 
 class TestCheckPreimage:
@@ -414,64 +490,6 @@ def test_numpy_integer_arguments_read_as_ints(kind, params):
             z = b | x << 1
             for c in (y, y ^ 1):
                 assert check_preimage(key, np.int64(z), np.int64(c)) is check_preimage(key, z, c)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])
-    @pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])
-    def test_round_trip(self, kind, params):
-        rng = np.random.default_rng(21)
-        key, trap = keygen(kind, params, rng)
-        data = trapdoor_to_dict(trap)
-        # The reader gives the family and its sizes; only a claw-free toy-lattice
-        # trapdoor holds more than its key.
-        arrays = {"tables"} if params is not TOY else {"matrix", "shift"}
-        secret = {"secret"} if params is TOY and kind is KeyKind.CLAW_FREE else set()
-        assert set(data) == {"kind"} | arrays | secret
-        trap2 = trapdoor_from_dict(data, params)
-        key2 = trap2.key
-        sample_inputs = range(16) if isinstance(key, IdealKeyPair) else [
-            encode_vector(rng.integers(0, 17, size=3), 17) for _ in range(16)
-        ]
-        for x in sample_inputs:
-            for b in (0, 1):
-                y = evaluate(key, b, x)
-                assert evaluate(key2, b, x) == y
-                assert invert(trap2, y) == invert(trap, y)
-
-    def test_toy_secret_must_solve_its_key(self):
-        rng = np.random.default_rng(23)
-        _, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
-        _, other_trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
-        _, injective = keygen(KeyKind.INJECTIVE, TOY, rng)
-        data = trapdoor_to_dict(trap)
-        assert np.array_equal(trapdoor_from_dict(data, TOY).secret, trap.secret)
-        secret = data.pop("secret")
-        cases = [
-            {**data, "secret": trapdoor_to_dict(other_trap)["secret"]},
-            data,
-            {**data, "secret": secret[:-8]},
-            {**trapdoor_to_dict(injective), "secret": secret},
-        ]
-        for case in cases:
-            with pytest.raises((LookupError, ValueError)):
-                trapdoor_from_dict(case, TOY)
-
-    @pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])
-    def test_only_what_the_writer_writes_is_read(self, params):
-        _, trap = keygen(KeyKind.CLAW_FREE, params, np.random.default_rng(25))
-        data = trapdoor_to_dict(trap)
-        name = "tables" if params is not TOY else "matrix"
-        assert data[name] != data[name].upper()  # a hex letter to upper-case
-        cases = [
-            {**data, "note": 1},
-            {**data, "family": params.family},
-            {**data, name: data[name].upper()},  # bytes.fromhex reads the same bytes
-            {**data, name: data[name][:8] + " " + data[name][8:]},  # and skips the space
-        ]
-        for case in cases:
-            with pytest.raises(ValueError):
-                trapdoor_from_dict(case, params)
 
 
 @given(w=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))

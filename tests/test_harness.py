@@ -16,7 +16,7 @@ from cdiqkd import harness
 from cdiqkd.cli import main
 from cdiqkd.config import ConfigError, ExperimentConfig
 from cdiqkd.devices import make_device
-from cdiqkd.etcf import EtcfParams, _array_from_hex, _array_to_hex, trapdoor_to_dict
+from cdiqkd.etcf import EtcfParams
 from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
@@ -24,6 +24,7 @@ from cdiqkd.harness import (
     replay_verify,
     run_experiment,
 )
+from cdiqkd.keyrate import sig12
 from cdiqkd.postprocess import final_length
 from cdiqkd.protocol import RoundType, TestTag, run_session
 from cdiqkd.streams import STREAM_BLOCK
@@ -193,18 +194,17 @@ class TestTranscriptPrivacy:
             if r.test_tag is TestTag.GENERATE and r.round_type is RoundType.BELL
         ]
         assert generate_records
-        store_lines = store_text.splitlines()[1:]
-        store_indices = {json.loads(line)["i"] for line in store_lines}
-        for line in store_lines:
-            # An ideal key's tables are its trapdoor: each is written once.
-            entry = json.loads(line)
-            assert line.count(entry["a"]["tables"]) == line.count(entry["b"]["tables"]) == 1
+        # The store holds the seed of each test round and of no other round.
+        tested = [
+            r for r in session.records
+            if r.round_type is not RoundType.SIFTED and r.test_tag is TestTag.TEST
+        ]
+        entries = [json.loads(line) for line in store_text.splitlines()[1:]]
+        assert [entry["i"] for entry in entries] == [r.index for r in tested]
+        assert [entry["seed"] for entry in entries] == [r.seed.hex() for r in tested]
         for record in generate_records:
-            # trapdoor payloads of generation rounds appear nowhere
-            for side in (record.alice, record.bob):
-                for name, payload in trapdoor_to_dict(side.trapdoor).items():
-                    assert name == "kind" or payload not in everything
-            assert record.index not in store_indices
+            # the seed of a generation round's keys appears nowhere
+            assert len(record.seed) == 16 and record.seed.hex() not in everything
 
         for line in transcript_text.splitlines():
             entry = json.loads(line)
@@ -306,7 +306,7 @@ class TestReplay:
             replay_verify(cut, store)
 
     def test_replay_memory_does_not_grow_with_rounds(self, tmp_path):
-        # Replay holds one transcript line and one decoded store entry at a time.
+        # Replay holds at most a block of test round lines and their keys at a time.
         peaks = {}
         for rounds in (2048, 4096):
             directory = tmp_path / str(rounds)
@@ -343,10 +343,8 @@ class TestReplay:
         transcript, store = request.getfixturevalue(files)
         stated = json.loads(transcript[0])["etcf"]
         for line in store[1:]:
-            # Each side is one trapdoor; its family and sizes are in the transcript header.
-            entry = json.loads(line)
-            assert entry.keys() == {"record", "i", "a", "b"}
-            assert not {*entry["a"], *entry["b"]} & {*stated, "key_a", "trapdoor_a"}
+            # An entry is one round's seed; the family and its sizes are in the transcript header.
+            assert json.loads(line).keys() == {"record", "i", "seed"}
         calls = []
         validate = EtcfParams.validate
         monkeypatch.setattr(EtcfParams, "validate", lambda p: calls.append(p) or validate(p))
@@ -456,8 +454,8 @@ def _is_sifted(entry):
 
 
 def _is_lettered_keys(entry):
-    # Side a's tables with a hex letter in them, so that upper-casing changes them.
-    return _is_keys(entry) and not entry["a"]["tables"].isdigit()
+    # A seed with a hex letter in it, so that upper-casing changes it.
+    return _is_keys(entry) and not entry["seed"].isdigit()
 
 
 # Each case corrupts one line; the replay must name it, never raise.
@@ -537,9 +535,6 @@ CORRUPT_HEADERS = {
     "composite-q": _etcf(q=4),
     "prime-q-beyond-int32": _etcf(n=1, m=2, q=2**61 - 1),
     "negative-n": _etcf(n=-3),
-    # A valid family that is not the store's: its first entry does not decode.
-    "toy-lattice-over-ideal-store": _etcf(),
-    "wider-ideal-over-ideal-store": _etcf("ideal", domain_bits=9),
     # The header is exactly what the writer writes for the values read from it.
     "string-epsilon": lambda e: e.update(epsilon="0.05"),
     "boolean-epsilon": lambda e: e.update(epsilon=True),
@@ -550,51 +545,45 @@ CORRUPT_HEADERS = {
     "numeric-device": lambda e: e.update(device=3),
     "extra-field-in-header": lambda e: e.update(note=1),
 }
-FOREIGN_FAMILY_HEADERS = ("toy-lattice-over-ideal-store", "wider-ideal-over-ideal-store")
-
-def _respell_tables(entry, respell):
-    entry["a"]["tables"] = respell(entry["a"]["tables"])
-
-
-def _tables_outside_the_codomain(entry):
-    """Side a's tables set to 1000, 1001, ... in both branches: keygen_ideal never draws them."""
-    size = len(_array_from_hex(entry["a"]["tables"])) // 2
-    entry["a"]["tables"] = _array_to_hex(np.tile(np.arange(1000, 1000 + size), 2))
-
-
-CORRUPT_STORE_ENTRIES = {
-    "missing-key": _without("a"),
-    "missing-index": _without("i"),
-    # A side that restates its family's width, as a format-2 key did: the
-    # store takes no size, whatever its value.
-    "infinite-domain-bits": lambda e: e["a"].update(domain_bits=float("inf")),
-    "huge-domain-bits": lambda e: e["b"].update(domain_bits=2**62),
-    "zero-domain-bits": lambda e: e["a"].update(domain_bits=0, tables="0000000001000000"),
-    "bad-hex-table": lambda e: e["b"].update(tables="zz"),
-    "short-table": lambda e: e["a"].update(tables="00"),
-    # Hex that bytes.fromhex reads as the same tables: only the writer's spelling passes.
-    "upper-case-table": (_is_lettered_keys, lambda e: _respell_tables(e, str.upper)),
-    "space-in-table": lambda e: _respell_tables(e, lambda text: text[:8] + " " + text[8:]),
-    "unknown-kind": lambda e: e["a"].update(kind="lossy"),
-    "key-not-an-object": lambda e: e.update(a=3),
-    "not-an-object": lambda e: "keys",
-    # Each side is one object that holds just its kind and tables, and the entry
-    # holds just its index and two sides.
-    "side-with-extra-field": lambda e: e["b"].update(note=1),
-    "ideal-trapdoor-with-secret": lambda e: e["a"].update(secret="00000000"),
-    "ideal-trapdoor-with-tables": lambda e: e.update(trapdoor_a={"tables": e["a"]["tables"]}),
-    "trapdoor-not-an-object": lambda e: e.update(b="x"),
-    "second-header": lambda e: {"record": "keys-header", "version": 2, "format": 3},
-    "tables-outside-the-codomain": _tables_outside_the_codomain,
+# A valid family that is not the run's: the store's seeds redraw keys of that
+# family, whose widths the round lines' values do not have.
+FOREIGN_FAMILY_HEADERS = {
+    "toy-lattice-over-ideal-run": _etcf(),
+    "wider-ideal-over-ideal-run": _etcf("ideal", domain_bits=9),
 }
 
-# First store lines other than the format-3 header; None drops the line.
+CORRUPT_STORE_ENTRIES = {
+    # An entry's key material is its seed: 32 lowercase hex digits, as the
+    # writer writes 16 bytes.
+    "missing-key": _without("seed"),
+    "missing-index": _without("i"),
+    "short-seed": lambda e: e.update(seed=e["seed"][:-1]),
+    "long-seed": lambda e: e.update(seed=e["seed"] + "0"),
+    "15-byte-seed": lambda e: e.update(seed=e["seed"][:-2]),
+    "bad-hex-seed": lambda e: e.update(seed="zz" * 16),
+    # Hex that bytes.fromhex reads as the same bytes: only the writer's spelling passes.
+    "upper-case-seed": (_is_lettered_keys, lambda e: e.update(seed=e["seed"].upper())),
+    "space-in-seed": lambda e: e.update(seed=e["seed"][:8] + " " + e["seed"][8:]),
+    "seed-not-a-string": lambda e: e.update(seed=int(e["seed"], 16)),
+    # The entry holds just its index and seed.  Format-2 and format-3 entries
+    # stated a width or a key's kind; the store takes neither, whatever its value.
+    "extra-field": lambda e: e.update(note=1),
+    "infinite-domain-bits": lambda e: e.update(domain_bits=float("inf")),
+    "huge-domain-bits": lambda e: e.update(domain_bits=2**62),
+    "zero-domain-bits": lambda e: e.update(domain_bits=0),
+    "unknown-kind": lambda e: e.update(kind="lossy"),
+    "not-an-object": lambda e: "keys",
+    "second-header": lambda e: {"record": "keys-header", "version": 3, "format": 4},
+}
+
+# First store lines other than the format-4 header; None drops the line.
 CORRUPT_STORE_HEADERS = {
     "missing-header": None,
     "header-without-format": {"record": "keys-header", "version": 2},  # as before format 2
     "format-1": {"record": "keys-header", "version": 2, "format": 1},
     "format-2": {"record": "keys-header", "version": 2, "format": 2},
-    "other-version": {"record": "keys-header", "version": 7, "format": 3},
+    "format-3": {"record": "keys-header", "version": 2, "format": 3},
+    "other-version": {"record": "keys-header", "version": 7, "format": 4},
 }
 
 STORE_CASES = sorted([*CORRUPT_STORE_ENTRIES, *CORRUPT_STORE_HEADERS])
@@ -605,79 +594,22 @@ def _corrupt_store(store, name, last=False):
     if name in CORRUPT_STORE_HEADERS:
         header = CORRUPT_STORE_HEADERS[name]
         lines = store[1:] if header is None else [json.dumps(header), *store[1:]]
-        return lines, "trapdoor store has no format-3 header"
+        return lines, "trapdoor store has no format-4 header"
     case = CORRUPT_STORE_ENTRIES[name]
     pick, mutate = case if isinstance(case, tuple) else (_is_keys, case)
     lines, number = _mutated(store, pick, mutate, last)
     return lines, f"trapdoor store corrupt at line {number}"
 
 
-# The toy-lattice family of lattice_audit_files, which its transcript header states.
-LATTICE = EtcfParams("toy-lattice")
-
-
-def _is_injective_b_keys(entry):
-    return entry["record"] == "keys" and entry["b"]["kind"] == "injective"
-
-
-def _is_injective_a_keys(entry):
-    return entry["record"] == "keys" and entry["a"]["kind"] == "injective"
-
-
-def _is_claw_free_a_keys(entry):
-    return entry["record"] == "keys" and entry["a"]["kind"] == "claw_free"
-
-
-def _plus_q(holder, name, multiple=1):
-    """Add ``multiple`` * q to the first entry of the hex array ``holder[name]``."""
-    values = _array_from_hex(holder[name])
-    values[0] += multiple * LATTICE.q
-    holder[name] = _array_to_hex(values)
-
-
-def _entries_beyond_q(entry):
-    _plus_q(entry["a"], "matrix")
-    _plus_q(entry["a"], "shift", 5)
-
-
-def _matrix_a(entry):
-    return _array_from_hex(entry["a"]["matrix"]).reshape(LATTICE.m, LATTICE.n)
-
-
-def _injective_shift_in_column_space(entry):
-    """Side a's shift set to A (1, 2, ..., n): the injective key becomes 2-to-1."""
-    shift = _matrix_a(entry) @ np.arange(1, LATTICE.n + 1) % LATTICE.q
-    entry["a"]["shift"] = _array_to_hex(shift)
-
-
-def _rank_deficient_key_a(entry):
-    """Side a with column 1 a copy of column 0; a claw-free shift is re-derived as A s."""
-    side = entry["a"]
-    matrix = _matrix_a(entry)
-    matrix[:, 1] = matrix[:, 0]
-    side["matrix"] = _array_to_hex(matrix)
-    if "secret" in side:
-        side["shift"] = _array_to_hex(matrix @ _array_from_hex(side["secret"]) % LATTICE.q)
-
-
-# Toy-lattice sides that restate a size, as a format-2 key did (the store
-# takes none, whatever its value), whose shift is not (m,), whose matrix
-# lacks full column rank, whose entries lie outside 0..q-1, or that are
-# injective with a shift inside the column space.
+# Toy-lattice entries that restate a size, as a format-2 key did: the store
+# takes none, whatever its value.
 CORRUPT_LATTICE_STORE_ENTRIES = {
-    "negative-q": (_is_keys, lambda e: e["a"].update(q=-17)),
-    "zero-q": (_is_keys, lambda e: e["a"].update(q=0)),
-    "unit-q": (_is_keys, lambda e: e["a"].update(q=1)),
-    "composite-q": (_is_keys, lambda e: e["a"].update(q=4)),
-    "prime-q-beyond-int32": (_is_keys, lambda e: e["a"].update(q=2**61 - 1)),
-    "negative-n": (_is_keys, lambda e: e["a"].update(n=-3)),
-    "short-injective-shift": (
-        _is_injective_b_keys, lambda e: e["b"].update(shift=e["b"]["shift"][:-8])
-    ),
-    "rank-deficient-matrix": (_is_keys, _rank_deficient_key_a),
-    "entries-beyond-q": (_is_keys, _entries_beyond_q),
-    "secret-beyond-q": (_is_claw_free_a_keys, lambda e: _plus_q(e["a"], "secret")),
-    "injective-shift-in-column-space": (_is_injective_a_keys, _injective_shift_in_column_space),
+    "negative-q": (_is_keys, lambda e: e.update(q=-17)),
+    "zero-q": (_is_keys, lambda e: e.update(q=0)),
+    "unit-q": (_is_keys, lambda e: e.update(q=1)),
+    "composite-q": (_is_keys, lambda e: e.update(q=4)),
+    "prime-q-beyond-int32": (_is_keys, lambda e: e.update(q=2**61 - 1)),
+    "negative-n": (_is_keys, lambda e: e.update(n=-3)),
 }
 
 
@@ -825,10 +757,42 @@ class TestMalformedReplay:
     def test_corrupt_header_raises_replay_error(self, tmp_path, audit_files, name):
         transcript, store = audit_files
         lines, _ = _mutated(transcript, _is_header, CORRUPT_HEADERS[name])
-        foreign = name in FOREIGN_FAMILY_HEADERS
-        message = "trapdoor store corrupt at line 2" if foreign else "header"
-        with pytest.raises(ReplayError, match=message):
+        with pytest.raises(ReplayError, match="header"):
             replay_verify(*self.write(tmp_path, lines, store))
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN_FAMILY_HEADERS))
+    def test_header_of_another_family_is_a_mismatch(self, tmp_path, audit_files, capsys, name):
+        transcript, store = audit_files
+        lines, _ = _mutated(transcript, _is_header, FOREIGN_FAMILY_HEADERS[name])
+        transcript_path, store_path = self.write(tmp_path, lines, store)
+        report = replay_verify(transcript_path, store_path)
+        tested = [n for n, e in enumerate(map(json.loads, lines), 1)
+                  if e.get("tag") == "test" and e.get("rt") not in (None, "sifted")]
+        assert [f"line {n}: corrupt record" for n in tested] == report.mismatches[:len(tested)]
+        assert main(["--replay", transcript_path, "--trapdoors", store_path]) == 2
+        assert "corrupt record" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pick", [_is_challenge_a_test, _is_bell_test, _is_bell_cc_test])
+    def test_changed_seed_is_a_mismatch_naming_the_round_line(self, tmp_path, audit_files, pick):
+        # A round's seed redraws both its keys: under another seed's keys, the
+        # commitments the verdict reads have no preimage the device gave, or none.
+        transcript, store = audit_files
+        number = next(n for n, line in enumerate(transcript, 1) if pick(json.loads(line)))
+        round_line = json.loads(transcript[number - 1])
+        assert round_line["win"] == "pass"
+        index = round_line["i"]
+        flip = 1 << 127 | 1 << 63  # a bit of Alice's key seed and one of Bob's
+        lines, _ = _mutated(
+            store, lambda e: _is_keys(e) and e["i"] == index,
+            lambda e: e.update(seed=format(int(e["seed"], 16) ^ flip, "032x")),
+        )
+        report = replay_verify(*self.write(tmp_path, transcript, lines))
+        fail_fraction = sig12(1 / json.loads(transcript[-1])["tested"])
+        assert report.mismatches == [
+            f"line {number}: round {index} verdict should be fail",
+            "footer: failed count should be 1",
+            f"footer: fail fraction should be {fail_fraction}",
+        ]
 
     @pytest.mark.parametrize("name", STORE_CASES)
     def test_corrupt_store_entry_raises_replay_error(self, tmp_path, audit_files, name):
@@ -1097,6 +1061,12 @@ class TestMalformedInputExitsOne:
         assert capsys.readouterr().err.startswith("config error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_trapdoors_without_a_transcript(self, tmp_path, capsys):
+        # The store is written only beside a transcript: alone, the run would write nothing.
+        assert main(["--rounds", "64", "--trapdoors", str(tmp_path / "k.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flags",
         [["--transcript", "{missing}/t.jsonl"],
@@ -1116,23 +1086,26 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v2,
-# with the store in format 3.
-# A change here changes the outputs of every seeded run.
-STREAM_LAYOUT_V2 = {
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v3,
+# with the store in format 4.
+# A change here changes the outputs of every seeded run.  Layout v3 moved the
+# private coins only, so each summary of an honest or noisy device is v2's
+# byte for byte; and a store holds test rounds' indices and seeds alone, so
+# the runs that share their first 512 rounds' public coins share one store.
+STREAM_LAYOUT_V3 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "43fda7597c333d63223eefb49fa97e0c3166566fbe1164c3dcdc9fab6ab65aa9",
-            "737b355eb6692687e3481660506ab5c6b7d2983a4e4866516fc734bd220ecb7b",
+            "8fd69c11fbef1e2ee01099bae38e4cf1a47bef73e79af44f16db4efc0d67c970",
+            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
             "1ad889c3a6ea73df464372377578c62cc65ea9037008c87337796ce03d9c9084",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "1d09db9948111e14463bceeb7f9b4122f90be8977d4f2132bdbbb321c287f198",
-            "ea5e3d22680c50fcecd0a2145ad88445ff017ec0987679279c03a2a865eafeb3",
+            "7bed1f4b8d18be3768cb1b24fc681097fd5f65cc151c7ee105c397ff03234bb6",
+            "7ad9e0e70bf576e6db4cffbb3d159ac40e4d67e09392fbbcbd21387cbf64c9a7",
             "e8b46867b241b56a23e8a3926bd810490cb0d1fa827fa202ad9f57b90e75dcc2",
         ),
     ),
@@ -1140,16 +1113,16 @@ STREAM_LAYOUT_V2 = {
     "ideal-random-multiblock": (
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "faf17f1e0b1fad960562084d17cc298b9d58f4cbc7a31ba35d59747c04182fa2",
-            "3e13a370ae7dae220384df71b5cb87c814ad3a97eae0125a22be1e6a02a6288b",
-            "67bab6335de5e816969fa5c04ace31b80a41496f46c9d2e5f1bd6c4b676f706a",
+            "66eab459529ddea3f907f7ee9d04c3a288086985820639dd3fb1a419e38ad786",
+            "764624f498cdf05f562ed614d58b4e2c99d50454d396618f20ddbabcc29c5be8",
+            "86150cf50c1084275856b058ebb71d529f7e521a3f9c98603d72e54a83806584",
         ),
     ),
     "lattice-noisy-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "8622da80a3d7e93143a6268c28e875069ff519fb4d4b7c8c859f138a45a944f1",
-            "47e244ed6af06faec6549e4eb1dd4ce569383eda3588646d95f099357a637836",
+            "e2bb3e5daf4c49d18904d66067984e9c32852596c98d206c84a3b2d9c543a522",
+            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
             "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
         ),
     ),
@@ -1157,8 +1130,8 @@ STREAM_LAYOUT_V2 = {
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "107c6cb8f687328505a0b4ebcf173e02a2a7c9f783fa1efec2b1d16764e7a053",
-            "1df47c67d5d06a47952216f088ab1a19792fad399756cf9a32ba8dec00c8ae34",
+            "6fbdf677df8a05c52c19303e4e79a409df8a674f7e73b341134a46c9bd4881f1",
+            "939e725fa74ad81e2f43ffa824885e0a329f1a59c94b9d2cb2f616fbe558cc8c",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -1166,17 +1139,17 @@ STREAM_LAYOUT_V2 = {
     "ideal-noisy-two-blocks-w8": (
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "4ccbe918dbc61d33f27775dc36fbd07c9bf7e0efff53e99a0ec086d8ab800714",
-            "b9e7f1436a3fb1293468513797aaeba8f317d0a64d9b9351fa0c8cb0f62519e4",
+            "82364f520b068079ae21e2cc5e17498e404816cd834ca398311561558789b42b",
+            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
             "36aa1ec4728d3db896051b1817c439600395b273880f9f6da329c4981a0ef2e6",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V2))
-def test_stream_layout_v2_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V2[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V3))
+def test_stream_layout_v3_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V3[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1186,8 +1159,8 @@ def test_stream_layout_v2_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [2, 2]
-    assert headers[1]["format"] == 3
+    assert [header["version"] for header in headers] == [3, 3]
+    assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")

@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import itertools
-import json
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,6 @@ from cdiqkd.etcf import (
     image,
     invert,
     keygen,
-    trapdoor_to_dict,
 )
 from cdiqkd.harness import bell_test_qber
 from cdiqkd.protocol import (
@@ -64,16 +62,25 @@ HAD = MeasurementBasis.HADAMARD
 A, B = ChallengeType.A, ChallengeType.B
 
 
+def _trapdoor_bytes(trapdoor) -> bytes:
+    """A trapdoor's kind and arrays, its key's included."""
+    key = trapdoor.key
+    arrays = (
+        [key.tables] if hasattr(key, "tables") else [key.matrix, key.shift, trapdoor.secret]
+    )
+    return key.kind.value.encode() + b"".join(a.tobytes() for a in arrays if a is not None)
+
+
 def _signature(record) -> tuple:
     """Everything a round record holds, in comparable form."""
     sides = tuple(
         (
             side.theta, side.ct, side.c, side.z, side.d, side.question, side.answer, side.h,
-            side.violation, json.dumps(trapdoor_to_dict(side.trapdoor)),
+            side.violation, _trapdoor_bytes(side.trapdoor),
         )
         for side in (record.alice, record.bob)
     )
-    return record.index, record.round_type, record.test_tag, record.win, sides
+    return record.index, record.round_type, record.test_tag, record.win, record.seed, sides
 
 
 def params(rounds=256, epsilon=0.05, w=4, **knobs) -> ProtocolParams:
@@ -370,6 +377,24 @@ def test_session_retains_little_beyond_its_key_tables():
     )
     assert session.tested_count > 0
     assert retained < 1.5 * table_bytes
+
+
+@pytest.mark.parametrize(
+    "etcf",
+    [EtcfParams(family="ideal", domain_bits=3), EtcfParams(family="toy-lattice", n=2, m=4, q=5)],
+    ids=["ideal", "toy"],
+)
+def test_each_key_is_drawn_from_its_half_of_the_round_seed(etcf):
+    # The batched block keygen draws the key keygen draws from the same seed alone.
+    session = run_session(HonestDevice(), ProtocolParams(40, 0.05, etcf), seed=4)
+    for record in session.records:
+        assert len(record.seed) == 16
+        for side, half in ((record.alice, record.seed[:8]), (record.bob, record.seed[8:])):
+            assert side.key.kind is (
+                KeyKind.CLAW_FREE if side.theta is HAD else KeyKind.INJECTIVE
+            )
+            _, trapdoor = keygen(side.key.kind, etcf, int.from_bytes(half, "little"))
+            assert _trapdoor_bytes(trapdoor) == _trapdoor_bytes(side.trapdoor)
 
 
 def test_block_keygen_temporaries_stay_within_a_few_rows():

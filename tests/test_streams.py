@@ -1,4 +1,5 @@
-"""Stream layout v2: per-block Philox keys, block boundaries and the coins they yield."""
+"""Stream layout v3: per-block keys, Philox streams and round seeds, block boundaries and
+the coins they yield."""
 
 import hashlib
 
@@ -60,10 +61,22 @@ class TestKeyDerivation:
         master = MASTERS["run-experiment-child"]
         blocks = list(block_streams(master, 2 * STREAM_BLOCK + 1))
         for index, block in enumerate(blocks):
-            for stream, generator in zip((PUBLIC, PRIVATE, DEVICE), block[2:]):
+            for stream, generator in ((PUBLIC, block.public), (DEVICE, block.device)):
                 expected = np.random.Philox(key=_oracle_key(master, stream, index))
                 assert isinstance(generator.bit_generator, np.random.Philox)
                 assert np.array_equal(generator.bit_generator.random_raw(8), expected.random_raw(8))
+
+    def test_round_seeds_are_the_documented_shake(self):
+        # Each round's 16 bytes are its chunk of SHAKE-128 of the block's private key.
+        master = MASTERS["run-experiment-child"]
+        blocks = list(block_streams(master, 2 * STREAM_BLOCK + 1))
+        assert [len(block.seeds) for block in blocks] == [16 * STREAM_BLOCK] * 2 + [16]
+        for index, block in enumerate(blocks):
+            key = _oracle_key(master, PRIVATE, index).astype("<u8").tobytes()
+            assert block.seeds == hashlib.shake_128(key).digest(16 * (block.stop - block.start))
+        # A shorter last block takes the first seeds of a whole one.
+        whole = list(block_streams(master, 3 * STREAM_BLOCK))[2]
+        assert whole.seeds[:16] == blocks[2].seeds
 
     def test_session_words_read_the_seed_sequence_without_advancing_it(self):
         seq = np.random.SeedSequence(2024)
