@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FIELD_TYPES, ConfigError, ExperimentConfig, store_path
+from .config import FIELD_TYPES, ConfigError, ExperimentConfig, read_config_file, store_path
 from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment
 
 
@@ -49,7 +49,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.match else 2
 
     try:
-        data = ExperimentConfig.from_file(args.config).to_dict() if args.config else {}
+        # The flags override the file's values, and the result is validated once.
+        data = read_config_file(args.config) if args.config else {}
         for name in FIELD_TYPES:
             value = getattr(args, name)
             if value is not None:

@@ -78,26 +78,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        for key, value in data.items():
-            if key not in FIELD_TYPES:
-                raise ConfigError(f"unknown config key: {key}")
-            _check_value(key, value)
-        config = cls(**data)
+        config = cls(**_checked_fields(data))
         config.validate()
         return config
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,6 +110,33 @@ class ExperimentConfig:
 _ANNOTATION_TYPES = {"int": int, "float": float, "str": str, "str | None": str}
 FIELD_TYPES = {f.name: _ANNOTATION_TYPES[f.type] for f in fields(ExperimentConfig)}
 _OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
+
+
+def read_config_file(path: str) -> dict:
+    """The fields a JSON config file sets, each of its field's type.
+
+    The values are not validated together: the command line lays its flags
+    over them first, and ``ExperimentConfig.from_dict`` validates the result.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return _checked_fields(data)
+
+
+def _checked_fields(data: dict) -> dict:
+    """``data``, once each key is a field and each value of its field's type."""
+    for key, value in data.items():
+        if key not in FIELD_TYPES:
+            raise ConfigError(f"unknown config key: {key}")
+        _check_value(key, value)
+    return data
 
 
 def _check_value(name: str, value) -> None:

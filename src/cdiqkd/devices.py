@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import dot
-from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, claw_partner
+from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, claw_partner, encode_vector
 from .quantum import (
     MeasurementBasis,
     StateVector,
@@ -64,8 +64,6 @@ class HonestInternalState:
 def _sample_domain(key: EtcfKeyPair, rng: np.random.Generator) -> int:
     if isinstance(key, IdealKeyPair):
         return int(rng.integers(1 << key.domain_bits))
-    from .etcf import encode_vector
-
     return encode_vector(rng.integers(0, key.q, size=key.n), key.q)
 
 

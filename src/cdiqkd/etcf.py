@@ -12,10 +12,12 @@ Two instantiations behind one interface:
 - ``toy-lattice``: noise-free linear maps mod a prime q.  Claw-free:
   f_b(x) = A x + b (A s); the claw partner of x under branch 1 is x - s.
   Injective: f_b(x) = A x + b u with u outside the column space of A.
-  A has full column rank, and one left inverse L (L A = I mod q), derived
-  once per key, solves every point of its column space as x = L y.
-  Functionally an ETCF, deliberately offering no hardness (adversaries in
-  this simulator are scripted, not computational).
+  A is drawn in systematic form [I_n; R], the canonical form of a uniform
+  full-rank key up to a relabeling of the domain and of the rows (as with
+  Micciancio's Hermite-normal-form keys, CaLC 2001).  So A has full column
+  rank, and the x with A x = y is y's first n coordinates.  Functionally an
+  ETCF, deliberately offering no hardness (adversaries in this simulator
+  are scripted, not computational).
 
 Every key is drawn from a 64-bit key seed alone: its words are the
 SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
@@ -80,8 +82,8 @@ class EtcfParams:
                 raise ValueError("lattice dimension n must be positive")
             if self.m < 2 * self.n:
                 raise ValueError(f"m must be at least 2*n, got m={self.m}, n={self.n}")
-            # Devices draw codomain messages as int64, and A x, L y stay exact in
-            # int64; checked first, as the primality test would stall on a huge q.
+            # Devices draw codomain messages as int64, and A x stays exact in int64;
+            # checked first, as the primality test would stall on a huge q.
             if self.m * _coord_bits(self.q) > 63:
                 raise ValueError(f"m * ceil(log2 q) must be at most 63, got m={self.m}, q={self.q}")
             if not _is_prime(self.q):
@@ -246,65 +248,18 @@ def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
     return out
 
 
-def _row_reduce(rows: list[list[int]], q: int, cols: int) -> list[int]:
-    """Gauss-Jordan elimination over Z_q (q prime) on the first ``cols`` columns, in place.
-
-    Returns the pivot columns: afterwards row r has a leading 1 in column
-    ``pivots[r]`` and zeros in every other pivot column, and the rows past
-    the last pivot are zero in the first ``cols`` columns.  Plain int lists
-    beat numpy rows at these matrix sizes.
-    """
-    m = len(rows)
-    pivots: list[int] = []
-    for col in range(cols):
-        row = len(pivots)
-        if row == m:
-            break
-        pivot = next((r for r in range(row, m) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = pow(rows[row][col], q - 2, q)
-        lead = [v * inv % q for v in rows[row]]
-        rows[row] = lead
-        for r in range(m):
-            factor = rows[r][col]
-            if r != row and factor:
-                rows[r] = [(v - factor * w) % q for v, w in zip(rows[r], lead)]
-        pivots.append(col)
-    return pivots
-
-
-def _left_inverse(matrix: np.ndarray, q: int) -> np.ndarray | None:
-    """L with L A = I over Z_q (q prime), by one elimination of [A | I]; None
-    unless A has full column rank.
-    """
-    m, n = matrix.shape
-    rows = [row + [int(r == c) for c in range(m)] for r, row in enumerate((matrix % q).tolist())]
-    if len(_row_reduce(rows, q, n)) < n:
-        return None
-    return np.array([row[n:] for row in rows[:n]], dtype=np.int64)
-
-
-def _solve(matrix: np.ndarray, left_inverse: np.ndarray, y: np.ndarray, q: int):
-    """The x with A x = y over Z_q, as L y; None when y is outside the column space of A."""
-    x = left_inverse @ y % q
-    return None if np.any((matrix @ x - y) % q) else x
-
-
 @dataclass(frozen=True, eq=False)
 class ToyLatticeKeyPair:
-    """Public matrix A, shift vector (A s for claw-free, u for injective) and
-    left inverse L of A; derived once from the public A, L is public too.
+    """Public matrix A = [I_n; R] in systematic form and shift vector (A s for
+    claw-free, u for injective).
     """
 
     kind: KeyKind
     n: int
     m: int
     q: int
-    matrix: np.ndarray  # (m, n) mod q, full column rank
+    matrix: np.ndarray  # (m, n) mod q, its first n rows the identity
     shift: np.ndarray  # (m,) mod q
-    left_inverse: np.ndarray  # (n, m) mod q, L A = I
 
     @property
     def domain_bits(self) -> int:
@@ -329,8 +284,8 @@ class ToyLatticeKeyPair:
 
 def _keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdoor:
     """Values mod q are the key seed's words masked to ceil(log2 q) bits, those below q
-    kept, in order.  A is the first m * n values, redrawn from later ones while it lacks
-    full column rank; then s (n values), or u (m values, redrawn while in A's column space).
+    kept, in order.  R is the first (m - n) * n values, row-major, and A = [I_n; R];
+    then s (n values), or u (m values, redrawn while in A's column space).
     """
     n, m, q = params.n, params.m, params.q
     mask, seed = np.uint64((1 << _coord_bits(q)) - 1), np.uint64(seed)
@@ -345,18 +300,21 @@ def _keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdoor:
         used += count
         return values[used - count:used].copy()  # numpy products run slower on views
 
-    left_inverse = None
-    while left_inverse is None:
-        matrix = draw(m * n).reshape(m, n)
-        left_inverse = _left_inverse(matrix, q)
+    matrix = np.concatenate([np.eye(n, dtype=np.int64), draw((m - n) * n).reshape(m - n, n)])
     if kind is KeyKind.CLAW_FREE:
         secret = draw(n)
-        key = ToyLatticeKeyPair(kind, n, m, q, matrix, (matrix @ secret) % q, left_inverse)
-        return Trapdoor(key, secret)
+        return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, matrix @ secret % q), secret)
     u = draw(m)
-    while _solve(matrix, left_inverse, u, q) is not None:  # u must leave the column space
+    while not np.any((matrix @ u[:n] - u) % q):  # u must leave the column space
         u = draw(m)
-    return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u, left_inverse))
+    return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u))
+
+
+def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
+    """The x with A x = y over Z_q: A = [I; R], so x is y's first n coordinates, kept
+    if R x is y's rest; None when y is outside the column space of A."""
+    x = y[:key.n]
+    return None if np.any((key.matrix @ x - y) % key.q) else x
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +377,13 @@ def invert(trapdoor: Trapdoor, y: int):
     if vec is None:
         raise NoPreimageError(f"{y} does not encode a codomain vector")
     if key.kind is KeyKind.CLAW_FREE:
-        x0 = _solve(key.matrix, key.left_inverse, vec, key.q)
+        x0 = _solve(key, vec)
         if x0 is None:
             raise NoPreimageError(f"{y} has no preimage")
         x1 = (x0 - trapdoor.secret) % key.q
         return encode_vector(x0, key.q), encode_vector(x1, key.q)
     for b in (0, 1):
-        x = _solve(key.matrix, key.left_inverse, (vec - b * key.shift) % key.q, key.q)
+        x = _solve(key, (vec - b * key.shift) % key.q)
         if x is not None:
             return b, encode_vector(x, key.q)
     raise NoPreimageError(f"{y} has no preimage")
@@ -456,17 +414,15 @@ def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
     """The other claw member, recovered from public key material only.
 
     For these desk-scale families the claw is publicly computable (table
-    scan or noise-free linear algebra); this stands in for the claw an
+    scan, or s read off the shift A s); this stands in for the claw an
     honest device holds in superposition.  Trapdoors never enter here.
     """
     if key.kind is not KeyKind.CLAW_FREE:
         raise ValueError("claw_partner is defined for claw-free keys only")
     if isinstance(key, IdealKeyPair):
         return _ideal_preimage(key, 1 - b, key.evaluate(b, x))
-    # Noise-free instance: s is recoverable from (A, A s) as L (A s).
-    secret = _solve(key.matrix, key.left_inverse, key.shift, key.q)
-    if secret is None:
-        raise ValueError("claw-free toy key with inconsistent shift")
+    # Noise-free instance in systematic form: the shift A s begins with s.
+    secret = key.shift[:key.n]
     vec = decode_vector(x, key.n, key.q)
     if vec is None:
         raise ValueError(f"{x} does not encode a vector in the domain")

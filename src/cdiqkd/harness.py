@@ -58,7 +58,7 @@ from .protocol import (
     win_condition,
 )
 from .quantum import MeasurementBasis
-from .streams import STREAM_BLOCK, STREAM_LAYOUT
+from .streams import SEED_BYTES, STREAM_BLOCK, STREAM_LAYOUT
 
 EXIT_KEY_PRODUCED = 0
 EXIT_USAGE = 1
@@ -80,7 +80,6 @@ _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 4
-SEED_BYTES = 16  # a round's key seed, as a store entry holds it
 
 # Side <s>'s fields: commitment, preimage (challenge a), phase string, question,
 # answer and herald bit (challenge b), and the mark of a malformed message.

@@ -20,15 +20,16 @@ with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v3), and each block draws from three streams keyed by the
+(stream layout v4), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
   for every round whether or not the round reads it, each compared with
   its ``ProtocolParams`` probability;
-- private coins: each round's 16-byte seed, whose halves are Alice's and
-  Bob's key seeds; ``draw_trapdoors`` draws each key from its own seed
-  alone, so the trapdoor store need hold only a test round's seed;
+- private coins: each round's seed of ``streams.SEED_BYTES`` bytes, whose
+  halves are Alice's and Bob's key seeds; ``draw_trapdoors`` draws each key
+  from its own seed alone, so the trapdoor store need hold only a test
+  round's seed;
 - the device's stream, handed to ``device.reset`` at every round.
 
 So the verifiers' draws never depend on the device's answers, and a
@@ -70,7 +71,7 @@ from .quantum import (
     plus_minus,
     tensor,
 )
-from .streams import block_streams
+from .streams import SEED_BYTES, block_streams
 
 SUPPORT_TOLERANCE = 1e-9
 # The public coins of a round, in the column order a block draws them.
@@ -200,12 +201,8 @@ def choose_test_tag(round_type: RoundType, coin: float, p_generate: float = 0.5)
     return TestTag.TEST
 
 
-def bell_label_bit(d: int, x0: int, x1: int, width: int | None = None) -> int:
+def bell_label_bit(d: int, x0: int, x1: int) -> int:
     """The phase bit d . (x0 xor x1) over GF(2)."""
-    if width is not None:
-        for value in (d, x0, x1):
-            if not fits(value, width):
-                raise ValueError(f"{value} is not a {width}-bit string")
     return dot(d, x0 ^ x1)
 
 
@@ -256,7 +253,7 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
             bob=ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
             round_type=round_type,
             test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
-            seed=block.seeds[16 * offset:16 * offset + 16],
+            seed=block.seeds[SEED_BYTES * offset:SEED_BYTES * (offset + 1)],
         )
 
 

@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v3.
+"""Per-block random streams, stream layout v4.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -15,16 +15,18 @@ bytes.  The streams:
   a counter-based ``Generator(Philox(key=K))`` (Salmon et al., "Parallel
   random numbers: as easy as 1, 2, 3", SC'11), K read as two little-endian
   uint64 words;
-- ``PRIVATE``: the verifiers' private coins.  Round ``start + i`` gets bytes
-  ``16 i .. 16 i + 15`` of ``SHAKE-128(K).digest(16 * rounds in the block)``,
-  whose first and last 8, read as little-endian uint64s, are Alice's and
-  Bob's key seeds: ``etcf`` draws each key from its seed alone.
+- ``PRIVATE``: the verifiers' private coins.  Round ``start + i`` gets the
+  ``SEED_BYTES`` (16) bytes from ``16 i`` on of ``SHAKE-128(K)``, whose first
+  and last 8, read as little-endian uint64s, are Alice's and Bob's key
+  seeds: ``etcf`` draws each key from its seed alone.
 
 Knowing one block's key, or one round's seed, tells nothing of any other.
 
 ``STREAM_LAYOUT`` is the layout's number; the transcript and trapdoor-store
 headers state it as their ``version``.  Layout v3 moved only the private
 coins from v2, whose public and device streams it keeps byte for byte.
+Layout v4 keeps v3's streams and seeds, and the ideal keys drawn from them;
+it moved only the toy-lattice keys, now drawn in systematic form.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-STREAM_LAYOUT = 3
-DOMAIN = b"cdiqkd stream layout v2"  # v3 keeps it, and with it v2's public and device streams
+STREAM_LAYOUT = 4
+SEED_BYTES = 16  # a round's private seed
+DOMAIN = b"cdiqkd stream layout v2"  # v3 and v4 keep it, and with it v2's public and device streams
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 
@@ -47,7 +50,7 @@ class Block(NamedTuple):
     start: int
     stop: int
     public: np.random.Generator
-    seeds: bytes  # 16 bytes a round
+    seeds: bytes  # SEED_BYTES a round
     device: np.random.Generator
 
 
@@ -78,5 +81,5 @@ def block_streams(master: np.random.SeedSequence, rounds: int) -> Iterator[Block
             for stream in (PUBLIC, DEVICE)
         )
         private = block_key(words, PRIVATE, block).astype("<u8").tobytes()
-        seeds = hashlib.shake_128(private).digest(16 * (stop - start))
+        seeds = hashlib.shake_128(private).digest(SEED_BYTES * (stop - start))
         yield Block(start, stop, public, seeds, device)

@@ -23,7 +23,6 @@ from cdiqkd.etcf import (
     key_words,
     keygen,
     keygen_ideal,
-    _left_inverse,
     _solve,
 )
 from cdiqkd import etcf
@@ -359,12 +358,14 @@ class TestToyLattice:
             assert x0 ^ x1 == rebuilt ^ x1
 
     def test_entries_and_secret_are_uniform_mod_q(self):
-        matrices = np.empty((2000, 6 * 3), dtype=np.int64)
+        # A = [I; R] in systematic form: the entries of R are the drawn ones.
+        blocks = np.empty((2000, 3 * 3), dtype=np.int64)
         secrets = np.empty((2000, 3), dtype=np.int64)
-        for seed in range(len(matrices)):
+        for seed in range(len(blocks)):
             key, trap = keygen(KeyKind.CLAW_FREE, TOY, seed)
-            matrices[seed], secrets[seed] = key.matrix.ravel(), trap.secret
-        for name, draws in (("A", matrices), ("s", secrets)):
+            assert np.array_equal(key.matrix[:3], np.eye(3, dtype=np.int64))
+            blocks[seed], secrets[seed] = key.matrix[3:].ravel(), trap.secret
+        for name, draws in (("R", blocks), ("s", secrets)):
             for position in range(draws.shape[1]):
                 counts = np.bincount(draws[:, position], minlength=17)
                 assert_multinomial(counts, [1 / 17] * 17, f"{name} entry {position}")
@@ -374,7 +375,7 @@ class TestToyLattice:
         small = EtcfParams(family="toy-lattice", n=1, m=2, q=2)
         for seed in range(300):
             key, _ = keygen(KeyKind.INJECTIVE, small, seed)
-            assert _solve(key.matrix, key.left_inverse, key.shift, 2) is None
+            assert _solve(key, key.shift) is None
             assert len(image(key)) == 4  # two disjoint one-to-one branches
 
     @pytest.mark.parametrize("kind", list(KeyKind))
@@ -396,50 +397,38 @@ class TestToyLattice:
             evaluate(key, 0, bad)
 
 
-class TestRowReduction:
-    """The left inverse from one mod-q elimination, against exhaustive search
-    over all q**n vectors."""
+class TestExhaustiveToyLattice:
+    """Every codomain point of small keys, against the maps' definitions."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 7]))
-    def test_solve_and_rank_match_brute_force(self, seed, q):
-        rng = np.random.default_rng(seed)
-        m, n = 4, 2
-        a = rng.integers(0, q, size=(m, n))
-        if rng.random() < 0.3:
-            a[:, 1] = (a[:, 0] * int(rng.integers(q))) % q  # rank-deficient
-        b = rng.integers(0, q, size=m)
-        if rng.random() < 0.5:
-            b = (a @ rng.integers(0, q, size=n)) % q  # consistent right-hand side
-        vectors = [np.array([i % q, i // q]) for i in range(q**n)]
-        solutions = [x for x in vectors if not np.any((a @ x - b) % q)]
-        kernel = [x for x in vectors if not np.any((a @ x) % q)]
-        left_inverse = _left_inverse(a, q)
-        assert (left_inverse is not None) == (len(kernel) == 1)
-        if left_inverse is None:
-            return
-        assert left_inverse.shape == (n, m)
-        assert np.array_equal(left_inverse @ a % q, np.eye(n, dtype=np.int64))
-        solved = _solve(a, left_inverse, b, q)  # L b, if A (L b) = b
-        if solutions:
-            assert np.array_equal(solved, solutions[0])  # unique: the kernel is trivial
-        else:
-            assert solved is None
-
-    def test_one_elimination_per_toy_key(self, monkeypatch):
-        calls = []
-        row_reduce = etcf._row_reduce
-        monkeypatch.setattr(etcf, "_row_reduce", lambda *args: calls.append(1) or row_reduce(*args))
-        rng = np.random.default_rng(24)
-        for kind in KeyKind:
-            key, trap = keygen(kind, TOY, rng)
-            for _ in range(20):
-                x = encode_vector(rng.integers(0, 17, size=3), 17)
-                invert(trap, evaluate(key, 1, x))
-                if kind is KeyKind.CLAW_FREE:
-                    claw_partner(key, 0, x)
-        # One for each key drawn: these draws need no rank retry.
-        assert len(calls) == 2
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 4)])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_every_codomain_point(self, q, n, m, kind):
+        params = EtcfParams(family="toy-lattice", n=n, m=m, q=q)
+        domain = [encode_vector(vec, q) for vec in itertools.product(range(q), repeat=n)]
+        for seed in (0, 1, 2**64 - 1):
+            key, trapdoor = keygen(kind, params, seed)
+            preimages = {}  # codomain point -> its (b, x), branch 0 first
+            for b, x in itertools.product((0, 1), domain):
+                preimages.setdefault(evaluate(key, b, x), []).append((b, x))
+            points = image(key)
+            assert points == set(preimages)
+            if kind is KeyKind.CLAW_FREE:
+                assert len(points) == q**n
+                for y, pairs in preimages.items():
+                    (_, x0), (_, x1) = pairs
+                    assert [b for b, _ in pairs] == [0, 1]
+                    assert invert(trapdoor, y) == (x0, x1)
+                    assert claw_partner(key, 0, x0) == x1 and claw_partner(key, 1, x1) == x0
+            else:
+                assert len(points) == 2 * q**n
+                for y, pairs in preimages.items():
+                    assert pairs == [invert(trapdoor, y)]
+            for vec in itertools.product(range(q), repeat=m):
+                y = encode_vector(vec, q)
+                if y not in points:
+                    with pytest.raises(NoPreimageError):
+                        invert(trapdoor, y)
 
 
 class TestCheckPreimage:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd import harness
 from cdiqkd.cli import main
-from cdiqkd.config import ConfigError, ExperimentConfig
+from cdiqkd.config import ConfigError, ExperimentConfig, read_config_file
 from cdiqkd.devices import make_device
 from cdiqkd.etcf import EtcfParams
 from cdiqkd.harness import (
@@ -65,7 +65,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"rounds": 64, "device": "classical-random"}))
-        loaded = ExperimentConfig.from_file(str(path))
+        loaded = ExperimentConfig.from_dict(read_config_file(str(path)))
         assert loaded.rounds == 64
         assert loaded.device == "classical-random"
 
@@ -73,7 +73,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_file(str(path))
+            read_config_file(str(path))
 
 
 class TestRunExperiment:
@@ -541,6 +541,8 @@ CORRUPT_HEADERS = {
     "nan-epsilon": lambda e: e.update(epsilon=float("nan")),
     "epsilon-above-one": lambda e: e.update(epsilon=2.0),
     "other-version": lambda e: e.update(version=99),
+    # Layout v3 drew toy-lattice keys from the same seeds in another form.
+    "version-3": lambda e: e.update(version=3),
     "missing-device": _without("device"),
     "numeric-device": lambda e: e.update(device=3),
     "extra-field-in-header": lambda e: e.update(note=1),
@@ -573,7 +575,7 @@ CORRUPT_STORE_ENTRIES = {
     "zero-domain-bits": lambda e: e.update(domain_bits=0),
     "unknown-kind": lambda e: e.update(kind="lossy"),
     "not-an-object": lambda e: "keys",
-    "second-header": lambda e: {"record": "keys-header", "version": 3, "format": 4},
+    "second-header": lambda e: {"record": "keys-header", "version": 4, "format": 4},
 }
 
 # First store lines other than the format-4 header; None drops the line.
@@ -584,6 +586,7 @@ CORRUPT_STORE_HEADERS = {
     "format-2": {"record": "keys-header", "version": 2, "format": 2},
     "format-3": {"record": "keys-header", "version": 2, "format": 3},
     "other-version": {"record": "keys-header", "version": 7, "format": 4},
+    "version-3": {"record": "keys-header", "version": 3, "format": 4},
 }
 
 STORE_CASES = sorted([*CORRUPT_STORE_ENTRIES, *CORRUPT_STORE_HEADERS])
@@ -975,6 +978,28 @@ class TestCli:
         assert data["config"]["device"] == "honest"
         assert data["config"]["rounds"] == 64
 
+    def test_flags_complete_a_config_file_before_validation(self, tmp_path):
+        # The file alone names a store without a transcript; the flag supplies one.
+        path = tmp_path / "config.json"
+        store = tmp_path / "k.jsonl"
+        path.write_text(json.dumps({"rounds": 64, "trapdoors": str(store)}))
+        transcript = tmp_path / "t.jsonl"
+        result = self.run_cli("--config", str(path), "--transcript", str(transcript))
+        assert result.returncode == 0, result.stderr
+        assert store.exists() and not Path(f"{transcript}.keys").exists()
+        replay = self.run_cli("--replay", str(transcript), "--trapdoors", str(store))
+        assert replay.returncode == 0 and "match" in replay.stdout
+
+    def test_flag_replaces_an_invalid_config_value(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rounds": 64, "device": "classical-table:missing.json"}))
+        result = self.run_cli("--config", str(path), "--device", "honest")
+        assert result.returncode == 0, result.stderr
+        # A value of the wrong type is a config error whatever the flags say.
+        path.write_text(json.dumps({"rounds": "64", "device": "honest"}))
+        result = self.run_cli("--config", str(path), "--rounds", "64")
+        assert result.returncode == 1 and result.stderr.startswith("config error:")
+
     def test_replay_mode(self, tmp_path):
         transcript = tmp_path / "transcript.jsonl"
         run = self.run_cli(
@@ -1085,26 +1110,27 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v3,
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v4,
 # with the store in format 4.
-# A change here changes the outputs of every seeded run.  Layout v3 moved the
-# private coins only, so each summary of an honest or noisy device is v2's
-# byte for byte; and a store holds test rounds' indices and seeds alone, so
-# the runs that share their first 512 rounds' public coins share one store.
-STREAM_LAYOUT_V3 = {
+# A change here changes the outputs of every seeded run.  Layout v4 moved the
+# toy-lattice keys only, so each summary is v3's byte for byte, and an ideal
+# run's transcript and every store differ from v3's in the header line alone;
+# a store holds test rounds' indices and seeds alone, so the runs that share
+# their first 512 rounds' public coins share one store.
+STREAM_LAYOUT_V4 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "8fd69c11fbef1e2ee01099bae38e4cf1a47bef73e79af44f16db4efc0d67c970",
-            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
+            "5faa0f78d9f4be750a73ff5f2f1b6e1d0da0bf31f402bbfa9d30ce5297bdc2f2",
+            "0bc7fcdd74b294c8d297b9bf54585f00f1c4420a01301f4de8cab9c9c20d510e",
             "1ad889c3a6ea73df464372377578c62cc65ea9037008c87337796ce03d9c9084",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "7bed1f4b8d18be3768cb1b24fc681097fd5f65cc151c7ee105c397ff03234bb6",
-            "7ad9e0e70bf576e6db4cffbb3d159ac40e4d67e09392fbbcbd21387cbf64c9a7",
+            "a8a0e2b09e5b903a92f87fa3c33e3d8158e85350462f48ebef8df071408b38fe",
+            "f6bc8d26a9b08d3299c5f899be12ede98b8e0f5cc6c20fe3949525dcea3553b3",
             "e8b46867b241b56a23e8a3926bd810490cb0d1fa827fa202ad9f57b90e75dcc2",
         ),
     ),
@@ -1112,16 +1138,16 @@ STREAM_LAYOUT_V3 = {
     "ideal-random-multiblock": (
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "66eab459529ddea3f907f7ee9d04c3a288086985820639dd3fb1a419e38ad786",
-            "764624f498cdf05f562ed614d58b4e2c99d50454d396618f20ddbabcc29c5be8",
+            "1064908564753833735b38252f0bd27c8f35662ae88f1dc4e1b35d526be025ae",
+            "0c12ddff9446c0b1b219e42333e6f0968504fc04892f31d6673237632fecfb8c",
             "86150cf50c1084275856b058ebb71d529f7e521a3f9c98603d72e54a83806584",
         ),
     ),
     "lattice-noisy-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "e2bb3e5daf4c49d18904d66067984e9c32852596c98d206c84a3b2d9c543a522",
-            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
+            "174583172fe16b1cc5a44d424742f30793e33a543643f3d5e9a89bfe3d6347df",
+            "0bc7fcdd74b294c8d297b9bf54585f00f1c4420a01301f4de8cab9c9c20d510e",
             "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
         ),
     ),
@@ -1129,8 +1155,8 @@ STREAM_LAYOUT_V3 = {
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "6fbdf677df8a05c52c19303e4e79a409df8a674f7e73b341134a46c9bd4881f1",
-            "939e725fa74ad81e2f43ffa824885e0a329f1a59c94b9d2cb2f616fbe558cc8c",
+            "b33fc8f4eb3dcc14c9055a317b5bc4caabbd89c2d9772b9defe5c6417c07e559",
+            "74bc453d4b909d4e31661851645fc1fc793c53596ea6c91c4b4edefdeeb74987",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -1138,17 +1164,17 @@ STREAM_LAYOUT_V3 = {
     "ideal-noisy-two-blocks-w8": (
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "82364f520b068079ae21e2cc5e17498e404816cd834ca398311561558789b42b",
-            "cfdf7cc2612ccab0072b5e2c03dc2931d48e4f92ed9aee2f64ee64ee284e7dbf",
+            "236cb79a64ffb772709ff2131c87fa37f6ab77553ec2d735484b3d31fd08bd72",
+            "0bc7fcdd74b294c8d297b9bf54585f00f1c4420a01301f4de8cab9c9c20d510e",
             "36aa1ec4728d3db896051b1817c439600395b273880f9f6da329c4981a0ef2e6",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V3))
-def test_stream_layout_v3_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V3[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V4))
+def test_stream_layout_v4_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V4[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1158,7 +1184,7 @@ def test_stream_layout_v3_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [3, 3]
+    assert [header["version"] for header in headers] == [4, 4]
     assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()

@@ -154,10 +154,6 @@ class TestComputeS:
         # d="10", x0="01", x1="10" -> 1
         assert bell_label_bit(0b01, 0b10, 0b01) == 1
 
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            bell_label_bit(4, 0, 1, width=2)
-
     @given(
         d=st.integers(0, 255), x0=st.integers(0, 255), x1=st.integers(0, 255)
     )
