@@ -1,8 +1,10 @@
-"""Shared test utilities: statistical tolerances and independent matrix oracles.
+"""Shared test utilities: statistical tolerances, independent matrix oracles
+and reference key draws.
 
 The matrix oracles build operators with plain numpy kron/diag calls so
 that circuit-level code is checked against an implementation it shares
-nothing with.
+nothing with.  The reference key draws transcribe, one key at a time, the
+keys the batched keygens must draw.
 """
 
 from __future__ import annotations
@@ -11,6 +13,16 @@ import math
 
 import numpy as np
 from scipy.stats import chi2
+
+from cdiqkd.etcf import (
+    EtcfParams,
+    KeyKind,
+    ToyLatticeKeyPair,
+    Trapdoor,
+    _coord_bits,
+    _mix,
+    _steps,
+)
 
 # Two-sided 5-sigma tail probability of a normal.
 FIVE_SIGMA_PVALUE = 5.733e-7
@@ -79,3 +91,75 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def overlap2(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
+
+
+# Reference key draws.
+MASK64 = 2**64 - 1
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded with ``seed``: the published C
+    ``next()`` (Steele, Lea & Flood, OOPSLA 2014), transcribed with Python ints."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _argsort(values) -> list[int]:
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
+    """The tables ``keygen_ideal`` documents for one key, from the transcribed words."""
+    size = 1 << w
+    if kind is KeyKind.CLAW_FREE:
+        words = splitmix64(seed, 5 * size)
+        matching, image = _argsort(words[:size]), _argsort(words[size:])[:size]
+        f1 = [0] * size
+        for x0 in range(size):
+            f1[matching[x0]] = image[x0]
+        return np.array([image, f1])
+    words = splitmix64(seed, 1 + 4 * size)
+    low_branch = words[0] & 1
+    return np.array([
+        [y + (0 if b == low_branch else 2 * size)
+         for y in _argsort(words[1 + 2 * b * size:1 + 2 * (b + 1) * size])[:size]]
+        for b in (0, 1)
+    ])
+
+
+def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdoor:
+    """One toy-lattice key, drawn on its own by a scalar loop: the reference that
+    ``keygen_toy`` must equal key for key.
+
+    Values mod q are the key seed's words masked to ceil(log2 q) bits, those below q
+    kept, in order.  R is the first (m - n) * n values, row-major, and A = [I_n; R];
+    then s (n values), or u (m values, redrawn while in A's column space).
+    """
+    n, m, q = params.n, params.m, params.q
+    mask, seed = np.uint64((1 << _coord_bits(q)) - 1), np.uint64(seed)
+    values, used, read, chunk = np.empty(0, dtype=np.int64), 0, 0, 4 * m * n
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal values, used, read
+        while len(values) < used + count:
+            words = _mix(_steps(1 + read, chunk) + seed) & mask  # as key_words draws them
+            kept = words[words < q].view(np.int64)
+            values, read = np.concatenate([values, kept]) if read else kept, read + chunk
+        used += count
+        return values[used - count:used].copy()
+
+    matrix = np.concatenate([np.eye(n, dtype=np.int64), draw((m - n) * n).reshape(m - n, n)])
+    if kind is KeyKind.CLAW_FREE:
+        secret = draw(n)
+        return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, matrix @ secret % q), secret)
+    u = draw(m)
+    while not np.any((matrix @ u[:n] - u) % q):  # u must leave the column space
+        u = draw(m)
+    return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u))
+

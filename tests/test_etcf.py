@@ -23,13 +23,20 @@ from cdiqkd.etcf import (
     key_words,
     keygen,
     keygen_ideal,
+    keygen_toy,
     _solve,
 )
 from cdiqkd import etcf
 from cdiqkd.devices import make_device
 from cdiqkd.protocol import ProtocolParams, run_session
 
-from .helpers import assert_frequency, assert_multinomial
+from .helpers import (
+    assert_frequency,
+    assert_multinomial,
+    documented_tables,
+    reference_keygen_toy,
+    splitmix64,
+)
 
 
 def ideal(w: int) -> EtcfParams:
@@ -171,45 +178,6 @@ class TestIdealInjective:
             invert(trap, min(gaps))
 
 
-MASK64 = 2**64 - 1
-
-
-def _splitmix64(seed: int, count: int) -> list[int]:
-    """The first ``count`` outputs of SplitMix64 seeded with ``seed``: the published C
-    ``next()`` (Steele, Lea & Flood, OOPSLA 2014), transcribed with Python ints."""
-    state, out = seed, []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        out.append(z ^ (z >> 31))
-    return out
-
-
-def _argsort(values) -> list[int]:
-    return sorted(range(len(values)), key=values.__getitem__)
-
-
-def _documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
-    """The tables ``keygen_ideal`` documents for one key, from the transcribed words."""
-    size = 1 << w
-    if kind is KeyKind.CLAW_FREE:
-        words = _splitmix64(seed, 5 * size)
-        matching, image = _argsort(words[:size]), _argsort(words[size:])[:size]
-        f1 = [0] * size
-        for x0 in range(size):
-            f1[matching[x0]] = image[x0]
-        return np.array([image, f1])
-    words = _splitmix64(seed, 1 + 4 * size)
-    low_branch = words[0] & 1
-    return np.array([
-        [y + (0 if b == low_branch else 2 * size)
-         for y in _argsort(words[1 + 2 * b * size:1 + 2 * (b + 1) * size])[:size]]
-        for b in (0, 1)
-    ])
-
-
 SEEDS = [0, 1, 2**64 - 1]
 
 
@@ -218,13 +186,13 @@ class TestSplitMix64:
     def test_key_words_are_the_published_generator(self, seed):
         words = key_words(np.array([seed], dtype=np.uint64), 1, 100)
         assert words.dtype == np.uint64 and words.shape == (1, 100)
-        assert words[0].tolist() == _splitmix64(seed, 100)
+        assert words[0].tolist() == splitmix64(seed, 100)
         # Words from any offset on, and for several seeds at once, are the same words.
         rows = key_words(np.array(SEEDS, dtype=np.uint64), 41, 60)
-        assert rows[SEEDS.index(seed)].tolist() == _splitmix64(seed, 100)[40:]
+        assert rows[SEEDS.index(seed)].tolist() == splitmix64(seed, 100)[40:]
 
     def test_first_word_of_seed_zero(self):
-        assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+        assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_keys_words_never_repeat(self, seed):
@@ -249,7 +217,7 @@ class TestBatchedIdealKeygen:
         for trapdoor, kind, seed in zip(trapdoors, self.KINDS, seeds):
             key = trapdoor.key
             assert key.kind is kind and key.domain_bits == w and trapdoor.secret is None
-            assert np.array_equal(key.tables, _documented_tables(kind, w, seed))
+            assert np.array_equal(key.tables, documented_tables(kind, w, seed))
 
     @pytest.mark.parametrize("kind", list(KeyKind))
     def test_keygen_is_the_one_key_case(self, kind):
@@ -295,6 +263,84 @@ class TestBatchedIdealKeygen:
         assert_frequency(low_zero, len(trapdoors), 0.5, "low branch 0")
         for half, x in itertools.product(range(2), range(4)):
             assert_multinomial(halves[half, x], [1 / 8] * 8, f"half {half}, x {x}")
+
+
+TOY_SIZES = [(3, 6, 17), (1, 2, 2), (2, 4, 3), (1, 3, 7), (1, 2, 2**31 - 1), (31, 63, 2)]
+# Seeds whose first words (etcf._toy_words of them) hold too few values for a key
+# of either kind.
+SHORT_ROW_SEEDS = {(3, 6, 17): [6674, 8149], (1, 3, 7): [3289, 3407]}
+
+
+def toy(n: int, m: int, q: int) -> EtcfParams:
+    return EtcfParams(family="toy-lattice", n=n, m=m, q=q)
+
+
+def _assert_reference_keys(trapdoors, kinds, params, seeds):
+    assert len(trapdoors) == len(kinds) == len(seeds)
+    for trapdoor, kind, seed in zip(trapdoors, kinds, seeds):
+        reference = reference_keygen_toy(kind, params, seed)
+        key = trapdoor.key
+        assert (key.kind, key.n, key.m, key.q) == (kind, params.n, params.m, params.q)
+        assert np.array_equal(key.matrix, reference.key.matrix), seed
+        assert np.array_equal(key.shift, reference.key.shift), seed
+        if kind is KeyKind.CLAW_FREE:
+            assert np.array_equal(trapdoor.secret, reference.secret), seed
+        else:
+            assert trapdoor.secret is None
+
+
+class TestBatchedToyKeygen:
+    @pytest.mark.parametrize("n, m, q", TOY_SIZES)
+    def test_keys_are_the_reference_keys(self, n, m, q):
+        # Mixed kinds in random order, over a few hundred seeds, the extremes and seeds
+        # whose first words hold too few values.
+        rng = np.random.default_rng(q)
+        seeds = [0, 2**64 - 1, *SHORT_ROW_SEEDS.get((n, m, q), []),
+                 *rng.integers(2**64, size=300, dtype=np.uint64).tolist()]
+        kinds = [KeyKind.CLAW_FREE if h else KeyKind.INJECTIVE
+                 for h in rng.integers(2, size=len(seeds))]
+        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+
+    @pytest.mark.parametrize("n, m, q", [(3, 6, 17), (2, 4, 3), (1, 2, 2)])
+    def test_every_row_short_of_values_reads_more_words(self, monkeypatch, n, m, q):
+        # One word first: every row reads more, one word, then two, four and so on.
+        monkeypatch.setattr(etcf, "_toy_words", lambda count, q: 1)
+        seeds = list(range(40))
+        kinds = [list(KeyKind)[seed % 2] for seed in seeds]
+        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+
+    @pytest.mark.parametrize("n, m, q", [(3, 6, 17), (1, 2, 2)])
+    def test_one_key_per_step_draws_the_same_keys(self, monkeypatch, n, m, q):
+        monkeypatch.setattr(etcf, "_CHUNK_WORDS", 1)
+        seeds = [0, 2**64 - 1, *range(1, 60)]
+        kinds = [list(KeyKind)[seed % 2] for seed in seeds]
+        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+
+    def test_injective_redraws_take_the_next_values(self):
+        # At q = 2 every word is a value: u is first words 2 and 3, in the column
+        # space of A = [1; r] (r word 1) when u_2 = r u_1, and then redrawn.
+        seeds = np.arange(1000, dtype=np.uint64)
+        words = key_words(seeds, 1, 3) & np.uint64(1)
+        assert np.count_nonzero(words[:, 2] == words[:, 0] * words[:, 1]) == 481
+        kinds = [KeyKind.INJECTIVE] * len(seeds)
+        trapdoors = keygen_toy(kinds, toy(1, 2, 2), seeds)
+        _assert_reference_keys(trapdoors, kinds, toy(1, 2, 2), seeds.tolist())
+
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_keygen_is_the_one_key_case(self, kind):
+        params = toy(1, 2, 2)
+        for seed in (0, 5, 2**64 - 1):
+            [batch] = keygen_toy([kind], params, np.array([seed], dtype=np.uint64))
+            key, trapdoor = keygen(kind, params, seed)
+            assert trapdoor.key is key
+            _assert_reference_keys([batch, trapdoor], [kind, kind], params, [seed, seed])
+        # A Generator stands for the key seed it draws.
+        drawn = np.random.default_rng(63).integers(2**64, dtype=np.uint64)
+        _, trapdoor = keygen(kind, params, np.random.default_rng(63))
+        _assert_reference_keys([trapdoor], [kind], params, [int(drawn)])
 
 
 class TestToyLattice:

@@ -1151,6 +1151,17 @@ STREAM_LAYOUT_V4 = {
             "50ea0447b0e694c345361683691782b695294915852a8e0a485e707fa5cabfbb",
         ),
     ),
+    # At q = 2 about half of all injective keys redraw u, which the default sizes
+    # almost never do.
+    "lattice-q2-multiblock": (
+        {"rounds": 512 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
+         "lattice_q": 2, "device": "noisy:0.01:0.0"},
+        (
+            "46ec587140158d3dd8dda11b2aeef73fa24fb579981a554f563c4645a11ec2ff",
+            "0bc7fcdd74b294c8d297b9bf54585f00f1c4420a01301f4de8cab9c9c20d510e",
+            "8e692a5ce9b20b5d5d59faec2d33da0dc7d52e12e94a0dea50a4eef59141d200",
+        ),
+    ),
     # A session shorter than one block, with test and generation rounds.
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},

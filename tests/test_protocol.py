@@ -55,7 +55,7 @@ from cdiqkd.quantum import (
     tensor,
 )
 
-from .helpers import assert_frequency
+from .helpers import assert_frequency, documented_tables, reference_keygen_toy
 
 COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
@@ -381,16 +381,20 @@ def test_session_retains_little_beyond_its_key_tables():
     ids=["ideal", "toy"],
 )
 def test_each_key_is_drawn_from_its_half_of_the_round_seed(etcf):
-    # The batched block keygen draws the key keygen draws from the same seed alone.
+    # The batched block keygen draws the key the one-key references draw from the
+    # same seed alone.
     session = run_session(HonestDevice(), ProtocolParams(40, 0.05, etcf), seed=4)
     for record in session.records:
         assert len(record.seed) == 16
         for side, half in ((record.alice, record.seed[:8]), (record.bob, record.seed[8:])):
-            assert side.key.kind is (
-                KeyKind.CLAW_FREE if side.theta is HAD else KeyKind.INJECTIVE
-            )
-            _, trapdoor = keygen(side.key.kind, etcf, int.from_bytes(half, "little"))
-            assert _trapdoor_bytes(trapdoor) == _trapdoor_bytes(side.trapdoor)
+            kind, seed = side.key.kind, int.from_bytes(half, "little")
+            assert kind is (KeyKind.CLAW_FREE if side.theta is HAD else KeyKind.INJECTIVE)
+            if etcf.family == "ideal":
+                tables = documented_tables(kind, etcf.domain_bits, seed)
+                assert np.array_equal(side.key.tables, tables)
+            else:
+                trapdoor = reference_keygen_toy(kind, etcf, seed)
+                assert _trapdoor_bytes(trapdoor) == _trapdoor_bytes(side.trapdoor)
 
 
 def test_block_keygen_temporaries_stay_within_a_few_rows():
@@ -410,6 +414,27 @@ def test_block_keygen_temporaries_stay_within_a_few_rows():
     row_bytes = 4 * 2**16 * 8  # one shuffled row of int64 codomain points
     assert kept >= table_bytes == 32 * row_bytes // 2
     assert peak - kept < 3 * row_bytes
+
+
+def test_toy_block_keygen_temporaries_stay_within_a_few_keys():
+    # The widest toy keys, n = 31, m = 63 at q = 2, for a whole block of both kinds:
+    # about 1,050 words a key.  A keygen step holds at most etcf._CHUNK_WORDS words,
+    # about four keys', in each of a few arrays, where one draw of all 512 keys'
+    # words at once takes over 1,000 keys' words.
+    lattice = EtcfParams(family="toy-lattice", n=31, m=63, q=2)
+    tracemalloc.start()
+    try:
+        session = run_session(ClassicalRandomDevice(), ProtocolParams(256, 0.05, lattice), 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    key_bytes = sum(
+        side.key.matrix.nbytes + side.key.shift.nbytes
+        for record in session.records for side in (record.alice, record.bob)
+    )
+    word_bytes = ((63 - 31) * 31 + 63) * 8  # one injective key's values
+    assert kept >= key_bytes > 512 * word_bytes
+    assert peak - kept < 16 * word_bytes
 
 
 class TestWinCondition:
