@@ -9,6 +9,7 @@ from dataclasses import dataclass, asdict, fields
 from .devices import make_device
 from .etcf import EtcfParams
 from .keyrate import KeyRateParams
+from .postprocess import RECON_SCHEMES
 from .protocol import ProtocolParams
 
 
@@ -55,8 +56,9 @@ class ExperimentConfig:
         """
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.recon not in ("hamming74", "none"):
-            raise ConfigError(f"recon must be 'hamming74' or 'none', got {self.recon!r}")
+        if self.recon not in RECON_SCHEMES:
+            schemes = " or ".join(map(repr, RECON_SCHEMES))
+            raise ConfigError(f"recon must be {schemes}, got {self.recon!r}")
         if not 0.0 < self.eps_sec < 1.0:
             raise ConfigError(f"eps_sec must be in (0, 1), got {self.eps_sec}")
         try:

@@ -13,8 +13,10 @@ The uniform challenge-b string rule this relies on is validated against
 a full statevector oracle in the test suite.
 
 A strategy instance is stateful across the messages of one round;
-``reset(rng)`` starts a new round with a fresh independent stream.
-Strategies receive public keys only - trapdoors never enter this module.
+``reset(rng)`` starts a new round.  The session hands every round of a
+stream block that block's one device generator, so a round's draws go on
+from where the previous round's stopped.  Devices get keys and never
+invert them.
 """
 
 from __future__ import annotations
@@ -260,7 +262,9 @@ class DeviceStrategy:
     Message order within a round: ``reset``, ``on_keys``, ``on_challenges``,
     and, when at least one side chose challenge b, ``on_questions``.  A side
     that chose challenge a receives no question; its entries in the
-    ``on_questions`` call and reply are None.
+    ``on_questions`` call and reply are None.  ``reset(rng)`` gets the same
+    generator at every round of a stream block (``streams.Block.device``),
+    not a fresh stream per round.
     """
 
     def reset(self, rng: np.random.Generator) -> None:

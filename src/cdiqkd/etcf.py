@@ -24,9 +24,10 @@ SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
 argsorts of them, and a toy-lattice key's entries are them masked and kept
 below q.  So any seed yields a key its family draws, and the seed is all a
 trapdoor store keeps of a key.  Each family draws a list of keys as arrays
-at once (``keygen_ideal``, ``keygen_toy``), and ``keygen`` is their one-key
-case.  Keys and trapdoors are immutable plain data; a trapdoor holds its
-key.
+at once (``keygen_ideal``, ``keygen_toy``); ``draw_keys`` is the one place
+that picks the family, and ``keygen`` is its one-key case.  Keys are
+immutable plain data, and each key is its own trapdoor: an ideal key's
+tables invert it, and a claw-free toy key's shift A s begins with s.
 
 Domain and codomain elements cross module boundaries as fixed-width bit
 strings packed into ints (lattice vectors via little-endian per-coordinate
@@ -199,13 +200,13 @@ def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray) -> None:
         np.add(image, offset, tables[:, b])
 
 
-def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> list[Trapdoor]:
-    """The trapdoor of an ideal key of each of ``kinds``, in order, drawn from its uint64
-    key seed in ``seeds``.  A key's tables are a view of its kind's (keys, 2, 2**w) array.
+def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> list[IdealKeyPair]:
+    """An ideal key of each of ``kinds``, in order, drawn from its uint64 key seed in
+    ``seeds``.  A key's tables are a view of its kind's (keys, 2, 2**w) array.
     """
     size = 1 << domain_bits
     step = max(1, _CHUNK_WORDS // (5 * size))
-    trapdoors: list = [None] * len(kinds)
+    keys: list = [None] * len(kinds)
     draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
     for kind, draw in draws:
         where = [i for i, k in enumerate(kinds) if k is kind]
@@ -213,8 +214,8 @@ def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> l
         for lo in range(0, len(where), step):
             draw(key_words(seeds[where[lo:lo + step]], 1, 5 * size), size, tables[lo:lo + step])
         for i, key_tables in zip(where, tables):
-            trapdoors[i] = Trapdoor(IdealKeyPair(kind, domain_bits, key_tables))
-    return trapdoors
+            keys[i] = IdealKeyPair(kind, domain_bits, key_tables)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,8 @@ def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
 @dataclass(frozen=True, eq=False)
 class ToyLatticeKeyPair:
     """Public matrix A = [I_n; R] in systematic form and shift vector (A s for
-    claw-free, u for injective).
+    claw-free, u for injective).  A claw-free shift begins with s, its first n
+    coordinates, so the key is its own trapdoor.
     """
 
     kind: KeyKind
@@ -326,18 +328,20 @@ def _in_column_space(matrices: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray
     return ~np.any(((matrices @ ys[:, :matrices.shape[2], None])[..., 0] - ys) % q, axis=1)
 
 
-def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> list[Trapdoor]:
-    """The trapdoor of a toy-lattice key of each of ``kinds``, in order, drawn from its
-    uint64 key seed in ``seeds``.  A key's values mod q are its seed's words masked to
-    ceil(log2 q) bits, those below q kept, in order.  R is the first (m - n) * n values,
-    row-major, and A = [I_n; R]; then s (n values), or u (m values, and the next m while
-    u is in A's column space).  A key's arrays are rows of its kind's stacks: products
+def keygen_toy(
+    kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray
+) -> list[ToyLatticeKeyPair]:
+    """A toy-lattice key of each of ``kinds``, in order, drawn from its uint64 key seed
+    in ``seeds``.  A key's values mod q are its seed's words masked to ceil(log2 q)
+    bits, those below q kept, in order.  R is the first (m - n) * n values, row-major,
+    and A = [I_n; R]; then s (n values), or u (m values, and the next m while u is in
+    A's column space).  A key's arrays are rows of its kind's stacks: products
     on them took as long as on owned copies (``evaluate`` 12.2 us on either, ``invert``
     14-20 us on either, 512 keys at the default sizes, best of 5, three runs).
     """
     n, m, q = params.n, params.m, params.q
     entries = (m - n) * n  # of R
-    trapdoors: list = [None] * len(kinds)
+    keys: list = [None] * len(kinds)
     for kind, tail in ((KeyKind.CLAW_FREE, n), (KeyKind.INJECTIVE, m)):
         where = [i for i, k in enumerate(kinds) if k is kind]
         matrices = np.empty((len(where), m, n), dtype=np.int64)
@@ -356,15 +360,12 @@ def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> l
                 while redo.size:
                     chunk_tails[redo], read[redo] = _toy_values(chunk_seeds[redo], read[redo], m, q)
                     redo = redo[_in_column_space(chunk_matrices[redo], chunk_tails[redo], q)]
-        if kind is KeyKind.CLAW_FREE:
-            shifts = np.matmul(matrices, tails[..., None])[..., 0]
-            np.remainder(shifts, q, out=shifts)
-            secrets = tails
-        else:
-            shifts, secrets = tails, [None] * len(where)
-        for i, matrix, shift, secret in zip(where, matrices, shifts, secrets):
-            trapdoors[i] = Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, shift), secret)
-    return trapdoors
+        if kind is KeyKind.CLAW_FREE:  # the shift is A s
+            tails = np.matmul(matrices, tails[..., None])[..., 0]
+            np.remainder(tails, q, out=tails)
+        for i, matrix, shift in zip(where, matrices, tails):
+            keys[i] = ToyLatticeKeyPair(kind, n, m, q, matrix, shift)
+    return keys
 
 
 def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
@@ -381,43 +382,39 @@ def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
 EtcfKeyPair = IdealKeyPair | ToyLatticeKeyPair
 
 
-@dataclass(frozen=True, eq=False)
-class Trapdoor:
-    """Private inversion data of one key: the key itself plus, for claw-free
-    toy-lattice keys, the claw secret s (None otherwise).  An ideal key's
-    tables are its trapdoor, so they are not held twice.
+def draw_keys(kinds: list[KeyKind], params: EtcfParams, seeds: bytes) -> list[EtcfKeyPair]:
+    """A key of each of ``kinds``, in order, drawn from its key seed: the next 8 bytes of
+    ``seeds``, read as a little-endian uint64.  ``params`` picks the family, which draws
+    all the keys at once; it must be valid: a session or a replay validates its family
+    once, not at each block.
     """
-
-    key: EtcfKeyPair
-    secret: np.ndarray | None = None
+    key_seeds = np.frombuffer(seeds, dtype="<u8").astype(np.uint64)
+    if params.family == "ideal":
+        return keygen_ideal(kinds, params.domain_bits, key_seeds)
+    return keygen_toy(kinds, params, key_seeds)
 
 
 def keygen(kind: KeyKind, params: EtcfParams, seed):
     """(public key pair, trapdoor) of ``kind`` drawn from a uint64 key ``seed``, or from
-    one drawn from ``seed`` when it is a ``Generator``.  ``params`` must be valid: a
-    session or a replay validates its family once, not at each key.
+    one drawn from ``seed`` when it is a ``Generator``: one key, both its public part
+    and its trapdoor.  ``params`` must be valid, as for ``draw_keys``.
     """
     if isinstance(seed, np.random.Generator):
         seed = seed.integers(2**64, dtype=np.uint64)
-    seeds = np.array([seed], dtype=np.uint64)
-    if params.family == "ideal":
-        trapdoor = keygen_ideal([kind], params.domain_bits, seeds)[0]
-    else:
-        trapdoor = keygen_toy([kind], params, seeds)[0]
-    return trapdoor.key, trapdoor
+    [key] = draw_keys([kind], params, np.array([seed], dtype="<u8").tobytes())
+    return key, key
 
 
 def evaluate(key: EtcfKeyPair, b: int, x: int) -> int:
     return key.evaluate(b, x)
 
 
-def invert(trapdoor: Trapdoor, y: int):
-    """Trapdoor inversion.
+def invert(key: EtcfKeyPair, y: int):
+    """Trapdoor inversion: the key is its own trapdoor.
 
     Claw-free keys return the claw (x0, x1); injective keys return
     (b_hat, x_hat).  Raises NoPreimageError when y is outside the image.
     """
-    key = trapdoor.key
     if not fits(y, key.codomain_bits):
         raise NoPreimageError(f"{y} outside the codomain")
     if isinstance(key, IdealKeyPair):
@@ -438,7 +435,7 @@ def invert(trapdoor: Trapdoor, y: int):
         x0 = _solve(key, vec)
         if x0 is None:
             raise NoPreimageError(f"{y} has no preimage")
-        x1 = (x0 - trapdoor.secret) % key.q
+        x1 = (x0 - key.shift[:key.n]) % key.q  # the shift A s begins with s
         return encode_vector(x0, key.q), encode_vector(x1, key.q)
     for b in (0, 1):
         x = _solve(key, (vec - b * key.shift) % key.q)
@@ -472,8 +469,8 @@ def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
     """The other claw member, recovered from public key material only.
 
     For these desk-scale families the claw is publicly computable (table
-    scan, or s read off the shift A s); this stands in for the claw an
-    honest device holds in superposition.  Trapdoors never enter here.
+    scan, or s read off the shift A s), as each key is its own trapdoor;
+    this stands in for the claw an honest device holds in superposition.
     """
     if key.kind is not KeyKind.CLAW_FREE:
         raise ValueError("claw_partner is defined for claw-free keys only")

@@ -6,7 +6,7 @@ family and its sizes once, and a footer.  Test rounds carry both
 parties' published data (commitments, responses, questions, answers,
 herald bits); the seed of the verifiers' keys for each of those rounds
 goes, in round order, to a separate trapdoor-store file (format 4: 32 hex
-digits a test round, from which replay redraws both sides' trapdoors), so
+digits a test round, from which replay redraws both sides' keys), so
 the replay audit recomputes every check in one forward pass over both
 files.  Generation rounds publish only
 state bases, challenge types, tags, and question bases - their
@@ -38,7 +38,7 @@ import numpy as np
 from .bits import exact_int, to_hex
 from .config import ExperimentConfig, store_path
 from .devices import ChallengeType, make_device
-from .etcf import EtcfParams, Trapdoor
+from .etcf import EtcfKeyPair, EtcfParams, draw_keys
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
@@ -52,7 +52,6 @@ from .protocol import (
     WinFlag,
     abort_decision,
     classify_round,
-    draw_trapdoors,
     ingest_side,
     run_session,
     win_condition,
@@ -117,7 +116,7 @@ def _bits_hex(bits: np.ndarray) -> str:
 
 def _add_side_fields(line: dict, side: SideRecord, suffix: str) -> None:
     c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
-    key = side.trapdoor.key
+    key = side.key
     line[c_name] = to_hex(side.c, key.codomain_bits)
     if side.ct is not _CHALLENGE_B:
         if side.z is not None:
@@ -392,19 +391,19 @@ def _same(value, written) -> bool:
     return json.dumps(value) == json.dumps(written)
 
 
-def _side_from_line(line: dict, suffix: str, theta, ct, trapdoor: Trapdoor | None) -> SideRecord:
+def _side_from_line(line: dict, suffix: str, theta, ct, key: EtcfKeyPair | None) -> SideRecord:
     """One side of a round line, its basis and challenge read.  Given a test round's
-    trapdoor, its commitment and responses go through ``ingest_side``, so one that is
+    key, its commitment and responses go through ``ingest_side``, so one that is
     missing or malformed is a violation, which the writer marks ``viol_<s>: true``.
     """
     c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
     question = line.get(question_name)
     question = None if question is None else _BASIS_FROM[question]
-    if trapdoor is None:
+    if key is None:
         return SideRecord(theta, None, 0, ct, question=question)
     response = line.get(d_name if ct is _CHALLENGE_B else z_name)
     side = ingest_side(
-        theta, trapdoor, _hex(line.get(c_name)), ct, _hex(response), question,
+        theta, key, _hex(line.get(c_name)), ct, _hex(response), question,
         line.get(answer_name), line.get(h_name),
     )
     marked = line.get(viol_name, False)
@@ -499,8 +498,8 @@ _FOOTER_LABELS = {
 
 
 def _settle(queue: list, etcf: EtcfParams, mismatches: list[str]) -> tuple[int, int]:
-    """Check the round lines waiting in ``queue``, drawing the test rounds' trapdoors
-    in one batch, and move the queue's mismatches, in line order, to ``mismatches``.
+    """Check the round lines waiting in ``queue``, drawing the test rounds' keys in
+    one batch, and move the queue's mismatches, in line order, to ``mismatches``.
 
     A waiting line is the tuple (line number, entry, index, bases, challenges,
     round type, tag, seed), its seed None unless it is a test round.  Returns
@@ -508,13 +507,13 @@ def _settle(queue: list, etcf: EtcfParams, mismatches: list[str]) -> tuple[int, 
     """
     tests = [item for item in queue if type(item) is tuple and item[-1] is not None]
     kinds = [KEY_KINDS[theta is _HADAMARD] for item in tests for theta in item[3]]
-    trapdoors = iter(draw_trapdoors(kinds, etcf, b"".join(item[-1] for item in tests)))
+    keys = iter(draw_keys(kinds, etcf, b"".join(item[-1] for item in tests)))
     failed = 0
     for item in queue:
         if type(item) is tuple:
             number, entry, index, thetas, cts, round_type, tag, seed = item
             scored = seed is not None
-            sides = (next(trapdoors), next(trapdoors)) if scored else (None, None)
+            sides = (next(keys), next(keys)) if scored else (None, None)
             item = None
             try:
                 record = RoundRecord(  # a test round's win is read as written, for the check below
@@ -546,8 +545,8 @@ def _settle(queue: list, etcf: EtcfParams, mismatches: list[str]) -> tuple[int, 
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, and the test rounds' trapdoors
-    are drawn for a block of them at once.  A round line the writer would not
+    Both files are read once, in round order, and the test rounds' keys are
+    drawn for a block of them at once.  A round line the writer would not
     write for the values read from it yields a mismatch naming the line,
     and so does a round index that is not the next of ``0..rounds-1`` (a
     duplicate, a gap or one out of range), a test round whose store entry

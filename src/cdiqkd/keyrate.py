@@ -178,6 +178,7 @@ def session_rate_report(
     """
     rounds = result.rounds
     raw_len = int(len(result.raw_key_a))
+    final_len = 0 if result.aborted else int(final_key_length)
     rate = ideal_rate(result.params)
     return KeyRateReport(
         rounds=rounds,
@@ -188,12 +189,12 @@ def session_rate_report(
         generate_count=result.generate_count,
         matched_count=result.matched_count,
         raw_key_length=raw_len,
-        final_key_length=0 if result.aborted else int(final_key_length),
+        final_key_length=final_len,
         leak_bits=int(leak_bits),
         qber_estimate=qber_estimate,
         gross_raw_rate=raw_len / rounds if rounds else 0.0,
-        gross_final_rate=final_key_length / rounds if rounds else 0.0,
-        net_final_rate=final_key_length / raw_len if raw_len else 0.0,
+        gross_final_rate=final_len / rounds if rounds else 0.0,
+        net_final_rate=final_len / raw_len if raw_len else 0.0,
         ideal_rate_fraction=f"{rate.numerator}/{rate.denominator}",
         ideal_rate_value=float(rate),
         devetak_winter_ideal=devetak_winter(EntropyPair(1.0, 0.0), float(rate)),

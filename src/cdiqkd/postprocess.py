@@ -20,6 +20,8 @@ import numpy as np
 from .keyrate import binary_entropy
 
 VERIFY_HASH_BITS = 64
+# The schemes ``reconcile`` takes.
+RECON_SCHEMES = ("hamming74", "none")
 
 # Parity-check matrix of Hamming(7,4): column j is the binary expansion of
 # j+1, so a nonzero syndrome difference names the flipped position directly.

@@ -15,8 +15,8 @@ Once a block is decided, its records go to the session's block consumer:
 ``run_session`` collects them in ``SessionResult.records`` unless the
 caller passes ``on_block``, which ``harness.run_experiment`` does to write
 each block's transcript and store lines.  Such a session holds one block
-of records, keys and trapdoors at a time, so its memory does not grow
-with the number of rounds beyond the raw-key bits.
+of records and keys at a time, so its memory does not grow with the
+number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
@@ -27,9 +27,9 @@ session's seed, the stream and the block index:
   for every round whether or not the round reads it, each compared with
   its ``ProtocolParams`` probability;
 - private coins: each round's seed of ``streams.SEED_BYTES`` bytes, whose
-  halves are Alice's and Bob's key seeds; ``draw_trapdoors`` draws each key
-  from its own seed alone, so the trapdoor store need hold only a test
-  round's seed;
+  halves are Alice's and Bob's key seeds; ``etcf.draw_keys`` draws each
+  key from its own seed alone, and each key is its own trapdoor, so the
+  trapdoor store need hold only a test round's seed;
 - the device's stream, handed to ``device.reset`` at every round.
 
 So the verifiers' draws never depend on the device's answers, and a
@@ -56,12 +56,10 @@ from .etcf import (
     EtcfParams,
     KeyKind,
     NoPreimageError,
-    Trapdoor,
     check_preimage,
+    draw_keys,
     invert,
     keygen,  # not called here: named so that bench/spans.py can wrap it
-    keygen_ideal,
-    keygen_toy,
 )
 from .quantum import (
     MeasurementBasis,
@@ -124,10 +122,10 @@ class ProtocolParams:
 
 @dataclass
 class SideRecord:
-    """One party's stored data for one round; its trapdoor holds its key."""
+    """One party's stored data for one round; its key is also its trapdoor."""
 
     theta: MeasurementBasis
-    trapdoor: Trapdoor
+    key: EtcfKeyPair
     c: int
     ct: ChallengeType
     z: int | None = None
@@ -136,10 +134,6 @@ class SideRecord:
     answer: int | None = None
     h: int | None = None
     violation: bool = False  # malformed device message (wrong width/shape)
-
-    @property
-    def key(self) -> EtcfKeyPair:
-        return self.trapdoor.key
 
 
 @dataclass
@@ -213,16 +207,6 @@ KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 
 
-def draw_trapdoors(kinds: list[KeyKind], etcf: EtcfParams, seeds: bytes) -> list[Trapdoor]:
-    """The trapdoor of each of ``kinds``, drawn from its key seed: the next 8 bytes of
-    ``seeds``, read as a little-endian uint64.  Each family draws all the keys at once.
-    """
-    key_seeds = np.frombuffer(seeds, dtype="<u8").astype(np.uint64)
-    if etcf.family == "ideal":
-        return keygen_ideal(kinds, etcf.domain_bits, key_seeds)
-    return keygen_toy(kinds, etcf, key_seeds)
-
-
 def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
     """The rounds of one stream block: coins and keys as arrays, then the device round by round."""
     coins = block.public.random((block.stop - block.start, len(COIN_COLUMNS)))
@@ -230,15 +214,15 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
     challenge_b = (coins[:, 2:4] < params.p_ct_b).tolist()
     question_h = (coins[:, 4:6] < params.p_question_hadamard).tolist()
     kinds = [KEY_KINDS[h] for h in hadamard.ravel().tolist()]
-    trapdoors = draw_trapdoors(kinds, params.etcf, block.seeds)
+    keys = draw_keys(kinds, params.etcf, block.seeds)
 
     rows = zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
     for offset, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
-        trap_a, trap_b = trapdoors[2 * offset], trapdoors[2 * offset + 1]
+        key_a, key_b = keys[2 * offset], keys[2 * offset + 1]
         theta_a, theta_b = _BASES[had_a], _BASES[had_b]
         ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
         device.reset(block.device)
-        c_a, c_b = device.on_keys(trap_a.key, trap_b.key)
+        c_a, c_b = device.on_keys(key_a, key_b)
         resp_a, resp_b = device.on_challenges(ct_a, ct_b)
         x = _BASES[qh_a] if ct_a is ChallengeType.B else None
         y = _BASES[qh_b] if ct_b is ChallengeType.B else None
@@ -249,15 +233,15 @@ def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
         round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
         yield RoundRecord(
             index=block.start + offset,
-            alice=ingest_side(theta_a, trap_a, c_a, ct_a, resp_a, x, a, h_a),
-            bob=ingest_side(theta_b, trap_b, c_b, ct_b, resp_b, y, b, h_b),
+            alice=ingest_side(theta_a, key_a, c_a, ct_a, resp_a, x, a, h_a),
+            bob=ingest_side(theta_b, key_b, c_b, ct_b, resp_b, y, b, h_b),
             round_type=round_type,
             test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
             seed=block.seeds[SEED_BYTES * offset:SEED_BYTES * (offset + 1)],
         )
 
 
-def ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRecord:
+def ingest_side(theta, key, c, ct, response, question, answer, h) -> SideRecord:
     """One side's record of the device's messages.
 
     Each message is read by ``bits.fits``: one that is missing, of the wrong
@@ -265,8 +249,7 @@ def ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRe
     the side as a violation and later scored as a failure; it never raises.
     Replay reads a round line's side through this too.
     """
-    key = trapdoor.key
-    side = SideRecord(theta, trapdoor, 0, ct, question=question)
+    side = SideRecord(theta, key, 0, ct, question=question)
     if fits(c, key.codomain_bits):
         side.c = int(c)
     else:
@@ -292,7 +275,7 @@ def ingest_side(theta, trapdoor, c, ct, response, question, answer, h) -> SideRe
 def _phase_bit(side: SideRecord) -> int | None:
     """The phase bit d . (x0 xor x1) of a claw-free side; None when c has no preimage."""
     try:
-        x0, x1 = invert(side.trapdoor, side.c)
+        x0, x1 = invert(side.key, side.c)
     except NoPreimageError:
         return None
     return bell_label_bit(side.d, x0, x1)
@@ -308,7 +291,7 @@ def _reconstruct_retained_qubit(side: SideRecord) -> int | None:
         bit = _phase_bit(side)
         return None if bit is None else 2 + bit
     try:
-        return invert(side.trapdoor, side.c)[0]
+        return invert(side.key, side.c)[0]
     except NoPreimageError:
         return None
 
@@ -359,7 +342,7 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
 
 
 def win_condition(record: RoundRecord) -> WinFlag:
-    """Evaluate the round checks; requires trapdoors, never raises on device data.
+    """Evaluate the round checks, inverting with the sides' keys; never raises on device data.
 
     A violation fails the round, and a challenge-a side passes only with a
     preimage of its commitment.  A Bell round reads at most one commitment:

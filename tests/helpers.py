@@ -18,7 +18,6 @@ from cdiqkd.etcf import (
     EtcfParams,
     KeyKind,
     ToyLatticeKeyPair,
-    Trapdoor,
     _coord_bits,
     _mix,
     _steps,
@@ -133,7 +132,7 @@ def documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
     ])
 
 
-def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdoor:
+def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> ToyLatticeKeyPair:
     """One toy-lattice key, drawn on its own by a scalar loop: the reference that
     ``keygen_toy`` must equal key for key.
 
@@ -156,10 +155,9 @@ def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> Trapdo
 
     matrix = np.concatenate([np.eye(n, dtype=np.int64), draw((m - n) * n).reshape(m - n, n)])
     if kind is KeyKind.CLAW_FREE:
-        secret = draw(n)
-        return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, matrix @ secret % q), secret)
+        return ToyLatticeKeyPair(kind, n, m, q, matrix, matrix @ draw(n) % q)
     u = draw(m)
     while not np.any((matrix @ u[:n] - u) % q):  # u must leave the column space
         u = draw(m)
-    return Trapdoor(ToyLatticeKeyPair(kind, n, m, q, matrix, u))
+    return ToyLatticeKeyPair(kind, n, m, q, matrix, u)
 

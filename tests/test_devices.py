@@ -384,3 +384,25 @@ class TestMakeDevice:
             make_device("quantum-cheater")
         with pytest.raises(ValueError):
             make_device("noisy:0.1")
+
+
+def test_devices_never_invert():
+    # Each key is its own trapdoor, so no type marks what a device must not hold:
+    # devices get keys, and only the verifiers invert them.
+    import ast
+    import inspect
+
+    from cdiqkd import devices
+
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(devices))):
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "invert" not in names
+    assert not hasattr(devices, "invert")

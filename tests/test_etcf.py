@@ -213,10 +213,9 @@ class TestBatchedIdealKeygen:
         if chunk_words is not None:
             monkeypatch.setattr(etcf, "_CHUNK_WORDS", chunk_words)
         seeds = [w, 2**64 - 1, 0, 2**63, 12345]
-        trapdoors = keygen_ideal(self.KINDS, w, np.array(seeds, dtype=np.uint64))
-        for trapdoor, kind, seed in zip(trapdoors, self.KINDS, seeds):
-            key = trapdoor.key
-            assert key.kind is kind and key.domain_bits == w and trapdoor.secret is None
+        keys = keygen_ideal(self.KINDS, w, np.array(seeds, dtype=np.uint64))
+        for key, kind, seed in zip(keys, self.KINDS, seeds):
+            assert key.kind is kind and key.domain_bits == w
             assert np.array_equal(key.tables, documented_tables(kind, w, seed))
 
     @pytest.mark.parametrize("kind", list(KeyKind))
@@ -224,8 +223,8 @@ class TestBatchedIdealKeygen:
         seeds = np.array([7, 63, 2**64 - 1], dtype=np.uint64)
         batch = keygen_ideal([kind, KeyKind.CLAW_FREE, KeyKind.INJECTIVE], 4, seeds)
         key, trapdoor = keygen(kind, ideal(4), 7)
-        assert trapdoor.key is key
-        assert np.array_equal(key.tables, batch[0].key.tables)
+        assert trapdoor is key
+        assert np.array_equal(key.tables, batch[0].tables)
         # A Generator stands for the key seed it draws.
         drawn = np.random.default_rng(63).integers(2**64, dtype=np.uint64)
         key, _ = keygen(kind, ideal(4), np.random.default_rng(63))
@@ -233,12 +232,12 @@ class TestBatchedIdealKeygen:
 
     def test_claw_free_matchings_and_images_are_uniform(self):
         seeds = np.arange(4800, dtype=np.uint64)  # neighbouring seeds, the hardest case
-        trapdoors = keygen_ideal([KeyKind.CLAW_FREE] * len(seeds), 2, seeds)
+        keys = keygen_ideal([KeyKind.CLAW_FREE] * len(seeds), 2, seeds)
         matchings = Counter()
         first_two = Counter()
         points = np.zeros((4, 16))
-        for trapdoor in trapdoors:
-            f0, f1 = trapdoor.key.tables
+        for key in keys:
+            f0, f1 = key.tables
             matchings[tuple(int(np.flatnonzero(f1 == y)[0]) for y in f0)] += 1
             first_two[(int(f0[0]), int(f0[1]))] += 1
             points[np.arange(4), f0] += 1
@@ -252,15 +251,15 @@ class TestBatchedIdealKeygen:
 
     def test_injective_low_branch_and_images_are_uniform(self):
         seeds = np.arange(4800, dtype=np.uint64)
-        trapdoors = keygen_ideal([KeyKind.INJECTIVE] * len(seeds), 2, seeds)
+        keys = keygen_ideal([KeyKind.INJECTIVE] * len(seeds), 2, seeds)
         low_zero = 0
         halves = np.zeros((2, 4, 8))  # (low, high) half, x, point within the half
-        for key in (trapdoor.key for trapdoor in trapdoors):
+        for key in keys:
             low = 0 if key.tables[0].max() < 8 else 1
             low_zero += low == 0
             halves[0, np.arange(4), key.tables[low]] += 1
             halves[1, np.arange(4), key.tables[1 - low] - 8] += 1
-        assert_frequency(low_zero, len(trapdoors), 0.5, "low branch 0")
+        assert_frequency(low_zero, len(keys), 0.5, "low branch 0")
         for half, x in itertools.product(range(2), range(4)):
             assert_multinomial(halves[half, x], [1 / 8] * 8, f"half {half}, x {x}")
 
@@ -275,18 +274,14 @@ def toy(n: int, m: int, q: int) -> EtcfParams:
     return EtcfParams(family="toy-lattice", n=n, m=m, q=q)
 
 
-def _assert_reference_keys(trapdoors, kinds, params, seeds):
-    assert len(trapdoors) == len(kinds) == len(seeds)
-    for trapdoor, kind, seed in zip(trapdoors, kinds, seeds):
+def _assert_reference_keys(keys, kinds, params, seeds):
+    # A claw-free key's s is its shift's first n coordinates: equal shifts are equal s.
+    assert len(keys) == len(kinds) == len(seeds)
+    for key, kind, seed in zip(keys, kinds, seeds):
         reference = reference_keygen_toy(kind, params, seed)
-        key = trapdoor.key
         assert (key.kind, key.n, key.m, key.q) == (kind, params.n, params.m, params.q)
-        assert np.array_equal(key.matrix, reference.key.matrix), seed
-        assert np.array_equal(key.shift, reference.key.shift), seed
-        if kind is KeyKind.CLAW_FREE:
-            assert np.array_equal(trapdoor.secret, reference.secret), seed
-        else:
-            assert trapdoor.secret is None
+        assert np.array_equal(key.matrix, reference.matrix), seed
+        assert np.array_equal(key.shift, reference.shift), seed
 
 
 class TestBatchedToyKeygen:
@@ -299,8 +294,8 @@ class TestBatchedToyKeygen:
                  *rng.integers(2**64, size=300, dtype=np.uint64).tolist()]
         kinds = [KeyKind.CLAW_FREE if h else KeyKind.INJECTIVE
                  for h in rng.integers(2, size=len(seeds))]
-        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
-        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+        keys = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(keys, kinds, toy(n, m, q), seeds)
 
     @pytest.mark.parametrize("n, m, q", [(3, 6, 17), (2, 4, 3), (1, 2, 2)])
     def test_every_row_short_of_values_reads_more_words(self, monkeypatch, n, m, q):
@@ -308,16 +303,16 @@ class TestBatchedToyKeygen:
         monkeypatch.setattr(etcf, "_toy_words", lambda count, q: 1)
         seeds = list(range(40))
         kinds = [list(KeyKind)[seed % 2] for seed in seeds]
-        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
-        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+        keys = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(keys, kinds, toy(n, m, q), seeds)
 
     @pytest.mark.parametrize("n, m, q", [(3, 6, 17), (1, 2, 2)])
     def test_one_key_per_step_draws_the_same_keys(self, monkeypatch, n, m, q):
         monkeypatch.setattr(etcf, "_CHUNK_WORDS", 1)
         seeds = [0, 2**64 - 1, *range(1, 60)]
         kinds = [list(KeyKind)[seed % 2] for seed in seeds]
-        trapdoors = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
-        _assert_reference_keys(trapdoors, kinds, toy(n, m, q), seeds)
+        keys = keygen_toy(kinds, toy(n, m, q), np.array(seeds, dtype=np.uint64))
+        _assert_reference_keys(keys, kinds, toy(n, m, q), seeds)
 
     def test_injective_redraws_take_the_next_values(self):
         # At q = 2 every word is a value: u is first words 2 and 3, in the column
@@ -326,8 +321,8 @@ class TestBatchedToyKeygen:
         words = key_words(seeds, 1, 3) & np.uint64(1)
         assert np.count_nonzero(words[:, 2] == words[:, 0] * words[:, 1]) == 481
         kinds = [KeyKind.INJECTIVE] * len(seeds)
-        trapdoors = keygen_toy(kinds, toy(1, 2, 2), seeds)
-        _assert_reference_keys(trapdoors, kinds, toy(1, 2, 2), seeds.tolist())
+        keys = keygen_toy(kinds, toy(1, 2, 2), seeds)
+        _assert_reference_keys(keys, kinds, toy(1, 2, 2), seeds.tolist())
 
     @pytest.mark.parametrize("kind", list(KeyKind))
     def test_keygen_is_the_one_key_case(self, kind):
@@ -335,20 +330,20 @@ class TestBatchedToyKeygen:
         for seed in (0, 5, 2**64 - 1):
             [batch] = keygen_toy([kind], params, np.array([seed], dtype=np.uint64))
             key, trapdoor = keygen(kind, params, seed)
-            assert trapdoor.key is key
-            _assert_reference_keys([batch, trapdoor], [kind, kind], params, [seed, seed])
+            assert trapdoor is key
+            _assert_reference_keys([batch, key], [kind, kind], params, [seed, seed])
         # A Generator stands for the key seed it draws.
         drawn = np.random.default_rng(63).integers(2**64, dtype=np.uint64)
-        _, trapdoor = keygen(kind, params, np.random.default_rng(63))
-        _assert_reference_keys([trapdoor], [kind], params, [int(drawn)])
+        key, _ = keygen(kind, params, np.random.default_rng(63))
+        _assert_reference_keys([key], [kind], params, [int(drawn)])
 
 
 class TestToyLattice:
     def test_shift_identity_on_random_inputs(self):
         # f1(x - s) = f0(x): the construction's claw identity.
         rng = np.random.default_rng(10)
-        key, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
-        secret = trap.secret
+        key, _ = keygen(KeyKind.CLAW_FREE, TOY, rng)
+        secret = key.shift[:3]
         for _ in range(100):
             vec = rng.integers(0, 17, size=3)
             shifted = (vec - secret) % 17
@@ -392,13 +387,13 @@ class TestToyLattice:
     def test_claw_encoding_consistency(self):
         # enc(x0) xor enc(x1) equals enc(x1 + s) xor enc(x1) pointwise.
         rng = np.random.default_rng(14)
-        key, trap = keygen(KeyKind.CLAW_FREE, TOY, rng)
+        key, _ = keygen(KeyKind.CLAW_FREE, TOY, rng)
         for _ in range(50):
             vec = rng.integers(0, 17, size=3)
             x0 = encode_vector(vec, 17)
             x1 = claw_partner(key, 0, x0)
             rebuilt = encode_vector(
-                (decode_vector(x1, 3, 17) + trap.secret) % 17, 17
+                (decode_vector(x1, 3, 17) + key.shift[:3]) % 17, 17
             )
             assert rebuilt == x0
             assert x0 ^ x1 == rebuilt ^ x1
@@ -408,9 +403,9 @@ class TestToyLattice:
         blocks = np.empty((2000, 3 * 3), dtype=np.int64)
         secrets = np.empty((2000, 3), dtype=np.int64)
         for seed in range(len(blocks)):
-            key, trap = keygen(KeyKind.CLAW_FREE, TOY, seed)
+            key, _ = keygen(KeyKind.CLAW_FREE, TOY, seed)
             assert np.array_equal(key.matrix[:3], np.eye(3, dtype=np.int64))
-            blocks[seed], secrets[seed] = key.matrix[3:].ravel(), trap.secret
+            blocks[seed], secrets[seed] = key.matrix[3:].ravel(), key.shift[:3]
         for name, draws in (("R", blocks), ("s", secrets)):
             for position in range(draws.shape[1]):
                 counts = np.bincount(draws[:, position], minlength=17)

@@ -61,6 +61,9 @@ class TestConfig:
             ExperimentConfig.from_dict({"etcf": "toy-lattice", "lattice_q": 12})
         with pytest.raises(ConfigError, match="at most 63"):
             ExperimentConfig.from_dict({"etcf": "toy-lattice", "lattice_q": 1031})
+        with pytest.raises(ConfigError) as caught:
+            ExperimentConfig.from_dict({"recon": "cascade"})
+        assert str(caught.value) == "recon must be 'hamming74' or 'none', got 'cascade'"
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

@@ -199,4 +199,5 @@ class TestSessionRateReport:
             session, KeyRateParams(epsilon=0.05), final_key_length=999, leak_bits=0
         )
         assert report.final_key_length == 0
+        assert report.gross_final_rate == report.net_final_rate == 0
         assert report.aborted

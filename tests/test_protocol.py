@@ -62,13 +62,10 @@ HAD = MeasurementBasis.HADAMARD
 A, B = ChallengeType.A, ChallengeType.B
 
 
-def _trapdoor_bytes(trapdoor) -> bytes:
-    """A trapdoor's kind and arrays, its key's included."""
-    key = trapdoor.key
-    arrays = (
-        [key.tables] if hasattr(key, "tables") else [key.matrix, key.shift, trapdoor.secret]
-    )
-    return key.kind.value.encode() + b"".join(a.tobytes() for a in arrays if a is not None)
+def _key_bytes(key) -> bytes:
+    """A key's kind and arrays."""
+    arrays = [key.tables] if hasattr(key, "tables") else [key.matrix, key.shift]
+    return key.kind.value.encode() + b"".join(a.tobytes() for a in arrays)
 
 
 def _signature(record) -> tuple:
@@ -76,7 +73,7 @@ def _signature(record) -> tuple:
     sides = tuple(
         (
             side.theta, side.ct, side.c, side.z, side.d, side.question, side.answer, side.h,
-            side.violation, _trapdoor_bytes(side.trapdoor),
+            side.violation, _key_bytes(side.key),
         )
         for side in (record.alice, record.bob)
     )
@@ -233,7 +230,7 @@ class TestHonestSupport:
         for seed in range(200):
             record = self.bell_record(seed)
             if record.alice.question is COMP and record.bob.question is COMP:
-                x0, x1 = invert(record.bob.trapdoor, record.bob.c)
+                x0, x1 = invert(record.bob.key, record.bob.c)
                 s_b = bell_label_bit(record.bob.d, x0, x1)
                 support = honest_support(record)
                 assert support == {(0, s_b), (1, 1 ^ s_b)}
@@ -245,7 +242,7 @@ class TestHonestSupport:
         forced = params(p_theta_hadamard=0.0, p_ct_b=1.0, p_question_hadamard=0.0)
         for seed in range(30):
             record = drive_round(HonestDevice(), forced, seed)
-            b_hat, _ = invert(record.alice.trapdoor, record.alice.c)
+            b_hat, _ = invert(record.alice.key, record.alice.c)
             support = honest_support(record)
             admissible_a = {a for a, _ in support}
             assert admissible_a == {b_hat ^ record.alice.h}
@@ -282,7 +279,7 @@ class TestHonestSupport:
                 assert support == {(0, 0), (0, 1), (1, 0), (1, 1)}
                 continue
             side = record.bob if x is COMP else record.alice
-            x0, x1 = invert(side.trapdoor, side.c)
+            x0, x1 = invert(side.key, side.c)
             parity = bell_label_bit(side.d, x0, x1)
             assert support == {(a, b) for a in (0, 1) for b in (0, 1) if a ^ b == parity}
 
@@ -293,14 +290,14 @@ class TestHonestSupport:
 
         def side(code, h, question):
             # Inverts to the retained qubit of code: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.
-            key, trapdoor = pairs[KeyKind.INJECTIVE if code < 2 else KeyKind.CLAW_FREE]
+            key, _ = pairs[KeyKind.INJECTIVE if code < 2 else KeyKind.CLAW_FREE]
             c = evaluate(key, code & 1 if code < 2 else 0, 0)
             d = 0
             if code == 3:
-                x0, x1 = invert(trapdoor, c)
+                x0, x1 = invert(key, c)
                 d = (x0 ^ x1) & -(x0 ^ x1)
             return SideRecord(
-                theta=HAD if code >= 2 else COMP, trapdoor=trapdoor, c=c, ct=B, d=d,
+                theta=HAD if code >= 2 else COMP, key=key, c=c, ct=B, d=d,
                 question=question, answer=0, h=h,
             )
 
@@ -309,10 +306,10 @@ class TestHonestSupport:
             qubits = []
             for part in (record.alice, record.bob):
                 if part.key.kind is KeyKind.CLAW_FREE:
-                    x0, x1 = invert(part.trapdoor, part.c)
+                    x0, x1 = invert(part.key, part.c)
                     qubits.append(plus_minus(bell_label_bit(part.d, x0, x1)))
                 else:
-                    qubits.append(ket((invert(part.trapdoor, part.c)[0],)))
+                    qubits.append(ket((invert(part.key, part.c)[0],)))
             state = apply_gate(apply_gate(tensor(*qubits), "CZ", 0, 1), "H", 1)
             for wire in (0, 1):
                 state = pauli_correction(state, wire, record.alice.h, record.bob.h)
@@ -358,8 +355,8 @@ def test_warm_honest_session_never_enters_the_statevector_engine(monkeypatch):
 
 
 def test_session_retains_little_beyond_its_key_tables():
-    # A round keeps its two keys; a trapdoor refers to its key and builds no
-    # tables of its own, even after the verifier has inverted it.
+    # A round keeps its two keys, and a key builds no tables of its own, even
+    # after the verifier has inverted it.
     session_params = params(rounds=512, w=8)
     run_session(HonestDevice(), params(rounds=64, w=8), 1)  # warm the answer and support caches
     tracemalloc.start()
@@ -393,8 +390,8 @@ def test_each_key_is_drawn_from_its_half_of_the_round_seed(etcf):
                 tables = documented_tables(kind, etcf.domain_bits, seed)
                 assert np.array_equal(side.key.tables, tables)
             else:
-                trapdoor = reference_keygen_toy(kind, etcf, seed)
-                assert _trapdoor_bytes(trapdoor) == _trapdoor_bytes(side.trapdoor)
+                reference = reference_keygen_toy(kind, etcf, seed)
+                assert _key_bytes(reference) == _key_bytes(side.key)
 
 
 def test_block_keygen_temporaries_stay_within_a_few_rows():
@@ -487,7 +484,7 @@ def _recount(records, epsilon) -> dict:
         if r.alice.violation or r.bob.violation or not _both_computational(r):
             continue
         try:
-            x0, x1 = invert(r.bob.trapdoor, r.bob.c)
+            x0, x1 = invert(r.bob.key, r.bob.c)
         except NoPreimageError:
             continue
         key_a.append(r.alice.answer)
