@@ -16,6 +16,15 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def parity(values: np.ndarray) -> np.ndarray:
+    """The parity of each non-negative int64 of an array, so parity(a & b) is ``dot``
+    elementwise; by xor folding, as ``np.bitwise_count`` needs numpy 2.0."""
+    values = values.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        values ^= values >> shift
+    return values & 1
+
+
 def fits(value, width: int) -> bool:
     """True if value is a width-bit string: a Python or numpy integer, never a bool, in range."""
     integer = isinstance(value, (int, np.integer)) and type(value) is not bool

@@ -1,36 +1,61 @@
 """Device-side strategies: honest, noisy-honest, and scripted cheaters.
 
+A device plays a whole stream block at once: each message it gets holds
+one entry per round of the block, and each reply is one array (or
+sequence) per message field, with one entry per round (see
+``DeviceStrategy``).  Devices get keys and never invert them.
+
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
 gives for the post-measurement states), recorded as a retained-qubit
 code.  The final teleportation and measurement step is a Clifford
 circuit on those qubits, so its outcomes depend only on the two codes
-and the two questions: each of the 80 combinations gets a Born tree,
-built once from the statevector circuits below and then walked with one
-``rng.random()`` per measurement, exactly as the circuit itself would
-draw.  The circuits stay here as the table builders and test oracles.
-The uniform challenge-b string rule this relies on is validated against
-a full statevector oracle in the test suite.
+and the two questions, and each of its Born probabilities is 0, 1/2 or 1
+(Aaronson & Gottesman, "Improved simulation of stabilizer circuits",
+PRA 2004).  It makes at most 4 measurements, so four fair coins decide
+it: each of the 80 (code, question) combinations gets a table of its
+answers on the 16 paths of those coins, built once from the statevector
+circuits below at the first honest block, and a block reads its answers
+from those tables with 4 uniforms a round.  The circuits stay here as the
+table builders and test oracles.  The uniform challenge-b string rule
+this relies on is validated against a full statevector oracle in the
+test suite.
 
-A strategy instance is stateful across the messages of one round;
-``reset(rng)`` starts a new round.  The session hands every round of a
-stream block that block's one device generator, so a round's draws go on
-from where the previous round's stopped.  Devices get keys and never
-invert them.
+``honest_commit``, ``honest_challenge_a`` and ``honest_challenge_b`` are
+the honest law for one round, kept as the reference the block device is
+tested against.
+
+The device's draws of a block, from the block's device generator
+(``streams.Block.device``), in order:
+
+- honest and noisy: ``on_keys`` draws each round's two branch bits, then
+  its two domain points (one integer below 2**w each for the ideal
+  family, n coordinates below q each for the toy-lattice family);
+  ``on_challenges`` draws each round's two challenge-a coins, then its
+  two d strings; ``on_questions`` draws 4 uniforms a round, then the
+  noisy device 2 more, Alice's flip then Bob's;
+- classical-random: each round's two commitments, then its two
+  responses (uniform over the challenge-a width; a challenge-b side
+  sends the top ``domain_bits`` bits), then its four answer bits
+  (a, h_a, b, h_b);
+- classical-table: nothing.
+
+Each array is drawn for every round of the block, in round order and
+Alice first, whether or not the round reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .bits import dot
-from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, claw_partner, encode_vector
+from .bits import dot, parity
+from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, claw_partner, encode_vector, encode_vectors
 from .quantum import (
     MeasurementBasis,
     StateVector,
@@ -48,6 +73,12 @@ from .quantum import (
 class ChallengeType(Enum):
     A = "a"
     B = "b"
+
+
+# A side's question in ``on_questions``: an index of QUESTION_BASES, or NO_QUESTION
+# when the side chose challenge a.
+QUESTION_BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
+NO_QUESTION = -1
 
 
 @dataclass
@@ -167,150 +198,165 @@ def _bob_half(qubit_b: StateVector, y: MeasurementBasis, rng) -> tuple[int, int]
     return b, h_b
 
 
-class _Branch(NamedTuple):
-    """One measurement of a Born tree: outcome 0 when the next draw is below p0."""
-
-    p0: float
-    if0: object  # subtree or answer tuple; None where that outcome cannot occur
-    if1: object
-
-
-# The smallest and the largest value Generator.random() returns: forcing a
-# draw to one of them realizes outcome 0 or 1 whenever that outcome can occur.
-_EXTREME_DRAWS = (0.0, float(np.nextafter(1.0, 0.0)))
+# The retained-qubit code of a side without a question, in the outcome table.
+_UNASKED = 4
+# Coin paths of the answer step: bit k of a path is the outcome of its k-th measurement.
+_COINS = 4
+_PATH_WEIGHTS = 1 << np.arange(_COINS)
 
 
-class _ScriptedRng:
-    """Generator stand-in whose draws force the outcome path, then outcome 0.
+class _CoinRng:
+    """Generator stand-in whose k-th draw is 1/4 or 3/4 as bit k of ``path`` is 0 or 1.
 
-    ``random()`` returns the stand-in itself; the engine's ``draw < p0``
-    then logs p0 and compares it with the forced extreme draw.
+    A measurement of Born probability p0 = 1/2 then has bit k as its
+    outcome, and one of p0 = 0 or 1 its only possible outcome.
     """
 
-    def __init__(self, path: tuple[int, ...]) -> None:
-        self._path = iter(path)
-        self.log: list[float] = []
+    def __init__(self, path: int) -> None:
+        self._path = path
 
-    def random(self) -> _ScriptedRng:
-        self._draw = _EXTREME_DRAWS[next(self._path, 0)]
-        return self
-
-    def __lt__(self, p0: float) -> bool:
-        self.log.append(p0)
-        return self._draw < p0
+    def random(self) -> float:
+        bit, self._path = self._path & 1, self._path >> 1
+        return 0.75 if bit else 0.25
 
 
-def _born_tree(circuit, prefix: tuple[int, ...] = ()):
-    """Every outcome path circuit(rng) can take after prefix, as _Branch nodes.
+def _answer_circuit(code_a: int, x: MeasurementBasis, code_b: int, y: MeasurementBasis):
+    """The answer step as a function of a generator: (a, h_a, b, h_b), the unasked side's 0, 0.
 
-    Each node holds the exact p0 the statevector engine compares its draw
-    with, so walking the tree with real draws reproduces the circuit's
-    answers and leaves the generator where the circuit would.
+    A code of 4 marks a side without a question, whose question is ignored.
     """
-    rng = _ScriptedRng(prefix)
-    answer = circuit(rng)
-    if len(rng.log) == len(prefix):
-        return answer
-    p0 = rng.log[len(prefix)]
-    return _Branch(p0, *(
-        _born_tree(circuit, (*prefix, outcome))
-        if (_EXTREME_DRAWS[outcome] < p0) == (outcome == 0)
-        else None
-        for outcome in (0, 1)
-    ))
-
-
-@lru_cache(maxsize=80)
-def _answer_tree(code_a: int | None, x, code_b: int | None, y) -> _Branch:
-    # 4 x 2 codes-and-questions per answering side: 64 two-sided trees, 8 + 8 one-sided.
-    if code_b is None:
-        return _born_tree(lambda rng: (*_alice_half(_retained_qubit(code_a), x, rng), None, None))
-    if code_a is None:
-        return _born_tree(lambda rng: (None, None, *_bob_half(_retained_qubit(code_b), y, rng)))
+    if code_b == _UNASKED:
+        return lambda rng: (*_alice_half(_retained_qubit(code_a), x, rng), 0, 0)
+    if code_a == _UNASKED:
+        return lambda rng: (0, 0, *_bob_half(_retained_qubit(code_b), y, rng))
 
     def both(rng):
         a, b, h_a, h_b = honest_answer(_retained_qubit(code_a), _retained_qubit(code_b), x, y, rng)
         return a, h_a, b, h_b
 
-    return _born_tree(both)
+    return both
 
 
-def draw_answers(
-    code_a: int | None,
-    x: MeasurementBasis | None,
-    code_b: int | None,
-    y: MeasurementBasis | None,
-    rng: np.random.Generator,
-) -> tuple[int | None, int | None, int | None, int | None]:
-    """(a, h_a, b, h_b) of the honest answer step, read from a cached Born tree.
+@cache
+def _outcome_table() -> np.ndarray:
+    """(a, h_a, b, h_b) of the answer step, indexed [code_a, x, code_b, y, path].
 
-    A side without a question passes None for its code and question and
-    gets None answers.  One ``rng.random()`` is drawn per measurement, in
-    the circuit's order, so on the same stream this returns what
-    ``honest_answer``, ``_alice_half`` or ``_bob_half`` would.
+    Codes are the retained-qubit codes, 4 for a side without a question
+    (whose question index is then 0), questions are indices of
+    ``QUESTION_BASES`` and ``path`` holds one fair coin per measurement
+    (``_CoinRng``).  Built once, from the 80 circuits, on first use.
     """
-    node = _answer_tree(code_a, x, code_b, y)
-    while type(node) is _Branch:
-        p0, if0, if1 = node
-        node = if0 if rng.random() < p0 else if1
-    return node
+    table = np.zeros((_UNASKED + 1, 2, _UNASKED + 1, 2, 1 << _COINS, 4), dtype=np.int64)
+    for code_a, x, code_b, y in itertools.product(range(_UNASKED + 1), range(2), repeat=2):
+        if (code_a == _UNASKED and x) or (code_b == _UNASKED and y) or code_a == code_b == _UNASKED:
+            continue
+        circuit = _answer_circuit(code_a, QUESTION_BASES[x], code_b, QUESTION_BASES[y])
+        for path in range(1 << _COINS):
+            table[code_a, x, code_b, y, path] = circuit(_CoinRng(path))
+    table.flags.writeable = False
+    return table
 
 
 class DeviceStrategy:
-    """Interface the protocol engine drives.
+    """Interface the protocol engine drives, one stream block at a time.
 
-    Message order within a round: ``reset``, ``on_keys``, ``on_challenges``,
-    and, when at least one side chose challenge b, ``on_questions``.  A side
-    that chose challenge a receives no question; its entries in the
-    ``on_questions`` call and reply are None.  ``reset(rng)`` gets the same
-    generator at every round of a stream block (``streams.Block.device``),
-    not a fresh stream per round.
+    Per block, ``reset(rng)`` with the block's device generator
+    (``streams.Block.device``), then ``on_keys``, ``on_challenges`` and
+    ``on_questions``, each once and with positional arguments.  Each
+    argument holds one entry per round of the block, and each reply is a
+    tuple of per-round arrays or sequences:
+
+    - ``on_keys(keys_a, keys_b)``: the two sides' keys, which in one block
+      share a family and its sizes; reply ``(c_a, c_b)``;
+    - ``on_challenges(ct_a, ct_b)``: boolean arrays, True where that side's
+      challenge is b; reply ``(resp_a, resp_b)``, z for challenge a and d
+      for challenge b;
+    - ``on_questions(x, y)``: integer arrays, an index of
+      ``QUESTION_BASES``, or ``NO_QUESTION`` where the side chose challenge
+      a; reply ``(a, h_a, b, h_b)``.  The entries of a side without a
+      question are ignored.
     """
 
     def reset(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
-    def on_keys(self, key_a: EtcfKeyPair, key_b: EtcfKeyPair) -> tuple[int, int]:
+    def on_keys(self, keys_a, keys_b):
         raise NotImplementedError
 
-    def on_challenges(self, ct_a: ChallengeType, ct_b: ChallengeType) -> tuple[int, int]:
+    def on_challenges(self, ct_a, ct_b):
         raise NotImplementedError
 
-    def on_questions(
-        self, x: MeasurementBasis | None, y: MeasurementBasis | None
-    ) -> tuple[int | None, int | None, int | None, int | None]:
+    def on_questions(self, x, y):
         raise NotImplementedError
+
+
+def _ideal_commit(keys, branch: list[int], points: list[int]):
+    """Each key's f_b(x), and each claw-free key's claw partner of x: the x' with
+    f_{1-b}(x') = f_b(x), found in its other table; 0 for an injective key.  Reads
+    only the entries it needs, and stacks no tables."""
+    images = [key.tables.item(b, x) for key, b, x in zip(keys, branch, points)]
+    partners = [
+        int((key.tables[1 - b] == c).argmax()) if key.kind is KeyKind.CLAW_FREE else 0
+        for key, b, c in zip(keys, branch, images)
+    ]
+    return np.array(images, dtype=np.int64), np.array(partners, dtype=np.int64)
+
+
+def _toy_commit(keys, branch: np.ndarray, vectors: np.ndarray):
+    """Each key's A x + b shift mod q, and the claw partner x -+ s (s the first n
+    coordinates of a claw-free shift A s), each encoded, from one stack of the keys'
+    small (m, n) matrices."""
+    q = keys[0].q
+    matrices = np.stack([key.matrix for key in keys])
+    shifts = np.stack([key.shift for key in keys])
+    images = (matrices @ vectors[..., None])[..., 0] + branch[:, None] * shifts
+    secret = shifts[:, :vectors.shape[1]]
+    partners = np.where(branch[:, None] == 0, vectors - secret, vectors + secret)
+    return encode_vectors(images % q, q), encode_vectors(partners % q, q)
 
 
 class HonestDevice(DeviceStrategy):
     """Plays the intended strategy; wins every check under the ideal family."""
 
-    def reset(self, rng: np.random.Generator) -> None:
-        super().reset(rng)
-        self._side_a: HonestInternalState | None = None
-        self._side_b: HonestInternalState | None = None
-
-    def on_keys(self, key_a, key_b):
-        c_a, self._side_a = honest_commit(key_a, self._rng)
-        c_b, self._side_b = honest_commit(key_b, self._rng)
-        return c_a, c_b
+    def on_keys(self, keys_a, keys_b):
+        rng, rounds = self._rng, len(keys_a)
+        keys = [key for pair in zip(keys_a, keys_b) for key in pair]  # round by round, Alice first
+        first = keys[0]
+        branch = rng.integers(2, size=2 * rounds)
+        if isinstance(first, IdealKeyPair):
+            points = rng.integers(1 << first.domain_bits, size=2 * rounds)
+            images, partners = _ideal_commit(keys, branch.tolist(), points.tolist())
+        else:
+            vectors = rng.integers(first.q, size=(2 * rounds, first.n))
+            images, partners = _toy_commit(keys, branch, vectors)
+            points = encode_vectors(vectors, first.q)
+        self._claw = np.array([key.kind is KeyKind.CLAW_FREE for key in keys]).reshape(rounds, 2)
+        self._branch, self._point, self._partner = (
+            a.reshape(rounds, 2) for a in (branch, points, partners)
+        )
+        self._domain_bits = first.domain_bits
+        return images[0::2], images[1::2]
 
     def on_challenges(self, ct_a, ct_b):
-        responses = []
-        for ct, side in ((ct_a, self._side_a), (ct_b, self._side_b)):
-            if ct is ChallengeType.A:
-                responses.append(honest_challenge_a(side, self._rng))
-            else:
-                d, _ = honest_challenge_b(side, self._rng)
-                responses.append(d)
-        return tuple(responses)
+        rng, branch, point, partner = self._rng, self._branch, self._point, self._partner
+        coin = rng.integers(2, size=branch.shape)
+        d = rng.integers(1 << self._domain_bits, size=branch.shape)
+        # Challenge a: a claw-free side reads out a fresh coin's claw member, an
+        # injective side its one preimage.
+        coin = np.where(self._claw, coin, branch)
+        z = coin | (np.where(coin == branch, point, partner) << 1)
+        # Challenge b keeps |0> + (-1)^(d.(x0 xor x1)) |1>, or |b_hat>.
+        self._code = np.where(self._claw, 2 + parity(d & (point ^ partner)), branch)
+        responses = np.where(np.stack([ct_a, ct_b], axis=1), d, z)
+        return responses[:, 0], responses[:, 1]
 
     def on_questions(self, x, y):
-        if x is None and y is None:
-            raise RuntimeError("on_questions called with no question")
-        code_a = None if x is None else self._side_a.code
-        code_b = None if y is None else self._side_b.code
-        return draw_answers(code_a, x, code_b, y, self._rng)
+        questions = np.stack([x, y], axis=1)
+        codes = np.where(questions == NO_QUESTION, _UNASKED, self._code)
+        bases = np.maximum(questions, 0)
+        paths = (self._rng.random((len(questions), _COINS)) >= 0.5) @ _PATH_WEIGHTS
+        answers = _outcome_table()[codes[:, 0], bases[:, 0], codes[:, 1], bases[:, 1], paths]
+        return tuple(answers.T)
 
 
 @dataclass(frozen=True)
@@ -334,11 +380,8 @@ class NoisyHonestDevice(HonestDevice):
 
     def on_questions(self, x, y):
         a, h_a, b, h_b = super().on_questions(x, y)
-        if a is not None and self._rng.random() < self.noise.p_flip_a:
-            a ^= 1
-        if b is not None and self._rng.random() < self.noise.p_flip_b:
-            b ^= 1
-        return a, h_a, b, h_b
+        flips = self._rng.random((len(a), 2)) < (self.noise.p_flip_a, self.noise.p_flip_b)
+        return a ^ flips[:, 0], h_a, b ^ flips[:, 1], h_b
 
 
 TABLE_KEYS = ("c_a", "c_b", "z_a", "z_b", "d_a", "d_b", "a", "b", "h_a", "h_b")
@@ -349,53 +392,47 @@ class ClassicalDeterministicDevice(DeviceStrategy):
     """Returns fixed responses from a table; useful for targeted failure paths.
 
     Recognized table keys: c_a, c_b, z_a, z_b, d_a, d_b, a, b, h_a, h_b.
-    Missing entries default to 0.
+    Missing entries default to 0.  Entries are sent as they are, in lists:
+    the verifiers judge whatever the table holds.  A side without a
+    question gets None answers.
     """
 
     table: dict = field(default_factory=dict)
 
-    def _get(self, name: str) -> int:
-        return int(self.table.get(name, 0))
+    def _get(self, name: str):
+        return self.table.get(name, 0)
 
-    def on_keys(self, key_a, key_b):
-        return self._get("c_a"), self._get("c_b")
+    def on_keys(self, keys_a, keys_b):
+        return [self._get("c_a")] * len(keys_a), [self._get("c_b")] * len(keys_b)
 
     def on_challenges(self, ct_a, ct_b):
-        resp_a = self._get("z_a") if ct_a is ChallengeType.A else self._get("d_a")
-        resp_b = self._get("z_b") if ct_b is ChallengeType.A else self._get("d_b")
-        return resp_a, resp_b
+        return tuple(
+            [self._get(d) if challenge_b else self._get(z) for challenge_b in ct]
+            for ct, z, d in ((ct_a, "z_a", "d_a"), (ct_b, "z_b", "d_b"))
+        )
 
     def on_questions(self, x, y):
-        a = self._get("a") if x is not None else None
-        h_a = self._get("h_a") if x is not None else None
-        b = self._get("b") if y is not None else None
-        h_b = self._get("h_b") if y is not None else None
-        return a, h_a, b, h_b
+        return tuple(
+            [None if question == NO_QUESTION else self._get(name) for question in questions]
+            for questions, name in ((x, "a"), (x, "h_a"), (y, "b"), (y, "h_b"))
+        )
 
 
 class ClassicalRandomDevice(DeviceStrategy):
     """Samples every response uniformly from its message space."""
 
-    def on_keys(self, key_a, key_b):
-        self._keys = (key_a, key_b)
-        return (
-            int(self._rng.integers(1 << key_a.codomain_bits)),
-            int(self._rng.integers(1 << key_b.codomain_bits)),
-        )
+    def on_keys(self, keys_a, keys_b):
+        self._domain_bits = keys_a[0].domain_bits
+        c = self._rng.integers(1 << keys_a[0].codomain_bits, size=(len(keys_a), 2))
+        return c[:, 0], c[:, 1]
 
     def on_challenges(self, ct_a, ct_b):
-        responses = []
-        for ct, key in zip((ct_a, ct_b), self._keys):
-            width = 1 + key.domain_bits if ct is ChallengeType.A else key.domain_bits
-            responses.append(int(self._rng.integers(1 << width)))
-        return tuple(responses)
+        responses = self._rng.integers(1 << (1 + self._domain_bits), size=(len(ct_a), 2))
+        responses >>= np.stack([ct_a, ct_b], axis=1)  # a d is the top domain_bits bits
+        return responses[:, 0], responses[:, 1]
 
     def on_questions(self, x, y):
-        a = int(self._rng.integers(2)) if x is not None else None
-        h_a = int(self._rng.integers(2)) if x is not None else None
-        b = int(self._rng.integers(2)) if y is not None else None
-        h_b = int(self._rng.integers(2)) if y is not None else None
-        return a, h_a, b, h_b
+        return tuple(self._rng.integers(2, size=(len(x), 4)).T)
 
 
 def make_device(spec: str) -> DeviceStrategy:

@@ -236,6 +236,13 @@ def encode_vector(vec: np.ndarray, q: int) -> int:
     return value
 
 
+def encode_vectors(vectors: np.ndarray, q: int) -> np.ndarray:
+    """encode_vector of each vector along the last axis of an int64 array, as int64s:
+    a codomain point takes at most 63 bits (``EtcfParams.validate``)."""
+    shifts = np.arange(vectors.shape[-1], dtype=np.int64) * _coord_bits(q)
+    return (vectors << shifts).sum(axis=-1)
+
+
 def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
     """Inverse of encode_vector; None if any coordinate decodes to >= q."""
     cb = _coord_bits(q)

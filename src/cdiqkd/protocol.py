@@ -20,7 +20,7 @@ number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v4), and each block draws from three streams keyed by the
+(stream layout v5), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
@@ -30,7 +30,8 @@ session's seed, the stream and the block index:
   halves are Alice's and Bob's key seeds; ``etcf.draw_keys`` draws each
   key from its own seed alone, and each key is its own trapdoor, so the
   trapdoor store need hold only a test round's seed;
-- the device's stream, handed to ``device.reset`` at every round.
+- the device's stream, handed to ``device.reset`` once per block; the
+  device then answers each of its messages for the whole block at once.
 
 So the verifiers' draws never depend on the device's answers, and a
 block's draws depend on nothing outside it: the complete blocks of a
@@ -50,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import dot, fits
-from .devices import ChallengeType, DeviceStrategy
+from .devices import NO_QUESTION, QUESTION_BASES, ChallengeType, DeviceStrategy
 from .etcf import (
     EtcfKeyPair,
     EtcfParams,
@@ -201,43 +202,48 @@ def bell_label_bit(d: int, x0: int, x1: int) -> int:
     return dot(d, x0 ^ x1)
 
 
-_BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
+_BASES = QUESTION_BASES  # (computational, Hadamard): indexed by a Hadamard bit
 # A side's key kind, indexed by whether its state basis is Hadamard.
 KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 
 
 def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
-    """The rounds of one stream block: coins and keys as arrays, then the device round by round."""
+    """The rounds of one stream block: coins and keys as arrays, the device's messages one
+    call each for the whole block, then each round's record from its per-round values."""
     coins = block.public.random((block.stop - block.start, len(COIN_COLUMNS)))
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
-    challenge_b = (coins[:, 2:4] < params.p_ct_b).tolist()
-    question_h = (coins[:, 4:6] < params.p_question_hadamard).tolist()
+    challenge_b = coins[:, 2:4] < params.p_ct_b
+    question_h = coins[:, 4:6] < params.p_question_hadamard
     kinds = [KEY_KINDS[h] for h in hadamard.ravel().tolist()]
     keys = draw_keys(kinds, params.etcf, block.seeds)
 
-    rows = zip(hadamard.tolist(), challenge_b, question_h, coins[:, 6].tolist())
-    for offset, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
-        key_a, key_b = keys[2 * offset], keys[2 * offset + 1]
+    device.reset(block.device)
+    commitments = device.on_keys(keys[0::2], keys[1::2])
+    responses = device.on_challenges(challenge_b[:, 0], challenge_b[:, 1])
+    questions = np.where(challenge_b, question_h.astype(np.int8), np.int8(NO_QUESTION))
+    answers = device.on_questions(questions[:, 0], questions[:, 1])
+    # Per-round Python values, so that ingest_side reads Python ints.
+    c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = (
+        reply.tolist() if isinstance(reply, np.ndarray) else reply
+        for reply in (*commitments, *responses, *answers)
+    )
+
+    rows = zip(hadamard.tolist(), challenge_b.tolist(), question_h.tolist(), coins[:, 6].tolist())
+    for i, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
+        key_a, key_b = keys[2 * i], keys[2 * i + 1]
         theta_a, theta_b = _BASES[had_a], _BASES[had_b]
         ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
-        device.reset(block.device)
-        c_a, c_b = device.on_keys(key_a, key_b)
-        resp_a, resp_b = device.on_challenges(ct_a, ct_b)
-        x = _BASES[qh_a] if ct_a is ChallengeType.B else None
-        y = _BASES[qh_b] if ct_b is ChallengeType.B else None
-        if x is not None or y is not None:
-            a, h_a, b, h_b = device.on_questions(x, y)
-        else:
-            a = h_a = b = h_b = None
+        x = _BASES[qh_a] if b_a else None
+        y = _BASES[qh_b] if b_b else None
         round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
         yield RoundRecord(
-            index=block.start + offset,
-            alice=ingest_side(theta_a, key_a, c_a, ct_a, resp_a, x, a, h_a),
-            bob=ingest_side(theta_b, key_b, c_b, ct_b, resp_b, y, b, h_b),
+            index=block.start + i,
+            alice=ingest_side(theta_a, key_a, c_a[i], ct_a, resp_a[i], x, a[i], h_a[i]),
+            bob=ingest_side(theta_b, key_b, c_b[i], ct_b, resp_b[i], y, b[i], h_b[i]),
             round_type=round_type,
             test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
-            seed=block.seeds[SEED_BYTES * offset:SEED_BYTES * (offset + 1)],
+            seed=block.seeds[SEED_BYTES * i:SEED_BYTES * (i + 1)],
         )
 
 

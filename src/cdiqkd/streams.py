@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v4.
+"""Per-block random streams, stream layout v5.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -14,7 +14,15 @@ bytes.  The streams:
 - ``PUBLIC``: the verifiers' public coins, and ``DEVICE``: the device, each
   a counter-based ``Generator(Philox(key=K))`` (Salmon et al., "Parallel
   random numbers: as easy as 1, 2, 3", SC'11), K read as two little-endian
-  uint64 words;
+  uint64 words.  The device is reset with its block's generator once, and
+  plays the whole block: each of its draws is one array with an entry per
+  round (or per round and side), in a fixed order per device kind:
+
+  - honest and noisy: the branch bits, the domain points (``on_keys``);
+    the challenge-a coins, the d strings (``on_challenges``); 4 uniforms
+    a round, then the noisy device's 2 flip uniforms (``on_questions``);
+  - classical-random: the commitments, the responses, the answer bits;
+  - classical-table: nothing;
 - ``PRIVATE``: the verifiers' private coins.  Round ``start + i`` gets the
   ``SEED_BYTES`` (16) bytes from ``16 i`` on of ``SHAKE-128(K)``, whose first
   and last 8, read as little-endian uint64s, are Alice's and Bob's key
@@ -26,7 +34,10 @@ Knowing one block's key, or one round's seed, tells nothing of any other.
 headers state it as their ``version``.  Layout v3 moved only the private
 coins from v2, whose public and device streams it keeps byte for byte.
 Layout v4 keeps v3's streams and seeds, and the ideal keys drawn from them;
-it moved only the toy-lattice keys, now drawn in systematic form.
+it moved only the toy-lattice keys, now drawn in systematic form.  Layout
+v5 keeps v4's public coins, round seeds and keys byte for byte; it moved
+only the device's draws, now one array a message for a whole block
+(``devices``).
 """
 
 from __future__ import annotations
@@ -38,9 +49,9 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 SEED_BYTES = 16  # a round's private seed
-DOMAIN = b"cdiqkd stream layout v2"  # v3 and v4 keep it, and with it v2's public and device streams
+DOMAIN = b"cdiqkd stream layout v2"  # v3 to v5 keep it, and with it v2's stream keys
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 

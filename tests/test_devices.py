@@ -9,9 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cdiqkd.bits import dot
+from cdiqkd.bits import dot, parity
 from cdiqkd.devices import (
-    ChallengeType,
+    NO_QUESTION,
     ClassicalDeterministicDevice,
     ClassicalRandomDevice,
     HonestDevice,
@@ -19,7 +19,7 @@ from cdiqkd.devices import (
     NoisyHonestDevice,
     _alice_half,
     _bob_half,
-    draw_answers,
+    _outcome_table,
     honest_answer,
     honest_challenge_a,
     honest_challenge_b,
@@ -232,14 +232,47 @@ def code_qubit(code):
     return ket((code,)) if code < 2 else plus_minus(code - 2)
 
 
+class _Draw(float):
+    """A uniform draw that logs the Born probability p0 a measurement compares it with."""
+
+    def __lt__(self, p0):
+        self.log.append(p0)
+        return float(self) < p0
+
+
+class _PathRng:
+    """Generator stand-in: draw k is 1/4 or 3/4 as bit k of the path is 0 or 1."""
+
+    def __init__(self, path):
+        self.path, self.log = path, []
+
+    def random(self):
+        bit, self.path = self.path & 1, self.path >> 1
+        draw = _Draw(0.75 if bit else 0.25)
+        draw.log = self.log
+        return draw
+
+
+BASES = (COMP, HAD)
+
+
 class TestBornTrees:
-    """The cached answer trees against the statevector circuits they replace."""
+    """The flattened outcome tables against the statevector circuits they replace.
+
+    Every Born probability a circuit meets must be 0, 1/2 or 1, so that the
+    quarter and three-quarter draws of a coin path stand for every draw
+    that takes the same branches: then the table's 16 equally likely paths
+    give each answer with the circuit's probability.
+    """
 
     def check(self, code_a, x, code_b, y, circuit):
-        for seed in range(50):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert draw_answers(code_a, x, code_b, y, rng) == circuit(oracle_rng)
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        table = _outcome_table()
+        for path in range(16):
+            rng = _PathRng(path)
+            assert tuple(table[code_a, x, code_b, y, path].tolist()) == circuit(rng)
+            assert len(rng.log) <= 4
+            for p0 in rng.log:
+                assert min(abs(p0 - p) for p in (0.0, 0.5, 1.0)) < 1e-12
 
     @pytest.mark.parametrize("x, y", itertools.product((COMP, HAD), repeat=2))
     def test_both_sides_match_teleported_cz(self, x, y):
@@ -248,53 +281,67 @@ class TestBornTrees:
                 a, b, h_a, h_b = honest_answer(code_qubit(code_a), code_qubit(code_b), x, y, rng)
                 return a, h_a, b, h_b
 
-            self.check(code_a, x, code_b, y, circuit)
+            self.check(code_a, BASES.index(x), code_b, BASES.index(y), circuit)
 
     @pytest.mark.parametrize("question", (COMP, HAD))
     def test_one_side_matches_its_half_circuit(self, question):
+        # A side without a question has code 4 and question index 0, and answers 0.
+        q = BASES.index(question)
         for code in range(4):
-            self.check(
-                code, question, None, None,
-                lambda rng: (*_alice_half(code_qubit(code), question, rng), None, None),
-            )
-            self.check(
-                None, None, code, question,
-                lambda rng: (None, None, *_bob_half(code_qubit(code), question, rng)),
-            )
+            self.check(code, q, 4, 0, lambda rng: (*_alice_half(code_qubit(code), question, rng), 0, 0))
+            self.check(4, 0, code, q, lambda rng: (0, 0, *_bob_half(code_qubit(code), question, rng)))
+
+
+@pytest.mark.parametrize("width", [16, 62])
+def test_parity_equals_dot(width):
+    rng = np.random.default_rng(width)
+    a, b = (rng.integers(1 << width, size=2000, dtype=np.int64) for _ in range(2))
+    assert parity(a & b).tolist() == [dot(u, v) for u, v in zip(a.tolist(), b.tolist())]
+
+
+def play(device, keys_a, keys_b, ct_b, questions, seed):
+    """One block of rounds: the replies to on_keys, on_challenges and on_questions.
+
+    ``ct_b`` holds each round's two challenge-b flags, ``questions`` its two
+    question indices (NO_QUESTION for a side with challenge a).
+    """
+    ct_b, questions = np.array(ct_b, dtype=bool), np.array(questions, dtype=np.int8)
+    device.reset(np.random.default_rng(seed))
+    return (
+        device.on_keys(keys_a, keys_b),
+        device.on_challenges(ct_b[:, 0], ct_b[:, 1]),
+        device.on_questions(questions[:, 0], questions[:, 1]),
+    )
+
+
+def as_lists(replies):
+    return [[np.asarray(field).tolist() for field in reply] for reply in replies]
 
 
 class TestNoisyHonest:
     def test_zero_noise_equals_honest_on_shared_seed(self):
         key_a, _ = claw_free_key(seed=20)
         key_b, _ = injective_key(seed=21)
+        rounds = 16
         for seed in range(10):
-            outputs = []
-            for device in (HonestDevice(), NoisyHonestDevice(NoiseSpec(0.0, 0.0))):
-                device.reset(np.random.default_rng(seed))
-                c = device.on_keys(key_a, key_b)
-                r = device.on_challenges(ChallengeType.B, ChallengeType.B)
-                q = device.on_questions(COMP, HAD)
-                outputs.append((c, r, q))
+            outputs = [
+                as_lists(play(device, [key_a] * rounds, [key_b] * rounds,
+                              [(True, True)] * rounds, [(0, 1)] * rounds, seed))
+                for device in (HonestDevice(), NoisyHonestDevice(NoiseSpec(0.0, 0.0)))
+            ]
             assert outputs[0] == outputs[1]
 
     def test_flip_rates(self):
         key_a, _ = claw_free_key(seed=22)
         key_b, _ = claw_free_key(seed=23)
-        honest = HonestDevice()
-        noisy = NoisyHonestDevice(NoiseSpec(0.25, 0.0))
-        flips = 0
         n = 4000
-        for seed in range(n):
-            results = []
-            for device in (honest, noisy):
-                device.reset(np.random.default_rng(seed))
-                device.on_keys(key_a, key_b)
-                device.on_challenges(ChallengeType.B, ChallengeType.B)
-                results.append(device.on_questions(COMP, COMP))
-            if results[0][0] != results[1][0]:
-                flips += 1
-            assert results[0][2] == results[1][2]  # b untouched at p_flip_b = 0
+        results = [
+            play(device, [key_a] * n, [key_b] * n, [(True, True)] * n, [(0, 0)] * n, seed=0)[2]
+            for device in (HonestDevice(), NoisyHonestDevice(NoiseSpec(0.25, 0.0)))
+        ]
+        flips = int(np.sum(results[0][0] != results[1][0]))
         assert_frequency(flips, n, 0.25, "a-bit flip rate")
+        assert np.array_equal(results[0][2], results[1][2])  # b untouched at p_flip_b = 0
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -304,24 +351,22 @@ class TestNoisyHonest:
 class TestScriptedDevices:
     def test_deterministic_table(self):
         device = ClassicalDeterministicDevice({"c_a": 3, "z_a": 9, "d_b": 5, "b": 1, "h_b": 0})
-        device.reset(np.random.default_rng(0))
         key, _ = claw_free_key()
-        assert device.on_keys(key, key) == (3, 0)
-        assert device.on_challenges(ChallengeType.A, ChallengeType.B) == (9, 5)
-        assert device.on_questions(None, COMP) == (None, None, 1, 0)
+        replies = play(device, [key], [key], [(False, True)], [(NO_QUESTION, 0)], seed=0)
+        assert replies == (([3], [0]), ([9], [5]), ([None], [None], [1], [0]))
 
     def test_random_device_widths(self):
         key_a, _ = claw_free_key()
         key_b, _ = injective_key()
-        device = ClassicalRandomDevice()
-        device.reset(np.random.default_rng(1))
-        for _ in range(200):
-            c_a, c_b = device.on_keys(key_a, key_b)
-            assert 0 <= c_a < 1 << key_a.codomain_bits
-            assert 0 <= c_b < 1 << key_b.codomain_bits
-            z_a, d_b = device.on_challenges(ChallengeType.A, ChallengeType.B)
-            assert 0 <= z_a < 1 << (1 + key_a.domain_bits)
-            assert 0 <= d_b < 1 << key_b.domain_bits
+        n = 200
+        (c_a, c_b), (z_a, d_b), _ = play(
+            ClassicalRandomDevice(), [key_a] * n, [key_b] * n, [(False, True)] * n,
+            [(NO_QUESTION, 0)] * n, seed=1,
+        )
+        assert np.all((0 <= c_a) & (c_a < 1 << key_a.codomain_bits))
+        assert np.all((0 <= c_b) & (c_b < 1 << key_b.codomain_bits))
+        assert np.all((0 <= z_a) & (z_a < 1 << (1 + key_a.domain_bits)))
+        assert np.all((0 <= d_b) & (d_b < 1 << key_b.domain_bits))
 
     def test_random_preimage_pass_rate_matches_enumeration(self):
         """Empirical check-pass rate of uniform (z, c) vs exhaustive counting."""
@@ -343,27 +388,25 @@ class TestScriptedDevices:
 
 
 class TestMixedChallenges:
+    # The answers of a side without a question are the table's 0s, which the
+    # verifiers ignore.
     def test_only_alice_answers(self):
         key_a, _ = claw_free_key(seed=40)
         key_b, _ = injective_key(seed=41)
-        device = HonestDevice()
-        device.reset(np.random.default_rng(4))
-        device.on_keys(key_a, key_b)
-        device.on_challenges(ChallengeType.B, ChallengeType.A)
-        a, h_a, b, h_b = device.on_questions(COMP, None)
-        assert a in (0, 1) and h_a in (0, 1)
-        assert b is None and h_b is None
+        _, _, (a, h_a, b, h_b) = play(
+            HonestDevice(), [key_a], [key_b], [(True, False)], [(0, NO_QUESTION)], seed=4
+        )
+        assert a[0] in (0, 1) and h_a[0] in (0, 1)
+        assert b[0] == h_b[0] == 0
 
     def test_only_bob_answers(self):
         key_a, _ = claw_free_key(seed=42)
         key_b, _ = claw_free_key(seed=43)
-        device = HonestDevice()
-        device.reset(np.random.default_rng(5))
-        device.on_keys(key_a, key_b)
-        device.on_challenges(ChallengeType.A, ChallengeType.B)
-        a, h_a, b, h_b = device.on_questions(None, HAD)
-        assert a is None and h_a is None
-        assert b in (0, 1) and h_b in (0, 1)
+        _, _, (a, h_a, b, h_b) = play(
+            HonestDevice(), [key_a], [key_b], [(False, True)], [(NO_QUESTION, 1)], seed=5
+        )
+        assert a[0] == h_a[0] == 0
+        assert b[0] in (0, 1) and h_b[0] in (0, 1)
 
 
 class TestMakeDevice:

@@ -161,13 +161,6 @@ class TestComputeS:
         assert bell_label_bit(d, x0, x1) == dot(d, x0) ^ dot(d, x1)
 
 
-class _VerbatimTableDevice(ClassicalDeterministicDevice):
-    """A scripted device that sends its table's values as they are, bools included."""
-
-    def _get(self, name):
-        return self.table.get(name, 0)
-
-
 def drive_round(device, round_params, seed):
     """The record of a one-round session under round_params' knobs."""
     one_round = dataclasses.replace(round_params, rounds=1)
@@ -195,16 +188,37 @@ class TestRunRound:
     def test_boolean_message_is_a_violation(self, message, p_ct_b):
         # A bool is never a bit string, whichever message it stands for; the
         # table's other messages are 0, a valid string of every width.
-        device = _VerbatimTableDevice({message: True})
+        device = ClassicalDeterministicDevice({message: True})
         record = drive_round(device, params(p_ct_b=p_ct_b), 3)
         assert record.alice.violation and not record.bob.violation
         assert win_condition(record) is WinFlag.FAIL
 
     def test_numpy_integer_messages_are_read_as_ints(self):
-        device = _VerbatimTableDevice({name: np.int64(0) for name in ("c_a", "z_a", "c_b", "z_b")})
+        device = ClassicalDeterministicDevice(
+            {name: np.int64(0) for name in ("c_a", "z_a", "c_b", "z_b")}
+        )
         record = drive_round(device, params(p_ct_b=0.0), 3)  # both challenges a
         assert not record.alice.violation and not record.bob.violation
         assert type(record.alice.c) is type(record.bob.z) is int
+
+    @pytest.mark.parametrize("value", [2**70, -1, True], ids=["2**70", "-1", "True"])
+    @pytest.mark.parametrize(
+        "message, p_ct_b", [("c_a", 0.5), ("z_a", 0.0), ("d_a", 1.0), ("a", 1.0)]
+    )
+    def test_table_entry_outside_its_width_is_a_violation(self, message, p_ct_b, value):
+        # A table device replies with Python lists, which the block path reads value
+        # by value: an entry no int64 holds, or a negative one, is a violation in
+        # every round that reads it, never an OverflowError.
+        device = ClassicalDeterministicDevice({message: value})
+        key = keygen(KeyKind.CLAW_FREE, EtcfParams(), np.random.default_rng(0))[0]
+        device.reset(np.random.default_rng(0))
+        assert type(device.on_keys([key], [key])[0]) is list
+        session = run_session(device, params(rounds=64, p_ct_b=p_ct_b), 3)
+        assert session.tested_count > 0
+        for record in session.records:
+            assert record.alice.violation and not record.bob.violation
+            assert record.win is (WinFlag.FAIL if record.test_tag is TestTag.TEST
+                                  and record.round_type is not RoundType.SIFTED else WinFlag.NA)
 
     def test_sifted_fraction_near_half(self):
         session = run_session(HonestDevice(), params(rounds=10_000), seed=17)
@@ -410,6 +424,23 @@ def test_block_keygen_temporaries_stay_within_a_few_rows():
     )
     row_bytes = 4 * 2**16 * 8  # one shuffled row of int64 codomain points
     assert kept >= table_bytes == 32 * row_bytes // 2
+    assert peak - kept < 3 * row_bytes
+
+
+def test_honest_block_device_temporaries_stay_within_a_few_rows():
+    # The widest domain, claw-free keys only, with the honest device: it reads the
+    # entries of the key tables it needs, where one stack of a block's tables would
+    # take 32 rows of the 4 * 2**16 int64 points a keygen shuffles.
+    run_session(HonestDevice(), params(rounds=64), 1)  # build the outcome tables first
+    session_params = params(rounds=16, w=16, p_theta_hadamard=1.0)
+    tracemalloc.start()
+    try:
+        session = run_session(HonestDevice(), session_params, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_bytes = 4 * 2**16 * 8
+    assert session.tested_count > 0 and session.failed_count == 0
     assert peak - kept < 3 * row_bytes
 
 

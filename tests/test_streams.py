@@ -1,4 +1,4 @@
-"""Stream layout v3: per-block keys, Philox streams and round seeds, block boundaries and
+"""Stream layout v5: per-block keys, Philox streams and round seeds, block boundaries and
 the coins they yield."""
 
 import hashlib
@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from cdiqkd.devices import ClassicalDeterministicDevice, ClassicalRandomDevice, HonestDevice
+from cdiqkd.devices import (
+    ClassicalDeterministicDevice,
+    ClassicalRandomDevice,
+    HonestDevice,
+    make_device,
+)
 from cdiqkd.etcf import EtcfParams
 from cdiqkd.protocol import COIN_COLUMNS, ProtocolParams, RoundType, TestTag, run_session
 from cdiqkd.quantum import MeasurementBasis
@@ -100,12 +105,15 @@ class TestBlocks:
         assert 1 <= spans[-1][1] - spans[-1][0] <= STREAM_BLOCK
 
     def test_complete_blocks_equal_those_of_a_longer_session(self):
-        short = run_session(ClassicalRandomDevice(), params(2 * STREAM_BLOCK + 5), seed=41)
-        long = run_session(ClassicalRandomDevice(), params(3 * STREAM_BLOCK), seed=41)
-        complete = 2 * STREAM_BLOCK
-        assert [_signature(r) for r in short.records[:complete]] == [
-            _signature(r) for r in long.records[:complete]
-        ]
+        # The device plays a block at a time, so a block's draws must not depend on
+        # the blocks after it, for each kind of device that draws.
+        for spec in ("honest", "noisy:0.1:0.1", "classical-random"):
+            short = run_session(make_device(spec), params(2 * STREAM_BLOCK + 5), seed=41)
+            long = run_session(make_device(spec), params(3 * STREAM_BLOCK), seed=41)
+            complete = 2 * STREAM_BLOCK
+            assert [_signature(r) for r in short.records[:complete]] == [
+                _signature(r) for r in long.records[:complete]
+            ], spec
 
     def test_device_draws_from_one_generator_per_block(self):
         seen = []
@@ -116,10 +124,8 @@ class TestBlocks:
                 super().reset(rng)
 
         run_session(Recorder(), params(STREAM_BLOCK + 3), seed=5)
-        assert len(seen) == STREAM_BLOCK + 3
-        assert len({id(rng) for rng in seen[:STREAM_BLOCK]}) == 1
-        assert len({id(rng) for rng in seen[STREAM_BLOCK:]}) == 1
-        assert seen[0] is not seen[-1]
+        assert len(seen) == 2  # one reset per block
+        assert seen[0] is not seen[1]
 
 
 def _public_view(session):
