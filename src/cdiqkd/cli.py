@@ -12,11 +12,19 @@ import argparse
 import sys
 
 from .config import FIELD_TYPES, ConfigError, ExperimentConfig, read_config_file, store_path
-from .harness import EXIT_USAGE, ReplayError, replay_verify, run_experiment
+from .harness import (
+    EXIT_ABORTED, EXIT_KEY_PRODUCED, EXIT_USAGE, ReplayError, replay_verify, run_experiment,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it and exits 1, where argparse exits 2
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser; a usage error raises argparse.ArgumentError."""
+    parser = _Parser(
         prog="cdiqkd",
         description="Seeded simulator for device-independent QKD under computational assumptions",
     )
@@ -33,7 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.replay is not None:
         try:
@@ -46,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {message}")
         if len(report.mismatches) > 20:
             print(f"  ... and {len(report.mismatches) - 20} more")
-        return 0 if report.match else 2
+        return EXIT_KEY_PRODUCED if report.match else EXIT_ABORTED
 
     try:
         # The flags override the file's values, and the result is validated once.

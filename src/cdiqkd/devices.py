@@ -21,9 +21,11 @@ table builders and test oracles.  The uniform challenge-b string rule
 this relies on is validated against a full statevector oracle in the
 test suite.
 
-``honest_commit``, ``honest_challenge_a`` and ``honest_challenge_b`` are
-the honest law for one round, kept as the reference the block device is
-tested against.
+The honest law is written once, for arrays of commitments: ``_commit``
+draws the commitments and ``_respond`` the replies to both challenges.
+``HonestDevice`` calls them for a whole block; ``honest_commit`` and
+``honest_challenge_b`` are their one-round case, as ``etcf.keygen`` is the
+one-key case of ``etcf.draw_keys``.
 
 The device's draws of a block, from the block's device generator
 (``streams.Block.device``), in order:
@@ -51,11 +53,13 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .bits import dot, parity
-from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, claw_partner, encode_vector, encode_vectors
+from .bits import parity
+from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, encode_vectors
+from .etcf import claw_partner  # not called here: named so that bench/spans.py can wrap it
 from .quantum import (
     MeasurementBasis,
     StateVector,
@@ -81,81 +85,10 @@ QUESTION_BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
 NO_QUESTION = -1
 
 
-@dataclass
-class HonestInternalState:
-    """Per-side state of the honest device within one round."""
-
-    kind: KeyKind
-    domain_bits: int
-    c: int
-    claw: tuple[int, int] | None = None  # claw-free: (x0, x1)
-    point: tuple[int, int] | None = None  # injective: (b_hat, x_hat)
-    challenge_used: bool = False
-    code: int | None = None  # retained qubit after challenge b, see _retained_qubit
-
-
-def _sample_domain(key: EtcfKeyPair, rng: np.random.Generator) -> int:
-    if isinstance(key, IdealKeyPair):
-        return int(rng.integers(1 << key.domain_bits))
-    return encode_vector(rng.integers(0, key.q, size=key.n), key.q)
-
-
-def honest_commit(key: EtcfKeyPair, rng: np.random.Generator) -> tuple[int, HonestInternalState]:
-    """Sample a commitment uniformly over the image of the pair.
-
-    Equivalent to drawing (b, x) uniformly and committing to f_b(x); the
-    internal state keeps the full preimage structure of the commitment.
-    """
-    b = int(rng.integers(2))
-    x = _sample_domain(key, rng)
-    c = key.evaluate(b, x)
-    state = HonestInternalState(kind=key.kind, domain_bits=key.domain_bits, c=c)
-    if key.kind is KeyKind.CLAW_FREE:
-        partner = claw_partner(key, b, x)
-        state.claw = (x, partner) if b == 0 else (partner, x)
-    else:
-        state.point = (b, x)
-    return c, state
-
-
-def honest_challenge_a(state: HonestInternalState, rng: np.random.Generator) -> int:
-    """Computational-basis read-out: z = (b || x_b), with b a fresh coin for claws."""
-    if state.challenge_used:
-        raise RuntimeError("challenge already consumed for this round")
-    state.challenge_used = True
-    if state.kind is KeyKind.CLAW_FREE:
-        b = int(rng.integers(2))
-        return b | (state.claw[b] << 1)
-    b_hat, x_hat = state.point
-    return b_hat | (x_hat << 1)
-
-
 @lru_cache(maxsize=4)
 def _retained_qubit(code: int) -> StateVector:
     """The one-qubit state a retained-qubit code names: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->."""
     return ket((code,)) if code < 2 else plus_minus(code - 2)
-
-
-def honest_challenge_b(
-    state: HonestInternalState, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Hadamard read-out of the domain register; keeps the one-qubit remainder.
-
-    d is uniform over all domain-width bit strings.  For a claw-free side
-    the retained qubit is |0> + (-1)^(d.(x0 xor x1)) |1> (normalized), code
-    2 + d.(x0 xor x1); for an injective side it is |b_hat> regardless of d,
-    code b_hat.  The state keeps the code for the answer step.
-    """
-    if state.challenge_used:
-        raise RuntimeError("challenge already consumed for this round")
-    state.challenge_used = True
-    d = int(rng.integers(1 << state.domain_bits))
-    if state.kind is KeyKind.CLAW_FREE:
-        x0, x1 = state.claw
-        state.code = 2 + dot(d, x0 ^ x1)
-    else:
-        state.code = state.point[0]
-    return d, _retained_qubit(state.code)
 
 
 def honest_answer(
@@ -315,38 +248,89 @@ def _toy_commit(keys, branch: np.ndarray, vectors: np.ndarray):
     return encode_vectors(images % q, q), encode_vectors(partners % q, q)
 
 
+def _commit(keys, rng: np.random.Generator):
+    """The honest commitment to each of ``keys``, which share a family and its sizes:
+    (images, claw_free, branch, points, partners), one entry per key.
+
+    Draws a branch bit b per key, then a domain point x per key, and commits
+    to f_b(x), so each commitment is uniform over its key's image.  A claw-free
+    key's partner is its claw partner of x; an injective key's is never read.
+    """
+    first = keys[0]
+    branch = rng.integers(2, size=len(keys))
+    if isinstance(first, IdealKeyPair):
+        points = rng.integers(1 << first.domain_bits, size=len(keys))
+        images, partners = _ideal_commit(keys, branch.tolist(), points.tolist())
+    else:
+        vectors = rng.integers(first.q, size=(len(keys), first.n))
+        images, partners = _toy_commit(keys, branch, vectors)
+        points = encode_vectors(vectors, first.q)
+    claw_free = np.array([key.kind is KeyKind.CLAW_FREE for key in keys])
+    return images, claw_free, branch, points, partners
+
+
+def _respond(claw_free, branch, point, partner, domain_bits: int, rng: np.random.Generator):
+    """The honest reply to either challenge for each commitment: (z, d, code).
+
+    Draws a challenge-a coin per commitment, then a uniform d string per
+    commitment.  Challenge a reads out z = (b || x_b), b a fresh coin on a
+    claw-free side.  Challenge b keeps |0> + (-1)^(d.(x0 xor x1)) |1>, code
+    2 + d.(x0 xor x1), or |b_hat>, code b_hat (see ``_retained_qubit``).
+    """
+    coin = rng.integers(2, size=branch.shape)
+    d = rng.integers(1 << domain_bits, size=branch.shape)
+    coin = np.where(claw_free, coin, branch)
+    z = coin | (np.where(coin == branch, point, partner) << 1)
+    code = np.where(claw_free, 2 + parity(d & (point ^ partner)), branch)
+    return z, d, code
+
+
+class HonestInternalState(NamedTuple):
+    """The honest state after ``_commit``, and the arguments of ``_respond``: the
+    arrays but the images, one entry per commitment (one side of one round from
+    ``honest_commit``, two sides of a block's rounds in ``HonestDevice``), and the
+    domain width."""
+
+    claw_free: np.ndarray
+    branch: np.ndarray
+    point: np.ndarray
+    partner: np.ndarray
+    domain_bits: int
+
+    @property
+    def claw(self) -> tuple[int, int] | None:
+        """The claw (x0, x1) of a one-commitment state; None for an injective key."""
+        if not self.claw_free.item():
+            return None
+        x, partner = self.point.item(), self.partner.item()
+        return (x, partner) if self.branch.item() == 0 else (partner, x)
+
+
+def honest_commit(key: EtcfKeyPair, rng: np.random.Generator) -> tuple[int, HonestInternalState]:
+    """``_commit`` for one key: a commitment uniform over the key's image, and its state."""
+    images, *state = _commit([key], rng)
+    return images.item(), HonestInternalState(*state, key.domain_bits)
+
+
+def honest_challenge_b(
+    state: HonestInternalState, rng: np.random.Generator
+) -> tuple[int, StateVector]:
+    """``_respond`` to challenge b for one commitment: d and the retained qubit."""
+    _, d, code = _respond(*state, rng)
+    return d.item(), _retained_qubit(code.item())
+
+
 class HonestDevice(DeviceStrategy):
     """Plays the intended strategy; wins every check under the ideal family."""
 
     def on_keys(self, keys_a, keys_b):
-        rng, rounds = self._rng, len(keys_a)
         keys = [key for pair in zip(keys_a, keys_b) for key in pair]  # round by round, Alice first
-        first = keys[0]
-        branch = rng.integers(2, size=2 * rounds)
-        if isinstance(first, IdealKeyPair):
-            points = rng.integers(1 << first.domain_bits, size=2 * rounds)
-            images, partners = _ideal_commit(keys, branch.tolist(), points.tolist())
-        else:
-            vectors = rng.integers(first.q, size=(2 * rounds, first.n))
-            images, partners = _toy_commit(keys, branch, vectors)
-            points = encode_vectors(vectors, first.q)
-        self._claw = np.array([key.kind is KeyKind.CLAW_FREE for key in keys]).reshape(rounds, 2)
-        self._branch, self._point, self._partner = (
-            a.reshape(rounds, 2) for a in (branch, points, partners)
-        )
-        self._domain_bits = first.domain_bits
+        images, *state = _commit(keys, self._rng)
+        self._state = HonestInternalState(*(a.reshape(-1, 2) for a in state), keys[0].domain_bits)
         return images[0::2], images[1::2]
 
     def on_challenges(self, ct_a, ct_b):
-        rng, branch, point, partner = self._rng, self._branch, self._point, self._partner
-        coin = rng.integers(2, size=branch.shape)
-        d = rng.integers(1 << self._domain_bits, size=branch.shape)
-        # Challenge a: a claw-free side reads out a fresh coin's claw member, an
-        # injective side its one preimage.
-        coin = np.where(self._claw, coin, branch)
-        z = coin | (np.where(coin == branch, point, partner) << 1)
-        # Challenge b keeps |0> + (-1)^(d.(x0 xor x1)) |1>, or |b_hat>.
-        self._code = np.where(self._claw, 2 + parity(d & (point ^ partner)), branch)
+        z, d, self._code = _respond(*self._state, self._rng)
         responses = np.where(np.stack([ct_a, ct_b], axis=1), d, z)
         return responses[:, 0], responses[:, 1]
 

@@ -21,12 +21,20 @@ from cdiqkd.devices import (
     _bob_half,
     _outcome_table,
     honest_answer,
-    honest_challenge_a,
     honest_challenge_b,
     honest_commit,
     make_device,
 )
-from cdiqkd.etcf import EtcfParams, KeyKind, check_preimage, evaluate, image, keygen
+from cdiqkd.etcf import (
+    EtcfParams,
+    KeyKind,
+    check_preimage,
+    claw_partner,
+    evaluate,
+    image,
+    invert,
+    keygen,
+)
 from cdiqkd.quantum import (
     MeasurementBasis,
     StateVector,
@@ -50,6 +58,17 @@ def injective_key(w=4, seed=0):
     return keygen(KeyKind.INJECTIVE, EtcfParams(family="ideal", domain_bits=w), np.random.default_rng(seed))
 
 
+FAMILIES = {
+    "ideal": EtcfParams(family="ideal", domain_bits=4),
+    "toy-lattice": EtcfParams(family="toy-lattice", n=1, m=2, q=5),
+}
+
+
+def family_key(family, kind, seed=0):
+    key, _ = keygen(kind, FAMILIES[family], np.random.default_rng(seed))
+    return key
+
+
 class TestHonestCommit:
     def test_claw_free_state_holds_both_members(self):
         key, _ = claw_free_key()
@@ -65,8 +84,8 @@ class TestHonestCommit:
         rng = np.random.default_rng(2)
         for _ in range(50):
             c, state = honest_commit(key, rng)
-            b_hat, x_hat = state.point
-            assert evaluate(key, b_hat, x_hat) == c
+            assert state.claw is None
+            assert evaluate(key, state.branch.item(), state.point.item()) == c
 
     def test_commitments_uniform_over_image(self):
         key, _ = claw_free_key()
@@ -81,41 +100,26 @@ class TestHonestCommit:
 
 
 class TestHonestChallengeA:
+    """Challenge-a replies of the block device, one key in every round, both families."""
+
     def test_injective_response_is_deterministic(self):
-        key, _ = injective_key()
-        rng = np.random.default_rng(4)
-        c, state = honest_commit(key, rng)
-        b_hat, x_hat = state.point
-        z = honest_challenge_a(state, rng)
-        assert z == (b_hat | (x_hat << 1))
+        for family in FAMILIES:
+            key = family_key(family, KeyKind.INJECTIVE, seed=4)
+            for c, z in zip(*play_one_key(key, 100, False, seed=4)[1:]):
+                b_hat, x_hat = invert(key, c)
+                assert z == (b_hat | (x_hat << 1))
 
     def test_claw_free_response_always_passes_check(self):
-        key, _ = claw_free_key()
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            c, state = honest_commit(key, rng)
-            z = honest_challenge_a(state, rng)
-            assert check_preimage(key, z, c)
+        for family in FAMILIES:
+            key = family_key(family, KeyKind.CLAW_FREE, seed=5)
+            for c, z in zip(*play_one_key(key, 150, False, seed=5)[1:]):
+                assert check_preimage(key, z, c)
 
     def test_branch_bit_is_uniform(self):
-        key, _ = claw_free_key()
-        rng = np.random.default_rng(6)
-        ones = 0
-        n = 10_000
-        for _ in range(n):
-            _, state = honest_commit(key, rng)
-            ones += honest_challenge_a(state, rng) & 1
-        assert_frequency(ones, n, 0.5, "challenge-a branch bit")
-
-    def test_challenge_consumed_once(self):
-        key, _ = claw_free_key()
-        rng = np.random.default_rng(7)
-        _, state = honest_commit(key, rng)
-        honest_challenge_a(state, rng)
-        with pytest.raises(RuntimeError):
-            honest_challenge_a(state, rng)
-        with pytest.raises(RuntimeError):
-            honest_challenge_b(state, rng)
+        for family in FAMILIES:
+            key = family_key(family, KeyKind.CLAW_FREE, seed=6)
+            _, _, z = play_one_key(key, 5000, False, seed=6)
+            assert_frequency(sum(v & 1 for v in z), len(z), 0.5, f"{family} challenge-a branch bit")
 
 
 class TestHonestChallengeB:
@@ -136,7 +140,7 @@ class TestHonestChallengeB:
         rng = np.random.default_rng(9)
         for _ in range(50):
             _, state = honest_commit(key, rng)
-            b_hat = state.point[0]
+            b_hat = state.branch.item()
             _, qubit = honest_challenge_b(state, rng)
             assert fidelity_up_to_phase(qubit, ket((b_hat,))) == pytest.approx(1.0, abs=1e-12)
 
@@ -190,7 +194,7 @@ class TestHonestChallengeB:
         rng = np.random.default_rng(12)
         for _ in range(200):
             _, internal = honest_commit(key, rng)
-            b_hat, x_hat = internal.point
+            b_hat, x_hat = internal.branch.item(), internal.point.item()
             bits = [b_hat] + [(x_hat >> j) & 1 for j in range(w)]
             state = ket(tuple(bits))
             d = 0
@@ -316,6 +320,48 @@ def play(device, keys_a, keys_b, ct_b, questions, seed):
 
 def as_lists(replies):
     return [[np.asarray(field).tolist() for field in reply] for reply in replies]
+
+
+def play_one_key(key, rounds, challenge_b, seed):
+    """A block in which both sides hold ``key`` and get the same challenge: the device,
+    then its commitments and responses as lists, round by round and Alice first."""
+    question = 0 if challenge_b else NO_QUESTION
+    device, keys = HonestDevice(), [key] * rounds
+    replies = play(device, keys, keys, [(challenge_b,) * 2] * rounds, [(question,) * 2] * rounds, seed)
+    return (device, *(np.stack(pair, axis=1).ravel().tolist() for pair in replies[:2]))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestBlockLaw:
+    """The block device's commitments and challenge-b codes against the key's own
+    image, claw partners and inversion."""
+
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_commitments_uniform_over_image(self, family, kind):
+        key = family_key(family, kind, seed=50)
+        _, c, _ = play_one_key(key, 4000, False, seed=50)
+        points = sorted(image(key))
+        counts = np.bincount([points.index(v) for v in c], minlength=len(points))
+        assert_multinomial(counts, [1 / len(points)] * len(points), f"{family} {kind} commitments")
+
+    def test_partners_are_claw_partners(self, family):
+        key = family_key(family, KeyKind.CLAW_FREE, seed=51)
+        device, _, _ = play_one_key(key, 200, False, seed=51)
+        state = device._state
+        columns = (state.branch, state.point, state.partner)
+        for b, x, partner in zip(*(column.ravel().tolist() for column in columns)):
+            assert partner == claw_partner(key, b, x)
+
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_challenge_b_codes(self, family, kind):
+        key = family_key(family, kind, seed=52)
+        device, c, d = play_one_key(key, 300, True, seed=52)
+        for commitment, string, code in zip(c, d, device._code.ravel().tolist()):
+            if kind is KeyKind.CLAW_FREE:
+                x0, x1 = invert(key, commitment)
+                assert code == 2 + dot(string, x0 ^ x1)
+            else:
+                assert code == invert(key, commitment)[0]
 
 
 class TestNoisyHonest:

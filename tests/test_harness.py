@@ -1040,6 +1040,29 @@ class TestMalformedInputExitsOne:
         assert main(["--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"rounds": 64, "device": "hon\xffest"}')
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--bogus"], ["--rounds", "abc"], ["--seed", "1.5"], ["--replay"]],
+        ids=["unknown-flag", "rounds-not-int", "seed-not-int", "replay-without-path"],
+    )
+    def test_usage_error(self, capsys, argv):
+        # argparse alone would exit 2, the code of an aborted run.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cdiqkd") and "\ncdiqkd: error: " in err
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == 0 and capsys.readouterr().out.startswith("usage: cdiqkd")
+
     def test_int_for_float_and_null_path_are_accepted(self):
         config = ExperimentConfig.from_dict({"epsilon": 0, "bound_constant": 2, "summary": None})
         assert config.epsilon == 0 and isinstance(config.epsilon, int)
