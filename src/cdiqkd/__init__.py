@@ -6,7 +6,7 @@ Subpackages/modules:
 - ``etcf``: extended trapdoor claw-free function families (ideal tables, toy lattice)
 - ``devices``: honest, noisy, and scripted cheating device strategies
 - ``protocol``: verifier state machines, round execution, sifting, estimation, key extraction
-- ``streams``: the per-block public, private and device random streams (stream layout v5)
+- ``streams``: the per-block public, private and device random streams (stream layout v6)
 - ``postprocess``: one-way reconciliation and Toeplitz privacy amplification
 - ``keyrate``: entropy and key-rate arithmetic
 - ``harness``: seeded experiment runner, transcripts, summaries, replay audit

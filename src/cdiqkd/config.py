@@ -50,10 +50,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for any value the run would reject, before it runs.
 
-        The session and rate-bound parameters own their ranges; the files a
-        run writes must be different files, and a trapdoor store is written
-        only beside a transcript.
+        The session and rate-bound parameters own their ranges; epsilon, which
+        both take, is first checked here against the range a run takes, so
+        that it has one message.  The files a run writes must be different
+        files, and a trapdoor store is written only beside a transcript.
         """
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.recon not in RECON_SCHEMES:

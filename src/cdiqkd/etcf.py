@@ -21,11 +21,11 @@ Two instantiations behind one interface:
 
 Every key is drawn from a 64-bit key seed alone: its words are the
 SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
-argsorts of them, and a toy-lattice key's entries are them masked and kept
-below q.  So any seed yields a key its family draws, and the seed is all a
-trapdoor store keeps of a key.  Each family draws a list of keys as arrays
-at once (``keygen_ideal``, ``keygen_toy``); ``draw_keys`` is the one place
-that picks the family, and ``keygen`` is its one-key case.  Keys are
+argsorts of them, and a toy-lattice key's entries are them mod q.  So any
+seed yields a key its family draws, and the seed is all a trapdoor store
+keeps of a key.  Each family draws a list of keys as arrays at once
+(``keygen_ideal``, ``keygen_toy``); ``draw_keys`` is the one place that
+picks the family, and ``keygen`` is its one-key case.  Keys are
 immutable plain data, and each key is its own trapdoor: an ideal key's
 tables invert it, and a claw-free toy key's shift A s begins with s.
 
@@ -293,42 +293,6 @@ class ToyLatticeKeyPair:
         return encode_vector(y, self.q)
 
 
-def _toy_words(count: int, q: int) -> int:
-    """Words a row reads for ``count`` values mod q: their mean number plus four
-    standard deviations.  One row in 1,200 to 2,000 fell short and read more (seeds
-    0 to 199,999, (n, m, q) = (3, 6, 17), (2, 4, 3) and (1, 3, 7), either kind)."""
-    rate = q / (1 << _coord_bits(q))  # the share of masked words kept
-    return int(np.ceil((count + 4 * (count * (1 - rate)) ** 0.5) / rate))
-
-
-def _toy_values(seeds: np.ndarray, read: np.ndarray, count: int, q: int):
-    """(values, read): the next ``count`` values mod q of each uint64 key seed after the
-    ``read`` words it has read, and the words read up to the last value taken.  A value
-    is a word masked to ceil(log2 q) bits and kept if below q.  A row with too few kept
-    values reads as many words again, and only such rows do.
-    """
-    mask = np.uint64((1 << _coord_bits(q)) - 1)
-    starts = seeds + read.astype(np.uint64) * _GAMMA  # word j of a start is word read + j
-    values = np.empty((len(seeds), count), dtype=np.int64)
-    read = read.copy()
-    rows = np.arange(len(seeds))
-    words = key_words(starts, 1, _toy_words(count, q))
-    words &= mask
-    while rows.size:
-        keep = words < q
-        kept = np.cumsum(keep, axis=1, dtype=np.int32)  # values up to each word
-        done = kept[:, -1] >= count
-        keep &= (kept <= count) & done[:, None]  # the first count values of a full row
-        values[rows[done]] = words[keep].reshape(-1, count)
-        read[rows[done]] += (kept[done] < count).sum(axis=1) + 1
-        rows, words = rows[~done], words[~done]
-        if rows.size:
-            more = key_words(starts[rows], 1 + words.shape[1], words.shape[1])
-            more &= mask
-            words = np.concatenate([words, more], axis=1)
-    return values, read
-
-
 def _in_column_space(matrices: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     """Whether A y[:n] = y mod q, for each (A, y) of a stack: A = [I; R] maps y[:n] to y
     exactly when y is in its column space."""
@@ -339,34 +303,37 @@ def keygen_toy(
     kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray
 ) -> list[ToyLatticeKeyPair]:
     """A toy-lattice key of each of ``kinds``, in order, drawn from its uint64 key seed
-    in ``seeds``.  A key's values mod q are its seed's words masked to ceil(log2 q)
-    bits, those below q kept, in order.  R is the first (m - n) * n values, row-major,
-    and A = [I_n; R]; then s (n values), or u (m values, and the next m while u is in
-    A's column space).  A key's arrays are rows of its kind's stacks: products
-    on them took as long as on owned copies (``evaluate`` 12.2 us on either, ``invert``
-    14-20 us on either, 512 keys at the default sizes, best of 5, three runs).
+    in ``seeds``.  A key's values mod q are its seed's words mod q, in order: R is the
+    first (m - n) * n values, row-major, and A = [I_n; R]; then s (n values), or u
+    (m values, and the next m while u is in A's column space).  A word mod q is within
+    2^-64 of uniform, a relative error under 2^-33 as q < 2^31.  A key's arrays are
+    rows of its kind's stacks: products on them took as long as on owned copies
+    (``evaluate`` 12.2 us on either, ``invert`` 14-20 us on either, 512 keys at the
+    default sizes, best of 5, three runs).
     """
     n, m, q = params.n, params.m, params.q
     entries = (m - n) * n  # of R
+    modulus = np.uint64(q)  # uint64 words mod a signed int would be float64s
     keys: list = [None] * len(kinds)
     for kind, tail in ((KeyKind.CLAW_FREE, n), (KeyKind.INJECTIVE, m)):
         where = [i for i, k in enumerate(kinds) if k is kind]
         matrices = np.empty((len(where), m, n), dtype=np.int64)
         matrices[:, :n] = np.eye(n, dtype=np.int64)
         tails = np.empty((len(where), tail), dtype=np.int64)  # s or u
-        step = max(1, _CHUNK_WORDS // _toy_words(entries + tail, q))
+        step = max(1, _CHUNK_WORDS // (entries + tail))
         for lo in range(0, len(where), step):
             chunk_seeds = seeds[where[lo:lo + step]]
-            unread = np.zeros(len(chunk_seeds), dtype=np.int64)
-            values, read = _toy_values(chunk_seeds, unread, entries + tail, q)
+            values = key_words(chunk_seeds, 1, entries + tail) % modulus
             chunk_matrices, chunk_tails = matrices[lo:lo + step], tails[lo:lo + step]
             chunk_matrices[:, n:] = values[:, :entries].reshape(-1, m - n, n)
             chunk_tails[:] = values[:, entries:]
             if kind is KeyKind.INJECTIVE:  # u must leave the column space
                 redo = np.flatnonzero(_in_column_space(chunk_matrices, chunk_tails, q))
+                first = 1 + entries + m  # the same for every row redrawn as often
                 while redo.size:
-                    chunk_tails[redo], read[redo] = _toy_values(chunk_seeds[redo], read[redo], m, q)
+                    chunk_tails[redo] = key_words(chunk_seeds[redo], first, m) % modulus
                     redo = redo[_in_column_space(chunk_matrices[redo], chunk_tails[redo], q)]
+                    first += m
         if kind is KeyKind.CLAW_FREE:  # the shift is A s
             tails = np.matmul(matrices, tails[..., None])[..., 0]
             np.remainder(tails, q, out=tails)

@@ -160,10 +160,6 @@ class KeyRateReport:
             for key, value in data.items()
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeyRateReport":
-        return cls(**data)
-
 
 def session_rate_report(
     result: SessionResult,

@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v5.
+"""Per-block random streams, stream layout v6.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -37,7 +37,9 @@ Layout v4 keeps v3's streams and seeds, and the ideal keys drawn from them;
 it moved only the toy-lattice keys, now drawn in systematic form.  Layout
 v5 keeps v4's public coins, round seeds and keys byte for byte; it moved
 only the device's draws, now one array a message for a whole block
-(``devices``).
+(``devices``).  Layout v6 keeps v5's streams, seeds, ideal keys and device
+draws; it moved only the toy-lattice keys at q > 2, whose values are now
+their words mod q (``etcf.keygen_toy``).
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 SEED_BYTES = 16  # a round's private seed
-DOMAIN = b"cdiqkd stream layout v2"  # v3 to v5 keep it, and with it v2's stream keys
+DOMAIN = b"cdiqkd stream layout v2"  # v3 to v6 keep it, and with it v2's stream keys
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 

@@ -9,19 +9,14 @@ keys the batched keygens must draw.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.stats import chi2
 
-from cdiqkd.etcf import (
-    EtcfParams,
-    KeyKind,
-    ToyLatticeKeyPair,
-    _coord_bits,
-    _mix,
-    _steps,
-)
+from cdiqkd.etcf import EtcfParams, KeyKind, ToyLatticeKeyPair
 
 # Two-sided 5-sigma tail probability of a normal.
 FIVE_SIGMA_PVALUE = 5.733e-7
@@ -96,17 +91,21 @@ def overlap2(a: np.ndarray, b: np.ndarray) -> float:
 MASK64 = 2**64 - 1
 
 
-def splitmix64(seed: int, count: int) -> list[int]:
-    """The first ``count`` outputs of SplitMix64 seeded with ``seed``: the published C
+def splitmix64_words(seed: int) -> Iterator[int]:
+    """The outputs of SplitMix64 seeded with ``seed``, one at a time: the published C
     ``next()`` (Steele, Lea & Flood, OOPSLA 2014), transcribed with Python ints."""
-    state, out = seed, []
-    for _ in range(count):
+    state = seed
+    while True:
         state = (state + 0x9E3779B97F4A7C15) & MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        out.append(z ^ (z >> 31))
-    return out
+        yield z ^ (z >> 31)
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded with ``seed``."""
+    return list(itertools.islice(splitmix64_words(seed), count))
 
 
 def _argsort(values) -> list[int]:
@@ -136,22 +135,15 @@ def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> ToyLat
     """One toy-lattice key, drawn on its own by a scalar loop: the reference that
     ``keygen_toy`` must equal key for key.
 
-    Values mod q are the key seed's words masked to ceil(log2 q) bits, those below q
-    kept, in order.  R is the first (m - n) * n values, row-major, and A = [I_n; R];
-    then s (n values), or u (m values, redrawn while in A's column space).
+    Values mod q are the key seed's SplitMix64 words mod q, in order, each word read
+    only when its value is taken.  R is the first (m - n) * n values, row-major, and
+    A = [I_n; R]; then s (n values), or u (m values, redrawn while in A's column space).
     """
     n, m, q = params.n, params.m, params.q
-    mask, seed = np.uint64((1 << _coord_bits(q)) - 1), np.uint64(seed)
-    values, used, read, chunk = np.empty(0, dtype=np.int64), 0, 0, 4 * m * n
+    words = splitmix64_words(seed)
 
     def draw(count: int) -> np.ndarray:
-        nonlocal values, used, read
-        while len(values) < used + count:
-            words = _mix(_steps(1 + read, chunk) + seed) & mask  # as key_words draws them
-            kept = words[words < q].view(np.int64)
-            values, read = np.concatenate([values, kept]) if read else kept, read + chunk
-        used += count
-        return values[used - count:used].copy()
+        return np.array([next(words) % q for _ in range(count)], dtype=np.int64)
 
     matrix = np.concatenate([np.eye(n, dtype=np.int64), draw((m - n) * n).reshape(m - n, n)])
     if kind is KeyKind.CLAW_FREE:
@@ -160,4 +152,3 @@ def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> ToyLat
     while not np.any((matrix @ u[:n] - u) % q):  # u must leave the column space
         u = draw(m)
     return ToyLatticeKeyPair(kind, n, m, q, matrix, u)
-

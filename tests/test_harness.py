@@ -1,6 +1,8 @@
 """Config, experiment runner, transcript/replay, and CLI tests."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd import harness
 from cdiqkd.cli import main
-from cdiqkd.config import ConfigError, ExperimentConfig, read_config_file
+from cdiqkd.config import FIELD_TYPES, ConfigError, ExperimentConfig, read_config_file
 from cdiqkd.devices import make_device
 from cdiqkd.etcf import EtcfParams
 from cdiqkd.harness import (
@@ -1019,6 +1021,14 @@ class TestCli:
         assert result.returncode == 1
 
 
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
 class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
         "data",
@@ -1058,6 +1068,22 @@ class TestMalformedInputExitsOne:
         assert err.startswith("usage: cdiqkd") and "\ncdiqkd: error: " in err
         assert "Traceback" not in err
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_numeric_flag_without_a_value_of_its_type(self, data):
+        # Every int and float flag, given a text its type rejects or no value at all;
+        # str flags are left out, as any text is a str and may name an output file.
+        numeric = [name for name, kind in FIELD_TYPES.items() if kind is not str]
+        name = data.draw(st.sampled_from(numeric))
+        kind = FIELD_TYPES[name]
+        rejected = st.text(st.characters(codec="utf-8")).filter(lambda text: not _parses(kind, text))
+        value = data.draw(st.none() | rejected)
+        argv = [f"--{name.replace('_', '-')}", *([] if value is None else [value])]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 1
+        assert err.getvalue().startswith("usage: cdiqkd") and "\ncdiqkd: error: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as caught:
             main(["--help"])
@@ -1077,6 +1103,13 @@ class TestMalformedInputExitsOne:
     def test_rate_bound_input_out_of_range(self, capsys, flag, value):
         assert main(["--rounds", "16", flag, value]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1", "nan", "-0.5", "inf"])
+    def test_epsilon_out_of_range_names_its_range(self, capsys, value):
+        # The session takes [0, 1] and the rate bound (0, 1); a run takes [0, 1).
+        assert main(["--rounds", "16", "--epsilon", value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: epsilon must be in [0, 1), got {float(value)}\n"
 
     def test_toy_lattice_codomain_wider_than_an_int64_draw(self, capsys):
         # 6 coordinates of 11 bits: the device's int64 draws cannot hold a commitment.
@@ -1136,28 +1169,28 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v5,
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v6,
 # with the store in format 4.
-# A change here changes the outputs of every seeded run.  Layout v5 moved the
-# device's draws only, so every store is v4's but for its header line, and a
-# summary moves only where device answers feed it (an honest run's raw-key
-# bits are device answers); a store holds test rounds' indices and seeds
-# alone, so the runs that share their first 512 rounds' public coins share
-# one store.
-STREAM_LAYOUT_V5 = {
+# A change here changes the outputs of every seeded run.  Layout v6 moved the
+# toy-lattice keys at q > 2 only: every store and every ideal or q = 2
+# transcript is v5's but for its header line, and every summary is v5's, as
+# no pinned run's answers or verdicts depend on a toy key's values; a store
+# holds test rounds' indices and seeds alone, so the runs that share their
+# first 512 rounds' public coins share one store.
+STREAM_LAYOUT_V6 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "45067c5c380631e1459abed1833d55695875a952981f4f5c9c849a33876494f6",
-            "f782e3aea6033b7cef1512b0e83b31d8c8c426c5fab5bc6a3f8707cfa87bdbe3",
+            "8b817ad48993287442bf4165ca56948f6eff577e4244e3c0bb33549ff83d42df",
+            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
             "cefe1044bdcbb58507d0877b58999bda45eaeece0d0137c625cc890ed0780448",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "1eb0725c59d0775ddf545a11667a10938d0487a5874d81a2ceea63604e0268c1",
-            "6c399d2819e2a9a98fe0ac176c02e35908c83e88b9d5540ee7aee417b78b8066",
+            "0ac0070a4fc4fa518a85977041562bebf968bea0d4b1174f61ae3a803cff499d",
+            "19badc0f9ada069d4e1ddad116d7b054d00e5e582f4a7a777136974be6e40532",
             "5a06b47b6c494927990dea2869c03ed175fdbfae30c67a090a150e599e8d2dc1",
         ),
     ),
@@ -1165,27 +1198,27 @@ STREAM_LAYOUT_V5 = {
     "ideal-random-multiblock": (
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "2e27850396a3b6b69b54120c1b7d8d7895d8719ffad49f4ffcaf26159ae39714",
-            "9c0189d2131859b805eb7e883c1f158c8226d3081de64e5b62acbd9b115f6d9a",
+            "dd60468690aba005d5c5c3d03dd930c6a5d14255d52e85872b2e24116e41ac53",
+            "84b9a59b5b625c476e3a4c66622c9f17b81ba93003fd527d92e23665b3e34af5",
             "7287805a095dfbf75211df255cfd9b388c2c2ac691a7f8e584fcd26a03ca3b13",
         ),
     ),
     "lattice-noisy-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "cf1d97878ba46ed5bdb49fc2c2ca7fe348a635c20150bd90befd77d97bb7a679",
-            "f782e3aea6033b7cef1512b0e83b31d8c8c426c5fab5bc6a3f8707cfa87bdbe3",
+            "49d03298a9e721a142fb32745038b8674868e9e3e820c11465b9db54c127ef89",
+            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
             "8219438556893c1e8553f1ddaabab9332d7b956ee85f10e2698baaa308326507",
         ),
     ),
     # At q = 2 about half of all injective keys redraw u, which the default sizes
-    # almost never do.
+    # almost never do; a word mod 2 is its low bit, so these keys are v5's.
     "lattice-q2-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
          "lattice_q": 2, "device": "noisy:0.01:0.0"},
         (
-            "7b8425c730ef43e19cb7d114f37901f229ca8975b8da64a3b85f3a7af1dd55ea",
-            "f782e3aea6033b7cef1512b0e83b31d8c8c426c5fab5bc6a3f8707cfa87bdbe3",
+            "60a1e2f8aadf1a1ab8b325059f400f585e6221c5fbc932bf3515031b164fe8fd",
+            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
             "8e13d1122a84b99ec4fea50780dd118c03e3bb098a800a2b3068c5f19b8b9b74",
         ),
     ),
@@ -1193,8 +1226,8 @@ STREAM_LAYOUT_V5 = {
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "98d1da4ee85b756b9f08779e4306682125ed7672f4601420cffd3ae4be9ed0f5",
-            "5fc10bf03b47b9dc6c3c04ad8f83ac35ed2cd410f0deb2a57c9a65986ec870bc",
+            "4588d4b93880a1bfd690f7a4c5b2ccc7cd44c889229728efc8d8a294fac1d784",
+            "1d161effc1191f6b6334f90f7325619ffe88a580ad09691fd5a27b099cc5d85e",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -1202,17 +1235,17 @@ STREAM_LAYOUT_V5 = {
     "ideal-noisy-two-blocks-w8": (
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "94c5669fe9b2fdf60fbf84360e285a5f30f7a4b4c3f65946f986938b48685116",
-            "f782e3aea6033b7cef1512b0e83b31d8c8c426c5fab5bc6a3f8707cfa87bdbe3",
+            "273b63fcfec55c7c2f23812f290c3c070ab48ea6a4aca455487becb4ac6947eb",
+            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
             "9fff1b8de1ee5c7a44446be65bc12e0b4cd1c094c5484bc9fdaa36d6b74e68ad",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V5))
-def test_stream_layout_v5_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V5[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V6))
+def test_stream_layout_v6_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V6[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1222,7 +1255,7 @@ def test_stream_layout_v5_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [5, 5]
+    assert [header["version"] for header in headers] == [6, 6]
     assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()

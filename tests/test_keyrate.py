@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -172,11 +173,12 @@ class TestSessionRateReport:
         assert report.net_final_rate == pytest.approx(4 / len(session.raw_key_a))
 
     def test_serialization_round_trip(self):
+        # Every field survives JSON with its value and its type.
         _, report = self.make_report()
-        payload = json.dumps(report.to_dict())
-        rebuilt = KeyRateReport.from_dict(json.loads(payload))
-        assert rebuilt.to_dict() == report.to_dict()
-        assert json.dumps(rebuilt.to_dict()) == payload
+        data = report.to_dict()
+        decoded = json.loads(json.dumps(data))
+        assert decoded == data and list(decoded) == [f.name for f in fields(KeyRateReport)]
+        assert [type(v) for v in decoded.values()] == [type(v) for v in data.values()]
 
     def test_rate_weight_follows_session_params(self):
         knobs = ProtocolParams(rounds=2048, epsilon=0.01, p_theta_hadamard=1.0, p_ct_b=1.0)

@@ -446,9 +446,9 @@ def test_honest_block_device_temporaries_stay_within_a_few_rows():
 
 def test_toy_block_keygen_temporaries_stay_within_a_few_keys():
     # The widest toy keys, n = 31, m = 63 at q = 2, for a whole block of both kinds:
-    # about 1,050 words a key.  A keygen step holds at most etcf._CHUNK_WORDS words,
-    # about four keys', in each of a few arrays, where one draw of all 512 keys'
-    # words at once takes over 1,000 keys' words.
+    # an injective key reads (63 - 31) * 31 + 63 = 1,055 words, a claw-free one 1,023.
+    # A keygen step holds at most etcf._CHUNK_WORDS words, three or four keys', in
+    # each of a few arrays, where one draw of all 512 keys' words at once takes 512.
     lattice = EtcfParams(family="toy-lattice", n=31, m=63, q=2)
     tracemalloc.start()
     try:
