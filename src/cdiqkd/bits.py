@@ -31,6 +31,24 @@ def fits(value, width: int) -> bool:
     return integer and 0 <= value < (1 << width)
 
 
+def fits_each(values, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``fits`` of each entry of ``values``, and the entries as int64s, 0 where they do not
+    fit; width at most 63.  An integer-dtype array is range-checked as an array; anything
+    else (a list, a bool or float array) is read entry by entry, so that an entry no int64
+    holds, a bool or None is False, never an error.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype == np.uint64:
+            ok = values < np.uint64(1 << width)
+        else:
+            values = values.astype(np.int64, copy=False)
+            ok = (values >> width) == 0  # a negative int64 shifts to -1
+        return ok, np.where(ok, values, 0).astype(np.int64, copy=False)
+    ok = [fits(value, width) for value in values]
+    ints = [int(value) if fit else 0 for value, fit in zip(values, ok)]
+    return np.array(ok, dtype=bool), np.array(ints, dtype=np.int64)
+
+
 def exact_int(value, name: str):
     """value itself if it is a Python int (a JSON integer, a size); else ValueError."""
     if type(value) is not int:

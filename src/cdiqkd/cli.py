@@ -3,7 +3,8 @@
 Run mode executes a seeded experiment and writes transcript/summary files;
 replay mode audits an existing transcript against its trapdoor store.
 Exit codes: 0 = key produced (or replay match), 2 = aborted / unverified /
-replay mismatch, 1 = usage, configuration or output-file error.
+replay mismatch, 1 = usage, configuration or output-file error.  A run that
+aborts also prints its failed test rounds by reason on one stderr line.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     if outcome.session.aborted:
         print(f"ABORTED: failure fraction exceeds epsilon={config.epsilon}")
+        reasons = outcome.session.fail_reasons.items()
+        print("abort reasons:", *(f"{name}={count}" for name, count in reasons), file=sys.stderr)
     else:
         print(
             f"raw key bits: {outcome.summary['raw_key_length']}  "

@@ -22,6 +22,11 @@ def store_path(transcript: str, trapdoors: str | None) -> str:
     return trapdoors or transcript + ".keys"
 
 
+def epsilon_in_range(epsilon: float) -> bool:
+    """Whether a run takes ``epsilon``: [0, 1), where a session takes [0, 1]."""
+    return 0.0 <= epsilon < 1.0
+
+
 # The family and rate-bound defaults are those of the parameter classes.
 _ETCF = EtcfParams()
 _RATE = KeyRateParams()
@@ -55,7 +60,7 @@ class ExperimentConfig:
         that it has one message.  The files a run writes must be different
         files, and a trapdoor store is written only beside a transcript.
         """
-        if not 0.0 <= self.epsilon < 1.0:
+        if not epsilon_in_range(self.epsilon):
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")

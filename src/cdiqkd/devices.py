@@ -3,7 +3,11 @@
 A device plays a whole stream block at once: each message it gets holds
 one entry per round of the block, and each reply is one array (or
 sequence) per message field, with one entry per round (see
-``DeviceStrategy``).  Devices get keys and never invert them.
+``DeviceStrategy``).  Devices get keys and never invert a verifier's
+message.  The honest device reads the keys' stacked arrays when it gets
+a block's keys as drawn (``etcf.DrawnKeys``), and finds each claw-free
+key's claw partner of its own point in the key's other table, as these
+desk-scale keys make claws public (``etcf.claw_partner``).
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
@@ -58,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import parity
-from .etcf import EtcfKeyPair, IdealKeyPair, KeyKind, encode_vectors
+from .etcf import DrawnKeys, EtcfKeyPair, KeyKind, encode_vectors, stack_keys
 from .etcf import claw_partner  # not called here: named so that bench/spans.py can wrap it
 from .quantum import (
     MeasurementBasis,
@@ -223,49 +227,49 @@ class DeviceStrategy:
         raise NotImplementedError
 
 
-def _ideal_commit(keys, branch: list[int], points: list[int]):
+def _ideal_commit(keys: DrawnKeys, branch: np.ndarray, points: np.ndarray):
     """Each key's f_b(x), and each claw-free key's claw partner of x: the x' with
     f_{1-b}(x') = f_b(x), found in its other table; 0 for an injective key.  Reads
-    only the entries it needs, and stacks no tables."""
-    images = [key.tables.item(b, x) for key, b, x in zip(keys, branch, points)]
-    partners = [
-        int((key.tables[1 - b] == c).argmax()) if key.kind is KeyKind.CLAW_FREE else 0
-        for key, b, c in zip(keys, branch, images)
-    ]
-    return np.array(images, dtype=np.int64), np.array(partners, dtype=np.int64)
+    the tables a few keys at a time (``DrawnKeys.preimages``), and stacks none."""
+    rows = np.arange(len(keys))
+    images = keys.arrays[0][rows, branch, points]
+    _, x = keys.preimages(rows, images)
+    return images, x[rows, 1 - branch]  # an injective key's other branch misses: 0
 
 
-def _toy_commit(keys, branch: np.ndarray, vectors: np.ndarray):
+def _toy_commit(keys: DrawnKeys, branch: np.ndarray, vectors: np.ndarray):
     """Each key's A x + b shift mod q, and the claw partner x -+ s (s the first n
-    coordinates of a claw-free shift A s), each encoded, from one stack of the keys'
-    small (m, n) matrices."""
-    q = keys[0].q
-    matrices = np.stack([key.matrix for key in keys])
-    shifts = np.stack([key.shift for key in keys])
+    coordinates of a claw-free shift A s), each encoded."""
+    q = keys.params.q
+    matrices, shifts = keys.arrays
     images = (matrices @ vectors[..., None])[..., 0] + branch[:, None] * shifts
     secret = shifts[:, :vectors.shape[1]]
     partners = np.where(branch[:, None] == 0, vectors - secret, vectors + secret)
     return encode_vectors(images % q, q), encode_vectors(partners % q, q)
 
 
-def _commit(keys, rng: np.random.Generator):
-    """The honest commitment to each of ``keys``, which share a family and its sizes:
-    (images, claw_free, branch, points, partners), one entry per key.
+def _commit(sides, rng: np.random.Generator):
+    """The honest commitment to each key of ``sides``, a sequence of keys per side, all
+    of one family and its sizes: (images, claw_free, branch, points, partners), each
+    with a row per key of a side and a column per side.
 
-    Draws a branch bit b per key, then a domain point x per key, and commits
-    to f_b(x), so each commitment is uniform over its key's image.  A claw-free
-    key's partner is its claw partner of x; an injective key's is never read.
+    Draws a branch bit b per key, then a domain point x per key, row by row,
+    and commits to f_b(x), so each commitment is uniform over its key's image.
+    A claw-free key's partner is its claw partner of x; an injective key's is
+    never read.
     """
-    first = keys[0]
-    branch = rng.integers(2, size=len(keys))
-    if isinstance(first, IdealKeyPair):
-        points = rng.integers(1 << first.domain_bits, size=len(keys))
-        images, partners = _ideal_commit(keys, branch.tolist(), points.tolist())
+    stacks = [stack_keys(keys) for keys in sides]
+    params, shape = stacks[0].params, (len(stacks[0]), len(stacks))
+    branch = rng.integers(2, size=shape)
+    if params.family == "ideal":
+        points = rng.integers(1 << params.domain_bits, size=shape)
+        drawn = [_ideal_commit(keys, branch[:, s], points[:, s]) for s, keys in enumerate(stacks)]
     else:
-        vectors = rng.integers(first.q, size=(len(keys), first.n))
-        images, partners = _toy_commit(keys, branch, vectors)
-        points = encode_vectors(vectors, first.q)
-    claw_free = np.array([key.kind is KeyKind.CLAW_FREE for key in keys])
+        vectors = rng.integers(params.q, size=(*shape, params.n))
+        drawn = [_toy_commit(keys, branch[:, s], vectors[:, s]) for s, keys in enumerate(stacks)]
+        points = encode_vectors(vectors, params.q)
+    images, partners = (np.stack(column, axis=1) for column in zip(*drawn))
+    claw_free = np.array([[kind is KeyKind.CLAW_FREE for kind in keys.kinds] for keys in stacks]).T
     return images, claw_free, branch, points, partners
 
 
@@ -288,8 +292,8 @@ def _respond(claw_free, branch, point, partner, domain_bits: int, rng: np.random
 class HonestInternalState(NamedTuple):
     """The honest state after ``_commit``, and the arguments of ``_respond``: the
     arrays but the images, one entry per commitment (one side of one round from
-    ``honest_commit``, two sides of a block's rounds in ``HonestDevice``), and the
-    domain width."""
+    ``honest_commit``, a row of two sides per round of a block in ``HonestDevice``),
+    and the domain width."""
 
     claw_free: np.ndarray
     branch: np.ndarray
@@ -308,7 +312,7 @@ class HonestInternalState(NamedTuple):
 
 def honest_commit(key: EtcfKeyPair, rng: np.random.Generator) -> tuple[int, HonestInternalState]:
     """``_commit`` for one key: a commitment uniform over the key's image, and its state."""
-    images, *state = _commit([key], rng)
+    images, *state = _commit([[key]], rng)
     return images.item(), HonestInternalState(*state, key.domain_bits)
 
 
@@ -324,10 +328,9 @@ class HonestDevice(DeviceStrategy):
     """Plays the intended strategy; wins every check under the ideal family."""
 
     def on_keys(self, keys_a, keys_b):
-        keys = [key for pair in zip(keys_a, keys_b) for key in pair]  # round by round, Alice first
-        images, *state = _commit(keys, self._rng)
-        self._state = HonestInternalState(*(a.reshape(-1, 2) for a in state), keys[0].domain_bits)
-        return images[0::2], images[1::2]
+        images, *state = _commit((keys_a, keys_b), self._rng)
+        self._state = HonestInternalState(*state, keys_a[0].domain_bits)
+        return images[:, 0], images[:, 1]
 
     def on_challenges(self, ct_a, ct_b):
         z, d, self._code = _respond(*self._state, self._rng)

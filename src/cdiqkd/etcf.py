@@ -23,11 +23,13 @@ Every key is drawn from a 64-bit key seed alone: its words are the
 SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
 argsorts of them, and a toy-lattice key's entries are them mod q.  So any
 seed yields a key its family draws, and the seed is all a trapdoor store
-keeps of a key.  Each family draws a list of keys as arrays at once
-(``keygen_ideal``, ``keygen_toy``); ``draw_keys`` is the one place that
-picks the family, and ``keygen`` is its one-key case.  Keys are
-immutable plain data, and each key is its own trapdoor: an ideal key's
-tables invert it, and a claw-free toy key's shift A s begins with s.
+keeps of a key.  Each family draws a list of keys as stacked arrays at
+once (``keygen_ideal``, ``keygen_toy``), a ``DrawnKeys`` that builds each
+key only when it is read and checks and inverts many keys at once;
+``draw_keys`` is the one place that picks the family, and ``keygen`` is
+its one-key case.  Keys are immutable plain data, and each key is its own
+trapdoor: an ideal key's tables invert it, and a claw-free toy key's
+shift A s begins with s.
 
 Domain and codomain elements cross module boundaries as fixed-width bit
 strings packed into ints (lattice vectors via little-endian per-coordinate
@@ -182,40 +184,48 @@ def key_words(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     return words
 
 
-def _claw_free_tables(words: np.ndarray, size: int, tables: np.ndarray) -> None:
+def _claw_free_tables(words: np.ndarray, size: int, tables: np.ndarray, rows: np.ndarray) -> None:
     """The matching is the argsort of words 1..2**w; f_0 is the first 2**w entries of
     the argsort of the next 4 * 2**w words, and f_1(matching[x0]) = f_0(x0)."""
     matching = words[:, :size].argsort(axis=1)
     image = words[:, size:].argsort(axis=1)[:, :size]
-    tables[:, 0] = image
-    tables[np.arange(len(words))[:, None], 1, matching] = image
+    tables[rows, 0] = image
+    tables[rows[:, None], 1, matching] = image
 
 
-def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray) -> None:
+def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray, rows: np.ndarray) -> None:
     """Word 1's low bit picks the branch in the low codomain half; each branch's image is
     the first 2**w entries of the argsort of the next 2 * 2**w words, in its half."""
     branch_0_high = (words[:, :1] & np.uint64(1)).astype(np.int64) * (2 * size)
     for b, offset in ((0, branch_0_high), (1, 2 * size - branch_0_high)):
         image = words[:, 1 + 2 * b * size:1 + 2 * (b + 1) * size].argsort(axis=1)[:, :size]
-        np.add(image, offset, tables[:, b])
+        image += offset
+        tables[rows, b] = image
 
 
-def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> list[IdealKeyPair]:
+def _rows_by_kind(kinds: list[KeyKind]) -> dict[KeyKind, np.ndarray]:
+    """The indices of ``kinds`` that hold each kind."""
+    claw_free = np.fromiter((kind is KeyKind.CLAW_FREE for kind in kinds), bool, len(kinds))
+    return {KeyKind.CLAW_FREE: np.flatnonzero(claw_free),
+            KeyKind.INJECTIVE: np.flatnonzero(~claw_free)}
+
+
+def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
     """An ideal key of each of ``kinds``, in order, drawn from its uint64 key seed in
-    ``seeds``.  A key's tables are a view of its kind's (keys, 2, 2**w) array.
+    ``seeds``, a few keys at a time.  A key's tables are a row of one (keys, 2, 2**w)
+    array.
     """
     size = 1 << domain_bits
     step = max(1, _CHUNK_WORDS // (5 * size))
-    keys: list = [None] * len(kinds)
+    tables = np.empty((len(kinds), 2, size), dtype=np.int64)
+    rows_of = _rows_by_kind(kinds)
     draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
     for kind, draw in draws:
-        where = [i for i, k in enumerate(kinds) if k is kind]
-        tables = np.empty((len(where), 2, size), dtype=np.int64)
+        where = rows_of[kind]
         for lo in range(0, len(where), step):
-            draw(key_words(seeds[where[lo:lo + step]], 1, 5 * size), size, tables[lo:lo + step])
-        for i, key_tables in zip(where, tables):
-            keys[i] = IdealKeyPair(kind, domain_bits, key_tables)
-    return keys
+            rows = where[lo:lo + step]
+            draw(key_words(seeds[rows], 1, 5 * size), size, tables, rows)
+    return DrawnKeys(EtcfParams("ideal", domain_bits), kinds, (tables,))
 
 
 # ---------------------------------------------------------------------------
@@ -293,53 +303,51 @@ class ToyLatticeKeyPair:
         return encode_vector(y, self.q)
 
 
-def _in_column_space(matrices: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
-    """Whether A y[:n] = y mod q, for each (A, y) of a stack: A = [I; R] maps y[:n] to y
-    exactly when y is in its column space."""
-    return ~np.any(((matrices @ ys[:, :matrices.shape[2], None])[..., 0] - ys) % q, axis=1)
+def _in_column_space(lower: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
+    """Whether y is in the column space of A = [I; R], for each (R, y) of a stack: A
+    maps y[:n] to y exactly when R y[:n] = y[n:] mod q."""
+    n = lower.shape[2]
+    return ~np.any(((lower @ ys[:, :n, None])[..., 0] - ys[:, n:]) % q, axis=1)
 
 
-def keygen_toy(
-    kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray
-) -> list[ToyLatticeKeyPair]:
+def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
     """A toy-lattice key of each of ``kinds``, in order, drawn from its uint64 key seed
-    in ``seeds``.  A key's values mod q are its seed's words mod q, in order: R is the
-    first (m - n) * n values, row-major, and A = [I_n; R]; then s (n values), or u
-    (m values, and the next m while u is in A's column space).  A word mod q is within
-    2^-64 of uniform, a relative error under 2^-33 as q < 2^31.  A key's arrays are
-    rows of its kind's stacks: products on them took as long as on owned copies
-    (``evaluate`` 12.2 us on either, ``invert`` 14-20 us on either, 512 keys at the
-    default sizes, best of 5, three runs).
+    in ``seeds``, a few keys at a time.  A key's values mod q are its seed's words mod
+    q, in order: R is the first (m - n) * n values, row-major, and A = [I_n; R]; then s
+    (n values), or u (m values, and the next m while u is in A's column space).  A
+    word mod q is within 2^-64 of uniform, a relative error under 2^-33 as q < 2^31.
+    A key's arrays are rows of one stack of each: products on them took as long as on
+    owned copies (``evaluate`` 12.2 us on either, ``invert`` 14-20 us on either, 512
+    keys at the default sizes, best of 5, three runs).
     """
     n, m, q = params.n, params.m, params.q
     entries = (m - n) * n  # of R
     modulus = np.uint64(q)  # uint64 words mod a signed int would be float64s
-    keys: list = [None] * len(kinds)
+    matrices = np.empty((len(kinds), m, n), dtype=np.int64)
+    matrices[:, :n] = np.eye(n, dtype=np.int64)
+    shifts = np.empty((len(kinds), m), dtype=np.int64)
+    rows_of = _rows_by_kind(kinds)
     for kind, tail in ((KeyKind.CLAW_FREE, n), (KeyKind.INJECTIVE, m)):
-        where = [i for i, k in enumerate(kinds) if k is kind]
-        matrices = np.empty((len(where), m, n), dtype=np.int64)
-        matrices[:, :n] = np.eye(n, dtype=np.int64)
-        tails = np.empty((len(where), tail), dtype=np.int64)  # s or u
+        where = rows_of[kind]
         step = max(1, _CHUNK_WORDS // (entries + tail))
         for lo in range(0, len(where), step):
-            chunk_seeds = seeds[where[lo:lo + step]]
-            values = key_words(chunk_seeds, 1, entries + tail) % modulus
-            chunk_matrices, chunk_tails = matrices[lo:lo + step], tails[lo:lo + step]
-            chunk_matrices[:, n:] = values[:, :entries].reshape(-1, m - n, n)
-            chunk_tails[:] = values[:, entries:]
-            if kind is KeyKind.INJECTIVE:  # u must leave the column space
-                redo = np.flatnonzero(_in_column_space(chunk_matrices, chunk_tails, q))
-                first = 1 + entries + m  # the same for every row redrawn as often
-                while redo.size:
-                    chunk_tails[redo] = key_words(chunk_seeds[redo], first, m) % modulus
-                    redo = redo[_in_column_space(chunk_matrices[redo], chunk_tails[redo], q)]
-                    first += m
-        if kind is KeyKind.CLAW_FREE:  # the shift is A s
-            tails = np.matmul(matrices, tails[..., None])[..., 0]
-            np.remainder(tails, q, out=tails)
-        for i, matrix, shift in zip(where, matrices, tails):
-            keys[i] = ToyLatticeKeyPair(kind, n, m, q, matrix, shift)
-    return keys
+            rows = where[lo:lo + step]
+            values = key_words(seeds[rows], 1, entries + tail) % modulus
+            lower = values[:, :entries].reshape(-1, m - n, n).astype(np.int64)  # R
+            matrices[rows, n:] = lower
+            tails = values[:, entries:].astype(np.int64)  # s or u
+            if kind is KeyKind.CLAW_FREE:  # the shift A s is (s, R s)
+                shifts[rows, :n] = tails
+                shifts[rows, n:] = (lower @ tails[..., None])[..., 0] % q
+                continue
+            redo = np.flatnonzero(_in_column_space(lower, tails, q))  # u must leave it
+            first = 1 + entries + m  # the same for every row redrawn as often
+            while redo.size:
+                tails[redo] = key_words(seeds[rows[redo]], first, m) % modulus
+                redo = redo[_in_column_space(lower[redo], tails[redo], q)]
+                first += m
+            shifts[rows] = tails
+    return DrawnKeys(params, kinds, (matrices, shifts))
 
 
 def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
@@ -356,7 +364,102 @@ def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
 EtcfKeyPair = IdealKeyPair | ToyLatticeKeyPair
 
 
-def draw_keys(kinds: list[KeyKind], params: EtcfParams, seeds: bytes) -> list[EtcfKeyPair]:
+class DrawnKeys:
+    """Keys drawn together, in draw order: their kinds, and their arrays stacked in that
+    order, an ideal family's tables (keys, 2, 2**w) or a toy-lattice family's matrices
+    (keys, m, n) and shifts (keys, m).  A key is built when it is read, its arrays rows
+    of these, and a slice is the same view of the slice's keys.  So the keys can be
+    checked and inverted many at once (``check_preimages``, ``preimages``), a few
+    keys' arrays at a time, as keygen draws them, and none is built unless read.
+    """
+
+    def __init__(self, params: EtcfParams, kinds: list[KeyKind], arrays: tuple) -> None:
+        self.params, self.kinds, self.arrays = params, kinds, arrays
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DrawnKeys(self.params, self.kinds[index], tuple(a[index] for a in self.arrays))
+        kind, params = self.kinds[index], self.params
+        if params.family == "ideal":
+            return IdealKeyPair(kind, params.domain_bits, self.arrays[0][index])
+        matrices, shifts = self.arrays
+        return ToyLatticeKeyPair(kind, params.n, params.m, params.q, matrices[index], shifts[index])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def _chunks(self, count: int):
+        """Slices of ``count`` rows, each covering at most ``_CHUNK_WORDS`` array entries."""
+        step = max(1, _CHUNK_WORDS // int(np.prod(self.arrays[0].shape[1:])))
+        return (slice(lo, lo + step) for lo in range(0, count, step))
+
+    def check_preimages(self, rows: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``check_preimage`` of the keys at ``rows``, each with its int64 z (within
+        1 + domain_bits) and c: whether z = (b || x) has f_b(x) = c."""
+        branch, x = z & 1, z >> 1
+        if self.params.family == "ideal":
+            return self.arrays[0][rows, branch, x] == c
+        n, q = self.params.n, self.params.q
+        matrices, shifts = self.arrays
+        ok = np.empty(len(rows), dtype=bool)
+        for chunk in self._chunks(len(rows)):
+            r = rows[chunk]
+            vectors, valid = _decode_vectors(x[chunk], n, q)
+            y = (matrices[r] @ vectors[..., None])[..., 0] + branch[chunk, None] * shifts[r]
+            ok[chunk] = valid & (encode_vectors(y % q, q) == c[chunk])
+        return ok
+
+    def preimages(self, rows: np.ndarray, c: np.ndarray):
+        """``invert`` of the keys at ``rows``, each at its int64 c (within codomain_bits),
+        branch by branch: (hits, x), each (len(rows), 2), hits[i, b] whether c has a
+        preimage under f_b, and x[i, b] that preimage (0 when there is none)."""
+        hits = np.empty((len(rows), 2), dtype=bool)
+        x = np.zeros((len(rows), 2), dtype=np.int64)
+        if self.params.family == "ideal":
+            tables = self.arrays[0]
+            for chunk in self._chunks(len(rows)):
+                match = tables[rows[chunk]] == c[chunk, None, None]
+                hits[chunk] = match.any(axis=2)
+                x[chunk] = match.argmax(axis=2)
+            return hits, x
+        n, m, q = self.params.n, self.params.m, self.params.q
+        matrices, shifts = self.arrays
+        for chunk in self._chunks(len(rows)):
+            r = rows[chunk]
+            vectors, valid = _decode_vectors(c[chunk], m, q)
+            lower = matrices[r, n:]
+            for b, y in enumerate((vectors, (vectors - shifts[r]) % q)):
+                hits[chunk, b] = valid & _in_column_space(lower, y, q)
+                x[chunk, b] = encode_vectors(y[:, :n], q)
+        return hits, x
+
+
+def stack_keys(keys) -> DrawnKeys:
+    """``keys``, keys of one family and its sizes, as a ``DrawnKeys``: themselves if they
+    are one, else their arrays stacked."""
+    if isinstance(keys, DrawnKeys):
+        return keys
+    first, kinds = keys[0], [key.kind for key in keys]
+    if isinstance(first, IdealKeyPair):
+        tables = np.stack([key.tables for key in keys])
+        return DrawnKeys(EtcfParams("ideal", first.domain_bits), kinds, (tables,))
+    params = EtcfParams("toy-lattice", n=first.n, m=first.m, q=first.q)
+    arrays = np.stack([key.matrix for key in keys]), np.stack([key.shift for key in keys])
+    return DrawnKeys(params, kinds, arrays)
+
+
+def _decode_vectors(values: np.ndarray, length: int, q: int):
+    """``decode_vector`` of each int64 of ``values``, each within length * coordinate
+    bits: the (len(values), length) coordinates, and whether each is below q."""
+    bits = _coord_bits(q)
+    vectors = (values[:, None] >> (np.arange(length) * bits)) & ((1 << bits) - 1)
+    return vectors, np.all(vectors < q, axis=1)
+
+
+def draw_keys(kinds: list[KeyKind], params: EtcfParams, seeds: bytes) -> DrawnKeys:
     """A key of each of ``kinds``, in order, drawn from its key seed: the next 8 bytes of
     ``seeds``, read as a little-endian uint64.  ``params`` picks the family, which draws
     all the keys at once; it must be valid: a session or a replay validates its family

@@ -36,12 +36,13 @@ from typing import TextIO
 import numpy as np
 
 from .bits import exact_int, to_hex
-from .config import ExperimentConfig, store_path
+from .config import ExperimentConfig, epsilon_in_range, store_path
 from .devices import ChallengeType, make_device
 from .etcf import EtcfKeyPair, EtcfParams, draw_keys
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
+    Block,
     ProtocolParams,
     RoundRecord,
     RoundType,
@@ -234,12 +235,14 @@ def bell_test_qber(session: SessionResult) -> float:
     return session.qber_failed / session.qber_tested if session.qber_tested else 0.0
 
 
-def _discard(records: list[RoundRecord]) -> None:
-    """The block consumer of a run that writes no transcript."""
+def _discard(block: Block) -> None:
+    """The block consumer of a run that writes no transcript: it builds no record."""
 
 
-def _write_block(transcript: TextIO, store: TextIO, records: list[RoundRecord]) -> None:
-    """The block consumer of a run with files: round lines, then the test rounds' keys."""
+def _write_block(transcript: TextIO, store: TextIO, block: Block) -> None:
+    """The block consumer of a run with files: the block's records, built for their round
+    lines, then the test rounds' keys."""
+    records = block.records()
     write_transcript(transcript, records)
     write_trapdoor_store(store, records)
 
@@ -250,8 +253,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     Every output file is opened before any round runs, so an unwritable
     path raises OSError at once.  The transcript and the trapdoor store get
     their headers first and each block's lines once the block is decided,
-    so the session holds one block of records at a time; the transcript's
-    footer follows the session, and the summary the post-processing.  A
+    so the session holds one block of records at a time, and a run without
+    them builds no record at all; the transcript's footer follows the
+    session, and the summary the post-processing.  A
     run cut short leaves a transcript without its footer, which replay
     reports as truncated.
     """
@@ -564,6 +568,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         etcf = EtcfParams(**header["etcf"])
         params = ProtocolParams(exact_int(header["rounds"], "rounds"), header["epsilon"], etcf)
         params.validate()
+        if not epsilon_in_range(params.epsilon):
+            raise ValueError("a run takes no such epsilon")
         device = header["device"]  # only a string: a classical-table: file need not exist here
         if type(device) is not str or not _same(header, _transcript_header(params, device)):
             raise ValueError("the header is not written as the writer writes it")

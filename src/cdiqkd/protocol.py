@@ -2,21 +2,33 @@
 
 Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
-independently per side) and decides each round once, as its block yields
-it: it counts the round's type, drops a sifted (mismatched-challenge)
-round, scores a test round and counts its verdict (in the Bell-test QBER
-cells too when both questions are computational), and computes a
-generation round's key-bit pair, kept as two bits.  Estimation then reads
-only that tally, aborting when the test failure fraction exceeds epsilon
-(the bits are dropped); otherwise the raw key is the pairs of the
+independently per side) a stream block at a time.  A block's coins, keys
+and device replies are arrays (``Block``), and one kernel, ``verdicts``,
+decides all its rounds at once: it drops the sifted (mismatched-challenge)
+rounds and scores each test round, and gives a failed one its reason, the
+first check it fails (``REASONS``: a malformed message, a challenge-a
+preimage, a commitment with no preimage, the Bell parity, or a product
+round's honest support).  The session counts round types, verdicts,
+reasons and the Bell-test QBER cells with array counts, and takes each
+generation round's key-bit pair from the same arrays.  Estimation then
+reads only that tally, aborting when the test failure fraction exceeds
+epsilon (the bits are dropped); otherwise the raw key is the pairs of the
 generation rounds whose questions are both computational.
 
-Once a block is decided, its records go to the session's block consumer:
-``run_session`` collects them in ``SessionResult.records`` unless the
-caller passes ``on_block``, which ``harness.run_experiment`` does to write
-each block's transcript and store lines.  Such a session holds one block
-of records and keys at a time, so its memory does not grow with the
-number of rounds beyond the raw-key bits.
+The kernel range-checks each reply array as an array (``bits.fits_each``),
+inverts a block's keys many at once (``etcf.DrawnKeys``) and reads the
+product-round check from one table of ``_support_of``, built at first use.
+``_verdict`` (and ``win_condition``, its flag) states the same checks for
+one ``RoundRecord``: the oracle the kernel is tested against, and the
+check replay makes.
+
+Records are built only on request.  Once a block is decided it goes to
+the session's block consumer: ``run_session`` builds its records and
+collects them in ``SessionResult.records`` unless the caller passes
+``on_block``; ``harness.run_experiment`` passes one that builds them to
+write a block's transcript and store lines, or, with no files, one that
+builds none.  Such a session holds one block at a time, so its memory
+does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
@@ -42,17 +54,18 @@ the same object twice gives the same session.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .bits import dot, fits
+from .bits import dot, fits, fits_each, parity
 from .devices import NO_QUESTION, QUESTION_BASES, ChallengeType, DeviceStrategy
 from .etcf import (
+    DrawnKeys,
     EtcfKeyPair,
     EtcfParams,
     KeyKind,
@@ -166,6 +179,7 @@ class SessionResult:
     dropped_count: int
     qber_tested: int  # Bell test rounds with both questions computational
     qber_failed: int
+    fail_reasons: dict[str, int] = field(default_factory=dict)  # failed test rounds by REASONS
 
     @property
     def rounds(self) -> int:
@@ -206,45 +220,196 @@ _BASES = QUESTION_BASES  # (computational, Hadamard): indexed by a Hadamard bit
 # A side's key kind, indexed by whether its state basis is Hadamard.
 KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
+_TAGS = (TestTag.TEST, TestTag.GENERATE)  # indexed by a generation bit
+
+# Why a test round failed: the first check of ``_verdict`` it fails.
+REASONS = ("violation", "preimage", "no_preimage", "bell_parity", "support")
+# A round's flag in a decided block, an index of FLAGS.
+FLAGS = (WinFlag.NA, WinFlag.PASS, WinFlag.FAIL)
+_NA, _PASS, _FAIL = range(3)
+_NO_CODE = -1  # a retained-qubit code not computed, or with no honest state
 
 
-def _run_block(device: DeviceStrategy, params: ProtocolParams, block):
-    """The rounds of one stream block: coins and keys as arrays, the device's messages one
-    call each for the whole block, then each round's record from its per-round values."""
-    coins = block.public.random((block.stop - block.start, len(COIN_COLUMNS)))
+class Block:
+    """One stream block's rounds as arrays: a row per round and, in the (n, 2) arrays,
+    a column per side, Alice's first.
+
+    ``_play_block`` fills the coins, keys and device replies; ``run_session`` then
+    sets ``flags`` and ``reasons`` from ``verdicts``.  Records are built only on
+    request (``records``).
+    """
+
+    flags: np.ndarray  # (n,): an index of FLAGS
+    reasons: np.ndarray  # (n,): an index of REASONS for a failed test round, else -1
+
+    def __init__(self, start: int, seeds: bytes, hadamard, challenge_b, question_h,
+                 generate_coin, keys: DrawnKeys, replies: tuple) -> None:
+        self.start = start
+        self.seeds = seeds  # SEED_BYTES a round
+        self.hadamard = hadamard  # (n, 2): the state basis is Hadamard (the key is claw-free)
+        self.challenge_b = challenge_b  # (n, 2)
+        self.question_h = question_h  # (n, 2): the question is Hadamard, read where challenge b
+        self.keys = keys  # 2n keys, round by round, Alice's first
+        self.replies = replies  # as the device sent them: c_a, c_b, resp_a, resp_b, a, h_a, b, h_b
+        self.bell = challenge_b.all(axis=1) & hadamard.all(axis=1)
+        self.generate = self.bell & generate_coin  # the tag coin, as choose_test_tag reads it
+        self.tested = (challenge_b[:, 0] == challenge_b[:, 1]) & ~self.generate
+
+    @cached_property
+    def messages(self) -> tuple[np.ndarray, ...]:
+        """(c, response, answer, h, violation), each (n, 2): each message as an integer,
+        0 where it is not a bit string of its width, and each side's violation, as
+        ``ingest_side`` notes it."""
+        key = self.keys[0]
+        c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = self.replies
+        pairs = []
+        for alice, bob, width in (
+            (c_a, c_b, key.codomain_bits), (resp_a, resp_b, 1 + key.domain_bits),
+            (a, b, 1), (h_a, h_b, 1),
+        ):
+            (ok_a, ints_a), (ok_b, ints_b) = fits_each(alice, width), fits_each(bob, width)
+            pairs.append((np.stack([ok_a, ok_b], axis=1), np.stack([ints_a, ints_b], axis=1)))
+        (c_ok, c), (resp_ok, resp), (a_ok, answer), (h_ok, h) = pairs
+        challenge_b = self.challenge_b
+        resp_ok &= ~challenge_b | (resp >> key.domain_bits == 0)  # d is domain_bits wide
+        violation = ~c_ok | ~resp_ok | (challenge_b & ~(a_ok & h_ok))
+        return c, resp, answer.astype(np.int8), h.astype(np.int8), violation
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(n, 2) retained-qubit codes (``_reconstruct_retained_qubit``) of the sides a
+        check or a key bit reads, -1 where there is none or it is not read: both sides
+        of a product round with both challenges b, and of a Bell round with equal
+        questions the one side ``_bell_check`` reads, when neither side is in
+        violation."""
+        c, resp, _, _, violation = self.messages
+        both_b = self.challenge_b.all(axis=1) & ~violation.any(axis=1)
+        read = np.zeros_like(violation)
+        read[both_b & ~self.bell] = True
+        equal = both_b & self.bell & (self.question_h[:, 0] == self.question_h[:, 1])
+        read[equal, 0] = self.question_h[equal, 0]  # Alice's when both are Hadamard
+        read[equal, 1] = ~self.question_h[equal, 1]  # Bob's when both are computational
+        sides = np.flatnonzero(read)  # side 2 i + s of round i, as the keys are ordered
+        hits, x = self.keys.preimages(sides, c.ravel()[sides])
+        claw_free = self.hadamard.ravel()[sides]
+        phase = parity(resp.ravel()[sides] & (x[:, 0] ^ x[:, 1]))
+        codes = np.full(violation.size, _NO_CODE, dtype=np.int8)
+        codes[sides] = np.where(
+            claw_free,
+            np.where(hits.all(axis=1), 2 + phase, _NO_CODE),
+            np.where(hits[:, 0], 0, np.where(hits[:, 1], 1, _NO_CODE)),
+        )
+        return codes.reshape(violation.shape)
+
+    def generation_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kept, pairs): the generation rounds ``_generation_bits`` keeps, and each
+        round's (n, 2) key-bit pair, Alice's answer and Bob's flip-corrected one."""
+        _, _, answer, _, violation = self.messages
+        phase_b = self.codes[:, 1] - 2
+        kept = (
+            self.generate & ~self.question_h.any(axis=1) & ~violation.any(axis=1)
+            & (phase_b >= 0)
+        )
+        return kept, np.stack([answer[:, 0], answer[:, 1] ^ phase_b], axis=1)
+
+    def records(self) -> list[RoundRecord]:
+        """Each round's record, its sides read by ``ingest_side`` from the replies as
+        sent (a reply array's entries as Python ints) and its win from ``flags``."""
+        c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = (
+            reply.tolist() if isinstance(reply, np.ndarray) else reply for reply in self.replies
+        )
+        keys = self.keys
+        rows = zip(
+            self.hadamard.tolist(), self.challenge_b.tolist(), self.question_h.tolist(),
+            self.generate.tolist(), self.flags.tolist(),
+        )
+        records = []
+        for i, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), generate, flag) in enumerate(rows):
+            theta_a, theta_b = _BASES[had_a], _BASES[had_b]
+            ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
+            x = _BASES[qh_a] if b_a else None
+            y = _BASES[qh_b] if b_b else None
+            records.append(RoundRecord(
+                index=self.start + i,
+                alice=ingest_side(theta_a, keys[2 * i], c_a[i], ct_a, resp_a[i], x, a[i], h_a[i]),
+                bob=ingest_side(theta_b, keys[2 * i + 1], c_b[i], ct_b, resp_b[i], y, b[i], h_b[i]),
+                round_type=classify_round(ct_a, ct_b, theta_a, theta_b),
+                test_tag=_TAGS[generate],
+                win=FLAGS[flag],
+                seed=self.seeds[SEED_BYTES * i:SEED_BYTES * (i + 1)],
+            ))
+        return records
+
+
+def _play_block(device: DeviceStrategy, params: ProtocolParams, stream) -> Block:
+    """The rounds of one stream block: coins and keys as arrays, and the device's
+    messages, one call each for the whole block."""
+    coins = stream.public.random((stream.stop - stream.start, len(COIN_COLUMNS)))
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
     challenge_b = coins[:, 2:4] < params.p_ct_b
     question_h = coins[:, 4:6] < params.p_question_hadamard
     kinds = [KEY_KINDS[h] for h in hadamard.ravel().tolist()]
-    keys = draw_keys(kinds, params.etcf, block.seeds)
+    keys = draw_keys(kinds, params.etcf, stream.seeds)
 
-    device.reset(block.device)
+    device.reset(stream.device)
     commitments = device.on_keys(keys[0::2], keys[1::2])
     responses = device.on_challenges(challenge_b[:, 0], challenge_b[:, 1])
     questions = np.where(challenge_b, question_h.astype(np.int8), np.int8(NO_QUESTION))
     answers = device.on_questions(questions[:, 0], questions[:, 1])
-    # Per-round Python values, so that ingest_side reads Python ints.
-    c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = (
-        reply.tolist() if isinstance(reply, np.ndarray) else reply
-        for reply in (*commitments, *responses, *answers)
+    return Block(
+        stream.start, stream.seeds, hadamard, challenge_b, question_h,
+        coins[:, 6] < params.p_generate_given_bell, keys, (*commitments, *responses, *answers),
     )
 
-    rows = zip(hadamard.tolist(), challenge_b.tolist(), question_h.tolist(), coins[:, 6].tolist())
-    for i, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), tag_coin) in enumerate(rows):
-        key_a, key_b = keys[2 * i], keys[2 * i + 1]
-        theta_a, theta_b = _BASES[had_a], _BASES[had_b]
-        ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
-        x = _BASES[qh_a] if b_a else None
-        y = _BASES[qh_b] if b_b else None
-        round_type = classify_round(ct_a, ct_b, theta_a, theta_b)
-        yield RoundRecord(
-            index=block.start + i,
-            alice=ingest_side(theta_a, key_a, c_a[i], ct_a, resp_a[i], x, a[i], h_a[i]),
-            bob=ingest_side(theta_b, key_b, c_b[i], ct_b, resp_b[i], y, b[i], h_b[i]),
-            round_type=round_type,
-            test_tag=choose_test_tag(round_type, tag_coin, params.p_generate_given_bell),
-            seed=block.seeds[SEED_BYTES * i:SEED_BYTES * (i + 1)],
-        )
+
+@cache
+def _support_table() -> np.ndarray:
+    """``_support_of`` as one boolean table, indexed [code_a, code_b, h_a, h_b, x, y, a, b]
+    with questions as indices of ``QUESTION_BASES``; built on first use."""
+    table = np.zeros((4, 4, 2, 2, 2, 2, 2, 2), dtype=bool)
+    for code_a, code_b, h_a, h_b, x, y in itertools.product(range(4), range(4), *[range(2)] * 4):
+        for a, b in _support_of(code_a, code_b, h_a, h_b, _BASES[x], _BASES[y]):
+            table[code_a, code_b, h_a, h_b, x, y, a, b] = True
+    table.flags.writeable = False
+    return table
+
+
+def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's flag (an index of ``FLAGS``) and, for a failed test round, the reason
+    (an index of ``REASONS``, else -1): ``_verdict`` of every test round of the block at
+    once, from its arrays.
+    """
+    c, resp, answer, h, violation = block.messages
+    challenge_b, question_h, codes = block.challenge_b, block.question_h, block.codes
+    violated = violation.any(axis=1)
+    both_a = ~challenge_b.any(axis=1) & ~violated
+    preimage = np.zeros_like(both_a)
+    sides = np.flatnonzero(np.repeat(both_a, 2))
+    if sides.size:
+        ok = block.keys.check_preimages(sides, resp.ravel()[sides], c.ravel()[sides])
+        preimage[both_a] = ~ok.reshape(-1, 2).all(axis=1)
+    product_b = challenge_b.all(axis=1) & ~block.bell
+    equal = block.bell & (question_h[:, 0] == question_h[:, 1])
+    bell_code = codes[np.arange(len(codes)), question_h[:, 0].astype(np.intp) ^ 1]
+    answers_in_support = _support_table()[
+        codes[:, 0], codes[:, 1], h[:, 0], h[:, 1], question_h[:, 0].astype(np.intp),
+        question_h[:, 1].astype(np.intp), answer[:, 0], answer[:, 1],
+    ]
+    failed = np.select(
+        [
+            violated,
+            preimage,
+            (equal & (bell_code == _NO_CODE)) | (product_b & np.any(codes == _NO_CODE, axis=1)),
+            equal & ((answer[:, 0] ^ answer[:, 1]) != bell_code - 2),
+            product_b & ~answers_in_support,
+        ],
+        range(len(REASONS)),
+        -1,
+    )
+    tested = block.tested
+    reasons = np.where(tested, failed, -1).astype(np.int8)
+    flags = np.where(tested, np.where(reasons >= 0, _FAIL, _PASS), _NA).astype(np.int8)
+    return flags, reasons
 
 
 def ingest_side(theta, key, c, ct, response, question, answer, h) -> SideRecord:
@@ -350,86 +515,97 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
 def win_condition(record: RoundRecord) -> WinFlag:
     """Evaluate the round checks, inverting with the sides' keys; never raises on device data.
 
+    The scalar oracle of ``verdicts``, which replay uses: the flag of ``_verdict``.
+    """
+    return _verdict(record)[0]
+
+
+def _verdict(record: RoundRecord) -> tuple[WinFlag, str | None]:
+    """The round's flag and, if it fails, the first check it fails, one of ``REASONS``.
+
     A violation fails the round, and a challenge-a side passes only with a
     preimage of its commitment.  A Bell round reads at most one commitment:
     when the questions differ it passes without reading either, and when
     they are equal it checks the answer parity against one side's phase
     bit only, Bob's when both questions are computational and Alice's when
     both are Hadamard, so the other side's commitment is never inverted.
-    A product round with both challenges b inverts both commitments
-    (``honest_support``).
+    A product round with both challenges b inverts both commitments, and
+    its answers must be in ``honest_support``.  A commitment a check inverts
+    that has no preimage fails as ``no_preimage``.
     """
     if record.round_type is RoundType.SIFTED:
         raise ValueError("sifted rounds are discarded, not scored")
     alice, bob = record.alice, record.bob
     if alice.violation or bob.violation:
-        return WinFlag.FAIL
+        return WinFlag.FAIL, "violation"
     for side in (alice, bob):
         if side.ct is ChallengeType.A and not check_preimage(side.key, side.z, side.c):
-            return WinFlag.FAIL
+            return WinFlag.FAIL, "preimage"
     if alice.ct is not ChallengeType.B:
-        return WinFlag.PASS
+        return WinFlag.PASS, None
     if record.round_type is RoundType.BELL:
         return _bell_check(record)
-    return WinFlag.PASS if (alice.answer, bob.answer) in honest_support(record) else WinFlag.FAIL
+    if _reconstruct_retained_qubit(alice) is None or _reconstruct_retained_qubit(bob) is None:
+        return WinFlag.FAIL, "no_preimage"
+    if (alice.answer, bob.answer) not in honest_support(record):
+        return WinFlag.FAIL, "support"
+    return WinFlag.PASS, None
 
 
-def _bell_check(record: RoundRecord) -> WinFlag:
+def _bell_check(record: RoundRecord) -> tuple[WinFlag, str | None]:
     alice, bob = record.alice, record.bob
     if alice.question is bob.question:
         side = bob if alice.question is MeasurementBasis.COMPUTATIONAL else alice
         expected = _phase_bit(side)
-        if expected is None or (alice.answer ^ bob.answer) != expected:
-            return WinFlag.FAIL
-    return WinFlag.PASS
+        if expected is None:
+            return WinFlag.FAIL, "no_preimage"
+        if (alice.answer ^ bob.answer) != expected:
+            return WinFlag.FAIL, "bell_parity"
+    return WinFlag.PASS, None
 
 
 def run_session(
     device: DeviceStrategy,
     params: ProtocolParams,
     seed,
-    on_block: Callable[[list[RoundRecord]], None] | None = None,
+    on_block: Callable[[Block], None] | None = None,
 ) -> SessionResult:
     """Run the full pipeline: rounds, sifting, estimation, key extraction.
 
-    Each round is decided once, as its block yields it; everything after
-    the block loop reads the tally and the generation rounds' key bits.
-    Each block's decided records then go to ``on_block(records)`` if given,
-    and are collected in the result's ``records`` if not.
+    Each block's rounds are decided at once by ``verdicts`` and counted from
+    its arrays, with the generation rounds' key bits; everything after the
+    block loop reads that tally and those bits.  Each decided block then
+    goes to ``on_block(block)`` if given; if not, its records are built and
+    collected in the result's ``records``.
     """
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records: list[RoundRecord] = []
-    consume = records.extend if on_block is None else on_block
+    consume = (lambda block: records.extend(block.records())) if on_block is None else on_block
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
-    tally: Counter = Counter()  # round types, test verdicts, ("qber", verdict) cells, tags
-    for block in block_streams(master, params.rounds):
-        decided: list[RoundRecord] = []
-        for record in _run_block(device, params, block):
-            decided.append(record)
-            tally[record.round_type] += 1
-            if record.round_type is RoundType.SIFTED:
-                continue
-            if record.test_tag is TestTag.GENERATE:
-                tally[TestTag.GENERATE] += 1
-                pair = _generation_bits(record)  # pure: draws nothing, so safe to take now
-                if pair is not None:
-                    key_a.append(pair[0])
-                    key_b.append(pair[1])
-                continue
-            record.win = win_condition(record)
-            tally[record.win] += 1
-            if record.round_type is RoundType.BELL and _both_computational(record):
-                tally["qber", record.win] += 1
-        consume(decided)
+    tally = np.zeros(len(_TALLY), dtype=np.int64)
+    reasons = np.zeros(len(REASONS), dtype=np.int64)
+    for stream in block_streams(master, params.rounds):
+        block = _play_block(device, params, stream)
+        block.flags, block.reasons = verdicts(block)
+        challenge_b, bell, failed = block.challenge_b, block.bell, block.flags == _FAIL
+        qber = bell & block.tested & ~block.question_h.any(axis=1)
+        tally += np.count_nonzero([
+            challenge_b[:, 0] == challenge_b[:, 1], bell, block.generate, block.tested, failed,
+            qber, qber & failed,
+        ], axis=1)
+        reasons += np.bincount(block.reasons[failed], minlength=len(REASONS))
+        kept, pairs = block.generation_bits()
+        key_a += pairs[kept, 0].astype(np.uint8).tobytes()
+        key_b += pairs[kept, 1].astype(np.uint8).tobytes()
+        consume(block)
 
-    failed = tally[WinFlag.FAIL]
-    tested = tally[WinFlag.PASS] + failed
+    counts = dict(zip(_TALLY, tally.tolist()))
+    tested, failed = counts["tested"], counts["failed"]
     fail_fraction, aborted = abort_decision(tested, failed, params.epsilon)
     if aborted:
         key_a.clear()
         key_b.clear()
-    generated = tally[TestTag.GENERATE]
     return SessionResult(
         params=params,
         records=records,
@@ -437,17 +613,22 @@ def run_session(
         fail_fraction=fail_fraction,
         raw_key_a=np.array(key_a, dtype=np.uint8),
         raw_key_b=np.array(key_b, dtype=np.uint8),
-        sifted_count=tally[RoundType.BELL] + tally[RoundType.PRODUCT],
+        sifted_count=counts["sifted"],
         tested_count=tested,
         failed_count=failed,
-        bell_count=tally[RoundType.BELL],
-        product_count=tally[RoundType.PRODUCT],
-        generate_count=generated,
+        bell_count=counts["bell"],
+        product_count=counts["sifted"] - counts["bell"],
+        generate_count=counts["generate"],
         matched_count=len(key_a),
-        dropped_count=0 if aborted else generated - len(key_a),
-        qber_tested=tally["qber", WinFlag.PASS] + tally["qber", WinFlag.FAIL],
-        qber_failed=tally["qber", WinFlag.FAIL],
+        dropped_count=0 if aborted else counts["generate"] - len(key_a),
+        qber_tested=counts["qber_tested"],
+        qber_failed=counts["qber_failed"],
+        fail_reasons=dict(zip(REASONS, reasons.tolist())),
     )
+
+
+# The session's counts, in the order run_session counts them a block at a time.
+_TALLY = ("sifted", "bell", "generate", "tested", "failed", "qber_tested", "qber_failed")
 
 
 def abort_decision(tested: int, failed: int, epsilon: float) -> tuple[float, bool]:

@@ -22,6 +22,7 @@ from cdiqkd.etcf import EtcfParams
 from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
+    EXIT_USAGE,
     ReplayError,
     replay_verify,
     run_experiment,
@@ -768,6 +769,18 @@ class TestMalformedReplay:
         with pytest.raises(ReplayError, match="header"):
             replay_verify(*self.write(tmp_path, lines, store))
 
+    def test_epsilon_no_run_takes_raises_replay_error(self, tmp_path, aborted_files, capsys):
+        # A session takes epsilon = 1, a run does not: such a header, with the abort
+        # flag its footer would then state, is not one the writer can write.
+        transcript, store = aborted_files
+        lines, _ = _mutated(transcript, _is_header, lambda e: e.update(epsilon=1.0))
+        lines, _ = _mutated(lines, _is_footer, lambda e: e.update(aborted=False))
+        paths = self.write(tmp_path, lines, store)
+        with pytest.raises(ReplayError, match="transcript has no valid header line"):
+            replay_verify(*paths)
+        assert main(["--replay", paths[0], "--trapdoors", paths[1]]) == EXIT_USAGE
+        assert "replay error: transcript has no valid header line" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(FOREIGN_FAMILY_HEADERS))
     def test_header_of_another_family_is_a_mismatch(self, tmp_path, audit_files, name):
         transcript, store = audit_files
@@ -962,6 +975,19 @@ class TestCli:
         )
         assert result.returncode == 2
         assert "ABORTED" in result.stdout
+
+    def test_abort_reasons_go_to_one_stderr_line(self, capsys):
+        argv = ["--rounds", "512", "--device", "classical-random", "--seed", "1"]
+        assert main(argv) == EXIT_ABORTED
+        out, err = capsys.readouterr()
+        run = {"rounds": 512, "device": "classical-random", "seed": 1}
+        outcome = run_experiment(ExperimentConfig.from_dict(run))
+        reasons = outcome.session.fail_reasons
+        assert sum(reasons.values()) == outcome.session.failed_count > 0
+        assert err == "abort reasons: " + " ".join(f"{k}={v}" for k, v in reasons.items()) + "\n"
+        assert "reasons" not in out and len(out.splitlines()) == 2
+        assert main(["--rounds", "512", "--seed", "1"]) == EXIT_KEY_PRODUCED  # no abort, no line
+        assert capsys.readouterr().err == ""
 
     def test_malformed_config_names_key(self, tmp_path):
         path = tmp_path / "config.json"
