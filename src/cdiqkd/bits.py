@@ -54,9 +54,3 @@ def exact_int(value, name: str):
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
-
-
-def to_hex(value: int, width: int) -> str:
-    """Hex encoding, zero-padded to the number of nibbles covering width."""
-    nibbles = (width + 3) // 4
-    return format(value, f"0{nibbles}x")

@@ -4,7 +4,8 @@ Run mode executes a seeded experiment and writes transcript/summary files;
 replay mode audits an existing transcript against its trapdoor store.
 Exit codes: 0 = key produced (or replay match), 2 = aborted / unverified /
 replay mismatch, 1 = usage, configuration or output-file error.  A run that
-aborts also prints its failed test rounds by reason on one stderr line.
+aborts also prints its failed test rounds by reason on one stderr line, and
+so does a replay whose recomputed test rounds fail.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {message}")
         if len(report.mismatches) > 20:
             print(f"  ... and {len(report.mismatches) - 20} more")
+        if any(report.fail_reasons.values()):
+            reasons = (f"{name}={count}" for name, count in report.fail_reasons.items())
+            print("replay reasons:", *reasons, file=sys.stderr)
         return EXIT_KEY_PRODUCED if report.match else EXIT_ABORTED
 
     try:

@@ -237,6 +237,13 @@ def _coord_bits(q: int) -> int:
     return (q - 1).bit_length()
 
 
+def key_widths(params: EtcfParams) -> tuple[int, int]:
+    """(domain_bits, codomain_bits) of every key of the family and sizes ``params`` name."""
+    if params.family == "ideal":
+        return params.domain_bits, params.domain_bits + 2
+    return params.n * _coord_bits(params.q), params.m * _coord_bits(params.q)
+
+
 def encode_vector(vec: np.ndarray, q: int) -> int:
     """Pack a mod-q vector into an int, little-endian bits per coordinate."""
     cb = _coord_bits(q)

@@ -12,12 +12,13 @@ files.  Generation rounds publish only
 state bases, challenge types, tags, and question bases - their
 commitments, responses, and key material are discarded and never reach
 any output file.  The runner appends each block of rounds to both files
-as soon as the block is decided, so it never holds a whole session's
-records.
+as soon as the block is decided, straight from its arrays (``protocol.Block``).
 
-The writer's functions are the one statement of both formats: replay
-reads each line into the values it was written from and keeps it only if
-the writer's own function writes those values back as that line.
+The block writer (``_round_lines``, ``_KEYS_LINE``) is the one statement of
+both formats: replay reads a block of lines into the values they were
+written from and keeps each line only if the writer writes those values
+back as that line.  A block is decoded with one ``json.loads``, or else
+line by line, so that a line that is not UTF-8 or not JSON spoils only itself.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -26,67 +27,68 @@ with 12 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import TextIO
 
 import numpy as np
 
-from .bits import exact_int, to_hex
+from .bits import exact_int
 from .config import ExperimentConfig, epsilon_in_range, store_path
-from .devices import ChallengeType, make_device
-from .etcf import EtcfKeyPair, EtcfParams, draw_keys
+from .devices import QUESTION_BASES, ChallengeType, make_device
+from .etcf import DrawnKeys, EtcfParams, draw_keys, key_widths
 from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
+    FLAGS,
+    KEY_KINDS,
+    REASONS,
     Block,
     ProtocolParams,
-    RoundRecord,
-    RoundType,
     SessionResult,
-    SideRecord,
-    KEY_KINDS,
-    TestTag,
     WinFlag,
     abort_decision,
     classify_round,
-    ingest_side,
     run_session,
-    win_condition,
+    verdicts,
+    win_condition,  # not called here: named so that bench/spans.py can wrap it
 )
-from .quantum import MeasurementBasis
 from .streams import SEED_BYTES, STREAM_BLOCK, STREAM_LAYOUT
 
 EXIT_KEY_PRODUCED = 0
 EXIT_USAGE = 1
 EXIT_ABORTED = 2
 
-# Each line written or replayed reads Enum members by ``is`` or ``_value_``:
-# hashing a member or reading ``.value`` is a Python-level call.
-_HADAMARD = MeasurementBasis.HADAMARD
-_CHALLENGE_B = ChallengeType.B
-_SIFTED = RoundType.SIFTED
-_TEST, _GENERATE = TestTag.TEST, TestTag.GENERATE
-_NA = WinFlag.NA
-_BASIS_CODE = ("C", "H")  # indexed by basis is _HADAMARD
-_BASIS_FROM = {"C": MeasurementBasis.COMPUTATIONAL, "H": _HADAMARD}
-_CHALLENGE_FROM = {ct.value: ct for ct in ChallengeType}
-_WIN_FROM = {win.value: win for win in WinFlag}
 _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
-
 
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 4
 
-# Side <s>'s fields: commitment, preimage (challenge a), phase string, question,
-# answer and herald bit (challenge b), and the mark of a malformed message.
-_SIDE_FIELDS = {
-    s: (f"c_{s}", f"z_{s}", f"d_{s}", question, s, f"h_{s}", f"viol_{s}")
-    for s, question in (("a", "x"), ("b", "y"))
-}
+# A basis, a challenge and a win as a line writes them, each indexed by its code in a
+# Block: a Hadamard bit, a challenge-b bit and an index of FLAGS.
+_BASES, _CHALLENGES, _WINS = ("C", "H"), ("a", "b"), tuple(flag.value for flag in FLAGS)
+_NA, _FAIL = FLAGS.index(WinFlag.NA), FLAGS.index(WinFlag.FAIL)
+# The round type of each coin code h_a + 2 h_b + 4 b_a + 8 b_b of the Hadamard bits h
+# and challenge-b bits b; and a round line up to its win, a format string taking the
+# round's index, for each code: the coin code + 16 generate + 32 flag.
+_ROUND_TYPES = tuple(
+    classify_round(*(ChallengeType(_CHALLENGES[code >> k & 1]) for k in (2, 3)),
+                   *(QUESTION_BASES[code >> k & 1] for k in (0, 1))).value
+    for code in range(16)
+)
+_HEADS = tuple(
+    '{"record": "round", "i": %d'
+    f', "theta_a": "{_BASES[code & 1]}", "theta_b": "{_BASES[code >> 1 & 1]}"'
+    f', "ct_a": "{_CHALLENGES[code >> 2 & 1]}", "ct_b": "{_CHALLENGES[code >> 3 & 1]}"'
+    f', "rt": "{_ROUND_TYPES[code & 15]}", "tag": "{("test", "generate")[code >> 4 & 1]}"'
+    f', "win": "{_WINS[code >> 5]}"'
+    for code in range(32 * len(_WINS))
+)
+_KEYS_LINE = '{"record": "keys", "i": %d, "seed": "%s"}'
 
 
 class ReplayError(ValueError):
@@ -115,52 +117,55 @@ def _bits_hex(bits: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_side_fields(line: dict, side: SideRecord, suffix: str) -> None:
-    c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
-    key = side.key
-    line[c_name] = to_hex(side.c, key.codomain_bits)
-    if side.ct is not _CHALLENGE_B:
-        if side.z is not None:
-            line[z_name] = to_hex(side.z, 1 + key.domain_bits)
-    else:
-        if side.d is not None:
-            line[d_name] = to_hex(side.d, key.domain_bits)
-        line[question_name] = _BASIS_CODE[side.question is _HADAMARD]
-        if side.answer is not None:
-            line[answer_name] = side.answer
-            line[h_name] = side.h
-    if side.violation:
-        line[viol_name] = True
+@cache
+def _side_fields(widths: tuple[int, int], side: int, challenge_b: int, responded: int,
+                 question: int, answer: int, h: int, violation: int) -> str:
+    """Side ``side``'s fields of a test round line (0 Alice's, 1 Bob's) for keys of
+    ``widths`` (``etcf.key_widths``), a format string taking its commitment and response
+    as ints: the response, and the answer with h, are written only if they were sent as
+    bit strings of their widths (``Block.messages``)."""
+    domain_bits, codomain_bits = widths
+    s = "ab"[side]
+    text = f', "c_{s}": "%0{(codomain_bits + 3) // 4}x"'
+    nibbles = (domain_bits + (not challenge_b) + 3) // 4  # z is 1 + domain_bits wide
+    text += f', "{"zd"[challenge_b]}_{s}": "%0{nibbles}x"' if responded else "%.0s"
+    if challenge_b:
+        text += f', "{"xy"[side]}": "{_BASES[question]}"'
+        if answer >= 0:
+            text += f', "{s}": {answer}, "h_{s}": {h}'
+    return text + (f', "viol_{s}": true' if violation else "")
 
 
-def _round_line(record: RoundRecord) -> dict:
-    alice, bob = record.alice, record.bob
-    line = {
-        "record": "round",
-        "i": record.index,
-        "theta_a": _BASIS_CODE[alice.theta is _HADAMARD],
-        "theta_b": _BASIS_CODE[bob.theta is _HADAMARD],
-        "ct_a": alice.ct._value_,
-        "ct_b": bob.ct._value_,
-        "rt": record.round_type._value_,
-        "tag": record.test_tag._value_,
-        "win": record.win._value_,
-    }
-    if record.round_type is _SIFTED:
-        return line
-    if record.test_tag is _TEST:
-        _add_side_fields(line, alice, "a")
-        _add_side_fields(line, bob, "b")
-    else:
-        # Generation round: question bases are published for key matching,
-        # everything else stays private and is discarded.
-        line["x"] = _BASIS_CODE[alice.question is _HADAMARD]
-        line["y"] = _BASIS_CODE[bob.question is _HADAMARD]
-    return line
-
-
-def _keys_line(index: int, seed: bytes) -> dict:
-    return {"record": "keys", "i": index, "seed": seed.hex()}
+def _round_lines(block: Block, indices) -> list[str]:
+    """The line of each round of ``block``, numbered by ``indices``, its win read from
+    ``block.flags``: the one statement of a round line.  A test round's line adds each
+    side's fields, a generation round's its question bases, a sifted round's nothing."""
+    had, challenge_b, question_h = block.hadamard, block.challenge_b, block.question_h
+    codes = (
+        had[:, 0] + 2 * had[:, 1] + 4 * challenge_b[:, 0] + 8 * challenge_b[:, 1]
+        + 16 * block.generate + 32 * block.flags.astype(np.intp)
+    )
+    tails = ["}"] * len(codes)
+    for i, (x, y) in zip(np.flatnonzero(block.generate).tolist(),
+                         question_h[block.generate].tolist()):
+        tails[i] = f', "x": "{_BASES[x]}", "y": "{_BASES[y]}"}}'
+    tested = np.flatnonzero(block.tested)
+    if tested.size:
+        c, resp, answer, h, violation = (message[tested] for message in block.messages)
+        widths = key_widths(block.keys.params)
+        shapes = np.stack(
+            [challenge_b[tested], resp >= 0, question_h[tested], answer, h, violation], axis=2
+        ).astype(np.intp).tolist()
+        for i, (alice, bob), (c_a, c_b), (r_a, r_b) in zip(
+            tested.tolist(), shapes, c.tolist(), resp.tolist()
+        ):
+            tails[i] = (
+                _side_fields(widths, 0, *alice) % (c_a, r_a)
+                + _side_fields(widths, 1, *bob) % (c_b, r_b) + "}"
+            )
+    return [
+        _HEADS[code] % index + tail for index, code, tail in zip(indices, codes.tolist(), tails)
+    ]
 
 
 def _write_line(fh: TextIO, entry: dict) -> None:
@@ -191,17 +196,19 @@ def _transcript_footer(tested: int, failed: int, fail_fraction: float, aborted: 
 _STORE_HEADER = {"record": "keys-header", "version": STREAM_LAYOUT, "format": STORE_FORMAT}
 
 
-def write_transcript(fh: TextIO, records: list[RoundRecord]) -> None:
-    """Append the round lines of one block's decided ``records`` to an open transcript."""
-    for record in records:
-        _write_line(fh, _round_line(record))
+def write_transcript(fh: TextIO, block: Block) -> None:
+    """Append the round lines of one decided block to an open transcript."""
+    lines = _round_lines(block, range(block.start, block.start + len(block.tested)))
+    fh.write("".join(f"{line}\n" for line in lines))
 
 
-def write_trapdoor_store(fh: TextIO, records: list[RoundRecord]) -> None:
-    """Append the ``keys`` lines of the test rounds among ``records`` to an open store."""
-    for record in records:
-        if record.round_type is not _SIFTED and record.test_tag is _TEST:
-            _write_line(fh, _keys_line(record.index, record.seed))
+def write_trapdoor_store(fh: TextIO, block: Block) -> None:
+    """Append the ``keys`` lines of one decided block's test rounds to an open store."""
+    seeds, digits = block.seeds.hex(), 2 * SEED_BYTES
+    fh.write("".join(
+        _KEYS_LINE % (block.start + i, seeds[digits * i:digits * (i + 1)]) + "\n"
+        for i in np.flatnonzero(block.tested).tolist()
+    ))
 
 
 def _etcf_header(params: EtcfParams) -> dict:
@@ -235,16 +242,11 @@ def bell_test_qber(session: SessionResult) -> float:
     return session.qber_failed / session.qber_tested if session.qber_tested else 0.0
 
 
-def _discard(block: Block) -> None:
-    """The block consumer of a run that writes no transcript: it builds no record."""
-
-
 def _write_block(transcript: TextIO, store: TextIO, block: Block) -> None:
-    """The block consumer of a run with files: the block's records, built for their round
-    lines, then the test rounds' keys."""
-    records = block.records()
-    write_transcript(transcript, records)
-    write_trapdoor_store(store, records)
+    """The block consumer of a run with files: the block's round lines, then its test
+    rounds' keys, each written from the block's arrays."""
+    write_transcript(transcript, block)
+    write_trapdoor_store(store, block)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
@@ -253,11 +255,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     Every output file is opened before any round runs, so an unwritable
     path raises OSError at once.  The transcript and the trapdoor store get
     their headers first and each block's lines once the block is decided,
-    so the session holds one block of records at a time, and a run without
-    them builds no record at all; the transcript's footer follows the
-    session, and the summary the post-processing.  A
-    run cut short leaves a transcript without its footer, which replay
-    reports as truncated.
+    so the session holds one block at a time and builds no record; the
+    transcript's footer follows the session, and the summary the
+    post-processing.  A run cut short leaves a transcript without its
+    footer, which replay reports as truncated.
     """
     config.validate()
     device = make_device(config.device)
@@ -268,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             files.enter_context(open(config.summary, "w", encoding="utf-8"))
             if config.summary else None
         )
-        on_block = _discard  # with no files to write, no block is kept either
+        on_block = lambda block: None  # with no files to write, no block is kept either
         if config.transcript:
             transcript = files.enter_context(open(config.transcript, "w", encoding="utf-8"))
             store = files.enter_context(
@@ -384,82 +385,158 @@ class ReplayReport:
     verdict: str  # "match" or "mismatch"
     rounds_checked: int
     mismatches: list[str]
+    fail_reasons: dict[str, int] = field(default_factory=dict)  # recomputed failures by REASONS
 
     @property
     def match(self) -> bool:
         return self.verdict == "match"
 
 
-def _same(value, written) -> bool:
-    """True iff ``value`` is the JSON ``written``: ``==`` alone takes 1, 1.0 and true as one."""
-    return json.dumps(value) == json.dumps(written)
+def _same(value, written, sort_keys: bool = False) -> bool:
+    """True iff ``value`` is the JSON ``written``, an object's keys in any order if
+    ``sort_keys``: ``==`` alone takes 1, 1.0 and true as one."""
+    return json.dumps(value, sort_keys=sort_keys) == json.dumps(written, sort_keys=sort_keys)
 
 
-def _side_from_line(line: dict, suffix: str, theta, ct, key: EtcfKeyPair | None) -> SideRecord:
-    """One side of a round line, its basis and challenge read.  Given a test round's
-    key, its commitment and responses go through ``ingest_side``, so one that is
-    missing or malformed is a violation, which the writer marks ``viol_<s>: true``.
-    """
-    c_name, z_name, d_name, question_name, answer_name, h_name, viol_name = _SIDE_FIELDS[suffix]
-    question = line.get(question_name)
-    question = None if question is None else _BASIS_FROM[question]
-    if key is None:
-        return SideRecord(theta, None, 0, ct, question=question)
-    response = line.get(d_name if ct is _CHALLENGE_B else z_name)
-    side = ingest_side(
-        theta, key, _hex(line.get(c_name)), ct, _hex(response), question,
-        line.get(answer_name), line.get(h_name),
-    )
-    marked = line.get(viol_name, False)
-    if type(marked) is not bool:  # == would take 1 or 1.0 for the true the writer writes
-        raise TypeError(f"{viol_name} is written only as true")
-    side.violation |= marked
-    return side
+def _text(raw: bytes) -> str | None:
+    """A line's text, stripped; None if it is not UTF-8."""
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return None
 
 
-def _hex(text: str | None) -> int | None:
-    return None if text is None else int(text, 16)
-
-
-def _records(path: str):
-    """(line number, JSON object or None if the line is not one) of each non-blank line.
-
-    Lines are decoded one by one, so bytes that are not UTF-8 make only
-    their own line unreadable.
-    """
+def _lines(path: str):
+    """(number, bytes) of each line of the file at ``path``, read as they are taken."""
     with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                text = raw.decode("utf-8").strip()
-                if not text:
-                    continue
-                entry = json.loads(text)
-            except ValueError:  # UnicodeDecodeError or JSONDecodeError
-                entry = None
-            yield number, entry if isinstance(entry, dict) else None
+        yield from enumerate(fh, start=1)
+
+
+def _texts(chunk: list) -> tuple[list[int], list[str | None]]:
+    """The numbers and ``_text`` of the non-blank lines among ``chunk``'s (number, bytes)."""
+    numbered = [(number, text) for number, raw in chunk if (text := _text(raw)) != ""]
+    return [number for number, _ in numbered], [text for _, text in numbered]
+
+
+def _object(text: str | None) -> dict | None:
+    """The JSON object ``text`` holds alone, or None if it holds none."""
+    try:
+        value = json.loads(text)
+    except (TypeError, ValueError):  # no text, or not JSON
+        return None
+    return value if type(value) is dict else None
+
+
+def _first(lines) -> dict | None:
+    """The JSON object the first non-blank of ``lines``, (number, bytes) pairs, holds."""
+    for _, raw in lines:
+        if (text := _text(raw)) != "":
+            return _object(text)
+    return None
+
+
+def _blocks(lines, read):
+    """(numbers, texts, values, result) of each block of up to STREAM_BLOCK non-blank
+    ``lines``, (number, bytes) pairs; ``read(texts, values)`` returns (result, verbatim),
+    verbatim if each line is the writer's text for the values read.  Values decoded by
+    one ``json.loads`` of a block are kept only if verbatim, as lines that are not JSON
+    alone may be JSON together; else each line is decoded alone."""
+    while chunk := list(itertools.islice(lines, STREAM_BLOCK)):
+        numbers, texts = _texts(chunk)
+        try:
+            values = json.loads("[" + ",".join(texts) + "]")  # TypeError if a line is not UTF-8
+        except (TypeError, ValueError):
+            values = []
+        result, verbatim = read(texts, values) if len(values) == len(texts) else (None, False)
+        if not verbatim:
+            values = [_object(text) for text in texts]
+            result = read(texts, values)[0]
+        yield numbers, texts, values, result
+
+
+def _read_keys(texts: list[str], values: list) -> tuple[list, bool]:
+    """Each store line's (index, seed), None unless it is the writer's ``keys`` line for
+    an index and a 16-byte seed; and whether each is the writer's text."""
+    entries, verbatim = [], True
+    for text, value in zip(texts, values):
+        try:
+            index, seed = exact_int(value["i"], "i"), bytes.fromhex(value["seed"])
+            written = _KEYS_LINE % (index, seed.hex())
+        except _MALFORMED:
+            written = None
+        verbatim &= text == written
+        same = written is not None and (text == written or _same(value, json.loads(written), True))
+        entries.append((index, seed) if same and len(seed) == SEED_BYTES else None)
+    return entries, verbatim
 
 
 def _store_entries(path: str):
-    """(round index, line number, round seed) of each store entry, in file order.
-
-    The first record must be the header the writer writes and every later
-    one the ``keys`` entry ``_keys_line`` writes for an index and a
-    16-byte seed; raises ReplayError otherwise.
-    """
-    records = _records(path)
-    _, header = next(records, (0, None))
+    """(round index, line number, round seed) of each store entry, in file order; raises
+    ReplayError unless the store is the header and ``keys`` lines the writer writes."""
+    lines = _lines(path)
+    header = _first(lines)
     if header is None or not _same(header, _STORE_HEADER):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
-    for number, entry in records:
+    for numbers, _, _, entries in _blocks(lines, _read_keys):
+        for number, entry in zip(numbers, entries):
+            if entry is None:
+                raise ReplayError(f"trapdoor store corrupt at line {number}")
+            yield entry[0], number, entry[1]
+
+
+def _hex_ints(texts: list) -> np.ndarray:
+    """``int(text, 16)`` of each of ``texts``, or -1 where that fails or is no int64."""
+    try:
+        return np.array([-1 if text is None else int(text, 16) for text in texts], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return np.array([_hex_ints([t])[0] if len(texts) > 1 else -1 for t in texts], np.int64)
+
+
+def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bool]:
+    """A block of transcript lines, read: ((heads, block, written), verbatim).  Each line's
+    head is (index, coin code), None unless it holds an index, bases and challenges;
+    ``block`` holds the values each line states, its flags the wins read; ``written`` is
+    each line as the writer writes them.  A field that does not read is read as one the
+    writer writes otherwise, so that only the writer's own line reads back to itself."""
+    heads = []
+    for value in values:
         try:
-            index = exact_int(entry["i"], "i")
-            seed = bytes.fromhex(entry["seed"])
-            # The index is an int and the seed a string, so != compares as _same does.
-            if len(seed) != SEED_BYTES or entry != _keys_line(index, seed):
-                raise ValueError("the entry is not written as the writer writes its seed")
-        except _MALFORMED as exc:
-            raise ReplayError(f"trapdoor store corrupt at line {number}") from exc
-        yield index, number, seed
+            heads.append((exact_int(value["i"], "i"), (
+                _BASES.index(value["theta_a"]) + 2 * _BASES.index(value["theta_b"])
+                + 4 * _CHALLENGES.index(value["ct_a"]) + 8 * _CHALLENGES.index(value["ct_b"])
+            )))
+        except _MALFORMED:
+            heads.append(None)
+    entries = [value if head else {} for value, head in zip(values, heads)]
+    coins = np.array([head[1] if head else 0 for head in heads], dtype=np.intp)[:, None]
+    coins = coins >> np.arange(4) & 1
+    challenge_b = coins[:, 2:].astype(bool)
+    replies = [_hex_ints([entry.get(name) for entry in entries]) for name in ("c_a", "c_b")]
+    replies += [  # z_<s> read after challenge a, d_<s> after b
+        _hex_ints([entry.get(names[b]) for entry, b in zip(entries, challenge_b[:, s].tolist())])
+        for s, names in enumerate((("z_a", "d_a"), ("z_b", "d_b")))
+    ]
+    replies += [
+        np.array([bit if type(bit) is int and 0 <= bit <= 1 else -1 for bit in bits], np.int64)
+        for bits in ([entry.get(name) for entry in entries] for name in ("a", "h_a", "b", "h_b"))
+    ]
+    question_h = np.array(
+        [[e.get("x") == "H", e.get("y") == "H"] for e in entries], dtype=bool
+    ).reshape(-1, 2)
+    marked = np.array(
+        [[e.get("viol_a") is True, e.get("viol_b") is True] for e in entries], dtype=bool
+    ).reshape(-1, 2)
+    block = Block(
+        0, b"", coins[:, :2].astype(bool), challenge_b, question_h,
+        np.array([entry.get("tag") == "generate" for entry in entries], dtype=bool),
+        DrawnKeys(etcf, [], ()), tuple(replies),
+    )
+    violation = block.messages[-1]
+    violation |= marked  # a side its line marks viol_<s>: true is in violation
+    wins = [_WINS.index(win) if win in _WINS else _NA for win in (e.get("win") for e in entries)]
+    block.flags = np.where(block.tested, wins, _NA).astype(np.int8)
+    written = _round_lines(block, [head[0] if head else 0 for head in heads])
+    return (heads, block, written), written == texts
 
 
 class _StoreCursor:
@@ -501,69 +578,61 @@ _FOOTER_LABELS = {
 }
 
 
-def _settle(queue: list, etcf: EtcfParams, mismatches: list[str]) -> tuple[int, int]:
-    """Check the round lines waiting in ``queue``, drawing the test rounds' keys in
-    one batch, and move the queue's mismatches, in line order, to ``mismatches``.
-
-    A waiting line is the tuple (line number, entry, index, bases, challenges,
-    round type, tag, seed), its seed None unless it is a test round.  Returns
-    the number of test rounds checked and of those that failed.
+def _settle(queue: list, read: tuple, etcf: EtcfParams, mismatches: list[str],
+            fail_reasons: dict[str, int]) -> None:
+    """Check the round lines waiting in ``queue``, each (number, text, entry, row, seed),
+    its row one of the block ``read`` by ``_read_rounds`` and its seed None unless it is a
+    test round's; score the test rounds by ``verdicts`` on their keys, drawn at once,
+    counting the failures by reason in ``fail_reasons``; and move the queue's mismatches,
+    in line order, to ``mismatches``.  A line is corrupt unless it is the writer's line
+    for its row, as text or else as a JSON object.
     """
-    tests = [item for item in queue if type(item) is tuple and item[-1] is not None]
-    kinds = [KEY_KINDS[theta is _HADAMARD] for item in tests for theta in item[3]]
-    keys = iter(draw_keys(kinds, etcf, b"".join(item[-1] for item in tests)))
-    failed = 0
+    heads, block, written = read
+    scored = [item for item in queue if type(item) is tuple and item[-1] is not None]
+    verdict_of = iter(())
+    if scored:
+        at = np.array([item[3] for item in scored], dtype=np.intp)
+        kinds = [KEY_KINDS[h] for h in block.hadamard[at].ravel().tolist()]
+        keys = draw_keys(kinds, etcf, b"".join(item[-1] for item in scored))
+        kernel = Block(0, b"", block.hadamard[at], block.challenge_b[at], block.question_h[at],
+                       block.generate[at], keys, ())
+        kernel.messages = tuple(message[at] for message in block.messages)  # read, marks too
+        verdict_of = zip(*(column.tolist() for column in verdicts(kernel)))
     for item in queue:
         if type(item) is tuple:
-            number, entry, index, thetas, cts, round_type, tag, seed = item
-            scored = seed is not None
-            sides = (next(keys), next(keys)) if scored else (None, None)
+            number, text, entry, row, seed = item
+            flag, reason = next(verdict_of) if seed is not None else (_NA, -1)
             item = None
-            try:
-                record = RoundRecord(  # a test round's win is read as written, for the check below
-                    index,
-                    _side_from_line(entry, "a", thetas[0], cts[0], sides[0]),
-                    _side_from_line(entry, "b", thetas[1], cts[1], sides[1]),
-                    round_type,
-                    _TEST if tag == "test" else _GENERATE,
-                    _WIN_FROM[entry["win"]] if scored else _NA,
-                )
-                # Each value the writer copies keeps its JSON type when read (the
-                # index, the bits ingest_side takes and the viol_<s> mark), and every
-                # other one is a string, so == compares as _same does.
-                if entry != _round_line(record):
-                    raise ValueError("the line is not written as the writer writes its round")
-                verdict = win_condition(record) if scored else record.win
-            except _MALFORMED:
+            if text != written[row] and not _same(entry, json.loads(written[row]), True):
                 item = f"line {number}: corrupt record"
             else:
-                failed += verdict is WinFlag.FAIL
-                if verdict is not record.win:
-                    item = f"line {number}: round {index} verdict should be {verdict.value}"
+                if flag == _FAIL:
+                    fail_reasons[REASONS[reason]] += 1
+                if flag != block.flags[row]:
+                    item = f"line {number}: round {heads[row][0]} verdict should be {_WINS[flag]}"
         if item is not None:
             mismatches.append(item)
     queue.clear()
-    return len(tests), failed
 
 
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, and the test rounds' keys are
-    drawn for a block of them at once.  A round line the writer would not
-    write for the values read from it yields a mismatch naming the line,
-    and so does a round index that is not the next of ``0..rounds-1`` (a
-    duplicate, a gap or one out of range), a test round whose store entry
-    is missing or out of order, a store entry no test round takes, and any
-    line after the footer; rounds missing at the end, and any footer but
-    the one written from the recomputed counts, are footer mismatches.  A
-    missing footer (a truncated transcript) raises ReplayError naming the
-    last good line; so do a header the writer would not write, a store
-    without its header and a corrupt trapdoor-store entry.  The ETCF family
-    and its sizes are read once, from the transcript header.
+    Both files are read once, in round order, a block of lines at a time, and
+    each block's test rounds are scored by ``protocol.verdicts``.  A round line
+    the writer would not write for the values read from it yields a mismatch
+    naming the line, and so does a round index that is not the next of
+    ``0..rounds-1``, a test round whose store entry is missing or out of
+    order, a store entry no test round takes, and any line after the footer;
+    rounds missing at the end, and any footer but the one written from the
+    recomputed counts, are footer mismatches.  A missing footer (a truncated
+    transcript) raises ReplayError naming the last good line; so do a header
+    the writer would not write, a store without its header and a corrupt
+    trapdoor-store entry.  The ETCF family and its sizes are read once, from
+    the transcript header.
     """
-    lines = _records(transcript_path)
-    _, header = next(lines, (0, None))
+    lines = _lines(transcript_path)
+    header = _first(lines)
     try:
         etcf = EtcfParams(**header["etcf"])
         params = ProtocolParams(exact_int(header["rounds"], "rounds"), header["epsilon"], etcf)
@@ -580,68 +649,66 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     mismatches: list[str] = []
     queue: list = []  # mismatches and round lines waiting for _settle, in line order
     store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, queue)
-    tested = failed = 0
+    tested = 0
+    fail_reasons = dict.fromkeys(REASONS, 0)
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
-    for number, entry in lines:
-        if footer is not None:  # the footer is the last line
-            what = "corrupt record" if entry is None else "record after the footer"
-            queue.append(f"line {number}: {what}")
-            continue
-        if entry is None:
-            queue.append(f"line {number}: corrupt record")
-            next_index += 1
-            continue
-        kind = entry.get("record")
-        if kind not in ("round", "footer"):
-            queue.append(f"line {number}: unexpected record type {kind!r}")
-            continue
-        last_good = number
-        if kind == "footer":
-            footer = entry
-            continue
-        try:
-            index = exact_int(entry["i"], "i")
-            cts = _CHALLENGE_FROM[entry["ct_a"]], _CHALLENGE_FROM[entry["ct_b"]]
-            thetas = _BASIS_FROM[entry["theta_a"]], _BASIS_FROM[entry["theta_b"]]
-            recomputed_rt = classify_round(*cts, *thetas)
-        except _MALFORMED:
-            queue.append(f"line {number}: corrupt record")
-            next_index += 1
-            continue
-        store.reach(index, next_index)
-        if not 0 <= index < rounds:
-            queue.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
-        elif index != next_index:
-            queue.append(f"line {number}: round index {index} should be {next_index}")
-        next_index = index + 1
-        if recomputed_rt._value_ != entry.get("rt"):
-            queue.append(f"line {number}: round {index} type should be {recomputed_rt.value}")
-            continue
-        tag = entry.get("tag")
-        if tag != "test" and (tag != "generate" or recomputed_rt is not RoundType.BELL):
-            # Only Bell rounds are ever drawn for key generation.
-            queue.append(f"line {number}: round {index} tag should be test")
-            continue
-        seed = None  # only a test round has key material
-        if recomputed_rt is not _SIFTED and tag == "test":
-            seed = store.take(index)
-            if seed is None:
-                queue.append(f"line {number}: round {index} has no key material in the store")
+    for numbers, texts, entries, read in _blocks(lines, partial(_read_rounds, etcf)):
+        for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, read[0])):
+            if footer is not None:  # the footer is the last line
+                what = "corrupt record" if entry is None else "record after the footer"
+                queue.append(f"line {number}: {what}")
                 continue
-        queue.append((number, entry, index, thetas, cts, recomputed_rt, tag, seed))
-        if len(queue) >= STREAM_BLOCK:  # a block's keys at most, as the session holds
-            checked, failing = _settle(queue, etcf, mismatches)
-            tested, failed = tested + checked, failed + failing
+            if entry is None:
+                queue.append(f"line {number}: corrupt record")
+                next_index += 1
+                continue
+            kind = entry.get("record")
+            if kind not in ("round", "footer"):
+                queue.append(f"line {number}: unexpected record type {kind!r}")
+                continue
+            last_good = number
+            if kind == "footer":
+                footer = entry
+                continue
+            if head is None:  # its index, bases or challenges do not read
+                queue.append(f"line {number}: corrupt record")
+                next_index += 1
+                continue
+            index, code = head
+            store.reach(index, next_index)
+            if not 0 <= index < rounds:
+                queue.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
+            elif index != next_index:
+                queue.append(f"line {number}: round index {index} should be {next_index}")
+            next_index = index + 1
+            round_type = _ROUND_TYPES[code]
+            if round_type != entry.get("rt"):
+                queue.append(f"line {number}: round {index} type should be {round_type}")
+                continue
+            tag = entry.get("tag")
+            if tag != "test" and (tag != "generate" or round_type != "bell"):
+                # Only Bell rounds are ever drawn for key generation.
+                queue.append(f"line {number}: round {index} tag should be test")
+                continue
+            seed = None  # only a test round has key material
+            if round_type != "sifted" and tag == "test":
+                seed = store.take(index)
+                if seed is None:
+                    queue.append(f"line {number}: round {index} has no key material in the store")
+                    continue
+                tested += 1
+            queue.append((number, text, entry, row, seed))
+        _settle(queue, read, etcf, mismatches, fail_reasons)
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
     store.reach(math.inf, next_index)  # the entries after the last test round
-    checked, failing = _settle(queue, etcf, mismatches)
-    tested, failed = tested + checked, failed + failing
+    mismatches += queue
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
+    failed = sum(fail_reasons.values())
     written = _transcript_footer(tested, failed, *abort_decision(tested, failed, params.epsilon))
     if not _same(footer, written):
         mismatches += [
@@ -654,4 +721,5 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
         verdict="match" if not mismatches else "mismatch",
         rounds_checked=tested,
         mismatches=mismatches,
+        fail_reasons=fail_reasons,
     )

@@ -19,16 +19,14 @@ The kernel range-checks each reply array as an array (``bits.fits_each``),
 inverts a block's keys many at once (``etcf.DrawnKeys``) and reads the
 product-round check from one table of ``_support_of``, built at first use.
 ``_verdict`` (and ``win_condition``, its flag) states the same checks for
-one ``RoundRecord``: the oracle the kernel is tested against, and the
-check replay makes.
+one ``RoundRecord``: the oracle the kernel is tested against.
 
 Records are built only on request.  Once a block is decided it goes to
 the session's block consumer: ``run_session`` builds its records and
 collects them in ``SessionResult.records`` unless the caller passes
-``on_block``; ``harness.run_experiment`` passes one that builds them to
-write a block's transcript and store lines, or, with no files, one that
-builds none.  Such a session holds one block at a time, so its memory
-does not grow with the number of rounds beyond the raw-key bits.
+``on_block``, as ``harness.run_experiment`` does, which writes a block's
+lines from its arrays.  Such a session holds one block at a time, so its
+memory does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
@@ -73,6 +71,7 @@ from .etcf import (
     check_preimage,
     draw_keys,
     invert,
+    key_widths,
     keygen,  # not called here: named so that bench/spans.py can wrap it
 )
 from .quantum import (
@@ -257,23 +256,24 @@ class Block:
 
     @cached_property
     def messages(self) -> tuple[np.ndarray, ...]:
-        """(c, response, answer, h, violation), each (n, 2): each message as an integer,
-        0 where it is not a bit string of its width, and each side's violation, as
-        ``ingest_side`` notes it."""
-        key = self.keys[0]
+        """(c, response, answer, h, violation), each (n, 2): each message as an integer, as
+        ``ingest_side`` keeps it, and each side's violation, as it notes it.  A message
+        that is not a bit string of its width is 0 if it is the commitment and -1 if not
+        (``ingest_side``'s None); the answer and h are -1 unless both are bits."""
+        domain_bits, codomain_bits = key_widths(self.keys.params)
         c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = self.replies
         pairs = []
         for alice, bob, width in (
-            (c_a, c_b, key.codomain_bits), (resp_a, resp_b, 1 + key.domain_bits),
-            (a, b, 1), (h_a, h_b, 1),
+            (c_a, c_b, codomain_bits), (resp_a, resp_b, 1 + domain_bits), (a, b, 1), (h_a, h_b, 1),
         ):
             (ok_a, ints_a), (ok_b, ints_b) = fits_each(alice, width), fits_each(bob, width)
             pairs.append((np.stack([ok_a, ok_b], axis=1), np.stack([ints_a, ints_b], axis=1)))
         (c_ok, c), (resp_ok, resp), (a_ok, answer), (h_ok, h) = pairs
-        challenge_b = self.challenge_b
-        resp_ok &= ~challenge_b | (resp >> key.domain_bits == 0)  # d is domain_bits wide
-        violation = ~c_ok | ~resp_ok | (challenge_b & ~(a_ok & h_ok))
-        return c, resp, answer.astype(np.int8), h.astype(np.int8), violation
+        challenge_b, answered = self.challenge_b, a_ok & h_ok
+        resp_ok &= ~challenge_b | (resp >> domain_bits == 0)  # d is domain_bits wide
+        violation = ~c_ok | ~resp_ok | (challenge_b & ~answered)
+        answer, h = (np.where(answered, bits, -1).astype(np.int8) for bits in (answer, h))
+        return c, np.where(resp_ok, resp, -1), answer, h, violation
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -418,7 +418,6 @@ def ingest_side(theta, key, c, ct, response, question, answer, h) -> SideRecord:
     Each message is read by ``bits.fits``: one that is missing, of the wrong
     width or not an integer (a ``bool`` is never a bit string) is noted on
     the side as a violation and later scored as a failure; it never raises.
-    Replay reads a round line's side through this too.
     """
     side = SideRecord(theta, key, 0, ct, question=question)
     if fits(c, key.codomain_bits):
@@ -515,7 +514,7 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
 def win_condition(record: RoundRecord) -> WinFlag:
     """Evaluate the round checks, inverting with the sides' keys; never raises on device data.
 
-    The scalar oracle of ``verdicts``, which replay uses: the flag of ``_verdict``.
+    The scalar oracle of ``verdicts``: the flag of ``_verdict``.
     """
     return _verdict(record)[0]
 

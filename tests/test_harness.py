@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdiqkd import harness
+from cdiqkd import harness, protocol
 from cdiqkd.cli import main
 from cdiqkd.config import FIELD_TYPES, ConfigError, ExperimentConfig, read_config_file
 from cdiqkd.devices import make_device
@@ -1288,6 +1288,106 @@ def test_stream_layout_v6_is_pinned(tmp_path, monkeypatch, name):
         for path in ("t.jsonl", "t.jsonl.keys", "s.json")
     )
     assert digests == expected
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V6))
+def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
+    # The block writer writes every line from the decided block's arrays: a run with
+    # files builds no record and reads no device message again, yet writes the pins.
+    def refused(*args, **kwargs):
+        raise AssertionError("a record was built to write the files")
+
+    monkeypatch.setattr(protocol.Block, "records", refused)
+    monkeypatch.setattr(protocol, "ingest_side", refused)
+    data, expected = STREAM_LAYOUT_V6[name]
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(
+        {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
+    ))
+    digests = tuple(
+        hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        for path in ("t.jsonl", "t.jsonl.keys", "s.json")
+    )
+    assert digests == expected
+
+
+class TestBlockDecoding:
+    """Replay decodes a block of lines at once and falls back to one line at a time."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("blocks")
+        run_experiment(config(tmp_path, rounds=600, seed=41))
+        transcript, store = tmp_path / "transcript.jsonl", tmp_path / "transcript.jsonl.keys"
+        return transcript.read_bytes().splitlines(keepends=True), store.read_bytes()
+
+    def replay(self, tmp_path, lines, store):
+        (tmp_path / "t.jsonl").write_bytes(b"".join(lines))
+        (tmp_path / "t.jsonl.keys").write_bytes(store)
+        return replay_verify(str(tmp_path / "t.jsonl"), str(tmp_path / "t.jsonl.keys"))
+
+    def test_damaged_lines_spoil_only_themselves(self, tmp_path, files):
+        # Line 1 is the header, so lines 258..513 are the second block of 256 lines.
+        lines, store = files
+        sifted = [n for n in range(350, 420) if b'"rt": "sifted"' in lines[n - 1]]
+        first, second = sifted[0], sifted[1]
+        lines = list(lines)
+        lines[first - 1] = lines[first - 1][:20] + b"\xff\xfe" + lines[first - 1][20:]
+        lines[second - 1] = lines[second - 1].replace(b"}", b"#")
+        report = self.replay(tmp_path, lines, store)
+        assert report.mismatches == [
+            f"line {first}: corrupt record", f"line {second}: corrupt record"
+        ]
+
+    def test_lines_that_are_json_only_together_are_each_corrupt(self, tmp_path, files):
+        # Split across two lines, an array makes them one JSON text when a block is
+        # decoded at once, but neither is JSON alone: both are corrupt, as each line is
+        # decoded alone unless every line of its block is the writer's text.
+        lines, store = files
+        sifted = [b'"rt": "sifted"' in line for line in lines]
+        first = next(n for n in range(350, 420) if sifted[n - 1] and sifted[n])
+        lines = list(lines)
+        lines[first - 1] = lines[first - 1].rstrip()[:-1] + b', "note": [1\n'
+        lines[first] = b"2]}, " + lines[first]
+        report = self.replay(tmp_path, lines, store)
+        assert report.mismatches == [
+            f"line {first}: corrupt record", f"line {first + 1}: corrupt record"
+        ]
+
+    @pytest.mark.parametrize("respell", [
+        lambda entry: json.dumps(dict(reversed(entry.items()))),
+        lambda entry: json.dumps(entry, separators=(",", ":")),
+        lambda entry: " " + json.dumps(entry).replace(": ", ":  ") + " ",
+    ], ids=["reordered-keys", "no-spaces", "more-spaces"])
+    def test_a_respelt_line_still_matches(self, tmp_path, files, respell):
+        # The text of a line need not be the writer's, only its JSON object: a block
+        # holding such a line is decoded line by line, and the line kept.
+        lines, store = files
+        test_round = b'"tag": "test", "win": "pass", "c_a"'
+        number = next(n for n in range(380, 420) if test_round in lines[n - 1])
+        lines = list(lines)
+        lines[number - 1] = respell(json.loads(lines[number - 1])).encode() + b"\n"
+        assert self.replay(tmp_path, lines, store).match
+
+
+def test_replay_reports_its_failures_by_reason(tmp_path, capsys):
+    # A classical-random device fails test rounds for several reasons: replay counts the
+    # failures it recomputes by reason, as the session did, and the CLI prints them on
+    # one stderr line, leaving its stdout line as it was.
+    outcome = run_experiment(config(tmp_path, rounds=512, device="classical-random", seed=1))
+    transcript = str(tmp_path / "transcript.jsonl")
+    report = replay_verify(transcript, transcript + ".keys")
+    reasons = outcome.session.fail_reasons
+    assert report.match and report.fail_reasons == reasons
+    assert sum(reasons.values()) == outcome.session.failed_count
+    assert sum(count > 0 for count in reasons.values()) > 1
+    assert main(["--replay", transcript]) == EXIT_KEY_PRODUCED
+    out, err = capsys.readouterr()
+    assert out == f"replay verdict: match ({report.rounds_checked} test rounds checked)\n"
+    assert err == "replay reasons: " + " ".join(f"{k}={v}" for k, v in reasons.items()) + "\n"
+    run_experiment(config(tmp_path, rounds=512, seed=1))  # honest: no failure, no line
+    assert main(["--replay", transcript]) == EXIT_KEY_PRODUCED
+    assert capsys.readouterr().err == ""
 
 
 def _run_fresh(code):

@@ -2,20 +2,23 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from cdiqkd import protocol
+from cdiqkd import harness, protocol
 from cdiqkd.config import ExperimentConfig
 from cdiqkd.devices import (
+    QUESTION_BASES,
     TABLE_KEYS,
+    ChallengeType,
     ClassicalDeterministicDevice,
     ClassicalRandomDevice,
     HonestDevice,
     make_device,
 )
-from cdiqkd.etcf import EtcfParams, KeyKind, image, keygen
+from cdiqkd.etcf import EtcfParams, KeyKind, draw_keys, image, keygen
 from cdiqkd.harness import run_experiment
 from cdiqkd.protocol import (
     FLAGS,
@@ -253,3 +256,72 @@ def test_a_run_without_files_builds_no_record(monkeypatch, name):
     monkeypatch.setattr(protocol, "SideRecord", refused)
     assert _counts(run_experiment(config).session) == expected
     assert sum(expected["fail_reasons"].values()) == expected["failed_count"]
+
+
+def _record_of(line: dict, seed: bytes, etcf: EtcfParams) -> protocol.RoundRecord:
+    """A test round line's record, rebuilt as the scalar path reads one: each side by
+    ``ingest_side`` under the key its store seed draws, marked ``viol_<s>`` if written so."""
+    hadamard = [line[f"theta_{s}"] == "H" for s in "ab"]
+    keys = draw_keys([protocol.KEY_KINDS[h] for h in hadamard], etcf, seed)
+    sides = []
+    for s, question, key, h in zip("ab", "xy", keys, hadamard):
+        challenge = ChallengeType(line[f"ct_{s}"])
+        response = line.get(f"d_{s}" if challenge is ChallengeType.B else f"z_{s}")
+        side = protocol.ingest_side(
+            QUESTION_BASES[h], key, int(line[f"c_{s}"], 16), challenge,
+            None if response is None else int(response, 16),
+            QUESTION_BASES[line[question] == "H"] if question in line else None,
+            line.get(s), line.get(f"h_{s}"),
+        )
+        side.violation |= line.get(f"viol_{s}", False)
+        sides.append(side)
+    round_type = protocol.classify_round(sides[0].ct, sides[1].ct, sides[0].theta, sides[1].theta)
+    return protocol.RoundRecord(line["i"], *sides, round_type, TestTag.TEST)
+
+
+# Table devices sending bit strings of every width, and the malformed messages of
+# test_malformed_device_messages_replay_to_a_match, too wide or not a bit.
+REPLAY_TABLES = [
+    {"c_a": 5, "c_b": 9, "z_a": 3, "d_a": 1, "d_b": 2, "b": 1, "h_b": 1},
+    {"c_a": 2**40, "z_b": 2**40, "d_a": 2**40, "h_b": 2},
+]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_replay_kernel_equals_the_oracle(tmp_path, monkeypatch, family):
+    # Replay scores each block's test rounds with the verdict kernel, on the values it
+    # reads from the lines: each (flag, reason) is _verdict of the line's record.
+    etcf = FAMILIES[family]
+    devices = ["honest", "noisy:0.05:0.05", "classical-random"]
+    for k, table in enumerate(REPLAY_TABLES):
+        (tmp_path / f"table{k}.json").write_text(json.dumps(table))
+        devices.append(f"classical-table:{tmp_path / f'table{k}.json'}")
+    scored = []
+
+    def kernel(block):
+        flags, reasons = protocol.verdicts(block)
+        scored.extend(zip(flags.tolist(), reasons.tolist()))
+        return flags, reasons
+
+    monkeypatch.setattr(harness, "verdicts", kernel)
+    seen = set()
+    for seed, device in enumerate(devices):
+        transcript = tmp_path / f"t{seed}.jsonl"
+        run_experiment(ExperimentConfig.from_dict({
+            "rounds": 600, "device": device, "seed": seed, "epsilon": 0.5, "recon": "none",
+            "etcf": etcf.family, "domain_bits": etcf.domain_bits, "lattice_n": etcf.n,
+            "lattice_m": etcf.m, "lattice_q": etcf.q, "transcript": str(transcript),
+        }))
+        scored.clear()
+        report = harness.replay_verify(str(transcript), f"{transcript}.keys")
+        assert report.match
+        lines = [json.loads(line) for line in transcript.read_text().splitlines()[1:-1]]
+        tests = [line for line in lines if line["tag"] == "test" and line["rt"] != "sifted"]
+        store = transcript.with_name(f"{transcript.name}.keys").read_text().splitlines()[1:]
+        seeds = [bytes.fromhex(json.loads(line)["seed"]) for line in store]
+        assert len(scored) == len(tests) == len(seeds) == report.rounds_checked > 0
+        for line, seed, (flag, reason) in zip(tests, seeds, scored):
+            kernel_verdict = FLAGS[flag], REASONS[reason] if reason >= 0 else None
+            assert kernel_verdict == _verdict(_record_of(line, seed, etcf)), (device, line["i"])
+            seen.add(kernel_verdict[1])
+    assert seen == {None, *REASONS}
