@@ -1,7 +1,8 @@
 """Command line front end.
 
 Run mode executes a seeded experiment and writes transcript/summary files;
-replay mode audits an existing transcript against its trapdoor store.
+replay mode audits an existing transcript against its trapdoor store and
+takes no run flag (``--trapdoors`` alone names the store).
 Exit codes: 0 = key produced (or replay match), 2 = aborted / unverified /
 replay mismatch, 1 = usage, configuration or output-file error.  A run that
 aborts also prints its failed test rounds by reason on one stderr line, and
@@ -34,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--replay",
         metavar="TRANSCRIPT",
-        help="audit a transcript instead of running; requires --trapdoors",
+        help="audit a transcript instead of running; takes no other flag but --trapdoors, "
+        "the store's path (default: TRANSCRIPT.keys)",
     )
     for name, kind in FIELD_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
@@ -45,6 +47,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        run_flags = [f"--{name.replace('_', '-')}" for name in ("config", *FIELD_TYPES)
+                     if name != "trapdoors" and getattr(args, name) is not None]
+        if args.replay is not None and run_flags:
+            parser.error(f"--replay takes no run flag: {' '.join(run_flags)}")
     except argparse.ArgumentError as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

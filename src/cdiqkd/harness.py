@@ -19,6 +19,8 @@ both formats: replay reads a block of lines into the values they were
 written from and keeps each line only if the writer writes those values
 back as that line.  A block is decoded with one ``json.loads``, or else
 line by line, so that a line that is not UTF-8 or not JSON spoils only itself.
+Replay makes one pass per block: each line is checked where it is read, and
+the verdicts of the block's test rounds are filled in once the block is read.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -295,24 +297,20 @@ def _post_process(
     """Reconciliation, privacy amplification, the rate report and the summary."""
     qber = bell_test_qber(session)
     raw_a, raw_b = session.raw_key_a, session.raw_key_b
-    empty = np.zeros(0, dtype=np.uint8)
-    recon_dict = None
-    pa_dict = None
-    final_a = final_b = empty
-    verified = False
-    leak = 0
-    n_final = 0
+    final_a = final_b = np.zeros(0, dtype=np.uint8)
+    recon_dict = pa_dict = None
+    verified, leak, n_final = False, 0, 0
     if not session.aborted:
         recon = reconcile(raw_a, raw_b, config.recon, post_rng)
-        verified = recon.verified
-        leak = recon.leak_bits
-        qber_for_length = min(qber, 0.4999999)
-        n_final = final_length(len(raw_a), qber_for_length, leak, config.eps_sec)
+        verified, leak = recon.verified, recon.leak_bits
+        n_final = final_length(len(raw_a), min(qber, 0.4999999), leak, config.eps_sec)
         pa_seed = post_rng.integers(0, 2, size=max(len(raw_a) + n_final - 1, 0), dtype=np.uint8)
-        spec = PaSpec(seed=pa_seed, input_len=len(raw_a), output_len=n_final)
         if verified:
+            spec = PaSpec(seed=pa_seed, input_len=len(raw_a), output_len=n_final)
             final_a = privacy_amplify(raw_a, spec)
             final_b = privacy_amplify(recon.corrected_key_b, spec)
+        else:  # no key: the final length is 0 and both final keys stay empty
+            n_final = 0
         recon_dict = {
             "scheme": config.recon,
             "verified": verified,
@@ -325,11 +323,8 @@ def _post_process(
         pa_dict = {
             "seed_hex": _bits_hex(pa_seed),
             "input_len": int(len(raw_a)),
-            "output_len": int(n_final) if verified else 0,
+            "output_len": int(n_final),
         }
-    if not verified:
-        n_final = 0
-        final_a = final_b = empty
 
     report = session_rate_report(
         session,
@@ -578,48 +573,15 @@ _FOOTER_LABELS = {
 }
 
 
-def _settle(queue: list, read: tuple, etcf: EtcfParams, mismatches: list[str],
-            fail_reasons: dict[str, int]) -> None:
-    """Check the round lines waiting in ``queue``, each (number, text, entry, row, seed),
-    its row one of the block ``read`` by ``_read_rounds`` and its seed None unless it is a
-    test round's; score the test rounds by ``verdicts`` on their keys, drawn at once,
-    counting the failures by reason in ``fail_reasons``; and move the queue's mismatches,
-    in line order, to ``mismatches``.  A line is corrupt unless it is the writer's line
-    for its row, as text or else as a JSON object.
-    """
-    heads, block, written = read
-    scored = [item for item in queue if type(item) is tuple and item[-1] is not None]
-    verdict_of = iter(())
-    if scored:
-        at = np.array([item[3] for item in scored], dtype=np.intp)
-        kinds = [KEY_KINDS[h] for h in block.hadamard[at].ravel().tolist()]
-        keys = draw_keys(kinds, etcf, b"".join(item[-1] for item in scored))
-        kernel = Block(0, b"", block.hadamard[at], block.challenge_b[at], block.question_h[at],
-                       block.generate[at], keys, ())
-        kernel.messages = tuple(message[at] for message in block.messages)  # read, marks too
-        verdict_of = zip(*(column.tolist() for column in verdicts(kernel)))
-    for item in queue:
-        if type(item) is tuple:
-            number, text, entry, row, seed = item
-            flag, reason = next(verdict_of) if seed is not None else (_NA, -1)
-            item = None
-            if text != written[row] and not _same(entry, json.loads(written[row]), True):
-                item = f"line {number}: corrupt record"
-            else:
-                if flag == _FAIL:
-                    fail_reasons[REASONS[reason]] += 1
-                if flag != block.flags[row]:
-                    item = f"line {number}: round {heads[row][0]} verdict should be {_WINS[flag]}"
-        if item is not None:
-            mismatches.append(item)
-    queue.clear()
-
-
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, a block of lines at a time, and
-    each block's test rounds are scored by ``protocol.verdicts``.  A round line
+    Both files are read once, in round order, a block of lines at a time, in
+    one pass per block: each line is checked where it is read, and a test
+    round whose line passes holds its place among the mismatches until the
+    block's lines are read; then the block's keys are drawn at once,
+    ``protocol.verdicts`` scores its test rounds, and each place becomes its
+    ``verdict should be`` mismatch or is dropped.  A round line
     the writer would not write for the values read from it yields a mismatch
     naming the line, and so does a round index that is not the next of
     ``0..rounds-1``, a test round whose store entry is missing or out of
@@ -647,65 +609,85 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
 
     rounds = params.rounds
     mismatches: list[str] = []
-    queue: list = []  # mismatches and round lines waiting for _settle, in line order
-    store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, queue)
+    store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, mismatches)
     tested = 0
     fail_reasons = dict.fromkeys(REASONS, 0)
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
     for numbers, texts, entries, read in _blocks(lines, partial(_read_rounds, etcf)):
-        for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, read[0])):
+        heads, block, written = read
+        start, rows, seeds = len(mismatches), [], []  # rows, seeds: the test rounds to score
+        for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
             if footer is not None:  # the footer is the last line
                 what = "corrupt record" if entry is None else "record after the footer"
-                queue.append(f"line {number}: {what}")
+                mismatches.append(f"line {number}: {what}")
                 continue
             if entry is None:
-                queue.append(f"line {number}: corrupt record")
+                mismatches.append(f"line {number}: corrupt record")
                 next_index += 1
                 continue
             kind = entry.get("record")
             if kind not in ("round", "footer"):
-                queue.append(f"line {number}: unexpected record type {kind!r}")
+                mismatches.append(f"line {number}: unexpected record type {kind!r}")
                 continue
             last_good = number
             if kind == "footer":
                 footer = entry
                 continue
             if head is None:  # its index, bases or challenges do not read
-                queue.append(f"line {number}: corrupt record")
+                mismatches.append(f"line {number}: corrupt record")
                 next_index += 1
                 continue
             index, code = head
             store.reach(index, next_index)
             if not 0 <= index < rounds:
-                queue.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
+                mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
             elif index != next_index:
-                queue.append(f"line {number}: round index {index} should be {next_index}")
+                mismatches.append(f"line {number}: round index {index} should be {next_index}")
             next_index = index + 1
             round_type = _ROUND_TYPES[code]
             if round_type != entry.get("rt"):
-                queue.append(f"line {number}: round {index} type should be {round_type}")
+                mismatches.append(f"line {number}: round {index} type should be {round_type}")
                 continue
             tag = entry.get("tag")
             if tag != "test" and (tag != "generate" or round_type != "bell"):
                 # Only Bell rounds are ever drawn for key generation.
-                queue.append(f"line {number}: round {index} tag should be test")
+                mismatches.append(f"line {number}: round {index} tag should be test")
                 continue
-            seed = None  # only a test round has key material
-            if round_type != "sifted" and tag == "test":
+            if block.tested[row]:  # only a test round has key material
                 seed = store.take(index)
                 if seed is None:
-                    queue.append(f"line {number}: round {index} has no key material in the store")
+                    mismatches.append(
+                        f"line {number}: round {index} has no key material in the store"
+                    )
                     continue
                 tested += 1
-            queue.append((number, text, entry, row, seed))
-        _settle(queue, read, etcf, mismatches, fail_reasons)
+            if text != written[row] and not _same(entry, json.loads(written[row]), True):
+                mismatches.append(f"line {number}: corrupt record")
+            elif block.tested[row]:
+                rows.append(row)
+                seeds.append(seed)
+                mismatches.append(row)  # a placeholder for its verdict's mismatch, if any
+        if rows:  # score the block's test rounds on their keys, drawn at once
+            kinds = [KEY_KINDS[h] for h in block.hadamard[rows].ravel().tolist()]
+            kernel = Block(0, b"", block.hadamard[rows], block.challenge_b[rows],
+                           block.question_h[rows], block.generate[rows],
+                           draw_keys(kinds, etcf, b"".join(seeds)), ())
+            kernel.messages = tuple(message[rows] for message in block.messages)  # marks too
+            verdict = {}
+            for row, flag, reason in zip(rows, *(column.tolist() for column in verdicts(kernel))):
+                if flag == _FAIL:
+                    fail_reasons[REASONS[reason]] += 1
+                verdict[row] = None if flag == block.flags[row] else (
+                    f"line {numbers[row]}: round {heads[row][0]} verdict should be {_WINS[flag]}"
+                )
+            settled = (verdict[item] if type(item) is int else item for item in mismatches[start:])
+            mismatches[start:] = [item for item in settled if item is not None]
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
     store.reach(math.inf, next_index)  # the entries after the last test round
-    mismatches += queue
     if next_index < rounds:
         mismatches.append(f"footer: rounds {next_index}..{rounds - 1} are missing")
     failed = sum(fail_reasons.values())

@@ -203,13 +203,6 @@ def classify_round(
     return RoundType.PRODUCT
 
 
-def choose_test_tag(round_type: RoundType, coin: float, p_generate: float = 0.5) -> TestTag:
-    """Generation when a Bell round's uniform ``coin`` falls below ``p_generate``; else test."""
-    if round_type is RoundType.BELL and coin < p_generate:
-        return TestTag.GENERATE
-    return TestTag.TEST
-
-
 def bell_label_bit(d: int, x0: int, x1: int) -> int:
     """The phase bit d . (x0 xor x1) over GF(2)."""
     return dot(d, x0 ^ x1)
@@ -251,7 +244,7 @@ class Block:
         self.keys = keys  # 2n keys, round by round, Alice's first
         self.replies = replies  # as the device sent them: c_a, c_b, resp_a, resp_b, a, h_a, b, h_b
         self.bell = challenge_b.all(axis=1) & hadamard.all(axis=1)
-        self.generate = self.bell & generate_coin  # the tag coin, as choose_test_tag reads it
+        self.generate = self.bell & generate_coin  # the tag rule: only a Bell round, on its coin
         self.tested = (challenge_b[:, 0] == challenge_b[:, 1]) & ~self.generate
 
     @cached_property

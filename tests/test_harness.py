@@ -843,6 +843,33 @@ class TestMalformedReplay:
         report = replay_verify(*self.write(tmp_path, transcript, lines))
         assert report.mismatches == [f"store line {number}: entry for round {index} is out of place"]
 
+    def test_mixed_mismatches_keep_line_order(self, tmp_path, audit_files):
+        # Store, format and verdict mismatches of one block of lines come out in line
+        # order, each at the line that shows it, and the footer's after them.
+        transcript, store = audit_files
+        first, third = (json.loads(store[n])["i"] for n in (1, 3))
+        store = [store[0], store[2], store[1], *store[3:]]
+        flip = 1 << 127 | 1 << 63  # a bit of Alice's key seed and one of Bob's
+        store, entry = _mutated(
+            store, lambda e: _is_keys(e) and e["i"] > third,
+            lambda e: e.update(seed=format(int(e["seed"], 16) ^ flip, "032x")),
+        )
+        flipped = json.loads(store[entry - 1])["i"]
+        transcript, number = _mutated(
+            transcript, lambda e: _is_generate(e) and e["i"] > flipped, _without("x")
+        )
+        tested = json.loads(transcript[-1])["tested"] - 1  # the first test round has no seed
+        report = replay_verify(*self.write(tmp_path, transcript, store))
+        assert report.mismatches == [
+            f"line {first + 2}: round {first} has no key material in the store",
+            f"store line 3: entry for round {first} is out of place",
+            f"line {flipped + 2}: round {flipped} verdict should be fail",
+            f"line {number}: corrupt record",
+            f"footer: tested count should be {tested}",
+            "footer: failed count should be 1",
+            f"footer: fail fraction should be {sig12(1 / tested)}",
+        ]
+
     @pytest.mark.parametrize("name", sorted(MISPLACED_FOOTERS))
     def test_footer_is_the_last_line(self, tmp_path, audit_files, name):
         transcript, store = audit_files
@@ -1093,6 +1120,20 @@ class TestMalformedInputExitsOne:
         err = capsys.readouterr().err
         assert err.startswith("usage: cdiqkd") and "\ncdiqkd: error: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--epsilon", "0.9", "--rounds", "5", "--config", "/nonexistent.json"],
+         ["--epsilon", "0.1"], ["--config", "run.json"], ["--seed", "1", "--trapdoors", "s"]],
+        ids=["three-run-flags", "epsilon", "config", "seed-beside-trapdoors"],
+    )
+    def test_replay_takes_no_run_flag(self, tmp_path, capsys, audit_files, flags):
+        # Replay reads everything it checks from its files, so a run flag would be ignored.
+        transcript, _ = _write(tmp_path, *audit_files)
+        assert main(["--replay", transcript, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: cdiqkd")
+        assert err.count("\ncdiqkd: error: ") == 1 and "--replay takes no run flag" in err
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -39,7 +39,6 @@ from cdiqkd.protocol import (
     WinFlag,
     abort_decision,
     classify_round,
-    choose_test_tag,
     bell_label_bit,
     honest_support,
     run_session,
@@ -115,29 +114,6 @@ class TestClassifyRound:
                             assert got is RoundType.BELL
                         else:
                             assert got is RoundType.PRODUCT
-
-
-class TestChooseTestTag:
-    def test_product_always_test(self):
-        rng = np.random.default_rng(0)
-        assert all(
-            choose_test_tag(RoundType.PRODUCT, rng.random()) is TestTag.TEST for _ in range(100)
-        )
-
-    def test_bell_fair_coin(self):
-        rng = np.random.default_rng(1)
-        n = 10_000
-        generate = sum(
-            choose_test_tag(RoundType.BELL, rng.random()) is TestTag.GENERATE for _ in range(n)
-        )
-        assert_frequency(generate, n, 0.5, "generate tag")
-
-    def test_generate_probability_knob(self):
-        rng = np.random.default_rng(2)
-        assert all(
-            choose_test_tag(RoundType.BELL, rng.random(), p_generate=1.0) is TestTag.GENERATE
-            for _ in range(50)
-        )
 
 
 class TestComputeS:
