@@ -203,29 +203,36 @@ def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray, rows: np
         tables[rows, b] = image
 
 
-def _rows_by_kind(kinds: list[KeyKind]) -> dict[KeyKind, np.ndarray]:
-    """The indices of ``kinds`` that hold each kind."""
-    claw_free = np.fromiter((kind is KeyKind.CLAW_FREE for kind in kinds), bool, len(kinds))
+def _claw_free(kinds) -> np.ndarray:
+    """``kinds``, key kinds or a bool array True where a key is claw-free, as that array."""
+    if isinstance(kinds, np.ndarray):
+        return kinds
+    return np.fromiter((kind is KeyKind.CLAW_FREE for kind in kinds), bool, len(kinds))
+
+
+def _rows_by_kind(claw_free: np.ndarray) -> dict[KeyKind, np.ndarray]:
+    """The indices of the keys of each kind, from the claw-free mask."""
     return {KeyKind.CLAW_FREE: np.flatnonzero(claw_free),
             KeyKind.INJECTIVE: np.flatnonzero(~claw_free)}
 
 
-def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
-    """An ideal key of each of ``kinds``, in order, drawn from its uint64 key seed in
-    ``seeds``, a few keys at a time.  A key's tables are a row of one (keys, 2, 2**w)
-    array.
+def keygen_ideal(kinds, domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
+    """An ideal key of each of ``kinds`` (key kinds, or a claw-free mask), in order,
+    drawn from its uint64 key seed in ``seeds``, a few keys at a time.  A key's tables
+    are a row of one (keys, 2, 2**w) array.
     """
     size = 1 << domain_bits
     step = max(1, _CHUNK_WORDS // (5 * size))
-    tables = np.empty((len(kinds), 2, size), dtype=np.int64)
-    rows_of = _rows_by_kind(kinds)
+    claw_free = _claw_free(kinds)
+    tables = np.empty((len(claw_free), 2, size), dtype=np.int64)
+    rows_of = _rows_by_kind(claw_free)
     draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
     for kind, draw in draws:
         where = rows_of[kind]
         for lo in range(0, len(where), step):
             rows = where[lo:lo + step]
             draw(key_words(seeds[rows], 1, 5 * size), size, tables, rows)
-    return DrawnKeys(EtcfParams("ideal", domain_bits), kinds, (tables,))
+    return DrawnKeys(EtcfParams("ideal", domain_bits), claw_free, (tables,))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +242,14 @@ def keygen_ideal(kinds: list[KeyKind], domain_bits: int, seeds: np.ndarray) -> D
 
 def _coord_bits(q: int) -> int:
     return (q - 1).bit_length()
+
+
+def key_bytes(params: EtcfParams) -> int:
+    """Bytes of one key's rows of a ``DrawnKeys``' int64 arrays: its two tables, or A
+    and its shift."""
+    if params.family == "ideal":
+        return 8 * 2 << params.domain_bits
+    return 8 * (params.m * params.n + params.m)
 
 
 def key_widths(params: EtcfParams) -> tuple[int, int]:
@@ -317,12 +332,13 @@ def _in_column_space(lower: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     return ~np.any(((lower @ ys[:, :n, None])[..., 0] - ys[:, n:]) % q, axis=1)
 
 
-def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
-    """A toy-lattice key of each of ``kinds``, in order, drawn from its uint64 key seed
-    in ``seeds``, a few keys at a time.  A key's values mod q are its seed's words mod
-    q, in order: R is the first (m - n) * n values, row-major, and A = [I_n; R]; then s
-    (n values), or u (m values, and the next m while u is in A's column space).  A
-    word mod q is within 2^-64 of uniform, a relative error under 2^-33 as q < 2^31.
+def keygen_toy(kinds, params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
+    """A toy-lattice key of each of ``kinds`` (key kinds, or a claw-free mask), in order,
+    drawn from its uint64 key seed in ``seeds``, a few keys at a time.  A key's values
+    mod q are its seed's words mod q, in order: R is the first (m - n) * n values,
+    row-major, and A = [I_n; R]; then s (n values), or u (m values, and the next m
+    while u is in A's column space).  A word mod q is within 2^-64 of uniform, a
+    relative error under 2^-33 as q < 2^31.
     A key's arrays are rows of one stack of each: products on them took as long as on
     owned copies (``evaluate`` 12.2 us on either, ``invert`` 14-20 us on either, 512
     keys at the default sizes, best of 5, three runs).
@@ -330,10 +346,11 @@ def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> D
     n, m, q = params.n, params.m, params.q
     entries = (m - n) * n  # of R
     modulus = np.uint64(q)  # uint64 words mod a signed int would be float64s
-    matrices = np.empty((len(kinds), m, n), dtype=np.int64)
+    claw_free = _claw_free(kinds)
+    matrices = np.empty((len(claw_free), m, n), dtype=np.int64)
     matrices[:, :n] = np.eye(n, dtype=np.int64)
-    shifts = np.empty((len(kinds), m), dtype=np.int64)
-    rows_of = _rows_by_kind(kinds)
+    shifts = np.empty((len(claw_free), m), dtype=np.int64)
+    rows_of = _rows_by_kind(claw_free)
     for kind, tail in ((KeyKind.CLAW_FREE, n), (KeyKind.INJECTIVE, m)):
         where = rows_of[kind]
         step = max(1, _CHUNK_WORDS // (entries + tail))
@@ -354,7 +371,7 @@ def keygen_toy(kinds: list[KeyKind], params: EtcfParams, seeds: np.ndarray) -> D
                 redo = redo[_in_column_space(lower[redo], tails[redo], q)]
                 first += m
             shifts[rows] = tails
-    return DrawnKeys(params, kinds, (matrices, shifts))
+    return DrawnKeys(params, claw_free, (matrices, shifts))
 
 
 def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
@@ -372,24 +389,27 @@ EtcfKeyPair = IdealKeyPair | ToyLatticeKeyPair
 
 
 class DrawnKeys:
-    """Keys drawn together, in draw order: their kinds, and their arrays stacked in that
-    order, an ideal family's tables (keys, 2, 2**w) or a toy-lattice family's matrices
-    (keys, m, n) and shifts (keys, m).  A key is built when it is read, its arrays rows
-    of these, and a slice is the same view of the slice's keys.  So the keys can be
-    checked and inverted many at once (``check_preimages``, ``preimages``), a few
-    keys' arrays at a time, as keygen draws them, and none is built unless read.
+    """Keys drawn together, in draw order: their kinds as a bool array, True where a key
+    is claw-free, and their arrays stacked in that order, an ideal family's tables
+    (keys, 2, 2**w) or a toy-lattice family's matrices (keys, m, n) and shifts (keys,
+    m).  A key is built when it is read, its arrays rows of these, and a slice is the
+    same view of the slice's keys.  So the keys can be checked and inverted many at
+    once (``check_preimages``, ``preimages``), a few keys' arrays at a time, as keygen
+    draws them, and none is built unless read.
     """
 
-    def __init__(self, params: EtcfParams, kinds: list[KeyKind], arrays: tuple) -> None:
-        self.params, self.kinds, self.arrays = params, kinds, arrays
+    def __init__(self, params: EtcfParams, claw_free: np.ndarray, arrays: tuple) -> None:
+        self.params, self.claw_free, self.arrays = params, claw_free, arrays
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.claw_free)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return DrawnKeys(self.params, self.kinds[index], tuple(a[index] for a in self.arrays))
-        kind, params = self.kinds[index], self.params
+            arrays = tuple(a[index] for a in self.arrays)
+            return DrawnKeys(self.params, self.claw_free[index], arrays)
+        kind = KeyKind.CLAW_FREE if self.claw_free[index] else KeyKind.INJECTIVE
+        params = self.params
         if params.family == "ideal":
             return IdealKeyPair(kind, params.domain_bits, self.arrays[0][index])
         matrices, shifts = self.arrays
@@ -449,13 +469,13 @@ def stack_keys(keys) -> DrawnKeys:
     are one, else their arrays stacked."""
     if isinstance(keys, DrawnKeys):
         return keys
-    first, kinds = keys[0], [key.kind for key in keys]
+    first, claw_free = keys[0], _claw_free([key.kind for key in keys])
     if isinstance(first, IdealKeyPair):
         tables = np.stack([key.tables for key in keys])
-        return DrawnKeys(EtcfParams("ideal", first.domain_bits), kinds, (tables,))
+        return DrawnKeys(EtcfParams("ideal", first.domain_bits), claw_free, (tables,))
     params = EtcfParams("toy-lattice", n=first.n, m=first.m, q=first.q)
     arrays = np.stack([key.matrix for key in keys]), np.stack([key.shift for key in keys])
-    return DrawnKeys(params, kinds, arrays)
+    return DrawnKeys(params, claw_free, arrays)
 
 
 def _decode_vectors(values: np.ndarray, length: int, q: int):
@@ -466,9 +486,10 @@ def _decode_vectors(values: np.ndarray, length: int, q: int):
     return vectors, np.all(vectors < q, axis=1)
 
 
-def draw_keys(kinds: list[KeyKind], params: EtcfParams, seeds: bytes) -> DrawnKeys:
-    """A key of each of ``kinds``, in order, drawn from its key seed: the next 8 bytes of
-    ``seeds``, read as a little-endian uint64.  ``params`` picks the family, which draws
+def draw_keys(kinds, params: EtcfParams, seeds: bytes) -> DrawnKeys:
+    """A key of each of ``kinds`` (key kinds, or a bool array True where a key is
+    claw-free), in order, drawn from its key seed: the next 8 bytes of ``seeds``, read
+    as a little-endian uint64.  ``params`` picks the family, which draws
     all the keys at once; it must be valid: a session or a replay validates its family
     once, not at each block.
     """

@@ -11,8 +11,8 @@ the replay audit recomputes every check in one forward pass over both
 files.  Generation rounds publish only
 state bases, challenge types, tags, and question bases - their
 commitments, responses, and key material are discarded and never reach
-any output file.  The runner appends each block of rounds to both files
-as soon as the block is decided, straight from its arrays (``protocol.Block``).
+any output file.  The runner appends each batch of rounds to both files
+as soon as the batch is decided, straight from its arrays (``protocol.Block``).
 
 The block writer (``_round_lines``, ``_KEYS_LINE``) is the one statement of
 both formats: replay reads a block of lines into the values they were
@@ -47,7 +47,6 @@ from .keyrate import KeyRateReport, session_rate_report, sig12
 from .postprocess import PaSpec, final_length, privacy_amplify, reconcile
 from .protocol import (
     FLAGS,
-    KEY_KINDS,
     REASONS,
     Block,
     ProtocolParams,
@@ -199,13 +198,13 @@ _STORE_HEADER = {"record": "keys-header", "version": STREAM_LAYOUT, "format": ST
 
 
 def write_transcript(fh: TextIO, block: Block) -> None:
-    """Append the round lines of one decided block to an open transcript."""
+    """Append the round lines of one decided batch to an open transcript."""
     lines = _round_lines(block, range(block.start, block.start + len(block.tested)))
     fh.write("".join(f"{line}\n" for line in lines))
 
 
 def write_trapdoor_store(fh: TextIO, block: Block) -> None:
-    """Append the ``keys`` lines of one decided block's test rounds to an open store."""
+    """Append the ``keys`` lines of one decided batch's test rounds to an open store."""
     seeds, digits = block.seeds.hex(), 2 * SEED_BYTES
     fh.write("".join(
         _KEYS_LINE % (block.start + i, seeds[digits * i:digits * (i + 1)]) + "\n"
@@ -245,8 +244,8 @@ def bell_test_qber(session: SessionResult) -> float:
 
 
 def _write_block(transcript: TextIO, store: TextIO, block: Block) -> None:
-    """The block consumer of a run with files: the block's round lines, then its test
-    rounds' keys, each written from the block's arrays."""
+    """The block consumer of a run with files: the batch's round lines, then its test
+    rounds' keys, each written from the batch's arrays."""
     write_transcript(transcript, block)
     write_trapdoor_store(store, block)
 
@@ -256,8 +255,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
 
     Every output file is opened before any round runs, so an unwritable
     path raises OSError at once.  The transcript and the trapdoor store get
-    their headers first and each block's lines once the block is decided,
-    so the session holds one block at a time and builds no record; the
+    their headers first and each batch's lines once the batch is decided,
+    so the session holds one batch at a time and builds no record; the
     transcript's footer follows the session, and the summary the
     post-processing.  A run cut short leaves a transcript without its
     footer, which replay reports as truncated.
@@ -524,7 +523,7 @@ def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bo
     block = Block(
         0, b"", coins[:, :2].astype(bool), challenge_b, question_h,
         np.array([entry.get("tag") == "generate" for entry in entries], dtype=bool),
-        DrawnKeys(etcf, [], ()), tuple(replies),
+        DrawnKeys(etcf, np.zeros(0, dtype=bool), ()), tuple(replies),
     )
     violation = block.messages[-1]
     violation |= marked  # a side its line marks viol_<s>: true is in violation
@@ -670,10 +669,10 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
                 seeds.append(seed)
                 mismatches.append(row)  # a placeholder for its verdict's mismatch, if any
         if rows:  # score the block's test rounds on their keys, drawn at once
-            kinds = [KEY_KINDS[h] for h in block.hadamard[rows].ravel().tolist()]
-            kernel = Block(0, b"", block.hadamard[rows], block.challenge_b[rows],
+            hadamard = block.hadamard[rows]
+            kernel = Block(0, b"", hadamard, block.challenge_b[rows],
                            block.question_h[rows], block.generate[rows],
-                           draw_keys(kinds, etcf, b"".join(seeds)), ())
+                           draw_keys(hadamard.ravel(), etcf, b"".join(seeds)), ())
             kernel.messages = tuple(message[rows] for message in block.messages)  # marks too
             verdict = {}
             for row, flag, reason in zip(rows, *(column.tolist() for column in verdicts(kernel))):

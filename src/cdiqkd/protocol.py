@@ -2,30 +2,32 @@
 
 Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
-independently per side) a stream block at a time.  A block's coins, keys
-and device replies are arrays (``Block``), and one kernel, ``verdicts``,
-decides all its rounds at once: it drops the sifted (mismatched-challenge)
-rounds and scores each test round, and gives a failed one its reason, the
-first check it fails (``REASONS``: a malformed message, a challenge-a
-preimage, a commitment with no preimage, the Bell parity, or a product
-round's honest support).  The session counts round types, verdicts,
-reasons and the Bell-test QBER cells with array counts, and takes each
-generation round's key-bit pair from the same arrays.  Estimation then
-reads only that tally, aborting when the test failure fraction exceeds
-epsilon (the bits are dropped); otherwise the raw key is the pairs of the
-generation rounds whose questions are both computational.
+independently per side) a batch of stream blocks at a time, each draw
+split by block (``streams.batches``): as many blocks as ``BATCH_BYTES`` of
+keys hold, and at least one.  A batch's coins, keys and device replies are
+arrays (``Block``), and one kernel, ``verdicts``, decides all its rounds at
+once: it drops the sifted (mismatched-challenge) rounds and scores each
+test round, and gives a failed one its reason, the first check it fails
+(``REASONS``: a malformed message, a challenge-a preimage, a commitment
+with no preimage, the Bell parity, or a product round's honest support).
+The session counts round types, verdicts, reasons and the Bell-test QBER
+cells with array counts, and takes each generation round's key-bit pair
+from the same arrays.  Estimation then reads only that tally, aborting
+when the test failure fraction exceeds epsilon (the bits are dropped);
+otherwise the raw key is the pairs of the generation rounds whose
+questions are both computational.
 
 The kernel range-checks each reply array as an array (``bits.fits_each``),
-inverts a block's keys many at once (``etcf.DrawnKeys``) and reads the
+inverts a batch's keys many at once (``etcf.DrawnKeys``) and reads the
 product-round check from one table of ``_support_of``, built at first use.
 ``_verdict`` (and ``win_condition``, its flag) states the same checks for
 one ``RoundRecord``: the oracle the kernel is tested against.
 
-Records are built only on request.  Once a block is decided it goes to
+Records are built only on request.  Once a batch is decided it goes to
 the session's block consumer: ``run_session`` builds its records and
 collects them in ``SessionResult.records`` unless the caller passes
-``on_block``, as ``harness.run_experiment`` does, which writes a block's
-lines from its arrays.  Such a session holds one block at a time, so its
+``on_block``, as ``harness.run_experiment`` does, which writes a batch's
+lines from its arrays.  Such a session holds one batch at a time, so its
 memory does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
@@ -40,12 +42,15 @@ session's seed, the stream and the block index:
   halves are Alice's and Bob's key seeds; ``etcf.draw_keys`` draws each
   key from its own seed alone, and each key is its own trapdoor, so the
   trapdoor store need hold only a test round's seed;
-- the device's stream, handed to ``device.reset`` once per block; the
-  device then answers each of its messages for the whole block at once.
+- the device's stream, handed to ``device.reset`` once per batch, with
+  each block's generator behind one ``streams.BatchGenerator``; the device
+  then answers each of its messages for the whole batch at once, each draw
+  split by block.
 
 So the verifiers' draws never depend on the device's answers, and a
-block's draws depend on nothing outside it: the complete blocks of a
-session are those of any longer session with the same seed.  A
+block's draws depend on nothing outside it, not even on the batch it is
+played in: the complete blocks of a session are those of any longer
+session with the same seed.  A
 ``SeedSequence`` passed as the seed is read, never advanced, so passing
 the same object twice gives the same session.
 """
@@ -71,6 +76,7 @@ from .etcf import (
     check_preimage,
     draw_keys,
     invert,
+    key_bytes,
     key_widths,
     keygen,  # not called here: named so that bench/spans.py can wrap it
 )
@@ -83,9 +89,13 @@ from .quantum import (
     plus_minus,
     tensor,
 )
-from .streams import SEED_BYTES, block_streams
+from .streams import SEED_BYTES, STREAM_BLOCK, batches, block_streams
 
 SUPPORT_TOLERANCE = 1e-9
+# Bytes of key arrays a session plays at once: a batch holds as many stream blocks as
+# fit their keys in it, and at least one.  It moves no draw, only how many blocks each
+# call of the device and of the kernel takes.
+BATCH_BYTES = 1 << 19
 # The public coins of a round, in the column order a block draws them.
 COIN_COLUMNS = ("theta_a", "theta_b", "ct_a", "ct_b", "x", "y", "tag")
 
@@ -216,15 +226,16 @@ _TAGS = (TestTag.TEST, TestTag.GENERATE)  # indexed by a generation bit
 
 # Why a test round failed: the first check of ``_verdict`` it fails.
 REASONS = ("violation", "preimage", "no_preimage", "bell_parity", "support")
-# A round's flag in a decided block, an index of FLAGS.
+# A round's flag in a decided batch, an index of FLAGS.
 FLAGS = (WinFlag.NA, WinFlag.PASS, WinFlag.FAIL)
 _NA, _PASS, _FAIL = range(3)
 _NO_CODE = -1  # a retained-qubit code not computed, or with no honest state
 
 
 class Block:
-    """One stream block's rounds as arrays: a row per round and, in the (n, 2) arrays,
-    a column per side, Alice's first.
+    """A batch of stream blocks' rounds as arrays (each draw split by block, see
+    ``streams.batches``): a row per round and, in the (n, 2) arrays, a column per
+    side, Alice's first.
 
     ``_play_block`` fills the coins, keys and device replies; ``run_session`` then
     sets ``flags`` and ``reasons`` from ``verdicts``.  Records are built only on
@@ -335,14 +346,13 @@ class Block:
 
 
 def _play_block(device: DeviceStrategy, params: ProtocolParams, stream) -> Block:
-    """The rounds of one stream block: coins and keys as arrays, and the device's
-    messages, one call each for the whole block."""
+    """The rounds of a batch of stream blocks: coins and keys as arrays, and the
+    device's messages, one call each for the whole batch."""
     coins = stream.public.random((stream.stop - stream.start, len(COIN_COLUMNS)))
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
     challenge_b = coins[:, 2:4] < params.p_ct_b
     question_h = coins[:, 4:6] < params.p_question_hadamard
-    kinds = [KEY_KINDS[h] for h in hadamard.ravel().tolist()]
-    keys = draw_keys(kinds, params.etcf, stream.seeds)
+    keys = draw_keys(hadamard.ravel(), params.etcf, stream.seeds)  # Hadamard: claw-free
 
     device.reset(stream.device)
     commitments = device.on_keys(keys[0::2], keys[1::2])
@@ -369,7 +379,7 @@ def _support_table() -> np.ndarray:
 
 def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """Each round's flag (an index of ``FLAGS``) and, for a failed test round, the reason
-    (an index of ``REASONS``, else -1): ``_verdict`` of every test round of the block at
+    (an index of ``REASONS``, else -1): ``_verdict`` of every test round of the batch at
     once, from its arrays.
     """
     c, resp, answer, h, violation = block.messages
@@ -564,11 +574,12 @@ def run_session(
 ) -> SessionResult:
     """Run the full pipeline: rounds, sifting, estimation, key extraction.
 
-    Each block's rounds are decided at once by ``verdicts`` and counted from
+    Each batch's rounds are decided at once by ``verdicts`` and counted from
     its arrays, with the generation rounds' key bits; everything after the
-    block loop reads that tally and those bits.  Each decided block then
-    goes to ``on_block(block)`` if given; if not, its records are built and
-    collected in the result's ``records``.
+    batch loop reads that tally and those bits.  Each decided batch then
+    goes to ``on_block(block)`` if given, and is dropped before the next is
+    played; if not, its records are built and collected in the result's
+    ``records``.
     """
     params.validate()
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -577,7 +588,8 @@ def run_session(
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
     tally = np.zeros(len(_TALLY), dtype=np.int64)
     reasons = np.zeros(len(REASONS), dtype=np.int64)
-    for stream in block_streams(master, params.rounds):
+    size = max(1, BATCH_BYTES // (2 * STREAM_BLOCK * key_bytes(params.etcf)))
+    for stream in batches(block_streams(master, params.rounds), size):
         block = _play_block(device, params, stream)
         block.flags, block.reasons = verdicts(block)
         challenge_b, bell, failed = block.challenge_b, block.bell, block.flags == _FAIL
@@ -591,6 +603,7 @@ def run_session(
         key_a += pairs[kept, 0].astype(np.uint8).tobytes()
         key_b += pairs[kept, 1].astype(np.uint8).tobytes()
         consume(block)
+        del block  # so that the next batch's keys are drawn with this one's dropped
 
     counts = dict(zip(_TALLY, tally.tolist()))
     tested, failed = counts["tested"], counts["failed"]
@@ -619,7 +632,7 @@ def run_session(
     )
 
 
-# The session's counts, in the order run_session counts them a block at a time.
+# The session's counts, in the order run_session counts them a batch at a time.
 _TALLY = ("sifted", "bell", "generate", "tested", "failed", "qber_tested", "qber_failed")
 
 

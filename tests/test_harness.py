@@ -1352,6 +1352,43 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
+BATCH_DEVICES = ["honest", "noisy:0.02:0.01", "classical-random", "classical-table:table.json"]
+BATCH_FAMILIES = {
+    "ideal-w4": {"etcf": "ideal"},
+    "ideal-w8": {"etcf": "ideal", "domain_bits": 8},
+    "toy-lattice": {"etcf": "toy-lattice"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
+@pytest.mark.parametrize("device", BATCH_DEVICES)
+def test_batch_size_changes_no_byte(tmp_path, monkeypatch, family, device):
+    # A session plays as many stream blocks at once as protocol.BATCH_BYTES of keys
+    # hold: one block a batch, or the whole session as one, writes the default's bytes.
+    # Six whole blocks and a short one, which falls inside a batch of the default size.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(json.dumps({"c_a": 5, "z_a": 3, "d_b": 2, "b": 1}))
+    data = {**BATCH_FAMILIES[family], "rounds": 3 * 512 + 7, "device": device, "seed": 2020,
+            "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
+    batches = []
+    write = harness.write_transcript
+    monkeypatch.setattr(harness, "write_transcript",
+                        lambda fh, block: batches.append(len(block.tested)) or write(fh, block))
+
+    def outputs(budget: int | None) -> tuple[bytes, ...]:
+        if budget is not None:
+            monkeypatch.setattr(protocol, "BATCH_BYTES", budget)
+        batches.clear()
+        run_experiment(ExperimentConfig.from_dict(data))
+        return tuple(Path(path).read_bytes() for path in ("t.jsonl", "t.jsonl.keys", "s.json"))
+
+    default = outputs(None)
+    assert outputs(1) == default
+    assert batches == [STREAM_BLOCK] * 6 + [7]
+    assert outputs(1 << 40) == default
+    assert batches == [3 * 512 + 7]
+
+
 class TestBlockDecoding:
     """Replay decodes a block of lines at once and falls back to one line at a time."""
 

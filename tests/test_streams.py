@@ -22,6 +22,7 @@ from cdiqkd.streams import (
     PRIVATE,
     PUBLIC,
     STREAM_BLOCK,
+    batches,
     block_key,
     block_streams,
     session_words,
@@ -104,6 +105,27 @@ class TestBlocks:
         assert all(stop - start == STREAM_BLOCK for start, stop in spans[:-1])
         assert 1 <= spans[-1][1] - spans[-1][0] <= STREAM_BLOCK
 
+    def test_a_batch_draws_each_blocks_share_from_its_own_generator(self):
+        rounds = 3 * STREAM_BLOCK + 5
+        blocks = list(block_streams(MASTERS["int-0"], rounds))
+        groups = list(batches(block_streams(MASTERS["int-0"], rounds), 3))
+        assert [(batch.start, batch.stop) for batch in groups] == [
+            (0, 3 * STREAM_BLOCK), (3 * STREAM_BLOCK, rounds)
+        ]
+        assert b"".join(batch.seeds for batch in groups) == b"".join(b.seeds for b in blocks)
+        for batch, group in ((groups[0], blocks[:3]), (groups[1], blocks[3:])):
+            length = batch.stop - batch.start
+            coins = batch.public.random((length, 7))
+            draws = batch.device.integers(5, size=(length, 2, 3)), batch.device.random((length,))
+            alone = [b.public.random((b.stop - b.start, 7)) for b in group]
+            assert np.array_equal(coins, np.concatenate(alone))
+            alone = [(b.device.integers(5, size=(b.stop - b.start, 2, 3)),
+                      b.device.random((b.stop - b.start,))) for b in group]
+            for drawn, shares in zip(draws, zip(*alone)):
+                assert np.array_equal(drawn, np.concatenate(shares))
+            with pytest.raises(ValueError, match="rounds from a batch"):
+                batch.device.random((length + 1, 2))
+
     def test_complete_blocks_equal_those_of_a_longer_session(self):
         # The device plays a block at a time, so a block's draws must not depend on
         # the blocks after it, for each kind of device that draws.
@@ -124,8 +146,12 @@ class TestBlocks:
                 super().reset(rng)
 
         run_session(Recorder(), params(STREAM_BLOCK + 3), seed=5)
-        assert len(seen) == 2  # one reset per block
-        assert seen[0] is not seen[1]
+        [batch] = seen  # both blocks play as one batch, with one reset
+        assert batch.lengths == [STREAM_BLOCK, 3]
+        for index, generator in enumerate(batch.generators):
+            assert isinstance(generator.bit_generator, np.random.Philox)
+            key = generator.bit_generator.state["state"]["key"]
+            assert np.array_equal(key, _oracle_key(np.random.SeedSequence(5), DEVICE, index))
 
 
 def _public_view(session):

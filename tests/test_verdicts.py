@@ -89,7 +89,9 @@ def test_kernel_equals_the_oracle(family, spec):
     for seed, knobs in enumerate(KNOBS * 2):
         params = ProtocolParams(rounds=600, epsilon=1.0, etcf=FAMILIES[family], **knobs)
         blocks = _blocks(make_device(spec), params, seed)
-        assert len(blocks) == 3
+        spans = [(block.start, block.start + len(block.tested)) for block in blocks]
+        assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])]
+        assert spans[-1][1] == 600
         assert _assert_kernel_is_the_oracle(blocks) > 0
         reasons.update(REASONS[r] for block in blocks for r in block.reasons.tolist() if r >= 0)
     assert reasons == REASONS_SEEN[family, spec]
