@@ -505,29 +505,39 @@ def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bo
     coins = np.array([head[1] if head else 0 for head in heads], dtype=np.intp)[:, None]
     coins = coins >> np.arange(4) & 1
     challenge_b = coins[:, 2:].astype(bool)
-    replies = [_hex_ints([entry.get(name) for entry in entries]) for name in ("c_a", "c_b")]
-    replies += [  # z_<s> read after challenge a, d_<s> after b
-        _hex_ints([entry.get(names[b]) for entry, b in zip(entries, challenge_b[:, s].tolist())])
+    # A sifted line holds no side, question, answer, herald, tag or win field, and the
+    # writer writes none back: each is read only where the challenges match.
+    rows = np.flatnonzero(challenge_b[:, 0] == challenge_b[:, 1])
+    matched = [entries[i] for i in rows.tolist()]
+    fields = [_hex_ints([entry.get(name) for entry in matched]) for name in ("c_a", "c_b")]
+    fields += [  # z_<s> read after challenge a, d_<s> after b
+        _hex_ints([entry.get(names[b]) for entry, b in zip(matched, challenge_b[rows, s].tolist())])
         for s, names in enumerate((("z_a", "d_a"), ("z_b", "d_b")))
     ]
-    replies += [
+    fields += [
         np.array([bit if type(bit) is int and 0 <= bit <= 1 else -1 for bit in bits], np.int64)
-        for bits in ([entry.get(name) for entry in entries] for name in ("a", "h_a", "b", "h_b"))
+        for bits in ([entry.get(name) for entry in matched] for name in ("a", "h_a", "b", "h_b"))
     ]
-    question_h = np.array(
-        [[e.get("x") == "H", e.get("y") == "H"] for e in entries], dtype=bool
+    replies = tuple(np.full(len(entries), -1, dtype=np.int64) for _ in fields)
+    for reply, field in zip(replies, fields):
+        reply[rows] = field
+    question_h, marked = (np.zeros((len(entries), 2), dtype=bool) for _ in range(2))
+    question_h[rows] = np.array(
+        [[e.get("x") == "H", e.get("y") == "H"] for e in matched], dtype=bool
     ).reshape(-1, 2)
-    marked = np.array(
-        [[e.get("viol_a") is True, e.get("viol_b") is True] for e in entries], dtype=bool
+    marked[rows] = np.array(
+        [[e.get("viol_a") is True, e.get("viol_b") is True] for e in matched], dtype=bool
     ).reshape(-1, 2)
+    generate = np.zeros(len(entries), dtype=bool)
+    generate[rows] = [entry.get("tag") == "generate" for entry in matched]
     block = Block(
-        0, b"", coins[:, :2].astype(bool), challenge_b, question_h,
-        np.array([entry.get("tag") == "generate" for entry in entries], dtype=bool),
-        DrawnKeys(etcf, np.zeros(0, dtype=bool), ()), tuple(replies),
+        0, b"", coins[:, :2].astype(bool), challenge_b, question_h, generate,
+        DrawnKeys(etcf, np.zeros(0, dtype=bool), ()), replies,
     )
     violation = block.messages[-1]
     violation |= marked  # a side its line marks viol_<s>: true is in violation
-    wins = [_WINS.index(win) if win in _WINS else _NA for win in (e.get("win") for e in entries)]
+    wins = np.full(len(entries), _NA, dtype=np.int8)
+    wins[rows] = [_WINS.index(w) if w in _WINS else _NA for w in (e.get("win") for e in matched)]
     block.flags = np.where(block.tested, wins, _NA).astype(np.int8)
     written = _round_lines(block, [head[0] if head else 0 for head in heads])
     return (heads, block, written), written == texts

@@ -509,6 +509,9 @@ CORRUPT_ROUNDS = {
     "generation-round-with-unknown-question": (_is_generate, lambda e: e.update(x="Q")),
     "generation-round-that-failed": (_is_generate, lambda e: e.update(win="fail")),
     "sifted-round-that-passed": (_is_sifted, lambda e: e.update(win="pass")),
+    # Replay reads no side field of a sifted line, yet a line holding one is not the
+    # writer's.
+    "sifted-round-with-commitment": (_is_sifted, lambda e: e.update(c_a="0")),
 }
 
 def _etcf(family="toy-lattice", **sizes):
