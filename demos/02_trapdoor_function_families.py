@@ -3,9 +3,10 @@
 A claw-free pair is 2-to-1: both branches cover the same image, and the
 trapdoor reveals the colliding pair (the claw).  An injective pair has
 disjoint branch images, and the trapdoor reveals the unique preimage.
-The ideal family realizes this with explicit random tables; the toy
-lattice family uses noise-free linear algebra mod a prime (functional,
-deliberately not secure).
+The ideal family realizes this with keyed permutations of small domains
+(an ideal key is its 64-bit seed, and its tables are computed only to be
+shown here); the toy lattice family uses noise-free linear algebra mod a
+prime (functional, deliberately not secure).
 """
 
 from collections import Counter
@@ -31,7 +32,7 @@ rng = np.random.default_rng(7)
 print("=== Ideal claw-free pair, w = 3 ===")
 params = EtcfParams(family="ideal", domain_bits=3)
 key, trapdoor = keygen(KeyKind.CLAW_FREE, params, rng)
-print("branch tables (f0, f1):")
+print(f"key seed {key.seed:#018x}; its branch tables (f0, f1), computed:")
 print(" ", key.tables[0])
 print(" ", key.tables[1])
 hits = Counter(evaluate(key, b, x) for b in (0, 1) for x in range(8))
@@ -41,7 +42,7 @@ c = evaluate(key, 0, 5)
 x0, x1 = invert(trapdoor, c)
 print(f"commitment c = {c}: trapdoor reveals the claw (x0={x0}, x1={x1})")
 print("claw checks out:", evaluate(key, 0, x0) == evaluate(key, 1, x1) == c)
-print("claw partner from public tables only:", claw_partner(key, 0, 5) == x1)
+print("claw partner from the public permutations only:", claw_partner(key, 0, 5) == x1)
 
 gap = min(set(range(1 << key.codomain_bits)) - image(key))
 try:

@@ -3,10 +3,10 @@
 Subpackages/modules:
 
 - ``quantum``: 1-4 qubit statevector engine and the CZ gate-teleportation circuit
-- ``etcf``: extended trapdoor claw-free function families (ideal tables, toy lattice)
+- ``etcf``: extended trapdoor claw-free function families (ideal keyed permutations, toy lattice)
 - ``devices``: honest, noisy, and scripted cheating device strategies
 - ``protocol``: verifier state machines, round execution, sifting, estimation, key extraction
-- ``streams``: the per-block public, private and device random streams (stream layout v6)
+- ``streams``: the per-block public, private and device random streams (stream layout v7)
 - ``postprocess``: one-way reconciliation and Toeplitz privacy amplification
 - ``keyrate``: entropy and key-rate arithmetic
 - ``harness``: seeded experiment runner, transcripts, summaries, replay audit

@@ -6,8 +6,9 @@ each reply is one array (or sequence) per message field, with one entry
 per round (see ``DeviceStrategy``).  Devices get keys and never invert a
 verifier's message.  The honest device reads the keys' stacked arrays
 when it gets a batch's keys as drawn (``etcf.DrawnKeys``), and finds each
-claw-free key's claw partner of its own point in the key's other table,
-as these desk-scale keys make claws public (``etcf.claw_partner``).
+claw-free key's claw partner of its own point with the key's public maps
+(``etcf.ideal_claws``: an ideal key's M or its inverse), as these
+desk-scale keys make claws public (``etcf.claw_partner``).
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import parity
-from .etcf import DrawnKeys, EtcfKeyPair, encode_vectors, stack_keys
+from .etcf import DrawnKeys, EtcfKeyPair, encode_vectors, ideal_claws, stack_keys
 from .etcf import claw_partner  # not called here: named so that bench/spans.py can wrap it
 from .quantum import (
     MeasurementBasis,
@@ -231,16 +232,6 @@ class DeviceStrategy:
         raise NotImplementedError
 
 
-def _ideal_commit(keys: DrawnKeys, branch: np.ndarray, points: np.ndarray):
-    """Each key's f_b(x), and each claw-free key's claw partner of x: the x' with
-    f_{1-b}(x') = f_b(x), found in its other table; 0 for an injective key.  Reads
-    the tables a few keys at a time (``DrawnKeys.preimages``), and stacks none."""
-    rows = np.arange(len(keys))
-    images = keys.arrays[0][rows, branch, points]
-    _, x = keys.preimages(rows, images)
-    return images, x[rows, 1 - branch]  # an injective key's other branch misses: 0
-
-
 def _toy_commit(keys: DrawnKeys, branch: np.ndarray, vectors: np.ndarray):
     """Each key's A x + b shift mod q, and the claw partner x -+ s (s the first n
     coordinates of a claw-free shift A s), each encoded."""
@@ -267,7 +258,7 @@ def _commit(sides, rng: np.random.Generator):
     branch = rng.integers(2, size=shape)
     if params.family == "ideal":
         points = rng.integers(1 << params.domain_bits, size=shape)
-        drawn = [_ideal_commit(keys, branch[:, s], points[:, s]) for s, keys in enumerate(stacks)]
+        drawn = [ideal_claws(keys, branch[:, s], points[:, s]) for s, keys in enumerate(stacks)]
     else:
         vectors = rng.integers(params.q, size=(*shape, params.n))
         drawn = [_toy_commit(keys, branch[:, s], vectors[:, s]) for s, keys in enumerate(stacks)]

@@ -2,12 +2,16 @@
 
 Two instantiations behind one interface:
 
-- ``ideal``: explicit random tables.  A claw-free pair is a uniformly
-  random perfect matching of the two domain copies, mapped injectively to
-  random distinct codomain points (exactly 2-to-1).  An injective pair is
-  a uniformly random injective map whose two branch images land in
-  disjoint codomain halves.  Properties hold exactly, so an honest device
-  wins with probability exactly 1.
+- ``ideal``: keyed permutations of small domains, with no table.  A
+  claw-free pair has a permutation P of the 2**(w+2) codomain points and a
+  permutation M of the 2**w domain points: f_0(x) = P(x) and f_1(x) =
+  f_0(M^-1(x)), exactly 2-to-1, and y has the claw x0 = P^-1(y), x1 =
+  M(x0) exactly when x0 < 2**w.  An injective pair has a permutation P_b of
+  2**(w+1) points for each branch, f_b(x) = P_b(x) in its own codomain half,
+  the halves' order a bit of the seed.  Each permutation is a Feistel
+  network keyed by the seed's words (``_permute``), so every evaluation and
+  inversion is a fixed number of array operations, whatever w.  Properties
+  hold exactly, so an honest device wins with probability exactly 1.
 
 - ``toy-lattice``: noise-free linear maps mod a prime q.  Claw-free:
   f_b(x) = A x + b (A s); the claw partner of x under branch 1 is x - s.
@@ -20,15 +24,16 @@ Two instantiations behind one interface:
   are scripted, not computational).
 
 Every key is drawn from a 64-bit key seed alone: its words are the
-SplitMix64 outputs of the seed (``key_words``), an ideal key's tables are
-argsorts of them, and a toy-lattice key's entries are them mod q.  So any
-seed yields a key its family draws, and the seed is all a trapdoor store
-keeps of a key.  Each family draws a list of keys as stacked arrays at
-once (``keygen_ideal``, ``keygen_toy``), a ``DrawnKeys`` that builds each
-key only when it is read and checks and inverts many keys at once;
+SplitMix64 outputs of the seed (``key_words``), an ideal key's Feistel
+round functions are their top bits, and a toy-lattice key's entries are
+them mod q.  So any seed yields a key its family draws, and the seed is all
+a trapdoor store keeps of a key; an ideal key is nothing but its seed.
+Each family draws a list of keys as stacked arrays at once
+(``keygen_ideal``, ``keygen_toy``), a ``DrawnKeys`` that builds each key
+only when it is read and checks and inverts many keys at once;
 ``draw_keys`` is the one place that picks the family, and ``keygen`` is
 its one-key case.  Keys are immutable plain data, and each key is its own
-trapdoor: an ideal key's tables invert it, and a claw-free toy key's
+trapdoor: an ideal key's permutations invert it, and a claw-free toy key's
 shift A s begins with s.
 
 Domain and codomain elements cross module boundaries as fixed-width bit
@@ -108,24 +113,25 @@ def _is_prime(v: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ideal table-based family
+# Ideal family: keyed permutations
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class IdealKeyPair:
-    """Public evaluation tables for the ideal family.
+    """An ideal key: its kind, its domain width and its 64-bit key seed, which is all
+    of it.  f_b(x) and its inverse are keyed permutations of the seed (``_claws``,
+    ``_preimages``), evaluated when asked; ``tables`` lists f_0 and f_1 whole.
 
-    ``tables[b][x]`` is f_b(x).  Codomain width is domain_bits + 2 for both
-    kinds: wide enough that the two branch images of an injective pair fit
-    in disjoint halves, that every pair leaves non-image points (so invalid
-    commitments are detectable), and that key material does not reveal the
-    kind by its width.
+    Codomain width is domain_bits + 2 for both kinds: wide enough that the two
+    branch images of an injective pair fit in disjoint halves, that every pair
+    leaves non-image points (so invalid commitments are detectable), and that key
+    material does not reveal the kind by its width.
     """
 
     kind: KeyKind
     domain_bits: int
-    tables: np.ndarray  # shape (2, 2**domain_bits)
+    seed: int
 
     @property
     def codomain_bits(self) -> int:
@@ -135,11 +141,29 @@ class IdealKeyPair:
         return fits(x, self.domain_bits)
 
     def evaluate(self, b: int, x: int) -> int:
+        return self._claws_at(b, x)[0]
+
+    @property
+    def tables(self) -> np.ndarray:
+        """(2, 2**domain_bits) int64: tables[b][x] is f_b(x), computed for inspection."""
+        size = 1 << self.domain_bits
+        branch, x = np.divmod(np.arange(2 * size), size)
+        return _claws(*self._stacked(2 * size), self.domain_bits, branch, x)[0].reshape(2, size)
+
+    def _claws_at(self, b: int, x: int) -> tuple[int, int]:
+        """``_claws`` of this key at one branch bit and domain point, each checked."""
         if not fits(b, 1):
             raise ValueError(f"branch bit must be 0/1, got {b}")
         if not self.in_domain(x):
             raise ValueError(f"{x} outside the {self.domain_bits}-bit domain")
-        return int(self.tables[b, x])
+        images, partners = _claws(*self._stacked(1), self.domain_bits, np.array([int(b)]),
+                                  np.array([int(x)]))
+        return int(images[0]), int(partners[0])
+
+    def _stacked(self, count: int):
+        """The seed and claw-free mask of ``count`` copies of this key."""
+        return (np.full(count, self.seed, dtype=np.uint64),
+                np.full(count, self.kind is KeyKind.CLAW_FREE))
 
 
 # SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -149,9 +173,13 @@ _GAMMA, _SHIFT_30, _SHIFT_27, _SHIFT_31, _MIX_1, _MIX_2 = (
     np.array(value, dtype=np.uint64)
     for value in (0x9E3779B97F4A7C15, 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 )
-# Key words one keygen step holds at most, one key's at least: a block's
-# keygen temporaries stay this small whatever its keys' number or width.
+_ZERO, _ONE, _TWO, _BITS = (np.array(value, dtype=np.uint64) for value in (0, 1, 2, 64))
+_GAMMA_INT, _MIX_1_INT, _MIX_2_INT, _MASK = (int(v) for v in (_GAMMA, _MIX_1, _MIX_2, 2**64 - 1))
+# Toy-lattice key words one keygen step holds at most, one key's at least: a block's
+# keygen temporaries stay this small whatever its keys' number or size.
 _CHUNK_WORDS = 1 << 12
+# Feistel rounds of every keyed permutation: even, so that the halves end as they began.
+_ROUNDS = 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -184,23 +212,141 @@ def key_words(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     return words
 
 
-def _claw_free_tables(words: np.ndarray, size: int, tables: np.ndarray, rows: np.ndarray) -> None:
-    """The matching is the argsort of words 1..2**w; f_0 is the first 2**w entries of
-    the argsort of the next 4 * 2**w words, and f_1(matching[x0]) = f_0(x0)."""
-    matching = words[:, :size].argsort(axis=1)
-    image = words[:, size:].argsort(axis=1)[:, :size]
-    tables[rows, 0] = image
-    tables[rows[:, None], 1, matching] = image
+def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) -> np.ndarray:
+    """P(v), or P^-1(v) where ``inverse``, of each key's keyed permutation P of the
+    ``bits``-bit strings whose round words begin at word ``first`` of its seed; each
+    argument an array with an entry per key, or one value for all.
+
+    P is a Feistel network (Luby & Rackoff, SIAM J. Comput. 1988) of ``_ROUNDS``
+    rounds on v = (L, R), L its high floor(bits / 2) bits and R the rest.  Round r
+    maps (L, R) to (R, L xor F_r(R)), F_r(R) the top |L| bits of word first + r *
+    2**ceil(bits / 2) + R of the seed; so an odd width alternates the two unequal
+    halves (as in Black & Rogaway, CT-RSA 2002), and the top bits of a SplitMix64
+    word are those of its mix before the last xorshift, which moves only its low 33.
+    P^-1 runs the rounds from the last, on the halves swapped at each end.  One value
+    is permuted on Python ints (``_permute_one``): numpy takes about a microsecond a
+    call on a one-element array, 100 us a permutation, and the scalar functions and
+    their callers permute one value at a time.
+    """
+    if len(values) == 1:
+        first, bits, inverse = (np.asarray(v).reshape(-1)[0].item() for v in (first, bits, inverse))
+        return np.array([_permute_one(int(seeds[0]), first, bits, int(values[0]), inverse)])
+    # As arrays of the keys' length: uint64 arithmetic on them wraps, as on no scalar.
+    bits, first = (
+        np.broadcast_to(np.asarray(v, dtype=np.uint64), seeds.shape) for v in (bits, first)
+    )
+    low = bits - bits // _TWO
+    stride = np.left_shift(_ONE, low)
+    values = values.astype(np.uint64)
+    left, right = values >> low, values & (stride - _ONE)
+    shift, other = _BITS - (bits - low), _BITS - low  # the top-bit shifts for |L| and |R|
+    step = stride * _GAMMA
+    state = seeds + first * _GAMMA
+    swapped = np.asarray(inverse, dtype=bool)
+    if swapped.any():  # from the last round's words, halves swapped and each step back
+        left, right = np.where(swapped, right, left), np.where(swapped, left, right)
+        shift, other = np.where(swapped, other, shift), np.where(swapped, shift, other)
+        state += np.where(swapped, step * np.uint64(_ROUNDS - 1), _ZERO)
+        step = np.where(swapped, ~step + _ONE, step)
+    word, temp = np.empty_like(left), np.empty_like(left)
+    for _ in range(_ROUNDS):
+        np.multiply(right, _GAMMA, word)
+        np.add(word, state, word)
+        for by, multiplier in ((_SHIFT_30, _MIX_1), (_SHIFT_27, _MIX_2)):
+            np.right_shift(word, by, temp)
+            np.bitwise_xor(word, temp, word)
+            np.multiply(word, multiplier, word)
+        np.right_shift(word, shift, word)
+        np.bitwise_xor(left, word, left)
+        left, right, shift, other = right, left, other, shift
+        np.add(state, step, state)
+    if swapped.any():
+        left, right = np.where(swapped, right, left), np.where(swapped, left, right)
+    return ((left << low) | right).astype(np.int64)
 
 
-def _injective_tables(words: np.ndarray, size: int, tables: np.ndarray, rows: np.ndarray) -> None:
-    """Word 1's low bit picks the branch in the low codomain half; each branch's image is
-    the first 2**w entries of the argsort of the next 2 * 2**w words, in its half."""
-    branch_0_high = (words[:, :1] & np.uint64(1)).astype(np.int64) * (2 * size)
-    for b, offset in ((0, branch_0_high), (1, 2 * size - branch_0_high)):
-        image = words[:, 1 + 2 * b * size:1 + 2 * (b + 1) * size].argsort(axis=1)[:, :size]
-        image += offset
-        tables[rows, b] = image
+def _permute_one(seed: int, first: int, bits: int, value: int, inverse: bool) -> int:
+    """``_permute`` of one value, on Python ints."""
+    low = bits - bits // 2
+    left, right, shifts = value >> low, value & ((1 << low) - 1), (64 - bits + low, 64 - low)
+    rounds = range(_ROUNDS)
+    if inverse:
+        left, right, shifts, rounds = right, left, shifts[::-1], reversed(rounds)
+    for r in rounds:
+        word = (seed + (first + (r << low) + right) * _GAMMA_INT) & _MASK
+        word = ((word ^ word >> 30) * _MIX_1_INT) & _MASK
+        word = ((word ^ word >> 27) * _MIX_2_INT) & _MASK
+        left, right, shifts = right, left ^ word >> shifts[0], shifts[::-1]
+    if inverse:
+        left, right = right, left
+    return left << low | right
+
+
+def _layout(domain_bits: int):
+    """Where each permutation of a key's seed begins, as words: a claw-free key's P of
+    the codomain at word 1, then its M of the domain; an injective key's branch-order
+    bit is word 1's low bit, then its P_0 and P_1 of domain_bits + 1 bits."""
+    span = _ROUNDS << (domain_bits + 3) // 2  # P's words: a round takes 2**ceil((w + 2) / 2)
+    half = _ROUNDS << (domain_bits + 2) // 2  # P_b's
+    return 1 + span, 2, 2 + half
+
+
+def _claws(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, branch: np.ndarray,
+           x: np.ndarray):
+    """(f_b(x), partner) for each key, its branch bit b and its domain point x: a
+    claw-free key's partner is the x' with f_{1-b}(x') = f_b(x), an injective key's 0.
+
+    A claw-free key has f_0(x) = P(x) and f_1(x) = P(M^-1(x)), so the partner is M(x)
+    for b = 0 and M^-1(x) for b = 1.  An injective key has f_b(x) = P_b(x) in codomain
+    half b xor its order bit.
+    """
+    m_first, p0_first, p1_first = _layout(domain_bits)
+    cf = np.flatnonzero(claw_free)
+    partners = np.zeros(len(x), dtype=np.int64)
+    partners[cf] = _permute(seeds[cf], m_first, domain_bits, x[cf], branch[cf] == 1)
+    first = np.where(claw_free, 1, np.where(branch == 1, p1_first, p0_first))
+    bits = np.where(claw_free, domain_bits + 2, domain_bits + 1)
+    points = np.where(claw_free & (branch == 1), partners, x)
+    images = _permute(seeds, first, bits, points)
+    if not claw_free.all():
+        images += np.where(claw_free, 0, (branch ^ _order_bits(seeds)) << (domain_bits + 1))
+    return images, partners
+
+
+def _order_bits(seeds: np.ndarray) -> np.ndarray:
+    """Word 1's low bit of each seed: an injective key's branch in the high half."""
+    return (_mix(seeds + _GAMMA) & np.uint64(1)).astype(np.int64)
+
+
+def _preimages(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, c: np.ndarray):
+    """(hits, x) of ``DrawnKeys.preimages`` for ideal keys: a claw-free key has the claw
+    x0 = P^-1(c), x1 = M(x0) when x0 < 2**w, an injective key the x = P_b^-1 of c's low
+    bits when x < 2**w, b its codomain half xor its order bit."""
+    m_first, p0_first, p1_first = _layout(domain_bits)
+    size = 1 << domain_bits
+    branch = c >> (domain_bits + 1)
+    if not claw_free.all():
+        branch ^= _order_bits(seeds)
+    first = np.where(claw_free, 1, np.where(branch == 1, p1_first, p0_first))
+    bits = np.where(claw_free, domain_bits + 2, domain_bits + 1)
+    point = _permute(seeds, first, bits, np.where(claw_free, c, c & (2 * size - 1)), True)
+    hit = point < size
+    point[~hit] = 0
+    hits = np.zeros((len(c), 2), dtype=bool)
+    x = np.zeros((len(c), 2), dtype=np.int64)
+    cf = np.flatnonzero(claw_free)
+    hits[cf] = hit[cf, None]
+    x[cf, 0] = point[cf]
+    x[cf, 1] = np.where(hit[cf], _permute(seeds[cf], m_first, domain_bits, point[cf]), 0)
+    inj = np.flatnonzero(~claw_free)
+    hits[inj, branch[inj]] = hit[inj]
+    x[inj, branch[inj]] = point[inj]
+    return hits, x
+
+
+def ideal_claws(keys: DrawnKeys, branch: np.ndarray, x: np.ndarray):
+    """``_claws`` of each of a batch's ideal keys, at its branch bit and domain point."""
+    return _claws(keys.arrays[0], keys.claw_free, keys.params.domain_bits, branch, x)
 
 
 def _claw_free(kinds) -> np.ndarray:
@@ -217,22 +363,9 @@ def _rows_by_kind(claw_free: np.ndarray) -> dict[KeyKind, np.ndarray]:
 
 
 def keygen_ideal(kinds, domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
-    """An ideal key of each of ``kinds`` (key kinds, or a claw-free mask), in order,
-    drawn from its uint64 key seed in ``seeds``, a few keys at a time.  A key's tables
-    are a row of one (keys, 2, 2**w) array.
-    """
-    size = 1 << domain_bits
-    step = max(1, _CHUNK_WORDS // (5 * size))
-    claw_free = _claw_free(kinds)
-    tables = np.empty((len(claw_free), 2, size), dtype=np.int64)
-    rows_of = _rows_by_kind(claw_free)
-    draws = ((KeyKind.CLAW_FREE, _claw_free_tables), (KeyKind.INJECTIVE, _injective_tables))
-    for kind, draw in draws:
-        where = rows_of[kind]
-        for lo in range(0, len(where), step):
-            rows = where[lo:lo + step]
-            draw(key_words(seeds[rows], 1, 5 * size), size, tables, rows)
-    return DrawnKeys(EtcfParams("ideal", domain_bits), claw_free, (tables,))
+    """An ideal key of each of ``kinds`` (key kinds, or a claw-free mask), in order:
+    its uint64 key seed in ``seeds``, which is the whole key."""
+    return DrawnKeys(EtcfParams("ideal", domain_bits), _claw_free(kinds), (seeds,))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +378,9 @@ def _coord_bits(q: int) -> int:
 
 
 def key_bytes(params: EtcfParams) -> int:
-    """Bytes of one key's rows of a ``DrawnKeys``' int64 arrays: its two tables, or A
-    and its shift."""
+    """Bytes of one key's rows of a ``DrawnKeys``' arrays: its seed, or A and its shift."""
     if params.family == "ideal":
-        return 8 * 2 << params.domain_bits
+        return 8
     return 8 * (params.m * params.n + params.m)
 
 
@@ -390,12 +522,13 @@ EtcfKeyPair = IdealKeyPair | ToyLatticeKeyPair
 
 class DrawnKeys:
     """Keys drawn together, in draw order: their kinds as a bool array, True where a key
-    is claw-free, and their arrays stacked in that order, an ideal family's tables
-    (keys, 2, 2**w) or a toy-lattice family's matrices (keys, m, n) and shifts (keys,
+    is claw-free, and their arrays stacked in that order, an ideal family's uint64
+    seeds (keys,) or a toy-lattice family's matrices (keys, m, n) and shifts (keys,
     m).  A key is built when it is read, its arrays rows of these, and a slice is the
     same view of the slice's keys.  So the keys can be checked and inverted many at
-    once (``check_preimages``, ``preimages``), a few keys' arrays at a time, as keygen
-    draws them, and none is built unless read.
+    once (``check_preimages``, ``preimages``): the ideal family's as one fixed number
+    of array operations, the toy-lattice family's a few keys' arrays at a time, as
+    keygen draws them; and none is built unless read.
     """
 
     def __init__(self, params: EtcfParams, claw_free: np.ndarray, arrays: tuple) -> None:
@@ -411,7 +544,7 @@ class DrawnKeys:
         kind = KeyKind.CLAW_FREE if self.claw_free[index] else KeyKind.INJECTIVE
         params = self.params
         if params.family == "ideal":
-            return IdealKeyPair(kind, params.domain_bits, self.arrays[0][index])
+            return IdealKeyPair(kind, params.domain_bits, int(self.arrays[0][index]))
         matrices, shifts = self.arrays
         return ToyLatticeKeyPair(kind, params.n, params.m, params.q, matrices[index], shifts[index])
 
@@ -428,7 +561,8 @@ class DrawnKeys:
         1 + domain_bits) and c: whether z = (b || x) has f_b(x) = c."""
         branch, x = z & 1, z >> 1
         if self.params.family == "ideal":
-            return self.arrays[0][rows, branch, x] == c
+            seeds, claw_free = self.arrays[0][rows], self.claw_free[rows]
+            return _claws(seeds, claw_free, self.params.domain_bits, branch, x)[0] == c
         n, q = self.params.n, self.params.q
         matrices, shifts = self.arrays
         ok = np.empty(len(rows), dtype=bool)
@@ -443,15 +577,11 @@ class DrawnKeys:
         """``invert`` of the keys at ``rows``, each at its int64 c (within codomain_bits),
         branch by branch: (hits, x), each (len(rows), 2), hits[i, b] whether c has a
         preimage under f_b, and x[i, b] that preimage (0 when there is none)."""
+        if self.params.family == "ideal":
+            seeds, claw_free = self.arrays[0][rows], self.claw_free[rows]
+            return _preimages(seeds, claw_free, self.params.domain_bits, c)
         hits = np.empty((len(rows), 2), dtype=bool)
         x = np.zeros((len(rows), 2), dtype=np.int64)
-        if self.params.family == "ideal":
-            tables = self.arrays[0]
-            for chunk in self._chunks(len(rows)):
-                match = tables[rows[chunk]] == c[chunk, None, None]
-                hits[chunk] = match.any(axis=2)
-                x[chunk] = match.argmax(axis=2)
-            return hits, x
         n, m, q = self.params.n, self.params.m, self.params.q
         matrices, shifts = self.arrays
         for chunk in self._chunks(len(rows)):
@@ -471,8 +601,8 @@ def stack_keys(keys) -> DrawnKeys:
         return keys
     first, claw_free = keys[0], _claw_free([key.kind for key in keys])
     if isinstance(first, IdealKeyPair):
-        tables = np.stack([key.tables for key in keys])
-        return DrawnKeys(EtcfParams("ideal", first.domain_bits), claw_free, (tables,))
+        seeds = np.array([key.seed for key in keys], dtype=np.uint64)
+        return DrawnKeys(EtcfParams("ideal", first.domain_bits), claw_free, (seeds,))
     params = EtcfParams("toy-lattice", n=first.n, m=first.m, q=first.q)
     arrays = np.stack([key.matrix for key in keys]), np.stack([key.shift for key in keys])
     return DrawnKeys(params, claw_free, arrays)
@@ -523,16 +653,13 @@ def invert(key: EtcfKeyPair, y: int):
     if not fits(y, key.codomain_bits):
         raise NoPreimageError(f"{y} outside the codomain")
     if isinstance(key, IdealKeyPair):
-        x0, x1 = _ideal_preimage(key, 0, y), _ideal_preimage(key, 1, y)
+        [hits], [x] = _preimages(*key._stacked(1), key.domain_bits, np.array([int(y)]))
+        if not hits.any():
+            raise NoPreimageError(f"{y} has no preimage")
         if key.kind is KeyKind.CLAW_FREE:
-            if x0 is None or x1 is None:
-                raise NoPreimageError(f"{y} has no preimage")
-            return x0, x1
-        if x0 is not None:
-            return 0, x0
-        if x1 is not None:
-            return 1, x1
-        raise NoPreimageError(f"{y} has no preimage")
+            return int(x[0]), int(x[1])
+        b = int(hits[1])
+        return b, int(x[b])
     vec = decode_vector(y, key.m, key.q)
     if vec is None:
         raise NoPreimageError(f"{y} does not encode a codomain vector")
@@ -547,12 +674,6 @@ def invert(key: EtcfKeyPair, y: int):
         if x is not None:
             return b, encode_vector(x, key.q)
     raise NoPreimageError(f"{y} has no preimage")
-
-
-def _ideal_preimage(key: IdealKeyPair, b: int, y: int) -> int | None:
-    """The x with f_b(x) = y, by a scan of branch b's table; None if there is none."""
-    hits = np.flatnonzero(key.tables[b] == y)
-    return int(hits[0]) if hits.size else None
 
 
 def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
@@ -573,14 +694,14 @@ def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
 def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
     """The other claw member, recovered from public key material only.
 
-    For these desk-scale families the claw is publicly computable (table
-    scan, or s read off the shift A s), as each key is its own trapdoor;
+    For these desk-scale families the claw is publicly computable (M or its
+    inverse, or s read off the shift A s), as each key is its own trapdoor;
     this stands in for the claw an honest device holds in superposition.
     """
     if key.kind is not KeyKind.CLAW_FREE:
         raise ValueError("claw_partner is defined for claw-free keys only")
     if isinstance(key, IdealKeyPair):
-        return _ideal_preimage(key, 1 - b, key.evaluate(b, x))
+        return key._claws_at(b, x)[1]
     # Noise-free instance in systematic form: the shift A s begins with s.
     secret = key.shift[:key.n]
     vec = decode_vector(x, key.n, key.q)

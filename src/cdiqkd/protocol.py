@@ -4,7 +4,7 @@ Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
 independently per side) a batch of stream blocks at a time, each draw
 split by block (``streams.batches``): as many blocks as ``BATCH_BYTES`` of
-keys hold, and at least one.  A batch's coins, keys and device replies are
+their arrays hold, and at least one.  A batch's coins, keys and device replies are
 arrays (``Block``), and one kernel, ``verdicts``, decides all its rounds at
 once: it drops the sifted (mismatched-challenge) rounds and scores each
 test round, and gives a failed one its reason, the first check it fails
@@ -32,7 +32,7 @@ memory does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v6), and each block draws from three streams keyed by the
+(stream layout v7), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
@@ -92,10 +92,13 @@ from .quantum import (
 from .streams import SEED_BYTES, STREAM_BLOCK, batches, block_streams
 
 SUPPORT_TOLERANCE = 1e-9
-# Bytes of key arrays a session plays at once: a batch holds as many stream blocks as
-# fit their keys in it, and at least one.  It moves no draw, only how many blocks each
-# call of the device and of the kernel takes.
-BATCH_BYTES = 1 << 19
+# Bytes of arrays a session plays at once: a batch holds as many stream blocks as fit
+# in it, and at least one, a round taking its two keys' bytes (``etcf.key_bytes``) and
+# ROUND_BYTES of coins, replies, messages and kernel temporaries (a session's traced
+# peak less its keys: 300-480 B a round at the default sizes of either family).  It
+# moves no draw, only how many blocks each call of the device and of the kernel takes.
+BATCH_BYTES = 1 << 20
+ROUND_BYTES = 384
 # The public coins of a round, in the column order a block draws them.
 COIN_COLUMNS = ("theta_a", "theta_b", "ct_a", "ct_b", "x", "y", "tag")
 
@@ -588,7 +591,7 @@ def run_session(
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
     tally = np.zeros(len(_TALLY), dtype=np.int64)
     reasons = np.zeros(len(REASONS), dtype=np.int64)
-    size = max(1, BATCH_BYTES // (2 * STREAM_BLOCK * key_bytes(params.etcf)))
+    size = max(1, BATCH_BYTES // (STREAM_BLOCK * (2 * key_bytes(params.etcf) + ROUND_BYTES)))
     for stream in batches(block_streams(master, params.rounds), size):
         block = _play_block(device, params, stream)
         block.flags, block.reasons = verdicts(block)

@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v6.
+"""Per-block random streams, stream layout v7.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -44,7 +44,10 @@ v5 keeps v4's public coins, round seeds and keys byte for byte; it moved
 only the device's draws, now one array a message for a whole block
 (``devices``).  Layout v6 keeps v5's streams, seeds, ideal keys and device
 draws; it moved only the toy-lattice keys at q > 2, whose values are now
-their words mod q (``etcf.keygen_toy``).
+their words mod q (``etcf.keygen_toy``).  Layout v7 keeps v6's streams,
+seeds, toy-lattice keys and device draws; it moved only the ideal keys, now
+keyed permutations of their seeds' words in place of argsorted tables
+(``etcf._permute``).
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 256
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 SEED_BYTES = 16  # a round's private seed
-DOMAIN = b"cdiqkd stream layout v2"  # v3 to v6 keep it, and with it v2's stream keys
+DOMAIN = b"cdiqkd stream layout v2"  # v3 to v7 keep it, and with it v2's stream keys
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 

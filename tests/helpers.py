@@ -108,25 +108,44 @@ def splitmix64(seed: int, count: int) -> list[int]:
     return list(itertools.islice(splitmix64_words(seed), count))
 
 
-def _argsort(values) -> list[int]:
-    return sorted(range(len(values)), key=values.__getitem__)
+# Feistel rounds of every ideal-key permutation, as etcf documents them.
+FEISTEL_ROUNDS = 8
+
+
+def documented_permutation(words: list[int], first: int, bits: int) -> list[int]:
+    """P[v] for each ``bits``-bit v of the keyed permutation ``etcf._permute`` documents,
+    from a key's SplitMix64 words (``words[j - 1]`` is word j) whose rounds begin at
+    word ``first``: v = (L, R) with L the high bits // 2 bits, and round r maps (L, R)
+    to (R, L ^ F), F the top |L| bits of word first + r * 2**ceil(bits / 2) + R."""
+    high, low = bits // 2, bits - bits // 2
+    table = []
+    for v in range(1 << bits):
+        left, right, left_bits = v >> low, v & ((1 << low) - 1), high
+        for r in range(FEISTEL_ROUNDS):
+            f = words[first + r * (1 << low) + right - 1] >> (64 - left_bits)
+            left, right, left_bits = right, left ^ f, bits - left_bits
+        table.append(left << low | right)
+    return table
 
 
 def documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
-    """The tables ``keygen_ideal`` documents for one key, from the transcribed words."""
+    """The tables ``IdealKeyPair.tables`` documents for one key, from the transcribed
+    words: a claw-free key's P of w + 2 bits from word 1 and M of w bits after it give
+    f_0(x) = P(x) and f_1(x) = P(M^-1(x)); an injective key's P_0 and P_1 of w + 1 bits
+    from word 2 give f_b(x) = P_b(x) in codomain half b xor word 1's low bit."""
     size = 1 << w
+    p_words = FEISTEL_ROUNDS << (w + 3) // 2  # P's rounds, 2**ceil((w + 2) / 2) words each
     if kind is KeyKind.CLAW_FREE:
-        words = splitmix64(seed, 5 * size)
-        matching, image = _argsort(words[:size]), _argsort(words[size:])[:size]
-        f1 = [0] * size
-        for x0 in range(size):
-            f1[matching[x0]] = image[x0]
-        return np.array([image, f1])
-    words = splitmix64(seed, 1 + 4 * size)
-    low_branch = words[0] & 1
+        words = splitmix64(seed, p_words + (FEISTEL_ROUNDS << (w + 1) // 2))
+        p = documented_permutation(words, 1, w + 2)
+        m = documented_permutation(words, 1 + p_words, w)
+        m_inverse = {y: x for x, y in enumerate(m)}
+        return np.array([[p[x] for x in range(size)], [p[m_inverse[x]] for x in range(size)]])
+    half_words = FEISTEL_ROUNDS << (w + 2) // 2
+    words = splitmix64(seed, 1 + 2 * half_words)
     return np.array([
-        [y + (0 if b == low_branch else 2 * size)
-         for y in _argsort(words[1 + 2 * b * size:1 + 2 * (b + 1) * size])[:size]]
+        [y + ((b ^ words[0] & 1) << (w + 1))
+         for y in documented_permutation(words, 2 + b * half_words, w + 1)[:size]]
         for b in (0, 1)
     ])
 

@@ -201,21 +201,48 @@ class TestSplitMix64:
         assert len(np.unique(words)) == len(words)
 
 
+class TestKeyedPermutation:
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 9, 18])
+    def test_one_value_and_arrays_agree_and_invert(self, bits):
+        # A value permuted alone (on Python ints) is permuted as in an array, with
+        # either direction per value, and the inverse undoes the permutation.
+        rng = np.random.default_rng(bits)
+        seeds = rng.integers(2**64, size=200, dtype=np.uint64)
+        first = rng.integers(1, 2**20, size=200)
+        values = rng.integers(1 << bits, size=200)
+        images = {}
+        for inverse in (False, True):
+            images[inverse] = etcf._permute(seeds, first, bits, values, inverse)
+            assert images[inverse].min() >= 0 and images[inverse].max() < 1 << bits
+            back = etcf._permute(seeds, first, bits, images[inverse], not inverse)
+            assert np.array_equal(back, values)
+            alone = [etcf._permute(seeds[i:i + 1], int(first[i]), bits, values[i:i + 1],
+                                   inverse)[0] for i in range(len(values))]
+            assert images[inverse].tolist() == alone
+        mixed = rng.integers(2, size=200).astype(bool)
+        assert np.array_equal(etcf._permute(seeds, first, bits, values, mixed),
+                              np.where(mixed, images[True], images[False]))
+
+
 class TestBatchedIdealKeygen:
     KINDS = [KeyKind.INJECTIVE, KeyKind.CLAW_FREE, KeyKind.CLAW_FREE, KeyKind.INJECTIVE,
              KeyKind.CLAW_FREE]
 
-    @pytest.mark.parametrize("chunk_words", [None, 1])
+    @pytest.mark.parametrize("keys_per_draw", [None, 1])
     @pytest.mark.parametrize("w", [2, 5, 10])
-    def test_draws_follow_the_documented_order(self, monkeypatch, w, chunk_words):
-        # One word per mixing step and one key per keygen step draw the same keys
-        # as the default chunks.
-        if chunk_words is not None:
-            monkeypatch.setattr(etcf, "_CHUNK_WORDS", chunk_words)
+    def test_draws_follow_the_documented_order(self, w, keys_per_draw):
+        # Each key's maps are the documented permutations of its seed's words, whether
+        # its batch holds all the keys or only it.
         seeds = [w, 2**64 - 1, 0, 2**63, 12345]
-        keys = keygen_ideal(self.KINDS, w, np.array(seeds, dtype=np.uint64))
+        step = keys_per_draw or len(seeds)
+        keys = [
+            key for lo in range(0, len(seeds), step)
+            for key in keygen_ideal(
+                self.KINDS[lo:lo + step], w, np.array(seeds[lo:lo + step], dtype=np.uint64)
+            )
+        ]
         for key, kind, seed in zip(keys, self.KINDS, seeds):
-            assert key.kind is kind and key.domain_bits == w
+            assert key.kind is kind and key.domain_bits == w and key.seed == seed
             assert np.array_equal(key.tables, documented_tables(kind, w, seed))
 
     @pytest.mark.parametrize("kind", list(KeyKind))

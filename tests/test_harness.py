@@ -594,7 +594,7 @@ CORRUPT_STORE_HEADERS = {
     "format-1": {"record": "keys-header", "version": 2, "format": 1},
     "format-2": {"record": "keys-header", "version": 2, "format": 2},
     "format-3": {"record": "keys-header", "version": 2, "format": 3},
-    "other-version": {"record": "keys-header", "version": 7, "format": 4},
+    "other-version": {"record": "keys-header", "version": 6, "format": 4},
     "version-3": {"record": "keys-header", "version": 3, "format": 4},
 }
 
@@ -1239,28 +1239,28 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v6,
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v7,
 # with the store in format 4.
-# A change here changes the outputs of every seeded run.  Layout v6 moved the
-# toy-lattice keys at q > 2 only: every store and every ideal or q = 2
-# transcript is v5's but for its header line, and every summary is v5's, as
-# no pinned run's answers or verdicts depend on a toy key's values; a store
-# holds test rounds' indices and seeds alone, so the runs that share their
-# first 512 rounds' public coins share one store.
-STREAM_LAYOUT_V6 = {
+# A change here changes the outputs of every seeded run.  Layout v7 moved the
+# ideal keys only: every store and every toy-lattice transcript is v6's but
+# for its header line, and every summary is v6's but the classical-random
+# run's, whose verdicts read the keys' values; a store holds test rounds'
+# indices and seeds alone, so the runs that share their first 512 rounds'
+# public coins share one store.
+STREAM_LAYOUT_V7 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "8b817ad48993287442bf4165ca56948f6eff577e4244e3c0bb33549ff83d42df",
-            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
+            "c245b3ba5d216c567ac72b9e8081b8988238e11c2ebac29c2fddda197cfd17ca",
+            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
             "cefe1044bdcbb58507d0877b58999bda45eaeece0d0137c625cc890ed0780448",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "0ac0070a4fc4fa518a85977041562bebf968bea0d4b1174f61ae3a803cff499d",
-            "19badc0f9ada069d4e1ddad116d7b054d00e5e582f4a7a777136974be6e40532",
+            "8be25e9b4f658c9981284982e02682c2dc29c572c27e59bd1d57f790b53d908e",
+            "fa377a128e64b7f6987e2926e5aee3baa474a6af2b047bc778bd6a52c0642e59",
             "5a06b47b6c494927990dea2869c03ed175fdbfae30c67a090a150e599e8d2dc1",
         ),
     ),
@@ -1268,16 +1268,16 @@ STREAM_LAYOUT_V6 = {
     "ideal-random-multiblock": (
         {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "dd60468690aba005d5c5c3d03dd930c6a5d14255d52e85872b2e24116e41ac53",
-            "84b9a59b5b625c476e3a4c66622c9f17b81ba93003fd527d92e23665b3e34af5",
-            "7287805a095dfbf75211df255cfd9b388c2c2ac691a7f8e584fcd26a03ca3b13",
+            "4b2ab901eb8061de8b67e1e1ea29492ee1b7483a6ad062098092808103e68eb1",
+            "d4d8acd14cfc0ae3d067ec1d996ac673e85a31bade964f27641d14147d666766",
+            "af374844fba688c588916ccd48af766cf02bd47c5a5d6c46d772361e9062d0f7",
         ),
     ),
     "lattice-noisy-multiblock": (
         {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "49d03298a9e721a142fb32745038b8674868e9e3e820c11465b9db54c127ef89",
-            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
+            "58e552883c899c23fdc962270edaa5d4fef2a092858ec439d5621b913209d4d7",
+            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
             "8219438556893c1e8553f1ddaabab9332d7b956ee85f10e2698baaa308326507",
         ),
     ),
@@ -1287,8 +1287,8 @@ STREAM_LAYOUT_V6 = {
         {"rounds": 512 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
          "lattice_q": 2, "device": "noisy:0.01:0.0"},
         (
-            "60a1e2f8aadf1a1ab8b325059f400f585e6221c5fbc932bf3515031b164fe8fd",
-            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
+            "7330c2bc34cc7d77806c751cf1e08b53764576acf26a6ab83db9aba46d349146",
+            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
             "8e13d1122a84b99ec4fea50780dd118c03e3bb098a800a2b3068c5f19b8b9b74",
         ),
     ),
@@ -1296,8 +1296,8 @@ STREAM_LAYOUT_V6 = {
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "4588d4b93880a1bfd690f7a4c5b2ccc7cd44c889229728efc8d8a294fac1d784",
-            "1d161effc1191f6b6334f90f7325619ffe88a580ad09691fd5a27b099cc5d85e",
+            "d452b273d6aa7a0211b5b45fce151308b4d1aff83f7f080add9be12f76c0bcfe",
+            "03b8a0d2b4cc9b3d22f7206d6ccb9196c5f920fe5210bb87f0fb0801762a82ba",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -1305,17 +1305,17 @@ STREAM_LAYOUT_V6 = {
     "ideal-noisy-two-blocks-w8": (
         {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "273b63fcfec55c7c2f23812f290c3c070ab48ea6a4aca455487becb4ac6947eb",
-            "e586f3a249c913979c2730cf7c4d4324dfc2a1ab98d0cd846e8933b269b7c83a",
+            "a9bb20cfe0b90bbd4b0670dfc29763278c61dc3a94a6b8c09c96c936611c3ba0",
+            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
             "9fff1b8de1ee5c7a44446be65bc12e0b4cd1c094c5484bc9fdaa36d6b74e68ad",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V6))
-def test_stream_layout_v6_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V6[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V7))
+def test_stream_layout_v7_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V7[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1325,7 +1325,7 @@ def test_stream_layout_v6_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [6, 6]
+    assert [header["version"] for header in headers] == [7, 7]
     assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
@@ -1334,7 +1334,7 @@ def test_stream_layout_v6_is_pinned(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V6))
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V7))
 def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
     # The block writer writes every line from the decided block's arrays: a run with
     # files builds no record and reads no device message again, yet writes the pins.
@@ -1343,7 +1343,7 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(protocol.Block, "records", refused)
     monkeypatch.setattr(protocol, "ingest_side", refused)
-    data, expected = STREAM_LAYOUT_V6[name]
+    data, expected = STREAM_LAYOUT_V7[name]
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
         {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}

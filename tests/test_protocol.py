@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -62,8 +63,8 @@ A, B = ChallengeType.A, ChallengeType.B
 
 
 def _key_bytes(key) -> bytes:
-    """A key's kind and arrays."""
-    arrays = [key.tables] if hasattr(key, "tables") else [key.matrix, key.shift]
+    """A key's kind and what it is drawn as: an ideal key's seed, a toy key's arrays."""
+    arrays = [np.uint64(key.seed)] if hasattr(key, "seed") else [key.matrix, key.shift]
     return key.kind.value.encode() + b"".join(a.tobytes() for a in arrays)
 
 
@@ -345,8 +346,9 @@ def test_warm_honest_session_never_enters_the_statevector_engine(monkeypatch):
 
 
 def test_session_retains_little_beyond_its_key_tables():
-    # A round keeps its two keys, and a key builds no tables of its own, even
-    # after the verifier has inverted it.
+    # A round keeps its two keys, each its seed alone, even after the verifier has
+    # inverted it: a round's record takes under 2 kB, where one w = 8 key's tables
+    # would take 4 kB.
     session_params = params(rounds=512, w=8)
     run_session(HonestDevice(), params(rounds=64, w=8), 1)  # warm the answer and support caches
     tracemalloc.start()
@@ -355,11 +357,9 @@ def test_session_retains_little_beyond_its_key_tables():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    table_bytes = sum(
-        side.key.tables.nbytes for record in session.records for side in (record.alice, record.bob)
-    )
+    table_bytes = 2 * 2**8 * 8
     assert session.tested_count > 0
-    assert retained < 1.5 * table_bytes
+    assert retained < 512 * table_bytes / 2
 
 
 @pytest.mark.parametrize(
@@ -385,9 +385,9 @@ def test_each_key_is_drawn_from_its_half_of_the_round_seed(etcf):
 
 
 def test_block_keygen_temporaries_stay_within_a_few_rows():
-    # The widest domain, claw-free keys only: each key shuffles 4 * 2**16 codomain
-    # points.  The peak above what the session keeps must not grow with the
-    # number of keys the block draws, as one shuffle of all rows at once would.
+    # The widest domain, claw-free keys only: a key is its seed, and checking and
+    # inverting it permutes its points with no table, where a shuffle of one key's
+    # 4 * 2**16 codomain points took a row of 2 MB.
     session_params = params(rounds=16, w=16, p_theta_hadamard=1.0)
     tracemalloc.start()
     try:
@@ -395,12 +395,34 @@ def test_block_keygen_temporaries_stay_within_a_few_rows():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table_bytes = sum(
-        side.key.tables.nbytes for record in session.records for side in (record.alice, record.bob)
-    )
     row_bytes = 4 * 2**16 * 8  # one shuffled row of int64 codomain points
-    assert kept >= table_bytes == 32 * row_bytes // 2
-    assert peak - kept < 3 * row_bytes
+    assert all(record.alice.key.seed >= 0 for record in session.records)
+    assert peak - kept < row_bytes // 16
+
+
+def test_widest_domain_session_is_as_small_and_fast_as_the_default():
+    # Bounded memory at the top of the legal range: an ideal key is its seed and its
+    # maps are computed, never tabulated, so 1,024 honest rounds at w = 16 peak far
+    # under 60 MB (one block's tables took 537 MB) and take at most twice the time a
+    # round of w = 4 takes, each the best of three sessions in this process.
+    def best_seconds(w: int) -> float:
+        seconds = []
+        for seed in range(3):
+            start = time.perf_counter()
+            run_session(HonestDevice(), params(rounds=1024, w=w), seed)
+            seconds.append(time.perf_counter() - start)
+        return min(seconds)
+
+    run_session(HonestDevice(), params(rounds=64), 1)  # build the outcome tables first
+    tracemalloc.start()
+    try:
+        session = run_session(HonestDevice(), params(rounds=1024, w=16), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert session.tested_count > 0 and session.failed_count == 0
+    assert peak < 60e6
+    assert best_seconds(16) <= 2 * best_seconds(4)
 
 
 def test_honest_block_device_temporaries_stay_within_a_few_rows():

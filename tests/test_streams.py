@@ -1,4 +1,4 @@
-"""Stream layout v6: per-block keys, Philox streams and round seeds, block boundaries and
+"""Stream layout v7: per-block keys, Philox streams and round seeds, block boundaries and
 the coins they yield."""
 
 import hashlib
