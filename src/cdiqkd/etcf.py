@@ -223,6 +223,8 @@ def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) 
     2**ceil(bits / 2) + R of the seed; so an odd width alternates the two unequal
     halves (as in Black & Rogaway, CT-RSA 2002), and the top bits of a SplitMix64
     word are those of its mix before the last xorshift, which moves only its low 33.
+    A round on halves of two bits or more is an even permutation (Even & Goldreich
+    1983); 1-bit halves, as M has at w = 2, reach odd ones too.
     P^-1 runs the rounds from the last, on the halves swapped at each end.  One value
     is permuted on Python ints (``_permute_one``): numpy takes about a microsecond a
     call on a one-element array, 100 us a permutation, and the scalar functions and
