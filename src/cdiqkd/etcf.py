@@ -305,7 +305,8 @@ def _claws(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, branch: n
     m_first, p0_first, p1_first = _layout(domain_bits)
     cf = np.flatnonzero(claw_free)
     partners = np.zeros(len(x), dtype=np.int64)
-    partners[cf] = _permute(seeds[cf], m_first, domain_bits, x[cf], branch[cf] == 1)
+    if cf.size:
+        partners[cf] = _permute(seeds[cf], m_first, domain_bits, x[cf], branch[cf] == 1)
     first = np.where(claw_free, 1, np.where(branch == 1, p1_first, p0_first))
     bits = np.where(claw_free, domain_bits + 2, domain_bits + 1)
     points = np.where(claw_free & (branch == 1), partners, x)
@@ -337,9 +338,10 @@ def _preimages(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, c: np
     hits = np.zeros((len(c), 2), dtype=bool)
     x = np.zeros((len(c), 2), dtype=np.int64)
     cf = np.flatnonzero(claw_free)
-    hits[cf] = hit[cf, None]
-    x[cf, 0] = point[cf]
-    x[cf, 1] = np.where(hit[cf], _permute(seeds[cf], m_first, domain_bits, point[cf]), 0)
+    if cf.size:
+        hits[cf] = hit[cf, None]
+        x[cf, 0] = point[cf]
+        x[cf, 1] = np.where(hit[cf], _permute(seeds[cf], m_first, domain_bits, point[cf]), 0)
     inj = np.flatnonzero(~claw_free)
     hits[inj, branch[inj]] = hit[inj]
     x[inj, branch[inj]] = point[inj]
