@@ -327,6 +327,24 @@ class TestReplay:
                 tracemalloc.stop()
         assert peaks[4096] - peaks[2048] < 256 * 1024
 
+    def test_replay_memory_is_bounded_by_one_scoring_batch(self, tmp_path):
+        # A session batch of ideal keys at the default sizes is 10 stream blocks: replay
+        # holds at most one such batch of test rounds at a time, so its peak at four
+        # batches of rounds is its peak at two.
+        peaks = {}
+        for batches in (2, 4):
+            directory = tmp_path / str(batches)
+            directory.mkdir()
+            paths = self.run_and_paths(directory, rounds=batches * 10 * STREAM_BLOCK, seed=35)
+            replay_verify(*paths)  # warm the answer and support caches
+            tracemalloc.start()
+            try:
+                assert replay_verify(*paths).match
+                peaks[batches] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] - peaks[2] <= 256 * 1024
+
     def test_malformed_device_messages_replay_to_a_match(self, tmp_path):
         # The writer marks a side whose device sent a malformed message and drops
         # each response it got wrong; replay reads the side as the writer wrote it.
@@ -871,6 +889,40 @@ class TestMalformedReplay:
             f"footer: tested count should be {tested}",
             "footer: failed count should be 1",
             f"footer: fail fraction should be {sig12(1 / tested)}",
+        ]
+
+    def test_mismatches_across_scoring_batches_keep_line_order(self, tmp_path):
+        # 6,000 rounds span two whole session batches of ideal keys (10 stream blocks
+        # each at the default sizes) and a short one.  Seeds changed in stream blocks 0,
+        # 9, 10 and the last, and a line the writer would not write between them, are
+        # named in line order, and the footer's mismatches follow.
+        run_experiment(config(tmp_path, rounds=6000, seed=41))
+        transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
+        entries = {json.loads(line)["i"]: n for n, line in enumerate(store[1:], 1)}
+        flip = 1 << 127 | 1 << 63  # a bit of Alice's key seed and one of Bob's
+        expected = []
+        for block in (0, 9, 10, 15, 6000 // STREAM_BLOCK):
+            # Round i is on line i + 2: the header is line 1.
+            lines = range(block * STREAM_BLOCK + 1, min((block + 1) * STREAM_BLOCK, 6000) + 1)
+            if block == 15:
+                number = next(n for n in lines if _is_generate(json.loads(transcript[n])))
+                entry = json.loads(transcript[number])
+                del entry["x"]
+                transcript[number] = json.dumps(entry)
+                expected.append(f"line {number + 1}: corrupt record")
+                continue
+            number = next(n for n in lines if _is_challenge_a_test(json.loads(transcript[n])))
+            index = json.loads(transcript[number])["i"]
+            entry = json.loads(store[entries[index]])
+            entry["seed"] = format(int(entry["seed"], 16) ^ flip, "032x")
+            store[entries[index]] = json.dumps(entry)
+            expected.append(f"line {number + 1}: round {index} verdict should be fail")
+        tested = json.loads(transcript[-1])["tested"]
+        report = replay_verify(*self.write(tmp_path, transcript, store))
+        assert report.mismatches == [
+            *expected, "footer: failed count should be 4",
+            f"footer: fail fraction should be {sig12(4 / tested)}",
         ]
 
     @pytest.mark.parametrize("name", sorted(MISPLACED_FOOTERS))
