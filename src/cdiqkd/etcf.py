@@ -121,7 +121,8 @@ def _is_prime(v: int) -> bool:
 class IdealKeyPair:
     """An ideal key: its kind, its domain width and its 64-bit key seed, which is all
     of it.  f_b(x) and its inverse are keyed permutations of the seed (``_claws``,
-    ``_preimages``), evaluated when asked; ``tables`` lists f_0 and f_1 whole.
+    ``_preimages``), evaluated when asked, at one point on Python ints
+    (``_claws_at``, ``_preimage``); ``tables`` lists f_0 and f_1 whole.
 
     Codomain width is domain_bits + 2 for both kinds: wide enough that the two
     branch images of an injective pair fit in disjoint halves, that every pair
@@ -148,22 +149,36 @@ class IdealKeyPair:
         """(2, 2**domain_bits) int64: tables[b][x] is f_b(x), computed for inspection."""
         size = 1 << self.domain_bits
         branch, x = np.divmod(np.arange(2 * size), size)
-        return _claws(*self._stacked(2 * size), self.domain_bits, branch, x)[0].reshape(2, size)
+        seeds = np.full(2 * size, self.seed, dtype=np.uint64)
+        claw_free = np.full(2 * size, self.kind is KeyKind.CLAW_FREE)
+        return _claws(seeds, claw_free, self.domain_bits, branch, x)[0].reshape(2, size)
 
     def _claws_at(self, b: int, x: int) -> tuple[int, int]:
-        """``_claws`` of this key at one branch bit and domain point, each checked."""
+        """``_claws`` of this key at one branch bit and domain point, each checked, on
+        Python ints."""
         if not fits(b, 1):
             raise ValueError(f"branch bit must be 0/1, got {b}")
         if not self.in_domain(x):
             raise ValueError(f"{x} outside the {self.domain_bits}-bit domain")
-        images, partners = _claws(*self._stacked(1), self.domain_bits, np.array([int(b)]),
-                                  np.array([int(x)]))
-        return int(images[0]), int(partners[0])
+        b, x, w, seed = int(b), int(x), self.domain_bits, self.seed
+        m_first, p0_first, p1_first = _layout(w)
+        if self.kind is KeyKind.CLAW_FREE:
+            partner = _permute_one(seed, m_first, w, x, b == 1)
+            return _permute_one(seed, 1, w + 2, partner if b else x, False), partner
+        image = _permute_one(seed, p1_first if b else p0_first, w + 1, x, False)
+        return image + ((b ^ _order_bit(seed)) << (w + 1)), 0
 
-    def _stacked(self, count: int):
-        """The seed and claw-free mask of ``count`` copies of this key."""
-        return (np.full(count, self.seed, dtype=np.uint64),
-                np.full(count, self.kind is KeyKind.CLAW_FREE))
+    def _preimage(self, c: int):
+        """``invert`` of a codomain point ``c`` under this key, on Python ints: the claw
+        (x0, x1), or (b, x) for an injective key; None if ``c`` has no preimage."""
+        w, seed = self.domain_bits, self.seed
+        m_first, p0_first, p1_first = _layout(w)
+        if self.kind is KeyKind.CLAW_FREE:
+            x0 = _permute_one(seed, 1, w + 2, c, True)
+            return (x0, _permute_one(seed, m_first, w, x0, False)) if x0 >> w == 0 else None
+        b = c >> (w + 1) ^ _order_bit(seed)
+        x = _permute_one(seed, p1_first if b else p0_first, w + 1, c & ((2 << w) - 1), True)
+        return (b, x) if x >> w == 0 else None
 
 
 # SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -226,9 +241,9 @@ def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) 
     A round on halves of two bits or more is an even permutation (Even & Goldreich
     1983); 1-bit halves, as M has at w = 2, reach odd ones too.
     P^-1 runs the rounds from the last, on the halves swapped at each end.  One value
-    is permuted on Python ints (``_permute_one``): numpy takes about a microsecond a
-    call on a one-element array, 100 us a permutation, and the scalar functions and
-    their callers permute one value at a time.
+    is permuted on Python ints (``_permute_one``), as one key's scalar calls permute
+    theirs (``IdealKeyPair._claws_at``, ``_preimage``): numpy takes about a
+    microsecond a call on a one-element array, 100 us a permutation.
     """
     if len(values) == 1:
         first, bits, inverse = (np.asarray(v).reshape(-1)[0].item() for v in (first, bits, inverse))
@@ -282,6 +297,14 @@ def _permute_one(seed: int, first: int, bits: int, value: int, inverse: bool) ->
     if inverse:
         left, right = right, left
     return left << low | right
+
+
+def _order_bit(seed: int) -> int:
+    """``_order_bits`` of one seed, on Python ints."""
+    word = (seed + _GAMMA_INT) & _MASK
+    word = ((word ^ word >> 30) * _MIX_1_INT) & _MASK
+    word = ((word ^ word >> 27) * _MIX_2_INT) & _MASK
+    return (word ^ word >> 31) & 1
 
 
 def _layout(domain_bits: int):
@@ -657,13 +680,10 @@ def invert(key: EtcfKeyPair, y: int):
     if not fits(y, key.codomain_bits):
         raise NoPreimageError(f"{y} outside the codomain")
     if isinstance(key, IdealKeyPair):
-        [hits], [x] = _preimages(*key._stacked(1), key.domain_bits, np.array([int(y)]))
-        if not hits.any():
+        preimage = key._preimage(int(y))
+        if preimage is None:
             raise NoPreimageError(f"{y} has no preimage")
-        if key.kind is KeyKind.CLAW_FREE:
-            return int(x[0]), int(x[1])
-        b = int(hits[1])
-        return b, int(x[b])
+        return preimage
     vec = decode_vector(y, key.m, key.q)
     if vec is None:
         raise NoPreimageError(f"{y} does not encode a codomain vector")

@@ -17,10 +17,13 @@ as soon as the batch is decided, straight from its arrays (``protocol.Block``).
 The block writer (``_round_lines``, ``_KEYS_LINE``) is the one statement of
 both formats: replay reads a block of lines into the values they were
 written from and keeps each line only if the writer writes those values
-back as that line.  A block is decoded with one ``json.loads``, or else
-line by line, so that a line that is not UTF-8 or not JSON spoils only itself.
-Replay makes one pass per block: each line is checked where it is read, and
-the verdicts of the block's test rounds are filled in once the block is read.
+back as that line.  Replay reads a stream block of lines (``STREAM_BLOCK``,
+256) at a time, decoded with one ``json.loads``, or else line by line, so
+that a line that is not UTF-8 or not JSON spoils only itself; each line is
+checked where it is read.  It scores test rounds a session batch at a time:
+the verdicts of the rounds whose lines pass are filled in each time
+``protocol.batch_blocks`` stream blocks of lines have been read, and after
+the last line.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -53,6 +56,7 @@ from .protocol import (
     SessionResult,
     WinFlag,
     abort_decision,
+    batch_blocks,
     classify_round,
     run_session,
     verdicts,
@@ -575,6 +579,31 @@ class _StoreCursor:
         return self._seed
 
 
+def _settle(etcf: EtcfParams, parts: list, seeds: list, where: list, mismatches: list,
+            start: int, fail_reasons: dict) -> None:
+    """Score a batch of test rounds whose lines passed, each block's arrays of them in
+    ``parts``, their seeds in ``seeds`` and their (line number, index) in ``where``, on
+    their keys drawn at once; count each failure in ``fail_reasons`` and settle each
+    round's placeholder among ``mismatches[start:]``, its number in the batch, to its
+    ``verdict should be`` mismatch, or drop it."""
+    if not seeds:
+        return
+    hadamard, challenge_b, question_h, generate, flags, *messages = map(np.concatenate, zip(*parts))
+    kernel = Block(0, b"", hadamard, challenge_b, question_h, generate,
+                   draw_keys(hadamard.ravel(), etcf, b"".join(seeds)), ())
+    kernel.messages = tuple(messages)
+    scored, reasons = verdicts(kernel)
+    counts = np.bincount(reasons[scored == _FAIL], minlength=len(REASONS))
+    for reason, count in zip(REASONS, counts.tolist()):
+        fail_reasons[reason] += count
+    verdict = {
+        k: f"line {where[k][0]}: round {where[k][1]} verdict should be {_WINS[scored[k]]}"
+        for k in np.flatnonzero(scored != flags).tolist()
+    }
+    settled = (verdict.get(item) if type(item) is int else item for item in mismatches[start:])
+    mismatches[start:] = [item for item in settled if item is not None]
+
+
 # The footer's fields as its mismatch messages name them.
 _FOOTER_LABELS = {
     "tested": "tested count", "failed": "failed count",
@@ -585,12 +614,14 @@ _FOOTER_LABELS = {
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, a block of lines at a time, in
-    one pass per block: each line is checked where it is read, and a test
-    round whose line passes holds its place among the mismatches until the
-    block's lines are read; then the block's keys are drawn at once,
+    Both files are read once, in round order, a stream block of lines
+    (256) at a time, and each line is checked where it is read.  A test
+    round whose line passes holds its place among the mismatches until a
+    session batch of lines (``protocol.batch_blocks`` stream blocks) is
+    read, or the last line is; then the batch's keys are drawn at once,
     ``protocol.verdicts`` scores its test rounds, and each place becomes its
-    ``verdict should be`` mismatch or is dropped.  A round line
+    ``verdict should be`` mismatch or is dropped.  So replay holds one block
+    of decoded lines and one batch of test rounds at a time.  A round line
     the writer would not write for the values read from it yields a mismatch
     naming the line, and so does a round index that is not the next of
     ``0..rounds-1``, a test round whose store entry is missing or out of
@@ -624,9 +655,13 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
-    for numbers, texts, entries, read in _blocks(lines, partial(_read_rounds, etcf)):
+    size = batch_blocks(etcf)
+    parts, seeds, where, start = [], [], [], 0  # the batch to score; mismatches[start:] are its
+    for count, (numbers, texts, entries, read) in enumerate(
+        _blocks(lines, partial(_read_rounds, etcf)), start=1
+    ):
         heads, block, written = read
-        start, rows, seeds = len(mismatches), [], []  # rows, seeds: the test rounds to score
+        rows = []  # the block's test rounds to score
         for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
             if footer is not None:  # the footer is the last line
                 what = "corrupt record" if entry is None else "record after the footer"
@@ -675,24 +710,18 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             if text != written[row] and not _same(entry, json.loads(written[row]), True):
                 mismatches.append(f"line {number}: corrupt record")
             elif block.tested[row]:
+                mismatches.append(len(seeds))  # a placeholder for its verdict's mismatch, if any
                 rows.append(row)
                 seeds.append(seed)
-                mismatches.append(row)  # a placeholder for its verdict's mismatch, if any
-        if rows:  # score the block's test rounds on their keys, drawn at once
-            hadamard = block.hadamard[rows]
-            kernel = Block(0, b"", hadamard, block.challenge_b[rows],
-                           block.question_h[rows], block.generate[rows],
-                           draw_keys(hadamard.ravel(), etcf, b"".join(seeds)), ())
-            kernel.messages = tuple(message[rows] for message in block.messages)  # marks too
-            verdict = {}
-            for row, flag, reason in zip(rows, *(column.tolist() for column in verdicts(kernel))):
-                if flag == _FAIL:
-                    fail_reasons[REASONS[reason]] += 1
-                verdict[row] = None if flag == block.flags[row] else (
-                    f"line {numbers[row]}: round {heads[row][0]} verdict should be {_WINS[flag]}"
-                )
-            settled = (verdict[item] if type(item) is int else item for item in mismatches[start:])
-            mismatches[start:] = [item for item in settled if item is not None]
+                where.append((number, index))
+        if rows:
+            parts.append((block.hadamard[rows], block.challenge_b[rows], block.question_h[rows],
+                          block.generate[rows], block.flags[rows],
+                          *(message[rows] for message in block.messages)))  # marks too
+        if count % size == 0:
+            _settle(etcf, parts, seeds, where, mismatches, start, fail_reasons)
+            parts, seeds, where, start = [], [], [], len(mismatches)
+    _settle(etcf, parts, seeds, where, mismatches, start, fail_reasons)
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")

@@ -2,14 +2,14 @@
 
 Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
-independently per side) a batch of stream blocks at a time, each draw
-split by block (``streams.batches``): as many blocks as ``BATCH_BYTES`` of
-their arrays hold, and at least one.  A batch's coins, keys and device replies are
-arrays (``Block``), and one kernel, ``verdicts``, decides all its rounds at
-once: it drops the sifted (mismatched-challenge) rounds and scores each
-test round, and gives a failed one its reason, the first check it fails
-(``REASONS``: a malformed message, a challenge-a preimage, a commitment
-with no preimage, the Bell parity, or a product round's honest support).
+independently per side) a batch of ``batch_blocks`` stream blocks at a
+time, each draw split by block (``streams.batches``).  A batch's coins,
+keys and device replies are arrays (``Block``), and one kernel,
+``verdicts``, decides all its rounds at once: it drops the sifted
+(mismatched-challenge) rounds and scores each test round, and gives a
+failed one its reason, the first check it fails (``REASONS``: a malformed
+message, a challenge-a preimage, a commitment with no preimage, the Bell
+parity, or a product round's honest support).
 The session counts round types, verdicts, reasons and the Bell-test QBER
 cells with array counts, and takes each generation round's key-bit pair
 from the same arrays.  Estimation then reads only that tally, aborting
@@ -569,6 +569,13 @@ def _bell_check(record: RoundRecord) -> tuple[WinFlag, str | None]:
     return WinFlag.PASS, None
 
 
+def batch_blocks(etcf: EtcfParams) -> int:
+    """Stream blocks a batch of ``etcf``'s keys holds: as many as fit ``BATCH_BYTES`` at two
+    keys and ``ROUND_BYTES`` a round, and at least one.  A session plays a batch at a
+    time, and the replay audit scores one at a time."""
+    return max(1, BATCH_BYTES // (STREAM_BLOCK * (2 * key_bytes(etcf) + ROUND_BYTES)))
+
+
 def run_session(
     device: DeviceStrategy,
     params: ProtocolParams,
@@ -591,8 +598,7 @@ def run_session(
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
     tally = np.zeros(len(_TALLY), dtype=np.int64)
     reasons = np.zeros(len(REASONS), dtype=np.int64)
-    size = max(1, BATCH_BYTES // (STREAM_BLOCK * (2 * key_bytes(params.etcf) + ROUND_BYTES)))
-    for stream in batches(block_streams(master, params.rounds), size):
+    for stream in batches(block_streams(master, params.rounds), batch_blocks(params.etcf)):
         block = _play_block(device, params, stream)
         block.flags, block.reasons = verdicts(block)
         challenge_b, bell, failed = block.challenge_b, block.bell, block.flags == _FAIL

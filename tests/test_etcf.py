@@ -224,6 +224,38 @@ class TestKeyedPermutation:
                               np.where(mixed, images[True], images[False]))
 
 
+@pytest.mark.parametrize("kind", list(KeyKind))
+@pytest.mark.parametrize("w", [2, 3, 4, 5, 6])
+def test_one_key_calls_are_the_array_maps_at_every_point(w, kind):
+    # evaluate, claw_partner, invert and check_preimage of one ideal key, on Python
+    # ints, are _claws and _preimages of its seed at every point of their ranges.
+    size, claw_free = 1 << w, kind is KeyKind.CLAW_FREE
+    for seed in (0, 7, 2**64 - 1, 0x9E3779B97F4A7C15):
+        key, _ = keygen(kind, ideal(w), seed)
+        branch, x = np.divmod(np.arange(2 * size), size)
+        seeds = np.full(2 * size, seed, dtype=np.uint64)
+        images, partners = etcf._claws(seeds, np.full(2 * size, claw_free), w, branch, x)
+        for b, point, y, partner in zip(branch.tolist(), x.tolist(), images.tolist(),
+                                        partners.tolist()):
+            assert evaluate(key, b, point) == y
+            assert check_preimage(key, point << 1 | b, y)
+            assert not check_preimage(key, point << 1 | b, y ^ 1)
+            if claw_free:
+                assert claw_partner(key, b, point) == partner
+        c = np.arange(4 * size)
+        hits, preimages = etcf._preimages(np.full(4 * size, seed, dtype=np.uint64),
+                                          np.full(4 * size, claw_free), w, c)
+        for point, hit, pair in zip(c.tolist(), hits.tolist(), preimages.tolist()):
+            if not any(hit):
+                with pytest.raises(NoPreimageError):
+                    invert(key, point)
+            elif claw_free:
+                assert invert(key, point) == tuple(pair)
+            else:
+                b = hit.index(True)
+                assert invert(key, point) == (b, pair[b])
+
+
 class TestBatchedIdealKeygen:
     KINDS = [KeyKind.INJECTIVE, KeyKind.CLAW_FREE, KeyKind.CLAW_FREE, KeyKind.INJECTIVE,
              KeyKind.CLAW_FREE]
