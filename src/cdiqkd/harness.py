@@ -656,7 +656,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
     size = batch_blocks(etcf)
-    parts, seeds, where, start = [], [], [], 0  # the batch to score; mismatches[start:] are its
+    parts, seeds, where, start = [], [], [], 0  # the batch to score, placeholders from start on
     for count, (numbers, texts, entries, read) in enumerate(
         _blocks(lines, partial(_read_rounds, etcf)), start=1
     ):
