@@ -579,29 +579,31 @@ class _StoreCursor:
         return self._seed
 
 
-def _settle(etcf: EtcfParams, parts: list, seeds: list, where: list, mismatches: list,
-            start: int, fail_reasons: dict) -> None:
+def _settle(etcf: EtcfParams, parts: list, seeds: bytearray, mismatches: list, start: int,
+            fail_reasons: dict) -> None:
     """Score a batch of test rounds whose lines passed, each block's arrays of them in
-    ``parts``, their seeds in ``seeds`` and their (line number, index) in ``where``, on
-    their keys drawn at once; count each failure in ``fail_reasons`` and settle each
-    round's placeholder among ``mismatches[start:]``, its number in the batch, to its
-    ``verdict should be`` mismatch, or drop it."""
+    ``parts`` and their seeds in ``seeds``, on their keys drawn at once; count each
+    failure in ``fail_reasons`` and settle each round's placeholder among
+    ``mismatches[start:]``, its (line number, index), to its ``verdict should be``
+    mismatch, or drop it.  The placeholders are in the rounds' order."""
     if not seeds:
         return
     hadamard, challenge_b, question_h, generate, flags, *messages = map(np.concatenate, zip(*parts))
     kernel = Block(0, b"", hadamard, challenge_b, question_h, generate,
-                   draw_keys(hadamard.ravel(), etcf, b"".join(seeds)), ())
+                   draw_keys(hadamard.ravel(), etcf, seeds), ())
     kernel.messages = tuple(messages)
     scored, reasons = verdicts(kernel)
     counts = np.bincount(reasons[scored == _FAIL], minlength=len(REASONS))
     for reason, count in zip(REASONS, counts.tolist()):
         fail_reasons[reason] += count
-    verdict = {
-        k: f"line {where[k][0]}: round {where[k][1]} verdict should be {_WINS[scored[k]]}"
-        for k in np.flatnonzero(scored != flags).tolist()
-    }
-    settled = (verdict.get(item) if type(item) is int else item for item in mismatches[start:])
-    mismatches[start:] = [item for item in settled if item is not None]
+    wrong = iter(np.where(scored != flags, scored, -1).tolist())  # a verdict not its line's
+    settled = []
+    for item in mismatches[start:]:
+        if type(item) is str:
+            settled.append(item)
+        elif (flag := next(wrong)) >= 0:
+            settled.append(f"line {item[0]}: round {item[1]} verdict should be {_WINS[flag]}")
+    mismatches[start:] = settled
 
 
 # The footer's fields as its mismatch messages name them.
@@ -656,7 +658,7 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
     size = batch_blocks(etcf)
-    parts, seeds, where, start = [], [], [], 0  # the batch to score, placeholders from start on
+    parts, seeds, start = [], bytearray(), 0  # the batch to score, placeholders from start on
     for count, (numbers, texts, entries, read) in enumerate(
         _blocks(lines, partial(_read_rounds, etcf)), start=1
     ):
@@ -710,18 +712,17 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
             if text != written[row] and not _same(entry, json.loads(written[row]), True):
                 mismatches.append(f"line {number}: corrupt record")
             elif block.tested[row]:
-                mismatches.append(len(seeds))  # a placeholder for its verdict's mismatch, if any
+                mismatches.append((number, index))  # a placeholder for its verdict's mismatch
                 rows.append(row)
-                seeds.append(seed)
-                where.append((number, index))
+                seeds += seed
         if rows:
             parts.append((block.hadamard[rows], block.challenge_b[rows], block.question_h[rows],
                           block.generate[rows], block.flags[rows],
                           *(message[rows] for message in block.messages)))  # marks too
         if count % size == 0:
-            _settle(etcf, parts, seeds, where, mismatches, start, fail_reasons)
-            parts, seeds, where, start = [], [], [], len(mismatches)
-    _settle(etcf, parts, seeds, where, mismatches, start, fail_reasons)
+            _settle(etcf, parts, seeds, mismatches, start, fail_reasons)
+            parts, seeds, start = [], bytearray(), len(mismatches)
+    _settle(etcf, parts, seeds, mismatches, start, fail_reasons)
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")
