@@ -903,7 +903,7 @@ class TestMalformedReplay:
         flip = 1 << 127 | 1 << 63  # a bit of Alice's key seed and one of Bob's
         expected = []
         for block in (0, 9, 10, 15, 6000 // STREAM_BLOCK):
-            # Round i is on line i + 2: the header is line 1.
+            # transcript[i + 1] is round i, on line i + 2: the header is line 1.
             lines = range(block * STREAM_BLOCK + 1, min((block + 1) * STREAM_BLOCK, 6000) + 1)
             if block == 15:
                 number = next(n for n in lines if _is_generate(json.loads(transcript[n])))
