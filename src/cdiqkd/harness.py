@@ -590,8 +590,7 @@ def _settle(etcf: EtcfParams, parts: list, seeds: bytearray, mismatches: list, s
         return
     hadamard, challenge_b, question_h, generate, flags, *messages = map(np.concatenate, zip(*parts))
     kernel = Block(0, b"", hadamard, challenge_b, question_h, generate,
-                   draw_keys(hadamard.ravel(), etcf, seeds), ())
-    kernel.messages = tuple(messages)
+                   draw_keys(hadamard.ravel(), etcf, seeds), (), tuple(messages))
     scored, reasons = verdicts(kernel)
     counts = np.bincount(reasons[scored == _FAIL], minlength=len(REASONS))
     for reason, count in zip(REASONS, counts.tolist()):

@@ -20,8 +20,7 @@ questions are both computational.
 The kernel range-checks each reply array as an array (``bits.fits_each``),
 inverts a batch's keys many at once (``etcf.DrawnKeys``) and reads the
 product-round check from one table of ``_support_of``, built at first use.
-``_verdict`` (and ``win_condition``, its flag) states the same checks for
-one ``RoundRecord``: the oracle the kernel is tested against.
+``win_condition`` and ``honest_support`` run it on one ``RoundRecord``'s round.
 
 Records are built only on request.  Once a batch is decided it goes to
 the session's block consumer: ``run_session`` builds its records and
@@ -65,21 +64,19 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .bits import dot, fits, fits_each, parity
+from .bits import dot, fits_each, parity
 from .devices import NO_QUESTION, QUESTION_BASES, ChallengeType, DeviceStrategy
 from .etcf import (
     DrawnKeys,
     EtcfKeyPair,
     EtcfParams,
     KeyKind,
-    NoPreimageError,
-    check_preimage,
     draw_keys,
-    invert,
     key_bytes,
     key_widths,
-    keygen,  # not called here: named so that bench/spans.py can wrap it
+    stack_keys,
 )
+from .etcf import check_preimage, invert, keygen  # not called here: bench/spans.py wraps them
 from .quantum import (
     MeasurementBasis,
     apply_gate,
@@ -227,7 +224,7 @@ KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 _TAGS = (TestTag.TEST, TestTag.GENERATE)  # indexed by a generation bit
 
-# Why a test round failed: the first check of ``_verdict`` it fails.
+# Why a test round failed: the first check of ``verdicts`` it fails.
 REASONS = ("violation", "preimage", "no_preimage", "bell_parity", "support")
 # A round's flag in a decided batch, an index of FLAGS.
 FLAGS = (WinFlag.NA, WinFlag.PASS, WinFlag.FAIL)
@@ -249,7 +246,7 @@ class Block:
     reasons: np.ndarray  # (n,): an index of REASONS for a failed test round, else -1
 
     def __init__(self, start: int, seeds: bytes, hadamard, challenge_b, question_h,
-                 generate_coin, keys: DrawnKeys, replies: tuple) -> None:
+                 generate_coin, keys: DrawnKeys, replies: tuple, messages=None) -> None:
         self.start = start
         self.seeds = seeds  # SEED_BYTES a round
         self.hadamard = hadamard  # (n, 2): the state basis is Hadamard (the key is claw-free)
@@ -260,13 +257,15 @@ class Block:
         self.bell = challenge_b.all(axis=1) & hadamard.all(axis=1)
         self.generate = self.bell & generate_coin  # the tag rule: only a Bell round, on its coin
         self.tested = (challenge_b[:, 0] == challenge_b[:, 1]) & ~self.generate
+        if messages is not None:  # read already: a replayed line's, or a record's fields
+            self.messages = messages
 
     @cached_property
     def messages(self) -> tuple[np.ndarray, ...]:
         """(c, response, answer, h, violation), each (n, 2): each message as an integer, as
-        ``ingest_side`` keeps it, and each side's violation, as it notes it.  A message
+        a record keeps it, and whether a side sent a malformed or missing message.  A message
         that is not a bit string of its width is 0 if it is the commitment and -1 if not
-        (``ingest_side``'s None); the answer and h are -1 unless both are bits."""
+        (a record's None); the answer and h are -1 unless both are bits."""
         domain_bits, codomain_bits = key_widths(self.keys.params)
         c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = self.replies
         pairs = []
@@ -284,10 +283,10 @@ class Block:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """(n, 2) retained-qubit codes (``_reconstruct_retained_qubit``) of the sides a
+        """(n, 2) retained-qubit codes (``_retained_codes``) of the sides a
         check or a key bit reads, -1 where there is none or it is not read: both sides
         of a product round with both challenges b, and of a Bell round with equal
-        questions the one side ``_bell_check`` reads, when neither side is in
+        questions the one side the Bell check reads, when neither side is in
         violation."""
         c, resp, _, _, violation = self.messages
         both_b = self.challenge_b.all(axis=1) & ~violation.any(axis=1)
@@ -297,19 +296,27 @@ class Block:
         read[equal, 0] = self.question_h[equal, 0]  # Alice's when both are Hadamard
         read[equal, 1] = ~self.question_h[equal, 1]  # Bob's when both are computational
         sides = np.flatnonzero(read)  # side 2 i + s of round i, as the keys are ordered
-        hits, x = self.keys.preimages(sides, c.ravel()[sides])
-        claw_free = self.hadamard.ravel()[sides]
-        phase = parity(resp.ravel()[sides] & (x[:, 0] ^ x[:, 1]))
         codes = np.full(violation.size, _NO_CODE, dtype=np.int8)
-        codes[sides] = np.where(
+        if sides.size:  # a one-round block often reads none
+            codes[sides] = self._retained_codes(sides, c.ravel()[sides], resp.ravel()[sides])
+        return codes.reshape(violation.shape)
+
+    def _retained_codes(self, sides: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The codes (the device's: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->) of the qubits an honest
+        device holds after challenge b at ``sides``, from c and d; -1 where c has no preimage."""
+        inside = c >> key_widths(self.keys.params)[1] == 0  # a wider c has none
+        hits, x = self.keys.preimages(sides, np.where(inside, c, 0).astype(np.int64, copy=False))
+        hits &= inside[:, None]
+        claw_free = self.hadamard.ravel()[sides]
+        phase = parity(d & (x[:, 0] ^ x[:, 1]))
+        return np.where(
             claw_free,
             np.where(hits.all(axis=1), 2 + phase, _NO_CODE),
             np.where(hits[:, 0], 0, np.where(hits[:, 1], 1, _NO_CODE)),
         )
-        return codes.reshape(violation.shape)
 
     def generation_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(kept, pairs): the generation rounds ``_generation_bits`` keeps, and each
+        """(kept, pairs): the generation rounds whose key bits are kept, and each
         round's (n, 2) key-bit pair, Alice's answer and Bob's flip-corrected one."""
         _, _, answer, _, violation = self.messages
         phase_b = self.codes[:, 1] - 2
@@ -320,27 +327,21 @@ class Block:
         return kept, np.stack([answer[:, 0], answer[:, 1] ^ phase_b], axis=1)
 
     def records(self) -> list[RoundRecord]:
-        """Each round's record, its sides read by ``ingest_side`` from the replies as
-        sent (a reply array's entries as Python ints) and its win from ``flags``."""
-        c_a, c_b, resp_a, resp_b, a, h_a, b, h_b = (
-            reply.tolist() if isinstance(reply, np.ndarray) else reply for reply in self.replies
-        )
-        keys = self.keys
-        rows = zip(
-            self.hadamard.tolist(), self.challenge_b.tolist(), self.question_h.tolist(),
-            self.generate.tolist(), self.flags.tolist(),
-        )
+        """Each round's record, its sides read from ``messages`` (-1 as None; only a
+        challenge-b side has an answer and an h) and its win from ``flags``."""
+        arrays = (self.hadamard, self.challenge_b, self.question_h, *self.messages)
+        rows = zip(self.keys, *([None if v < 0 else v for v in a.ravel().tolist()] for a in arrays))
+        sides = []
+        for key, had, b, qh, c, resp, answer, h, violation in rows:
+            z_to_h = (None, resp, _BASES[qh], answer, h) if b else (resp, None, None, None, None)
+            sides.append(SideRecord(_BASES[had], key, c, _CHALLENGES[b], *z_to_h, violation))
         records = []
-        for i, ((had_a, had_b), (b_a, b_b), (qh_a, qh_b), generate, flag) in enumerate(rows):
-            theta_a, theta_b = _BASES[had_a], _BASES[had_b]
-            ct_a, ct_b = _CHALLENGES[b_a], _CHALLENGES[b_b]
-            x = _BASES[qh_a] if b_a else None
-            y = _BASES[qh_b] if b_b else None
+        for i, (generate, flag) in enumerate(zip(self.generate.tolist(), self.flags.tolist())):
+            alice, bob = sides[2 * i:2 * i + 2]
             records.append(RoundRecord(
                 index=self.start + i,
-                alice=ingest_side(theta_a, keys[2 * i], c_a[i], ct_a, resp_a[i], x, a[i], h_a[i]),
-                bob=ingest_side(theta_b, keys[2 * i + 1], c_b[i], ct_b, resp_b[i], y, b[i], h_b[i]),
-                round_type=classify_round(ct_a, ct_b, theta_a, theta_b),
+                alice=alice, bob=bob,
+                round_type=classify_round(alice.ct, bob.ct, alice.theta, bob.theta),
                 test_tag=_TAGS[generate],
                 win=FLAGS[flag],
                 seed=self.seeds[SEED_BYTES * i:SEED_BYTES * (i + 1)],
@@ -382,8 +383,18 @@ def _support_table() -> np.ndarray:
 
 def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """Each round's flag (an index of ``FLAGS``) and, for a failed test round, the reason
-    (an index of ``REASONS``, else -1): ``_verdict`` of every test round of the batch at
+    (an index of ``REASONS``, else -1): the checks below, on every test round of the batch at
     once, from its arrays.
+
+    A violation fails the round, and a challenge-a side passes only with a
+    preimage of its commitment.  A Bell round reads at most one commitment:
+    when the questions differ it passes without reading either, and when
+    they are equal it checks the answer parity against one side's phase
+    bit only, Bob's when both questions are computational and Alice's when
+    both are Hadamard, so the other side's commitment is never inverted.
+    A product round with both challenges b inverts both commitments, and
+    its answers must be in ``honest_support``.  A commitment a check inverts
+    that has no preimage fails as ``no_preimage``.
     """
     c, resp, answer, h, violation = block.messages
     challenge_b, question_h, codes = block.challenge_b, block.question_h, block.codes
@@ -418,60 +429,6 @@ def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
     return flags, reasons
 
 
-def ingest_side(theta, key, c, ct, response, question, answer, h) -> SideRecord:
-    """One side's record of the device's messages.
-
-    Each message is read by ``bits.fits``: one that is missing, of the wrong
-    width or not an integer (a ``bool`` is never a bit string) is noted on
-    the side as a violation and later scored as a failure; it never raises.
-    """
-    side = SideRecord(theta, key, 0, ct, question=question)
-    if fits(c, key.codomain_bits):
-        side.c = int(c)
-    else:
-        side.violation = True
-    if ct is ChallengeType.A:
-        if fits(response, 1 + key.domain_bits):
-            side.z = int(response)
-        else:
-            side.violation = True
-    else:
-        if fits(response, key.domain_bits):
-            side.d = int(response)
-        else:
-            side.violation = True
-        if fits(answer, 1) and fits(h, 1):
-            side.answer = int(answer)
-            side.h = int(h)
-        else:
-            side.violation = True
-    return side
-
-
-def _phase_bit(side: SideRecord) -> int | None:
-    """The phase bit d . (x0 xor x1) of a claw-free side; None when c has no preimage."""
-    try:
-        x0, x1 = invert(side.key, side.c)
-    except NoPreimageError:
-        return None
-    return bell_label_bit(side.d, x0, x1)
-
-
-def _reconstruct_retained_qubit(side: SideRecord) -> int | None:
-    """Code of the one-qubit state an honest device would hold after challenge b.
-
-    The codes are the device's: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->.  None
-    when the commitment is outside the image (nothing honest exists).
-    """
-    if side.key.kind is KeyKind.CLAW_FREE:
-        bit = _phase_bit(side)
-        return None if bit is None else 2 + bit
-    try:
-        return invert(side.key, side.c)[0]
-    except NoPreimageError:
-        return None
-
-
 def honest_support(record: RoundRecord) -> frozenset[tuple[int, int]]:
     """Answer pairs an honest device could have produced with the reported h bits.
 
@@ -486,11 +443,12 @@ def honest_support(record: RoundRecord) -> frozenset[tuple[int, int]]:
         raise ValueError("honest_support applies to rounds where both challenges are b")
     if alice.violation or bob.violation:
         return frozenset()
-    code_a = _reconstruct_retained_qubit(alice)
-    code_b = _reconstruct_retained_qubit(bob)
-    if code_a is None or code_b is None:
+    block = _one_round(record)
+    codes = block._retained_codes(np.arange(2), *(m[0] for m in block.messages[:2])).tolist()
+    if _NO_CODE in codes:
         return frozenset()
-    return _support_of(code_a, code_b, alice.h, bob.h, alice.question, bob.question)
+    support = _support_table()[(*codes, alice.h, bob.h, *block.question_h[0].astype(np.intp))]
+    return frozenset(map(tuple, np.argwhere(support).tolist()))
 
 
 @lru_cache(maxsize=256)
@@ -520,53 +478,22 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
 def win_condition(record: RoundRecord) -> WinFlag:
     """Evaluate the round checks, inverting with the sides' keys; never raises on device data.
 
-    The scalar oracle of ``verdicts``: the flag of ``_verdict``.
-    """
-    return _verdict(record)[0]
-
-
-def _verdict(record: RoundRecord) -> tuple[WinFlag, str | None]:
-    """The round's flag and, if it fails, the first check it fails, one of ``REASONS``.
-
-    A violation fails the round, and a challenge-a side passes only with a
-    preimage of its commitment.  A Bell round reads at most one commitment:
-    when the questions differ it passes without reading either, and when
-    they are equal it checks the answer parity against one side's phase
-    bit only, Bob's when both questions are computational and Alice's when
-    both are Hadamard, so the other side's commitment is never inverted.
-    A product round with both challenges b inverts both commitments, and
-    its answers must be in ``honest_support``.  A commitment a check inverts
-    that has no preimage fails as ``no_preimage``.
+    ``verdicts``' flag of the round as a one-round block, scored whatever its tag.
     """
     if record.round_type is RoundType.SIFTED:
         raise ValueError("sifted rounds are discarded, not scored")
-    alice, bob = record.alice, record.bob
-    if alice.violation or bob.violation:
-        return WinFlag.FAIL, "violation"
-    for side in (alice, bob):
-        if side.ct is ChallengeType.A and not check_preimage(side.key, side.z, side.c):
-            return WinFlag.FAIL, "preimage"
-    if alice.ct is not ChallengeType.B:
-        return WinFlag.PASS, None
-    if record.round_type is RoundType.BELL:
-        return _bell_check(record)
-    if _reconstruct_retained_qubit(alice) is None or _reconstruct_retained_qubit(bob) is None:
-        return WinFlag.FAIL, "no_preimage"
-    if (alice.answer, bob.answer) not in honest_support(record):
-        return WinFlag.FAIL, "support"
-    return WinFlag.PASS, None
+    return FLAGS[verdicts(_one_round(record))[0][0]]
 
 
-def _bell_check(record: RoundRecord) -> tuple[WinFlag, str | None]:
-    alice, bob = record.alice, record.bob
-    if alice.question is bob.question:
-        side = bob if alice.question is MeasurementBasis.COMPUTATIONAL else alice
-        expected = _phase_bit(side)
-        if expected is None:
-            return WinFlag.FAIL, "no_preimage"
-        if (alice.answer ^ bob.answer) != expected:
-            return WinFlag.FAIL, "bell_parity"
-    return WinFlag.PASS, None
+def _one_round(record: RoundRecord) -> Block:
+    """``record`` as an untagged one-round block of its sides' fields (None as -1)."""
+    sides = record.alice, record.bob
+    bits = [[s.theta is _BASES[1], s.ct is ChallengeType.B, s.question is _BASES[1]] for s in sides]
+    fields = [[s.c, s.d if s.ct is ChallengeType.B else s.z, s.answer, s.h] for s in sides]
+    messages = np.array([[-1 if v is None else v for v in f] for f in fields]).T[:, None]
+    violation = np.array([[s.violation for s in sides]])
+    return Block(record.index, record.seed, *np.array(bits).T[:, None], np.zeros(1, bool),
+                 stack_keys([s.key for s in sides]), (), (*messages, violation))
 
 
 def batch_blocks(etcf: EtcfParams) -> int:
@@ -650,23 +577,3 @@ def abort_decision(tested: int, failed: int, epsilon: float) -> tuple[float, boo
     abort rule of the session and of the replay audit."""
     fail_fraction = failed / tested if tested else 0.0
     return fail_fraction, fail_fraction > epsilon
-
-
-def _generation_bits(record: RoundRecord) -> tuple[int, int] | None:
-    """Alice's and Bob's key bits for a generation round; None for dropped positions.
-
-    Positions are dropped when the question bases differ from the matched
-    computational pair or the device data needed to compute the flip bit is
-    unusable (only a cheating device can cause the latter).
-    """
-    alice, bob = record.alice, record.bob
-    if alice.violation or bob.violation or not _both_computational(record):
-        return None
-    s_b = _phase_bit(bob)
-    if s_b is None:
-        return None
-    return alice.answer, bob.answer ^ s_b
-
-
-def _both_computational(record: RoundRecord) -> bool:
-    return record.alice.question is record.bob.question is MeasurementBasis.COMPUTATIONAL

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdiqkd import devices, protocol
+from cdiqkd import devices
 from cdiqkd.bits import dot
 from cdiqkd.devices import QUESTION_BASES, ChallengeType, make_device
 from cdiqkd.etcf import (
@@ -43,14 +43,14 @@ from cdiqkd.protocol import (
     REASONS,
     ProtocolParams,
     RoundRecord,
-    _verdict,
     classify_round,
-    ingest_side,
     run_session,
 )
 from cdiqkd.quantum import MeasurementBasis
 
+from . import oracle as protocol  # the scalar checks, and the key calls they make
 from .helpers import assert_frequency
+from .oracle import _verdict, ingest_side
 
 W = 2
 ETCF = EtcfParams(family="ideal", domain_bits=W)

@@ -1394,7 +1394,7 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
         raise AssertionError("a record was built to write the files")
 
     monkeypatch.setattr(protocol.Block, "records", refused)
-    monkeypatch.setattr(protocol, "ingest_side", refused)
+    monkeypatch.setattr(protocol, "SideRecord", refused)
     data, expected = STREAM_LAYOUT_V7[name]
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(

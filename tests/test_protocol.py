@@ -23,7 +23,6 @@ from cdiqkd.devices import (
 from cdiqkd.etcf import (
     EtcfParams,
     KeyKind,
-    NoPreimageError,
     evaluate,
     image,
     invert,
@@ -56,6 +55,7 @@ from cdiqkd.quantum import (
 )
 
 from .helpers import assert_frequency, documented_tables, reference_keygen_toy
+from .oracle import _both_computational, _generation_bits
 
 COMP = MeasurementBasis.COMPUTATIONAL
 HAD = MeasurementBasis.HADAMARD
@@ -494,10 +494,6 @@ class TestWinCondition:
         assert win_condition(record) is WinFlag.FAIL
 
 
-def _both_computational(record) -> bool:
-    return record.alice.question is COMP and record.bob.question is COMP
-
-
 def _recount(records, epsilon) -> dict:
     """A session's counts and raw keys, recomputed from its records alone."""
     sifted = [r for r in records if r.round_type is not RoundType.SIFTED]
@@ -509,16 +505,8 @@ def _recount(records, epsilon) -> dict:
     bell = [r for r in sifted if r.round_type is RoundType.BELL]
     qber = [r for r in bell if r.test_tag is TestTag.TEST and _both_computational(r)]
     generation = [r for r in bell if r.test_tag is TestTag.GENERATE]
-    key_a, key_b = [], []
-    for r in [] if aborted else generation:
-        if r.alice.violation or r.bob.violation or not _both_computational(r):
-            continue
-        try:
-            x0, x1 = invert(r.bob.key, r.bob.c)
-        except NoPreimageError:
-            continue
-        key_a.append(r.alice.answer)
-        key_b.append(r.bob.answer ^ bell_label_bit(r.bob.d, x0, x1))
+    pairs = [pair for r in ([] if aborted else generation) if (pair := _generation_bits(r))]
+    key_a, key_b = [a for a, _ in pairs], [b for _, b in pairs]
     return {
         "sifted_count": len(sifted),
         "tested_count": len(scored),

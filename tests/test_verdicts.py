@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from cdiqkd.protocol import (
     RoundType,
     TestTag,
     WinFlag,
-    _generation_bits,
-    _verdict,
+    honest_support,
     run_session,
+    win_condition,
 )
+
+from . import oracle
 
 FAMILIES = {
     "ideal": EtcfParams(family="ideal", domain_bits=4),
@@ -47,24 +50,49 @@ def _blocks(device, params, seed):
     return blocks
 
 
+# A record's fields but its sides, and a side's but its key.
+_ROUND_FIELDS, _SIDE_FIELDS = (
+    operator.attrgetter(*(f.name for f in dataclasses.fields(cls) if f.name not in apart))
+    for cls, apart in ((protocol.RoundRecord, ("alice", "bob")), (protocol.SideRecord, ("key",)))
+)
+
+
+def _compared(records) -> tuple[list, list]:
+    """Every field of each record and of its sides, and each field's type; a key as its
+    kind and what it is drawn as: an ideal key's seed, a toy key's arrays."""
+    rows = [
+        (*_ROUND_FIELDS(r), *_SIDE_FIELDS(r.alice), *_SIDE_FIELDS(r.bob), *(
+            (type(key), key.kind, key.seed if hasattr(key, "seed") else key.matrix.tobytes()
+             + key.shift.tobytes())
+            for key in (r.alice.key, r.bob.key)
+        ))
+        for r in records
+    ]
+    return rows, [tuple(map(type, row)) for row in rows]
+
+
 def _assert_kernel_is_the_oracle(blocks) -> int:
-    """Each test round's kernel (flag, reason) is ``_verdict`` of its record, and each
-    generation round's key-bit pair is ``_generation_bits``; returns the rounds checked."""
+    """The oracle reads each block's replies into records (``oracle.records``), and
+    ``Block.records`` gives the same records.  Each test round's kernel (flag, reason)
+    is ``_verdict`` of its record, and each generation round's key-bit pair is
+    ``_generation_bits``; returns the rounds checked."""
     checked = 0
     for block in blocks:
         kept, pairs = block.generation_bits()
-        for i, record in enumerate(block.records()):
+        records = oracle.records(block)
+        assert _compared(block.records()) == _compared(records)
+        for i, record in enumerate(records):
             flag, reason = block.flags[i], block.reasons[i]
             if record.round_type is RoundType.SIFTED:
                 assert FLAGS[flag] is WinFlag.NA and reason == -1
                 continue
             if record.test_tag is TestTag.GENERATE:
                 assert FLAGS[flag] is WinFlag.NA and reason == -1
-                expected = _generation_bits(record)
+                expected = oracle._generation_bits(record)
                 assert (tuple(pairs[i].tolist()) if kept[i] else None) == expected, record.index
                 continue
             kernel = FLAGS[flag], REASONS[reason] if reason >= 0 else None
-            assert kernel == _verdict(record), record.index
+            assert kernel == oracle._verdict(record), record.index
             checked += 1
     return checked
 
@@ -231,6 +259,56 @@ def test_each_failed_check_counts_its_reason(family, reason):
     assert sum(r.win is WinFlag.FAIL for r in session.records) == session.failed_count
 
 
+def _edited(record):
+    """``record``, then copies of it with one field of one side edited: its c moved
+    outside its key's image or made wider than the codomain, its answer flipped, or its
+    z xor 2."""
+    yield record
+    for name in ("alice", "bob"):
+        side = getattr(record, name)
+        edits = [{"c": _outside_image(side.key)}, {"c": 1 << side.key.codomain_bits}]
+        if side.answer is not None:
+            edits.append({"answer": side.answer ^ 1})
+        if side.z is not None:
+            edits.append({"z": side.z ^ 2})
+        for edit in edits:
+            yield dataclasses.replace(record, **{name: dataclasses.replace(side, **edit)})
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_record_checks_equal_the_oracle_on_edited_records(family):
+    # win_condition and honest_support run the kernel on a one-round block of the
+    # record's fields: on every device's records, and on edits no device message makes,
+    # they must agree with the scalar oracle.  The sessions are those of
+    # test_kernel_equals_the_oracle and test_kernel_equals_the_oracle_on_table_devices,
+    # each device under the same knobs, cut to a few rounds: each record is edited six
+    # to eight times, and each one-record call runs the whole kernel.
+    etcf = FAMILIES[family]
+    sessions = [
+        (make_device(spec), knobs, 8)
+        for spec in ("honest", "noisy:0.05:0.05", "classical-random") for knobs in KNOBS
+    ]
+    sessions += [
+        (ClassicalDeterministicDevice(table), KNOBS[seed % 2], 2)
+        for seed, table in enumerate(_tables(etcf))
+    ]
+    reasons = set()
+    for seed, (device, knobs, rounds) in enumerate(sessions):
+        params = ProtocolParams(rounds=rounds, epsilon=1.0, etcf=etcf, **knobs)
+        for record in run_session(device, params, seed).records:
+            if record.round_type is RoundType.SIFTED:
+                with pytest.raises(ValueError):
+                    win_condition(record)
+                continue
+            for edited in _edited(record):
+                flag, reason = oracle._verdict(edited)
+                assert win_condition(edited) is flag, (seed, edited)
+                reasons.add(reason)
+                if edited.alice.ct is edited.bob.ct is ChallengeType.B:
+                    assert honest_support(edited) == oracle.honest_support(edited), edited
+    assert reasons == {None, *REASONS}
+
+
 def _counts(session) -> dict:
     fields = {f.name: getattr(session, f.name) for f in dataclasses.fields(session)}
     fields.pop("params"), fields.pop("records")
@@ -262,14 +340,15 @@ def test_a_run_without_files_builds_no_record(monkeypatch, name):
 
 def _record_of(line: dict, seed: bytes, etcf: EtcfParams) -> protocol.RoundRecord:
     """A test round line's record, rebuilt as the scalar path reads one: each side by
-    ``ingest_side`` under the key its store seed draws, marked ``viol_<s>`` if written so."""
+    ``oracle.ingest_side`` under the key its store seed draws, marked ``viol_<s>`` if
+    written so."""
     hadamard = [line[f"theta_{s}"] == "H" for s in "ab"]
     keys = draw_keys([protocol.KEY_KINDS[h] for h in hadamard], etcf, seed)
     sides = []
     for s, question, key, h in zip("ab", "xy", keys, hadamard):
         challenge = ChallengeType(line[f"ct_{s}"])
         response = line.get(f"d_{s}" if challenge is ChallengeType.B else f"z_{s}")
-        side = protocol.ingest_side(
+        side = oracle.ingest_side(
             QUESTION_BASES[h], key, int(line[f"c_{s}"], 16), challenge,
             None if response is None else int(response, 16),
             QUESTION_BASES[line[question] == "H"] if question in line else None,
@@ -324,6 +403,7 @@ def test_replay_kernel_equals_the_oracle(tmp_path, monkeypatch, family):
         assert len(scored) == len(tests) == len(seeds) == report.rounds_checked > 0
         for line, seed, (flag, reason) in zip(tests, seeds, scored):
             kernel_verdict = FLAGS[flag], REASONS[reason] if reason >= 0 else None
-            assert kernel_verdict == _verdict(_record_of(line, seed, etcf)), (device, line["i"])
+            expected = oracle._verdict(_record_of(line, seed, etcf))
+            assert kernel_verdict == expected, (device, line["i"])
             seen.add(kernel_verdict[1])
     assert seen == {None, *REASONS}
