@@ -19,11 +19,12 @@ both formats: replay reads a block of lines into the values they were
 written from and keeps each line only if the writer writes those values
 back as that line.  Replay reads a stream block of lines (``STREAM_BLOCK``,
 256) at a time, decoded with one ``json.loads``, or else line by line, so
-that a line that is not UTF-8 or not JSON spoils only itself; each line is
-checked where it is read.  It scores test rounds a session batch at a time:
-the verdicts of the rounds whose lines pass are filled in each time
-``protocol.batch_blocks`` stream blocks of lines have been read, and after
-the last line.
+that a line that is not UTF-8 or not JSON spoils only itself.  A block of the
+writer's lines for the rounds due, whose test rounds take the store's next
+entries, is checked at once, and each line of any other block where it is read.
+It scores test rounds a session batch at a time: the verdicts of the rounds
+whose lines pass are filled in each time ``protocol.batch_blocks`` stream
+blocks of lines have been read, and after the last line.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -122,55 +123,54 @@ def _bits_hex(bits: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _side_fields(widths: tuple[int, int], side: int, challenge_b: int, responded: int,
-                 question: int, answer: int, h: int, violation: int) -> str:
+def _side_fields(widths: tuple[int, int], side: int, challenge_b: int, bits: int) -> str:
     """Side ``side``'s fields of a test round line (0 Alice's, 1 Bob's) for keys of
-    ``widths`` (``etcf.key_widths``), a format string taking its commitment and response
-    as ints: the response, and the answer with h, are written only if they were sent as
-    bit strings of their widths (``Block.messages``)."""
+    ``widths`` (``etcf.key_widths``) and the side's ``bits`` (``_round_lines``), a format
+    string taking its commitment and response as ints: the response, and the answer with
+    h, are written only if they were sent as bit strings of their widths (``Block.messages``)."""
     domain_bits, codomain_bits = widths
     s = "ab"[side]
     text = f', "c_{s}": "%0{(codomain_bits + 3) // 4}x"'
     nibbles = (domain_bits + (not challenge_b) + 3) // 4  # z is 1 + domain_bits wide
-    text += f', "{"zd"[challenge_b]}_{s}": "%0{nibbles}x"' if responded else "%.0s"
+    text += f', "{"zd"[challenge_b]}_{s}": "%0{nibbles}x"' if bits & 1 else "%.0s"
     if challenge_b:
-        text += f', "{"xy"[side]}": "{_BASES[question]}"'
-        if answer >= 0:
-            text += f', "{s}": {answer}, "h_{s}": {h}'
-    return text + (f', "viol_{s}": true' if violation else "")
+        text += f', "{"xy"[side]}": "{_BASES[bits >> 1 & 1]}"'
+        if bits >> 2 & 3:  # an answer was sent
+            text += f', "{s}": {(bits >> 2 & 3) - 1}, "h_{s}": {(bits >> 4 & 3) - 1}'
+    return text + (f', "viol_{s}": true' if bits >> 6 else "")
+
+
+@cache
+def _line_format(widths: tuple[int, int], shape: int) -> str:
+    """The line of a round of ``shape`` (``_round_lines``) for keys of ``widths``, a format
+    string taking the round's index, c_a, response_a, c_b and response_b as ints."""
+    code, sides = shape & 127, (shape >> 7 & 127, shape >> 14)
+    tail = "%.0s" * 4  # a sifted round adds nothing to its head
+    if code >> 4 & 1:  # a generation round adds its question bases
+        tail = ', "x": "%s", "y": "%s"' % tuple(_BASES[side >> 1 & 1] for side in sides) + tail
+    elif code >> 2 & 1 == code >> 3 & 1:  # a test round adds each side's fields
+        tail = "".join(_side_fields(widths, s, code >> 2 + s & 1, bits)
+                       for s, bits in enumerate(sides))
+    return _HEADS[code] + tail + "}"
 
 
 def _round_lines(block: Block, indices) -> list[str]:
     """The line of each round of ``block``, numbered by ``indices``, its win read from
-    ``block.flags``: the one statement of a round line.  A test round's line adds each
-    side's fields, a generation round's its question bases, a sifted round's nothing."""
+    ``block.flags``: the one statement of a round line, one ``%`` of the format of its
+    shape (``_line_format``), its head's code (of ``_HEADS``) and each side's bits, from
+    the lowest: responded, question, answer + 1, h + 1, violation."""
     had, challenge_b, question_h = block.hadamard, block.challenge_b, block.question_h
-    codes = (
+    c, resp, answer, h, violation = block.messages
+    fields = (resp >= 0) + 4 * answer.astype(np.intp) + 16 * h + 20 + 64 * violation
+    sides = 2 * (question_h & challenge_b) + np.where(block.tested[:, None], fields, 0)
+    shapes, inverse = np.unique(
         had[:, 0] + 2 * had[:, 1] + 4 * challenge_b[:, 0] + 8 * challenge_b[:, 1]
         + 16 * block.generate + 32 * block.flags.astype(np.intp)
+        + (sides[:, 0] << 7) + (sides[:, 1] << 14), return_inverse=True,
     )
-    tails = ["}"] * len(codes)
-    for i, (x, y) in zip(np.flatnonzero(block.generate).tolist(),
-                         question_h[block.generate].tolist()):
-        tails[i] = f', "x": "{_BASES[x]}", "y": "{_BASES[y]}"}}'
-    tested = np.flatnonzero(block.tested)
-    if tested.size:
-        c, resp, answer, h, violation = (message[tested] for message in block.messages)
-        widths = key_widths(block.keys.params)
-        shapes = np.stack(
-            [challenge_b[tested], resp >= 0, question_h[tested], answer, h, violation], axis=2
-        ).astype(np.intp).tolist()
-        for i, (alice, bob), (c_a, c_b), (r_a, r_b) in zip(
-            tested.tolist(), shapes, c.tolist(), resp.tolist()
-        ):
-            tails[i] = (
-                _side_fields(widths, 0, *alice) % (c_a, r_a)
-                + _side_fields(widths, 1, *bob) % (c_b, r_b) + "}"
-            )
-    return [
-        _HEADS[code] % index + tail for index, code, tail in zip(indices, codes.tolist(), tails)
-    ]
+    formats = [_line_format(key_widths(block.keys.params), shape) for shape in shapes.tolist()]
+    rows = zip(indices, *np.stack([c[:, 0], resp[:, 0], c[:, 1], resp[:, 1]]).tolist())
+    return [formats[k] % row for k, row in zip(inverse.tolist(), rows)]
 
 
 def _write_line(fh: TextIO, entry: dict) -> None:
@@ -434,22 +434,26 @@ def _first(lines) -> dict | None:
 
 
 def _blocks(lines, read):
-    """(numbers, texts, values, result) of each block of up to STREAM_BLOCK non-blank
-    ``lines``, (number, bytes) pairs; ``read(texts, values)`` returns (result, verbatim),
-    verbatim if each line is the writer's text for the values read.  Values decoded by
-    one ``json.loads`` of a block are kept only if verbatim, as lines that are not JSON
-    alone may be JSON together; else each line is decoded alone."""
-    while chunk := list(itertools.islice(lines, STREAM_BLOCK)):
-        numbers, texts = _texts(chunk)
-        try:
-            values = json.loads("[" + ",".join(texts) + "]")  # TypeError if a line is not UTF-8
-        except (TypeError, ValueError):
-            values = []
-        result, verbatim = read(texts, values) if len(values) == len(texts) else (None, False)
-        if not verbatim:
-            values = [_object(text) for text in texts]
-            result = read(texts, values)[0]
-        yield numbers, texts, values, result
+    """``_block`` of each block of up to STREAM_BLOCK non-blank ``lines``, (number, bytes)
+    pairs, made as it is taken: no block is held here while the caller works."""
+    return map(partial(_block, read), iter(lambda: list(itertools.islice(lines, STREAM_BLOCK)), []))
+
+
+def _block(read, chunk: list) -> tuple:
+    """(numbers, texts, values, result, verbatim) of ``chunk``'s non-blank lines, where
+    ``read(texts, values)`` gives (result, verbatim), verbatim if each line is the writer's
+    text for the values read: values of one ``json.loads`` of the block are kept only if
+    verbatim, as lines not JSON alone may be JSON together; else each line is decoded alone."""
+    numbers, texts = _texts(chunk)
+    try:
+        values = json.loads("[" + ",".join(texts) + "]")  # TypeError if a line is not UTF-8
+    except (TypeError, ValueError):
+        values = []
+    result, verbatim = read(texts, values) if len(values) == len(texts) else (None, False)
+    if not verbatim:
+        values = [_object(text) for text in texts]
+        result, verbatim = read(texts, values)
+    return numbers, texts, values, result, verbatim
 
 
 def _read_keys(texts: list[str], values: list) -> tuple[list, bool]:
@@ -475,7 +479,7 @@ def _store_entries(path: str):
     header = _first(lines)
     if header is None or not _same(header, _STORE_HEADER):
         raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
-    for numbers, _, _, entries in _blocks(lines, _read_keys):
+    for numbers, _, _, entries, _ in _blocks(lines, _read_keys):
         for number, entry in zip(numbers, entries):
             if entry is None:
                 raise ReplayError(f"trapdoor store corrupt at line {number}")
@@ -559,6 +563,10 @@ class _StoreCursor:
     def __init__(self, entries, rounds: int, mismatches: list[str]) -> None:
         self._entries, self._rounds, self._mismatches = entries, rounds, mismatches
         self._index, self._line, self._seed, self._taken = -1, 0, None, True
+        self._ahead = []  # entries take_block read and put back, the next one last
+
+    def _next(self) -> tuple:
+        return self._ahead.pop() if self._ahead else next(self._entries, (math.inf, 0, None))
 
     def reach(self, index, skipped_from: int) -> None:
         """Read up to the first entry for round ``index`` or later; rounds from
@@ -568,7 +576,7 @@ class _StoreCursor:
                 self._mismatches.append(
                     f"store line {self._line}: entry for round {self._index} is out of place"
                 )
-            self._index, self._line, self._seed = next(self._entries, (math.inf, 0, None))
+            self._index, self._line, self._seed = self._next()
             self._taken = False
 
     def take(self, index: int) -> bytes | None:
@@ -577,6 +585,23 @@ class _StoreCursor:
             return None
         self._taken = True
         return self._seed
+
+    def take_block(self, tested: list[int], last: int) -> bytes | None:
+        """The seeds of the entries for rounds ``tested``, taken as ``reach`` and ``take``
+        take them for the lines of rounds up to ``last``, if those entries, in order, are
+        all the untaken ones up to ``last``; else None, and nothing is taken."""
+        read, index = [], self._index
+        while index < last:  # the entries reach(last) reads
+            read.append(self._next())
+            index = read[-1][0]
+        entries = [(self._index, self._line, self._seed), *read]
+        due = [entry for entry in entries[self._taken:] if entry[0] <= last]  # untaken
+        if [entry[0] for entry in due] != tested:
+            self._ahead += reversed(read)
+            return None
+        self._taken = index <= last or self._taken and not read
+        self._index, self._line, self._seed = entries[-1]
+        return b"".join(entry[2] for entry in due)
 
 
 def _settle(etcf: EtcfParams, parts: list, seeds: bytearray, mismatches: list, start: int,
@@ -615,24 +640,25 @@ _FOOTER_LABELS = {
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, a stream block of lines
-    (256) at a time, and each line is checked where it is read.  A test
-    round whose line passes holds its place among the mismatches until a
-    session batch of lines (``protocol.batch_blocks`` stream blocks) is
-    read, or the last line is; then the batch's keys are drawn at once,
-    ``protocol.verdicts`` scores its test rounds, and each place becomes its
-    ``verdict should be`` mismatch or is dropped.  So replay holds one block
-    of decoded lines and one batch of test rounds at a time.  A round line
-    the writer would not write for the values read from it yields a mismatch
-    naming the line, and so does a round index that is not the next of
-    ``0..rounds-1``, a test round whose store entry is missing or out of
-    order, a store entry no test round takes, and any line after the footer;
-    rounds missing at the end, and any footer but the one written from the
-    recomputed counts, are footer mismatches.  A missing footer (a truncated
-    transcript) raises ReplayError naming the last good line; so do a header
-    the writer would not write, a store without its header and a corrupt
-    trapdoor-store entry.  The ETCF family and its sizes are read once, from
-    the transcript header.
+    Both files are read once, in round order, a stream block of lines (256) at a
+    time: a block of the writer's lines for the rounds due, whose test rounds
+    take the store's next entries, is checked at once, and each line of any
+    other block where it is read.  A test round whose line passes holds its
+    place among the mismatches until a session batch of lines
+    (``protocol.batch_blocks`` stream blocks) is read, or the last line is; then
+    the batch's keys are drawn at once, ``protocol.verdicts`` scores its test
+    rounds, and each place becomes its ``verdict should be`` mismatch or is
+    dropped.  So replay holds one block of decoded lines and one batch of test
+    rounds at a time.  A round line the writer would not write for the values
+    read from it yields a mismatch naming the line, and so does a round index
+    that is not the next of ``0..rounds-1``, a test round whose store entry is
+    missing or out of order, a store entry no test round takes, and any line
+    after the footer; rounds missing at the end, and any footer but the one
+    written from the recomputed counts, are footer mismatches.  A missing footer
+    (a truncated transcript) raises ReplayError naming the last good line; so do
+    a header the writer would not write, a store without its header and a
+    corrupt trapdoor-store entry.  The ETCF family and its sizes are read once,
+    from the transcript header.
     """
     lines = _lines(transcript_path)
     header = _first(lines)
@@ -651,73 +677,86 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     rounds = params.rounds
     mismatches: list[str] = []
     store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, mismatches)
-    tested = 0
+    tested = count = 0
     fail_reasons = dict.fromkeys(REASONS, 0)
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
     size = batch_blocks(etcf)
     parts, seeds, start = [], bytearray(), 0  # the batch to score, placeholders from start on
-    for count, (numbers, texts, entries, read) in enumerate(
-        _blocks(lines, partial(_read_rounds, etcf)), start=1
-    ):
-        heads, block, written = read
-        rows = []  # the block's test rounds to score
-        for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
-            if footer is not None:  # the footer is the last line
-                what = "corrupt record" if entry is None else "record after the footer"
-                mismatches.append(f"line {number}: {what}")
-                continue
-            if entry is None:
-                mismatches.append(f"line {number}: corrupt record")
-                next_index += 1
-                continue
-            kind = entry.get("record")
-            if kind not in ("round", "footer"):
-                mismatches.append(f"line {number}: unexpected record type {kind!r}")
-                continue
-            last_good = number
-            if kind == "footer":
-                footer = entry
-                continue
-            if head is None:  # its index, bases or challenges do not read
-                mismatches.append(f"line {number}: corrupt record")
-                next_index += 1
-                continue
-            index, code = head
-            store.reach(index, next_index)
-            if not 0 <= index < rounds:
-                mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
-            elif index != next_index:
-                mismatches.append(f"line {number}: round index {index} should be {next_index}")
-            next_index = index + 1
-            round_type = _ROUND_TYPES[code]
-            if round_type != entry.get("rt"):
-                mismatches.append(f"line {number}: round {index} type should be {round_type}")
-                continue
-            tag = entry.get("tag")
-            if tag != "test" and (tag != "generate" or round_type != "bell"):
-                # Only Bell rounds are ever drawn for key generation.
-                mismatches.append(f"line {number}: round {index} tag should be test")
-                continue
-            if block.tested[row]:  # only a test round has key material
-                seed = store.take(index)
-                if seed is None:
-                    mismatches.append(
-                        f"line {number}: round {index} has no key material in the store"
-                    )
+    blocks = _blocks(lines, partial(_read_rounds, etcf))
+    for numbers, texts, entries, (heads, block, written), verbatim in blocks:
+        count += 1  # not enumerate, whose result tuple would hold a block while a batch is scored
+        rows = np.flatnonzero(block.tested)  # the block's test rounds to score
+        last, indices = next_index + len(heads) - 1, (rows + next_index).tolist()
+        block_seeds = store.take_block(indices, last) if (
+            verbatim and footer is None and heads and last < rounds
+            and [head[0] for head in heads] == list(range(next_index, last + 1))
+        ) else None
+        if block_seeds is not None:  # clean: each line the writer's, in place, with its entry
+            mismatches += zip([numbers[row] for row in rows.tolist()], indices)  # placeholders
+            seeds += block_seeds
+            tested, last_good, next_index = tested + len(rows), numbers[-1], last + 1
+        else:  # each line checked and explained where it is read
+            rows = []
+            for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
+                if footer is not None:  # the footer is the last line
+                    what = "corrupt record" if entry is None else "record after the footer"
+                    mismatches.append(f"line {number}: {what}")
                     continue
-                tested += 1
-            if text != written[row] and not _same(entry, json.loads(written[row]), True):
-                mismatches.append(f"line {number}: corrupt record")
-            elif block.tested[row]:
-                mismatches.append((number, index))  # a placeholder for its verdict's mismatch
-                rows.append(row)
-                seeds += seed
-        if rows:
+                if entry is None:
+                    mismatches.append(f"line {number}: corrupt record")
+                    next_index += 1
+                    continue
+                kind = entry.get("record")
+                if kind not in ("round", "footer"):
+                    mismatches.append(f"line {number}: unexpected record type {kind!r}")
+                    continue
+                last_good = number
+                if kind == "footer":
+                    footer = entry
+                    continue
+                if head is None:  # its index, bases or challenges do not read
+                    mismatches.append(f"line {number}: corrupt record")
+                    next_index += 1
+                    continue
+                index, code = head
+                store.reach(index, next_index)
+                if not 0 <= index < rounds:
+                    mismatches.append(
+                        f"line {number}: round index {index} is outside 0..{rounds - 1}"
+                    )
+                elif index != next_index:
+                    mismatches.append(f"line {number}: round index {index} should be {next_index}")
+                next_index = index + 1
+                round_type = _ROUND_TYPES[code]
+                if round_type != entry.get("rt"):
+                    mismatches.append(f"line {number}: round {index} type should be {round_type}")
+                    continue
+                tag = entry.get("tag")
+                if tag != "test" and (tag != "generate" or round_type != "bell"):
+                    # Only Bell rounds are ever drawn for key generation.
+                    mismatches.append(f"line {number}: round {index} tag should be test")
+                    continue
+                if block.tested[row]:  # only a test round has key material
+                    seed = store.take(index)
+                    if seed is None:
+                        mismatches.append(
+                            f"line {number}: round {index} has no key material in the store"
+                        )
+                        continue
+                    tested += 1
+                if text != written[row] and not _same(entry, json.loads(written[row]), True):
+                    mismatches.append(f"line {number}: corrupt record")
+                elif block.tested[row]:
+                    mismatches.append((number, index))  # a placeholder for its verdict's mismatch
+                    rows.append(row)
+                    seeds += seed
+        if len(rows):
             parts.append((block.hadamard[rows], block.challenge_b[rows], block.question_h[rows],
                           block.generate[rows], block.flags[rows],
                           *(message[rows] for message in block.messages)))  # marks too
+        del numbers, texts, entries, heads, block, written  # a batch is scored holding no block
         if count % size == 0:
             _settle(etcf, parts, seeds, mismatches, start, fail_reasons)
             parts, seeds, start = [], bytearray(), len(mismatches)

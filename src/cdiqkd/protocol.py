@@ -254,7 +254,7 @@ class Block:
         self.question_h = question_h  # (n, 2): the question is Hadamard, read where challenge b
         self.keys = keys  # 2n keys, round by round, Alice's first
         self.replies = replies  # as the device sent them: c_a, c_b, resp_a, resp_b, a, h_a, b, h_b
-        self.bell = challenge_b.all(axis=1) & hadamard.all(axis=1)
+        self.bell = challenge_b[:, 0] & challenge_b[:, 1] & hadamard[:, 0] & hadamard[:, 1]
         self.generate = self.bell & generate_coin  # the tag rule: only a Bell round, on its coin
         self.tested = (challenge_b[:, 0] == challenge_b[:, 1]) & ~self.generate
         if messages is not None:  # read already: a replayed line's, or a record's fields
@@ -289,7 +289,8 @@ class Block:
         questions the one side the Bell check reads, when neither side is in
         violation."""
         c, resp, _, _, violation = self.messages
-        both_b = self.challenge_b.all(axis=1) & ~violation.any(axis=1)
+        challenge_b = self.challenge_b
+        both_b = challenge_b[:, 0] & challenge_b[:, 1] & ~violation[:, 0] & ~violation[:, 1]
         read = np.zeros_like(violation)
         read[both_b & ~self.bell] = True
         equal = both_b & self.bell & (self.question_h[:, 0] == self.question_h[:, 1])
@@ -311,7 +312,7 @@ class Block:
         phase = parity(d & (x[:, 0] ^ x[:, 1]))
         return np.where(
             claw_free,
-            np.where(hits.all(axis=1), 2 + phase, _NO_CODE),
+            np.where(hits[:, 0] & hits[:, 1], 2 + phase, _NO_CODE),
             np.where(hits[:, 0], 0, np.where(hits[:, 1], 1, _NO_CODE)),
         )
 
@@ -321,8 +322,8 @@ class Block:
         _, _, answer, _, violation = self.messages
         phase_b = self.codes[:, 1] - 2
         kept = (
-            self.generate & ~self.question_h.any(axis=1) & ~violation.any(axis=1)
-            & (phase_b >= 0)
+            self.generate & ~(self.question_h[:, 0] | self.question_h[:, 1])
+            & ~(violation[:, 0] | violation[:, 1]) & (phase_b >= 0)
         )
         return kept, np.stack([answer[:, 0], answer[:, 1] ^ phase_b], axis=1)
 
@@ -398,14 +399,14 @@ def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """
     c, resp, answer, h, violation = block.messages
     challenge_b, question_h, codes = block.challenge_b, block.question_h, block.codes
-    violated = violation.any(axis=1)
-    both_a = ~challenge_b.any(axis=1) & ~violated
+    violated = violation[:, 0] | violation[:, 1]
+    both_a = ~(challenge_b[:, 0] | challenge_b[:, 1] | violated)
     preimage = np.zeros_like(both_a)
     sides = np.flatnonzero(np.repeat(both_a, 2))
     if sides.size:
         ok = block.keys.check_preimages(sides, resp.ravel()[sides], c.ravel()[sides])
-        preimage[both_a] = ~ok.reshape(-1, 2).all(axis=1)
-    product_b = challenge_b.all(axis=1) & ~block.bell
+        preimage[both_a] = ~(ok[0::2] & ok[1::2])
+    product_b = challenge_b[:, 0] & challenge_b[:, 1] & ~block.bell
     equal = block.bell & (question_h[:, 0] == question_h[:, 1])
     bell_code = codes[np.arange(len(codes)), question_h[:, 0].astype(np.intp) ^ 1]
     answers_in_support = _support_table()[
@@ -529,7 +530,7 @@ def run_session(
         block = _play_block(device, params, stream)
         block.flags, block.reasons = verdicts(block)
         challenge_b, bell, failed = block.challenge_b, block.bell, block.flags == _FAIL
-        qber = bell & block.tested & ~block.question_h.any(axis=1)
+        qber = bell & block.tested & ~(block.question_h[:, 0] | block.question_h[:, 1])
         tally += np.count_nonzero([
             challenge_b[:, 0] == challenge_b[:, 1], bell, block.generate, block.tested, failed,
             qber, qber & failed,

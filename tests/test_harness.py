@@ -925,6 +925,51 @@ class TestMalformedReplay:
             f"footer: fail fraction should be {sig12(4 / tested)}",
         ]
 
+    def test_store_cursor_is_handed_on_across_clean_blocks(self, tmp_path):
+        # Each tamper follows stream blocks whose lines and store entries are the
+        # writer's: two entries of block 12 swapped, the line of block 13's first test
+        # round deleted, and an entry added for block 14's first generation round.  A
+        # last entry is added for the first round of a later block of lines B when
+        # neither that round nor the last of block A before it is a test round, and the
+        # last of the block before A is: the cursor holds it, untaken, from A into B.
+        run_experiment(config(tmp_path, rounds=6000, seed=42))
+        transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
+        rounds = [json.loads(line) for line in transcript[1:-1]]  # round i is on line i + 2
+        entries = {json.loads(line)["i"]: n for n, line in enumerate(store[1:], 1)}
+
+        def first(start, pick):
+            return next(i for i in range(start, 6000) if pick(i, rounds[i]))
+
+        def add_entry(index):  # before the next test round's entry, with its seed
+            at = entries[first(index, lambda i, e: i in entries)]
+            line = json.dumps({"record": "keys", "i": index, "seed": json.loads(store[at])["seed"]})
+            store.insert(at, line)
+            return line
+
+        swapped = first(12 * STREAM_BLOCK, lambda i, e: i in entries)
+        later = first(swapped + 1, lambda i, e: i in entries)
+        one, other = entries[swapped], entries[later]
+        store[one], store[other] = store[other], store[one]
+        deleted = first(13 * STREAM_BLOCK, lambda i, e: i in entries)
+        del transcript[deleted + 1]
+        # With a line deleted, a later block of lines begins at a round 1 past a stream block's.
+        edge = first(16 * STREAM_BLOCK, lambda i, e: i % STREAM_BLOCK == 1 and i not in entries
+                     and i - 1 not in entries and i - 1 - STREAM_BLOCK in entries)
+        # The later entry first, so that ``entries`` still places the lines before it.
+        added = [add_entry(edge), add_entry(first(14 * STREAM_BLOCK, lambda i, e: _is_generate(e)))]
+        generated = json.loads(added[1])["i"]
+        tested = json.loads(transcript[-1])["tested"] - 2  # two test rounds lost their lines
+        report = replay_verify(*self.write(tmp_path, transcript, store))
+        assert report.mismatches == [
+            f"line {swapped + 2}: round {swapped} has no key material in the store",
+            f"store line {other + 1}: entry for round {swapped} is out of place",
+            f"line {deleted + 2}: round index {deleted + 1} should be {deleted}",
+            f"store line {store.index(added[1]) + 1}: entry for round {generated} is out of place",
+            f"store line {store.index(added[0]) + 1}: entry for round {edge} is out of place",
+            f"footer: tested count should be {tested}",
+        ]
+
     @pytest.mark.parametrize("name", sorted(MISPLACED_FOOTERS))
     def test_footer_is_the_last_line(self, tmp_path, audit_files, name):
         transcript, store = audit_files
