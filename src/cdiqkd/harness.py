@@ -161,7 +161,7 @@ def _round_lines(block: Block, indices) -> list[str]:
     the lowest: responded, question, answer + 1, h + 1, violation."""
     had, challenge_b, question_h = block.hadamard, block.challenge_b, block.question_h
     c, resp, answer, h, violation = block.messages
-    fields = (resp >= 0) + 4 * answer.astype(np.intp) + 16 * h + 20 + 64 * violation
+    fields = (resp >= 0) + 4 * (answer.astype(np.intp) + 1) + 16 * (h + 1) + 64 * violation
     sides = 2 * (question_h & challenge_b) + np.where(block.tested[:, None], fields, 0)
     shapes, inverse = np.unique(
         had[:, 0] + 2 * had[:, 1] + 4 * challenge_b[:, 0] + 8 * challenge_b[:, 1]
