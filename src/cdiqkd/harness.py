@@ -599,7 +599,7 @@ class _StoreCursor:
         if [entry[0] for entry in due] != tested:
             self._ahead += reversed(read)
             return None
-        self._taken = index <= last or self._taken and not read
+        self._taken = index <= last or self._taken and not read  # round last's, or still held
         self._index, self._line, self._seed = entries[-1]
         return b"".join(entry[2] for entry in due)
 
