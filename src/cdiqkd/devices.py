@@ -1,14 +1,14 @@
 """Device-side strategies: honest, noisy-honest, and scripted cheaters.
 
-A device plays a batch of stream blocks at once, each draw split by
-block: each message it gets holds one entry per round of the batch, and
-each reply is one array (or sequence) per message field, with one entry
-per round (see ``DeviceStrategy``).  Devices get keys and never invert a
-verifier's message.  The honest device reads the keys' stacked arrays
-when it gets a batch's keys as drawn (``etcf.DrawnKeys``), and finds each
-claw-free key's claw partner of its own point with the key's public maps
-(``etcf.ideal_claws``: an ideal key's M or its inverse), as these
-desk-scale keys make claws public (``etcf.claw_partner``).
+A device plays a stream block at a time: each message it gets holds one
+entry per round of the block, and each reply is one array (or sequence)
+per message field, with one entry per round (see ``DeviceStrategy``).
+Devices get keys and never invert a verifier's message.  The honest
+device reads the keys' stacked arrays when it gets a block's keys as
+drawn (``etcf.DrawnKeys``), and finds each claw-free key's claw partner
+of its own point with the key's public maps (``etcf.ideal_claws``: an
+ideal key's M or its inverse), as these desk-scale keys make claws
+public (``etcf.claw_partner``).
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
@@ -20,7 +20,7 @@ and the two questions, and each of its Born probabilities is 0, 1/2 or 1
 PRA 2004).  It makes at most 4 measurements, so four fair coins decide
 it: each of the 80 (code, question) combinations gets a table of its
 answers on the 16 paths of those coins, built once from the statevector
-circuits below at the first honest batch, and a batch reads its answers
+circuits below at the first honest block, and a block reads its answers
 from those tables with 4 uniforms a round.  The circuits stay here as the
 table builders and test oracles.  The uniform challenge-b string rule
 this relies on is validated against a full statevector oracle in the
@@ -28,13 +28,12 @@ test suite.
 
 The honest law is written once, for arrays of commitments: ``_commit``
 draws the commitments and ``_respond`` the replies to both challenges.
-``HonestDevice`` calls them for a whole batch; ``honest_commit`` and
+``HonestDevice`` calls them for a whole block; ``honest_commit`` and
 ``honest_challenge_b`` are their one-round case, as ``etcf.keygen`` is the
 one-key case of ``etcf.draw_keys``.
 
-The device's draws of a batch, from the batch's device generator
-(``streams.Block.device``, a ``streams.BatchGenerator`` that draws each
-block's share from that block's own generator), in order:
+The device's draws of a block, from the block's device generator
+(``streams.Block.device``), in order:
 
 - honest and noisy: ``on_keys`` draws each round's two branch bits, then
   its two domain points (one integer below 2**w each for the ideal
@@ -48,7 +47,7 @@ block's share from that block's own generator), in order:
   (a, h_a, b, h_b);
 - classical-table: nothing.
 
-Each array is drawn for every round of the batch, in round order and
+Each array is drawn for every round of the block, in round order and
 Alice first, whether or not the round reads it.
 """
 
@@ -197,16 +196,13 @@ def _outcome_table() -> np.ndarray:
 
 
 class DeviceStrategy:
-    """Interface the protocol engine drives, a batch of stream blocks at a time, each
-    draw split by block.
+    """Interface the protocol engine drives, a stream block at a time.
 
-    Per batch, ``reset(rng)`` with the batch's device generator
+    Per block, ``reset(rng)`` with the block's device generator
     (``streams.Block.device``), then ``on_keys``, ``on_challenges`` and
     ``on_questions``, each once and with positional arguments.  Each
-    argument holds one entry per round of the batch, and each reply is a
-    tuple of per-round arrays or sequences.  The generator has only
-    ``random(size)`` and ``integers(high, size)``, each draw with the round
-    as its leading axis (``streams.BatchGenerator``):
+    argument holds one entry per round of the block, and each reply is a
+    tuple of per-round arrays or sequences:
 
     - ``on_keys(keys_a, keys_b)``: the two sides' keys, which in one session
       share a family and its sizes; reply ``(c_a, c_b)``;
@@ -287,7 +283,7 @@ def _respond(claw_free, branch, point, partner, domain_bits: int, rng: np.random
 class HonestInternalState(NamedTuple):
     """The honest state after ``_commit``, and the arguments of ``_respond``: the
     arrays but the images, one entry per commitment (one side of one round from
-    ``honest_commit``, a row of two sides per round of a batch in ``HonestDevice``),
+    ``honest_commit``, a row of two sides per round of a block in ``HonestDevice``),
     and the domain width."""
 
     claw_free: np.ndarray

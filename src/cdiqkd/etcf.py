@@ -372,7 +372,7 @@ def _preimages(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, c: np
 
 
 def ideal_claws(keys: DrawnKeys, branch: np.ndarray, x: np.ndarray):
-    """``_claws`` of each of a batch's ideal keys, at its branch bit and domain point."""
+    """``_claws`` of each of a block's ideal keys, at its branch bit and domain point."""
     return _claws(keys.arrays[0], keys.claw_free, keys.params.domain_bits, branch, x)
 
 
@@ -402,13 +402,6 @@ def keygen_ideal(kinds, domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
 
 def _coord_bits(q: int) -> int:
     return (q - 1).bit_length()
-
-
-def key_bytes(params: EtcfParams) -> int:
-    """Bytes of one key's rows of a ``DrawnKeys``' arrays: its seed, or A and its shift."""
-    if params.family == "ideal":
-        return 8
-    return 8 * (params.m * params.n + params.m)
 
 
 def key_widths(params: EtcfParams) -> tuple[int, int]:

@@ -11,20 +11,20 @@ the replay audit recomputes every check in one forward pass over both
 files.  Generation rounds publish only
 state bases, challenge types, tags, and question bases - their
 commitments, responses, and key material are discarded and never reach
-any output file.  The runner appends each batch of rounds to both files
-as soon as the batch is decided, straight from its arrays (``protocol.Block``).
+any output file.  The runner appends each stream block of rounds to both
+files as soon as the block is decided, straight from its arrays
+(``protocol.Block``).
 
 The block writer (``_round_lines``, ``_KEYS_LINE``) is the one statement of
-both formats: replay reads a block of lines into the values they were
+both formats: replay reads a chunk of lines into the values they were
 written from and keeps each line only if the writer writes those values
-back as that line.  Replay reads a stream block of lines (``STREAM_BLOCK``,
-256) at a time, decoded with one ``json.loads``, or else line by line, so
-that a line that is not UTF-8 or not JSON spoils only itself.  A block of the
+back as that line.  Replay reads a chunk of lines (``REPLAY_CHUNK``, 1,024)
+at a time, decoded with one ``json.loads``, or else line by line, so that a
+line that is not UTF-8 or not JSON spoils only itself.  A chunk of the
 writer's lines for the rounds due, whose test rounds take the store's next
-entries, is checked at once, and each line of any other block where it is read.
-It scores test rounds a session batch at a time: the verdicts of the rounds
-whose lines pass are filled in each time ``protocol.batch_blocks`` stream
-blocks of lines have been read, and after the last line.
+entries, is checked at once, and each line of any other chunk where it is
+read.  Each chunk's test rounds whose lines pass are scored as soon as the
+chunk is read, and nothing is held over to the next chunk.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -57,13 +57,12 @@ from .protocol import (
     SessionResult,
     WinFlag,
     abort_decision,
-    batch_blocks,
     classify_round,
     run_session,
     verdicts,
     win_condition,  # not called here: named so that bench/spans.py can wrap it
 )
-from .streams import SEED_BYTES, STREAM_BLOCK, STREAM_LAYOUT
+from .streams import SEED_BYTES, STREAM_LAYOUT
 
 EXIT_KEY_PRODUCED = 0
 EXIT_USAGE = 1
@@ -73,6 +72,10 @@ _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 4
+# Lines replay reads, decodes and scores at a time, of the transcript and of the store.
+# A decoded round line costs about 2-4 kB (its text, its JSON object and the arrays read
+# from it), so a chunk holds a few MB whatever the run's length.
+REPLAY_CHUNK = 1024
 
 # A basis, a challenge and a win as a line writes them, each indexed by its code in a
 # Block: a Hadamard bit, a challenge-b bit and an index of FLAGS.
@@ -202,13 +205,13 @@ _STORE_HEADER = {"record": "keys-header", "version": STREAM_LAYOUT, "format": ST
 
 
 def write_transcript(fh: TextIO, block: Block) -> None:
-    """Append the round lines of one decided batch to an open transcript."""
+    """Append the round lines of one decided block to an open transcript."""
     lines = _round_lines(block, range(block.start, block.start + len(block.tested)))
     fh.write("".join(f"{line}\n" for line in lines))
 
 
 def write_trapdoor_store(fh: TextIO, block: Block) -> None:
-    """Append the ``keys`` lines of one decided batch's test rounds to an open store."""
+    """Append the ``keys`` lines of one decided block's test rounds to an open store."""
     seeds, digits = block.seeds.hex(), 2 * SEED_BYTES
     fh.write("".join(
         _KEYS_LINE % (block.start + i, seeds[digits * i:digits * (i + 1)]) + "\n"
@@ -248,8 +251,8 @@ def bell_test_qber(session: SessionResult) -> float:
 
 
 def _write_block(transcript: TextIO, store: TextIO, block: Block) -> None:
-    """The block consumer of a run with files: the batch's round lines, then its test
-    rounds' keys, each written from the batch's arrays."""
+    """The block consumer of a run with files: the block's round lines, then its test
+    rounds' keys, each written from the block's arrays."""
     write_transcript(transcript, block)
     write_trapdoor_store(store, block)
 
@@ -259,8 +262,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
 
     Every output file is opened before any round runs, so an unwritable
     path raises OSError at once.  The transcript and the trapdoor store get
-    their headers first and each batch's lines once the batch is decided,
-    so the session holds one batch at a time and builds no record; the
+    their headers first and each block's lines once the block is decided,
+    so the session holds one block at a time and builds no record; the
     transcript's footer follows the session, and the summary the
     post-processing.  A run cut short leaves a transcript without its
     footer, which replay reports as truncated.
@@ -434,15 +437,15 @@ def _first(lines) -> dict | None:
 
 
 def _blocks(lines, read):
-    """``_block`` of each block of up to STREAM_BLOCK non-blank ``lines``, (number, bytes)
-    pairs, made as it is taken: no block is held here while the caller works."""
-    return map(partial(_block, read), iter(lambda: list(itertools.islice(lines, STREAM_BLOCK)), []))
+    """``_block`` of each chunk of up to REPLAY_CHUNK ``lines``, (number, bytes) pairs,
+    made as it is taken: no chunk is held here while the caller works."""
+    return map(partial(_block, read), iter(lambda: list(itertools.islice(lines, REPLAY_CHUNK)), []))
 
 
 def _block(read, chunk: list) -> tuple:
     """(numbers, texts, values, result, verbatim) of ``chunk``'s non-blank lines, where
     ``read(texts, values)`` gives (result, verbatim), verbatim if each line is the writer's
-    text for the values read: values of one ``json.loads`` of the block are kept only if
+    text for the values read: values of one ``json.loads`` of the chunk are kept only if
     verbatim, as lines not JSON alone may be JSON together; else each line is decoded alone."""
     numbers, texts = _texts(chunk)
     try:
@@ -495,11 +498,12 @@ def _hex_ints(texts: list) -> np.ndarray:
 
 
 def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bool]:
-    """A block of transcript lines, read: ((heads, block, written), verbatim).  Each line's
-    head is (index, coin code), None unless it holds an index, bases and challenges;
+    """A chunk of transcript lines, read: ((heads, block, written, read), verbatim).  Each
+    line's head is (index, coin code), None unless it holds an index, bases and challenges;
     ``block`` holds the values each line states, its flags the wins read; ``written`` is
     each line as the writer writes them.  A field that does not read is read as one the
-    writer writes otherwise, so that only the writer's own line reads back to itself."""
+    writer writes otherwise, so that only the writer's own line reads back to itself.
+    ``read`` counts the lines but a last one that is a footer, and verbatim is of those."""
     heads = []
     for value in values:
         try:
@@ -548,7 +552,9 @@ def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bo
     wins[rows] = [_WINS.index(w) if w in _WINS else _NA for w in (e.get("win") for e in matched)]
     block.flags = np.where(block.tested, wins, _NA).astype(np.int8)
     written = _round_lines(block, [head[0] if head else 0 for head in heads])
-    return (heads, block, written), written == texts
+    footer = bool(values) and type(values[-1]) is dict and values[-1].get("record") == "footer"
+    read = len(texts) - footer
+    return (heads, block, written, read), written[:read] == texts[:read]
 
 
 class _StoreCursor:
@@ -604,23 +610,24 @@ class _StoreCursor:
         return b"".join(entry[2] for entry in due)
 
 
-def _settle(etcf: EtcfParams, parts: list, seeds: bytearray, mismatches: list, start: int,
+def _settle(etcf: EtcfParams, block: Block, rows, seeds: bytes, mismatches: list, start: int,
             fail_reasons: dict) -> None:
-    """Score a batch of test rounds whose lines passed, each block's arrays of them in
-    ``parts`` and their seeds in ``seeds``, on their keys drawn at once; count each
-    failure in ``fail_reasons`` and settle each round's placeholder among
-    ``mismatches[start:]``, its (line number, index), to its ``verdict should be``
-    mismatch, or drop it.  The placeholders are in the rounds' order."""
+    """Score the test rounds ``rows`` of a chunk's ``block`` whose lines passed, on their
+    keys drawn at once from ``seeds``; count each failure in ``fail_reasons`` and settle
+    each round's placeholder among ``mismatches[start:]``, its (line number, index), to
+    its ``verdict should be`` mismatch, or drop it.  The placeholders are in the rounds'
+    order."""
     if not seeds:
         return
-    hadamard, challenge_b, question_h, generate, flags, *messages = map(np.concatenate, zip(*parts))
-    kernel = Block(0, b"", hadamard, challenge_b, question_h, generate,
-                   draw_keys(hadamard.ravel(), etcf, seeds), (), tuple(messages))
+    hadamard = block.hadamard[rows]
+    kernel = Block(0, b"", hadamard, block.challenge_b[rows], block.question_h[rows],
+                   block.generate[rows], draw_keys(hadamard.ravel(), etcf, seeds), (),
+                   tuple(message[rows] for message in block.messages))  # marks too
     scored, reasons = verdicts(kernel)
     counts = np.bincount(reasons[scored == _FAIL], minlength=len(REASONS))
     for reason, count in zip(REASONS, counts.tolist()):
         fail_reasons[reason] += count
-    wrong = iter(np.where(scored != flags, scored, -1).tolist())  # a verdict not its line's
+    wrong = iter(np.where(scored != block.flags[rows], scored, -1).tolist())  # not its line's
     settled = []
     for item in mismatches[start:]:
         if type(item) is str:
@@ -640,25 +647,23 @@ _FOOTER_LABELS = {
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
-    Both files are read once, in round order, a stream block of lines (256) at a
-    time: a block of the writer's lines for the rounds due, whose test rounds
-    take the store's next entries, is checked at once, and each line of any
-    other block where it is read.  A test round whose line passes holds its
-    place among the mismatches until a session batch of lines
-    (``protocol.batch_blocks`` stream blocks) is read, or the last line is; then
-    the batch's keys are drawn at once, ``protocol.verdicts`` scores its test
-    rounds, and each place becomes its ``verdict should be`` mismatch or is
-    dropped.  So replay holds one block of decoded lines and one batch of test
-    rounds at a time.  A round line the writer would not write for the values
-    read from it yields a mismatch naming the line, and so does a round index
-    that is not the next of ``0..rounds-1``, a test round whose store entry is
-    missing or out of order, a store entry no test round takes, and any line
-    after the footer; rounds missing at the end, and any footer but the one
-    written from the recomputed counts, are footer mismatches.  A missing footer
-    (a truncated transcript) raises ReplayError naming the last good line; so do
-    a header the writer would not write, a store without its header and a
-    corrupt trapdoor-store entry.  The ETCF family and its sizes are read once,
-    from the transcript header.
+    Both files are read once, in round order, a chunk of ``REPLAY_CHUNK`` lines
+    at a time: a chunk of the writer's lines for the rounds due, whose test
+    rounds take the store's next entries, is checked at once, and each line of
+    any other chunk where it is read.  A test round whose line passes holds its
+    place among the mismatches until its chunk is read; then the chunk's keys
+    are drawn at once, ``protocol.verdicts`` scores its test rounds, and each
+    place becomes its ``verdict should be`` mismatch or is dropped.  So replay
+    holds one chunk of decoded lines at a time.  A round line the writer would
+    not write for the values read from it yields a mismatch naming the line,
+    and so does a round index that is not the next of ``0..rounds-1``, a test
+    round whose store entry is missing or out of order, a store entry no test
+    round takes, and any line after the footer; rounds missing at the end, and
+    any footer but the one written from the recomputed counts, are footer
+    mismatches.  A missing footer (a truncated transcript) raises ReplayError
+    naming the last good line; so do a header the writer would not write, a
+    store without its header and a corrupt trapdoor-store entry.  The ETCF
+    family and its sizes are read once, from the transcript header.
     """
     lines = _lines(transcript_path)
     header = _first(lines)
@@ -677,28 +682,27 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     rounds = params.rounds
     mismatches: list[str] = []
     store = _StoreCursor(_store_entries(trapdoor_store_path), rounds, mismatches)
-    tested = count = 0
+    tested = 0
     fail_reasons = dict.fromkeys(REASONS, 0)
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
-    size = batch_blocks(etcf)
-    parts, seeds, start = [], bytearray(), 0  # the batch to score, placeholders from start on
     blocks = _blocks(lines, partial(_read_rounds, etcf))
-    for numbers, texts, entries, (heads, block, written), verbatim in blocks:
-        count += 1  # not enumerate, whose result tuple would hold a block while a batch is scored
-        rows = np.flatnonzero(block.tested)  # the block's test rounds to score
-        last, indices = next_index + len(heads) - 1, (rows + next_index).tolist()
-        block_seeds = store.take_block(indices, last) if (
-            verbatim and footer is None and heads and last < rounds
-            and [head[0] for head in heads] == list(range(next_index, last + 1))
+    for numbers, texts, entries, (heads, block, written, read), verbatim in blocks:
+        start = len(mismatches)  # the chunk's placeholders are among mismatches[start:]
+        rows = np.flatnonzero(block.tested[:read])  # the chunk's test rounds to score
+        last, indices = next_index + read - 1, (rows + next_index).tolist()
+        seeds = store.take_block(indices, last) if (
+            verbatim and footer is None and read and last < rounds
+            and [head[0] for head in heads[:read]] == list(range(next_index, last + 1))
         ) else None
-        if block_seeds is not None:  # clean: each line the writer's, in place, with its entry
+        if seeds is not None:  # clean: each line the writer's, in place, with its entry
             mismatches += zip([numbers[row] for row in rows.tolist()], indices)  # placeholders
-            seeds += block_seeds
             tested, last_good, next_index = tested + len(rows), numbers[-1], last + 1
+            if read < len(heads):  # the chunk ends in the footer
+                footer = entries[-1]
         else:  # each line checked and explained where it is read
-            rows = []
+            rows, seeds = [], bytearray()
             for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
                 if footer is not None:  # the footer is the last line
                     what = "corrupt record" if entry is None else "record after the footer"
@@ -752,15 +756,8 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
                     mismatches.append((number, index))  # a placeholder for its verdict's mismatch
                     rows.append(row)
                     seeds += seed
-        if len(rows):
-            parts.append((block.hadamard[rows], block.challenge_b[rows], block.question_h[rows],
-                          block.generate[rows], block.flags[rows],
-                          *(message[rows] for message in block.messages)))  # marks too
-        del numbers, texts, entries, heads, block, written  # a batch is scored holding no block
-        if count % size == 0:
-            _settle(etcf, parts, seeds, mismatches, start, fail_reasons)
-            parts, seeds, start = [], bytearray(), len(mismatches)
-    _settle(etcf, parts, seeds, mismatches, start, fail_reasons)
+        _settle(etcf, block, rows, seeds, mismatches, start, fail_reasons)
+        del numbers, texts, entries, heads, block, written  # the next chunk is read holding none
 
     if footer is None:
         raise ReplayError(f"transcript truncated: no footer after line {last_good}")

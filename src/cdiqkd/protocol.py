@@ -2,14 +2,13 @@
 
 Alice and Bob act as verifier state machines around a pluggable device
 strategy.  A session runs n independent rounds (challenge types sampled
-independently per side) a batch of ``batch_blocks`` stream blocks at a
-time, each draw split by block (``streams.batches``).  A batch's coins,
-keys and device replies are arrays (``Block``), and one kernel,
-``verdicts``, decides all its rounds at once: it drops the sifted
-(mismatched-challenge) rounds and scores each test round, and gives a
-failed one its reason, the first check it fails (``REASONS``: a malformed
-message, a challenge-a preimage, a commitment with no preimage, the Bell
-parity, or a product round's honest support).
+independently per side) a stream block at a time (``streams.STREAM_BLOCK``
+rounds).  A block's coins, keys and device replies are arrays (``Block``),
+and one kernel, ``verdicts``, decides all its rounds at once: it drops the
+sifted (mismatched-challenge) rounds and scores each test round, and gives
+a failed one its reason, the first check it fails (``REASONS``: a
+malformed message, a challenge-a preimage, a commitment with no preimage,
+the Bell parity, or a product round's honest support).
 The session counts round types, verdicts, reasons and the Bell-test QBER
 cells with array counts, and takes each generation round's key-bit pair
 from the same arrays.  Estimation then reads only that tally, aborting
@@ -18,20 +17,20 @@ otherwise the raw key is the pairs of the generation rounds whose
 questions are both computational.
 
 The kernel range-checks each reply array as an array (``bits.fits_each``),
-inverts a batch's keys many at once (``etcf.DrawnKeys``) and reads the
+inverts a block's keys many at once (``etcf.DrawnKeys``) and reads the
 product-round check from one table of ``_support_of``, built at first use.
 ``win_condition`` and ``honest_support`` run it on one ``RoundRecord``'s round.
 
-Records are built only on request.  Once a batch is decided it goes to
+Records are built only on request.  Once a block is decided it goes to
 the session's block consumer: ``run_session`` builds its records and
 collects them in ``SessionResult.records`` unless the caller passes
-``on_block``, as ``harness.run_experiment`` does, which writes a batch's
-lines from its arrays.  Such a session holds one batch at a time, so its
+``on_block``, as ``harness.run_experiment`` does, which writes a block's
+lines from its arrays.  Such a session holds one block at a time, so its
 memory does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v7), and each block draws from three streams keyed by the
+(stream layout v8), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
@@ -41,15 +40,12 @@ session's seed, the stream and the block index:
   halves are Alice's and Bob's key seeds; ``etcf.draw_keys`` draws each
   key from its own seed alone, and each key is its own trapdoor, so the
   trapdoor store need hold only a test round's seed;
-- the device's stream, handed to ``device.reset`` once per batch, with
-  each block's generator behind one ``streams.BatchGenerator``; the device
-  then answers each of its messages for the whole batch at once, each draw
-  split by block.
+- the device's stream, handed to ``device.reset`` once per block; the
+  device then answers each of its messages for the whole block at once.
 
 So the verifiers' draws never depend on the device's answers, and a
-block's draws depend on nothing outside it, not even on the batch it is
-played in: the complete blocks of a session are those of any longer
-session with the same seed.  A
+block's draws depend on nothing outside it: the complete blocks of a
+session are those of any longer session with the same seed.  A
 ``SeedSequence`` passed as the seed is read, never advanced, so passing
 the same object twice gives the same session.
 """
@@ -72,7 +68,6 @@ from .etcf import (
     EtcfParams,
     KeyKind,
     draw_keys,
-    key_bytes,
     key_widths,
     stack_keys,
 )
@@ -86,16 +81,9 @@ from .quantum import (
     plus_minus,
     tensor,
 )
-from .streams import SEED_BYTES, STREAM_BLOCK, batches, block_streams
+from .streams import SEED_BYTES, block_streams
 
 SUPPORT_TOLERANCE = 1e-9
-# Bytes of arrays a session plays at once: a batch holds as many stream blocks as fit
-# in it, and at least one, a round taking its two keys' bytes (``etcf.key_bytes``) and
-# ROUND_BYTES of coins, replies, messages and kernel temporaries (a session's traced
-# peak less its keys: 300-480 B a round at the default sizes of either family).  It
-# moves no draw, only how many blocks each call of the device and of the kernel takes.
-BATCH_BYTES = 1 << 20
-ROUND_BYTES = 384
 # The public coins of a round, in the column order a block draws them.
 COIN_COLUMNS = ("theta_a", "theta_b", "ct_a", "ct_b", "x", "y", "tag")
 
@@ -226,16 +214,15 @@ _TAGS = (TestTag.TEST, TestTag.GENERATE)  # indexed by a generation bit
 
 # Why a test round failed: the first check of ``verdicts`` it fails.
 REASONS = ("violation", "preimage", "no_preimage", "bell_parity", "support")
-# A round's flag in a decided batch, an index of FLAGS.
+# A round's flag in a decided block, an index of FLAGS.
 FLAGS = (WinFlag.NA, WinFlag.PASS, WinFlag.FAIL)
 _NA, _PASS, _FAIL = range(3)
 _NO_CODE = -1  # a retained-qubit code not computed, or with no honest state
 
 
 class Block:
-    """A batch of stream blocks' rounds as arrays (each draw split by block, see
-    ``streams.batches``): a row per round and, in the (n, 2) arrays, a column per
-    side, Alice's first.
+    """A stream block's rounds as arrays: a row per round and, in the (n, 2) arrays, a
+    column per side, Alice's first.
 
     ``_play_block`` fills the coins, keys and device replies; ``run_session`` then
     sets ``flags`` and ``reasons`` from ``verdicts``.  Records are built only on
@@ -351,8 +338,8 @@ class Block:
 
 
 def _play_block(device: DeviceStrategy, params: ProtocolParams, stream) -> Block:
-    """The rounds of a batch of stream blocks: coins and keys as arrays, and the
-    device's messages, one call each for the whole batch."""
+    """The rounds of a stream block: coins and keys as arrays, and the device's
+    messages, one call each for the whole block."""
     coins = stream.public.random((stream.stop - stream.start, len(COIN_COLUMNS)))
     hadamard = coins[:, 0:2] < params.p_theta_hadamard
     challenge_b = coins[:, 2:4] < params.p_ct_b
@@ -384,7 +371,7 @@ def _support_table() -> np.ndarray:
 
 def verdicts(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """Each round's flag (an index of ``FLAGS``) and, for a failed test round, the reason
-    (an index of ``REASONS``, else -1): the checks below, on every test round of the batch at
+    (an index of ``REASONS``, else -1): the checks below, on every test round of the block at
     once, from its arrays.
 
     A violation fails the round, and a challenge-a side passes only with a
@@ -497,13 +484,6 @@ def _one_round(record: RoundRecord) -> Block:
                  stack_keys([s.key for s in sides]), (), (*messages, violation))
 
 
-def batch_blocks(etcf: EtcfParams) -> int:
-    """Stream blocks a batch of ``etcf``'s keys holds: as many as fit ``BATCH_BYTES`` at two
-    keys and ``ROUND_BYTES`` a round, and at least one.  A session plays a batch at a
-    time, and the replay audit scores one at a time."""
-    return max(1, BATCH_BYTES // (STREAM_BLOCK * (2 * key_bytes(etcf) + ROUND_BYTES)))
-
-
 def run_session(
     device: DeviceStrategy,
     params: ProtocolParams,
@@ -512,9 +492,9 @@ def run_session(
 ) -> SessionResult:
     """Run the full pipeline: rounds, sifting, estimation, key extraction.
 
-    Each batch's rounds are decided at once by ``verdicts`` and counted from
-    its arrays, with the generation rounds' key bits; everything after the
-    batch loop reads that tally and those bits.  Each decided batch then
+    Each stream block's rounds are decided at once by ``verdicts`` and counted
+    from its arrays, with the generation rounds' key bits; everything after the
+    block loop reads that tally and those bits.  Each decided block then
     goes to ``on_block(block)`` if given, and is dropped before the next is
     played; if not, its records are built and collected in the result's
     ``records``.
@@ -526,7 +506,7 @@ def run_session(
     key_a, key_b = bytearray(), bytearray()  # the matched generation rounds' bits
     tally = np.zeros(len(_TALLY), dtype=np.int64)
     reasons = np.zeros(len(REASONS), dtype=np.int64)
-    for stream in batches(block_streams(master, params.rounds), batch_blocks(params.etcf)):
+    for stream in block_streams(master, params.rounds):
         block = _play_block(device, params, stream)
         block.flags, block.reasons = verdicts(block)
         challenge_b, bell, failed = block.challenge_b, block.bell, block.flags == _FAIL
@@ -540,7 +520,7 @@ def run_session(
         key_a += pairs[kept, 0].astype(np.uint8).tobytes()
         key_b += pairs[kept, 1].astype(np.uint8).tobytes()
         consume(block)
-        del block  # so that the next batch's keys are drawn with this one's dropped
+        del block  # so that the next block's keys are drawn with this one's dropped
 
     counts = dict(zip(_TALLY, tally.tolist()))
     tested, failed = counts["tested"], counts["failed"]
@@ -569,7 +549,7 @@ def run_session(
     )
 
 
-# The session's counts, in the order run_session counts them a batch at a time.
+# The session's counts, in the order run_session counts them a block at a time.
 _TALLY = ("sifted", "bell", "generate", "tested", "failed", "qber_tested", "qber_failed")
 
 

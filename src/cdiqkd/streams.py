@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v7.
+"""Per-block random streams, stream layout v8.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -14,12 +14,10 @@ bytes.  The streams:
 - ``PUBLIC``: the verifiers' public coins, and ``DEVICE``: the device, each
   a counter-based ``Generator(Philox(key=K))`` (Salmon et al., "Parallel
   random numbers: as easy as 1, 2, 3", SC'11), K read as two little-endian
-  uint64 words.  A session plays a batch of stream blocks at once
-  (``batches``), each draw split by block: the device is reset once a
-  batch with a ``BatchGenerator`` over its blocks' generators, and each of
-  its draws is one array with an entry per round (or per round and side)
-  of the batch, each block's share drawn from that block's own generator,
-  in a fixed order per device kind:
+  uint64 words.  A session plays one block at a time: the device is reset
+  once a block with the block's device generator, and each of its draws
+  is one array with an entry per round (or per round and side) of the
+  block, in a fixed order per device kind:
 
   - honest and noisy: the branch bits, the domain points (``on_keys``);
     the challenge-a coins, the d strings (``on_challenges``); 4 uniforms
@@ -32,8 +30,6 @@ bytes.  The streams:
   seeds: ``etcf`` draws each key from its seed alone.
 
 Knowing one block's key, or one round's seed, tells nothing of any other.
-So each block's generators give the draws they give with the block played
-alone, and how many blocks a batch holds moves no byte.
 
 ``STREAM_LAYOUT`` is the layout's number; the transcript and trapdoor-store
 headers state it as their ``version``.  Layout v3 moved only the private
@@ -47,59 +43,35 @@ draws; it moved only the toy-lattice keys at q > 2, whose values are now
 their words mod q (``etcf.keygen_toy``).  Layout v7 keeps v6's streams,
 seeds, toy-lattice keys and device draws; it moved only the ideal keys, now
 keyed permutations of their seeds' words in place of argsorted tables
-(``etcf._permute``).
+(``etcf._permute``).  Layout v8 keeps v7's domain, stream ids, key
+derivation and per-round seed rule; it moved only the block length, from
+256 rounds to 2,048.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
-STREAM_BLOCK = 256
-STREAM_LAYOUT = 7
+STREAM_BLOCK = 2048
+STREAM_LAYOUT = 8
 SEED_BYTES = 16  # a round's private seed
-DOMAIN = b"cdiqkd stream layout v2"  # v3 to v7 keep it, and with it v2's stream keys
+DOMAIN = b"cdiqkd stream layout v2"  # v3 to v8 keep it, and with it v2's stream keys
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 
 class Block(NamedTuple):
-    """Rounds ``start..stop-1``, their public and device generators and their seeds: a
-    stream block's, or a batch's (``batches``)."""
+    """A stream block's rounds ``start..stop-1``, its public and device generators and its
+    rounds' seeds."""
 
     start: int
     stop: int
-    public: np.random.Generator | BatchGenerator
+    public: np.random.Generator
     seeds: bytes  # SEED_BYTES a round
-    device: np.random.Generator | BatchGenerator
-
-
-class BatchGenerator:
-    """One stream of a batch of stream blocks: each block's generator and its length.
-
-    Each draw's ``size`` is a shape with the round as its leading axis, and the draw
-    takes each block's share of it from that block's own generator, in order, so each
-    generator gives exactly what it gives when its block is played alone.
-    """
-
-    def __init__(self, generators: list[np.random.Generator], lengths: list[int]) -> None:
-        self.generators, self.lengths = generators, lengths
-
-    def random(self, size):
-        return self._draw(lambda rng, share: rng.random(share), size)
-
-    def integers(self, high, size):
-        return self._draw(lambda rng, share: rng.integers(high, size=share), size)
-
-    def _draw(self, draw, size) -> np.ndarray:
-        rounds, *tail = size
-        if rounds != sum(self.lengths):
-            raise ValueError(f"a draw for {rounds} rounds from a batch of {sum(self.lengths)}")
-        shares = [draw(rng, (length, *tail)) for rng, length in zip(self.generators, self.lengths)]
-        return shares[0] if len(shares) == 1 else np.concatenate(shares)
+    device: np.random.Generator
 
 
 def session_words(master: np.random.SeedSequence) -> bytes:
@@ -132,16 +104,3 @@ def block_streams(master: np.random.SeedSequence, rounds: int) -> Iterator[Block
         seeds = hashlib.shake_128(private).digest(SEED_BYTES * (stop - start))
         yield Block(start, stop, public, seeds, device)
 
-
-def batches(blocks: Iterable[Block], size: int) -> Iterator[Block]:
-    """Runs of ``size`` consecutive ``blocks`` (the last may be shorter), each as one
-    Block: its blocks' rounds and seeds, and one ``BatchGenerator`` per stream."""
-    blocks = iter(blocks)
-    while group := list(itertools.islice(blocks, size)):
-        lengths = [block.stop - block.start for block in group]
-        yield Block(
-            group[0].start, group[-1].stop,
-            BatchGenerator([block.public for block in group], lengths),
-            b"".join(block.seeds for block in group),
-            BatchGenerator([block.device for block in group], lengths),
-        )

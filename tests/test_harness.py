@@ -23,6 +23,7 @@ from cdiqkd.harness import (
     EXIT_ABORTED,
     EXIT_KEY_PRODUCED,
     EXIT_USAGE,
+    REPLAY_CHUNK,
     ReplayError,
     replay_verify,
     run_experiment,
@@ -161,14 +162,29 @@ class TestRunExperiment:
         # keys and trapdoors dropped: only the raw-key bits grow with the rounds.
         run_experiment(config(tmp_path, rounds=STREAM_BLOCK, seed=35))  # warm the caches
         peaks = {}
-        for rounds in (16 * STREAM_BLOCK, 32 * STREAM_BLOCK):
+        for rounds in (4 * STREAM_BLOCK, 8 * STREAM_BLOCK):
             tracemalloc.start()
             try:
                 run_experiment(config(tmp_path, rounds=rounds, seed=35))
                 peaks[rounds] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[32 * STREAM_BLOCK] - peaks[16 * STREAM_BLOCK] < 1024 * 1024
+        assert peaks[8 * STREAM_BLOCK] - peaks[4 * STREAM_BLOCK] < 1024 * 1024
+
+    def test_one_block_of_the_largest_lattice_keys_is_bounded(self, tmp_path):
+        # At n 31, m 63, q 2, the largest toy-lattice keys a run takes, a stream block's
+        # 4,096 keys are 66.1 MB of int64 rows (A and its shift).  A run of one block
+        # with files peaked at 71.0 MB traced; the bound is that and 10%.
+        lattice = {"etcf": "toy-lattice", "lattice_n": 31, "lattice_m": 63, "lattice_q": 2}
+        run_experiment(config(tmp_path, rounds=64, **lattice))  # warm the caches
+        tracemalloc.start()
+        try:
+            outcome = run_experiment(config(tmp_path, rounds=STREAM_BLOCK, **lattice))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.session.failed_count == 0
+        assert peak < 78 * 10**6
 
 
 def _counts(session) -> tuple:
@@ -327,23 +343,22 @@ class TestReplay:
                 tracemalloc.stop()
         assert peaks[4096] - peaks[2048] < 256 * 1024
 
-    def test_replay_memory_is_bounded_by_one_scoring_batch(self, tmp_path):
-        # A session batch of ideal keys at the default sizes is 10 stream blocks: replay
-        # holds at most one such batch of test rounds at a time, so its peak at four
-        # batches of rounds is its peak at two.
+    def test_replay_memory_is_bounded_by_one_replay_chunk(self, tmp_path):
+        # Replay reads and scores one chunk of lines at a time and holds nothing of it
+        # once the next is read, so its peak at ten chunks of rounds is its peak at five.
         peaks = {}
-        for batches in (2, 4):
-            directory = tmp_path / str(batches)
+        for chunks in (5, 10):
+            directory = tmp_path / str(chunks)
             directory.mkdir()
-            paths = self.run_and_paths(directory, rounds=batches * 10 * STREAM_BLOCK, seed=35)
+            paths = self.run_and_paths(directory, rounds=chunks * REPLAY_CHUNK, seed=35)
             replay_verify(*paths)  # warm the answer and support caches
             tracemalloc.start()
             try:
                 assert replay_verify(*paths).match
-                peaks[batches] = tracemalloc.get_traced_memory()[1]
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4] - peaks[2] <= 256 * 1024
+        assert peaks[10] - peaks[5] <= 256 * 1024
 
     def test_malformed_device_messages_replay_to_a_match(self, tmp_path):
         # The writer marks a side whose device sent a malformed message and drops
@@ -865,7 +880,7 @@ class TestMalformedReplay:
         assert report.mismatches == [f"store line {number}: entry for round {index} is out of place"]
 
     def test_mixed_mismatches_keep_line_order(self, tmp_path, audit_files):
-        # Store, format and verdict mismatches of one block of lines come out in line
+        # Store, format and verdict mismatches of one chunk of lines come out in line
         # order, each at the line that shows it, and the footer's after them.
         transcript, store = audit_files
         first, third = (json.loads(store[n])["i"] for n in (1, 3))
@@ -891,21 +906,20 @@ class TestMalformedReplay:
             f"footer: fail fraction should be {sig12(1 / tested)}",
         ]
 
-    def test_mismatches_across_scoring_batches_keep_line_order(self, tmp_path):
-        # 6,000 rounds span two whole session batches of ideal keys (10 stream blocks
-        # each at the default sizes) and a short one.  Seeds changed in stream blocks 0,
-        # 9, 10 and the last, and a line the writer would not write between them, are
-        # named in line order, and the footer's mismatches follow.
+    def test_mismatches_across_replay_chunks_keep_line_order(self, tmp_path):
+        # 6,000 rounds span five whole replay chunks of lines and a short one.  Seeds
+        # changed in chunks 0, 1, 2 and the last, and a line the writer would not write
+        # in chunk 3, are named in line order, and the footer's mismatches follow.
         run_experiment(config(tmp_path, rounds=6000, seed=41))
         transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
         store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
         entries = {json.loads(line)["i"]: n for n, line in enumerate(store[1:], 1)}
         flip = 1 << 127 | 1 << 63  # a bit of Alice's key seed and one of Bob's
         expected = []
-        for block in (0, 9, 10, 15, 6000 // STREAM_BLOCK):
+        for chunk in (0, 1, 2, 3, 6000 // REPLAY_CHUNK):
             # transcript[i + 1] is round i, on line i + 2: the header is line 1.
-            lines = range(block * STREAM_BLOCK + 1, min((block + 1) * STREAM_BLOCK, 6000) + 1)
-            if block == 15:
+            lines = range(chunk * REPLAY_CHUNK + 1, min((chunk + 1) * REPLAY_CHUNK, 6000) + 1)
+            if chunk == 3:
                 number = next(n for n in lines if _is_generate(json.loads(transcript[n])))
                 entry = json.loads(transcript[number])
                 del entry["x"]
@@ -926,20 +940,21 @@ class TestMalformedReplay:
         ]
 
     def test_store_cursor_is_handed_on_across_clean_blocks(self, tmp_path):
-        # Each tamper follows stream blocks whose lines and store entries are the
-        # writer's: two entries of block 12 swapped, the line of block 13's first test
-        # round deleted, and an entry added for block 14's first generation round.  A
-        # last entry is added for the first round of a later block of lines B when
-        # neither that round nor the last of block A before it is a test round, and the
-        # last of the block before A is: the cursor holds it, untaken, from A into B.
-        run_experiment(config(tmp_path, rounds=6000, seed=42))
+        # Each tamper follows replay chunks whose lines and store entries are the
+        # writer's: two entries of chunk 1 swapped, the line of chunk 2's first test
+        # round deleted, and an entry added for chunk 3's first generation round.  A
+        # last entry is added for the first round of a later chunk of lines B when
+        # neither that round nor the last of chunk A before it is a test round, and the
+        # last of the chunk before A is: the cursor holds it, untaken, from A into B.
+        # Seed 42's first such B is chunk 12, so the run is 16 chunks long.
+        run_experiment(config(tmp_path, rounds=16 * REPLAY_CHUNK, seed=42))
         transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
         store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
         rounds = [json.loads(line) for line in transcript[1:-1]]  # round i is on line i + 2
         entries = {json.loads(line)["i"]: n for n, line in enumerate(store[1:], 1)}
 
         def first(start, pick):
-            return next(i for i in range(start, 6000) if pick(i, rounds[i]))
+            return next(i for i in range(start, len(rounds)) if pick(i, rounds[i]))
 
         def add_entry(index):  # before the next test round's entry, with its seed
             at = entries[first(index, lambda i, e: i in entries)]
@@ -947,17 +962,18 @@ class TestMalformedReplay:
             store.insert(at, line)
             return line
 
-        swapped = first(12 * STREAM_BLOCK, lambda i, e: i in entries)
+        swapped = first(REPLAY_CHUNK, lambda i, e: i in entries)
         later = first(swapped + 1, lambda i, e: i in entries)
         one, other = entries[swapped], entries[later]
         store[one], store[other] = store[other], store[one]
-        deleted = first(13 * STREAM_BLOCK, lambda i, e: i in entries)
+        deleted = first(2 * REPLAY_CHUNK, lambda i, e: i in entries)
         del transcript[deleted + 1]
-        # With a line deleted, a later block of lines begins at a round 1 past a stream block's.
-        edge = first(16 * STREAM_BLOCK, lambda i, e: i % STREAM_BLOCK == 1 and i not in entries
-                     and i - 1 not in entries and i - 1 - STREAM_BLOCK in entries)
+        # With a line deleted, a later chunk of lines begins at a round 1 past a multiple
+        # of the chunk.
+        edge = first(4 * REPLAY_CHUNK, lambda i, e: i % REPLAY_CHUNK == 1 and i not in entries
+                     and i - 1 not in entries and i - 1 - REPLAY_CHUNK in entries)
         # The later entry first, so that ``entries`` still places the lines before it.
-        added = [add_entry(edge), add_entry(first(14 * STREAM_BLOCK, lambda i, e: _is_generate(e)))]
+        added = [add_entry(edge), add_entry(first(3 * REPLAY_CHUNK, lambda i, e: _is_generate(e)))]
         generated = json.loads(added[1])["i"]
         tested = json.loads(transcript[-1])["tested"] - 2  # two test rounds lost their lines
         report = replay_verify(*self.write(tmp_path, transcript, store))
@@ -1336,83 +1352,83 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v7,
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v8,
 # with the store in format 4.
-# A change here changes the outputs of every seeded run.  Layout v7 moved the
-# ideal keys only: every store and every toy-lattice transcript is v6's but
-# for its header line, and every summary is v6's but the classical-random
-# run's, whose verdicts read the keys' values; a store holds test rounds'
-# indices and seeds alone, so the runs that share their first 512 rounds'
-# public coins share one store.
-STREAM_LAYOUT_V7 = {
+# A change here changes the outputs of every seeded run.  Layout v8 moved the
+# block length only: the runs of at most 256 rounds write v7's files but for
+# their header lines, and v7's summaries; a store holds test rounds' indices
+# and seeds alone, so the runs that share their first 4,096 rounds' public
+# coins share one store.
+STREAM_LAYOUT_V8 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "c245b3ba5d216c567ac72b9e8081b8988238e11c2ebac29c2fddda197cfd17ca",
-            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
-            "cefe1044bdcbb58507d0877b58999bda45eaeece0d0137c625cc890ed0780448",
+            "511c8d13917d54ae4efaebe48b368f581150325237eaaddc78870d6fce66fdb8",
+            "db1ecace38019a3954611f5b095ea28e848fc9c7fb994ec51e619f3091318169",
+            "2e0cee901f8558faa3b6aa2a75a55428dd0d84813dac73a5d7fd295aafb43992",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "8be25e9b4f658c9981284982e02682c2dc29c572c27e59bd1d57f790b53d908e",
-            "fa377a128e64b7f6987e2926e5aee3baa474a6af2b047bc778bd6a52c0642e59",
+            "d49c39e938c58b06d46f641691688a8b3c3b297b72de36e087fb340a12e61ec0",
+            "8ff3a4e511a5daaef9ec2116482e2efb19584285c8f2bec92429149a8b30835d",
             "5a06b47b6c494927990dea2869c03ed175fdbfae30c67a090a150e599e8d2dc1",
         ),
     ),
-    # Six stream blocks of 256 rounds and a ragged tail.
+    # Two stream blocks of 2,048 rounds and a ragged tail.
     "ideal-random-multiblock": (
-        {"rounds": 3 * 512 + 7, "etcf": "ideal", "device": "classical-random"},
+        {"rounds": 2 * 2048 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "4b2ab901eb8061de8b67e1e1ea29492ee1b7483a6ad062098092808103e68eb1",
-            "d4d8acd14cfc0ae3d067ec1d996ac673e85a31bade964f27641d14147d666766",
-            "af374844fba688c588916ccd48af766cf02bd47c5a5d6c46d772361e9062d0f7",
+            "8dc686d1275fbf84551796b743a0f4749fe3dac1ed974da9ae7f3ebc9a91b750",
+            "426edcd723eadfe3cf1844637089b830eb8029bf051f002583691089906d00c2",
+            "755b91e33e058e0d27f6f2f88e7878be745a2ec8aa4f1f6ecbec9d87053313ac",
         ),
     ),
+    # Two stream blocks and a ragged tail.
     "lattice-noisy-multiblock": (
-        {"rounds": 512 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
+        {"rounds": 2 * 2048 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "58e552883c899c23fdc962270edaa5d4fef2a092858ec439d5621b913209d4d7",
-            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
-            "8219438556893c1e8553f1ddaabab9332d7b956ee85f10e2698baaa308326507",
+            "300e83dc241047cf55739f4fff63f0ba88cdce0c9a77215a6b96fe33dfde6efb",
+            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "0bc6569ea1f2cba0394da462b3700a8c85a39d106457734597e0fe35277336eb",
         ),
     ),
     # At q = 2 about half of all injective keys redraw u, which the default sizes
     # almost never do; a word mod 2 is its low bit, so these keys are v5's.
     "lattice-q2-multiblock": (
-        {"rounds": 512 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
+        {"rounds": 2 * 2048 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
          "lattice_q": 2, "device": "noisy:0.01:0.0"},
         (
-            "7330c2bc34cc7d77806c751cf1e08b53764576acf26a6ab83db9aba46d349146",
-            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
-            "8e13d1122a84b99ec4fea50780dd118c03e3bb098a800a2b3068c5f19b8b9b74",
+            "4a93b6cd93d5e104c09747d5d06fbf7b1a2a6da31497a8b0bbb20ad8e813d4b5",
+            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "301c207ca7cc0b2af5267984f2abc96dd131a856756db5f601f34e8b78136b35",
         ),
     ),
     # A session shorter than one block, with test and generation rounds.
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "d452b273d6aa7a0211b5b45fce151308b4d1aff83f7f080add9be12f76c0bcfe",
-            "03b8a0d2b4cc9b3d22f7206d6ccb9196c5f920fe5210bb87f0fb0801762a82ba",
+            "e52a714a191d0590314fb6f229cb2d6bfb97a87cae60131f0b91153fe7f1a6e6",
+            "57f47b1015547db2c940d895515ab0292e3b39fce8457a8d0119564cf744071a",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
     # Two whole blocks of wider keys.
     "ideal-noisy-two-blocks-w8": (
-        {"rounds": 512, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
+        {"rounds": 2 * 2048, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "a9bb20cfe0b90bbd4b0670dfc29763278c61dc3a94a6b8c09c96c936611c3ba0",
-            "a88675d14e1d29713ec945379eee075480ef7502f7e4b8a4788f59ef39320252",
-            "9fff1b8de1ee5c7a44446be65bc12e0b4cd1c094c5484bc9fdaa36d6b74e68ad",
+            "2113550aeef8baebf0aec205dd22a06aa67752c4aad64498d26077940a90224a",
+            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "dbd7eed74a477fdc053b6869de38d7ccc28c416e8baa0f67232f7860d79449d5",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V7))
-def test_stream_layout_v7_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V7[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V8))
+def test_stream_layout_v8_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V8[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1422,7 +1438,7 @@ def test_stream_layout_v7_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [7, 7]
+    assert [header["version"] for header in headers] == [8, 8]
     assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
@@ -1431,7 +1447,7 @@ def test_stream_layout_v7_is_pinned(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V7))
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V8))
 def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
     # The block writer writes every line from the decided block's arrays: a run with
     # files builds no record and reads no device message again, yet writes the pins.
@@ -1440,7 +1456,7 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(protocol.Block, "records", refused)
     monkeypatch.setattr(protocol, "SideRecord", refused)
-    data, expected = STREAM_LAYOUT_V7[name]
+    data, expected = STREAM_LAYOUT_V8[name]
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
         {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
@@ -1452,45 +1468,8 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
-BATCH_DEVICES = ["honest", "noisy:0.02:0.01", "classical-random", "classical-table:table.json"]
-BATCH_FAMILIES = {
-    "ideal-w4": {"etcf": "ideal"},
-    "ideal-w8": {"etcf": "ideal", "domain_bits": 8},
-    "toy-lattice": {"etcf": "toy-lattice"},
-}
-
-
-@pytest.mark.parametrize("family", sorted(BATCH_FAMILIES))
-@pytest.mark.parametrize("device", BATCH_DEVICES)
-def test_batch_size_changes_no_byte(tmp_path, monkeypatch, family, device):
-    # A session plays as many stream blocks at once as protocol.BATCH_BYTES of keys
-    # hold: one block a batch, or the whole session as one, writes the default's bytes.
-    # Six whole blocks and a short one, which falls inside a batch of the default size.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "table.json").write_text(json.dumps({"c_a": 5, "z_a": 3, "d_b": 2, "b": 1}))
-    data = {**BATCH_FAMILIES[family], "rounds": 3 * 512 + 7, "device": device, "seed": 2020,
-            "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
-    batches = []
-    write = harness.write_transcript
-    monkeypatch.setattr(harness, "write_transcript",
-                        lambda fh, block: batches.append(len(block.tested)) or write(fh, block))
-
-    def outputs(budget: int | None) -> tuple[bytes, ...]:
-        if budget is not None:
-            monkeypatch.setattr(protocol, "BATCH_BYTES", budget)
-        batches.clear()
-        run_experiment(ExperimentConfig.from_dict(data))
-        return tuple(Path(path).read_bytes() for path in ("t.jsonl", "t.jsonl.keys", "s.json"))
-
-    default = outputs(None)
-    assert outputs(1) == default
-    assert batches == [STREAM_BLOCK] * 6 + [7]
-    assert outputs(1 << 40) == default
-    assert batches == [3 * 512 + 7]
-
-
 class TestBlockDecoding:
-    """Replay decodes a block of lines at once and falls back to one line at a time."""
+    """Replay decodes a chunk of lines at once and falls back to one line at a time."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -1505,7 +1484,7 @@ class TestBlockDecoding:
         return replay_verify(str(tmp_path / "t.jsonl"), str(tmp_path / "t.jsonl.keys"))
 
     def test_damaged_lines_spoil_only_themselves(self, tmp_path, files):
-        # Line 1 is the header, so lines 258..513 are the second block of 256 lines.
+        # Line 1 is the header, so lines 2..602 (600 rounds and the footer) are one chunk.
         lines, store = files
         sifted = [n for n in range(350, 420) if b'"rt": "sifted"' in lines[n - 1]]
         first, second = sifted[0], sifted[1]
@@ -1546,6 +1525,26 @@ class TestBlockDecoding:
         lines = list(lines)
         lines[number - 1] = respell(json.loads(lines[number - 1])).encode() + b"\n"
         assert self.replay(tmp_path, lines, store).match
+
+    @pytest.mark.parametrize("etcf", ["ideal", "toy-lattice"])
+    @pytest.mark.parametrize("device", ["honest", "noisy:0.05:0.05"])
+    def test_the_writers_own_files_replay_in_bulk(self, tmp_path, monkeypatch, etcf, device):
+        # Each chunk of the writer's lines, the short last one with the footer too, is
+        # checked at once: no line goes to the per-line explainer, the only caller of the
+        # store cursor's reach with a round index (replay reaches past the last entry).
+        reach, reached = harness._StoreCursor.reach, []
+
+        def spy(cursor, index, skipped_from):
+            reached.append(index)
+            return reach(cursor, index, skipped_from)
+
+        monkeypatch.setattr(harness._StoreCursor, "reach", spy)
+        rounds = 2 * REPLAY_CHUNK + 5
+        run_experiment(config(tmp_path, rounds=rounds, seed=43, etcf=etcf, device=device))
+        transcript = str(tmp_path / "transcript.jsonl")
+        report = replay_verify(transcript, transcript + ".keys")
+        assert report.match and report.rounds_checked > 0
+        assert reached == [float("inf")]
 
 
 def test_replay_reports_its_failures_by_reason(tmp_path, capsys):

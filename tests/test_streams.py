@@ -1,4 +1,4 @@
-"""Stream layout v7: per-block keys, Philox streams and round seeds, block boundaries and
+"""Stream layout v8: per-block keys, Philox streams and round seeds, block boundaries and
 the coins they yield."""
 
 import hashlib
@@ -22,7 +22,6 @@ from cdiqkd.streams import (
     PRIVATE,
     PUBLIC,
     STREAM_BLOCK,
-    batches,
     block_key,
     block_streams,
     session_words,
@@ -95,36 +94,16 @@ class TestKeyDerivation:
 
 
 class TestBlocks:
-    @pytest.mark.parametrize(
-        "rounds", [1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 7]
-    )
+    # The block edges, and layout v7's edges (255, 256, 257, 775), now inside one block.
+    @pytest.mark.parametrize("rounds", [
+        1, 255, 256, 257, 775, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 3 * STREAM_BLOCK + 7
+    ])
     def test_blocks_cover_the_rounds_in_order(self, rounds):
         spans = [(block.start, block.stop) for block in block_streams(MASTERS["int-0"], rounds)]
         assert spans[0][0] == 0 and spans[-1][1] == rounds
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
         assert all(stop - start == STREAM_BLOCK for start, stop in spans[:-1])
         assert 1 <= spans[-1][1] - spans[-1][0] <= STREAM_BLOCK
-
-    def test_a_batch_draws_each_blocks_share_from_its_own_generator(self):
-        rounds = 3 * STREAM_BLOCK + 5
-        blocks = list(block_streams(MASTERS["int-0"], rounds))
-        groups = list(batches(block_streams(MASTERS["int-0"], rounds), 3))
-        assert [(batch.start, batch.stop) for batch in groups] == [
-            (0, 3 * STREAM_BLOCK), (3 * STREAM_BLOCK, rounds)
-        ]
-        assert b"".join(batch.seeds for batch in groups) == b"".join(b.seeds for b in blocks)
-        for batch, group in ((groups[0], blocks[:3]), (groups[1], blocks[3:])):
-            length = batch.stop - batch.start
-            coins = batch.public.random((length, 7))
-            draws = batch.device.integers(5, size=(length, 2, 3)), batch.device.random((length,))
-            alone = [b.public.random((b.stop - b.start, 7)) for b in group]
-            assert np.array_equal(coins, np.concatenate(alone))
-            alone = [(b.device.integers(5, size=(b.stop - b.start, 2, 3)),
-                      b.device.random((b.stop - b.start,))) for b in group]
-            for drawn, shares in zip(draws, zip(*alone)):
-                assert np.array_equal(drawn, np.concatenate(shares))
-            with pytest.raises(ValueError, match="rounds from a batch"):
-                batch.device.random((length + 1, 2))
 
     def test_complete_blocks_equal_those_of_a_longer_session(self):
         # The device plays a block at a time, so a block's draws must not depend on
@@ -146,9 +125,9 @@ class TestBlocks:
                 super().reset(rng)
 
         run_session(Recorder(), params(STREAM_BLOCK + 3), seed=5)
-        [batch] = seen  # both blocks play as one batch, with one reset
-        assert batch.lengths == [STREAM_BLOCK, 3]
-        for index, generator in enumerate(batch.generators):
+        assert len(seen) == 2  # one reset a block, each with that block's generator
+        for index, generator in enumerate(seen):
+            assert isinstance(generator, np.random.Generator)
             assert isinstance(generator.bit_generator, np.random.Philox)
             key = generator.bit_generator.state["state"]["key"]
             assert np.array_equal(key, _oracle_key(np.random.SeedSequence(5), DEVICE, index))
@@ -205,7 +184,7 @@ def test_round_counts_fit_their_analytic_probabilities_over_many_seeds(device_ki
     per_seed = set()
     questions = hadamard_questions = 0
     for seed in seeds:
-        session = run_session(device_kind(), params(STREAM_BLOCK, epsilon=1.0, **KNOBS), seed)
+        session = run_session(device_kind(), params(256, epsilon=1.0, **KNOBS), seed)
         cells = np.array([
             session.rounds - session.sifted_count,
             session.product_count,
