@@ -2,16 +2,17 @@
 
 Two instantiations behind one interface:
 
-- ``ideal``: keyed permutations of small domains, with no table.  A
-  claw-free pair has a permutation P of the 2**(w+2) codomain points and a
-  permutation M of the 2**w domain points: f_0(x) = P(x) and f_1(x) =
-  f_0(M^-1(x)), exactly 2-to-1, and y has the claw x0 = P^-1(y), x1 =
-  M(x0) exactly when x0 < 2**w.  An injective pair has a permutation P_b of
-  2**(w+1) points for each branch, f_b(x) = P_b(x) in its own codomain half,
-  the halves' order a bit of the seed.  Each permutation is a Feistel
-  network keyed by the seed's words (``_permute``), so every evaluation and
-  inversion is a fixed number of array operations, whatever w.  Properties
-  hold exactly, so an honest device wins with probability exactly 1.
+- ``ideal``: keyed permutations of small domains, with no table.  Every
+  pair has a permutation P of the 2**(w+2) codomain points.  A claw-free
+  pair also has a permutation M of the 2**w domain points: f_0(x) = P(x)
+  and f_1(x) = f_0(M^-1(x)), exactly 2-to-1, and y has the claw x0 =
+  P^-1(y), x1 = M(x0) exactly when x0 < 2**w.  An injective pair has f_b(x)
+  = P(b 2**w + x), so its two images are disjoint, and y has the preimage
+  (b, x) = (v >> w, v mod 2**w) of v = P^-1(y) exactly when v < 2**(w+1).
+  Each permutation is a Feistel network keyed by the seed's words
+  (``_permute``), so every evaluation and inversion is a fixed number of
+  array operations, whatever w.  Properties hold exactly, so an honest
+  device wins with probability exactly 1.
 
 - ``toy-lattice``: noise-free linear maps mod a prime q.  Claw-free:
   f_b(x) = A x + b (A s); the claw partner of x under branch 1 is x - s.
@@ -124,8 +125,7 @@ class IdealKeyPair:
     ``_preimages``), evaluated when asked, at one point on Python ints
     (``_claws_at``, ``_preimage``); ``tables`` lists f_0 and f_1 whole.
 
-    Codomain width is domain_bits + 2 for both kinds: wide enough that the two
-    branch images of an injective pair fit in disjoint halves, that every pair
+    Codomain width is domain_bits + 2 for both kinds: wide enough that every pair
     leaves non-image points (so invalid commitments are detectable), and that key
     material does not reveal the kind by its width.
     """
@@ -144,14 +144,17 @@ class IdealKeyPair:
     def evaluate(self, b: int, x: int) -> int:
         return self._claws_at(b, x)[0]
 
-    @property
+    @functools.cached_property
     def tables(self) -> np.ndarray:
-        """(2, 2**domain_bits) int64: tables[b][x] is f_b(x), computed for inspection."""
+        """(2, 2**domain_bits) int64, read-only: tables[b][x] is f_b(x), computed once
+        for inspection."""
         size = 1 << self.domain_bits
         branch, x = np.divmod(np.arange(2 * size), size)
         seeds = np.full(2 * size, self.seed, dtype=np.uint64)
         claw_free = np.full(2 * size, self.kind is KeyKind.CLAW_FREE)
-        return _claws(seeds, claw_free, self.domain_bits, branch, x)[0].reshape(2, size)
+        table = _claws(seeds, claw_free, self.domain_bits, branch, x)[0].reshape(2, size)
+        table.flags.writeable = False
+        return table
 
     def _claws_at(self, b: int, x: int) -> tuple[int, int]:
         """``_claws`` of this key at one branch bit and domain point, each checked, on
@@ -161,24 +164,19 @@ class IdealKeyPair:
         if not self.in_domain(x):
             raise ValueError(f"{x} outside the {self.domain_bits}-bit domain")
         b, x, w, seed = int(b), int(x), self.domain_bits, self.seed
-        m_first, p0_first, p1_first = _layout(w)
-        if self.kind is KeyKind.CLAW_FREE:
-            partner = _permute_one(seed, m_first, w, x, b == 1)
-            return _permute_one(seed, 1, w + 2, partner if b else x, False), partner
-        image = _permute_one(seed, p1_first if b else p0_first, w + 1, x, False)
-        return image + ((b ^ _order_bit(seed)) << (w + 1)), 0
+        if self.kind is KeyKind.INJECTIVE:
+            return _permute_one(seed, 1, w + 2, b << w | x, False), 0
+        partner = _permute_one(seed, _m_first(w), w, x, b == 1)
+        return _permute_one(seed, 1, w + 2, partner if b else x, False), partner
 
     def _preimage(self, c: int):
         """``invert`` of a codomain point ``c`` under this key, on Python ints: the claw
         (x0, x1), or (b, x) for an injective key; None if ``c`` has no preimage."""
         w, seed = self.domain_bits, self.seed
-        m_first, p0_first, p1_first = _layout(w)
-        if self.kind is KeyKind.CLAW_FREE:
-            x0 = _permute_one(seed, 1, w + 2, c, True)
-            return (x0, _permute_one(seed, m_first, w, x0, False)) if x0 >> w == 0 else None
-        b = c >> (w + 1) ^ _order_bit(seed)
-        x = _permute_one(seed, p1_first if b else p0_first, w + 1, c & ((2 << w) - 1), True)
-        return (b, x) if x >> w == 0 else None
+        v = _permute_one(seed, 1, w + 2, c, True)
+        if self.kind is KeyKind.INJECTIVE:
+            return (v >> w, v & ((1 << w) - 1)) if v >> w < 2 else None
+        return (v, _permute_one(seed, _m_first(w), w, v, False)) if v >> w == 0 else None
 
 
 # SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -188,7 +186,6 @@ _GAMMA, _SHIFT_30, _SHIFT_27, _SHIFT_31, _MIX_1, _MIX_2 = (
     np.array(value, dtype=np.uint64)
     for value in (0x9E3779B97F4A7C15, 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 )
-_ZERO, _ONE, _TWO, _BITS = (np.array(value, dtype=np.uint64) for value in (0, 1, 2, 64))
 _GAMMA_INT, _MIX_1_INT, _MIX_2_INT, _MASK = (int(v) for v in (_GAMMA, _MIX_1, _MIX_2, 2**64 - 1))
 # Toy-lattice key words one keygen step holds at most, one key's at least: a block's
 # keygen temporaries stay this small whatever its keys' number or size.
@@ -227,10 +224,11 @@ def key_words(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
     return words
 
 
-def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) -> np.ndarray:
-    """P(v), or P^-1(v) where ``inverse``, of each key's keyed permutation P of the
-    ``bits``-bit strings whose round words begin at word ``first`` of its seed; each
-    argument an array with an entry per key, or one value for all.
+def _permute(seeds: np.ndarray, first: int, bits: int, values: np.ndarray,
+             inverse=False) -> np.ndarray:
+    """P(v), or P^-1(v) where ``inverse`` (one bool, or an array with an entry per key),
+    of each key's keyed permutation P of the ``bits``-bit strings whose round words
+    begin at word ``first`` of its seed.
 
     P is a Feistel network (Luby & Rackoff, SIAM J. Comput. 1988) of ``_ROUNDS``
     rounds on v = (L, R), L its high floor(bits / 2) bits and R the rest.  Round r
@@ -246,25 +244,23 @@ def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) 
     microsecond a call on a one-element array, 100 us a permutation.
     """
     if len(values) == 1:
-        first, bits, inverse = (np.asarray(v).reshape(-1)[0].item() for v in (first, bits, inverse))
+        inverse = bool(np.asarray(inverse).reshape(-1)[0])
         return np.array([_permute_one(int(seeds[0]), first, bits, int(values[0]), inverse)])
-    # As arrays of the keys' length: uint64 arithmetic on them wraps, as on no scalar.
-    bits, first = (
-        np.broadcast_to(np.asarray(v, dtype=np.uint64), seeds.shape) for v in (bits, first)
-    )
-    low = bits - bits // _TWO
-    stride = np.left_shift(_ONE, low)
+    # The per-call constants are Python ints taken mod 2**64, as uint64 scalar
+    # arithmetic would warn where it wraps; uint64 array arithmetic wraps silently.
+    low = bits - bits // 2
+    step = _GAMMA_INT << low & _MASK
     values = values.astype(np.uint64)
-    left, right = values >> low, values & (stride - _ONE)
-    shift, other = _BITS - (bits - low), _BITS - low  # the top-bit shifts for |L| and |R|
-    step = stride * _GAMMA
-    state = seeds + first * _GAMMA
+    left, right = values >> np.uint64(low), values & np.uint64((1 << low) - 1)
+    shift, other = np.uint64(64 - bits + low), np.uint64(64 - low)  # top-bit shifts: |L|, |R|
+    state = seeds + np.uint64(first * _GAMMA_INT & _MASK)
+    steps = np.uint64(step)
     swapped = np.asarray(inverse, dtype=bool)
     if swapped.any():  # from the last round's words, halves swapped and each step back
         left, right = np.where(swapped, right, left), np.where(swapped, left, right)
         shift, other = np.where(swapped, other, shift), np.where(swapped, shift, other)
-        state += np.where(swapped, step * np.uint64(_ROUNDS - 1), _ZERO)
-        step = np.where(swapped, ~step + _ONE, step)
+        state += np.where(swapped, np.uint64(step * (_ROUNDS - 1) & _MASK), np.uint64(0))
+        steps = np.where(swapped, np.uint64(-step & _MASK), steps)
     word, temp = np.empty_like(left), np.empty_like(left)
     for _ in range(_ROUNDS):
         np.multiply(right, _GAMMA, word)
@@ -276,10 +272,10 @@ def _permute(seeds: np.ndarray, first, bits, values: np.ndarray, inverse=False) 
         np.right_shift(word, shift, word)
         np.bitwise_xor(left, word, left)
         left, right, shift, other = right, left, other, shift
-        np.add(state, step, state)
+        np.add(state, steps, state)
     if swapped.any():
         left, right = np.where(swapped, right, left), np.where(swapped, left, right)
-    return ((left << low) | right).astype(np.int64)
+    return ((left << np.uint64(low)) | right).astype(np.int64)
 
 
 def _permute_one(seed: int, first: int, bits: int, value: int, inverse: bool) -> int:
@@ -299,21 +295,10 @@ def _permute_one(seed: int, first: int, bits: int, value: int, inverse: bool) ->
     return left << low | right
 
 
-def _order_bit(seed: int) -> int:
-    """``_order_bits`` of one seed, on Python ints."""
-    word = (seed + _GAMMA_INT) & _MASK
-    word = ((word ^ word >> 30) * _MIX_1_INT) & _MASK
-    word = ((word ^ word >> 27) * _MIX_2_INT) & _MASK
-    return (word ^ word >> 31) & 1
-
-
-def _layout(domain_bits: int):
-    """Where each permutation of a key's seed begins, as words: a claw-free key's P of
-    the codomain at word 1, then its M of the domain; an injective key's branch-order
-    bit is word 1's low bit, then its P_0 and P_1 of domain_bits + 1 bits."""
-    span = _ROUNDS << (domain_bits + 3) // 2  # P's words: a round takes 2**ceil((w + 2) / 2)
-    half = _ROUNDS << (domain_bits + 2) // 2  # P_b's
-    return 1 + span, 2, 2 + half
+def _m_first(domain_bits: int) -> int:
+    """The word at which a claw-free key's M begins: its P of the codomain takes the
+    words from word 1 on, 2**ceil((w + 2) / 2) a round."""
+    return 1 + (_ROUNDS << (domain_bits + 3) // 2)
 
 
 def _claws(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, branch: np.ndarray,
@@ -322,52 +307,34 @@ def _claws(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, branch: n
     claw-free key's partner is the x' with f_{1-b}(x') = f_b(x), an injective key's 0.
 
     A claw-free key has f_0(x) = P(x) and f_1(x) = P(M^-1(x)), so the partner is M(x)
-    for b = 0 and M^-1(x) for b = 1.  An injective key has f_b(x) = P_b(x) in codomain
-    half b xor its order bit.
+    for b = 0 and M^-1(x) for b = 1.  An injective key has f_b(x) = P(b 2**w + x).
     """
-    m_first, p0_first, p1_first = _layout(domain_bits)
-    cf = np.flatnonzero(claw_free)
+    points = branch << domain_bits | x
     partners = np.zeros(len(x), dtype=np.int64)
+    cf = np.flatnonzero(claw_free)
     if cf.size:
-        partners[cf] = _permute(seeds[cf], m_first, domain_bits, x[cf], branch[cf] == 1)
-    first = np.where(claw_free, 1, np.where(branch == 1, p1_first, p0_first))
-    bits = np.where(claw_free, domain_bits + 2, domain_bits + 1)
-    points = np.where(claw_free & (branch == 1), partners, x)
-    images = _permute(seeds, first, bits, points)
-    if not claw_free.all():
-        images += np.where(claw_free, 0, (branch ^ _order_bits(seeds)) << (domain_bits + 1))
-    return images, partners
-
-
-def _order_bits(seeds: np.ndarray) -> np.ndarray:
-    """Word 1's low bit of each seed: an injective key's branch in the high half."""
-    return (_mix(seeds + _GAMMA) & np.uint64(1)).astype(np.int64)
+        ones = branch[cf] == 1
+        partners[cf] = _permute(seeds[cf], _m_first(domain_bits), domain_bits, x[cf], ones)
+        points[cf] = np.where(ones, partners[cf], x[cf])
+    return _permute(seeds, 1, domain_bits + 2, points), partners
 
 
 def _preimages(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, c: np.ndarray):
-    """(hits, x) of ``DrawnKeys.preimages`` for ideal keys: a claw-free key has the claw
-    x0 = P^-1(c), x1 = M(x0) when x0 < 2**w, an injective key the x = P_b^-1 of c's low
-    bits when x < 2**w, b its codomain half xor its order bit."""
-    m_first, p0_first, p1_first = _layout(domain_bits)
-    size = 1 << domain_bits
-    branch = c >> (domain_bits + 1)
-    if not claw_free.all():
-        branch ^= _order_bits(seeds)
-    first = np.where(claw_free, 1, np.where(branch == 1, p1_first, p0_first))
-    bits = np.where(claw_free, domain_bits + 2, domain_bits + 1)
-    point = _permute(seeds, first, bits, np.where(claw_free, c, c & (2 * size - 1)), True)
-    hit = point < size
-    point[~hit] = 0
+    """(hits, x) of ``DrawnKeys.preimages`` for ideal keys, from v = P^-1(c): a
+    claw-free key has the claw x0 = v, x1 = M(v) when v < 2**w, an injective key
+    the preimage v mod 2**w under branch v >> w when v < 2**(w+1)."""
+    v = _permute(seeds, 1, domain_bits + 2, c, True)
+    branch = v >> domain_bits
     hits = np.zeros((len(c), 2), dtype=bool)
     x = np.zeros((len(c), 2), dtype=np.int64)
-    cf = np.flatnonzero(claw_free)
+    inj = np.flatnonzero(~claw_free & (branch < 2))
+    hits[inj, branch[inj]] = True
+    x[inj, branch[inj]] = v[inj] & ((1 << domain_bits) - 1)
+    cf = np.flatnonzero(claw_free & (branch == 0))
     if cf.size:
-        hits[cf] = hit[cf, None]
-        x[cf, 0] = point[cf]
-        x[cf, 1] = np.where(hit[cf], _permute(seeds[cf], m_first, domain_bits, point[cf]), 0)
-    inj = np.flatnonzero(~claw_free)
-    hits[inj, branch[inj]] = hit[inj]
-    x[inj, branch[inj]] = point[inj]
+        hits[cf] = True
+        x[cf, 0] = v[cf]
+        x[cf, 1] = _permute(seeds[cf], _m_first(domain_bits), domain_bits, v[cf])
     return hits, x
 
 

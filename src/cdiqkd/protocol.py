@@ -30,7 +30,7 @@ memory does not grow with the number of rounds beyond the raw-key bits.
 
 Determinism contract: identical (seed, params) produce an identical
 session, bit for bit.  Rounds run in blocks of ``streams.STREAM_BLOCK``
-(stream layout v8), and each block draws from three streams keyed by the
+(``streams.STREAM_LAYOUT``), and each block draws from three streams keyed by the
 session's seed, the stream and the block index:
 
 - public coins: one uniform per round for each of ``COIN_COLUMNS``, drawn
@@ -421,8 +421,9 @@ def honest_support(record: RoundRecord) -> frozenset[tuple[int, int]]:
     """Answer pairs an honest device could have produced with the reported h bits.
 
     Reconstructs the two retained-qubit codes from the trapdoor inversions
-    and reads the support of (codes, h bits, questions) from a cache of at
-    most 256 sets, each computed once by ``_support_of``.  Deterministic
+    and reads the support of (codes, h bits, questions) from
+    ``_support_table()``, the verdict kernel's table of every
+    ``_support_of`` set, built once at first use.  Deterministic
     honest components reduce this to equality; uniform components admit
     both values.
     """

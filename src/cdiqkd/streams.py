@@ -1,4 +1,4 @@
-"""Per-block random streams, stream layout v8.
+"""Per-block random streams, stream layout v9.
 
 A session's rounds fall into blocks of ``STREAM_BLOCK`` (the last block may
 be shorter).  Block k has three streams, each keyed by a 128-bit key K, the
@@ -45,7 +45,10 @@ seeds, toy-lattice keys and device draws; it moved only the ideal keys, now
 keyed permutations of their seeds' words in place of argsorted tables
 (``etcf._permute``).  Layout v8 keeps v7's domain, stream ids, key
 derivation and per-round seed rule; it moved only the block length, from
-256 rounds to 2,048.
+256 rounds to 2,048.  Layout v9 keeps v8's streams, seeds, device draws,
+toy-lattice keys and claw-free ideal keys; it moved only the injective
+ideal keys, now f_b(x) = P(b 2**w + x) with the claw-free keys' P
+(``etcf._claws``).
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ import numpy as np
 
 # Rounds per block.  Part of the layout: changing it changes every session.
 STREAM_BLOCK = 2048
-STREAM_LAYOUT = 8
+STREAM_LAYOUT = 9
 SEED_BYTES = 16  # a round's private seed
-DOMAIN = b"cdiqkd stream layout v2"  # v3 to v8 keep it, and with it v2's stream keys
+DOMAIN = b"cdiqkd stream layout v2"  # v3 to v9 keep it, and with it v2's stream keys
 PUBLIC, PRIVATE, DEVICE = 0, 1, 2
 
 

@@ -130,24 +130,17 @@ def documented_permutation(words: list[int], first: int, bits: int) -> list[int]
 
 def documented_tables(kind: KeyKind, w: int, seed: int) -> np.ndarray:
     """The tables ``IdealKeyPair.tables`` documents for one key, from the transcribed
-    words: a claw-free key's P of w + 2 bits from word 1 and M of w bits after it give
-    f_0(x) = P(x) and f_1(x) = P(M^-1(x)); an injective key's P_0 and P_1 of w + 1 bits
-    from word 2 give f_b(x) = P_b(x) in codomain half b xor word 1's low bit."""
+    words: P of w + 2 bits from word 1 gives an injective key f_b(x) = P(b 2**w + x);
+    a claw-free key's M of w bits after P gives f_0(x) = P(x) and f_1(x) = P(M^-1(x))."""
     size = 1 << w
     p_words = FEISTEL_ROUNDS << (w + 3) // 2  # P's rounds, 2**ceil((w + 2) / 2) words each
-    if kind is KeyKind.CLAW_FREE:
-        words = splitmix64(seed, p_words + (FEISTEL_ROUNDS << (w + 1) // 2))
-        p = documented_permutation(words, 1, w + 2)
-        m = documented_permutation(words, 1 + p_words, w)
-        m_inverse = {y: x for x, y in enumerate(m)}
-        return np.array([[p[x] for x in range(size)], [p[m_inverse[x]] for x in range(size)]])
-    half_words = FEISTEL_ROUNDS << (w + 2) // 2
-    words = splitmix64(seed, 1 + 2 * half_words)
-    return np.array([
-        [y + ((b ^ words[0] & 1) << (w + 1))
-         for y in documented_permutation(words, 2 + b * half_words, w + 1)[:size]]
-        for b in (0, 1)
-    ])
+    words = splitmix64(seed, p_words + (FEISTEL_ROUNDS << (w + 1) // 2))
+    p = documented_permutation(words, 1, w + 2)
+    if kind is KeyKind.INJECTIVE:
+        return np.array([p[:size], p[size:2 * size]])
+    m = documented_permutation(words, 1 + p_words, w)
+    m_inverse = {y: x for x, y in enumerate(m)}
+    return np.array([[p[x] for x in range(size)], [p[m_inverse[x]] for x in range(size)]])
 
 
 def reference_keygen_toy(kind: KeyKind, params: EtcfParams, seed: int) -> ToyLatticeKeyPair:

@@ -31,7 +31,6 @@ from cdiqkd.devices import make_device
 from cdiqkd.protocol import ProtocolParams, run_session
 
 from .helpers import (
-    assert_frequency,
     assert_multinomial,
     documented_tables,
     reference_keygen_toy,
@@ -208,7 +207,7 @@ class TestKeyedPermutation:
         # either direction per value, and the inverse undoes the permutation.
         rng = np.random.default_rng(bits)
         seeds = rng.integers(2**64, size=200, dtype=np.uint64)
-        first = rng.integers(1, 2**20, size=200)
+        first = int(rng.integers(1, 2**20))
         values = rng.integers(1 << bits, size=200)
         images = {}
         for inverse in (False, True):
@@ -216,8 +215,8 @@ class TestKeyedPermutation:
             assert images[inverse].min() >= 0 and images[inverse].max() < 1 << bits
             back = etcf._permute(seeds, first, bits, images[inverse], not inverse)
             assert np.array_equal(back, values)
-            alone = [etcf._permute(seeds[i:i + 1], int(first[i]), bits, values[i:i + 1],
-                                   inverse)[0] for i in range(len(values))]
+            alone = [etcf._permute(seeds[i:i + 1], first, bits, values[i:i + 1], inverse)[0]
+                     for i in range(len(values))]
             assert images[inverse].tolist() == alone
         mixed = rng.integers(2, size=200).astype(bool)
         assert np.array_equal(etcf._permute(seeds, first, bits, values, mixed),
@@ -289,6 +288,13 @@ class TestBatchedIdealKeygen:
         key, _ = keygen(kind, ideal(4), np.random.default_rng(63))
         assert np.array_equal(key.tables, keygen(kind, ideal(4), drawn)[0].tables)
 
+    @pytest.mark.parametrize("kind", list(KeyKind))
+    def test_tables_are_computed_once_and_read_only(self, kind):
+        key, _ = keygen(kind, ideal(3), 5)
+        assert key.tables is key.tables
+        with pytest.raises(ValueError):
+            key.tables[0, 0] = 0
+
     def test_claw_free_matchings_and_images_are_uniform(self):
         seeds = np.arange(4800, dtype=np.uint64)  # neighbouring seeds, the hardest case
         keys = keygen_ideal([KeyKind.CLAW_FREE] * len(seeds), 2, seeds)
@@ -308,20 +314,17 @@ class TestBatchedIdealKeygen:
         assert_multinomial([first_two[p] for p in pairs_of_points],
                            [1 / len(pairs_of_points)] * len(pairs_of_points), "f_0(0), f_0(1)")
 
-    def test_injective_low_branch_and_images_are_uniform(self):
+    def test_injective_images_are_disjoint_and_uniform(self):
         seeds = np.arange(4800, dtype=np.uint64)
         keys = keygen_ideal([KeyKind.INJECTIVE] * len(seeds), 2, seeds)
-        low_zero = 0
-        halves = np.zeros((2, 4, 8))  # (low, high) half, x, point within the half
+        points = np.zeros((2, 4, 16))  # branch, x, codomain point
         for key in keys:
-            low = 0 if key.tables[0].max() < 8 else 1
-            low_zero += low == 0
-            halves[0, np.arange(4), key.tables[low]] += 1
-            halves[1, np.arange(4), key.tables[1 - low] - 8] += 1
-        assert_frequency(low_zero, len(keys), 0.5, "low branch 0")
-        for half, x in itertools.product(range(2), range(4)):
-            assert_multinomial(halves[half, x], [1 / 8] * 8, f"half {half}, x {x}")
-
+            f0, f1 = key.tables
+            assert not set(f0.tolist()) & set(f1.tolist())
+            points[0, np.arange(4), f0] += 1
+            points[1, np.arange(4), f1] += 1
+        for b, x in itertools.product(range(2), range(4)):
+            assert_multinomial(points[b, x], [1 / 16] * 16, f"f_{b}({x})")
 
 TOY_SIZES = [(3, 6, 17), (1, 2, 2), (2, 4, 3), (1, 3, 7), (1, 2, 2**31 - 1), (31, 63, 2)]
 

@@ -1352,27 +1352,28 @@ class TestMalformedInputExitsOne:
         assert err.startswith("output error:") and err.count("\n") == 1
 
 
-# SHA-256 of (transcript, trapdoor store, summary) under stream layout v8,
+# SHA-256 of (transcript, trapdoor store, summary) under stream layout v9,
 # with the store in format 4.
-# A change here changes the outputs of every seeded run.  Layout v8 moved the
-# block length only: the runs of at most 256 rounds write v7's files but for
-# their header lines, and v7's summaries; a store holds test rounds' indices
-# and seeds alone, so the runs that share their first 4,096 rounds' public
-# coins share one store.
-STREAM_LAYOUT_V8 = {
+# A change here changes the outputs of every seeded run.  Layout v9 moved the
+# injective ideal keys only: every store and every toy-lattice transcript is
+# v8's but for its header line, and every summary but the classical-random
+# run's, whose verdicts read the keys' values, is v8's; a store holds test
+# rounds' indices and seeds alone, so the runs that share their first 4,096
+# rounds' public coins share one store.
+STREAM_LAYOUT_V9 = {
     "ideal-honest": (
         {"rounds": 512, "etcf": "ideal", "device": "honest"},
         (
-            "511c8d13917d54ae4efaebe48b368f581150325237eaaddc78870d6fce66fdb8",
-            "db1ecace38019a3954611f5b095ea28e848fc9c7fb994ec51e619f3091318169",
+            "e09a8cb7ac44f0dfc4348db5a218ce24754b5f6ae2bcee571cc07ce6f0668f9f",
+            "51447e39261b0745cd4cecd96422b7ef5849cd416e5991261fc46f28ca26a430",
             "2e0cee901f8558faa3b6aa2a75a55428dd0d84813dac73a5d7fd295aafb43992",
         ),
     ),
     "lattice-noisy": (
         {"rounds": 256, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "d49c39e938c58b06d46f641691688a8b3c3b297b72de36e087fb340a12e61ec0",
-            "8ff3a4e511a5daaef9ec2116482e2efb19584285c8f2bec92429149a8b30835d",
+            "2abe65fa601e6635ecde352ff5afc3f3ca7f4aabe8777ee5888a4ac029d95a1a",
+            "3295a09c470b254fa242288095ec21dbbaff7354ff745ebfbf44ccfd7aaa3262",
             "5a06b47b6c494927990dea2869c03ed175fdbfae30c67a090a150e599e8d2dc1",
         ),
     ),
@@ -1380,17 +1381,17 @@ STREAM_LAYOUT_V8 = {
     "ideal-random-multiblock": (
         {"rounds": 2 * 2048 + 7, "etcf": "ideal", "device": "classical-random"},
         (
-            "8dc686d1275fbf84551796b743a0f4749fe3dac1ed974da9ae7f3ebc9a91b750",
-            "426edcd723eadfe3cf1844637089b830eb8029bf051f002583691089906d00c2",
-            "755b91e33e058e0d27f6f2f88e7878be745a2ec8aa4f1f6ecbec9d87053313ac",
+            "44b59cbc7d52f2181ef016121bf3e1bf63b3aa31eb90a2ebca73cd4c1932dc86",
+            "91c5fcaa112caf42bad6d29bf83c6a79d1dca198472f15916cb9c20cb1fd6633",
+            "260f45fbbfef73530dbd4bf0349ebbd9e6bbd88e5fef89d94de1d6cc48316a29",
         ),
     ),
     # Two stream blocks and a ragged tail.
     "lattice-noisy-multiblock": (
         {"rounds": 2 * 2048 + 3, "etcf": "toy-lattice", "device": "noisy:0.01:0.0"},
         (
-            "300e83dc241047cf55739f4fff63f0ba88cdce0c9a77215a6b96fe33dfde6efb",
-            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "47da138cd98fb9c1351594f80aa877c0894bee639a403cb7ed0a588ea9f018ca",
+            "ebe3b873661722da9ef583020bd3a86393952b9dd968ed28b2f29aaee00078c5",
             "0bc6569ea1f2cba0394da462b3700a8c85a39d106457734597e0fe35277336eb",
         ),
     ),
@@ -1400,8 +1401,8 @@ STREAM_LAYOUT_V8 = {
         {"rounds": 2 * 2048 + 3, "etcf": "toy-lattice", "lattice_n": 1, "lattice_m": 2,
          "lattice_q": 2, "device": "noisy:0.01:0.0"},
         (
-            "4a93b6cd93d5e104c09747d5d06fbf7b1a2a6da31497a8b0bbb20ad8e813d4b5",
-            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "d2cf5b8bb55a1238a97d9d3ee33d8209916e90329da729c2f5e4e217feee97eb",
+            "ebe3b873661722da9ef583020bd3a86393952b9dd968ed28b2f29aaee00078c5",
             "301c207ca7cc0b2af5267984f2abc96dd131a856756db5f601f34e8b78136b35",
         ),
     ),
@@ -1409,8 +1410,8 @@ STREAM_LAYOUT_V8 = {
     "ideal-honest-short": (
         {"rounds": 9, "etcf": "ideal", "device": "honest"},
         (
-            "e52a714a191d0590314fb6f229cb2d6bfb97a87cae60131f0b91153fe7f1a6e6",
-            "57f47b1015547db2c940d895515ab0292e3b39fce8457a8d0119564cf744071a",
+            "e32361a8540da61f27f4bcdbe4ff171b4d3419ae976e331fadb30c444faaf4bb",
+            "21e8421bb2c329c37dd2359d66d3f7943ed26d13dfb433c749cf9a8135e5f806",
             "b1e03097caf5df1f50c63973bf732299aae4c3fd8d73bf6b01f48e81abf6fdf2",
         ),
     ),
@@ -1418,17 +1419,17 @@ STREAM_LAYOUT_V8 = {
     "ideal-noisy-two-blocks-w8": (
         {"rounds": 2 * 2048, "etcf": "ideal", "domain_bits": 8, "device": "noisy:0.02:0.01"},
         (
-            "2113550aeef8baebf0aec205dd22a06aa67752c4aad64498d26077940a90224a",
-            "ba05442935df77f1b4f0c3a8807097d2b003931326131a8d6baf206702896ba5",
+            "ce30fc33c43d69e0360b397ee0e88f72646247c31027cef158834102a2b6fd8d",
+            "ebe3b873661722da9ef583020bd3a86393952b9dd968ed28b2f29aaee00078c5",
             "dbd7eed74a477fdc053b6869de38d7ccc28c416e8baa0f67232f7860d79449d5",
         ),
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V8))
-def test_stream_layout_v8_is_pinned(tmp_path, monkeypatch, name):
-    data, expected = STREAM_LAYOUT_V8[name]
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V9))
+def test_stream_layout_v9_is_pinned(tmp_path, monkeypatch, name):
+    data, expected = STREAM_LAYOUT_V9[name]
     # Relative paths keep the summary, which echoes them, free of tmp_path.
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
@@ -1438,7 +1439,7 @@ def test_stream_layout_v8_is_pinned(tmp_path, monkeypatch, name):
         json.loads((tmp_path / path).read_text().splitlines()[0])
         for path in ("t.jsonl", "t.jsonl.keys")
     ]
-    assert [header["version"] for header in headers] == [8, 8]
+    assert [header["version"] for header in headers] == [9, 9]
     assert headers[1]["format"] == 4
     digests = tuple(
         hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
@@ -1447,7 +1448,7 @@ def test_stream_layout_v8_is_pinned(tmp_path, monkeypatch, name):
     assert digests == expected
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V8))
+@pytest.mark.parametrize("name", sorted(STREAM_LAYOUT_V9))
 def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
     # The block writer writes every line from the decided block's arrays: a run with
     # files builds no record and reads no device message again, yet writes the pins.
@@ -1456,7 +1457,7 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(protocol.Block, "records", refused)
     monkeypatch.setattr(protocol, "SideRecord", refused)
-    data, expected = STREAM_LAYOUT_V8[name]
+    data, expected = STREAM_LAYOUT_V9[name]
     monkeypatch.chdir(tmp_path)
     run_experiment(ExperimentConfig.from_dict(
         {**data, "seed": 2020, "epsilon": 0.05, "transcript": "t.jsonl", "summary": "s.json"}
