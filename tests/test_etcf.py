@@ -326,6 +326,7 @@ class TestBatchedIdealKeygen:
         for b, x in itertools.product(range(2), range(4)):
             assert_multinomial(points[b, x], [1 / 16] * 16, f"f_{b}({x})")
 
+
 TOY_SIZES = [(3, 6, 17), (1, 2, 2), (2, 4, 3), (1, 3, 7), (1, 2, 2**31 - 1), (31, 63, 2)]
 
 
