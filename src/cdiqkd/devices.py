@@ -57,7 +57,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -90,7 +90,6 @@ QUESTION_BASES = (MeasurementBasis.COMPUTATIONAL, MeasurementBasis.HADAMARD)
 NO_QUESTION = -1
 
 
-@lru_cache(maxsize=4)
 def _retained_qubit(code: int) -> StateVector:
     """The one-qubit state a retained-qubit code names: 0 = |0>, 1 = |1>, 2 = |+>, 3 = |->."""
     return ket((code,)) if code < 2 else plus_minus(code - 2)

@@ -61,7 +61,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .bits import dot, fits_each, parity
-from .devices import NO_QUESTION, QUESTION_BASES, ChallengeType, DeviceStrategy
+from .devices import NO_QUESTION, QUESTION_BASES, ChallengeType, DeviceStrategy, _retained_qubit
 from .etcf import (
     DrawnKeys,
     EtcfKeyPair,
@@ -75,12 +75,11 @@ from .etcf import check_preimage, invert, keygen  # not called here: bench/spans
 from .quantum import (
     MeasurementBasis,
     apply_gate,
-    ket,
     measurement_probabilities,
     pauli_correction,
-    plus_minus,
     tensor,
 )
+from .quantum import ket, plus_minus  # not called here: bench/spans.py wraps them
 from .streams import SEED_BYTES, block_streams
 
 SUPPORT_TOLERANCE = 1e-9
@@ -449,8 +448,7 @@ def _support_of(code_a, code_b, h_a, h_b, x, y) -> frozenset[tuple[int, int]]:
     whose Born probability under the question bases exceeds the support
     tolerance.
     """
-    qubits = [ket((code,)) if code < 2 else plus_minus(code - 2) for code in (code_a, code_b)]
-    state = tensor(*qubits)
+    state = tensor(_retained_qubit(code_a), _retained_qubit(code_b))
     state = apply_gate(state, "CZ", 0, 1)
     state = apply_gate(state, "H", 1)
     for wire in (0, 1):

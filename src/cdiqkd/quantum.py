@@ -12,10 +12,13 @@ Wire convention: wire 0 is the leftmost ket factor, i.e. the most
 significant bit of the amplitude index.  All randomness is drawn from an
 explicitly passed ``numpy.random.Generator``; there is no global RNG.
 
-Amplitude vectors hold at most 16 complex numbers, so gates are applied
-through precomputed index tables rather than tensor reshapes; the public
-``StateVector`` constructor validates shape and norm, while internal
-norm-preserving operations bypass the check.
+Amplitude vectors hold at most 16 complex numbers, and the engine runs
+only for those once-per-process builds and the tests, so it is written
+plainly rather than for speed: H, X and Z are 2x2 matrices applied to the
+``(2**wire, 2, -1)`` view of the amplitudes (high wires, this wire, low
+wires), CZ flips the sign where both wires are 1, a measurement
+renormalizes the kept half by its own mass, and every state, however it
+was made, passes the ``StateVector`` constructor's shape and norm check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,14 +55,12 @@ class BellLabel:
 class StateVector:
     """Normalized complex amplitude vector over 1-4 qubits."""
 
-    __slots__ = ("amplitudes", "qubit_count")
-
     def __init__(self, amplitudes) -> None:
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         k = int(amps.size).bit_length() - 1
         if amps.size != (1 << k) or not 1 <= k <= 4:
             raise ValueError(f"amplitude vector length {amps.size} is not 2^k for k in 1..4")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {_NORM_TOL}")
         self.amplitudes = amps
@@ -70,79 +70,30 @@ class StateVector:
         return f"StateVector({self.qubit_count} qubits, {self.amplitudes!r})"
 
 
-def _wrap(amps: np.ndarray, k: int) -> StateVector:
-    # Trusted constructor for amplitudes produced by norm-preserving ops.
-    state = object.__new__(StateVector)
-    state.amplitudes = amps
-    state.qubit_count = k
-    return state
-
-
-@lru_cache(maxsize=None)
-def _wire_indices(k: int, wire: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(1 << k)
-    bit = (idx >> (k - 1 - wire)) & 1
-    return np.nonzero(bit == 0)[0], np.nonzero(bit == 1)[0]
-
-
-@lru_cache(maxsize=None)
-def _cz_indices(k: int, w1: int, w2: int) -> np.ndarray:
-    idx = np.arange(1 << k)
-    b1 = (idx >> (k - 1 - w1)) & 1
-    b2 = (idx >> (k - 1 - w2)) & 1
-    return np.nonzero(b1 & b2)[0]
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    arr.flags.writeable = False
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _ket_array(k: int, index: int) -> np.ndarray:
-    amps = np.zeros(1 << k, dtype=complex)
-    amps[index] = 1.0
-    amps.flags.writeable = False
-    return amps
-
-
-_PLUS_MINUS = (
-    _frozen([_SQRT_HALF, _SQRT_HALF]),
-    _frozen([_SQRT_HALF, -_SQRT_HALF]),
-)
-
-
 def ket(bits: tuple[int, ...]) -> StateVector:
     """Computational basis state |bits[0] bits[1] ...>."""
-    k = len(bits)
-    index = 0
-    for b in bits:
-        index = (index << 1) | (b & 1)
-    return _wrap(_ket_array(k, index), k)
+    amps = np.zeros((2,) * len(bits), dtype=complex)
+    amps[tuple(b & 1 for b in bits)] = 1.0
+    return StateVector(amps)
 
 
 def plus_minus(sign_bit: int) -> StateVector:
     """|+> for sign_bit=0, |-> for sign_bit=1."""
-    return _wrap(_PLUS_MINUS[sign_bit], 1)
+    return apply_gate(ket((sign_bit,)), "H", 0)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    amps = (a.amplitudes[:, None] * b.amplitudes[None, :]).ravel()
-    return _wrap(amps, a.qubit_count + b.qubit_count)
-
-
-_BELL_AMPS = {
-    (0, 0): _frozen([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF]),
-    (1, 0): _frozen([_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF]),
-    (0, 1): _frozen([0.0, _SQRT_HALF, _SQRT_HALF, 0.0]),
-    (1, 1): _frozen([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0]),
-}
+    return StateVector(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
 def make_bell(label: BellLabel) -> StateVector:
     """Bell state (Z^s_a X^s_b on the first qubit) applied to (|00>+|11>)/sqrt(2)."""
-    return _wrap(_BELL_AMPS[(label.s_a, label.s_b)], 2)
+    state = StateVector((ket((0, 0)).amplitudes + ket((1, 1)).amplitudes) * _SQRT_HALF)
+    if label.s_b:
+        state = apply_gate(state, "X", 0)
+    if label.s_a:
+        state = apply_gate(state, "Z", 0)
+    return state
 
 
 def _check_wire(state: StateVector, wire: int) -> None:
@@ -150,37 +101,32 @@ def _check_wire(state: StateVector, wire: int) -> None:
         raise IndexError(f"qubit index {wire} out of range for {state.qubit_count}-qubit state")
 
 
+_GATES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF,
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
 def apply_gate(state: StateVector, gate: str, wire: int, wire2: int | None = None) -> StateVector:
     """Apply H, X, Z (one wire) or CZ (two wires). Returns a new state."""
-    k = state.qubit_count
     _check_wire(state, wire)
-    amps = state.amplitudes
     if gate == "CZ":
         if wire2 is None:
             raise ValueError("CZ needs two qubit indices")
         _check_wire(state, wire2)
         if wire2 == wire:
             raise ValueError("CZ qubit indices must differ")
-        new = amps.copy()
-        new[_cz_indices(k, wire, wire2)] *= -1.0
-        return _wrap(new, k)
+        amps = state.amplitudes.reshape((2,) * state.qubit_count).copy()
+        both_one = [slice(None)] * state.qubit_count
+        both_one[wire] = both_one[wire2] = 1
+        amps[tuple(both_one)] *= -1.0
+        return StateVector(amps)
     if wire2 is not None:
         raise ValueError(f"{gate} takes a single qubit index")
-    i0, i1 = _wire_indices(k, wire)
-    a0, a1 = amps[i0], amps[i1]
-    new = np.empty_like(amps)
-    if gate == "H":
-        new[i0] = (a0 + a1) * _SQRT_HALF
-        new[i1] = (a0 - a1) * _SQRT_HALF
-    elif gate == "X":
-        new[i0] = a1
-        new[i1] = a0
-    elif gate == "Z":
-        new[i0] = a0
-        new[i1] = -a1
-    else:
+    if gate not in _GATES:
         raise ValueError(f"unknown gate {gate!r}")
-    return _wrap(new, k)
+    return StateVector(_GATES[gate] @ state.amplitudes.reshape(1 << wire, 2, -1))
 
 
 def measure(
@@ -195,17 +141,12 @@ def measure(
     """
     _check_wire(state, wire)
     work = apply_gate(state, "H", wire) if basis is MeasurementBasis.HADAMARD else state
-    k = work.qubit_count
-    i0, i1 = _wire_indices(k, wire)
-    amps = work.amplitudes
-    kept0 = amps[i0]
-    p0 = float(np.sum(kept0.real**2 + kept0.imag**2))
-    outcome = 0 if rng.random() < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    keep = i0 if outcome == 0 else i1
-    new = np.zeros_like(amps)
-    new[keep] = amps[keep] / math.sqrt(prob)
-    post = _wrap(new, k)
+    halves = work.amplitudes.reshape(1 << wire, 2, -1)
+    mass = (abs(halves) ** 2).sum(axis=(0, 2))
+    outcome = 0 if rng.random() < mass[0] else 1
+    kept = np.zeros_like(halves)
+    kept[:, outcome] = halves[:, outcome] / math.sqrt(mass[outcome])
+    post = StateVector(kept)
     if basis is MeasurementBasis.HADAMARD:
         post = apply_gate(post, "H", wire)
     return outcome, post
@@ -251,17 +192,14 @@ def teleport_cz(input_state: StateVector, rng: np.random.Generator) -> TeleportO
     if input_state.qubit_count != 2:
         raise ValueError("teleport_cz expects a two-qubit input")
     epr = make_bell(BellLabel(0, 0))
-    full = (
-        input_state.amplitudes.reshape(2, 1, 1, 2) * epr.amplitudes.reshape(1, 2, 2, 1)
-    ).ravel()
-    state = _wrap(full, 4)
-    state = apply_gate(state, "H", 2)
+    full = input_state.amplitudes.reshape(2, 1, 1, 2) * epr.amplitudes.reshape(1, 2, 2, 1)
+    state = apply_gate(StateVector(full), "H", 2)
     state = _cnot(state, control=1, target=0)
     state = _cnot(state, control=2, target=3)
     h_a, state = measure(state, 0, MeasurementBasis.COMPUTATIONAL, rng)
     h_b, state = measure(state, 3, MeasurementBasis.COMPUTATIONAL, rng)
-    post = state.amplitudes.reshape(2, 2, 2, 2)[h_a, :, :, h_b].ravel()
-    return TeleportOutcome(h_a, h_b, _wrap(post, 2))
+    post = state.amplitudes.reshape(2, 2, 2, 2)[h_a, :, :, h_b]
+    return TeleportOutcome(h_a, h_b, StateVector(post))
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

@@ -1,11 +1,13 @@
 """Statevector engine tests: gates, measurement, Bell states, teleportation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdiqkd import devices, protocol
 from cdiqkd.quantum import (
     BellLabel,
     MeasurementBasis,
@@ -200,6 +202,49 @@ class TestMeasure:
         outcome, post = measure(state, 0, COMP, rng)
         expected = ket((outcome, 0))
         assert fidelity_up_to_phase(post, expected) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rare_outcome_of_an_off_norm_state_is_a_valid_state(self):
+        # The constructor accepts a norm 4e-10 off 1; renormalizing the kept
+        # half by 1 - p0 instead of its own mass would leave it 4e-7 off.
+        class LateDraw:
+            def random(self):
+                return 0.99999
+
+        amps = np.array([math.sqrt(1 - 1e-3), math.sqrt(1e-3)]) * (1 + 4e-10)
+        outcome, post = measure(StateVector(amps), 0, COMP, LateDraw())
+        assert outcome == 1
+        assert StateVector(post.amplitudes).qubit_count == 1
+
+
+class TestWhatTheEngineBuilds:
+    """Every cell of the two tables the package builds with the engine, and the
+    one Bell label no other test reads with its global phase."""
+
+    @pytest.mark.parametrize(
+        "build, shape, dtype, digest",
+        [
+            (
+                devices._outcome_table,
+                (5, 2, 5, 2, 16, 4),
+                np.int64,
+                "7a0c3036f05092de8905d2bee47f42985bd336844c36d9c0983b3d3ec7a82e82",
+            ),
+            (
+                protocol._support_table,
+                (4, 4, 2, 2, 2, 2, 2, 2),
+                np.bool_,
+                "f23a5f13af2ab8b4622f3259a17b4e0d95a1bd0a7b78e11b17001f735a03ea3f",
+            ),
+        ],
+    )
+    def test_tables_are_pinned(self, build, shape, dtype, digest):
+        table = build()
+        assert table.shape == shape and table.dtype == dtype
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+    def test_bell_11_phase(self):
+        amps = make_bell(BellLabel(1, 1)).amplitudes
+        np.testing.assert_array_equal(amps, [0, SQRT_HALF, -SQRT_HALF, 0])
 
 
 class TestMeasurementProbabilities:
