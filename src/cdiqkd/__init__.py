@@ -6,7 +6,7 @@ Subpackages/modules:
 - ``etcf``: extended trapdoor claw-free function families (ideal keyed permutations, toy lattice)
 - ``devices``: honest, noisy, and scripted cheating device strategies
 - ``protocol``: verifier state machines, round execution, sifting, estimation, key extraction
-- ``streams``: the per-block public, private and device random streams (stream layout v7)
+- ``streams``: the per-block public, private and device random streams (``streams.STREAM_LAYOUT``)
 - ``postprocess``: one-way reconciliation and Toeplitz privacy amplification
 - ``keyrate``: entropy and key-rate arithmetic
 - ``harness``: seeded experiment runner, transcripts, summaries, replay audit

@@ -20,11 +20,12 @@ both formats: replay reads a chunk of lines into the values they were
 written from and keeps each line only if the writer writes those values
 back as that line.  Replay reads a chunk of lines (``REPLAY_CHUNK``, 1,024)
 at a time, decoded with one ``json.loads``, or else line by line, so that a
-line that is not UTF-8 or not JSON spoils only itself.  A chunk of the
-writer's lines for the rounds due, whose test rounds take the store's next
-entries, is checked at once, and each line of any other chunk where it is
-read.  Each chunk's test rounds whose lines pass are scored as soon as the
-chunk is read, and nothing is held over to the next chunk.
+line that is not UTF-8 or not JSON spoils only itself.  A clean chunk, the
+writer's own lines for the rounds due, is checked by its lines alone: only
+its test rounds, which take the store's entries, and its last round are
+visited.  Each line of any other chunk is checked where it is read, by the
+same steps.  Each chunk's test rounds whose lines pass are scored as soon as
+the chunk is read, and nothing is held over to the next chunk.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -569,10 +570,6 @@ class _StoreCursor:
     def __init__(self, entries, rounds: int, mismatches: list[str]) -> None:
         self._entries, self._rounds, self._mismatches = entries, rounds, mismatches
         self._index, self._line, self._seed, self._taken = -1, 0, None, True
-        self._ahead = []  # entries take_block read and put back, the next one last
-
-    def _next(self) -> tuple:
-        return self._ahead.pop() if self._ahead else next(self._entries, (math.inf, 0, None))
 
     def reach(self, index, skipped_from: int) -> None:
         """Read up to the first entry for round ``index`` or later; rounds from
@@ -582,7 +579,7 @@ class _StoreCursor:
                 self._mismatches.append(
                     f"store line {self._line}: entry for round {self._index} is out of place"
                 )
-            self._index, self._line, self._seed = self._next()
+            self._index, self._line, self._seed = next(self._entries, (math.inf, 0, None))
             self._taken = False
 
     def take(self, index: int) -> bytes | None:
@@ -591,23 +588,6 @@ class _StoreCursor:
             return None
         self._taken = True
         return self._seed
-
-    def take_block(self, tested: list[int], last: int) -> bytes | None:
-        """The seeds of the entries for rounds ``tested``, taken as ``reach`` and ``take``
-        take them for the lines of rounds up to ``last``, if those entries, in order, are
-        all the untaken ones up to ``last``; else None, and nothing is taken."""
-        read, index = [], self._index
-        while index < last:  # the entries reach(last) reads
-            read.append(self._next())
-            index = read[-1][0]
-        entries = [(self._index, self._line, self._seed), *read]
-        due = [entry for entry in entries[self._taken:] if entry[0] <= last]  # untaken
-        if [entry[0] for entry in due] != tested:
-            self._ahead += reversed(read)
-            return None
-        self._taken = index <= last or self._taken and not read  # round last's, or still held
-        self._index, self._line, self._seed = entries[-1]
-        return b"".join(entry[2] for entry in due)
 
 
 def _settle(etcf: EtcfParams, block: Block, rows, seeds: bytes, mismatches: list, start: int,
@@ -648,9 +628,12 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     """Recompute every round verdict and the abort decision from the files alone.
 
     Both files are read once, in round order, a chunk of ``REPLAY_CHUNK`` lines
-    at a time: a chunk of the writer's lines for the rounds due, whose test
-    rounds take the store's next entries, is checked at once, and each line of
-    any other chunk where it is read.  A test round whose line passes holds its
+    at a time, and each chunk's lines are checked in order by one loop.  A clean
+    chunk, whose lines are the writer's own text for the rounds due, below
+    ``rounds`` and before any footer, can show a mismatch only in the store: the
+    loop visits only its test rounds, each taking its store entry, its last
+    round, which reads the store up to the chunk's end, and its footer.  Every
+    line of any other chunk is visited.  A test round whose line passes holds its
     place among the mismatches until its chunk is read; then the chunk's keys
     are drawn at once, ``protocol.verdicts`` scores its test rounds, and each
     place becomes its ``verdict should be`` mismatch or is dropped.  So replay
@@ -690,72 +673,70 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     blocks = _blocks(lines, partial(_read_rounds, etcf))
     for numbers, texts, entries, (heads, block, written, read), verbatim in blocks:
         start = len(mismatches)  # the chunk's placeholders are among mismatches[start:]
-        rows = np.flatnonzero(block.tested[:read])  # the chunk's test rounds to score
-        last, indices = next_index + read - 1, (rows + next_index).tolist()
-        seeds = store.take_block(indices, last) if (
-            verbatim and footer is None and read and last < rounds
-            and [head[0] for head in heads[:read]] == list(range(next_index, last + 1))
-        ) else None
-        if seeds is not None:  # clean: each line the writer's, in place, with its entry
-            mismatches += zip([numbers[row] for row in rows.tolist()], indices)  # placeholders
-            tested, last_good, next_index = tested + len(rows), numbers[-1], last + 1
-            if read < len(heads):  # the chunk ends in the footer
-                footer = entries[-1]
-        else:  # each line checked and explained where it is read
-            rows, seeds = [], bytearray()
-            for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
-                if footer is not None:  # the footer is the last line
-                    what = "corrupt record" if entry is None else "record after the footer"
-                    mismatches.append(f"line {number}: {what}")
-                    continue
-                if entry is None:
-                    mismatches.append(f"line {number}: corrupt record")
-                    next_index += 1
-                    continue
-                kind = entry.get("record")
-                if kind not in ("round", "footer"):
-                    mismatches.append(f"line {number}: unexpected record type {kind!r}")
-                    continue
-                last_good = number
-                if kind == "footer":
-                    footer = entry
-                    continue
-                if head is None:  # its index, bases or challenges do not read
-                    mismatches.append(f"line {number}: corrupt record")
-                    next_index += 1
-                    continue
-                index, code = head
-                store.reach(index, next_index)
-                if not 0 <= index < rounds:
+        last = next_index + read - 1
+        # A clean chunk, the writer's lines for rounds next_index..last before any footer,
+        # can show a mismatch only in the store: it is visited at its test rounds, which
+        # take their entries, at its last round, which reads the store up to the chunk's
+        # end, and at its footer.  Any other chunk is visited at every line.
+        clean = verbatim and footer is None and read and last < rounds and (
+            [head[0] for head in heads[:read]] == list(range(next_index, last + 1)))
+        visited = range(len(texts)) if not clean else sorted(
+            {*np.flatnonzero(block.tested[:read]).tolist(), read - 1, len(texts) - 1})
+        rows, seeds = [], bytearray()  # the chunk's test rounds to score, and their seeds
+        for row in visited:
+            number, text, entry, head = numbers[row], texts[row], entries[row], heads[row]
+            if clean and row < read:  # the lines passed over are the writer's rounds, in place
+                next_index = head[0]
+            if footer is not None:  # the footer is the last line
+                what = "corrupt record" if entry is None else "record after the footer"
+                mismatches.append(f"line {number}: {what}")
+                continue
+            if entry is None:
+                mismatches.append(f"line {number}: corrupt record")
+                next_index += 1
+                continue
+            kind = entry.get("record")
+            if kind not in ("round", "footer"):
+                mismatches.append(f"line {number}: unexpected record type {kind!r}")
+                continue
+            last_good = number
+            if kind == "footer":
+                footer = entry
+                continue
+            if head is None:  # its index, bases or challenges do not read
+                mismatches.append(f"line {number}: corrupt record")
+                next_index += 1
+                continue
+            index, code = head
+            store.reach(index, next_index)
+            if not 0 <= index < rounds:
+                mismatches.append(f"line {number}: round index {index} is outside 0..{rounds - 1}")
+            elif index != next_index:
+                mismatches.append(f"line {number}: round index {index} should be {next_index}")
+            next_index = index + 1
+            round_type = _ROUND_TYPES[code]
+            if round_type != entry.get("rt"):
+                mismatches.append(f"line {number}: round {index} type should be {round_type}")
+                continue
+            tag = entry.get("tag")
+            if tag != "test" and (tag != "generate" or round_type != "bell"):
+                # Only Bell rounds are ever drawn for key generation.
+                mismatches.append(f"line {number}: round {index} tag should be test")
+                continue
+            if block.tested[row]:  # only a test round has key material
+                seed = store.take(index)
+                if seed is None:
                     mismatches.append(
-                        f"line {number}: round index {index} is outside 0..{rounds - 1}"
+                        f"line {number}: round {index} has no key material in the store"
                     )
-                elif index != next_index:
-                    mismatches.append(f"line {number}: round index {index} should be {next_index}")
-                next_index = index + 1
-                round_type = _ROUND_TYPES[code]
-                if round_type != entry.get("rt"):
-                    mismatches.append(f"line {number}: round {index} type should be {round_type}")
                     continue
-                tag = entry.get("tag")
-                if tag != "test" and (tag != "generate" or round_type != "bell"):
-                    # Only Bell rounds are ever drawn for key generation.
-                    mismatches.append(f"line {number}: round {index} tag should be test")
-                    continue
-                if block.tested[row]:  # only a test round has key material
-                    seed = store.take(index)
-                    if seed is None:
-                        mismatches.append(
-                            f"line {number}: round {index} has no key material in the store"
-                        )
-                        continue
-                    tested += 1
-                if text != written[row] and not _same(entry, json.loads(written[row]), True):
-                    mismatches.append(f"line {number}: corrupt record")
-                elif block.tested[row]:
-                    mismatches.append((number, index))  # a placeholder for its verdict's mismatch
-                    rows.append(row)
-                    seeds += seed
+                tested += 1
+            if text != written[row] and not _same(entry, json.loads(written[row]), True):
+                mismatches.append(f"line {number}: corrupt record")
+            elif block.tested[row]:
+                mismatches.append((number, index))  # a placeholder for its verdict's mismatch
+                rows.append(row)
+                seeds += seed
         _settle(etcf, block, rows, seeds, mismatches, start, fail_reasons)
         del numbers, texts, entries, heads, block, written  # the next chunk is read holding none
 

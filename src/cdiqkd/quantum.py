@@ -71,9 +71,11 @@ class StateVector:
 
 
 def ket(bits: tuple[int, ...]) -> StateVector:
-    """Computational basis state |bits[0] bits[1] ...>."""
+    """Computational basis state |bits[0] bits[1] ...>, each bit 0 or 1."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"basis state bits must be 0/1, got {tuple(bits)}")
     amps = np.zeros((2,) * len(bits), dtype=complex)
-    amps[tuple(b & 1 for b in bits)] = 1.0
+    amps[tuple(int(b) for b in bits)] = 1.0
     return StateVector(amps)
 
 

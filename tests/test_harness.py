@@ -939,6 +939,25 @@ class TestMalformedReplay:
             f"footer: fail fraction should be {sig12(4 / tested)}",
         ]
 
+    def test_stray_entry_at_a_chunk_end_is_named_in_its_chunk(self, tmp_path):
+        # Round 1020 is chunk 0's last test round, and a stray entry for round 1021 follows
+        # its entry: the store is read up to chunk 0's last round, 1023, before chunk 1's
+        # first line (round 1024, line 1026) is read, so the stray is named first.
+        run_experiment(config(tmp_path, rounds=3000, seed=0))
+        transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
+        indices = [json.loads(line)["i"] for line in store[1:]]
+        assert max(i for i in indices if i < REPLAY_CHUNK) == 1020 and 1024 in indices
+        at = indices.index(1020) + 1  # round 1020's entry is store[at], on store line 481
+        store.insert(at + 1, json.dumps({**json.loads(store[at]), "i": 1021}))
+        transcript[1025] = "not json"  # line 1026
+        report = replay_verify(*self.write(tmp_path, transcript, store))
+        assert report.mismatches[:3] == [
+            "store line 482: entry for round 1021 is out of place",
+            "line 1026: corrupt record",
+            "store line 483: entry for round 1024 is out of place",
+        ]
+
     def test_store_cursor_is_handed_on_across_clean_blocks(self, tmp_path):
         # Each tamper follows replay chunks whose lines and store entries are the
         # writer's: two entries of chunk 1 swapped, the line of chunk 2's first test
@@ -1531,8 +1550,9 @@ class TestBlockDecoding:
     @pytest.mark.parametrize("device", ["honest", "noisy:0.05:0.05"])
     def test_the_writers_own_files_replay_in_bulk(self, tmp_path, monkeypatch, etcf, device):
         # Each chunk of the writer's lines, the short last one with the footer too, is
-        # checked at once: no line goes to the per-line explainer, the only caller of the
-        # store cursor's reach with a round index (replay reaches past the last entry).
+        # checked at once: the store cursor is reached at its test rounds and its last
+        # round only, where a chunk checked line by line reaches it at every round line
+        # (and replay reaches past the last entry).
         reach, reached = harness._StoreCursor.reach, []
 
         def spy(cursor, index, skipped_from):
@@ -1545,7 +1565,10 @@ class TestBlockDecoding:
         transcript = str(tmp_path / "transcript.jsonl")
         report = replay_verify(transcript, transcript + ".keys")
         assert report.match and report.rounds_checked > 0
-        assert reached == [float("inf")]
+        keys = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()[1:]
+        ends = range(REPLAY_CHUNK, rounds + REPLAY_CHUNK, REPLAY_CHUNK)
+        due = {json.loads(line)["i"] for line in keys} | {min(end, rounds) - 1 for end in ends}
+        assert reached == [*sorted(due), float("inf")]
 
 
 def test_replay_reports_its_failures_by_reason(tmp_path, capsys):

@@ -59,6 +59,17 @@ class TestStateVector:
         amps = np.array([1.0 + 5e-10, 0.0])
         assert StateVector(amps).qubit_count == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: ket((2,)), lambda: ket((3, 0)), lambda: ket((0, -1)), lambda: plus_minus(2),
+    ], ids=["ket-2", "ket-30", "ket-0-minus-1", "plus-minus-2"])
+    def test_basis_bits_other_than_0_and_1_are_rejected(self, build):
+        # As for a Bell label: a bit is not taken mod 2 into some other state.
+        with pytest.raises(ValueError, match="must be 0/1"):
+            build()
+
+    def test_basis_bits_place_the_one_amplitude(self):
+        assert np.array_equal(ket((True, 0, 1)).amplitudes, np.eye(8)[0b101])
+
 
 class TestMakeBell:
     def test_bell_00(self):
