@@ -3,12 +3,12 @@
 A device plays a stream block at a time: each message it gets holds one
 entry per round of the block, and each reply is one array (or sequence)
 per message field, with one entry per round (see ``DeviceStrategy``).
-Devices get keys and never invert a verifier's message.  The honest
-device reads the keys' stacked arrays when it gets a block's keys as
-drawn (``etcf.DrawnKeys``), and finds each claw-free key's claw partner
-of its own point with the key's public maps (``etcf.ideal_claws``: an
-ideal key's M or its inverse), as these desk-scale keys make claws
-public (``etcf.claw_partner``).
+Devices get keys and never invert a verifier's message, and no device
+knows a family's law: ``etcf`` is the one module that does.  The honest
+device draws its domain points with ``etcf.sample_domain``, and commits
+through ``etcf.DrawnKeys.claws`` on a block's keys as drawn (or stacked,
+``etcf.stack_keys``), which gives each claw-free key's claw partner too,
+as these desk-scale keys make claws public (``etcf.claw_partner``).
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis
@@ -36,8 +36,9 @@ The device's draws of a block, from the block's device generator
 (``streams.Block.device``), in order:
 
 - honest and noisy: ``on_keys`` draws each round's two branch bits, then
-  its two domain points (one integer below 2**w each for the ideal
-  family, n coordinates below q each for the toy-lattice family);
+  its two domain points (``etcf.sample_domain``: one integer below 2**w
+  each for the ideal family, n coordinates below q each for the
+  toy-lattice family);
   ``on_challenges`` draws each round's two challenge-a coins, then its
   two d strings; ``on_questions`` draws 4 uniforms a round, then the
   noisy device 2 more, Alice's flip then Bob's;
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import parity
-from .etcf import DrawnKeys, EtcfKeyPair, encode_vectors, ideal_claws, stack_keys
+from .etcf import EtcfKeyPair, sample_domain, stack_keys
 from .etcf import claw_partner  # not called here: named so that bench/spans.py can wrap it
 from .quantum import (
     MeasurementBasis,
@@ -227,37 +228,21 @@ class DeviceStrategy:
         raise NotImplementedError
 
 
-def _toy_commit(keys: DrawnKeys, branch: np.ndarray, vectors: np.ndarray):
-    """Each key's A x + b shift mod q, and the claw partner x -+ s (s the first n
-    coordinates of a claw-free shift A s), each encoded."""
-    q = keys.params.q
-    matrices, shifts = keys.arrays
-    images = (matrices @ vectors[..., None])[..., 0] + branch[:, None] * shifts
-    secret = shifts[:, :vectors.shape[1]]
-    partners = np.where(branch[:, None] == 0, vectors - secret, vectors + secret)
-    return encode_vectors(images % q, q), encode_vectors(partners % q, q)
-
-
 def _commit(sides, rng: np.random.Generator):
     """The honest commitment to each key of ``sides``, a sequence of keys per side, all
     of one family and its sizes: (images, claw_free, branch, points, partners), each
     with a row per key of a side and a column per side.
 
-    Draws a branch bit b per key, then a domain point x per key, row by row,
-    and commits to f_b(x), so each commitment is uniform over its key's image.
-    A claw-free key's partner is its claw partner of x; an injective key's is
-    never read.
+    Draws a branch bit b per key, then a domain point x per key, row by row
+    (``etcf.sample_domain``), and commits to f_b(x), so each commitment is uniform
+    over its key's image.  A claw-free key's partner is its claw partner of x, an
+    injective key's never read: both from ``etcf.DrawnKeys.claws``.
     """
     stacks = [stack_keys(keys) for keys in sides]
     params, shape = stacks[0].params, (len(stacks[0]), len(stacks))
     branch = rng.integers(2, size=shape)
-    if params.family == "ideal":
-        points = rng.integers(1 << params.domain_bits, size=shape)
-        drawn = [ideal_claws(keys, branch[:, s], points[:, s]) for s, keys in enumerate(stacks)]
-    else:
-        vectors = rng.integers(params.q, size=(*shape, params.n))
-        drawn = [_toy_commit(keys, branch[:, s], vectors[:, s]) for s, keys in enumerate(stacks)]
-        points = encode_vectors(vectors, params.q)
+    points = sample_domain(params, rng, shape)
+    drawn = [keys.claws(branch[:, s], points[:, s]) for s, keys in enumerate(stacks)]
     images, partners = (np.stack(column, axis=1) for column in zip(*drawn))
     claw_free = np.stack([keys.claw_free for keys in stacks], axis=1)
     return images, claw_free, branch, points, partners

@@ -31,9 +31,11 @@ them mod q.  So any seed yields a key its family draws, and the seed is all
 a trapdoor store keeps of a key; an ideal key is nothing but its seed.
 Each family draws a list of keys as stacked arrays at once
 (``keygen_ideal``, ``keygen_toy``), a ``DrawnKeys`` that builds each key
-only when it is read and checks and inverts many keys at once;
-``draw_keys`` is the one place that picks the family, and ``keygen`` is
-its one-key case.  Keys are immutable plain data, and each key is its own
+only when it is read, and evaluates (``DrawnKeys.claws``), checks and
+inverts many keys at once.  This is the one module that knows a family's
+law: ``draw_keys`` picks the family of keys (``keygen`` is its one-key
+case), ``sample_domain`` of domain points, and ``_SIZES`` names each
+family's sizes.  Keys are immutable plain data, and each key is its own
 trapdoor: an ideal key's permutations invert it, and a claw-free toy key's
 shift A s begins with s.
 
@@ -66,14 +68,16 @@ class NoPreimageError(ValueError):
     """Raised by trapdoor inversion when the point is outside the image."""
 
 
+# The sizes each family uses: the fields of ``EtcfParams`` it reads.
+_SIZES = {"ideal": ("domain_bits",), "toy-lattice": ("n", "m", "q")}
+
+
 @dataclass(frozen=True)
 class EtcfParams:
-    """Parameters for either family.
-
-    ``family`` is "ideal" (uses ``domain_bits``) or "toy-lattice" (uses the
-    lattice dimensions ``n``, ``m`` and prime modulus ``q``).  ``validate``
-    takes each size the family uses only as an ``int``, never a ``bool``.
-    """
+    """Parameters for either family: ``family``, "ideal" or "toy-lattice", and the
+    sizes it uses (``_SIZES``), an ideal domain width ``domain_bits`` or lattice
+    dimensions ``n``, ``m`` and a prime modulus ``q``.  ``validate`` takes each
+    size the family uses only as an ``int``, never a ``bool``."""
 
     family: str = "ideal"
     domain_bits: int = 4
@@ -82,13 +86,14 @@ class EtcfParams:
     q: int = 17
 
     def validate(self) -> None:
+        if not isinstance(self.family, str) or self.family not in _SIZES:
+            raise ValueError(f"unknown ETCF family {self.family!r}")
+        for name in _SIZES[self.family]:
+            exact_int(getattr(self, name), name)
         if self.family == "ideal":
-            exact_int(self.domain_bits, "domain_bits")
             if not 2 <= self.domain_bits <= 16:
                 raise ValueError(f"domain_bits must be in 2..16, got {self.domain_bits}")
-        elif self.family == "toy-lattice":
-            for name in ("n", "m", "q"):
-                exact_int(getattr(self, name), name)
+        else:
             if self.n < 1:
                 raise ValueError("lattice dimension n must be positive")
             if self.m < 2 * self.n:
@@ -99,8 +104,11 @@ class EtcfParams:
                 raise ValueError(f"m * ceil(log2 q) must be at most 63, got m={self.m}, q={self.q}")
             if not _is_prime(self.q):
                 raise ValueError(f"q must be prime, got {self.q}")
-        else:
-            raise ValueError(f"unknown ETCF family {self.family!r}")
+
+    def to_dict(self) -> dict:
+        """The family and its sizes, as a header's ``etcf`` field (``EtcfParams(**d)``)."""
+        sizes = _SIZES[self.family]
+        return {"family": self.family, **{name: getattr(self, name) for name in sizes}}
 
 
 @functools.lru_cache(maxsize=64)  # a run validates its params in its config and its session
@@ -187,8 +195,8 @@ _GAMMA, _SHIFT_30, _SHIFT_27, _SHIFT_31, _MIX_1, _MIX_2 = (
     for value in (0x9E3779B97F4A7C15, 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 )
 _GAMMA_INT, _MIX_1_INT, _MIX_2_INT, _MASK = (int(v) for v in (_GAMMA, _MIX_1, _MIX_2, 2**64 - 1))
-# Toy-lattice key words one keygen step holds at most, one key's at least: a block's
-# keygen temporaries stay this small whatever its keys' number or size.
+# Toy-lattice key words one keygen, check or inversion step holds at most, one key's at
+# least (``_chunks``): a block's temporaries stay this small whatever its keys' number.
 _CHUNK_WORDS = 1 << 12
 # Feistel rounds of every keyed permutation: even, so that the halves end as they began.
 _ROUNDS = 8
@@ -214,14 +222,16 @@ def _mix(words: np.ndarray) -> np.ndarray:
 
 
 def key_words(seeds: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Words ``first .. first+count-1`` of each uint64 key seed, one row per seed,
-    mixed ``_CHUNK_WORDS`` at a time.  A key's words never repeat.
-    """
-    words = seeds[:, None] + _steps(first, count)
-    flat = words.reshape(-1)
-    for lo in range(0, flat.size, _CHUNK_WORDS):
-        _mix(flat[lo:lo + _CHUNK_WORDS])
-    return words
+    """Words ``first .. first+count-1`` of each uint64 key seed, one row per seed, mixed
+    in one pass (``keygen_toy`` asks for a chunk's keys).  A key's words never repeat."""
+    return _mix(seeds[:, None] + _steps(first, count))
+
+
+def _chunks(count: int, row_words: int):
+    """Slices of ``count`` rows of ``row_words`` words each: at most ``_CHUNK_WORDS``
+    words a slice, one row at least."""
+    step = max(1, _CHUNK_WORDS // row_words)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _permute(seeds: np.ndarray, first: int, bits: int, values: np.ndarray,
@@ -338,22 +348,11 @@ def _preimages(seeds: np.ndarray, claw_free: np.ndarray, domain_bits: int, c: np
     return hits, x
 
 
-def ideal_claws(keys: DrawnKeys, branch: np.ndarray, x: np.ndarray):
-    """``_claws`` of each of a block's ideal keys, at its branch bit and domain point."""
-    return _claws(keys.arrays[0], keys.claw_free, keys.params.domain_bits, branch, x)
-
-
 def _claw_free(kinds) -> np.ndarray:
     """``kinds``, key kinds or a bool array True where a key is claw-free, as that array."""
     if isinstance(kinds, np.ndarray):
         return kinds
     return np.fromiter((kind is KeyKind.CLAW_FREE for kind in kinds), bool, len(kinds))
-
-
-def _rows_by_kind(claw_free: np.ndarray) -> dict[KeyKind, np.ndarray]:
-    """The indices of the keys of each kind, from the claw-free mask."""
-    return {KeyKind.CLAW_FREE: np.flatnonzero(claw_free),
-            KeyKind.INJECTIVE: np.flatnonzero(~claw_free)}
 
 
 def keygen_ideal(kinds, domain_bits: int, seeds: np.ndarray) -> DrawnKeys:
@@ -451,6 +450,14 @@ def _in_column_space(lower: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
     return ~np.any(((lower @ ys[:, :n, None])[..., 0] - ys[:, n:]) % q, axis=1)
 
 
+def _toy_images(q: int, matrices: np.ndarray, shifts: np.ndarray, branch: np.ndarray,
+                vectors: np.ndarray) -> np.ndarray:
+    """f_b(x) = A x + b shift mod q, encoded, for each toy key (A, shift) of a stack,
+    its branch bit b and its domain vector x."""
+    y = (matrices @ vectors[..., None])[..., 0] + branch[:, None] * shifts
+    return encode_vectors(y % q, q)
+
+
 def keygen_toy(kinds, params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
     """A toy-lattice key of each of ``kinds`` (key kinds, or a claw-free mask), in order,
     drawn from its uint64 key seed in ``seeds``, a few keys at a time.  A key's values
@@ -469,17 +476,15 @@ def keygen_toy(kinds, params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
     matrices = np.empty((len(claw_free), m, n), dtype=np.int64)
     matrices[:, :n] = np.eye(n, dtype=np.int64)
     shifts = np.empty((len(claw_free), m), dtype=np.int64)
-    rows_of = _rows_by_kind(claw_free)
-    for kind, tail in ((KeyKind.CLAW_FREE, n), (KeyKind.INJECTIVE, m)):
-        where = rows_of[kind]
-        step = max(1, _CHUNK_WORDS // (entries + tail))
-        for lo in range(0, len(where), step):
-            rows = where[lo:lo + step]
+    for claw, tail in ((True, n), (False, m)):
+        where = np.flatnonzero(claw_free == claw)
+        for chunk in _chunks(len(where), entries + tail):
+            rows = where[chunk]
             values = key_words(seeds[rows], 1, entries + tail) % modulus
             lower = values[:, :entries].reshape(-1, m - n, n).astype(np.int64)  # R
             matrices[rows, n:] = lower
             tails = values[:, entries:].astype(np.int64)  # s or u
-            if kind is KeyKind.CLAW_FREE:  # the shift A s is (s, R s)
+            if claw:  # the shift A s is (s, R s)
                 shifts[rows, :n] = tails
                 shifts[rows, n:] = (lower @ tails[..., None])[..., 0] % q
                 continue
@@ -538,10 +543,17 @@ class DrawnKeys:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def _chunks(self, count: int):
-        """Slices of ``count`` rows, each covering at most ``_CHUNK_WORDS`` array entries."""
-        step = max(1, _CHUNK_WORDS // int(np.prod(self.arrays[0].shape[1:])))
-        return (slice(lo, lo + step) for lo in range(0, count, step))
+    def claws(self, branch: np.ndarray, x: np.ndarray):
+        """(f_b(x), partner) of every key at its branch bit b and int64 domain point x: a
+        claw-free key's partner is its claw partner (``claw_partner``), as these keys make
+        claws public, x -+ s for a toy-lattice key; an injective key's is never read."""
+        if self.params.family == "ideal":
+            return _claws(self.arrays[0], self.claw_free, self.params.domain_bits, branch, x)
+        n, q = self.params.n, self.params.q
+        matrices, shifts = self.arrays
+        vectors = _decode_vectors(x, n, q)[0]
+        partners = np.where(branch[:, None] == 0, vectors - shifts[:, :n], vectors + shifts[:, :n])
+        return _toy_images(q, matrices, shifts, branch, vectors), encode_vectors(partners % q, q)
 
     def check_preimages(self, rows: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
         """``check_preimage`` of the keys at ``rows``, each with its int64 z (within
@@ -550,14 +562,14 @@ class DrawnKeys:
         if self.params.family == "ideal":
             seeds, claw_free = self.arrays[0][rows], self.claw_free[rows]
             return _claws(seeds, claw_free, self.params.domain_bits, branch, x)[0] == c
-        n, q = self.params.n, self.params.q
+        n, m, q = self.params.n, self.params.m, self.params.q
         matrices, shifts = self.arrays
         ok = np.empty(len(rows), dtype=bool)
-        for chunk in self._chunks(len(rows)):
+        for chunk in _chunks(len(rows), m * n):
             r = rows[chunk]
             vectors, valid = _decode_vectors(x[chunk], n, q)
-            y = (matrices[r] @ vectors[..., None])[..., 0] + branch[chunk, None] * shifts[r]
-            ok[chunk] = valid & (encode_vectors(y % q, q) == c[chunk])
+            images = _toy_images(q, matrices[r], shifts[r], branch[chunk], vectors)
+            ok[chunk] = valid & (images == c[chunk])
         return ok
 
     def preimages(self, rows: np.ndarray, c: np.ndarray):
@@ -571,7 +583,7 @@ class DrawnKeys:
         x = np.zeros((len(rows), 2), dtype=np.int64)
         n, m, q = self.params.n, self.params.m, self.params.q
         matrices, shifts = self.arrays
-        for chunk in self._chunks(len(rows)):
+        for chunk in _chunks(len(rows), m * n):
             r = rows[chunk]
             vectors, valid = _decode_vectors(c[chunk], m, q)
             lower = matrices[r, n:]
@@ -614,6 +626,15 @@ def draw_keys(kinds, params: EtcfParams, seeds: bytes) -> DrawnKeys:
     if params.family == "ideal":
         return keygen_ideal(kinds, params.domain_bits, key_seeds)
     return keygen_toy(kinds, params, key_seeds)
+
+
+def sample_domain(params: EtcfParams, rng: np.random.Generator, shape) -> np.ndarray:
+    """A uniform domain point of ``params``' keys per entry of ``shape``, as int64s:
+    ideal, ``rng.integers(2**domain_bits, size=shape)``; toy-lattice, the encoding of
+    ``rng.integers(q, size=(*shape, n))``."""
+    if params.family == "ideal":
+        return rng.integers(1 << params.domain_bits, size=shape)
+    return encode_vectors(rng.integers(params.q, size=(*shape, params.n)), params.q)
 
 
 def keygen(kind: KeyKind, params: EtcfParams, seed):

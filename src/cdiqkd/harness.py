@@ -187,7 +187,7 @@ def _transcript_header(params: ProtocolParams, device: str) -> dict:
         "version": STREAM_LAYOUT,
         "rounds": params.rounds,
         "epsilon": float(params.epsilon),
-        "etcf": _etcf_header(params.etcf),
+        "etcf": params.etcf.to_dict(),
         "device": device,
     }
 
@@ -218,12 +218,6 @@ def write_trapdoor_store(fh: TextIO, block: Block) -> None:
         _KEYS_LINE % (block.start + i, seeds[digits * i:digits * (i + 1)]) + "\n"
         for i in np.flatnonzero(block.tested).tolist()
     ))
-
-
-def _etcf_header(params: EtcfParams) -> dict:
-    if params.family == "ideal":
-        return {"family": "ideal", "domain_bits": params.domain_bits}
-    return {"family": "toy-lattice", "n": params.n, "m": params.m, "q": params.q}
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ from .etcf import (
     DrawnKeys,
     EtcfKeyPair,
     EtcfParams,
-    KeyKind,
     draw_keys,
     key_widths,
     stack_keys,
@@ -206,8 +205,6 @@ def bell_label_bit(d: int, x0: int, x1: int) -> int:
 
 
 _BASES = QUESTION_BASES  # (computational, Hadamard): indexed by a Hadamard bit
-# A side's key kind, indexed by whether its state basis is Hadamard.
-KEY_KINDS = (KeyKind.INJECTIVE, KeyKind.CLAW_FREE)
 _CHALLENGES = (ChallengeType.A, ChallengeType.B)
 _TAGS = (TestTag.TEST, TestTag.GENERATE)  # indexed by a generation bit
 

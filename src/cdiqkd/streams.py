@@ -19,9 +19,10 @@ bytes.  The streams:
   is one array with an entry per round (or per round and side) of the
   block, in a fixed order per device kind:
 
-  - honest and noisy: the branch bits, the domain points (``on_keys``);
-    the challenge-a coins, the d strings (``on_challenges``); 4 uniforms
-    a round, then the noisy device's 2 flip uniforms (``on_questions``);
+  - honest and noisy: the branch bits, the domain points (``on_keys``,
+    ``etcf.sample_domain``); the challenge-a coins, the d strings
+    (``on_challenges``); 4 uniforms a round, then the noisy device's 2 flip
+    uniforms (``on_questions``);
   - classical-random: the commitments, the responses, the answer bits;
   - classical-table: nothing;
 - ``PRIVATE``: the verifiers' private coins.  Round ``start + i`` gets the

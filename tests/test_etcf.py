@@ -24,6 +24,7 @@ from cdiqkd.etcf import (
     keygen,
     keygen_ideal,
     keygen_toy,
+    sample_domain,
     _solve,
 )
 from cdiqkd import etcf
@@ -81,6 +82,12 @@ class TestParams:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             EtcfParams(family="lwe").validate()
+
+    @pytest.mark.parametrize("family", [["ideal"], {"ideal": 4}, None, 4])
+    def test_a_family_that_is_not_a_string_is_unknown(self, family):
+        # A replayed header may hold any JSON value there, hashable or not.
+        with pytest.raises(ValueError, match="unknown ETCF family"):
+            EtcfParams(family=family).validate()
 
     @pytest.mark.parametrize(
         "params",
@@ -553,6 +560,32 @@ class TestCheckPreimage:
         key, _ = keygen(KeyKind.CLAW_FREE, TOY, rng)
         bad_x = encode_vector(np.array([18, 0, 0]), 17)
         assert not check_preimage(key, (bad_x << 1) | 0, 0)
+
+
+@pytest.mark.parametrize("params", [ideal(2), ideal(5), toy(2, 4, 5), toy(1, 2, 2)],
+                         ids=["ideal-2", "ideal-5", "toy-2-4-5", "toy-1-2-2"])
+def test_batch_maps_are_the_scalar_maps(params):
+    # 200 keys of mixed kinds, at points sample_domain draws as (100, 2) as a device
+    # does: the raw draws the devices docstring names, from an equal Generator.
+    rng = np.random.default_rng(35)
+    keys = etcf.draw_keys(rng.integers(2, size=200) == 1, params, rng.bytes(8 * 200))
+    branch = rng.integers(2, size=200)
+    x = sample_domain(params, np.random.default_rng(36), (100, 2))
+    raw = np.random.default_rng(36)
+    if params.family == "ideal":
+        expected = raw.integers(1 << params.domain_bits, size=(100, 2)).tolist()
+    else:
+        vectors = raw.integers(params.q, size=(100, 2, params.n))
+        expected = [[encode_vector(v, params.q) for v in row] for row in vectors]
+    assert x.tolist() == expected
+    x = x.ravel()
+    images, partners = keys.claws(branch, x)
+    assert {key.kind for key in keys} == set(KeyKind)
+    for key, b, point, c, partner in zip(keys, branch.tolist(), x.tolist(), images.tolist(),
+                                         partners.tolist()):
+        assert c == evaluate(key, b, point)
+        if key.kind is KeyKind.CLAW_FREE:
+            assert partner == claw_partner(key, b, point)
 
 
 @pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])

@@ -1,6 +1,7 @@
 """The verdict kernel against the scalar oracle, abort reasons, and records on request."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import operator
@@ -98,21 +99,20 @@ def _assert_kernel_is_the_oracle(blocks) -> int:
 
 
 KNOBS = [{}, {"p_theta_hadamard": 0.8, "p_ct_b": 0.8}]
-# The reasons each device's sessions below give.  A toy-lattice commitment drawn at
-# random is almost never in the image, so it mostly fails before its answers are read.
-REASONS_SEEN = {
-    ("ideal", "honest"): set(),
-    ("toy-lattice", "honest"): set(),
-    ("ideal", "noisy:0.05:0.05"): {"bell_parity", "support"},
-    ("toy-lattice", "noisy:0.05:0.05"): {"bell_parity", "support"},
-    ("ideal", "classical-random"): {"preimage", "no_preimage", "bell_parity", "support"},
-    ("toy-lattice", "classical-random"): {"preimage", "no_preimage", "bell_parity"},
+# The reasons each device can cause at all, whatever its draws: an honest device none,
+# a noisy one only by flipping answers, and a classical-random one every reason but a
+# violation, as its messages always fit their widths.
+CAUSABLE = {
+    "honest": set(),
+    "noisy:0.05:0.05": {"bell_parity", "support"},
+    "classical-random": set(REASONS) - {"violation"},
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("spec", ["honest", "noisy:0.05:0.05", "classical-random"])
-def test_kernel_equals_the_oracle(family, spec):
+@functools.cache
+def _reasons_given(family: str, spec: str) -> frozenset:
+    """The reasons four 600-round sessions of ``spec`` under ``family`` give, each
+    session's blocks decided by the kernel as the oracle decides them."""
     reasons = set()
     for seed, knobs in enumerate(KNOBS * 2):
         params = ProtocolParams(rounds=600, epsilon=1.0, etcf=FAMILIES[family], **knobs)
@@ -122,7 +122,21 @@ def test_kernel_equals_the_oracle(family, spec):
         assert spans[-1][1] == 600
         assert _assert_kernel_is_the_oracle(blocks) > 0
         reasons.update(REASONS[r] for block in blocks for r in block.reasons.tolist() if r >= 0)
-    assert reasons == REASONS_SEEN[family, spec]
+    return frozenset(reasons)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("spec", CAUSABLE)
+def test_kernel_equals_the_oracle(family, spec):
+    assert _reasons_given(family, spec) <= CAUSABLE[spec]
+
+
+@pytest.mark.parametrize("spec", CAUSABLE)
+def test_the_sessions_give_every_reason_the_device_can_cause(spec):
+    # Over both families, so that the comparison with the oracle meets every reason.
+    # A toy-lattice commitment drawn at random is almost never in the image, so it
+    # mostly fails before its answers are read.
+    assert set().union(*(_reasons_given(family, spec) for family in FAMILIES)) == CAUSABLE[spec]
 
 
 def _widths(etcf: EtcfParams) -> dict[str, int]:
@@ -343,7 +357,7 @@ def _record_of(line: dict, seed: bytes, etcf: EtcfParams) -> protocol.RoundRecor
     ``oracle.ingest_side`` under the key its store seed draws, marked ``viol_<s>`` if
     written so."""
     hadamard = [line[f"theta_{s}"] == "H" for s in "ab"]
-    keys = draw_keys([protocol.KEY_KINDS[h] for h in hadamard], etcf, seed)
+    keys = draw_keys(np.array(hadamard), etcf, seed)
     sides = []
     for s, question, key, h in zip("ab", "xy", keys, hadamard):
         challenge = ChallengeType(line[f"ct_{s}"])
