@@ -16,16 +16,23 @@ files as soon as the block is decided, straight from its arrays
 (``protocol.Block``).
 
 The block writer (``_round_lines``, ``_KEYS_LINE``) is the one statement of
-both formats: replay reads a chunk of lines into the values they were
-written from and keeps each line only if the writer writes those values
-back as that line.  Replay reads a chunk of lines (``REPLAY_CHUNK``, 1,024)
-at a time, decoded with one ``json.loads``, or else line by line, so that a
-line that is not UTF-8 or not JSON spoils only itself.  A clean chunk, the
-writer's own lines for the rounds due, is checked by its lines alone: only
-its test rounds, which take the store's entries, and its last round are
-visited.  Each line of any other chunk is checked where it is read, by the
-same steps.  Each chunk's test rounds whose lines pass are scored as soon as
-the chunk is read, and nothing is held over to the next chunk.
+both formats: replay reads each line into the values it was written from and
+keeps it only if the writer writes those values back as that line.  Replay
+reads a chunk of lines (``REPLAY_CHUNK``, 1,024) at a time, each only up to a
+limit a little past the longest line the writer writes there, so that a longer
+line is a corrupt one and is never held.  A chunk is first read as the writer's
+own text (``_take_rounds``, by tables and patterns built from the writer's
+formats): a sifted or generation line by its text alone, a test line by its
+side fields, which ``_round_lines`` writes back to compare.  A line is taken
+only if its text is the writer's text for the values read from it, so rejecting
+one is always safe: its chunk is then decoded as JSON line by line, so that a
+line that is not UTF-8 or not JSON spoils only itself, and checked at every
+line.  A chunk the text reader takes, the writer's own lines for the rounds
+due, is checked by its lines alone: only its test rounds, which take the
+store's entries, and its last round are visited.  A store line is read by its
+text too, and decoded as JSON only if it is not the writer's.  Each chunk's
+test rounds whose lines pass are scored as soon as the chunk is read, and
+nothing is held over to the next chunk.
 
 Determinism: a fixed config (including seed) produces byte-identical
 output files.  All numeric fields in summaries are emitted in decimal
@@ -37,6 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -73,9 +81,9 @@ _MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 # The trapdoor store's format number, written in its header and required by replay.
 STORE_FORMAT = 4
-# Lines replay reads, decodes and scores at a time, of the transcript and of the store.
-# A decoded round line costs about 2-4 kB (its text, its JSON object and the arrays read
-# from it), so a chunk holds a few MB whatever the run's length.
+# Lines replay reads and scores at a time, of the transcript and of the store.  A round
+# line costs at most about 2-4 kB (its text, its JSON object where it is decoded, and
+# the arrays read from it), so a chunk holds a few MB whatever the files hold.
 REPLAY_CHUNK = 1024
 
 # A basis, a challenge and a win as a line writes them, each indexed by its code in a
@@ -99,6 +107,17 @@ _HEADS = tuple(
     for code in range(32 * len(_WINS))
 )
 _KEYS_LINE = '{"record": "keys", "i": %d, "seed": "%s"}'
+# A round line up to its index.
+_ROUND_PREFIX = _HEADS[0].partition("%d")[0]
+
+# Replay reads a line of either file only up to a limit, ``_SLACK`` bytes past the
+# longest line the writer writes there (a store line's with an index of 19 digits), and
+# takes a longer one as corrupt, unread: so a chunk's memory is bounded whatever the files
+# hold.  A transcript's header names its device, a classical-table file's path among
+# them, so it has a limit of its own.
+_SLACK = 64
+_HEADER_LIMIT = 1 << 16
+_STORE_LIMIT = len(_KEYS_LINE % (1 << 63, "0" * 2 * SEED_BYTES)) + _SLACK
 
 
 class ReplayError(ValueError):
@@ -394,24 +413,69 @@ def _same(value, written, sort_keys: bool = False) -> bool:
     return json.dumps(value, sort_keys=sort_keys) == json.dumps(written, sort_keys=sort_keys)
 
 
-def _text(raw: bytes) -> str | None:
-    """A line's text, stripped; None if it is not UTF-8."""
+def _text(raw: bytes | None) -> str | None:
+    """A line's text, stripped; None if it is not UTF-8 or was too long to read (None)."""
+    if raw is None:
+        return None
     try:
         return raw.decode("utf-8").strip()
     except UnicodeDecodeError:
         return None
 
 
-def _lines(path: str):
-    """(number, bytes) of each line of the file at ``path``, read as they are taken."""
-    with open(path, "rb") as fh:
-        yield from enumerate(fh, start=1)
+def _cut(piece: bytes, limit: int) -> bool:
+    """True if ``piece``, read by ``readline(limit)``, is the start of a line of ``limit``
+    bytes or more, its newline not counted."""
+    return len(piece) == limit and piece[-1:] != b"\n"
 
 
-def _texts(chunk: list) -> tuple[list[int], list[str | None]]:
-    """The numbers and ``_text`` of the non-blank lines among ``chunk``'s (number, bytes)."""
-    numbered = [(number, text) for number, raw in chunk if (text := _text(raw)) != ""]
-    return [number for number, _ in numbered], [text for _, text in numbered]
+def _first(fh, limit: int) -> tuple[int, dict | None]:
+    """(number, object) of the first non-blank line of ``fh``: the JSON object it holds
+    alone, or None if it holds none, is ``limit`` bytes or longer, or there is no line."""
+    number = 0
+    for number, piece in enumerate(iter(partial(fh.readline, limit), b""), start=1):
+        if _cut(piece, limit):
+            return number, None
+        if (text := _text(piece)) != "":
+            return number, _object(text)
+    return number, None
+
+
+def _whole(chunk: list, pieces, limit: int):
+    """The lines ``chunk``'s pieces make, None for one of ``limit`` bytes or more: each
+    piece after its first, read on from ``pieces`` past the chunk's end, is dropped."""
+    chunk = iter(chunk)
+    for piece in chunk:
+        if _cut(piece, limit):
+            for piece in itertools.chain(chunk, pieces):
+                if piece[-1:] == b"\n":
+                    break
+            piece = None
+        yield piece
+
+
+def _chunks(fh, limit: int, number: int):
+    """(numbers, texts) of each chunk of up to REPLAY_CHUNK lines of ``fh`` after line
+    ``number``, made as it is taken: the number and ``_text`` of each non-blank line.  A
+    line is read in pieces of at most ``limit`` bytes, and one of ``limit`` bytes or more
+    reads as None and is not held, so a chunk holds at most REPLAY_CHUNK * limit bytes."""
+    pieces = iter(partial(fh.readline, limit), b"")
+    while chunk := list(itertools.islice(pieces, REPLAY_CHUNK)):
+        if max(map(len, chunk)) == limit:  # a line may be too long
+            chunk = list(_whole(chunk, pieces, limit))
+        try:
+            texts = list(map(str.strip, map(bytes.decode, chunk)))
+        except (TypeError, UnicodeDecodeError):  # a line too long (None), or not UTF-8
+            texts = list(map(_text, chunk))
+        numbers = range(number + 1, number + 1 + len(chunk))
+        number += len(chunk)
+        del chunk
+        if "" in texts:  # a blank line is skipped
+            kept = [row for row, text in enumerate(texts) if text != ""]
+            numbers, texts = [numbers[row] for row in kept], [texts[row] for row in kept]
+        if texts:
+            yield numbers, texts
+        del numbers, texts  # the next chunk is read holding none of this one
 
 
 def _object(text: str | None) -> dict | None:
@@ -423,68 +487,45 @@ def _object(text: str | None) -> dict | None:
     return value if type(value) is dict else None
 
 
-def _first(lines) -> dict | None:
-    """The JSON object the first non-blank of ``lines``, (number, bytes) pairs, holds."""
-    for _, raw in lines:
-        if (text := _text(raw)) != "":
-            return _object(text)
-    return None
+@cache
+def _keys_pattern() -> re.Pattern:
+    """A store line as the writer writes it (``_KEYS_LINE``), its index and seed grouped."""
+    return re.compile(re.escape(_KEYS_LINE).replace("%d", "(0|[1-9][0-9]*)").replace(
+        "%s", f"([0-9a-f]{{{2 * SEED_BYTES}}})"))
 
 
-def _blocks(lines, read):
-    """``_block`` of each chunk of up to REPLAY_CHUNK ``lines``, (number, bytes) pairs,
-    made as it is taken: no chunk is held here while the caller works."""
-    return map(partial(_block, read), iter(lambda: list(itertools.islice(lines, REPLAY_CHUNK)), []))
-
-
-def _block(read, chunk: list) -> tuple:
-    """(numbers, texts, values, result, verbatim) of ``chunk``'s non-blank lines, where
-    ``read(texts, values)`` gives (result, verbatim), verbatim if each line is the writer's
-    text for the values read: values of one ``json.loads`` of the chunk are kept only if
-    verbatim, as lines not JSON alone may be JSON together; else each line is decoded alone."""
-    numbers, texts = _texts(chunk)
+def _read_key(text: str | None) -> tuple[int, bytes] | None:
+    """A store line's (index, seed), decoded as JSON: None unless its object is the
+    writer's ``keys`` line for an index and a 16-byte seed."""
+    value = _object(text)
     try:
-        values = json.loads("[" + ",".join(texts) + "]")  # TypeError if a line is not UTF-8
-    except (TypeError, ValueError):
-        values = []
-    result, verbatim = read(texts, values) if len(values) == len(texts) else (None, False)
-    if not verbatim:
-        values = [_object(text) for text in texts]
-        result, verbatim = read(texts, values)
-    return numbers, texts, values, result, verbatim
-
-
-def _read_keys(texts: list[str], values: list) -> tuple[list, bool]:
-    """Each store line's (index, seed), None unless it is the writer's ``keys`` line for
-    an index and a 16-byte seed; and whether each is the writer's text."""
-    entries, verbatim = [], True
-    for text, value in zip(texts, values):
-        try:
-            index, seed = exact_int(value["i"], "i"), bytes.fromhex(value["seed"])
-            written = _KEYS_LINE % (index, seed.hex())
-        except _MALFORMED:
-            written = None
-        verbatim &= text == written
-        same = written is not None and (text == written or _same(value, json.loads(written), True))
-        entries.append((index, seed) if same and len(seed) == SEED_BYTES else None)
-    return entries, verbatim
+        index, seed = exact_int(value["i"], "i"), bytes.fromhex(value["seed"])
+        written = _KEYS_LINE % (index, seed.hex())
+    except _MALFORMED:
+        return None
+    same = text == written or _same(value, json.loads(written), True)
+    return (index, seed) if same and len(seed) == SEED_BYTES else None
 
 
 def _store_entries(path: str):
     """(round index, line number, round seed) of each store entry, in file order; raises
-    ReplayError unless the store is the header and ``keys`` lines the writer writes."""
-    lines = _lines(path)
-    header = _first(lines)
-    if header is None or not _same(header, _STORE_HEADER):
-        raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
-    for numbers, _, _, entries, _ in _blocks(lines, _read_keys):
-        for number, entry in zip(numbers, entries):
-            if entry is None:
-                raise ReplayError(f"trapdoor store corrupt at line {number}")
-            yield entry[0], number, entry[1]
+    ReplayError unless the store is the header and ``keys`` lines the writer writes.  A
+    line that is not the writer's text is decoded as JSON (``_read_key``)."""
+    with open(path, "rb") as fh:
+        number, header = _first(fh, _STORE_LIMIT)
+        if header is None or not _same(header, _STORE_HEADER):
+            raise ReplayError(f"trapdoor store has no format-{STORE_FORMAT} header")
+        writers = _keys_pattern().fullmatch
+        for numbers, texts in _chunks(fh, _STORE_LIMIT, number):
+            for number, text in zip(numbers, texts):
+                match = text is not None and writers(text)
+                entry = (int(match[1]), bytes.fromhex(match[2])) if match else _read_key(text)
+                if entry is None:
+                    raise ReplayError(f"trapdoor store corrupt at line {number}")
+                yield entry[0], number, entry[1]
 
 
-def _hex_ints(texts: list) -> np.ndarray:
+def _hex_ints(texts) -> np.ndarray:
     """``int(text, 16)`` of each of ``texts``, or -1 where that fails or is no int64."""
     try:
         return np.array([-1 if text is None else int(text, 16) for text in texts], dtype=np.int64)
@@ -492,13 +533,27 @@ def _hex_ints(texts: list) -> np.ndarray:
         return np.array([_hex_ints([t])[0] if len(texts) > 1 else -1 for t in texts], np.int64)
 
 
-def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bool]:
-    """A chunk of transcript lines, read: ((heads, block, written, read), verbatim).  Each
-    line's head is (index, coin code), None unless it holds an index, bases and challenges;
-    ``block`` holds the values each line states, its flags the wins read; ``written`` is
-    each line as the writer writes them.  A field that does not read is read as one the
-    writer writes otherwise, so that only the writer's own line reads back to itself.
-    ``read`` counts the lines but a last one that is a footer, and verbatim is of those."""
+def _replayed_block(etcf: EtcfParams, coins, question_h, generate, replies, marked,
+                    wins) -> Block:
+    """The Block of rounds read from their lines: ``coins`` (n, 4) the bits of each coin
+    code, ``replies`` as ``Block.replies``, a side ``marked`` viol_<s>: true in violation,
+    and ``wins`` each test round's flag."""
+    block = Block(
+        0, b"", coins[:, :2].astype(bool), coins[:, 2:].astype(bool), question_h, generate,
+        DrawnKeys(etcf, np.zeros(0, dtype=bool), ()), replies,
+    )
+    violation = block.messages[-1]
+    violation |= marked
+    block.flags = np.where(block.tested, wins, _NA).astype(np.int8)
+    return block
+
+
+def _read_rounds(etcf: EtcfParams, values: list) -> tuple[list, Block, list[str]]:
+    """A chunk of transcript lines, decoded: (heads, block, written).  Each line's head is
+    (index, coin code), None unless it holds an index, bases and challenges; ``block``
+    holds the values each line states, its flags the wins read; ``written`` is each line
+    as the writer writes them.  A field that does not read is read as one the writer
+    writes otherwise, so that only the writer's own line reads back to itself."""
     heads = []
     for value in values:
         try:
@@ -537,19 +592,118 @@ def _read_rounds(etcf: EtcfParams, texts: list, values: list) -> tuple[tuple, bo
     ).reshape(-1, 2)
     generate = np.zeros(len(entries), dtype=bool)
     generate[rows] = [entry.get("tag") == "generate" for entry in matched]
-    block = Block(
-        0, b"", coins[:, :2].astype(bool), challenge_b, question_h, generate,
-        DrawnKeys(etcf, np.zeros(0, dtype=bool), ()), replies,
-    )
-    violation = block.messages[-1]
-    violation |= marked  # a side its line marks viol_<s>: true is in violation
     wins = np.full(len(entries), _NA, dtype=np.int8)
     wins[rows] = [_WINS.index(w) if w in _WINS else _NA for w in (e.get("win") for e in matched)]
-    block.flags = np.where(block.tested, wins, _NA).astype(np.int8)
-    written = _round_lines(block, [head[0] if head else 0 for head in heads])
-    footer = bool(values) and type(values[-1]) is dict and values[-1].get("record") == "footer"
-    read = len(texts) - footer
-    return (heads, block, written, read), written[:read] == texts[:read]
+    block = _replayed_block(etcf, coins, question_h, generate, replies, marked, wins)
+    return heads, block, _round_lines(block, [head[0] if head else 0 for head in heads])
+
+
+# Each value a test line's side fields hold, as ``_side_fields`` writes it with every
+# field (``_EVERY_FIELD``), and the pattern of the values it stands for; and the bit that
+# each of those values is read as, a C, an empty or an absent value as the reader says.
+_EVERY_FIELD = 1 + 2 + 4 * 2 + 16 * 2 + 64  # responded, question H, answer 1, h 1, violation
+_VALUES = {'"H"': f'"([{"".join(_BASES)}])"', "1": "([01])", "true": "(true)"}
+_BITS = {"H": 1, "0": 0, "1": 1, "true": 1}
+
+
+def _after_index(line: str) -> str:
+    """The text of a round line after its index and the comma that ends it."""
+    return line[len(_ROUND_PREFIX):].partition(",")[2]
+
+
+@cache
+def _round_texts(widths: tuple[int, int]) -> tuple:
+    """(plain, heads, tails, tail_start): what replay needs to take a round line of keys
+    of ``widths`` as the writer's own text, built from the writer's formats.  ``plain``
+    holds the text after the index (``_after_index``) of every sifted and generation line
+    the writer writes, each whole: a sifted line says win na, and a generation line, win
+    na with a Bell code, adds only its questions.  ``heads`` maps the text after the index
+    of each head the writer writes on a test line, win pass or fail, to its code (of
+    ``_HEADS``).  ``tails[b]`` is the pattern of a test line's tail, from ``tail_start``
+    on, for challenges both b if ``b`` and both a if not: each side's fields as
+    ``_side_fields`` writes them with every field, each optional, then ``}``.  Its groups
+    are each side's commitment, response, question, answer, h and violation mark; as
+    challenge a writes no question, answer or h, its pattern has empty groups for them."""
+    def written(shape):  # the writer's line of a round of ``shape``, after its index
+        return _after_index(_line_format(widths, shape) % ((0,) * 5))
+
+    plain, heads = set(), {}
+    for code in range(len(_HEADS)):
+        coins, generate, flag = code & 15, code >> 4 & 1, code >> 5
+        matched = coins >> 2 & 1 == coins >> 3 & 1
+        if not matched and not generate and flag == _NA:
+            plain.add(written(code))
+        elif generate and flag == _NA and _ROUND_TYPES[coins] == "bell":
+            questions = [(2 * x) << 7 | (2 * y) << 14 for x in (0, 1) for y in (0, 1)]
+            plain.update(written(code | pair) for pair in questions)
+        elif matched and not generate and flag != _NA:
+            heads[_after_index(_HEADS[code] % 0)] = code
+    tails = []
+    for challenge_b in (0, 1):
+        pattern = ""
+        for side in (0, 1):
+            groups = []
+            for field in _side_fields(widths, side, challenge_b, _EVERY_FIELD).split(', "')[1:]:
+                name, value = field.split('": ')
+                value = _VALUES.get(value) or re.sub(r"%0(\d+)x", r"([0-9a-f]{\1})", value)
+                groups.append(f'(?:, "{re.escape(name)}": {value})?')
+            if not challenge_b:  # no question, answer or h
+                groups[2:2] = ["()"] * 3
+            pattern += "".join(groups)
+        tails.append(re.compile(pattern + "}"))
+    return plain, heads, tails, _side_fields(widths, 0, 0, 0).partition("%")[0]
+
+
+def _take_rounds(etcf: EtcfParams, texts: list, first: int, rounds: int) -> tuple | None:
+    """A chunk's ``texts`` taken as the writer's own lines for rounds ``first``,
+    ``first + 1``, ... below ``rounds``, a footer at most last: (read, rows, block, footer),
+    the number of round lines, the rows of its test rounds, their Block (None if none) and
+    the footer's object (None if none); None if any line is not that.  A line is taken
+    only if it is the writer's text for the values read from it: a sifted or generation
+    line and its index by their text, a test line by ``_round_lines`` of its values, so
+    that only the footer is decoded as JSON."""
+    plain, heads, tails, tail_start = _round_texts(key_widths(etcf))
+    indices, rows, codes, fields = [], [], [], []
+    for text in texts:
+        if text is None or not text.startswith(_ROUND_PREFIX):
+            break
+        index, _, rest = text[len(_ROUND_PREFIX):].partition(",")
+        if rest not in plain:
+            start = rest.find(tail_start)
+            code = heads.get(rest[:start]) if start > 0 else None
+            match = code is not None and tails[code >> 2 & 1].fullmatch(rest, start)
+            if not match:
+                break
+            rows.append(len(indices))
+            codes.append(code)
+            fields.append(match.groups())
+        indices.append(index)
+    read = len(indices)
+    if read < len(texts) - 1 or first + read > rounds:
+        return None
+    if indices != list(map(str, range(first, first + read))):
+        return None
+    footer = _object(texts[-1]) if read < len(texts) else None
+    if read < len(texts) and (footer is None or footer.get("record") != "footer"):
+        return None
+    block = None
+    if rows:
+        c_a, r_a, x, a, h_a, m_a, c_b, r_b, y, b, h_b, m_b = zip(*fields)
+
+        def bits(values, default):
+            return np.fromiter(map(_BITS.get, values, itertools.repeat(default)), np.int64)
+
+        codes = np.array(codes)
+        block = _replayed_block(
+            etcf, codes[:, None] >> np.arange(4) & 1,
+            np.stack([bits(x, 0), bits(y, 0)], axis=1).astype(bool),
+            np.zeros(len(rows), dtype=bool),
+            (*map(_hex_ints, (c_a, c_b, r_a, r_b)), *(bits(v, -1) for v in (a, h_a, b, h_b))),
+            np.stack([bits(m_a, 0), bits(m_b, 0)], axis=1).astype(bool), codes >> 5,
+        )
+        if _round_lines(block, [first + row for row in rows]) != [texts[row] for row in rows]:
+            return None
+    return read, rows, block, footer
 
 
 class _StoreCursor:
@@ -618,32 +772,50 @@ _FOOTER_LABELS = {
 }
 
 
+def _line_limit(widths: tuple[int, int], rounds: int) -> int:
+    """The length in bytes that no line of a transcript of ``rounds`` rounds of keys of
+    ``widths`` reaches, its newline not counted: ``_SLACK`` past the longest round line
+    the writer writes, a test round's with every side field, which is also longer than
+    any footer (about 100 bytes and the digits of its counts)."""
+    every = _EVERY_FIELD << 7 | _EVERY_FIELD << 14
+    return _SLACK + max(len(_line_format(widths, code | every) % (rounds, 0, 0, 0, 0))
+                        for code in range(len(_HEADS)))
+
+
 def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayReport:
     """Recompute every round verdict and the abort decision from the files alone.
 
     Both files are read once, in round order, a chunk of ``REPLAY_CHUNK`` lines
-    at a time, and each chunk's lines are checked in order by one loop.  A clean
-    chunk, whose lines are the writer's own text for the rounds due, below
-    ``rounds`` and before any footer, can show a mismatch only in the store: the
-    loop visits only its test rounds, each taking its store entry, its last
-    round, which reads the store up to the chunk's end, and its footer.  Every
-    line of any other chunk is visited.  A test round whose line passes holds its
-    place among the mismatches until its chunk is read; then the chunk's keys
-    are drawn at once, ``protocol.verdicts`` scores its test rounds, and each
-    place becomes its ``verdict should be`` mismatch or is dropped.  So replay
-    holds one chunk of decoded lines at a time.  A round line the writer would
-    not write for the values read from it yields a mismatch naming the line,
-    and so does a round index that is not the next of ``0..rounds-1``, a test
-    round whose store entry is missing or out of order, a store entry no test
-    round takes, and any line after the footer; rounds missing at the end, and
-    any footer but the one written from the recomputed counts, are footer
-    mismatches.  A missing footer (a truncated transcript) raises ReplayError
-    naming the last good line; so do a header the writer would not write, a
-    store without its header and a corrupt trapdoor-store entry.  The ETCF
-    family and its sizes are read once, from the transcript header.
+    at a time, each line only up to a limit past the longest line the writer
+    writes there (a longer round line is a corrupt record).  A chunk is first read
+    as the writer's own text (``_take_rounds``): if its lines are the writer's
+    lines for the rounds due, below ``rounds`` and before any footer, a footer at
+    most last, it can show a mismatch only in the store, and only its test
+    rounds, each taking its store entry, and its last round, which reads the
+    store up to the chunk's end, are visited.  Any other chunk is decoded as
+    JSON line by line and checked by one loop at every line, in order.  A test
+    round whose line passes holds its place among the mismatches until its chunk
+    is read; then the chunk's keys are drawn at once, ``protocol.verdicts`` scores
+    its test rounds, and each place becomes its ``verdict should be`` mismatch or
+    is dropped.  So replay holds one chunk of lines at a time.  A round line the
+    writer would not write for the values read from it yields a mismatch naming
+    the line, and so does a round index that is not the next of
+    ``0..rounds-1``, a test round whose store entry is missing or out of order,
+    a store entry no test round takes, and any line after the footer; rounds
+    missing at the end, and any footer but the one written from the recomputed
+    counts, are footer mismatches.  A missing footer (a truncated transcript)
+    raises ReplayError naming the last good line; so do a header the writer
+    would not write, a store without its header and a corrupt trapdoor-store
+    entry.  The ETCF family and its sizes are read once, from the transcript
+    header.
     """
-    lines = _lines(transcript_path)
-    header = _first(lines)
+    with open(transcript_path, "rb") as fh:
+        return _replay(fh, trapdoor_store_path)
+
+
+def _replay(fh, trapdoor_store_path: str) -> ReplayReport:
+    """``replay_verify`` of the transcript open as ``fh``."""
+    number, header = _first(fh, _HEADER_LIMIT)
     try:
         etcf = EtcfParams(**header["etcf"])
         params = ProtocolParams(exact_int(header["rounds"], "rounds"), header["epsilon"], etcf)
@@ -664,23 +836,35 @@ def replay_verify(transcript_path: str, trapdoor_store_path: str) -> ReplayRepor
     footer = None
     last_good = 1
     next_index = 0  # a corrupt round line is taken to hold the index due there
-    blocks = _blocks(lines, partial(_read_rounds, etcf))
-    for numbers, texts, entries, (heads, block, written, read), verbatim in blocks:
+    for numbers, texts in _chunks(fh, _line_limit(key_widths(etcf), rounds), number):
         start = len(mismatches)  # the chunk's placeholders are among mismatches[start:]
-        last = next_index + read - 1
-        # A clean chunk, the writer's lines for rounds next_index..last before any footer,
-        # can show a mismatch only in the store: it is visited at its test rounds, which
-        # take their entries, at its last round, which reads the store up to the chunk's
-        # end, and at its footer.  Any other chunk is visited at every line.
-        clean = verbatim and footer is None and read and last < rounds and (
-            [head[0] for head in heads[:read]] == list(range(next_index, last + 1)))
-        visited = range(len(texts)) if not clean else sorted(
-            {*np.flatnonzero(block.tested[:read]).tolist(), read - 1, len(texts) - 1})
         rows, seeds = [], bytearray()  # the chunk's test rounds to score, and their seeds
-        for row in visited:
-            number, text, entry, head = numbers[row], texts[row], entries[row], heads[row]
-            if clean and row < read:  # the lines passed over are the writer's rounds, in place
-                next_index = head[0]
+        taken = None if footer is not None else _take_rounds(etcf, texts, next_index, rounds)
+        if taken is not None:  # the writer's lines for the rounds due: only the store can differ
+            read, tests, block, footer = taken
+            for k, row in enumerate(tests):
+                index = next_index + row
+                store.reach(index, index)
+                seed = store.take(index)
+                if seed is None:
+                    mismatches.append(
+                        f"line {numbers[row]}: round {index} has no key material in the store"
+                    )
+                    continue
+                tested += 1
+                mismatches.append((numbers[row], index))  # a placeholder for its verdict
+                rows.append(k)
+                seeds += seed
+            next_index += read
+            if read and tests[-1:] != [read - 1]:  # the store up to the chunk's last round
+                store.reach(next_index - 1, next_index - 1)
+            last_good = numbers[-1]
+            _settle(etcf, block, rows, seeds, mismatches, start, fail_reasons)
+            del numbers, texts, taken, block  # the next chunk is read holding none
+            continue
+        entries = [_object(text) for text in texts]
+        heads, block, written = _read_rounds(etcf, entries)
+        for row, (number, text, entry, head) in enumerate(zip(numbers, texts, entries, heads)):
             if footer is not None:  # the footer is the last line
                 what = "corrupt record" if entry is None else "record after the footer"
                 mismatches.append(f"line {number}: {what}")

@@ -360,6 +360,42 @@ class TestReplay:
                 tracemalloc.stop()
         assert peaks[10] - peaks[5] <= 256 * 1024
 
+    def test_replay_memory_is_bounded_on_round_lines_of_any_length(self, tmp_path):
+        # A round line longer than any the writer writes is a corrupt record, read in
+        # pieces and never held: 256 lines of 1 MB each leave the peak far below 256 MB.
+        transcript, store = self.run_and_paths(tmp_path, rounds=256, seed=37)
+        lines = Path(transcript).read_bytes().splitlines(keepends=True)
+        with open(transcript, "wb") as fh:
+            fh.write(lines[0])
+            for line in lines[1:-1]:
+                fh.write(line[:-2] + b', "pad": "' + b"x" * (1 << 20) + b'"}\n')
+            fh.write(lines[-1])
+        tracemalloc.start()
+        try:
+            report = replay_verify(transcript, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mismatches[:2] == ["line 2: corrupt record", "line 3: corrupt record"]
+        assert peak < 32 << 20
+
+    def test_a_store_line_of_any_length_raises_replay_error(self, tmp_path):
+        # A store line longer than the writer's is corrupt, read in pieces and never held.
+        transcript, store = self.run_and_paths(tmp_path, rounds=64, seed=1)
+        lines = Path(store).read_bytes().splitlines(keepends=True)
+        with open(store, "wb") as fh:
+            fh.write(lines[0])
+            fh.write(lines[1][:-3] + b"0" * (64 << 20) + b'"}\n')
+            fh.writelines(lines[2:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReplayError, match="trapdoor store corrupt at line 2$"):
+                replay_verify(transcript, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
     def test_malformed_device_messages_replay_to_a_match(self, tmp_path):
         # The writer marks a side whose device sent a malformed message and drops
         # each response it got wrong; replay reads the side as the writer wrote it.
@@ -693,6 +729,55 @@ MISPLACED_FOOTERS = {
     "round-after-the-footer": lambda t: (
         [*t, t[1]], [f"line {len(t) + 1}: record after the footer"]
     ),
+}
+
+
+def _test_round_with_win_na(transcript, store):
+    lines, number = _mutated(transcript, _is_challenge_a_test, lambda e: e.update(win="na"))
+    index = json.loads(lines[number - 1])["i"]
+    return lines, [f"line {number}: round {index} verdict should be pass"]
+
+
+def _index_of_20_digits(transcript, store):
+    # No int64 holds it.
+    lines, number = _mutated(transcript, lambda e: e["record"] == "round",
+                             lambda e: e.update(i=10**19 + e["i"]), last=True)
+    return lines, [f"line {number}: round index {10**19 + 255} is outside 0..255"]
+
+
+def _product_round_as_generation(transcript, store):
+    # A product round's line in a generation round's form: its head says generate and
+    # na, and it holds the questions alone.
+    def relabel(entry):
+        return {**{name: entry[name] for name in list(entry)[:7]},
+                "tag": "generate", "win": "na", "x": entry["x"], "y": entry["y"]}
+
+    lines, number = _mutated(transcript, lambda e: e.get("rt") == "product" and "d_a" in e,
+                             relabel)
+    index = json.loads(lines[number - 1])["i"]
+    entry = next(n for n, line in enumerate(store, 1) if json.loads(line).get("i") == index)
+    return lines, [
+        f"line {number}: round {index} tag should be test",
+        f"store line {entry}: entry for round {index} is out of place",
+        f"footer: tested count should be {json.loads(transcript[-1])['tested'] - 1}",
+    ]
+
+
+def _round_beyond_the_count(transcript, store):
+    last = {**json.loads(transcript[-2]), "i": 256}
+    return [*transcript[:-1], json.dumps(last), transcript[-1]], [
+        f"line {len(transcript)}: round index 256 is outside 0..255"
+    ]
+
+
+# Lines the writer never writes, each of which the text reader must leave to the JSON
+# path: each edit of the 256-round audit transcript gives its lines and the mismatches
+# replay reports.
+UNWRITTEN_LINES = {
+    "tested-round-with-win-na": _test_round_with_win_na,
+    "index-of-20-digits": _index_of_20_digits,
+    "product-round-as-generation": _product_round_as_generation,
+    "round-beyond-the-count": _round_beyond_the_count,
 }
 
 
@@ -1489,7 +1574,8 @@ def test_a_run_with_files_builds_no_record(tmp_path, monkeypatch, name):
 
 
 class TestBlockDecoding:
-    """Replay decodes a chunk of lines at once and falls back to one line at a time."""
+    """Replay reads a chunk of the writer's own lines by their text, and decodes any other
+    chunk as JSON, one line at a time."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -1545,6 +1631,39 @@ class TestBlockDecoding:
         lines = list(lines)
         lines[number - 1] = respell(json.loads(lines[number - 1])).encode() + b"\n"
         assert self.replay(tmp_path, lines, store).match
+
+    @pytest.mark.parametrize("etcf", ["ideal", "toy-lattice"])
+    @pytest.mark.parametrize("device", ["honest", "noisy:0.05:0.05"])
+    def test_the_writers_own_lines_are_read_as_text(self, tmp_path, monkeypatch, etcf, device):
+        # Every round line and store entry the writer wrote is read by its text: of all
+        # the lines of both files, only the two headers and the footer are decoded as JSON.
+        run_experiment(config(tmp_path, rounds=2 * REPLAY_CHUNK + 5, seed=44, etcf=etcf,
+                              device=device))
+        transcript, loads, decoded = str(tmp_path / "transcript.jsonl"), json.loads, []
+        monkeypatch.setattr(harness.json, "loads", lambda text: decoded.append(text) or loads(text))
+        report = replay_verify(transcript, transcript + ".keys")
+        monkeypatch.undo()
+        assert report.match and report.rounds_checked > 0
+        assert [json.loads(text)["record"] for text in decoded] == [
+            "header", "keys-header", "footer"
+        ]
+
+    @pytest.mark.parametrize("name", sorted(UNWRITTEN_LINES))
+    def test_a_line_the_writer_never_writes_is_decoded(self, tmp_path, audit_files, name):
+        transcript, store = audit_files
+        lines, expected = UNWRITTEN_LINES[name](transcript, store)
+        assert replay_verify(*_write(tmp_path, lines, store)).mismatches == expected
+
+    def test_a_respelt_line_in_a_later_chunk_still_matches(self, tmp_path):
+        # The first test round of the second chunk of lines, its keys reversed, is
+        # decoded with its chunk, and kept.
+        run_experiment(config(tmp_path, rounds=REPLAY_CHUNK + 200, seed=45))
+        transcript = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        store = (tmp_path / "transcript.jsonl.keys").read_text().splitlines()
+        number = next(n for n in range(REPLAY_CHUNK + 1, len(transcript))
+                      if _is_challenge_a_test(json.loads(transcript[n])))
+        transcript[number] = json.dumps(dict(reversed(json.loads(transcript[number]).items())))
+        assert replay_verify(*_write(tmp_path, transcript, store)).match
 
     @pytest.mark.parametrize("etcf", ["ideal", "toy-lattice"])
     @pytest.mark.parametrize("device", ["honest", "noisy:0.05:0.05"])
