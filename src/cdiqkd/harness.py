@@ -41,6 +41,7 @@ with 12 significant digits.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -441,13 +442,15 @@ def _first(fh, limit: int) -> tuple[int, dict | None]:
     return number, None
 
 
-def _whole(chunk: list, pieces, limit: int):
+def _whole(chunk: list, fh, limit: int):
     """The lines ``chunk``'s pieces make, None for one of ``limit`` bytes or more: each
-    piece after its first, read on from ``pieces`` past the chunk's end, is dropped."""
+    piece after its first, read on from ``fh`` past the chunk's end in pieces of
+    ``io.DEFAULT_BUFFER_SIZE`` bytes, is dropped."""
     chunk = iter(chunk)
     for piece in chunk:
         if _cut(piece, limit):
-            for piece in itertools.chain(chunk, pieces):
+            rest = iter(partial(fh.readline, io.DEFAULT_BUFFER_SIZE), b"")
+            for piece in itertools.chain(chunk, rest):
                 if piece[-1:] == b"\n":
                     break
             piece = None
@@ -462,7 +465,7 @@ def _chunks(fh, limit: int, number: int):
     pieces = iter(partial(fh.readline, limit), b"")
     while chunk := list(itertools.islice(pieces, REPLAY_CHUNK)):
         if max(map(len, chunk)) == limit:  # a line may be too long
-            chunk = list(_whole(chunk, pieces, limit))
+            chunk = list(_whole(chunk, fh, limit))
         try:
             texts = list(map(str.strip, map(bytes.decode, chunk)))
         except (TypeError, UnicodeDecodeError):  # a line too long (None), or not UTF-8

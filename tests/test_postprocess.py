@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdiqkd.postprocess import (
     PaSpec,
+    _fft_length,
     final_length,
     privacy_amplify,
     reconcile,
@@ -110,6 +111,19 @@ class TestReconcileHamming:
         with pytest.raises(ValueError):
             reconcile(bits(rng, 10), bits(rng, 10), "cascade", rng)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 255, 256])
+    @pytest.mark.parametrize("scheme", ["none", "hamming74"])
+    def test_an_entry_other_than_a_bit_is_rejected(self, bad, scheme):
+        # A 2 once hashed and corrected as a 0, so keys that differ verified.
+        rng = np.random.default_rng(18)
+        key = np.zeros(7)
+        other = key.copy()
+        other[3] = bad
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            reconcile(other, key, scheme, rng)
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            reconcile(key, other, scheme, rng)
+
 
 def dense_toeplitz_hash(key, seed, m):
     # Oracle: the dense matrix T[i, j] = seed[n-1+i-j], multiplied over GF(2).
@@ -125,7 +139,10 @@ class TestToeplitz:
     @pytest.mark.parametrize(
         "n, m",
         [(0, 0), (1, 0), (1, 1), (9, 0), (9, 9), (13, 5), (64, 64), (101, 37), (1000, 1),
-         (1501, 1501), (4097, 257), (16383, 64), (16384, 64), (16384, 129)] + RANDOM_SHAPES,
+         (1501, 1501), (4097, 257), (16383, 64), (16384, 64), (16384, 129),
+         # n + m - 1 one past a power of two, exactly 5-smooth (2000 = 2^4 5^3),
+         # one past a 5-smooth number, and a pure power of 5.
+         (4000, 98), (1500, 501), (1500, 502), (3000, 126), (600, 26)] + RANDOM_SHAPES,
     )
     def test_fft_product_matches_dense_oracle(self, n, m):
         rng = np.random.default_rng(n * 31 + m)
@@ -139,6 +156,41 @@ class TestToeplitz:
                 np.testing.assert_array_equal(
                     toeplitz_hash(key, hash_seed, 64), dense_toeplitz_hash(key, hash_seed, 64)
                 )
+
+    def test_fft_length_is_the_least_5_smooth_length(self):
+        def smooth(length):
+            for p in (2, 3, 5):
+                while length % p == 0:
+                    length //= p
+            return length == 1
+
+        expected = 5120  # 2^10 5, the least 5-smooth length above 5,000
+        for target in range(5000, 0, -1):  # the least 5-smooth length >= target
+            if smooth(target):
+                expected = target
+            assert _fft_length(target) == expected, target
+
+    def test_largest_sums_are_exact(self):
+        # All-ones seed and key: every output sums all n products, the most
+        # the product can hold, so each bit is n mod 2.
+        n = (1 << 17) + 1
+        m = n // 2
+        out = toeplitz_hash(np.ones(n, dtype=np.uint8), np.ones(n + m - 1, dtype=np.uint8), m)
+        np.testing.assert_array_equal(out, np.full(m, n & 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 5), (5, 0), (1, 1), (40, 64), (1000, 300)])
+    def test_a_stack_of_keys_hashes_each_row_alone(self, n, m):
+        rng = np.random.default_rng(n + m)
+        seed = bits(rng, max(n + m - 1, 0))
+        keys = np.stack([bits(rng, n), bits(rng, n)])
+        stacked = toeplitz_hash(keys, seed, m)
+        assert stacked.shape == (2, m)
+        for key, row in zip(keys, stacked):
+            np.testing.assert_array_equal(row, toeplitz_hash(key, seed, m))
+
+    def test_negative_output_length_is_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            toeplitz_hash(np.ones(10, dtype=np.uint8), np.ones(20, dtype=np.uint8), -3)
 
     def test_short_seed_is_rejected(self):
         rng = np.random.default_rng(17)
@@ -194,6 +246,14 @@ class TestPrivacyAmplify:
             privacy_amplify(bits(rng, 5), PaSpec(bits(rng, 3), 5, 2))
         with pytest.raises(ValueError):
             privacy_amplify(bits(rng, 4), PaSpec(bits(rng, 6), 5, 2))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_an_entry_other_than_a_bit_is_rejected(self, bad):
+        rng = np.random.default_rng(19)
+        key = bits(rng, 10).astype(float)
+        key[4] = bad
+        with pytest.raises(ValueError, match="other than 0 or 1"):
+            privacy_amplify(key, PaSpec(bits(rng, 14), 10, 5))
 
     def test_zero_output_length(self):
         rng = np.random.default_rng(16)
