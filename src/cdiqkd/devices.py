@@ -8,7 +8,8 @@ knows a family's law: ``etcf`` is the one module that does.  The honest
 device draws its domain points with ``etcf.sample_domain``, and commits
 through ``etcf.DrawnKeys.claws`` on a block's keys as drawn (or stacked,
 ``etcf.stack_keys``), which gives each claw-free key's claw partner too,
-as these desk-scale keys make claws public (``etcf.claw_partner``).
+as these desk-scale keys make claws public (``etcf.claw_partner`` is the
+one-key case of that map).
 
 The honest device is simulated classically: a commitment draw plus a
 one-qubit descriptor per side (the closed forms the protocol analysis

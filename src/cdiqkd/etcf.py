@@ -31,13 +31,18 @@ them mod q.  So any seed yields a key its family draws, and the seed is all
 a trapdoor store keeps of a key; an ideal key is nothing but its seed.
 Each family draws a list of keys as stacked arrays at once
 (``keygen_ideal``, ``keygen_toy``), a ``DrawnKeys`` that builds each key
-only when it is read, and evaluates (``DrawnKeys.claws``), checks and
-inverts many keys at once.  This is the one module that knows a family's
-law: ``draw_keys`` picks the family of keys (``keygen`` is its one-key
-case), ``sample_domain`` of domain points, and ``_SIZES`` names each
-family's sizes.  Keys are immutable plain data, and each key is its own
-trapdoor: an ideal key's permutations invert it, and a claw-free toy key's
-shift A s begins with s.
+only when it is read, and evaluates (``DrawnKeys.claws``), checks
+(``check_preimages``) and inverts (``preimages``) many keys at once.  This
+is the one module that knows a family's law, and it states each law once,
+in those three maps: the one-key calls (``evaluate`` and each key's
+``evaluate``, ``invert``, ``check_preimage``, ``claw_partner``, ``image``)
+run them on the key as a one-row ``DrawnKeys``, built once from its own
+seed or arrays, and ``encode_vector`` and ``decode_vector`` are one row of
+``encode_vectors`` and ``_decode_vectors``.  ``draw_keys`` picks the family
+of keys (``keygen`` is its one-key case), ``sample_domain`` of domain
+points, and ``_SIZES`` names each family's sizes.  Keys are immutable plain
+data, and each key is its own trapdoor: an ideal key's permutations invert
+it, and a claw-free toy key's shift A s begins with s.
 
 Domain and codomain elements cross module boundaries as fixed-width bit
 strings packed into ints (lattice vectors via little-endian per-coordinate
@@ -131,8 +136,8 @@ def _is_prime(v: int) -> bool:
 class IdealKeyPair:
     """An ideal key: its kind, its domain width and its 64-bit key seed, which is all
     of it.  f_b(x) and its inverse are keyed permutations of the seed (``_claws``,
-    ``_preimages``), evaluated when asked, at one point on Python ints
-    (``_claws_at``, ``_preimage``); ``tables`` lists f_0 and f_1 whole.
+    ``_preimages``), evaluated when asked, at one point as the key's one-row
+    ``DrawnKeys`` (``_row``); ``tables`` lists f_0 and f_1 whole.
 
     Codomain width is domain_bits + 2 for both kinds: wide enough that every pair
     leaves non-image points (so invalid commitments are detectable), and that key
@@ -151,41 +156,20 @@ class IdealKeyPair:
         return fits(x, self.domain_bits)
 
     def evaluate(self, b: int, x: int) -> int:
-        return self._claws_at(b, x)[0]
+        return _claws_of(self, b, x)[0]
 
     @functools.cached_property
     def tables(self) -> np.ndarray:
         """(2, 2**domain_bits) int64, read-only: tables[b][x] is f_b(x), computed once
         for inspection."""
-        size = 1 << self.domain_bits
-        branch, x = np.divmod(np.arange(2 * size), size)
-        seeds = np.full(2 * size, self.seed, dtype=np.uint64)
-        claw_free = np.full(2 * size, self.kind is KeyKind.CLAW_FREE)
-        table = _claws(seeds, claw_free, self.domain_bits, branch, x)[0].reshape(2, size)
+        table = _domain_images(self)
         table.flags.writeable = False
         return table
 
-    def _claws_at(self, b: int, x: int) -> tuple[int, int]:
-        """``_claws`` of this key at one branch bit and domain point, each checked, on
-        Python ints."""
-        if not fits(b, 1):
-            raise ValueError(f"branch bit must be 0/1, got {b}")
-        if not self.in_domain(x):
-            raise ValueError(f"{x} outside the {self.domain_bits}-bit domain")
-        b, x, w, seed = int(b), int(x), self.domain_bits, self.seed
-        if self.kind is KeyKind.INJECTIVE:
-            return _permute_one(seed, 1, w + 2, b << w | x, False), 0
-        partner = _permute_one(seed, _m_first(w), w, x, b == 1)
-        return _permute_one(seed, 1, w + 2, partner if b else x, False), partner
-
-    def _preimage(self, c: int):
-        """``invert`` of a codomain point ``c`` under this key, on Python ints: the claw
-        (x0, x1), or (b, x) for an injective key; None if ``c`` has no preimage."""
-        w, seed = self.domain_bits, self.seed
-        v = _permute_one(seed, 1, w + 2, c, True)
-        if self.kind is KeyKind.INJECTIVE:
-            return (v >> w, v & ((1 << w) - 1)) if v >> w < 2 else None
-        return (v, _permute_one(seed, _m_first(w), w, v, False)) if v >> w == 0 else None
+    @functools.cached_property
+    def _row(self) -> DrawnKeys:
+        """This key as a one-row ``DrawnKeys`` (``_rows``), built once."""
+        return _rows(self, 1)
 
 
 # SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
@@ -253,9 +237,10 @@ def _permute(seeds: np.ndarray, first: int, bits: int, values: np.ndarray,
     A round on halves of two bits or more is an even permutation (Even & Goldreich
     1983); 1-bit halves, as M has at w = 2, reach odd ones too.
     P^-1 runs the rounds from the last, on the halves swapped at each end.  Up to
-    ``_FEW_VALUES`` values are permuted on Python ints (``_permute_one``), as one key's
-    scalar calls and a one-round block's two sides permute theirs: a value takes about
-    5 us there, where the numpy rounds take 45-55 us a call whatever its size.
+    ``_FEW_VALUES`` values are permuted on Python ints (``_permute_one``), as a one-row
+    ``DrawnKeys`` (one key's ``evaluate``, ``invert``, ``check_preimage`` or
+    ``claw_partner``) and a one-round block's two sides permute theirs: a value takes
+    about 5 us there, where the numpy rounds take 45-55 us a call whatever its size.
     """
     if len(values) <= _FEW_VALUES:
         backward = inverse.tolist() if np.ndim(inverse) else itertools.repeat(bool(inverse))
@@ -383,12 +368,9 @@ def key_widths(params: EtcfParams) -> tuple[int, int]:
 
 
 def encode_vector(vec: np.ndarray, q: int) -> int:
-    """Pack a mod-q vector into an int, little-endian bits per coordinate."""
-    cb = _coord_bits(q)
-    value = 0
-    for i, coord in enumerate(vec):
-        value |= int(coord) << (i * cb)
-    return value
+    """Pack a mod-q vector into an int, little-endian bits per coordinate: one row of
+    ``encode_vectors``."""
+    return int(encode_vectors(np.asarray(vec, dtype=np.int64)[None], q)[0])
 
 
 def encode_vectors(vectors: np.ndarray, q: int) -> np.ndarray:
@@ -399,18 +381,13 @@ def encode_vectors(vectors: np.ndarray, q: int) -> np.ndarray:
 
 
 def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
-    """Inverse of encode_vector; None if any coordinate decodes to >= q."""
-    cb = _coord_bits(q)
-    mask = (1 << cb) - 1
-    out = np.empty(length, dtype=np.int64)
-    for i in range(length):
-        coord = (value >> (i * cb)) & mask
-        if coord >= q:
-            return None
-        out[i] = coord
-    if value >> (length * cb):
+    """Inverse of encode_vector, one row of ``_decode_vectors``; None if ``value`` is
+    not a string of ``length`` coordinates or any coordinate decodes to >= q.  A
+    string is read as an int64, as every family's are at most 63 bits."""
+    if not fits(value, length * _coord_bits(q)):
         return None
-    return out
+    vectors, valid = _decode_vectors(np.array([value], dtype=np.int64), length, q)
+    return vectors[0] if valid[0] else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,16 +413,15 @@ class ToyLatticeKeyPair:
         return self.m * _coord_bits(self.q)
 
     def in_domain(self, x: int) -> bool:
-        return fits(x, self.domain_bits) and decode_vector(x, self.n, self.q) is not None
+        return decode_vector(x, self.n, self.q) is not None
 
     def evaluate(self, b: int, x: int) -> int:
-        if not fits(b, 1):
-            raise ValueError(f"branch bit must be 0/1, got {b}")
-        vec = decode_vector(x, self.n, self.q) if fits(x, self.domain_bits) else None
-        if vec is None:
-            raise ValueError(f"{x} does not encode a vector in the domain")
-        y = (self.matrix @ vec + b * self.shift) % self.q
-        return encode_vector(y, self.q)
+        return _claws_of(self, b, x)[0]
+
+    @functools.cached_property
+    def _row(self) -> DrawnKeys:
+        """This key as a one-row ``DrawnKeys`` (``_rows``), built once."""
+        return _rows(self, 1)
 
 
 def _in_column_space(lower: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
@@ -501,13 +477,6 @@ def keygen_toy(kinds, params: EtcfParams, seeds: np.ndarray) -> DrawnKeys:
                 first += m
             shifts[rows] = tails
     return DrawnKeys(params, claw_free, (matrices, shifts))
-
-
-def _solve(key: ToyLatticeKeyPair, y: np.ndarray):
-    """The x with A x = y over Z_q: A = [I; R], so x is y's first n coordinates, kept
-    if R x is y's rest; None when y is outside the column space of A."""
-    x = y[:key.n]
-    return None if np.any((key.matrix @ x - y) % key.q) else x
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +626,45 @@ def evaluate(key: EtcfKeyPair, b: int, x: int) -> int:
     return key.evaluate(b, x)
 
 
+# The row of a one-row ``DrawnKeys``, as ``check_preimages`` and ``preimages`` take rows.
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+_FIRST_ROW.flags.writeable = False
+
+
+def _claws_of(key: EtcfKeyPair, b: int, x: int) -> tuple[int, int]:
+    """``DrawnKeys.claws`` of ``key``'s one row at branch bit ``b`` and domain point
+    ``x``, each checked, as Python ints."""
+    if not fits(b, 1):
+        raise ValueError(f"branch bit must be 0/1, got {b}")
+    if not key.in_domain(x):
+        if isinstance(key, IdealKeyPair):
+            raise ValueError(f"{x} outside the {key.domain_bits}-bit domain")
+        raise ValueError(f"{x} does not encode a vector in the domain")
+    images, partners = key._row.claws(np.array([b], dtype=np.int64), np.array([x], dtype=np.int64))
+    return int(images[0]), int(partners[0])
+
+
+def _rows(key: EtcfKeyPair, count: int) -> DrawnKeys:
+    """``count`` rows of ``key`` as a ``DrawnKeys``: its seed, or views of its arrays."""
+    claw_free = np.full(count, key.kind is KeyKind.CLAW_FREE)
+    if isinstance(key, IdealKeyPair):
+        return keygen_ideal(claw_free, key.domain_bits, np.full(count, key.seed, dtype=np.uint64))
+    params = EtcfParams("toy-lattice", n=key.n, m=key.m, q=key.q)
+    arrays = (key.matrix, key.shift)
+    return DrawnKeys(params, claw_free, tuple(np.broadcast_to(a, (count, *a.shape)) for a in arrays))
+
+
+def _domain_images(key: EtcfKeyPair) -> np.ndarray:
+    """(2, domain size) int64: f_b(x) at each branch bit b and domain point x of ``key``,
+    by one ``DrawnKeys.claws`` call on that many rows of it."""
+    if isinstance(key, IdealKeyPair):
+        domain = np.arange(1 << key.domain_bits)
+    else:
+        domain = encode_vectors(np.indices((key.q,) * key.n).reshape(key.n, -1).T, key.q)
+    rows = _rows(key, 2 * len(domain))
+    return rows.claws(np.repeat([0, 1], len(domain)), np.tile(domain, 2))[0].reshape(2, -1)
+
+
 def invert(key: EtcfKeyPair, y: int):
     """Trapdoor inversion: the key is its own trapdoor.
 
@@ -665,25 +673,16 @@ def invert(key: EtcfKeyPair, y: int):
     """
     if not fits(y, key.codomain_bits):
         raise NoPreimageError(f"{y} outside the codomain")
-    if isinstance(key, IdealKeyPair):
-        preimage = key._preimage(int(y))
-        if preimage is None:
-            raise NoPreimageError(f"{y} has no preimage")
-        return preimage
-    vec = decode_vector(y, key.m, key.q)
-    if vec is None:
-        raise NoPreimageError(f"{y} does not encode a codomain vector")
+    hits, x = key._row.preimages(_FIRST_ROW, np.array([y], dtype=np.int64))
+    hit = hits[0].tolist()
+    if not any(hit):
+        if isinstance(key, ToyLatticeKeyPair) and decode_vector(y, key.m, key.q) is None:
+            raise NoPreimageError(f"{y} does not encode a codomain vector")
+        raise NoPreimageError(f"{y} has no preimage")
     if key.kind is KeyKind.CLAW_FREE:
-        x0 = _solve(key, vec)
-        if x0 is None:
-            raise NoPreimageError(f"{y} has no preimage")
-        x1 = (x0 - key.shift[:key.n]) % key.q  # the shift A s begins with s
-        return encode_vector(x0, key.q), encode_vector(x1, key.q)
-    for b in (0, 1):
-        x = _solve(key, (vec - b * key.shift) % key.q)
-        if x is not None:
-            return b, encode_vector(x, key.q)
-    raise NoPreimageError(f"{y} has no preimage")
+        return tuple(x[0].tolist())
+    b = hit.index(True)
+    return b, int(x[0, b])
 
 
 def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
@@ -691,14 +690,15 @@ def check_preimage(key: EtcfKeyPair, z: int, c: int) -> bool:
 
     The first bit of z selects the branch, the remainder is the domain
     element.  Raises on a z outside the (1 + domain_bits)-wide range; a z
-    whose remainder is not a valid domain encoding simply fails the check.
+    whose remainder is not a valid domain encoding simply fails the check,
+    as does a c that is not a codomain string.
     """
     if not fits(z, 1 + key.domain_bits):
         raise ValueError(f"malformed z: not a {1 + key.domain_bits}-bit string")
-    b, x = z & 1, z >> 1
-    if not key.in_domain(x):
+    if not fits(c, key.codomain_bits):
         return False
-    return bool(key.evaluate(b, x) == c)
+    z, c = np.array([z], dtype=np.int64), np.array([c], dtype=np.int64)
+    return bool(key._row.check_preimages(_FIRST_ROW, z, c)[0])
 
 
 def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
@@ -707,37 +707,17 @@ def claw_partner(key: EtcfKeyPair, b: int, x: int) -> int:
     For these desk-scale families the claw is publicly computable (M or its
     inverse, or s read off the shift A s), as each key is its own trapdoor;
     this stands in for the claw an honest device holds in superposition.
+    A toy-lattice key reads any b but 0 as 1: its partner is then x + s.
     """
     if key.kind is not KeyKind.CLAW_FREE:
         raise ValueError("claw_partner is defined for claw-free keys only")
-    if isinstance(key, IdealKeyPair):
-        return key._claws_at(b, x)[1]
-    # Noise-free instance in systematic form: the shift A s begins with s.
-    secret = key.shift[:key.n]
-    vec = decode_vector(x, key.n, key.q)
-    if vec is None:
-        raise ValueError(f"{x} does not encode a vector in the domain")
-    partner = (vec - secret) % key.q if b == 0 else (vec + secret) % key.q
-    return encode_vector(partner, key.q)
+    if isinstance(key, ToyLatticeKeyPair):
+        b = int(b != 0)
+    return _claws_of(key, b, x)[1]
 
 
 def image(key: EtcfKeyPair) -> set[int]:
-    """The image of the pair, by exhaustive evaluation.  Desk scale only."""
-    if isinstance(key, IdealKeyPair):
-        return set(int(v) for v in key.tables.ravel())
-    points = set()
-    for b in (0, 1):
-        for x in _domain_iter(key):
-            points.add(key.evaluate(b, x))
-    return points
-
-
-def _domain_iter(key: ToyLatticeKeyPair):
-    cb = _coord_bits(key.q)
-    for packed in range(key.q ** key.n):
-        vec = np.empty(key.n, dtype=np.int64)
-        rest = packed
-        for i in range(key.n):
-            vec[i] = rest % key.q
-            rest //= key.q
-        yield encode_vector(vec, key.q)
+    """The image of the pair, by exhaustive evaluation (``_domain_images``).  Desk
+    scale only."""
+    table = key.tables if isinstance(key, IdealKeyPair) else _domain_images(key)
+    return set(table.ravel().tolist())

@@ -111,11 +111,11 @@ def toeplitz_hash(key: np.ndarray, seed: np.ndarray, output_len: int) -> np.ndar
     return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
-def _bits(key) -> np.ndarray:
+def _bits(key, name: str = "key") -> np.ndarray:
     """``key`` as a uint8 array; ValueError if an entry is other than 0 or 1."""
     key = np.asarray(key)
     if not ((key == 0) | (key == 1)).all():
-        raise ValueError("a key entry is other than 0 or 1")
+        raise ValueError(f"a {name} entry is other than 0 or 1")
     return key.astype(np.uint8, copy=False)
 
 
@@ -167,12 +167,13 @@ def reconcile(
 
 
 def privacy_amplify(key: np.ndarray, spec: PaSpec) -> np.ndarray:
-    """Compress with the Toeplitz extractor: output = T(seed) key over GF(2)."""
+    """Compress with the Toeplitz extractor: output = T(seed) key over GF(2).  Every
+    entry of the key and of the seed must be 0 or 1."""
     key = _bits(key)
     if len(key) != spec.input_len:
         raise ValueError(f"key length {len(key)} != spec input length {spec.input_len}")
     spec.validate()
-    return toeplitz_hash(key, np.asarray(spec.seed, dtype=np.uint8), spec.output_len)
+    return toeplitz_hash(key, _bits(spec.seed, "seed"), spec.output_len)
 
 
 def final_length(n_raw: int, qber_est: float, leak_bits: int, eps_sec: float) -> int:

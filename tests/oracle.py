@@ -3,10 +3,11 @@ the verdict kernel (``cdiqkd.protocol.verdicts``) is tested against.
 
 ``records`` reads a decided block's replies as sent, one side at a time, through
 ``ingest_side``; ``_verdict`` scores one record, inverting its commitments one key
-at a time, and ``_generation_bits`` takes one generation round's key-bit pair.  The
-only code it shares with the kernel is the statevector support ``_support_of``,
-which the kernel reads as a table: message reading, inversion, the checks and the
-key-bit rule are each stated here apart from the kernel's arrays.
+at a time by the scalar ETCF maps (``etcf_oracle``), and ``_generation_bits`` takes
+one generation round's key-bit pair.  The only code it shares with the kernel is the
+statevector support ``_support_of``, which the kernel reads as a table: message
+reading, inversion, the checks and the key-bit rule are each stated here apart from
+the kernel's arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from cdiqkd.bits import fits
 from cdiqkd.devices import ChallengeType
-from cdiqkd.etcf import KeyKind, NoPreimageError, check_preimage, invert
+from cdiqkd.etcf import KeyKind, NoPreimageError
 from cdiqkd.protocol import (
     _BASES,
     _CHALLENGES,
@@ -31,6 +32,8 @@ from cdiqkd.protocol import (
 )
 from cdiqkd.quantum import MeasurementBasis
 from cdiqkd.streams import SEED_BYTES
+
+from .etcf_oracle import check_preimage, invert
 
 
 def records(block) -> list[RoundRecord]:

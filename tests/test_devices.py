@@ -25,16 +25,7 @@ from cdiqkd.devices import (
     honest_commit,
     make_device,
 )
-from cdiqkd.etcf import (
-    EtcfParams,
-    KeyKind,
-    check_preimage,
-    claw_partner,
-    evaluate,
-    image,
-    invert,
-    keygen,
-)
+from cdiqkd.etcf import EtcfParams, KeyKind, keygen, stack_keys
 from cdiqkd.quantum import (
     MeasurementBasis,
     StateVector,
@@ -44,6 +35,9 @@ from cdiqkd.quantum import (
     plus_minus,
 )
 
+# Replies are checked against the scalar law, which shares no code with the batch maps
+# that the devices commit through.
+from .etcf_oracle import check_preimage, claw_partner, evaluate, image, invert
 from .helpers import assert_frequency, assert_multinomial
 
 COMP = MeasurementBasis.COMPUTATIONAL
@@ -415,21 +409,19 @@ class TestScriptedDevices:
         assert np.all((0 <= d_b) & (d_b < 1 << key_b.domain_bits))
 
     def test_random_preimage_pass_rate_matches_enumeration(self):
-        """Empirical check-pass rate of uniform (z, c) vs exhaustive counting."""
+        """Empirical check-pass rate of uniform (z, c) vs exhaustive counting, each pair
+        checked as the verifier checks a block (``DrawnKeys.check_preimages``)."""
         key, _ = claw_free_key(w=4, seed=30)
+        keys = stack_keys([key])
         z_space = 1 << (1 + key.domain_bits)
         c_space = 1 << key.codomain_bits
-        valid = sum(
-            check_preimage(key, z, c) for z in range(z_space) for c in range(c_space)
-        )
+        z, c = np.divmod(np.arange(z_space * c_space), c_space)
+        valid = np.count_nonzero(keys.check_preimages(np.zeros(len(z), dtype=np.intp), z, c))
         expected = valid / (z_space * c_space)
         rng = np.random.default_rng(30)
-        passes = 0
         n = 20_000
-        for _ in range(n):
-            z = int(rng.integers(z_space))
-            c = int(rng.integers(c_space))
-            passes += check_preimage(key, z, c)
+        z, c = np.array([(rng.integers(z_space), rng.integers(c_space)) for _ in range(n)]).T
+        passes = np.count_nonzero(keys.check_preimages(np.zeros(n, dtype=np.intp), z, c))
         assert_frequency(passes, n, expected, "uniform z/c pass rate")
 
 

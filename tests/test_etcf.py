@@ -1,8 +1,14 @@
 """ETCF family tests: exhaustive structure, inversion, claw identities."""
 
+import ast
+import contextlib
+import hashlib
+import io
 import itertools
 import math
+import runpy
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +23,7 @@ from cdiqkd.etcf import (
     claw_partner,
     decode_vector,
     encode_vector,
+    encode_vectors,
     evaluate,
     image,
     invert,
@@ -25,12 +32,12 @@ from cdiqkd.etcf import (
     keygen_ideal,
     keygen_toy,
     sample_domain,
-    _solve,
 )
 from cdiqkd import etcf
 from cdiqkd.devices import make_device
 from cdiqkd.protocol import ProtocolParams, run_session
 
+from . import etcf_oracle
 from .helpers import (
     assert_multinomial,
     documented_tables,
@@ -233,8 +240,9 @@ class TestKeyedPermutation:
 @pytest.mark.parametrize("kind", list(KeyKind))
 @pytest.mark.parametrize("w", [2, 3, 4, 5, 6])
 def test_one_key_calls_are_the_array_maps_at_every_point(w, kind):
-    # evaluate, claw_partner, invert and check_preimage of one ideal key, on Python
-    # ints, are _claws and _preimages of its seed at every point of their ranges.
+    # evaluate, claw_partner, invert and check_preimage of one ideal key, and _claws and
+    # _preimages of its seed, are the scalar maps (etcf_oracle) at every point of their
+    # ranges.
     size, claw_free = 1 << w, kind is KeyKind.CLAW_FREE
     for seed in (0, 7, 2**64 - 1, 0x9E3779B97F4A7C15):
         key, _ = keygen(kind, ideal(w), seed)
@@ -243,23 +251,25 @@ def test_one_key_calls_are_the_array_maps_at_every_point(w, kind):
         images, partners = etcf._claws(seeds, np.full(2 * size, claw_free), w, branch, x)
         for b, point, y, partner in zip(branch.tolist(), x.tolist(), images.tolist(),
                                         partners.tolist()):
-            assert evaluate(key, b, point) == y
+            assert evaluate(key, b, point) == y == etcf_oracle.evaluate(key, b, point)
             assert check_preimage(key, point << 1 | b, y)
             assert not check_preimage(key, point << 1 | b, y ^ 1)
             if claw_free:
                 assert claw_partner(key, b, point) == partner
+                assert partner == etcf_oracle.claw_partner(key, b, point)
         c = np.arange(4 * size)
         hits, preimages = etcf._preimages(np.full(4 * size, seed, dtype=np.uint64),
                                           np.full(4 * size, claw_free), w, c)
         for point, hit, pair in zip(c.tolist(), hits.tolist(), preimages.tolist()):
             if not any(hit):
-                with pytest.raises(NoPreimageError):
-                    invert(key, point)
+                for scalar in (invert, etcf_oracle.invert):
+                    with pytest.raises(NoPreimageError):
+                        scalar(key, point)
             elif claw_free:
-                assert invert(key, point) == tuple(pair)
+                assert invert(key, point) == tuple(pair) == etcf_oracle.invert(key, point)
             else:
                 b = hit.index(True)
-                assert invert(key, point) == (b, pair[b])
+                assert invert(key, point) == (b, pair[b]) == etcf_oracle.invert(key, point)
 
 
 class TestBatchedIdealKeygen:
@@ -394,6 +404,23 @@ class TestBatchedToyKeygen:
         _assert_reference_keys([key], [kind], params, [int(drawn)])
 
 
+@pytest.mark.parametrize("n, m, q", TOY_SIZES)
+def test_vector_codes_are_the_loop_codes(n, m, q):
+    # encode_vector and decode_vector, one row of the array codes, are the
+    # per-coordinate loops (etcf_oracle) at every width, up to 63-bit strings: on
+    # vectors mod q, and on strings with coordinates of q or more, too wide or negative.
+    rng = np.random.default_rng(m)
+    width = m * (q - 1).bit_length()
+    for vec in rng.integers(q, size=(100, m)):
+        assert encode_vector(vec, q) == etcf_oracle.encode_vector(vec, q)
+        assert type(encode_vector(vec, q)) is int
+    strings = rng.integers(1 << width, size=200, dtype=np.uint64).tolist()
+    for value in [*strings, 0, (1 << width) - 1, 1 << width, -1]:
+        decoded, expected = decode_vector(value, m, q), etcf_oracle.decode_vector(value, m, q)
+        assert (decoded is None) == (expected is None)
+        assert expected is None or decoded.tolist() == expected.tolist()
+
+
 class TestToyLattice:
     def test_shift_identity_on_random_inputs(self):
         # f1(x - s) = f0(x): the construction's claw identity.
@@ -472,7 +499,7 @@ class TestToyLattice:
         small = EtcfParams(family="toy-lattice", n=1, m=2, q=2)
         for seed in range(300):
             key, _ = keygen(KeyKind.INJECTIVE, small, seed)
-            assert _solve(key, key.shift) is None
+            assert etcf_oracle._solve(key, key.shift) is None
             assert len(image(key)) == 4  # two disjoint one-to-one branches
 
     @pytest.mark.parametrize("kind", list(KeyKind))
@@ -503,6 +530,7 @@ class TestExhaustiveToyLattice:
     def test_every_codomain_point(self, q, n, m, kind):
         params = EtcfParams(family="toy-lattice", n=n, m=m, q=q)
         domain = [encode_vector(vec, q) for vec in itertools.product(range(q), repeat=n)]
+        codomain = encode_vectors(np.array(list(itertools.product(range(q), repeat=m))), q)
         for seed in (0, 1, 2**64 - 1):
             key, trapdoor = keygen(kind, params, seed)
             preimages = {}  # codomain point -> its (b, x), branch 0 first
@@ -521,11 +549,16 @@ class TestExhaustiveToyLattice:
                 assert len(points) == 2 * q**n
                 for y, pairs in preimages.items():
                     assert pairs == [invert(trapdoor, y)]
-            for vec in itertools.product(range(q), repeat=m):
-                y = encode_vector(vec, q)
-                if y not in points:
-                    with pytest.raises(NoPreimageError):
-                        invert(trapdoor, y)
+            # Every codomain point, through the map that invert runs, in one call on the
+            # key's row: a preimage under exactly the branches the definitions give.
+            everywhere = np.zeros(len(codomain), dtype=np.intp)
+            hits, found = etcf.stack_keys([trapdoor]).preimages(everywhere, codomain)
+            for y, hit, pair in zip(codomain.tolist(), hits.tolist(), found.tolist()):
+                assert preimages.get(y, []) == [(b, pair[b]) for b in (0, 1) if hit[b]]
+            gaps = sorted(set(codomain.tolist()) - points)
+            if gaps:  # the one-key call raises where the map finds no preimage
+                with pytest.raises(NoPreimageError, match="has no preimage"):
+                    invert(trapdoor, gaps[0])
 
 
 class TestCheckPreimage:
@@ -583,9 +616,48 @@ def test_batch_maps_are_the_scalar_maps(params):
     assert {key.kind for key in keys} == set(KeyKind)
     for key, b, point, c, partner in zip(keys, branch.tolist(), x.tolist(), images.tolist(),
                                          partners.tolist()):
-        assert c == evaluate(key, b, point)
+        assert c == etcf_oracle.evaluate(key, b, point)
         if key.kind is KeyKind.CLAW_FREE:
-            assert partner == claw_partner(key, b, point)
+            assert partner == etcf_oracle.claw_partner(key, b, point)
+    # check_preimages and preimages, at keys read in any order: each key's honest z and
+    # c; the same with x, then c, raised by q in its first coordinate (by 1 for an ideal
+    # key), where it fits, which is their value mod q; then z and c drawn over their
+    # whole widths.  So they reach points outside the image, remainders outside the
+    # domain and coordinates of q or more.
+    domain_bits, codomain_bits = etcf.key_widths(params)
+    step = params.q if params.family == "toy-lattice" else 1
+    every, honest = np.arange(200), x << 1 | branch
+    raise_x, raise_c = x + step < 1 << domain_bits, images + step < 1 << codomain_bits
+    rows = np.concatenate([every, every[raise_x], every[raise_c], rng.integers(200, size=600)])
+    z = np.concatenate([honest, honest[raise_x] + (step << 1), honest[raise_c],
+                        rng.integers(2 << domain_bits, size=600)])
+    c = np.concatenate([images, images[raise_x], images[raise_c] + step,
+                        rng.integers(1 << codomain_bits, size=600)])
+    checks = keys.check_preimages(rows, z, c)
+    hits, preimages = keys.preimages(rows, c)
+    assert checks[:200].all() and hits[:200].any(axis=1).all()
+    reached = Counter()
+    for row, z_i, c_i, ok, hit, pair in zip(rows.tolist(), z.tolist(), c.tolist(),
+                                             checks.tolist(), hits.tolist(), preimages.tolist()):
+        key = keys[row]
+        assert ok == etcf_oracle.check_preimage(key, z_i, c_i)
+        if not any(hit):
+            reached["outside the image"] += 1
+            with pytest.raises(NoPreimageError):
+                etcf_oracle.invert(key, c_i)
+        elif key.kind is KeyKind.CLAW_FREE:
+            assert hit == [True, True] and tuple(pair) == etcf_oracle.invert(key, c_i)
+        else:
+            b = hit.index(True)
+            assert hit.count(True) == 1 and (b, pair[b]) == etcf_oracle.invert(key, c_i)
+        if params.family == "toy-lattice":
+            reached["remainder outside the domain"] += etcf_oracle.decode_vector(
+                z_i >> 1, key.n, key.q) is None
+            reached["coordinate of q or more"] += etcf_oracle.decode_vector(
+                c_i, key.m, key.q) is None
+    assert reached["outside the image"]
+    if params.family == "toy-lattice" and params.q & (params.q - 1):  # q not a power of 2
+        assert reached["remainder outside the domain"] and reached["coordinate of q or more"]
 
 
 @pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])
@@ -602,6 +674,65 @@ def test_numpy_integer_arguments_read_as_ints(kind, params):
             z = b | x << 1
             for c in (y, y ^ 1):
                 assert check_preimage(key, np.int64(z), np.int64(c)) is check_preimage(key, z, c)
+
+
+@pytest.mark.parametrize("integer", [int, np.int64], ids=["int", "int64"])
+@pytest.mark.parametrize("kind", [KeyKind.CLAW_FREE, KeyKind.INJECTIVE])
+@pytest.mark.parametrize("params", [ideal(4), TOY], ids=["ideal", "toy"])
+def test_one_key_calls_return_python_values(params, kind, integer):
+    # The one-key calls run the batch maps on numpy arrays, and return no numpy scalar:
+    # evaluate and claw_partner an int, invert a tuple of ints, check_preimage a bool.
+    key, _ = keygen(kind, params, 22)
+    for y in sorted(image(key))[:8]:
+        inverted = invert(key, integer(y))
+        assert type(inverted) is tuple and [type(v) for v in inverted] == [int, int]
+        pairs = [(0, inverted[0]), (1, inverted[1])] if kind is KeyKind.CLAW_FREE else [inverted]
+        for b, x in pairs:
+            assert type(evaluate(key, integer(b), integer(x))) is int
+            if kind is KeyKind.CLAW_FREE:
+                assert type(claw_partner(key, integer(b), integer(x))) is int
+            for c in (y, y ^ 1):
+                assert type(check_preimage(key, integer(b | x << 1), integer(c))) is bool
+
+
+def test_demo_02_prints_the_pinned_output():
+    # The trapdoor-families demo shows the one-key calls, which run the batch maps.
+    demo = Path(__file__).parents[1] / "demos" / "02_trapdoor_function_families.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "3c0849ad28314517fad40d3a4a2743f744f0f98ba1725aaaa02860a492ab79b6"
+
+
+def _imports(path: Path):
+    """Each import statement of a module, at any depth of its statements, with the
+    modules it names (``from m import a`` names m, relative ones with their dots)."""
+    statements = ast.parse(path.read_text()).body
+    while statements:
+        node = statements.pop()
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, ["." * node.level + (node.module or "")]
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            statements.extend(getattr(node, field, ()))
+
+
+def test_the_scalar_maps_share_no_code_with_the_batch_maps():
+    # etcf_oracle takes only plain data from cdiqkd.etcf, and src never imports the tests.
+    plain = {"IdealKeyPair", "ToyLatticeKeyPair", "KeyKind", "EtcfParams", "NoPreimageError",
+             "fits"}
+    engine = [node for node, modules in _imports(Path(etcf_oracle.__file__))
+              if any(module.split(".")[0] == "cdiqkd" for module in modules)]
+    assert engine
+    for node in engine:
+        assert isinstance(node, ast.ImportFrom) and node.module == "cdiqkd.etcf"
+        assert {alias.name for alias in node.names} <= plain
+    for path in Path(etcf.__file__).parent.glob("*.py"):
+        for _, modules in _imports(path):
+            assert not any(module.split(".")[0] == "tests" or module.startswith("..")
+                           for module in modules), path
 
 
 @given(w=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))

@@ -255,6 +255,17 @@ class TestPrivacyAmplify:
         with pytest.raises(ValueError, match="other than 0 or 1"):
             privacy_amplify(key, PaSpec(bits(rng, 14), 10, 5))
 
+    @pytest.mark.parametrize("bad", [2, 3, -1, 0.5])
+    def test_a_seed_entry_other_than_a_bit_is_rejected(self, bad):
+        # Taken mod 2, an entry of 2 would hash an all-ones key to all zeros, and one of
+        # 3 or -1 to all ones.
+        with pytest.raises(ValueError, match="a seed entry is other than 0 or 1"):
+            privacy_amplify(np.ones(5, dtype=np.uint8), PaSpec(np.full(9, bad), 5, 5))
+        seed = bits(np.random.default_rng(20), 14).astype(float)
+        seed[7] = bad
+        with pytest.raises(ValueError, match="a seed entry is other than 0 or 1"):
+            privacy_amplify(bits(np.random.default_rng(21), 10), PaSpec(seed, 10, 5))
+
     def test_zero_output_length(self):
         rng = np.random.default_rng(16)
         out = privacy_amplify(bits(rng, 10), PaSpec(bits(rng, 9), 10, 0))

@@ -20,14 +20,7 @@ from cdiqkd.devices import (
     NoiseSpec,
     NoisyHonestDevice,
 )
-from cdiqkd.etcf import (
-    EtcfParams,
-    KeyKind,
-    evaluate,
-    image,
-    invert,
-    keygen,
-)
+from cdiqkd.etcf import EtcfParams, KeyKind, keygen
 from cdiqkd.harness import bell_test_qber
 from cdiqkd.protocol import (
     SUPPORT_TOLERANCE,
@@ -54,6 +47,7 @@ from cdiqkd.quantum import (
     tensor,
 )
 
+from .etcf_oracle import evaluate, image, invert
 from .helpers import assert_frequency, documented_tables, reference_keygen_toy
 from .oracle import _both_computational, _generation_bits
 
