@@ -369,8 +369,11 @@ def key_widths(params: EtcfParams) -> tuple[int, int]:
 
 def encode_vector(vec: np.ndarray, q: int) -> int:
     """Pack a mod-q vector into an int, little-endian bits per coordinate: one row of
-    ``encode_vectors``."""
-    return int(encode_vectors(np.asarray(vec, dtype=np.int64)[None], q)[0])
+    ``encode_vectors``, so at most 63 bits (ValueError on a wider vector)."""
+    vec = np.asarray(vec, dtype=np.int64)
+    if len(vec) * _coord_bits(q) > 63:
+        raise ValueError(f"{len(vec)} coordinates mod {q} take more than 63 bits")
+    return int(encode_vectors(vec[None], q)[0])
 
 
 def encode_vectors(vectors: np.ndarray, q: int) -> np.ndarray:
@@ -382,12 +385,24 @@ def encode_vectors(vectors: np.ndarray, q: int) -> np.ndarray:
 
 def decode_vector(value: int, length: int, q: int) -> np.ndarray | None:
     """Inverse of encode_vector, one row of ``_decode_vectors``; None if ``value`` is
-    not a string of ``length`` coordinates or any coordinate decodes to >= q.  A
-    string is read as an int64, as every family's are at most 63 bits."""
-    if not fits(value, length * _coord_bits(q)):
+    not a string of ``length`` coordinates mod q (``_encodes``).  A string is read as
+    an int64, as every family's are at most 63 bits."""
+    if not _encodes(value, length, q):
         return None
-    vectors, valid = _decode_vectors(np.array([value], dtype=np.int64), length, q)
-    return vectors[0] if valid[0] else None
+    return _decode_vectors(np.array([value], dtype=np.int64), length, q)[0][0]
+
+
+def _encodes(value, length: int, q: int) -> bool:
+    """Whether ``value`` is a string of ``length`` coordinates each below q, in a few
+    Python-int steps (about 1 us, where a one-row ``_decode_vectors`` takes 7-11 us):
+    adding 2**bits - q to each coordinate carries out of some coordinate exactly when
+    one is q or more, as the lowest such has no carry in."""
+    bits = _coord_bits(q)
+    if not fits(value, length * bits):
+        return False
+    ones = ((1 << length * bits) - 1) // ((1 << bits) - 1)  # the low bit of each coordinate
+    lift, value = ones * ((1 << bits) - q), int(value)
+    return not ((value + lift) ^ value ^ lift) & ones << bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +428,7 @@ class ToyLatticeKeyPair:
         return self.m * _coord_bits(self.q)
 
     def in_domain(self, x: int) -> bool:
-        return decode_vector(x, self.n, self.q) is not None
+        return _encodes(x, self.n, self.q)
 
     def evaluate(self, b: int, x: int) -> int:
         return _claws_of(self, b, x)[0]
@@ -569,15 +584,28 @@ class DrawnKeys:
 
 def stack_keys(keys) -> DrawnKeys:
     """``keys``, keys of one family and its sizes, as a ``DrawnKeys``: themselves if they
-    are one, else their arrays stacked."""
+    are one, else their one-row ``DrawnKeys`` (each key's ``_row``) joined."""
     if isinstance(keys, DrawnKeys):
         return keys
-    first, claw_free = keys[0], _claw_free([key.kind for key in keys])
-    if isinstance(first, IdealKeyPair):
-        seeds = np.array([key.seed for key in keys], dtype=np.uint64)
-        return DrawnKeys(EtcfParams("ideal", first.domain_bits), claw_free, (seeds,))
-    params = EtcfParams("toy-lattice", n=first.n, m=first.m, q=first.q)
-    arrays = np.stack([key.matrix for key in keys]), np.stack([key.shift for key in keys])
+    rows = [key._row for key in keys]
+    if len(rows) == 1:
+        return rows[0]
+    arrays = tuple(np.concatenate(column) for column in zip(*(row.arrays for row in rows)))
+    return DrawnKeys(rows[0].params, np.concatenate([row.claw_free for row in rows]), arrays)
+
+
+def _rows(key: EtcfKeyPair, count: int) -> DrawnKeys:
+    """``count`` rows of ``key`` as a read-only ``DrawnKeys``, as a key's ``_row`` serves
+    every caller: its seed, or views of its matrix and shift."""
+    if isinstance(key, IdealKeyPair):
+        params = EtcfParams("ideal", key.domain_bits)
+        arrays = (np.full(count, key.seed, dtype=np.uint64),)
+    else:
+        params = EtcfParams("toy-lattice", n=key.n, m=key.m, q=key.q)
+        arrays = tuple(np.broadcast_to(a, (count, *a.shape)) for a in (key.matrix, key.shift))
+    claw_free = np.full(count, key.kind is KeyKind.CLAW_FREE)
+    for a in (claw_free, *arrays):
+        a.flags.writeable = False
     return DrawnKeys(params, claw_free, arrays)
 
 
@@ -644,16 +672,6 @@ def _claws_of(key: EtcfKeyPair, b: int, x: int) -> tuple[int, int]:
     return int(images[0]), int(partners[0])
 
 
-def _rows(key: EtcfKeyPair, count: int) -> DrawnKeys:
-    """``count`` rows of ``key`` as a ``DrawnKeys``: its seed, or views of its arrays."""
-    claw_free = np.full(count, key.kind is KeyKind.CLAW_FREE)
-    if isinstance(key, IdealKeyPair):
-        return keygen_ideal(claw_free, key.domain_bits, np.full(count, key.seed, dtype=np.uint64))
-    params = EtcfParams("toy-lattice", n=key.n, m=key.m, q=key.q)
-    arrays = (key.matrix, key.shift)
-    return DrawnKeys(params, claw_free, tuple(np.broadcast_to(a, (count, *a.shape)) for a in arrays))
-
-
 def _domain_images(key: EtcfKeyPair) -> np.ndarray:
     """(2, domain size) int64: f_b(x) at each branch bit b and domain point x of ``key``,
     by one ``DrawnKeys.claws`` call on that many rows of it."""
@@ -661,8 +679,8 @@ def _domain_images(key: EtcfKeyPair) -> np.ndarray:
         domain = np.arange(1 << key.domain_bits)
     else:
         domain = encode_vectors(np.indices((key.q,) * key.n).reshape(key.n, -1).T, key.q)
-    rows = _rows(key, 2 * len(domain))
-    return rows.claws(np.repeat([0, 1], len(domain)), np.tile(domain, 2))[0].reshape(2, -1)
+    branch, index = np.divmod(np.arange(2 * len(domain)), len(domain))
+    return _rows(key, len(branch)).claws(branch, domain[index])[0].reshape(2, -1)
 
 
 def invert(key: EtcfKeyPair, y: int):
@@ -676,7 +694,7 @@ def invert(key: EtcfKeyPair, y: int):
     hits, x = key._row.preimages(_FIRST_ROW, np.array([y], dtype=np.int64))
     hit = hits[0].tolist()
     if not any(hit):
-        if isinstance(key, ToyLatticeKeyPair) and decode_vector(y, key.m, key.q) is None:
+        if isinstance(key, ToyLatticeKeyPair) and not _encodes(y, key.m, key.q):
             raise NoPreimageError(f"{y} does not encode a codomain vector")
         raise NoPreimageError(f"{y} has no preimage")
     if key.kind is KeyKind.CLAW_FREE:
